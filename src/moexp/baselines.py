@@ -70,12 +70,24 @@ class ShapleyValue:
     support_count: int
 
 
-def _leaf_removal(graph: Graph, sub: Subgraph, node: int) -> Subgraph | None:
-    """Remove ``node`` from the tree; None when removal would disconnect it."""
-    incident = [eid for eid in sub.edge_set if node in graph.edges[eid]]
-    if len(incident) != 1:
-        return None
-    return make_subgraph(graph, sub.target, [e for e in sub.edge_set if e != incident[0]])
+def _leaf_scan(model, graph, target, config, epsilon, scorer, enumeration):
+    """Yield (candidate, leaf, candidate without the leaf, simulatability drop).
+
+    Visits candidates in enumeration order and their non-target nodes in
+    node order, skipping nodes whose removal would disconnect the tree.
+    """
+    if enumeration is None:
+        enumeration = enumerate_subgraphs(graph, target, config)
+    if scorer is None:
+        scorer = CandidateScorer(model, graph, target, epsilon)
+    for sub in enumeration.subgraphs:
+        for node in sub.node_set:
+            incident = [eid for eid in sub.edge_set if node in graph.edges[eid]]
+            if node == target or len(incident) != 1:
+                continue
+            remainder = make_subgraph(graph, target, [e for e in sub.edge_set if e != incident[0]])
+            drop = scorer.candidate(sub).simulatability - scorer.candidate(remainder).simulatability
+            yield sub, node, remainder, drop
 
 
 def shapley_values(
@@ -94,24 +106,11 @@ def shapley_values(
     Candidates where deletion would disconnect the tree are skipped and do
     not count toward the support.
     """
-    if enumeration is None:
-        enumeration = enumerate_subgraphs(graph, target, config)
-    if scorer is None:
-        scorer = CandidateScorer(model, graph, target, epsilon)
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for sub in enumeration.subgraphs:
-        if not sub.edge_set:
-            continue
-        for node in sub.node_set:
-            if node == target:
-                continue
-            remainder = _leaf_removal(graph, sub, node)
-            if remainder is None:
-                continue
-            drop = scorer.candidate(sub).simulatability - scorer.candidate(remainder).simulatability
-            sums[node] = sums.get(node, 0.0) + drop
-            counts[node] = counts.get(node, 0) + 1
+    for _, node, _, drop in _leaf_scan(model, graph, target, config, epsilon, scorer, enumeration):
+        sums[node] = sums.get(node, 0.0) + drop
+        counts[node] = counts.get(node, 0) + 1
     return {node: ShapleyValue(sums[node] / counts[node], counts[node]) for node in sorted(sums)}
 
 
@@ -179,24 +178,11 @@ def shapley_selection(
     explanations, then canonical edge sets. None when the target has no
     two-node candidate at all.
     """
-    if enumeration is None:
-        enumeration = enumerate_subgraphs(graph, target, config)
-    if scorer is None:
-        scorer = CandidateScorer(model, graph, target, epsilon)
     best = None
-    for sub in enumeration.subgraphs:
-        if not sub.edge_set:
-            continue
-        for node in sub.node_set:
-            if node == target:
-                continue
-            remainder = _leaf_removal(graph, sub, node)
-            if remainder is None:
-                continue
-            drop = scorer.candidate(sub).simulatability - scorer.candidate(remainder).simulatability
-            key = (-abs(drop), len(sub.node_set), sub.edge_set, remainder.edge_set)
-            if best is None or key < best[0]:
-                best = (key, sub, remainder)
+    for sub, _, remainder, drop in _leaf_scan(model, graph, target, config, epsilon, scorer, enumeration):
+        key = (-abs(drop), len(sub.node_set), sub.edge_set, remainder.edge_set)
+        if best is None or key < best[0]:
+            best = (key, sub, remainder)
     if best is None:
         return None
     return best[1], best[2]
@@ -243,7 +229,7 @@ def grad_weights_fd(model: Model, graph: Graph, target: int, step: float, diamet
         diameter = model.depth
     probs = forward(model, graph, target)
     y = int(np.argmax(probs))
-    base = masked_loss(model, graph, target, y, {})
+    base = float(-np.log(probs[y]))
     weights = {}
     for eid in neighborhood_edge_ids(graph, target, diameter):
         shifted = masked_loss(model, graph, target, y, {eid: 1.0 - step})

@@ -3,9 +3,10 @@
 Subcommands: explain (per-node JSON documents), enumerate (candidate CSV),
 shapley (attribution CSV), robustness (perturbation sweep CSV), and synth
 (write a seeded synthetic graph/model pair). The environment variable
-MOEXP_SEED overrides --seed everywhere. Outputs embed a run manifest with
-the configuration, the seed, and content hashes of the inputs; writes are
-atomic per file.
+MOEXP_SEED overrides --seed for explain, robustness and synth; enumerate
+and shapley accept --seed but do not use it. Outputs embed a run manifest
+with the configuration, the seed, and content hashes of the inputs; writes
+are atomic per file.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import io
 from .analysis import confounder_set, derive_seed, run_sanity_sweep
@@ -325,6 +326,13 @@ def robustness_command(config: RobustnessConfig) -> int:
     return 0
 
 
+def synth_command(args) -> int:
+    graph, model = synth_graph(args.kind, _parse_params(args.param), _seed_from_env(args.seed))
+    io.save_graph(graph, args.out_graph)
+    io.save_model(model, args.out_weights)
+    return 0
+
+
 def _parse_params(pairs) -> dict:
     out = {}
     for item in pairs or []:
@@ -346,9 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, weights=True):
-        p.add_argument("--graph", required=True, help="graph JSON file")
+        p.add_argument("--graph", dest="graph_path", metavar="GRAPH", required=True, help="graph JSON file")
         if weights:
-            p.add_argument("--weights", required=True, help="model weights JSON file")
+            p.add_argument(
+                "--weights", dest="weights_path", metavar="WEIGHTS", required=True, help="model weights JSON file"
+            )
         p.add_argument("--targets", default="all-test", help="comma-separated node ids or 'all-test'")
         p.add_argument("--max-nodes", "-C", type=int, default=4, help="max nodes per candidate")
         p.add_argument("--diameter", "-D", type=int, default=2, help="max hops from the target")
@@ -356,33 +366,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="write one explanation document per node")
     common(p)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", dest="output_dir", metavar="OUT", required=True, help="output directory")
     p.add_argument("--method", choices=METHODS, default="pareto-rank")
     p.add_argument("--top-percent", type=float, default=100.0)
     p.add_argument("--exhaustive-cf", action="store_true")
     p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--keep-going", action="store_true")
-    p.add_argument("--edge-weights", help="edge weight JSON for method external-weights")
+    p.add_argument(
+        "--edge-weights",
+        dest="edge_weights_path",
+        metavar="EDGE_WEIGHTS",
+        help="edge weight JSON for method external-weights",
+    )
+    p.set_defaults(run=explain_command, config=RunConfig)
 
     p = sub.add_parser("enumerate", help="list candidate subgraphs as CSV")
     common(p, weights=False)
-    p.add_argument("--out", required=True, help="output CSV file")
+    p.add_argument("--out", dest="output_path", metavar="OUT", required=True, help="output CSV file")
+    p.set_defaults(run=enumerate_command, config=EnumerateConfig)
 
     p = sub.add_parser("shapley", help="per-node attribution as CSV")
     common(p)
-    p.add_argument("--out", required=True, help="output CSV file")
+    p.add_argument("--out", dest="output_path", metavar="OUT", required=True, help="output CSV file")
     p.add_argument("--epsilon", type=float, default=1e-9)
+    p.set_defaults(run=shapley_command, config=ShapleyConfig)
 
     p = sub.add_parser("robustness", help="perturbation sweep as CSV")
     common(p)
-    p.add_argument("--out", required=True, help="output CSV file")
+    p.add_argument("--out", dest="output_path", metavar="OUT", required=True, help="output CSV file")
     p.add_argument("--mode", choices=["message", "weights"], default="message")
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--magnitude", type=float, default=1.0, help="message norm (message mode)")
     p.add_argument("--max-distance", type=float, default=1.0, help="last-layer shift (weights mode)")
     p.add_argument("--method", choices=METHODS, default="pareto-rank")
     p.add_argument("--epsilon", type=float, default=1e-9)
+    p.set_defaults(run=robustness_command, config=RobustnessConfig)
 
     p = sub.add_parser("synth", help="write a synthetic graph and matching weights")
     p.add_argument("--kind", choices=KINDS, required=True)
@@ -390,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-weights", required=True)
+    p.set_defaults(run=synth_command, config=None)
 
     return parser
 
@@ -404,79 +424,21 @@ def _seed_from_env(seed: int) -> int:
     return seed
 
 
+def _config(config_class, args):
+    """Build a command config from the parsed flags; a seed field honours MOEXP_SEED."""
+    values = {f.name: getattr(args, f.name) for f in fields(config_class)}
+    if "seed" in values:
+        values["seed"] = _seed_from_env(values["seed"])
+    return config_class(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "explain":
-            return explain_command(
-                RunConfig(
-                    graph_path=args.graph,
-                    weights_path=args.weights,
-                    output_dir=args.out,
-                    targets=args.targets,
-                    max_nodes=args.max_nodes,
-                    diameter=args.diameter,
-                    top_percent=args.top_percent,
-                    method=args.method,
-                    exhaustive_cf=args.exhaustive_cf,
-                    epsilon=args.epsilon,
-                    seed=_seed_from_env(args.seed),
-                    jobs=args.jobs,
-                    keep_going=args.keep_going,
-                    edge_weights_path=args.edge_weights,
-                )
-            )
-        if args.command == "enumerate":
-            return enumerate_command(
-                EnumerateConfig(
-                    graph_path=args.graph,
-                    output_path=args.out,
-                    targets=args.targets,
-                    max_nodes=args.max_nodes,
-                    diameter=args.diameter,
-                )
-            )
-        if args.command == "shapley":
-            return shapley_command(
-                ShapleyConfig(
-                    graph_path=args.graph,
-                    weights_path=args.weights,
-                    output_path=args.out,
-                    targets=args.targets,
-                    max_nodes=args.max_nodes,
-                    diameter=args.diameter,
-                    epsilon=args.epsilon,
-                )
-            )
-        if args.command == "robustness":
-            return robustness_command(
-                RobustnessConfig(
-                    graph_path=args.graph,
-                    weights_path=args.weights,
-                    output_path=args.out,
-                    targets=args.targets,
-                    mode=args.mode,
-                    steps=args.steps,
-                    seed=_seed_from_env(args.seed),
-                    magnitude=args.magnitude,
-                    max_distance=args.max_distance,
-                    method=args.method,
-                    max_nodes=args.max_nodes,
-                    diameter=args.diameter,
-                    epsilon=args.epsilon,
-                )
-            )
-        if args.command == "synth":
-            graph, model = synth_graph(args.kind, _parse_params(args.param), _seed_from_env(args.seed))
-            io.save_graph(graph, args.out_graph)
-            io.save_model(model, args.out_weights)
-            return 0
+        return args.run(args if args.config is None else _config(args.config, args))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser.error("no command")
-    return 2
 
 
 if __name__ == "__main__":

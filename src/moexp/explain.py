@@ -177,10 +177,6 @@ class SubgraphCandidate:
     distribution: np.ndarray
     simulatability: float
 
-    @property
-    def nu(self) -> float:
-        return self.simulatability
-
 
 @dataclass(frozen=True, eq=False)
 class ExplanationPair:
@@ -197,23 +193,6 @@ class ExplanationPair:
     removed_count: int
     relevance: float
     abs_relevance: float
-
-    # Conventional short names for the same quantities.
-    @property
-    def delta_nodes(self) -> tuple:
-        return self.removed_nodes
-
-    @property
-    def delta_size(self) -> int:
-        return self.removed_count
-
-    @property
-    def mu(self) -> float:
-        return self.relevance
-
-    @property
-    def mu_abs(self) -> float:
-        return self.abs_relevance
 
 
 class CandidateScorer:

@@ -113,6 +113,8 @@ def load_weights(doc: Mapping) -> Model:
         if len(data) != rows * cols:
             raise ValueError(f"layers[{i}]: data length {len(data)} != rows*cols {rows * cols}")
         mats.append(np.asarray(data, dtype=float).reshape(rows, cols))
+        if not np.isfinite(mats[-1]).all():
+            raise ValueError(f"layers[{i}]: weights must be finite")
     model = Model(
         layers=tuple(mats),
         activation=str(activation),
@@ -129,6 +131,43 @@ def _check_mask(mask) -> None:
     for eid, w in mask.items():
         if not 0.0 <= float(w) <= 1.0:
             raise ValueError(f"mask weight out of range for edge {eid}: {w}")
+
+
+def _propagate(model: Model, h: np.ndarray, incidence, depth: int, mask=None, extra_message=None, at=None):
+    """States of every row of ``h`` after the first ``depth`` layers.
+
+    ``incidence[i]`` lists (neighbor row, parent-graph edge id) pairs of row
+    i. ``mask`` scales messages by edge id; ``extra_message`` joins row
+    ``at``'s aggregation at the model's last layer.
+    """
+    if h.shape[1] != model.input_dim:
+        raise ValueError(
+            f"shape error: features have dim {h.shape[1]}, "
+            f"first layer expects {model.input_dim}"
+        )
+    for li in range(depth):
+        weights = model.layers[li]
+        last = li == model.depth - 1
+        agg = np.zeros((len(incidence), weights.shape[0]))
+        for i, pairs in enumerate(incidence):
+            if model.self_loop:
+                acc = h[i].copy()
+                count = 1
+            else:
+                acc = np.zeros(weights.shape[0])
+                count = 0
+            for j, eid in pairs:
+                acc += h[j] if mask is None else float(mask.get(eid, 1.0)) * h[j]
+                count += 1
+            if last and extra_message is not None and i == at:
+                acc = acc + np.asarray(extra_message, dtype=float).reshape(-1)
+                count += 1
+            if model.mean_aggregate and count:
+                acc = acc / count
+            agg[i] = acc
+        z = agg @ weights
+        h = _activate(model.activation, z) if (not last or model.final_activation) else z
+    return h
 
 
 def forward_hidden(
@@ -153,14 +192,9 @@ def forward_hidden(
         raise ValueError("target not in subgraph: restriction is anchored elsewhere")
     if mask:
         _check_mask(mask)
-    if graph.feature_dim != model.input_dim:
-        raise ValueError(
-            f"shape error: features have dim {graph.feature_dim}, "
-            f"first layer expects {model.input_dim}"
-        )
 
     if restrict is None:
-        scope = range(graph.node_count)
+        h = graph.features
         incidence = graph.incidence
         local_v = v
     else:
@@ -173,34 +207,10 @@ def forward_hidden(
             lists[local[b]].append((local[a], eid))
         for lst in lists:
             lst.sort()
+        h = graph.features[list(scope)]
         incidence = lists
         local_v = local[v]
-
-    h = graph.features[list(scope)] if restrict is not None else graph.features
-    depth = model.depth
-    for li, weights in enumerate(model.layers):
-        last = li == depth - 1
-        agg = np.zeros((len(incidence), weights.shape[0]))
-        for i in range(len(incidence)):
-            if model.self_loop:
-                acc = h[i].copy()
-                count = 1
-            else:
-                acc = np.zeros(weights.shape[0])
-                count = 0
-            for j, eid in incidence[i]:
-                w = 1.0 if mask is None else float(mask.get(eid, 1.0))
-                acc += w * h[j]
-                count += 1
-            if last and extra_message is not None and i == local_v:
-                acc = acc + np.asarray(extra_message, dtype=float).reshape(-1)
-                count += 1
-            if model.mean_aggregate and count:
-                acc = acc / count
-            agg[i] = acc
-        z = agg @ weights
-        h = _activate(model.activation, z) if (not last or model.final_activation) else z
-    return h[local_v].copy()
+    return _propagate(model, h, incidence, model.depth, mask, extra_message, local_v)[local_v].copy()
 
 
 def forward(
@@ -223,29 +233,7 @@ def node_embeddings(model: Model, graph: Graph, depth_limit: int) -> np.ndarray:
     """
     if not 0 <= depth_limit <= model.depth:
         raise ValueError("depth_limit out of range")
-    if graph.feature_dim != model.input_dim:
-        raise ValueError("shape error: feature dim does not match first layer")
-    h = graph.features
-    for li in range(depth_limit):
-        weights = model.layers[li]
-        agg = np.zeros((graph.node_count, weights.shape[0]))
-        for i in range(graph.node_count):
-            if model.self_loop:
-                acc = h[i].copy()
-                count = 1
-            else:
-                acc = np.zeros(weights.shape[0])
-                count = 0
-            for j in graph.adjacency[i]:
-                acc += h[j]
-                count += 1
-            if model.mean_aggregate and count:
-                acc = acc / count
-            agg[i] = acc
-        z = agg @ weights
-        final = li == model.depth - 1
-        h = z if (final and not model.final_activation) else _activate(model.activation, z)
-    return h
+    return _propagate(model, graph.features, graph.incidence, depth_limit)
 
 
 def masked_loss(model: Model, graph: Graph, v: int, y: int, mask: Mapping | None) -> float:

@@ -69,9 +69,14 @@ def parse_graph(doc: Mapping) -> Graph:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise FormatError(f"edges[{i}]: expected a pair")
     try:
-        return build_graph(features, edges, labels)
+        graph = build_graph(features, edges, labels)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    finite = np.isfinite(graph.features).all(axis=1)
+    if not finite.all():
+        i = next(i for i, node in enumerate(nodes) if not finite[node["id"]])
+        raise FormatError(f"nodes[{i}]: features must be finite")
+    return graph
 
 
 def graph_to_doc(graph: Graph) -> dict:
@@ -171,25 +176,16 @@ def run_manifest(config: Mapping, seed: int, inputs: Mapping) -> dict:
     }
 
 
-def _to_jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_to_jsonable(x) for x in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(x) for x in value]
-    if isinstance(value, Mapping):
-        return {k: _to_jsonable(v) for k, v in value.items()}
-    return value
+def _json_default(value):
+    """Convert numpy arrays and scalars, which ``json`` cannot serialize, to Python values."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dump_json(doc, path) -> None:
     """Serialize with sorted keys and replace the destination atomically."""
-    payload = json.dumps(_to_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    payload = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
     _atomic_write(path, payload)
 
 

@@ -17,6 +17,13 @@ def dominates(a, b) -> bool:
     return a[0] >= b[0] and a[1] >= b[1] and (a[0] > b[0] or a[1] > b[1])
 
 
+def _reject_nan(values) -> None:
+    # NaN compares unequal to itself, so no tie scan below could group it.
+    for i, value in enumerate(values):
+        if value != value:
+            raise ValueError(f"non-finite score at index {i}: {value}")
+
+
 def pareto_front(scores) -> list:
     """Flag the non-dominated entries via a single descending sweep.
 
@@ -26,6 +33,8 @@ def pareto_front(scores) -> list:
     coordinate. Equivalent to the quadratic all-pairs check.
     """
     n = len(scores)
+    _reject_nan(s[0] for s in scores)
+    _reject_nan(s[1] for s in scores)
     flags = [False] * n
     if n == 0:
         return flags
@@ -48,11 +57,9 @@ def pareto_front(scores) -> list:
     return flags
 
 
-pareto_flags = pareto_front
-
-
 def competition_ranks(values) -> list:
     """1-based descending ranks; tied values share 1 + (count strictly better)."""
+    _reject_nan(values)
     order = sorted(range(len(values)), key=lambda i: -values[i])
     ranks = [0] * len(values)
     i = 0
@@ -99,7 +106,7 @@ def select_comprehensive(scores, tie_keys=None) -> Selection:
         raise ValueError("at least one scored pair required")
     sim_ranks, rel_ranks, sums = _ranked(scores)
     selected = _argmin(sums, tie_keys)
-    return Selection(tuple(sim_ranks), tuple(rel_ranks), tuple(sums), tuple(pareto_flags(scores)), selected)
+    return Selection(tuple(sim_ranks), tuple(rel_ranks), tuple(sums), tuple(pareto_front(scores)), selected)
 
 
 def select_balanced(scores, tie_keys=None) -> Selection:
@@ -114,7 +121,7 @@ def select_balanced(scores, tie_keys=None) -> Selection:
     sim_ranks, rel_ranks, sums = _ranked(scores)
     gaps = [(abs(a - b), s) for a, b, s in zip(sim_ranks, rel_ranks, sums)]
     selected = _argmin(gaps, tie_keys)
-    return Selection(tuple(sim_ranks), tuple(rel_ranks), tuple(sums), tuple(pareto_flags(scores)), selected)
+    return Selection(tuple(sim_ranks), tuple(rel_ranks), tuple(sums), tuple(pareto_front(scores)), selected)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,23 +142,6 @@ class ScoredFront:
     @property
     def selected_pair(self):
         return self.pairs[self.selected]
-
-    # Short aliases used in serialization and in the write-ups.
-    @property
-    def r1(self) -> tuple:
-        return self.sim_ranks
-
-    @property
-    def r2(self) -> tuple:
-        return self.rel_ranks
-
-    @property
-    def R(self) -> tuple:
-        return self.rank_sums
-
-    @property
-    def pareto_flags(self) -> tuple:
-        return self.pareto
 
 
 def pair_scores(pairs):
