@@ -1,4 +1,4 @@
-"""Confounder identification, a nested-sum oracle, and robustness probes.
+"""Confounder identification and robustness probes.
 
 The perturbation helpers stress the selected explanation from two sides:
 a synthetic message with controlled alignment to the predicted class
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .explain import EnumConfig, DEFAULT_EPSILON
-from .gcn import Model, _activate, forward
-from .graph import Graph, Subgraph, l_hop_neighborhood
+from .gcn import Model, forward
+from .graph import Graph, l_hop_neighborhood
 from .pipeline import NodeExplanation, explain_node
 
 
@@ -27,62 +27,6 @@ def confounder_set(graph: Graph, target: int, hops: int, pair) -> set:
     explanation and the counterfactual regime.
     """
     return l_hop_neighborhood(graph, target, hops) - set(pair.removed_nodes)
-
-
-def sem_expand_check(model: Model, graph: Graph, target: int, restrict: Subgraph | None = None) -> np.ndarray:
-    """Two-layer output of the target evaluated as one nested expression.
-
-    Expands the layered recursion into explicit per-neighbor inner sums and
-    evaluates them directly, with no layer loop, as an independent check of
-    the message-passing implementation. Requires a two-layer model; honors
-    the model's self-loop, mean, and final-activation settings.
-    """
-    if model.depth != 2:
-        raise ValueError("requires a two-layer model")
-    if restrict is not None and restrict.target != target:
-        raise ValueError("target not in subgraph: restriction is anchored elsewhere")
-    if graph.feature_dim != model.input_dim:
-        raise ValueError("shape error: feature dim does not match first layer")
-    first, second = model.layers
-
-    if restrict is None:
-        def around(v):
-            return graph.adjacency[v]
-        scope = None
-    else:
-        scope = set(restrict.node_set)
-        local_adj: dict[int, list[int]] = {v: [] for v in restrict.node_set}
-        for eid in restrict.edge_set:
-            a, b = graph.edges[eid]
-            local_adj[a].append(b)
-            local_adj[b].append(a)
-        for lst in local_adj.values():
-            lst.sort()
-
-        def around(v):
-            return local_adj[v]
-
-    feats = graph.features
-
-    def inner_state(j):
-        total = feats[j].copy() if model.self_loop else np.zeros(model.input_dim)
-        count = 1 if model.self_loop else 0
-        for k in around(j):
-            total += feats[k]
-            count += 1
-        if model.mean_aggregate and count:
-            total = total / count
-        return _activate(model.activation, total @ first)
-
-    agg = inner_state(target) if model.self_loop else np.zeros(first.shape[1])
-    count = 1 if model.self_loop else 0
-    for j in around(target):
-        agg = agg + inner_state(j)
-        count += 1
-    if model.mean_aggregate and count:
-        agg = agg / count
-    z = agg @ second
-    return _activate(model.activation, z) if model.final_activation else z
 
 
 def jaccard_distance(a, b) -> float:

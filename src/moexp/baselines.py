@@ -139,15 +139,15 @@ def set_shapley_value(
         enumeration = enumerate_subgraphs(graph, target, config)
     if scorer is None:
         scorer = CandidateScorer(model, graph, target, epsilon)
-    index = {s.edge_set: s for s in enumeration.subgraphs}
     total, count = 0.0, 0
     for sub in enumeration.subgraphs:
         if not removed <= set(sub.node_set):
             continue
         keep = tuple(e for e in sub.edge_set if not (set(graph.edges[e]) & removed))
-        rest = index.get(keep)
-        if rest is None:
+        j = enumeration.index.get(keep)
+        if j is None:
             continue
+        rest = enumeration.subgraphs[j]
         if set(rest.node_set) != set(sub.node_set) - removed:
             continue
         rel = cf_relevance(

@@ -22,7 +22,6 @@ from . import io
 from .analysis import confounder_set, derive_seed, run_sanity_sweep
 from .baselines import shapley_values
 from .explain import EnumConfig, enumerate_subgraphs
-from .pareto import pair_tie_keys
 from .pipeline import METHODS, NodeExplanation, explain_node
 from .synth import KINDS, synth_graph
 
@@ -45,6 +44,10 @@ class RunConfig:
     jobs: int = 1
     keep_going: bool = False
     edge_weights_path: str | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.top_percent <= 100.0:
+            raise ValueError("top_percent must be in (0, 100]")
 
     def public_dict(self) -> dict:
         return {
@@ -132,11 +135,9 @@ def node_document(result: NodeExplanation, graph, model, config: RunConfig, mani
         front_size=front.front_size,
         confounders=sorted(confounder_set(graph, result.target, model.depth, pair)),
     )
-    keys = pair_tie_keys(front.pairs)
-    order = sorted(range(len(front.pairs)), key=lambda i: (front.rank_sums[i], keys[i]))
     keep = max(1, math.ceil(config.top_percent / 100.0 * len(front.pairs)))
     top = []
-    for i in order[:keep]:
+    for i in front.order[:keep]:
         p = front.pairs[i]
         top.append(
             {
@@ -160,7 +161,7 @@ def node_document(result: NodeExplanation, graph, model, config: RunConfig, mani
 def explain_command(config: RunConfig) -> int:
     graph = io.load_graph(config.graph_path)
     model = io.load_model(config.weights_path)
-    econfig = EnumConfig(config.max_nodes, config.diameter, config.top_percent)
+    econfig = EnumConfig(config.max_nodes, config.diameter)
     external = None
     if config.method == "external-weights":
         if not config.edge_weights_path:

@@ -11,6 +11,7 @@ from every enumerated sub-tree).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -25,19 +26,16 @@ DEFAULT_EPSILON = 1e-9
 @dataclass(frozen=True)
 class EnumConfig:
     """Search bounds: at most ``max_nodes`` per candidate, all nodes within
-    ``diameter`` hops of the target; ``top_percent`` trims ranked listings."""
+    ``diameter`` hops of the target."""
 
     max_nodes: int = 4
     diameter: int = 2
-    top_percent: float = 100.0
 
     def __post_init__(self):
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be at least 1")
         if self.diameter < 1:
             raise ValueError("diameter must be at least 1")
-        if not 0.0 < self.top_percent <= 100.0:
-            raise ValueError("top_percent must be in (0, 100]")
 
 
 @dataclass(frozen=True)
@@ -55,13 +53,32 @@ class Enumeration:
     def __len__(self) -> int:
         return len(self.subgraphs)
 
-    def ancestors(self, index: int):
-        """Indices of proper growth ancestors, nearest first."""
-        out = []
-        parent = self.parents[index]
-        while parent is not None:
-            out.append(parent)
-            parent = self.parents[parent]
+    @functools.cached_property
+    def index(self) -> dict:
+        """Position of each candidate, keyed by its edge set."""
+        return {s.edge_set: i for i, s in enumerate(self.subgraphs)}
+
+    def counterfactuals(self, i: int, exhaustive: bool) -> list:
+        """Indices of candidate i's counterfactuals, in pairing order.
+
+        Default mode gives the proper growth ancestors, nearest first.
+        Exhaustive mode gives every enumerated proper sub-tree, in
+        ``itertools.combinations`` order of its edge set. Both drop the bare
+        target for explanations of three or more nodes; it is only allowed
+        for two-node explanations, where no other counterfactual exists.
+        """
+        sub = self.subgraphs[i]
+        if exhaustive:
+            combos = (c for r in range(len(sub.edge_set)) for c in itertools.combinations(sub.edge_set, r))
+            out = [j for j in map(self.index.get, combos) if j is not None]
+        else:
+            out = []
+            j = self.parents[i]
+            while j is not None:
+                out.append(j)
+                j = self.parents[j]
+        if len(sub.node_set) >= 3:
+            out = [j for j in out if self.subgraphs[j].edge_set]
         return out
 
 
@@ -105,41 +122,12 @@ def enumerate_subgraphs(graph: Graph, target: int, config: EnumConfig = EnumConf
     return Enumeration(target, tuple(subgraphs), tuple(parents))
 
 
-def _extreme_pair(explanation: Subgraph, counterfactual: Subgraph) -> bool:
-    # Dropping everything but the target is only allowed as a counterfactual
-    # for two-node explanations, where no other counterfactual exists.
-    return len(counterfactual.node_set) == 1 and len(explanation.node_set) >= 3
-
-
 def generate_pairs(enumeration: Enumeration, exhaustive: bool = False):
-    """(explanation, counterfactual) skeletons prior to scoring.
-
-    Default mode pairs each candidate with its proper growth ancestors.
-    Exhaustive mode pairs each candidate with every enumerated proper
-    sub-tree of it. Both drop bare single-node counterfactuals for
-    explanations of three or more nodes.
-    """
+    """(explanation, counterfactual) skeletons prior to scoring, one
+    explanation after another in enumeration order (see
+    ``Enumeration.counterfactuals``)."""
     subs = enumeration.subgraphs
-    pairs = []
-    if exhaustive:
-        index = {s.edge_set: i for i, s in enumerate(subs)}
-        for sub in subs:
-            k = len(sub.edge_set)
-            for r in range(k):
-                for combo in itertools.combinations(sub.edge_set, r):
-                    j = index.get(combo)
-                    if j is None:
-                        continue
-                    if _extreme_pair(sub, subs[j]):
-                        continue
-                    pairs.append((sub, subs[j]))
-    else:
-        for i, sub in enumerate(subs):
-            for a in enumeration.ancestors(i):
-                if _extreme_pair(sub, subs[a]):
-                    continue
-                pairs.append((sub, subs[a]))
-    return pairs
+    return [(subs[i], subs[j]) for i in range(len(subs)) for j in enumeration.counterfactuals(i, exhaustive)]
 
 
 def simulatability(reference, candidate, epsilon: float = DEFAULT_EPSILON) -> float:
@@ -210,14 +198,12 @@ class CandidateScorer:
         graph: Graph,
         target: int,
         epsilon: float = DEFAULT_EPSILON,
-        memoize: bool = True,
         reference_distribution=None,
     ):
         self.model = model
         self.graph = graph
         self.target = target
         self.epsilon = epsilon
-        self.memoize = memoize
         if reference_distribution is None:
             self.full_distribution = forward(model, graph, target)
         else:
@@ -230,14 +216,13 @@ class CandidateScorer:
         if sub.target != self.target:
             raise ValueError("candidate anchored at a different target")
         key = sub.edge_set
-        if self.memoize and key in self._cache:
+        if key in self._cache:
             self.hit_count += 1
             return self._cache[key]
         dist = forward(self.model, self.graph, self.target, restrict=sub)
         self.forward_count += 1
         cand = SubgraphCandidate(sub, dist, simulatability(self.full_distribution, dist, self.epsilon))
-        if self.memoize:
-            self._cache[key] = cand
+        self._cache[key] = cand
         return cand
 
     def pair(self, explanation: Subgraph, counterfactual: Subgraph) -> ExplanationPair:

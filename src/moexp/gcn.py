@@ -138,35 +138,37 @@ def _propagate(model: Model, h: np.ndarray, incidence, depth: int, mask=None, ex
 
     ``incidence[i]`` lists (neighbor row, parent-graph edge id) pairs of row
     i. ``mask`` scales messages by edge id; ``extra_message`` joins row
-    ``at``'s aggregation at the model's last layer.
+    ``at``'s aggregation at the model's last layer. An overflow or invalid
+    operation raises ``FloatingPointError`` instead of leaving inf or NaN.
     """
     if h.shape[1] != model.input_dim:
         raise ValueError(
             f"shape error: features have dim {h.shape[1]}, "
             f"first layer expects {model.input_dim}"
         )
-    for li in range(depth):
-        weights = model.layers[li]
-        last = li == model.depth - 1
-        agg = np.zeros((len(incidence), weights.shape[0]))
-        for i, pairs in enumerate(incidence):
-            if model.self_loop:
-                acc = h[i].copy()
-                count = 1
-            else:
-                acc = np.zeros(weights.shape[0])
-                count = 0
-            for j, eid in pairs:
-                acc += h[j] if mask is None else float(mask.get(eid, 1.0)) * h[j]
-                count += 1
-            if last and extra_message is not None and i == at:
-                acc = acc + np.asarray(extra_message, dtype=float).reshape(-1)
-                count += 1
-            if model.mean_aggregate and count:
-                acc = acc / count
-            agg[i] = acc
-        z = agg @ weights
-        h = _activate(model.activation, z) if (not last or model.final_activation) else z
+    with np.errstate(over="raise", invalid="raise"):
+        for li in range(depth):
+            weights = model.layers[li]
+            last = li == model.depth - 1
+            agg = np.zeros((len(incidence), weights.shape[0]))
+            for i, pairs in enumerate(incidence):
+                if model.self_loop:
+                    acc = h[i].copy()
+                    count = 1
+                else:
+                    acc = np.zeros(weights.shape[0])
+                    count = 0
+                for j, eid in pairs:
+                    acc += h[j] if mask is None else float(mask.get(eid, 1.0)) * h[j]
+                    count += 1
+                if last and extra_message is not None and i == at:
+                    acc = acc + np.asarray(extra_message, dtype=float).reshape(-1)
+                    count += 1
+                if model.mean_aggregate and count:
+                    acc = acc / count
+                agg[i] = acc
+            z = agg @ weights
+            h = _activate(model.activation, z) if (not last or model.final_activation) else z
     return h
 
 
@@ -210,7 +212,11 @@ def forward_hidden(
         h = graph.features[list(scope)]
         incidence = lists
         local_v = local[v]
-    return _propagate(model, h, incidence, model.depth, mask, extra_message, local_v)[local_v].copy()
+    try:
+        h = _propagate(model, h, incidence, model.depth, mask, extra_message, local_v)
+    except FloatingPointError as exc:
+        raise ValueError(f"forward pass at node {v}: {exc}") from None
+    return h[local_v].copy()
 
 
 def forward(
@@ -233,7 +239,10 @@ def node_embeddings(model: Model, graph: Graph, depth_limit: int) -> np.ndarray:
     """
     if not 0 <= depth_limit <= model.depth:
         raise ValueError("depth_limit out of range")
-    return _propagate(model, graph.features, graph.incidence, depth_limit)
+    try:
+        return _propagate(model, graph.features, graph.incidence, depth_limit)
+    except FloatingPointError as exc:
+        raise ValueError(f"forward pass: {exc}") from None
 
 
 def masked_loss(model: Model, graph: Graph, v: int, y: int, mask: Mapping | None) -> float:

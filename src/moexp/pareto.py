@@ -9,7 +9,9 @@ minimizes the rank sum, which provably lands on the Pareto front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 
 def dominates(a, b) -> bool:
@@ -60,80 +62,25 @@ def pareto_front(scores) -> list:
 def competition_ranks(values) -> list:
     """1-based descending ranks; tied values share 1 + (count strictly better)."""
     _reject_nan(values)
-    order = sorted(range(len(values)), key=lambda i: -values[i])
-    ranks = [0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and values[order[j]] == values[order[i]]:
-            j += 1
-        for k in range(i, j):
-            ranks[order[k]] = i + 1
-        i = j
-    return ranks
-
-
-@dataclass(frozen=True)
-class Selection:
-    """Per-pair ranks plus the index picked by the selection rule."""
-
-    sim_ranks: tuple
-    rel_ranks: tuple
-    rank_sums: tuple
-    pareto: tuple
-    selected: int
-
-
-def _argmin(values, tie_keys):
-    best = min(values)
-    candidates = [i for i, v in enumerate(values) if v == best]
-    if tie_keys is None or len(candidates) == 1:
-        return candidates[0]
-    return min(candidates, key=lambda i: tie_keys[i])
-
-
-def _ranked(scores):
-    sim_ranks = competition_ranks([s[0] for s in scores])
-    rel_ranks = competition_ranks([s[1] for s in scores])
-    sums = [a + b for a, b in zip(sim_ranks, rel_ranks)]
-    return sim_ranks, rel_ranks, sums
-
-
-def select_comprehensive(scores, tie_keys=None) -> Selection:
-    """Pick the minimal rank sum; ties fall back to the given sort keys."""
-    scores = list(scores)
-    if not scores:
-        raise ValueError("at least one scored pair required")
-    sim_ranks, rel_ranks, sums = _ranked(scores)
-    selected = _argmin(sums, tie_keys)
-    return Selection(tuple(sim_ranks), tuple(rel_ranks), tuple(sums), tuple(pareto_front(scores)), selected)
-
-
-def select_balanced(scores, tie_keys=None) -> Selection:
-    """Pick the pair whose two ranks are closest, favoring small rank sums.
-
-    The primary key is |sim_rank - rel_rank|, the secondary key the rank
-    sum, and remaining ties fall back to the given sort keys.
-    """
-    scores = list(scores)
-    if not scores:
-        raise ValueError("at least one scored pair required")
-    sim_ranks, rel_ranks, sums = _ranked(scores)
-    gaps = [(abs(a - b), s) for a, b, s in zip(sim_ranks, rel_ranks, sums)]
-    selected = _argmin(gaps, tie_keys)
-    return Selection(tuple(sim_ranks), tuple(rel_ranks), tuple(sums), tuple(pareto_front(scores)), selected)
+    keys = -np.asarray(values, dtype=float)
+    return (np.searchsorted(np.sort(keys), keys, side="left") + 1).tolist()
 
 
 @dataclass(frozen=True, eq=False)
 class ScoredFront:
-    """A ranked pair population and the pair the strategy picked."""
+    """Per-pair ranks, the listing order, and the index the strategy picked.
 
-    pairs: tuple
+    ``order`` lists every index by (rank sum, tie key, index). ``pairs`` holds the
+    ranked pairs when the front came from ``rank_pairs``.
+    """
+
     sim_ranks: tuple
     rel_ranks: tuple
     rank_sums: tuple
     pareto: tuple
+    order: tuple
     selected: int
+    pairs: tuple = ()
 
     @property
     def front_size(self) -> int:
@@ -142,6 +89,39 @@ class ScoredFront:
     @property
     def selected_pair(self):
         return self.pairs[self.selected]
+
+
+def _select(scores, tie_keys, balanced: bool) -> ScoredFront:
+    scores = list(scores)
+    if not scores:
+        raise ValueError("at least one scored pair required")
+    sim_ranks = competition_ranks([s[0] for s in scores])
+    rel_ranks = competition_ranks([s[1] for s in scores])
+    sums = [a + b for a, b in zip(sim_ranks, rel_ranks)]
+    keys = range(len(scores)) if tie_keys is None else tie_keys
+    order = sorted(range(len(scores)), key=lambda i: (sums[i], keys[i]))
+    selected = order[0]
+    if balanced:
+        gaps = [abs(a - b) for a, b in zip(sim_ranks, rel_ranks)]
+        best = min(gaps)
+        selected = next(i for i in order if gaps[i] == best)
+    return ScoredFront(
+        tuple(sim_ranks), tuple(rel_ranks), tuple(sums), tuple(pareto_front(scores)), tuple(order), selected
+    )
+
+
+def select_comprehensive(scores, tie_keys=None) -> ScoredFront:
+    """Pick the minimal rank sum; ties fall back to the given sort keys, then the index."""
+    return _select(scores, tie_keys, balanced=False)
+
+
+def select_balanced(scores, tie_keys=None) -> ScoredFront:
+    """Pick the pair whose two ranks are closest, favoring small rank sums.
+
+    The primary key is |sim_rank - rel_rank|, the secondary key the rank
+    sum, and remaining ties fall back to the given sort keys, then the index.
+    """
+    return _select(scores, tie_keys, balanced=True)
 
 
 def pair_scores(pairs):
@@ -164,14 +144,7 @@ def pair_tie_keys(pairs):
 def rank_pairs(pairs, strategy: str = "comprehensive") -> ScoredFront:
     """Rank scored pairs and select one by the named strategy."""
     pairs = tuple(pairs)
-    if not pairs:
-        raise ValueError("at least one scored pair required")
-    scores = pair_scores(pairs)
-    keys = pair_tie_keys(pairs)
-    if strategy == "comprehensive":
-        sel = select_comprehensive(scores, keys)
-    elif strategy == "balanced":
-        sel = select_balanced(scores, keys)
-    else:
+    if strategy not in ("comprehensive", "balanced"):
         raise ValueError(f"unknown strategy: {strategy!r}")
-    return ScoredFront(pairs, sel.sim_ranks, sel.rel_ranks, sel.rank_sums, sel.pareto, sel.selected)
+    front = _select(pair_scores(pairs), pair_tie_keys(pairs), strategy == "balanced")
+    return replace(front, pairs=pairs)

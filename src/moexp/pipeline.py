@@ -115,11 +115,9 @@ def explain_node(
             raise ValueError("method external-weights requires edge weights")
         weights = {int(k): float(v) for k, v in edge_weights.items()}
     grown = baselines.grow_subgraph(weights, graph, target, config.max_nodes)
-    skeletons = [
-        (expl, cf)
-        for expl, cf in generate_pairs(enumeration, exhaustive=exhaustive_cf)
-        if expl == grown
-    ]
+    i = enumeration.index.get(grown.edge_set)
+    subs = enumeration.subgraphs
+    skeletons = [] if i is None else [(subs[i], subs[j]) for j in enumeration.counterfactuals(i, exhaustive_cf)]
     return _finish(scorer, enumeration, method, skeletons, "comprehensive", fallback=grown)
 
 

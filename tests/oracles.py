@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's own algorithms: trees are
 found by filtering raw edge subsets, Pareto flags come from the quadratic
 all-pairs definition, restricted predictions are computed by rebuilding the
-subgraph as a standalone graph, and the symmetric KL uses the two-term
-textbook formula instead of the package's fused form.
+subgraph as a standalone graph, two-layer outputs are expanded into nested
+sums, and the symmetric KL uses the two-term textbook formula instead of the
+package's fused form.
 """
 
 from __future__ import annotations
@@ -166,6 +167,64 @@ def shapley_oracle(model, graph, target, max_nodes, diameter, eps=1e-9):
             sums[j] = sums.get(j, 0.0) + delta
             counts[j] = counts.get(j, 0) + 1
     return {j: (sums[j] / counts[j], counts[j]) for j in sums}
+
+
+def _activation(name, x):
+    if name == "relu":
+        return np.maximum(x, 0.0)
+    if name == "sigmoid":
+        return 0.5 * (1.0 + np.tanh(0.5 * x))
+    return x
+
+
+def sem_expand_check(model, graph, target, restrict=None):
+    """Two-layer output of the target evaluated as one nested expression.
+
+    Expands the layered recursion into explicit per-neighbor inner sums and
+    evaluates them directly, with no layer loop, as an independent check of
+    the message-passing implementation. Requires a two-layer model; honors
+    the model's self-loop, mean, and final-activation settings.
+    """
+    if model.depth != 2:
+        raise ValueError("requires a two-layer model")
+    if restrict is not None and restrict.target != target:
+        raise ValueError("target not in subgraph: restriction is anchored elsewhere")
+    if graph.feature_dim != model.input_dim:
+        raise ValueError("shape error: feature dim does not match first layer")
+    first, second = model.layers
+
+    if restrict is None:
+        around = graph.adjacency
+    else:
+        around = {v: [] for v in restrict.node_set}
+        for eid in restrict.edge_set:
+            a, b = graph.edges[eid]
+            around[a].append(b)
+            around[b].append(a)
+        for lst in around.values():
+            lst.sort()
+
+    feats = graph.features
+
+    def inner_state(j):
+        total = feats[j].copy() if model.self_loop else np.zeros(model.input_dim)
+        count = 1 if model.self_loop else 0
+        for k in around[j]:
+            total += feats[k]
+            count += 1
+        if model.mean_aggregate and count:
+            total = total / count
+        return _activation(model.activation, total @ first)
+
+    agg = inner_state(target) if model.self_loop else np.zeros(first.shape[1])
+    count = 1 if model.self_loop else 0
+    for j in around[target]:
+        agg = agg + inner_state(j)
+        count += 1
+    if model.mean_aggregate and count:
+        agg = agg / count
+    z = agg @ second
+    return _activation(model.activation, z) if model.final_activation else z
 
 
 def random_graph(rng, max_nodes=8, edge_prob=0.4, feature_dim=2, min_nodes=2):

@@ -30,7 +30,6 @@ from moexp import (
     make_subgraph,
     pareto_front,
     select_comprehensive,
-    sem_expand_check,
     shapley_values,
     simulatability,
     synth_graph,
@@ -45,6 +44,7 @@ from oracles import (
     pareto_oracle,
     random_graph,
     random_model,
+    sem_expand_check,
     shapley_oracle,
     tree_records,
 )

@@ -16,12 +16,11 @@ from moexp import (
     perturb_message,
     perturb_weights,
     run_sanity_sweep,
-    sem_expand_check,
 )
 from moexp.gcn import forward_hidden
 
 from conftest import sem_chain, sem_model
-from oracles import random_graph, random_model
+from oracles import random_graph, random_model, sem_expand_check
 
 
 def chain_pair(graph, model, expl_edges, cf_edges, target=2):

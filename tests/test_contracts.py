@@ -77,8 +77,8 @@ def test_load_model_rejects_non_finite_weights(tmp_path, text):
 
 
 def test_overflowing_features_give_an_error_document(tmp_path):
-    # 1e308 is finite, but the aggregation overflows and every distribution
-    # comes out NaN; ranking used to spin forever on the NaN scores.
+    # 1e308 is finite, but the aggregation overflows; the forward pass
+    # raises instead of handing NaN distributions on to ranking.
     graph, model = synth_graph("planted-motif", {}, 7)
     doc = graph_to_doc(graph)
     doc["nodes"][1]["features"] = [1e308] * graph.feature_dim
@@ -92,7 +92,20 @@ def test_overflowing_features_give_an_error_document(tmp_path):
     )
     assert proc.returncode == 1, proc.stderr
     written = json.loads((tmp_path / "out" / "node_0.json").read_text())
-    assert written["error"] == "ValueError: non-finite score at index 0: nan"
+    assert written["error"] == "ValueError: forward pass at node 0: overflow encountered in add"
+
+
+def test_overflowing_features_fail_shapley_without_a_csv(tmp_path, capsys):
+    # The same input as above: no NaN attribution rows may be written.
+    graph, model = synth_graph("planted-motif", {}, 7)
+    doc = graph_to_doc(graph)
+    doc["nodes"][1]["features"] = [1e308] * graph.feature_dim
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    save_model(model, tmp_path / "w.json")
+    argv = ["shapley", "--graph", str(tmp_path / "g.json"), "--weights", str(tmp_path / "w.json")]
+    assert main(argv + ["--targets", "0", "--out", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err == "error: forward pass at node 0: overflow encountered in add\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize(

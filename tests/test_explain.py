@@ -16,6 +16,7 @@ from moexp import (
     simulatability,
     validate_subgraph,
 )
+from moexp.cli import RunConfig
 
 from oracles import brute_force_trees, random_graph, random_model, sym_kl
 
@@ -35,9 +36,30 @@ def test_enum_config_validation():
     with pytest.raises(ValueError, match="diameter"):
         EnumConfig(diameter=0)
     with pytest.raises(ValueError, match="top_percent"):
-        EnumConfig(top_percent=0.0)
+        RunConfig("g.json", "w.json", "out", top_percent=0.0)
     with pytest.raises(ValueError, match="top_percent"):
-        EnumConfig(top_percent=100.5)
+        RunConfig("g.json", "w.json", "out", top_percent=100.5)
+
+
+@given(st.integers(0, 50_000))
+@settings(max_examples=60, deadline=None)
+def test_counterfactuals_match_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=6)
+    v = int(rng.integers(0, g.node_count))
+    enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=4, diameter=2))
+    trees = [frozenset(t) for t in brute_force_trees(g, v, 4, 2)]
+    for i, sub in enumerate(enum.subgraphs):
+        edges = frozenset(sub.edge_set)
+        bare_ok = len(sub.node_set) < 3
+        exhaustive = [frozenset(enum.subgraphs[j].edge_set) for j in enum.counterfactuals(i, True)]
+        assert len(exhaustive) == len(set(exhaustive))
+        assert set(exhaustive) == {t for t in trees if t < edges and (t or bare_ok)}
+        chain, j = [], enum.parents[i]
+        while j is not None:
+            chain.append(j)
+            j = enum.parents[j]
+        assert enum.counterfactuals(i, False) == [j for j in chain if enum.subgraphs[j].edge_set or bare_ok]
 
 
 def test_enumerate_chain_three_candidates():
@@ -214,8 +236,7 @@ def test_memoization_semantically_invisible(chain_graph, chain_model):
     enum = enumerate_subgraphs(chain_graph, 2, EnumConfig(max_nodes=4, diameter=2))
     skeletons = generate_pairs(enum)
     with_memo = evaluate_pairs(chain_model, chain_graph, skeletons)
-    plain_scorer = CandidateScorer(chain_model, chain_graph, 2, memoize=False)
-    without = evaluate_pairs(chain_model, chain_graph, skeletons, scorer=plain_scorer)
+    without = [CandidateScorer(chain_model, chain_graph, 2).pair(e, c) for e, c in skeletons]
     for x, y in zip(with_memo, without):
         assert x.relevance == y.relevance
         assert x.explanation.simulatability == y.explanation.simulatability

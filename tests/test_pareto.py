@@ -154,6 +154,24 @@ def test_selection_stable_under_permutation(scores, seed):
         assert not dominates(other, shuffled[b.selected])
 
 
+@given(score_lists, st.data())
+@settings(max_examples=200, deadline=None)
+def test_order_and_picks_match_brute_force(scores, data):
+    n = len(scores)
+    keys = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    comp = select_comprehensive(scores, tie_keys=keys)
+    bal = select_balanced(scores, tie_keys=keys)
+    for sel in (comp, bal):
+        assert list(sel.sim_ranks) == [1 + sum(t[0] > s[0] for t in scores) for s in scores]
+        assert list(sel.rel_ranks) == [1 + sum(t[1] > s[1] for t in scores) for s in scores]
+        assert sel.order == tuple(sorted(range(n), key=lambda i: (sel.rank_sums[i], keys[i], i)))
+    assert comp.selected == comp.order[0]
+    gaps = [abs(a - b) for a, b in zip(bal.sim_ranks, bal.rel_ranks)]
+    assert bal.selected == min(range(n), key=lambda i: (gaps[i], bal.rank_sums[i], keys[i], i))
+    plain = select_comprehensive(scores)
+    assert plain.order == tuple(sorted(range(n), key=lambda i: (plain.rank_sums[i], i)))
+
+
 def test_empty_scores():
     with pytest.raises(ValueError, match="at least one"):
         select_comprehensive([])
