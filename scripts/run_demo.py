@@ -32,13 +32,15 @@ def main() -> None:
             kwargs["edge_weights"] = random_weights(graph, args.target, config, seed=args.seed)
         result = explain_node(model, graph, args.target, config, method=method, **kwargs)
         nodes = ",".join(str(v) for v in result.explanation.node_set)
-        if result.front is not None:
-            pair = result.selected_pair
-            removed = ",".join(str(v) for v in pair.removed_nodes) or "-"
-            sim = f"{pair.explanation.simulatability:.4f}"
-            rel = f"{pair.relevance:.4f}"
+        sim = f"{result.explanation_simulatability:.4f}"
+        front = result.front
+        if front is not None:
+            sel = front.selected
+            removed_nodes = result.scorer.enumeration.removed_nodes(front.e[sel], front.c[sel])
+            removed = ",".join(str(v) for v in removed_nodes) or "-"
+            rel = f"{front.relevance[sel]:.4f}"
         else:
-            removed, sim, rel = "-", f"{result.explanation_candidate.simulatability:.4f}", "-"
+            removed, rel = "-", "-"
         print(f"{method:<17}{nodes:<22}{removed:<12}{sim:>10}{rel:>10}")
 
 

@@ -19,14 +19,14 @@ from .graph import Graph, l_hop_neighborhood
 from .pipeline import NodeExplanation, explain_node
 
 
-def confounder_set(graph: Graph, target: int, hops: int, pair) -> set:
-    """Nodes that can open back-door paths for the pair's node difference.
+def confounder_set(graph: Graph, target: int, hops: int, removed) -> set:
+    """Nodes that can open back-door paths for a pair's node difference.
 
     These are the nodes inside the target's ``hops``-ball that are not part
-    of the removed set: they keep influencing the prediction in both the
-    explanation and the counterfactual regime.
+    of the ``removed`` nodes: they keep influencing the prediction in both
+    the explanation and the counterfactual regime.
     """
-    return l_hop_neighborhood(graph, target, hops) - set(pair.removed_nodes)
+    return l_hop_neighborhood(graph, target, hops) - set(removed)
 
 
 def jaccard_distance(a, b) -> float:

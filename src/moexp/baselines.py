@@ -13,7 +13,7 @@ import numpy as np
 
 from .gcn import Model, forward, masked_loss, node_embeddings
 from .graph import Graph, Subgraph, bfs_distances, canonical_order, make_subgraph
-from .explain import CandidateScorer, EnumConfig, Enumeration, cf_relevance, enumerate_subgraphs, DEFAULT_EPSILON
+from .explain import CandidateScorer, EnumConfig, cf_relevance, enumerate_subgraphs, DEFAULT_EPSILON
 
 
 def neighborhood_edge_ids(graph: Graph, target: int, diameter: int) -> list:
@@ -70,24 +70,28 @@ class ShapleyValue:
     support_count: int
 
 
-def _leaf_scan(model, graph, target, config, epsilon, scorer, enumeration):
-    """Yield (candidate, leaf, candidate without the leaf, simulatability drop).
+def _scorer(model, graph, target, config, epsilon, scorer) -> CandidateScorer:
+    if scorer is None:
+        scorer = CandidateScorer(model, graph, enumerate_subgraphs(graph, target, config), epsilon)
+    return scorer
+
+
+def _leaf_scan(scorer: CandidateScorer):
+    """Yield (candidate, leaf, candidate without the leaf, simulatability drop),
+    the candidates as enumeration positions.
 
     Visits candidates in enumeration order and their non-target nodes in
     node order, skipping nodes whose removal would disconnect the tree.
     """
-    if enumeration is None:
-        enumeration = enumerate_subgraphs(graph, target, config)
-    if scorer is None:
-        scorer = CandidateScorer(model, graph, target, epsilon)
-    for sub in enumeration.subgraphs:
+    enumeration = scorer.enumeration
+    edges = scorer.graph.edges
+    for i, sub in enumerate(enumeration.subgraphs):
         for node in sub.node_set:
-            incident = [eid for eid in sub.edge_set if node in graph.edges[eid]]
-            if node == target or len(incident) != 1:
+            incident = [eid for eid in sub.edge_set if node in edges[eid]]
+            if node == scorer.target or len(incident) != 1:
                 continue
-            remainder = make_subgraph(graph, target, [e for e in sub.edge_set if e != incident[0]])
-            drop = scorer.candidate(sub).simulatability - scorer.candidate(remainder).simulatability
-            yield sub, node, remainder, drop
+            j = enumeration.index[tuple(e for e in sub.edge_set if e != incident[0])]
+            yield i, node, j, scorer.candidate(i) - scorer.candidate(j)
 
 
 def shapley_values(
@@ -97,7 +101,6 @@ def shapley_values(
     config: EnumConfig = EnumConfig(),
     epsilon: float = DEFAULT_EPSILON,
     scorer: CandidateScorer | None = None,
-    enumeration: Enumeration | None = None,
 ) -> dict:
     """Per-node attribution averaged over the enumerated candidates.
 
@@ -108,7 +111,7 @@ def shapley_values(
     """
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for _, node, _, drop in _leaf_scan(model, graph, target, config, epsilon, scorer, enumeration):
+    for _, node, _, drop in _leaf_scan(_scorer(model, graph, target, config, epsilon, scorer)):
         sums[node] = sums.get(node, 0.0) + drop
         counts[node] = counts.get(node, 0) + 1
     return {node: ShapleyValue(sums[node] / counts[node], counts[node]) for node in sorted(sums)}
@@ -122,7 +125,6 @@ def set_shapley_value(
     config: EnumConfig = EnumConfig(),
     epsilon: float = DEFAULT_EPSILON,
     scorer: CandidateScorer | None = None,
-    enumeration: Enumeration | None = None,
 ) -> ShapleyValue | None:
     """Attribution of deleting a whole node set, normalized per removed node.
 
@@ -135,27 +137,18 @@ def set_shapley_value(
         raise ValueError("cannot remove the target")
     if not removed:
         raise ValueError("removed set must be non-empty")
-    if enumeration is None:
-        enumeration = enumerate_subgraphs(graph, target, config)
-    if scorer is None:
-        scorer = CandidateScorer(model, graph, target, epsilon)
+    scorer = _scorer(model, graph, target, config, epsilon, scorer)
+    enumeration = scorer.enumeration
+    sizes = enumeration.sizes
     total, count = 0.0, 0
-    for sub in enumeration.subgraphs:
+    for i, sub in enumerate(enumeration.subgraphs):
         if not removed <= set(sub.node_set):
             continue
-        keep = tuple(e for e in sub.edge_set if not (set(graph.edges[e]) & removed))
-        j = enumeration.index.get(keep)
-        if j is None:
+        j = enumeration.index.get(tuple(e for e in sub.edge_set if not (set(graph.edges[e]) & removed)))
+        # The remainder keeps only nodes outside the set, so equal sizes mean equal node sets.
+        if j is None or sizes[i] - sizes[j] != len(removed):
             continue
-        rest = enumeration.subgraphs[j]
-        if set(rest.node_set) != set(sub.node_set) - removed:
-            continue
-        rel = cf_relevance(
-            scorer.candidate(sub).simulatability,
-            scorer.candidate(rest).simulatability,
-            len(removed),
-        )
-        total += rel
+        total += cf_relevance(scorer.candidate(i), scorer.candidate(j), len(removed))
         count += 1
     if count == 0:
         return None
@@ -169,23 +162,22 @@ def shapley_selection(
     config: EnumConfig = EnumConfig(),
     epsilon: float = DEFAULT_EPSILON,
     scorer: CandidateScorer | None = None,
-    enumeration: Enumeration | None = None,
 ):
-    """Explanation/counterfactual choice for the Shapley baseline.
+    """Explanation/counterfactual positions chosen by the Shapley baseline.
 
     Scans every (candidate, deletable leaf) combination and keeps the one
     with the largest absolute simulatability drop; ties prefer smaller
     explanations, then canonical edge sets. None when the target has no
     two-node candidate at all.
     """
+    scorer = _scorer(model, graph, target, config, epsilon, scorer)
+    sizes, rank = scorer.enumeration.sizes, scorer.enumeration.edge_set_rank
     best = None
-    for sub, _, remainder, drop in _leaf_scan(model, graph, target, config, epsilon, scorer, enumeration):
-        key = (-abs(drop), len(sub.node_set), sub.edge_set, remainder.edge_set)
+    for i, _, j, drop in _leaf_scan(scorer):
+        key = (-abs(drop), sizes[i], rank[i], rank[j])
         if best is None or key < best[0]:
-            best = (key, sub, remainder)
-    if best is None:
-        return None
-    return best[1], best[2]
+            best = (key, i, j)
+    return None if best is None else best[1:]
 
 
 def grad_weights_analytic(model: Model, graph: Graph, target: int, diameter: int | None = None) -> dict:

@@ -48,6 +48,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.top_percent <= 100.0:
             raise ValueError("top_percent must be in (0, 100]")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
     def public_dict(self) -> dict:
         return {
@@ -82,14 +84,13 @@ def _resolve_targets(spec: str, graph) -> list:
     return out
 
 
-def _candidate_block(candidate, graph) -> dict:
-    sub = candidate.subgraph
+def _candidate_block(sub, distribution, simulatability, graph) -> dict:
     return {
         "edge_ids": list(sub.edge_set),
         "edges": [[int(u), int(w)] for u, w in (graph.edges[e] for e in sub.edge_set)],
         "nodes": list(sub.node_set),
-        "distribution": [float(x) for x in candidate.distribution],
-        "simulatability": float(candidate.simulatability),
+        "distribution": [float(x) for x in distribution],
+        "simulatability": float(simulatability),
     }
 
 
@@ -102,7 +103,9 @@ def node_document(result: NodeExplanation, graph, model, config: RunConfig, mani
         "full_distribution": [float(x) for x in result.full_distribution],
         "candidate_count": result.candidate_count,
         "pair_count": result.pair_count,
-        "explanation": _candidate_block(result.explanation_candidate, graph),
+        "explanation": _candidate_block(
+            result.explanation, result.explanation_distribution, result.explanation_simulatability, graph
+        ),
         "manifest": manifest,
     }
     front = result.front
@@ -121,37 +124,41 @@ def node_document(result: NodeExplanation, graph, model, config: RunConfig, mani
             top_pairs=[],
         )
         return doc
-    pair = front.selected_pair
+    enumeration, sims = result.scorer.enumeration, result.scorer.simulatability.tolist()
+    subs = enumeration.subgraphs
+    e, c, relevance = front.e.tolist(), front.c.tolist(), front.relevance.tolist()
     sel = front.selected
+    removed = enumeration.removed_nodes(e[sel], c[sel])
     doc.update(
-        counterfactual=_candidate_block(pair.counterfactual, graph),
-        removed_nodes=list(pair.removed_nodes),
-        cf_relevance=float(pair.relevance),
-        abs_cf_relevance=float(pair.abs_relevance),
-        rank_sum=int(front.rank_sums[sel]),
-        sim_rank=int(front.sim_ranks[sel]),
-        cf_rank=int(front.rel_ranks[sel]),
-        on_front=bool(front.pareto[sel]),
+        counterfactual=_candidate_block(
+            subs[c[sel]], result.scorer.distributions[c[sel]], sims[c[sel]], graph
+        ),
+        removed_nodes=removed,
+        cf_relevance=relevance[sel],
+        abs_cf_relevance=abs(relevance[sel]),
+        rank_sum=front.rank_sums[sel],
+        sim_rank=front.sim_ranks[sel],
+        cf_rank=front.rel_ranks[sel],
+        on_front=front.pareto[sel],
         front_size=front.front_size,
-        confounders=sorted(confounder_set(graph, result.target, model.depth, pair)),
+        confounders=sorted(confounder_set(graph, result.target, model.depth, removed)),
     )
-    keep = max(1, math.ceil(config.top_percent / 100.0 * len(front.pairs)))
+    keep = max(1, math.ceil(config.top_percent / 100.0 * len(e)))
     top = []
     for i in front.order[:keep]:
-        p = front.pairs[i]
         top.append(
             {
-                "explanation_edge_ids": list(p.explanation.subgraph.edge_set),
-                "explanation_nodes": list(p.explanation.subgraph.node_set),
-                "counterfactual_edge_ids": list(p.counterfactual.subgraph.edge_set),
-                "removed_nodes": list(p.removed_nodes),
-                "simulatability": float(p.explanation.simulatability),
-                "cf_relevance": float(p.relevance),
-                "abs_cf_relevance": float(p.abs_relevance),
-                "sim_rank": int(front.sim_ranks[i]),
-                "cf_rank": int(front.rel_ranks[i]),
-                "rank_sum": int(front.rank_sums[i]),
-                "on_front": bool(front.pareto[i]),
+                "explanation_edge_ids": list(subs[e[i]].edge_set),
+                "explanation_nodes": list(subs[e[i]].node_set),
+                "counterfactual_edge_ids": list(subs[c[i]].edge_set),
+                "removed_nodes": enumeration.removed_nodes(e[i], c[i]),
+                "simulatability": sims[e[i]],
+                "cf_relevance": relevance[i],
+                "abs_cf_relevance": abs(relevance[i]),
+                "sim_rank": front.sim_ranks[i],
+                "cf_rank": front.rel_ranks[i],
+                "rank_sum": front.rank_sums[i],
+                "on_front": front.pareto[i],
             }
         )
     doc["top_pairs"] = top
@@ -297,6 +304,11 @@ class RobustnessConfig:
     diameter: int = 2
     epsilon: float = 1e-9
 
+    def __post_init__(self):
+        # Checked once here, so a bad value is not reported once per node.
+        if self.steps < 2:
+            raise ValueError("steps must be at least 2")
+
 
 def robustness_command(config: RobustnessConfig) -> int:
     graph = io.load_graph(config.graph_path)
@@ -306,25 +318,23 @@ def robustness_command(config: RobustnessConfig) -> int:
     for node in nodes:
         if not 0 <= node < graph.node_count:
             raise ValueError(f"target node missing: {node}")
-    records = run_sanity_sweep(
-        model,
-        graph,
-        nodes,
-        config.mode,
-        config.steps,
-        config.seed,
-        econfig,
-        magnitude=config.magnitude,
-        max_distance=config.max_distance,
-        method=config.method,
-        epsilon=config.epsilon,
-    )
+    records, failed = [], 0
+    for node in nodes:
+        try:
+            records += run_sanity_sweep(
+                model, graph, [node], config.mode, config.steps, config.seed, econfig,
+                magnitude=config.magnitude, max_distance=config.max_distance,
+                method=config.method, epsilon=config.epsilon,
+            )
+        except Exception as exc:  # reported per node; the other nodes' rows are kept
+            print(f"node {node}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failed += 1
     io.write_csv(
         config.output_path,
         ["node", "kind", "strength", "pred_before", "pred_after", "jaccard", "seed"],
         [(r.node, r.kind, r.strength, r.pred_before, r.pred_after, r.jaccard, r.seed) for r in records],
     )
-    return 0
+    return 1 if failed else 0
 
 
 def synth_command(args) -> int:

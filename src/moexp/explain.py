@@ -58,6 +58,21 @@ class Enumeration:
         """Position of each candidate, keyed by its edge set."""
         return {s.edge_set: i for i, s in enumerate(self.subgraphs)}
 
+    @functools.cached_property
+    def sizes(self) -> np.ndarray:
+        """Node count of each candidate."""
+        return np.array([len(s.node_set) for s in self.subgraphs])
+
+    @functools.cached_property
+    def edge_set_rank(self) -> np.ndarray:
+        """Position of each candidate when the edge sets are sorted."""
+        return np.argsort(sorted(range(len(self.subgraphs)), key=lambda i: self.subgraphs[i].edge_set))
+
+    def removed_nodes(self, i: int, j: int) -> list:
+        """Nodes of candidate i that candidate j lacks, ascending."""
+        kept = set(self.subgraphs[j].node_set)
+        return [v for v in self.subgraphs[i].node_set if v not in kept]
+
     def counterfactuals(self, i: int, exhaustive: bool) -> list:
         """Indices of candidate i's counterfactuals, in pairing order.
 
@@ -122,12 +137,12 @@ def enumerate_subgraphs(graph: Graph, target: int, config: EnumConfig = EnumConf
     return Enumeration(target, tuple(subgraphs), tuple(parents))
 
 
-def generate_pairs(enumeration: Enumeration, exhaustive: bool = False):
-    """(explanation, counterfactual) skeletons prior to scoring, one
+def generate_pairs(enumeration: Enumeration, exhaustive: bool = False) -> np.ndarray:
+    """(explanation, counterfactual) positions as an (m, 2) int array, one
     explanation after another in enumeration order (see
     ``Enumeration.counterfactuals``)."""
-    subs = enumeration.subgraphs
-    return [(subs[i], subs[j]) for i in range(len(subs)) for j in enumeration.counterfactuals(i, exhaustive)]
+    pairs = [(i, j) for i in range(len(enumeration)) for j in enumeration.counterfactuals(i, exhaustive)]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 def simulatability(reference, candidate, epsilon: float = DEFAULT_EPSILON) -> float:
@@ -157,37 +172,13 @@ def cf_relevance(sim_explanation: float, sim_counterfactual: float, removed_coun
     return (sim_explanation - sim_counterfactual) / removed_count
 
 
-@dataclass(frozen=True, eq=False)
-class SubgraphCandidate:
-    """A candidate with its restricted class distribution and objective."""
-
-    subgraph: Subgraph
-    distribution: np.ndarray
-    simulatability: float
-
-
-@dataclass(frozen=True, eq=False)
-class ExplanationPair:
-    """Scored explanation/counterfactual pair.
-
-    ``removed_nodes`` is the node difference; ``relevance`` is the
-    simulatability drop per removed node and ``abs_relevance`` its
-    magnitude, the quantity actually maximized.
-    """
-
-    explanation: SubgraphCandidate
-    counterfactual: SubgraphCandidate
-    removed_nodes: tuple
-    removed_count: int
-    relevance: float
-    abs_relevance: float
-
-
 class CandidateScorer:
-    """Memoized evaluation of candidates against the full-graph prediction.
+    """Scores of one enumeration's candidates against the full-graph prediction.
 
-    One forward pass per distinct edge set; ``forward_count`` counts actual
-    restricted passes and ``hit_count`` the memo hits, so tests can verify
+    Candidate i's restricted pass runs on its first request; its distribution
+    and simulatability then stay in ``distributions[i]`` and
+    ``simulatability[i]``. ``forward_count`` counts restricted passes and
+    ``hit_count`` the requests answered without one, so tests can verify
     sharing. ``reference_distribution`` overrides the distribution that
     candidates are compared against (used by perturbation studies).
     """
@@ -196,52 +187,53 @@ class CandidateScorer:
         self,
         model: Model,
         graph: Graph,
-        target: int,
+        enumeration: Enumeration,
         epsilon: float = DEFAULT_EPSILON,
         reference_distribution=None,
     ):
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon must be in (0, 1): {epsilon}")
         self.model = model
         self.graph = graph
-        self.target = target
+        self.enumeration = enumeration
+        self.target = enumeration.target
         self.epsilon = epsilon
         if reference_distribution is None:
-            self.full_distribution = forward(model, graph, target)
+            self.full_distribution = forward(model, graph, self.target)
         else:
             self.full_distribution = np.asarray(reference_distribution, dtype=float)
+        self.distributions = np.zeros((len(enumeration), model.class_count))
+        self.simulatability = np.zeros(len(enumeration))
+        self._scored = np.zeros(len(enumeration), dtype=bool)
         self.forward_count = 0
         self.hit_count = 0
-        self._cache: dict = {}
 
-    def candidate(self, sub: Subgraph) -> SubgraphCandidate:
-        if sub.target != self.target:
-            raise ValueError("candidate anchored at a different target")
-        key = sub.edge_set
-        if key in self._cache:
-            self.hit_count += 1
-            return self._cache[key]
+    def score(self, sub: Subgraph):
+        """(distribution, simulatability) of one tree, by one restricted pass."""
         dist = forward(self.model, self.graph, self.target, restrict=sub)
         self.forward_count += 1
-        cand = SubgraphCandidate(sub, dist, simulatability(self.full_distribution, dist, self.epsilon))
-        self._cache[key] = cand
-        return cand
+        return dist, simulatability(self.full_distribution, dist, self.epsilon)
 
-    def pair(self, explanation: Subgraph, counterfactual: Subgraph) -> ExplanationPair:
-        if not set(counterfactual.edge_set) < set(explanation.edge_set):
-            raise ValueError("counterfactual must be a proper sub-tree of the explanation")
-        removed = tuple(sorted(set(explanation.node_set) - set(counterfactual.node_set)))
-        if not removed:
-            raise ValueError("counterfactual removes no nodes")
-        expl = self.candidate(explanation)
-        cf = self.candidate(counterfactual)
-        rel = cf_relevance(expl.simulatability, cf.simulatability, len(removed))
-        return ExplanationPair(expl, cf, removed, len(removed), rel, abs(rel))
+    def candidate(self, i: int) -> float:
+        """Simulatability of candidate i."""
+        if self._scored[i]:
+            self.hit_count += 1
+        else:
+            self.distributions[i], self.simulatability[i] = self.score(self.enumeration.subgraphs[i])
+            self._scored[i] = True
+        return float(self.simulatability[i])
 
+    def pair(self, e: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Counterfactual relevance of each pair (e[k], c[k]) of candidate
+        positions: the simulatability drop per removed node.
 
-def evaluate_pairs(model: Model, graph: Graph, pairs, epsilon: float = DEFAULT_EPSILON, scorer: CandidateScorer | None = None):
-    """Score pair skeletons, sharing candidate evaluations through a memo."""
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    if scorer is None:
-        scorer = CandidateScorer(model, graph, pairs[0][0].target, epsilon)
-    return [scorer.pair(e, c) for e, c in pairs]
+        Each pair requests both of its candidates, so the counts are those of
+        scoring the pairs one after another.
+        """
+        requested = np.concatenate([e, c])
+        fresh = np.unique(requested[~self._scored[requested]])
+        for i in fresh:
+            self.candidate(i)
+        self.hit_count += requested.size - fresh.size
+        sizes = self.enumeration.sizes
+        return (self.simulatability[e] - self.simulatability[c]) / (sizes[e] - sizes[c])

@@ -1,6 +1,6 @@
 """Pareto dominance and rank-based selection over scored pairs.
 
-Scores are (simulatability, abs_relevance) tuples and both coordinates are
+Scores are (simulatability, absolute relevance) and both coordinates are
 maximized. Ranks use competition ranking (ties share the smallest position,
 the next distinct value resumes after the tie block), and the selection
 minimizes the rank sum, which provably lands on the Pareto front.
@@ -8,7 +8,6 @@ minimizes the rank sum, which provably lands on the Pareto front.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,11 +18,27 @@ def dominates(a, b) -> bool:
     return a[0] >= b[0] and a[1] >= b[1] and (a[0] > b[0] or a[1] > b[1])
 
 
-def _reject_nan(values) -> None:
+def _reject_nan(values: np.ndarray) -> None:
     # NaN compares unequal to itself, so no tie scan below could group it.
-    for i, value in enumerate(values):
-        if value != value:
-            raise ValueError(f"non-finite score at index {i}: {value}")
+    bad = np.flatnonzero(values != values)
+    if bad.size:
+        raise ValueError(f"non-finite score at index {bad[0]}: {values[bad[0]]}")
+
+
+def _front(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    n = first.size
+    _reject_nan(first)
+    _reject_nan(second)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    order = np.lexsort((-second, -first))
+    a, b = first[order], second[order]
+    starts = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+    group = np.repeat(starts, np.diff(np.r_[starts, n]))
+    best_before = np.r_[-np.inf, np.maximum.accumulate(b)[:-1]]
+    flags = np.empty(n, dtype=bool)
+    flags[order] = (b == b[group]) & (b[group] > best_before[group])
+    return flags
 
 
 def pareto_front(scores) -> list:
@@ -34,44 +49,27 @@ def pareto_front(scores) -> list:
     if no strictly-better first coordinate already reached that second
     coordinate. Equivalent to the quadratic all-pairs check.
     """
-    n = len(scores)
-    _reject_nan(s[0] for s in scores)
-    _reject_nan(s[1] for s in scores)
-    flags = [False] * n
-    if n == 0:
-        return flags
-    order = sorted(range(n), key=lambda i: (-scores[i][0], -scores[i][1]))
-    best_prev = -math.inf
-    i = 0
-    while i < n:
-        j = i
-        first = scores[order[i]][0]
-        while j < n and scores[order[j]][0] == first:
-            j += 1
-        group = order[i:j]
-        group_best = max(scores[k][1] for k in group)
-        if group_best > best_prev:
-            for k in group:
-                if scores[k][1] == group_best:
-                    flags[k] = True
-            best_prev = group_best
-        i = j
-    return flags
+    pairs = np.asarray(scores, dtype=float).reshape(-1, 2)
+    return _front(pairs[:, 0], pairs[:, 1]).tolist()
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    _reject_nan(values)
+    return np.searchsorted(np.sort(-values), -values, side="left") + 1
 
 
 def competition_ranks(values) -> list:
     """1-based descending ranks; tied values share 1 + (count strictly better)."""
-    _reject_nan(values)
-    keys = -np.asarray(values, dtype=float)
-    return (np.searchsorted(np.sort(keys), keys, side="left") + 1).tolist()
+    return _ranks(np.asarray(values, dtype=float)).tolist()
 
 
 @dataclass(frozen=True, eq=False)
 class ScoredFront:
     """Per-pair ranks, the listing order, and the index the strategy picked.
 
-    ``order`` lists every index by (rank sum, tie key, index). ``pairs`` holds the
-    ranked pairs when the front came from ``rank_pairs``.
+    ``order`` lists every index by (rank sum, tie key, index). A front from
+    ``rank_pairs`` also holds each pair's explanation position ``e``,
+    counterfactual position ``c`` and ``relevance``.
     """
 
     sim_ranks: tuple
@@ -80,39 +78,47 @@ class ScoredFront:
     pareto: tuple
     order: tuple
     selected: int
-    pairs: tuple = ()
+    e: np.ndarray | None = None
+    c: np.ndarray | None = None
+    relevance: np.ndarray | None = None
 
     @property
     def front_size(self) -> int:
-        return sum(1 for f in self.pareto if f)
-
-    @property
-    def selected_pair(self):
-        return self.pairs[self.selected]
+        return sum(self.pareto)
 
 
-def _select(scores, tie_keys, balanced: bool) -> ScoredFront:
-    scores = list(scores)
-    if not scores:
+def _select(first: np.ndarray, second: np.ndarray, tie_keys, balanced: bool) -> ScoredFront:
+    """Rank both objectives; ``tie_keys`` are integer arrays, most significant first."""
+    if first.size == 0:
         raise ValueError("at least one scored pair required")
-    sim_ranks = competition_ranks([s[0] for s in scores])
-    rel_ranks = competition_ranks([s[1] for s in scores])
-    sums = [a + b for a, b in zip(sim_ranks, rel_ranks)]
-    keys = range(len(scores)) if tie_keys is None else tie_keys
-    order = sorted(range(len(scores)), key=lambda i: (sums[i], keys[i]))
+    sim_ranks = _ranks(first)
+    rel_ranks = _ranks(second)
+    sums = sim_ranks + rel_ranks
+    order = np.lexsort((*tie_keys[::-1], sums))
     selected = order[0]
     if balanced:
-        gaps = [abs(a - b) for a, b in zip(sim_ranks, rel_ranks)]
-        best = min(gaps)
-        selected = next(i for i in order if gaps[i] == best)
+        gaps = np.abs(sim_ranks - rel_ranks)
+        selected = order[np.argmax(gaps[order] == gaps.min())]
     return ScoredFront(
-        tuple(sim_ranks), tuple(rel_ranks), tuple(sums), tuple(pareto_front(scores)), tuple(order), selected
+        tuple(sim_ranks.tolist()),
+        tuple(rel_ranks.tolist()),
+        tuple(sums.tolist()),
+        tuple(_front(first, second).tolist()),
+        tuple(order.tolist()),
+        int(selected),
     )
+
+
+def _scores(scores, tie_keys, balanced: bool) -> ScoredFront:
+    pairs = np.asarray(scores, dtype=float).reshape(-1, 2)
+    # Positions in a stable sort by key keep the (key, index) order.
+    keys = [] if tie_keys is None else [np.argsort(sorted(range(len(tie_keys)), key=tie_keys.__getitem__))]
+    return _select(pairs[:, 0], pairs[:, 1], keys, balanced)
 
 
 def select_comprehensive(scores, tie_keys=None) -> ScoredFront:
     """Pick the minimal rank sum; ties fall back to the given sort keys, then the index."""
-    return _select(scores, tie_keys, balanced=False)
+    return _scores(scores, tie_keys, balanced=False)
 
 
 def select_balanced(scores, tie_keys=None) -> ScoredFront:
@@ -121,30 +127,22 @@ def select_balanced(scores, tie_keys=None) -> ScoredFront:
     The primary key is |sim_rank - rel_rank|, the secondary key the rank
     sum, and remaining ties fall back to the given sort keys, then the index.
     """
-    return _select(scores, tie_keys, balanced=True)
+    return _scores(scores, tie_keys, balanced=True)
 
 
-def pair_scores(pairs):
-    return [(p.explanation.simulatability, p.abs_relevance) for p in pairs]
+def rank_pairs(enumeration, simulatability, pairs, relevance, strategy: str = "comprehensive") -> ScoredFront:
+    """Rank (explanation, counterfactual) position pairs and select one by the named strategy.
 
-
-def pair_tie_keys(pairs):
-    # Reproducibility needs a total order: smaller explanations win, then
-    # canonical edge sets of the explanation, then of the counterfactual.
-    return [
-        (
-            len(p.explanation.subgraph.node_set),
-            p.explanation.subgraph.edge_set,
-            p.counterfactual.subgraph.edge_set,
-        )
-        for p in pairs
-    ]
-
-
-def rank_pairs(pairs, strategy: str = "comprehensive") -> ScoredFront:
-    """Rank scored pairs and select one by the named strategy."""
-    pairs = tuple(pairs)
+    The objectives are the explanation's ``simulatability`` (one value per
+    candidate of ``enumeration``) and the pair's absolute ``relevance``.
+    Reproducibility needs a total order, so rank-sum ties fall back to the
+    explanation's size, then the sorted-edge-set position of the
+    explanation, then of the counterfactual.
+    """
     if strategy not in ("comprehensive", "balanced"):
         raise ValueError(f"unknown strategy: {strategy!r}")
-    front = _select(pair_scores(pairs), pair_tie_keys(pairs), strategy == "balanced")
-    return replace(front, pairs=pairs)
+    e, c = pairs[:, 0], pairs[:, 1]
+    rank = enumeration.edge_set_rank
+    keys = [enumeration.sizes[e], rank[e], rank[c]]
+    front = _select(simulatability[e], np.abs(relevance), keys, strategy == "balanced")
+    return replace(front, e=e, c=c, relevance=relevance)

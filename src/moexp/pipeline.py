@@ -18,13 +18,12 @@ from .explain import (
     CandidateScorer,
     EnumConfig,
     Enumeration,
-    SubgraphCandidate,
     enumerate_subgraphs,
     generate_pairs,
     DEFAULT_EPSILON,
 )
 from .gcn import Model
-from .graph import Graph, Subgraph, make_subgraph
+from .graph import Graph, Subgraph
 from .pareto import ScoredFront, rank_pairs
 
 METHODS = (
@@ -42,7 +41,11 @@ DEFAULT_FD_STEP = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class NodeExplanation:
-    """Everything the pipeline decided about one target node."""
+    """Everything the pipeline decided about one target node.
+
+    ``front.e``, ``front.c`` index the candidates of ``scorer.enumeration``,
+    whose scores are in ``scorer.distributions`` and ``scorer.simulatability``.
+    """
 
     target: int
     method: str
@@ -51,17 +54,12 @@ class NodeExplanation:
     candidate_count: int
     pair_count: int
     front: ScoredFront | None
-    explanation_candidate: SubgraphCandidate
+    scorer: CandidateScorer
+    explanation: Subgraph
+    explanation_distribution: np.ndarray
+    explanation_simulatability: float
     distinct_evaluations: int
     memo_hits: int
-
-    @property
-    def explanation(self) -> Subgraph:
-        return self.explanation_candidate.subgraph
-
-    @property
-    def selected_pair(self):
-        return None if self.front is None else self.front.selected_pair
 
 
 def explain_node(
@@ -88,21 +86,22 @@ def explain_node(
         raise ValueError(f"unknown method: {method!r}")
     if enumeration is None:
         enumeration = enumerate_subgraphs(graph, target, config)
+    elif enumeration.target != target:
+        raise ValueError("enumeration anchored at a different target")
     scorer = CandidateScorer(
-        model, graph, target, epsilon, reference_distribution=reference_distribution
+        model, graph, enumeration, epsilon, reference_distribution=reference_distribution
     )
+    root = enumeration.subgraphs[0]
 
     if method in ("pareto-rank", "balanced"):
-        skeletons = generate_pairs(enumeration, exhaustive=exhaustive_cf)
+        pairs = generate_pairs(enumeration, exhaustive=exhaustive_cf)
         strategy = "comprehensive" if method == "pareto-rank" else "balanced"
-        return _finish(scorer, enumeration, method, skeletons, strategy)
+        return _finish(scorer, method, pairs, strategy, root)
 
     if method == "shapley":
-        picked = baselines.shapley_selection(
-            model, graph, target, config, epsilon, scorer=scorer, enumeration=enumeration
-        )
-        skeletons = [picked] if picked is not None else []
-        return _finish(scorer, enumeration, method, skeletons, "comprehensive")
+        picked = baselines.shapley_selection(model, graph, target, config, epsilon, scorer=scorer)
+        pairs = np.array([] if picked is None else [picked], dtype=np.intp).reshape(-1, 2)
+        return _finish(scorer, method, pairs, "comprehensive", root)
 
     if method == "random":
         weights = baselines.random_weights(graph, target, config, seed)
@@ -116,20 +115,28 @@ def explain_node(
         weights = {int(k): float(v) for k, v in edge_weights.items()}
     grown = baselines.grow_subgraph(weights, graph, target, config.max_nodes)
     i = enumeration.index.get(grown.edge_set)
-    subs = enumeration.subgraphs
-    skeletons = [] if i is None else [(subs[i], subs[j]) for j in enumeration.counterfactuals(i, exhaustive_cf)]
-    return _finish(scorer, enumeration, method, skeletons, "comprehensive", fallback=grown)
+    counterfactuals = [] if i is None else enumeration.counterfactuals(i, exhaustive_cf)
+    pairs = np.array([(i, j) for j in counterfactuals], dtype=np.intp).reshape(-1, 2)
+    return _finish(scorer, method, pairs, "comprehensive", grown)
 
 
-def _finish(scorer, enumeration, method, skeletons, strategy, fallback: Subgraph | None = None):
-    pairs = [scorer.pair(e, c) for e, c in skeletons]
-    front = rank_pairs(pairs, strategy) if pairs else None
-    if front is not None:
-        candidate = front.selected_pair.explanation
-    elif fallback is not None:
-        candidate = scorer.candidate(fallback)
+def _finish(scorer, method, pairs, strategy, fallback: Subgraph):
+    """Rank the pairs; with none, explain by ``fallback``, which may lie
+    outside the enumeration (a tree grown from external weights)."""
+    enumeration = scorer.enumeration
+    front, i = None, enumeration.index.get(fallback.edge_set)
+    if len(pairs):
+        relevance = scorer.pair(pairs[:, 0], pairs[:, 1])
+        front = rank_pairs(enumeration, scorer.simulatability, pairs, relevance, strategy)
+        i = front.e[front.selected]
+    elif i is not None:
+        scorer.candidate(i)
+    if i is None:
+        explanation = fallback
+        distribution, sim = scorer.score(fallback)
     else:
-        candidate = scorer.candidate(make_subgraph(scorer.graph, scorer.target, ()))
+        explanation = enumeration.subgraphs[i]
+        distribution, sim = scorer.distributions[i], float(scorer.simulatability[i])
     return NodeExplanation(
         target=scorer.target,
         method=method,
@@ -138,7 +145,10 @@ def _finish(scorer, enumeration, method, skeletons, strategy, fallback: Subgraph
         candidate_count=len(enumeration),
         pair_count=len(pairs),
         front=front,
-        explanation_candidate=candidate,
+        scorer=scorer,
+        explanation=explanation,
+        explanation_distribution=distribution,
+        explanation_simulatability=sim,
         distinct_evaluations=scorer.forward_count,
         memo_hits=scorer.hit_count,
     )

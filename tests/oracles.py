@@ -242,3 +242,38 @@ def random_model(rng, feature_dim=2, hidden=3, classes=2, depth=2, activation="r
     dims = [feature_dim] + [hidden] * (depth - 1) + [classes]
     layers = tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth))
     return Model(layers=layers, activation=activation)
+
+
+def reference_ranking(model, graph, target, pairs, strategy, eps=1e-9):
+    """Rank (explanation, counterfactual) Subgraph pairs one object at a time.
+
+    Every tree is scored by its own restricted pass; each pair gets its
+    removed nodes by set difference, a proper-sub-tree check and its own
+    ``cf_relevance``; ties are broken by (size, edge set, edge set) tuples
+    and ranks, flags, the listing order and the pick come from quadratic
+    counts and plain sorts. Returns (relevance, sim_ranks, rel_ranks,
+    pareto, order, selected).
+    """
+    from moexp import cf_relevance, simulatability
+
+    reference = forward(model, graph, target)
+
+    def nu(sub):
+        return simulatability(reference, forward(model, graph, target, restrict=sub), eps)
+
+    relevance, scores, keys = [], [], []
+    for expl, cf in pairs:
+        assert set(cf.edge_set) < set(expl.edge_set), "counterfactual must be a proper sub-tree"
+        removed = sorted(set(expl.node_set) - set(cf.node_set))
+        relevance.append(cf_relevance(nu(expl), nu(cf), len(removed)))
+        scores.append((nu(expl), abs(relevance[-1])))
+        keys.append((len(expl.node_set), expl.edge_set, cf.edge_set))
+    n = len(scores)
+    sim_ranks = [1 + sum(t[0] > s[0] for t in scores) for s in scores]
+    rel_ranks = [1 + sum(t[1] > s[1] for t in scores) for s in scores]
+    sums = [a + b for a, b in zip(sim_ranks, rel_ranks)]
+    order = sorted(range(n), key=lambda i: (sums[i], keys[i], i))
+    selected = order[0]
+    if strategy == "balanced":
+        selected = min(range(n), key=lambda i: (abs(sim_ranks[i] - rel_ranks[i]), sums[i], keys[i], i))
+    return relevance, sim_ranks, rel_ranks, pareto_oracle(scores), order, selected

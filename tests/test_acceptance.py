@@ -37,7 +37,6 @@ from moexp import (
 from moexp.cli import RunConfig, explain_command
 from moexp.gcn import forward_hidden
 from moexp.io import save_graph, save_model
-from moexp.pareto import pair_scores
 
 from conftest import sem_chain, sem_model
 from oracles import (
@@ -149,7 +148,7 @@ def test_comprehensive_selection_never_dominated():
             res = explain_node(model, graph, node)
             if res.front is None:
                 continue
-            scores = pair_scores(res.front.pairs)
+            scores = list(zip(res.scorer.simulatability[res.front.e], np.abs(res.front.relevance)))
             chosen = scores[res.front.selected]
             assert not any(dominates(other, chosen) for other in scores)
             fixtures += 1
@@ -200,12 +199,10 @@ def test_sem_expansion_matches_forward():
 def test_confounder_chain_example():
     m = sem_model()
     g0 = sem_chain(0.0)
-    from moexp import CandidateScorer
-
-    scorer = CandidateScorer(m, g0, 2)
-    pair = scorer.pair(make_subgraph(g0, 2, [0, 1, 2]), make_subgraph(g0, 2, [1, 2]))
-    assert pair.removed_nodes == (0,)
-    assert confounder_set(g0, 2, 2, pair) == {1, 3}
+    enum = enumerate_subgraphs(g0, 2)
+    removed = enum.removed_nodes(enum.index[(0, 1, 2)], enum.index[(1, 2)])
+    assert removed == [0]
+    assert confounder_set(g0, 2, 2, removed) == {1, 3}
 
     def delta(t):
         g = sem_chain(t)

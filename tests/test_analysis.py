@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moexp import (
-    CandidateScorer,
     EnumConfig,
     Model,
     build_graph,
     confounder_set,
     derive_seed,
+    enumerate_subgraphs,
     forward,
     jaccard_distance,
     make_subgraph,
@@ -23,47 +23,44 @@ from conftest import sem_chain, sem_model
 from oracles import random_graph, random_model, sem_expand_check
 
 
-def chain_pair(graph, model, expl_edges, cf_edges, target=2):
-    scorer = CandidateScorer(model, graph, target)
-    return scorer.pair(
-        make_subgraph(graph, target, expl_edges), make_subgraph(graph, target, cf_edges)
-    )
+def chain_removed(graph, expl_edges, cf_edges, target=2):
+    enum = enumerate_subgraphs(graph, target, EnumConfig(max_nodes=4, diameter=2))
+    return enum.removed_nodes(enum.index[tuple(expl_edges)], enum.index[tuple(cf_edges)])
 
 
-def test_confounders_chain_far_node_removed(chain_graph, chain_model):
-    pair = chain_pair(chain_graph, chain_model, [0, 1, 2], [1, 2])
-    assert pair.removed_nodes == (0,)
-    assert confounder_set(chain_graph, 2, 2, pair) == {1, 3}
+def test_confounders_chain_far_node_removed(chain_graph):
+    removed = chain_removed(chain_graph, [0, 1, 2], [1, 2])
+    assert removed == [0]
+    assert confounder_set(chain_graph, 2, 2, removed) == {1, 3}
 
 
-def test_confounders_empty_when_whole_ball_removed(chain_graph, chain_model):
-    pair = chain_pair(chain_graph, chain_model, [0, 1, 2], [])
-    assert set(pair.removed_nodes) == {0, 1, 3}
-    assert confounder_set(chain_graph, 2, 2, pair) == set()
+def test_confounders_empty_when_whole_ball_removed(chain_graph):
+    removed = chain_removed(chain_graph, [0, 1, 2], [])
+    assert set(removed) == {0, 1, 3}
+    assert confounder_set(chain_graph, 2, 2, removed) == set()
 
 
-def test_confounders_two_node_explanation(chain_graph, chain_model):
-    pair = chain_pair(chain_graph, chain_model, [1], [])
-    assert pair.removed_nodes == (1,)
-    assert confounder_set(chain_graph, 2, 2, pair) == {0, 3}
+def test_confounders_two_node_explanation(chain_graph):
+    removed = chain_removed(chain_graph, [1], [])
+    assert removed == [1]
+    assert confounder_set(chain_graph, 2, 2, removed) == {0, 3}
 
 
-def test_confounders_shrinking_radius(chain_graph, chain_model):
-    pair = chain_pair(chain_graph, chain_model, [1, 2], [1])
-    assert pair.removed_nodes == (3,)
-    assert confounder_set(chain_graph, 2, 1, pair) == {1}
-    assert confounder_set(chain_graph, 2, 2, pair) == {0, 1}
+def test_confounders_shrinking_radius(chain_graph):
+    removed = chain_removed(chain_graph, [1, 2], [1])
+    assert removed == [3]
+    assert confounder_set(chain_graph, 2, 1, removed) == {1}
+    assert confounder_set(chain_graph, 2, 2, removed) == {0, 1}
 
 
-def test_confounders_empty_iff_removal_covers_ball(chain_graph, chain_model):
-    scorer = CandidateScorer(chain_model, chain_graph, 2)
-    from moexp import enumerate_subgraphs, generate_pairs
+def test_confounders_empty_iff_removal_covers_ball(chain_graph):
+    from moexp import generate_pairs
 
     enum = enumerate_subgraphs(chain_graph, 2, EnumConfig(max_nodes=4, diameter=2))
-    for skel in generate_pairs(enum, exhaustive=True):
-        pair = scorer.pair(*skel)
-        conf = confounder_set(chain_graph, 2, 2, pair)
-        covers = set(pair.removed_nodes) == {0, 1, 3}
+    for e, c in generate_pairs(enum, exhaustive=True):
+        removed = enum.removed_nodes(e, c)
+        conf = confounder_set(chain_graph, 2, 2, removed)
+        covers = set(removed) == {0, 1, 3}
         assert (conf == set()) == covers
 
 

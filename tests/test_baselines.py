@@ -39,6 +39,13 @@ def induced_tree(graph, target, nodes):
     return make_subgraph(graph, target, eids)
 
 
+def simulatability_of(model, graph, target):
+    """nu(nodes): the scored simulatability of the tree induced on the nodes."""
+    enum = enumerate_subgraphs(graph, target)
+    scorer = CandidateScorer(model, graph, enum)
+    return lambda nodes: scorer.candidate(enum.index[induced_tree(graph, target, nodes).edge_set])
+
+
 def test_neighborhood_edge_ids_respects_radius():
     g = build_graph([[0.0]] * 5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     assert neighborhood_edge_ids(g, 0, 1) == [0]
@@ -112,8 +119,7 @@ def test_grow_subgraph_is_always_a_tree():
 
 def test_shapley_chain_matches_direct_formula(chain_model):
     g = three_chain()
-    scorer = CandidateScorer(chain_model, g, 2)
-    nu = lambda nodes: scorer.candidate(induced_tree(g, 2, nodes)).simulatability
+    nu = simulatability_of(chain_model, g, 2)
     values = shapley_values(chain_model, g, 2, EnumConfig(max_nodes=3, diameter=2))
     assert set(values) == {0, 1}
     # node 1 is only deletable from {1, 2}; node 0 only from the full chain
@@ -128,8 +134,7 @@ def test_shapley_two_node_graph_single_entry(chain_model):
     values = shapley_values(chain_model, g, 0)
     assert set(values) == {1}
     assert values[1].support_count == 1
-    scorer = CandidateScorer(chain_model, g, 0)
-    nu = lambda nodes: scorer.candidate(induced_tree(g, 0, nodes)).simulatability
+    nu = simulatability_of(chain_model, g, 0)
     assert values[1].value == nu([0, 1]) - nu([0])
 
 
@@ -173,8 +178,7 @@ def test_set_shapley_single_node_agrees_with_per_node(chain_model):
 def test_set_shapley_pair_normalizes_by_set_size(chain_model):
     g = three_chain()
     cfg = EnumConfig(max_nodes=3, diameter=2)
-    scorer = CandidateScorer(chain_model, g, 2)
-    nu = lambda nodes: scorer.candidate(induced_tree(g, 2, nodes)).simulatability
+    nu = simulatability_of(chain_model, g, 2)
     joint = set_shapley_value(chain_model, g, 2, {0, 1}, cfg)
     assert joint.support_count == 1
     assert joint.value == pytest.approx((nu([0, 1, 2]) - nu([2])) / 2, abs=1e-15)
@@ -200,13 +204,11 @@ def test_shapley_selection_chain_picks_largest_drop(chain_model):
     picked = shapley_selection(chain_model, g, 2, cfg)
     assert picked is not None
     expl, cf = picked
-    scorer = CandidateScorer(chain_model, g, 2)
-    drop = abs(
-        scorer.candidate(expl).simulatability - scorer.candidate(cf).simulatability
-    )
-    # exhaustively confirm no other (candidate, leaf) combination beats it
     enum = enumerate_subgraphs(g, 2, cfg)
-    for sub in enum.subgraphs:
+    scorer = CandidateScorer(chain_model, g, enum)
+    drop = abs(scorer.candidate(expl) - scorer.candidate(cf))
+    # exhaustively confirm no other (candidate, leaf) combination beats it
+    for i, sub in enumerate(enum.subgraphs):
         for node in sub.node_set:
             if node == 2:
                 continue
@@ -214,9 +216,7 @@ def test_shapley_selection_chain_picks_largest_drop(chain_model):
             if len(incident) != 1:
                 continue
             rest = make_subgraph(g, 2, [e for e in sub.edge_set if e != incident[0]])
-            other = abs(
-                scorer.candidate(sub).simulatability - scorer.candidate(rest).simulatability
-            )
+            other = abs(scorer.candidate(i) - scorer.candidate(enum.index[rest.edge_set]))
             assert other <= drop + 1e-15
 
 

@@ -1,8 +1,12 @@
-"""Contracts of the public surface: one propagation loop, finite inputs, NaN-safe ranking."""
+"""Contracts of the public surface: one propagation loop, finite inputs, NaN-safe ranking,
+checked option ranges, per-node errors, and traced boundaries that exist."""
 
+import csv
+import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,10 +14,10 @@ import numpy as np
 import pytest
 
 import moexp
-from moexp import Model
-from moexp.cli import main
+from moexp import CandidateScorer, Model, build_graph, enumerate_subgraphs, explain_node
+from moexp.cli import RunConfig, main
 from moexp.gcn import forward, forward_hidden, masked_loss, node_embeddings
-from moexp.io import FormatError, graph_to_doc, load_model, model_to_doc, parse_graph, save_model
+from moexp.io import FormatError, graph_to_doc, load_model, model_to_doc, parse_graph, save_graph, save_model
 from moexp.pareto import competition_ranks, pareto_front
 from moexp.synth import synth_graph
 
@@ -123,3 +127,68 @@ def test_moexp_seed_is_read_by_seeded_commands_only(command, reads_seed, fixture
         if command != "enumerate":
             argv += ["--weights", weights]
     assert main(argv) == (1 if reads_seed else 0)
+
+
+def test_every_traced_span_resolves():
+    # A renamed boundary would silently zero its per-layer benchmark metrics.
+    path = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer() as tracer:
+        assert tracer.absent == []
+
+
+@pytest.mark.parametrize("epsilon", [-0.5, 0.0, 1.0, 1.5])
+def test_epsilon_outside_unit_interval_is_rejected(epsilon, chain_graph, chain_model):
+    message = re.escape(f"epsilon must be in (0, 1): {epsilon}")
+    with pytest.raises(ValueError, match=message):
+        CandidateScorer(chain_model, chain_graph, enumerate_subgraphs(chain_graph, 2), epsilon)
+    with pytest.raises(ValueError, match=message):
+        explain_node(chain_model, chain_graph, 2, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("command", ["explain", "shapley", "robustness"])
+def test_epsilon_outside_unit_interval_fails_the_command(command, fixtures_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--graph", str(fixtures_dir / "chain4.json"), "--weights", str(fixtures_dir / "chain4_weights.json")]
+    assert main(argv + ["--targets", "2", "--epsilon", "-0.5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    if command == "explain":
+        doc = json.loads((out / "node_2.json").read_text())
+        assert doc["error"] == "ValueError: epsilon must be in (0, 1): -0.5"
+    elif command == "shapley":
+        assert err == "error: epsilon must be in (0, 1): -0.5\n"
+        assert not out.exists()
+    else:
+        assert err == "node 2: ValueError: epsilon must be in (0, 1): -0.5\n"
+        assert len(list(csv.reader(open(out)))) == 1
+
+
+def test_jobs_below_one_is_rejected(fixtures_dir, tmp_path, capsys):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        RunConfig("g.json", "w.json", "out", jobs=0)
+    argv = ["explain", "--graph", str(fixtures_dir / "chain4.json"), "--weights", str(fixtures_dir / "chain4_weights.json")]
+    assert main(argv + ["--targets", "2", "--jobs", "-5", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: jobs must be at least 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_robustness_keeps_the_rows_of_nodes_that_succeed(tmp_path, capsys):
+    # Node 1 predicts class 1, whose weight column is zero: its message sweep
+    # has no class direction to align with. Node 0 is unaffected.
+    save_graph(build_graph([[1.0], [-1.0]], []), tmp_path / "g.json")
+    save_model(Model(layers=(np.array([[1.0, 0.0]]),)), tmp_path / "w.json")
+    argv = ["robustness", "--graph", str(tmp_path / "g.json"), "--weights", str(tmp_path / "w.json")]
+    argv += ["--mode", "message", "--steps", "2"]
+    assert main(argv + ["--targets", "0,1", "--out", str(tmp_path / "both.csv")]) == 1
+    assert capsys.readouterr().err == "node 1: ValueError: degenerate class direction: zero-norm class column\n"
+    assert main(argv + ["--targets", "0", "--out", str(tmp_path / "alone.csv")]) == 0
+    rows = list(csv.reader(open(tmp_path / "both.csv")))
+    assert [r[0] for r in rows[1:]] == ["0", "0"]
+    assert (tmp_path / "both.csv").read_text() == (tmp_path / "alone.csv").read_text()
+    # A bad option is still one error for the whole run, not one per node.
+    argv[-1] = "1"
+    assert main(argv + ["--targets", "0,1", "--out", str(tmp_path / "none.csv")]) == 1
+    assert capsys.readouterr().err == "error: steps must be at least 2\n"
+    assert not (tmp_path / "none.csv").exists()

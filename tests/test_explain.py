@@ -10,9 +10,7 @@ from moexp import (
     build_graph,
     cf_relevance,
     enumerate_subgraphs,
-    evaluate_pairs,
     generate_pairs,
-    make_subgraph,
     simulatability,
     validate_subgraph,
 )
@@ -123,9 +121,13 @@ def test_enumeration_matches_bruteforce(seed, max_nodes, diameter):
         assert validate_subgraph(g, sub) is None
 
 
+def edge_set_pairs(enum, pairs):
+    return [(enum.subgraphs[e].edge_set, enum.subgraphs[c].edge_set) for e, c in pairs]
+
+
 def test_generate_pairs_chain_with_extreme_rule():
     enum = enumerate_subgraphs(three_chain(), 2, EnumConfig(max_nodes=3, diameter=2))
-    pairs = {(e.edge_set, c.edge_set) for e, c in generate_pairs(enum)}
+    pairs = set(edge_set_pairs(enum, generate_pairs(enum)))
     # the 3-node explanation may not pair with the bare target, the
     # 2-node explanation has no other option and keeps it
     assert pairs == {((1,), ()), ((0, 1), (1,))}
@@ -134,25 +136,25 @@ def test_generate_pairs_chain_with_extreme_rule():
 def test_generate_pairs_single_candidate_none():
     g = build_graph([[0.0], [0.0]], [])
     enum = enumerate_subgraphs(g, 0)
-    assert generate_pairs(enum) == []
+    assert generate_pairs(enum).shape == (0, 2)
 
 
 def test_generate_pairs_star_counts_default_vs_exhaustive():
     enum = enumerate_subgraphs(star_graph(), 0, EnumConfig(max_nodes=3, diameter=1))
     assert len(generate_pairs(enum)) == 6
-    exhaustive = generate_pairs(enum, exhaustive=True)
+    exhaustive = edge_set_pairs(enum, generate_pairs(enum, exhaustive=True))
     assert len(exhaustive) == 9
-    two_edge = [(e, c) for e, c in exhaustive if len(e.edge_set) == 2]
+    two_edge = [(e, c) for e, c in exhaustive if len(e) == 2]
     assert len(two_edge) == 6
     for e, c in two_edge:
-        assert len(c.edge_set) == 1 and set(c.edge_set) < set(e.edge_set)
+        assert len(c) == 1 and set(c) < set(e)
 
 
 def test_exhaustive_pairs_superset_of_default():
     g = random_graph(np.random.default_rng(11), max_nodes=7)
     enum = enumerate_subgraphs(g, 0, EnumConfig(max_nodes=4, diameter=2))
-    default = {(e.edge_set, c.edge_set) for e, c in generate_pairs(enum)}
-    exhaustive = {(e.edge_set, c.edge_set) for e, c in generate_pairs(enum, exhaustive=True)}
+    default = set(edge_set_pairs(enum, generate_pairs(enum)))
+    exhaustive = set(edge_set_pairs(enum, generate_pairs(enum, exhaustive=True)))
     assert default <= exhaustive
 
 
@@ -211,60 +213,56 @@ def test_cf_relevance_halves_exactly():
     assert cf_relevance(num_a, num_b, 4) == cf_relevance(num_a, num_b, 1) / 4
 
 
+def chain_scorer(graph, model):
+    enum = enumerate_subgraphs(graph, 2, EnumConfig(max_nodes=4, diameter=2))
+    return enum, CandidateScorer(model, graph, enum)
+
+
 def test_scorer_memoizes_shared_counterfactual(chain_graph, chain_model):
-    scorer = CandidateScorer(chain_model, chain_graph, 2)
-    shared_cf = make_subgraph(chain_graph, 2, [1])
-    a = make_subgraph(chain_graph, 2, [0, 1])
-    b = make_subgraph(chain_graph, 2, [1, 2])
-    scorer.pair(a, shared_cf)
-    scorer.pair(b, shared_cf)
+    enum, scorer = chain_scorer(chain_graph, chain_model)
+    shared_cf = enum.index[(1,)]
+    a = enum.index[(0, 1)]
+    b = enum.index[(1, 2)]
+    scorer.pair(np.array([a]), np.array([shared_cf]))
+    scorer.pair(np.array([b]), np.array([shared_cf]))
     assert scorer.forward_count == 3
     assert scorer.hit_count == 1
 
 
-def test_scorer_rejects_non_subtree(chain_graph, chain_model):
-    scorer = CandidateScorer(chain_model, chain_graph, 2)
-    a = make_subgraph(chain_graph, 2, [1])
-    with pytest.raises(ValueError, match="proper sub-tree"):
-        scorer.pair(a, a)
-    b = make_subgraph(chain_graph, 2, [2])
-    with pytest.raises(ValueError, match="proper sub-tree"):
-        scorer.pair(a, b)
-
-
 def test_memoization_semantically_invisible(chain_graph, chain_model):
-    enum = enumerate_subgraphs(chain_graph, 2, EnumConfig(max_nodes=4, diameter=2))
-    skeletons = generate_pairs(enum)
-    with_memo = evaluate_pairs(chain_model, chain_graph, skeletons)
-    without = [CandidateScorer(chain_model, chain_graph, 2).pair(e, c) for e, c in skeletons]
-    for x, y in zip(with_memo, without):
-        assert x.relevance == y.relevance
-        assert x.explanation.simulatability == y.explanation.simulatability
-        assert np.array_equal(x.explanation.distribution, y.explanation.distribution)
+    enum, scorer = chain_scorer(chain_graph, chain_model)
+    pairs = generate_pairs(enum)
+    with_memo = scorer.pair(pairs[:, 0], pairs[:, 1])
+    for k, (e, c) in enumerate(pairs):
+        fresh = CandidateScorer(chain_model, chain_graph, enum)
+        assert with_memo[k] == fresh.pair(pairs[k : k + 1, 0], pairs[k : k + 1, 1])[0]
+        assert scorer.simulatability[e] == fresh.simulatability[e]
+        assert np.array_equal(scorer.distributions[e], fresh.distributions[e])
 
 
 def test_pair_invariants_reconstruct_bitwise(chain_graph, chain_model):
-    enum = enumerate_subgraphs(chain_graph, 2, EnumConfig(max_nodes=4, diameter=2))
-    pairs = evaluate_pairs(chain_model, chain_graph, generate_pairs(enum))
-    assert pairs
-    for p in pairs:
-        assert set(p.counterfactual.subgraph.edge_set) < set(p.explanation.subgraph.edge_set)
-        assert p.removed_count == len(p.removed_nodes) >= 1
-        assert set(p.removed_nodes) == set(p.explanation.subgraph.node_set) - set(p.counterfactual.subgraph.node_set)
-        resumed = cf_relevance(
-            p.explanation.simulatability, p.counterfactual.simulatability, p.removed_count
-        )
-        assert p.relevance == resumed
-        assert p.abs_relevance == abs(p.relevance)
+    enum, scorer = chain_scorer(chain_graph, chain_model)
+    pairs = generate_pairs(enum)
+    relevance = scorer.pair(pairs[:, 0], pairs[:, 1])
+    assert len(pairs)
+    for (e, c), rel in zip(pairs, relevance):
+        expl, cf = enum.subgraphs[e], enum.subgraphs[c]
+        assert set(cf.edge_set) < set(expl.edge_set)
+        removed = enum.removed_nodes(e, c)
+        assert len(removed) >= 1
+        assert set(removed) == set(expl.node_set) - set(cf.node_set)
+        resumed = cf_relevance(scorer.simulatability[e], scorer.simulatability[c], len(removed))
+        assert rel == resumed
 
 
 def test_chain_pair_relevance_frozen(chain_graph, chain_model):
     # the whole chain as explanation vs dropping the far signal node
-    scorer = CandidateScorer(chain_model, chain_graph, 2)
-    pair = scorer.pair(make_subgraph(chain_graph, 2, [0, 1, 2]), make_subgraph(chain_graph, 2, [1, 2]))
-    assert pair.removed_nodes == (0,)
-    assert pair.explanation.simulatability == 0.0
-    assert pair.relevance == 0.007387704715317722
+    enum, scorer = chain_scorer(chain_graph, chain_model)
+    e, c = enum.index[(0, 1, 2)], enum.index[(1, 2)]
+    relevance = scorer.pair(np.array([e]), np.array([c]))
+    assert enum.removed_nodes(e, c) == [0]
+    assert scorer.simulatability[e] == 0.0
+    assert relevance[0] == 0.007387704715317722
 
 
 @given(st.integers(0, 50_000))
@@ -275,11 +273,13 @@ def test_scored_pairs_track_oracle_metric(seed):
     m = random_model(rng)
     v = int(rng.integers(0, g.node_count))
     enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=3, diameter=2))
-    pairs = evaluate_pairs(m, g, generate_pairs(enum))
+    scorer = CandidateScorer(m, g, enum)
+    pairs = generate_pairs(enum)
+    scorer.pair(pairs[:, 0], pairs[:, 1])
     from moexp import forward
 
     reference = forward(m, g, v)
-    for p in pairs:
-        assert p.explanation.simulatability == pytest.approx(
-            -sym_kl(reference, p.explanation.distribution), rel=1e-9, abs=1e-12
+    for e in pairs[:, 0]:
+        assert scorer.simulatability[e] == pytest.approx(
+            -sym_kl(reference, scorer.distributions[e]), rel=1e-9, abs=1e-12
         )

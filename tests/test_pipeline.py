@@ -1,8 +1,14 @@
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moexp import (
     EnumConfig,
+    build_graph,
+    derive_seed,
     enumerate_subgraphs,
     explain_node,
     forward,
@@ -10,9 +16,12 @@ from moexp import (
     random_weights,
     validate_subgraph,
 )
+from moexp.io import load_edge_weights, load_graph, load_model
 from moexp.pipeline import METHODS
 
-from oracles import sym_kl
+from oracles import random_graph, random_model, reference_ranking, sym_kl
+
+GOLDEN_INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def test_method_catalogue():
@@ -32,14 +41,16 @@ def test_chain_rank_selection_frozen(chain_graph, chain_model):
     assert res.method == "pareto-rank"
     assert res.candidate_count == 6
     assert res.pair_count == 6
-    pair = res.selected_pair
-    assert pair.explanation.subgraph.edge_set == (1,)
-    assert pair.explanation.subgraph.node_set == (1, 2)
-    assert pair.explanation.simulatability == -0.08662254246870793
-    assert pair.counterfactual.subgraph.edge_set == ()
-    assert pair.removed_nodes == (1,)
-    assert pair.relevance == 0.1929366323464467
     sel = res.front.selected
+    e, c = res.front.e[sel], res.front.c[sel]
+    enum = res.scorer.enumeration
+    assert res.explanation == enum.subgraphs[e]
+    assert res.explanation.edge_set == (1,)
+    assert res.explanation.node_set == (1, 2)
+    assert res.explanation_simulatability == -0.08662254246870793
+    assert enum.subgraphs[c].edge_set == ()
+    assert enum.removed_nodes(e, c) == [1]
+    assert res.front.relevance[sel] == 0.1929366323464467
     assert (res.front.sim_ranks[sel], res.front.rel_ranks[sel]) == (5, 1)
     assert res.front.rank_sums[sel] == 6
     assert res.front.front_size == 4
@@ -56,9 +67,9 @@ def test_every_method_returns_valid_trees(chain_graph, chain_model):
         assert res.method == method
         assert 2 in res.explanation.node_set
         assert validate_subgraph(chain_graph, res.explanation) is None
-        if res.selected_pair is not None:
-            pair = res.selected_pair
-            assert set(pair.counterfactual.subgraph.node_set) < set(pair.explanation.subgraph.node_set)
+        if res.front is not None:
+            cf = res.scorer.enumeration.subgraphs[res.front.c[res.front.selected]]
+            assert set(cf.node_set) < set(res.explanation.node_set)
 
 
 def test_weight_methods_explain_their_grown_tree(chain_graph, chain_model):
@@ -95,7 +106,6 @@ def test_isolated_target_degenerates_gracefully(chain_model):
     g = build_graph([[1.0], [0.0]], [])
     res = explain_node(chain_model, g, 0)
     assert res.front is None
-    assert res.selected_pair is None
     assert res.explanation.edge_set == ()
     assert res.pair_count == 0
     assert res.candidate_count == 1
@@ -111,9 +121,8 @@ def test_exhaustive_widens_the_pairing(chain_graph, chain_model):
 def test_reference_distribution_shifts_scores(chain_graph, chain_model):
     skewed = np.array([0.05, 0.95])
     res = explain_node(chain_model, chain_graph, 2, reference_distribution=skewed)
-    pair = res.selected_pair
-    assert pair.explanation.simulatability == pytest.approx(
-        -sym_kl(skewed, pair.explanation.distribution), rel=1e-9, abs=1e-12
+    assert res.explanation_simulatability == pytest.approx(
+        -sym_kl(skewed, res.explanation_distribution), rel=1e-9, abs=1e-12
     )
     # the override becomes the reported full prediction, as in the
     # message-perturbation rescoring path
@@ -126,7 +135,9 @@ def test_precomputed_enumeration_reused(chain_graph, chain_model):
     a = explain_node(chain_model, chain_graph, 2, cfg, enumeration=enum)
     b = explain_node(chain_model, chain_graph, 2, cfg)
     assert a.candidate_count == b.candidate_count
-    assert a.selected_pair.explanation.subgraph.edge_set == b.selected_pair.explanation.subgraph.edge_set
+    assert a.explanation.edge_set == b.explanation.edge_set
+    with pytest.raises(ValueError, match="different target"):
+        explain_node(chain_model, chain_graph, 3, cfg, enumeration=enum)
 
 
 def test_same_seed_reproducible_random_method(chain_graph, chain_model):
@@ -147,4 +158,69 @@ def test_balanced_selection_minimizes_rank_gap(chain_graph, chain_model):
     front = res.front
     gaps = [abs(a - b) for a, b in zip(front.sim_ranks, front.rel_ranks)]
     assert gaps[front.selected] == min(gaps)
-    assert res.selected_pair.explanation.subgraph.edge_set == (1, 2)
+    assert res.explanation.edge_set == (1, 2)
+
+
+@given(st.integers(0, 50_000), st.booleans(), st.booleans(), st.sampled_from(["pareto-rank", "balanced"]))
+@settings(max_examples=80, deadline=None)
+def test_index_pairs_match_object_reference(seed, flat, exhaustive, method):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=6)
+    if flat:
+        # All-zero features tie every score, so the tie keys alone fix the order.
+        g = build_graph(np.zeros_like(g.features), g.edges)
+    m = random_model(rng)
+    v = int(rng.integers(0, g.node_count))
+    res = explain_node(m, g, v, EnumConfig(max_nodes=4, diameter=2), method=method, exhaustive_cf=exhaustive)
+    if res.front is None:
+        assert res.pair_count == 0
+        return
+    front, subs = res.front, res.scorer.enumeration.subgraphs
+    pairs = [(subs[e], subs[c]) for e, c in zip(front.e, front.c)]
+    strategy = "comprehensive" if method == "pareto-rank" else "balanced"
+    relevance, sim_ranks, rel_ranks, pareto, order, selected = reference_ranking(m, g, v, pairs, strategy)
+    assert front.relevance.tobytes() == np.array(relevance).tobytes()
+    assert front.sim_ranks == tuple(sim_ranks)
+    assert front.rel_ranks == tuple(rel_ranks)
+    assert front.pareto == tuple(pareto)
+    assert front.order == tuple(order)
+    assert front.selected == selected
+
+
+# (distinct_evaluations, memo_hits) at targets 0, 2 and 5 of the golden motif
+# graph, with the golden test's seed and edge weights. The benchmark's
+# explain.memo_hit_ratio is computed from these two counts.
+FROZEN_COUNTS = {
+    ("pareto-rank", False): [(28, 54), (8, 12), (5, 5)],
+    ("pareto-rank", True): [(28, 136), (8, 18), (5, 7)],
+    ("balanced", False): [(28, 54), (8, 12), (5, 5)],
+    ("balanced", True): [(28, 136), (8, 18), (5, 7)],
+    ("random", False): [(3, 1), (3, 1), (3, 1)],
+    ("random", True): [(5, 3), (4, 2), (4, 2)],
+    ("shapley", False): [(28, 76), (8, 14), (5, 7)],
+    ("shapley", True): [(28, 76), (8, 14), (5, 7)],
+    ("grad-fd", False): [(3, 1), (3, 1), (3, 1)],
+    ("grad-fd", True): [(5, 3), (4, 2), (4, 2)],
+    ("grad-analytic", False): [(3, 1), (3, 1), (3, 1)],
+    ("grad-analytic", True): [(7, 5), (4, 2), (4, 2)],
+    ("external-weights", False): [(3, 1), (1, 0), (3, 1)],
+    ("external-weights", True): [(5, 3), (1, 0), (4, 2)],
+}
+
+
+def test_memo_counts_frozen_on_golden_motif():
+    g = load_graph(GOLDEN_INPUTS / "motif.json")
+    m = load_model(GOLDEN_INPUTS / "motif_weights.json")
+    weights = load_edge_weights(GOLDEN_INPUTS / "motif_edge_weights.json")
+    counts = {}
+    for method in METHODS:
+        for exhaustive in (False, True):
+            counts[method, exhaustive] = [
+                (res.distinct_evaluations, res.memo_hits)
+                for res in (
+                    explain_node(m, g, node, method=method, seed=derive_seed(7, node),
+                                 exhaustive_cf=exhaustive, edge_weights=weights)
+                    for node in (0, 2, 5)
+                )
+            ]
+    assert counts == FROZEN_COUNTS
