@@ -13,20 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explain import EnumConfig, DEFAULT_EPSILON
+from .explain import EnumConfig, Enumeration, enumerate_subgraphs, DEFAULT_EPSILON
 from .gcn import Model, forward
-from .graph import Graph, l_hop_neighborhood
-from .pipeline import NodeExplanation, explain_node
+from .graph import Ball, Graph, l_hop_neighborhood, target_ball
+from .pipeline import NodeExplanation, ball_hops, explain_node
 
 
-def confounder_set(graph: Graph, target: int, hops: int, removed) -> set:
+def confounder_set(graph: Graph, target: int, hops: int, removed, ball: Ball | None = None) -> set:
     """Nodes that can open back-door paths for a pair's node difference.
 
     These are the nodes inside the target's ``hops``-ball that are not part
     of the ``removed`` nodes: they keep influencing the prediction in both
-    the explanation and the counterfactual regime.
+    the explanation and the counterfactual regime. ``ball``, when given, is
+    a ball of the target of at least ``hops`` hops to read them from.
     """
-    return l_hop_neighborhood(graph, target, hops) - set(removed)
+    return l_hop_neighborhood(graph, target, hops, ball) - set(removed)
 
 
 def jaccard_distance(a, b) -> float:
@@ -67,19 +68,25 @@ def perturb_message(
     config: EnumConfig | None = None,
     method: str = "pareto-rank",
     epsilon: float = DEFAULT_EPSILON,
+    enumeration: Enumeration | None = None,
+    ball: Ball | None = None,
 ) -> MessagePerturbation:
     """Inject a message with chosen alignment to the predicted class column.
 
     The message has the requested norm and cosine against theta_y (the
     last-layer column of the unperturbed predicted class); its orthogonal
     component points in a seeded random direction. When ``config`` is given
-    the explanation is recomputed against the perturbed prediction.
+    the explanation is recomputed against the perturbed prediction, from
+    ``enumeration`` when given. Every pass reads the target's ball
+    (``ball``, or a new one).
     """
     if not -1.0 <= target_cos <= 1.0:
         raise ValueError("target_cos must lie in [-1, 1]")
     if magnitude < 0:
         raise ValueError("magnitude must be non-negative")
-    base = forward(model, graph, target)
+    hops = model.depth if config is None else ball_hops(model, config, method)
+    ball = target_ball(graph, target, hops, ball)
+    base = forward(model, graph, target, ball=ball)
     y = int(np.argmax(base))
     theta_y = model.layers[-1][:, y]
     norm = float(np.linalg.norm(theta_y))
@@ -107,12 +114,13 @@ def perturb_message(
     if magnitude == 0.0:
         distribution = base
     else:
-        distribution = forward(model, graph, target, extra_message=message)
+        distribution = forward(model, graph, target, extra_message=message, ball=ball)
     explanation = None
     if config is not None:
         explanation = explain_node(
             model, graph, target, config,
             method=method, epsilon=epsilon, reference_distribution=distribution,
+            enumeration=enumeration, ball=ball,
         )
     return MessagePerturbation(target, message, float(target_cos), float(magnitude), int(seed), distribution, explanation)
 
@@ -176,7 +184,8 @@ def run_sanity_sweep(
     Message mode sweeps the alignment cosine from 1 to -1 (strength is the
     negated cosine, so it grows with adversariality); weights mode sweeps
     the parameter distance from 0 to ``max_distance``. Endpoints are always
-    included and the record count is ``steps * len(nodes)``.
+    included and the record count is ``steps * len(nodes)``. Each node's
+    ball and candidates are built once and shared by all of its steps.
     """
     if mode not in ("message", "weights"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -184,7 +193,9 @@ def run_sanity_sweep(
         raise ValueError("steps must be at least 2")
     records = []
     for node in nodes:
-        baseline = explain_node(model, graph, node, config, method=method, epsilon=epsilon)
+        ball = target_ball(graph, node, ball_hops(model, config, method))
+        shared = {"enumeration": enumerate_subgraphs(graph, node, config, ball), "ball": ball}
+        baseline = explain_node(model, graph, node, config, method=method, epsilon=epsilon, **shared)
         base_nodes = set(baseline.explanation.node_set)
         for si in range(steps):
             frac = si / (steps - 1)
@@ -192,14 +203,14 @@ def run_sanity_sweep(
             if mode == "message":
                 cos = 1.0 - 2.0 * frac
                 probe = perturb_message(
-                    model, graph, node, cos, magnitude, rec_seed, config, method, epsilon
+                    model, graph, node, cos, magnitude, rec_seed, config, method, epsilon, **shared
                 )
                 after = probe.explanation
                 distribution = probe.distribution
                 strength = -cos + 0.0
             else:
                 shifted = perturb_weights(model, max_distance * frac, rec_seed)
-                after = explain_node(shifted, graph, node, config, method=method, epsilon=epsilon)
+                after = explain_node(shifted, graph, node, config, method=method, epsilon=epsilon, **shared)
                 distribution = after.full_distribution
                 strength = max_distance * frac
             records.append(

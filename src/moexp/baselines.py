@@ -12,44 +12,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcn import Model, forward, masked_loss, node_embeddings
-from .graph import Graph, Subgraph, bfs_distances, canonical_order, make_subgraph
+from .graph import Ball, Graph, Subgraph, canonical_order, make_subgraph, target_ball
 from .explain import CandidateScorer, EnumConfig, cf_relevance, enumerate_subgraphs, DEFAULT_EPSILON
 
 
-def neighborhood_edge_ids(graph: Graph, target: int, diameter: int) -> list:
-    """Ids of edges whose endpoints both lie within ``diameter`` hops of target."""
-    dist = bfs_distances(graph, target)
+def neighborhood_edge_ids(graph: Graph, target: int, diameter: int, ball: Ball | None = None) -> list:
+    """Ids of edges whose endpoints both lie within ``diameter`` hops of
+    target, ascending; read from the target's ball (``ball``, of at least
+    ``diameter`` hops, or a new one)."""
+    ball = target_ball(graph, target, diameter, ball)
+    inner = ball.within[diameter]
+    return sorted(eid for i in range(inner) for j, eid in ball.incidence[i] if i < j < inner)
 
-    def inside(v):
-        return dist[v] is not None and dist[v] <= diameter
 
-    return [eid for eid, (u, w) in enumerate(graph.edges) if inside(u) and inside(w)]
-
-
-def random_weights(graph: Graph, target: int, config: EnumConfig, seed: int) -> dict:
+def random_weights(graph: Graph, target: int, config: EnumConfig, seed: int, ball: Ball | None = None) -> dict:
     """Uniform [0, 1) weight per neighborhood edge from a PCG64 stream."""
     rng = np.random.default_rng(seed)
-    eids = neighborhood_edge_ids(graph, target, config.diameter)
+    eids = neighborhood_edge_ids(graph, target, config.diameter, ball)
     values = rng.random(len(eids))
     return {eid: float(v) for eid, v in zip(eids, values)}
 
 
-def grow_subgraph(weights, graph: Graph, target: int, max_nodes: int) -> Subgraph:
+def grow_subgraph(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | None = None) -> Subgraph:
     """Greedy tree growth from the target along the heaviest frontier edge.
 
     Only edges present in ``weights`` are considered; ties are broken by
     canonical edge rank. Growth stops at ``max_nodes`` nodes or when no
-    weighted frontier edge remains.
+    weighted frontier edge remains. It reads the target's ball: ``ball``
+    must hold every weighted edge the growth can reach, which the default
+    ``max_nodes - 1`` hops always do.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be at least 1")
-    erank = canonical_order(graph, target).edge_rank
-    nodes = {target}
+    if ball is None:
+        ball = canonical_order(graph, target, max_nodes - 1)
+    else:
+        ball = target_ball(graph, target, 0, ball)
+    erank = ball.edge_rank
+    nodes = {0}
     chosen: list[int] = []
     while len(nodes) < max_nodes:
         best = None
         for node in nodes:
-            for nbr, eid in graph.incidence[node]:
+            for nbr, eid in ball.incidence[node]:
                 if nbr in nodes or eid not in weights:
                     continue
                 key = (-weights[eid], erank[eid])
@@ -180,50 +185,59 @@ def shapley_selection(
     return None if best is None else best[1:]
 
 
-def grad_weights_analytic(model: Model, graph: Graph, target: int, diameter: int | None = None) -> dict:
+def grad_weights_analytic(
+    model: Model, graph: Graph, target: int, diameter: int | None = None, ball: Ball | None = None
+) -> dict:
     """Closed-form saliency of the target's incident edges at the last layer.
 
     The weight of edge (j, target) is |(1 - P(y)) * theta_y . h_j| with y
     the predicted class, theta_y that class's last-layer column, and h_j
     node j's state entering the last layer. The closed form only covers the
     target's own aggregation, so neighborhood edges not incident to the
-    target are reported with weight 0.
+    target are reported with weight 0. Every pass runs on the target's
+    ball (``ball``, of at least max(diameter, depth) hops, or a new one).
     """
     if diameter is None:
         diameter = model.depth
-    probs = forward(model, graph, target)
+    ball = target_ball(graph, target, max(diameter, model.depth), ball)
+    probs = forward(model, graph, target, ball=ball)
     y = int(np.argmax(probs))
     margin = 1.0 - float(probs[y])
     theta_y = model.layers[-1][:, y]
-    states = node_embeddings(model, graph, model.depth - 1)
+    states = node_embeddings(model, ball, model.depth - 1)
     weights = {}
-    for eid in neighborhood_edge_ids(graph, target, diameter):
+    for eid in neighborhood_edge_ids(graph, target, diameter, ball):
         u, w = graph.edges[eid]
         if u == target or w == target:
             j = w if u == target else u
-            weights[eid] = abs(margin * float(theta_y @ states[j]))
+            weights[eid] = abs(margin * float(theta_y @ states[ball.node_rank[j]]))
         else:
             weights[eid] = 0.0
     return weights
 
 
-def grad_weights_fd(model: Model, graph: Graph, target: int, step: float, diameter: int | None = None) -> dict:
+def grad_weights_fd(
+    model: Model, graph: Graph, target: int, step: float, diameter: int | None = None, ball: Ball | None = None
+) -> dict:
     """Zeroth-order saliency: loss shift from damping one edge's messages.
 
     Each neighborhood edge is masked to 1 - step (all others stay 1) and the
     weight is |masked_loss - baseline_loss| / step for the unmasked
     predicted class. Edges outside the model's receptive field come out
     exactly zero because the masked pass reproduces the baseline bitwise.
+    Every pass runs on the target's ball (``ball``, of at least
+    max(diameter, depth) hops, or a new one).
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
     if diameter is None:
         diameter = model.depth
-    probs = forward(model, graph, target)
+    ball = target_ball(graph, target, max(diameter, model.depth), ball)
+    probs = forward(model, graph, target, ball=ball)
     y = int(np.argmax(probs))
     base = float(-np.log(probs[y]))
     weights = {}
-    for eid in neighborhood_edge_ids(graph, target, diameter):
-        shifted = masked_loss(model, graph, target, y, {eid: 1.0 - step})
+    for eid in neighborhood_edge_ids(graph, target, diameter, ball):
+        shifted = masked_loss(model, graph, target, y, {eid: 1.0 - step}, ball)
         weights[eid] = abs(shifted - base) / step
     return weights

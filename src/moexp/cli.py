@@ -141,7 +141,7 @@ def node_document(result: NodeExplanation, graph, model, config: RunConfig, mani
         cf_rank=front.rel_ranks[sel],
         on_front=front.pareto[sel],
         front_size=front.front_size,
-        confounders=sorted(confounder_set(graph, result.target, model.depth, removed)),
+        confounders=sorted(confounder_set(graph, result.target, model.depth, removed, result.ball)),
     )
     keep = max(1, math.ceil(config.top_percent / 100.0 * len(e)))
     top = []

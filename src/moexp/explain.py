@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcn import Model, forward
-from .graph import Graph, Subgraph, bfs_distances, canonical_order, make_subgraph
+from .graph import Ball, Graph, Subgraph, make_subgraph, target_ball
 
 DEFAULT_EPSILON = 1e-9
 
@@ -97,17 +97,19 @@ class Enumeration:
         return out
 
 
-def enumerate_subgraphs(graph: Graph, target: int, config: EnumConfig = EnumConfig()) -> Enumeration:
+def enumerate_subgraphs(
+    graph: Graph, target: int, config: EnumConfig = EnumConfig(), ball: Ball | None = None
+) -> Enumeration:
     """Every tree containing the target within the config bounds, exactly once.
 
     Extension edges at each step are tried in canonical rank order; after a
     branch returns, its edge is forbidden for the remaining siblings, which
     is what guarantees uniqueness. An isolated target yields just the
-    single-node candidate.
+    single-node candidate. The search reads only the target's ball
+    (``ball``, of at least ``config.diameter`` hops, or a new one).
     """
-    order = canonical_order(graph, target)
-    dist = bfs_distances(graph, target)
-    erank = order.edge_rank
+    ball = target_ball(graph, target, config.diameter, ball)
+    dist, erank, incidence = ball.distance, ball.edge_rank, ball.incidence
     subgraphs: list[Subgraph] = []
     parents: list = []
 
@@ -120,11 +122,8 @@ def enumerate_subgraphs(graph: Graph, target: int, config: EnumConfig = EnumConf
         in_tree = set(edge_ids)
         extensions = []
         for node in nodes:
-            for nbr, eid in graph.incidence[node]:
-                if eid in in_tree or eid in forbidden or nbr in nodes:
-                    continue
-                d = dist[nbr]
-                if d is None or d > config.diameter:
+            for nbr, eid in incidence[node]:
+                if eid in in_tree or eid in forbidden or nbr in nodes or dist[nbr] > config.diameter:
                     continue
                 extensions.append((erank[eid], eid, nbr))
         extensions.sort()
@@ -133,7 +132,7 @@ def enumerate_subgraphs(graph: Graph, target: int, config: EnumConfig = EnumConf
             expand(edge_ids + (eid,), nodes | {nbr}, index, frozenset(blocked))
             blocked.add(eid)
 
-    expand((), frozenset({target}), None, frozenset())
+    expand((), frozenset({0}), None, frozenset())
     return Enumeration(target, tuple(subgraphs), tuple(parents))
 
 
@@ -175,6 +174,9 @@ def cf_relevance(sim_explanation: float, sim_counterfactual: float, removed_coun
 class CandidateScorer:
     """Scores of one enumeration's candidates against the full-graph prediction.
 
+    The full-graph prediction is one pass on the target's ball (``ball``, or
+    a new one of the model's depth in hops).
+
     Candidate i's restricted pass runs on its first request; its distribution
     and simulatability then stay in ``distributions[i]`` and
     ``simulatability[i]``. ``forward_count`` counts restricted passes and
@@ -190,6 +192,7 @@ class CandidateScorer:
         enumeration: Enumeration,
         epsilon: float = DEFAULT_EPSILON,
         reference_distribution=None,
+        ball: Ball | None = None,
     ):
         if not 0.0 < epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1): {epsilon}")
@@ -199,7 +202,7 @@ class CandidateScorer:
         self.target = enumeration.target
         self.epsilon = epsilon
         if reference_distribution is None:
-            self.full_distribution = forward(model, graph, self.target)
+            self.full_distribution = forward(model, graph, self.target, ball=ball)
         else:
             self.full_distribution = np.asarray(reference_distribution, dtype=float)
         self.distributions = np.zeros((len(enumeration), model.class_count))

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import Graph, Subgraph
+from .graph import Ball, Graph, Subgraph, target_ball
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
 
@@ -133,13 +133,20 @@ def _check_mask(mask) -> None:
             raise ValueError(f"mask weight out of range for edge {eid}: {w}")
 
 
-def _propagate(model: Model, h: np.ndarray, incidence, depth: int, mask=None, extra_message=None, at=None):
-    """States of every row of ``h`` after the first ``depth`` layers.
+def _propagate(
+    model: Model, h: np.ndarray, incidence, depth: int, mask=None, extra_message=None, at=None, rows=None, min_rows=1
+):
+    """States after the first ``depth`` layers, starting from the rows of ``h``.
 
     ``incidence[i]`` lists (neighbor row, parent-graph edge id) pairs of row
     i. ``mask`` scales messages by edge id; ``extra_message`` joins row
-    ``at``'s aggregation at the model's last layer. An overflow or invalid
-    operation raises ``FloatingPointError`` instead of leaving inf or NaN.
+    ``at``'s aggregation at the model's last layer. ``rows[li]``, when
+    given, is how many leading rows layer li computes (each of them reads
+    only rows that the layer before computed); otherwise every row is
+    computed. A layer's product gets zero rows appended up to ``min_rows``:
+    NumPy multiplies a single row by a different BLAS routine than a matrix
+    of several, whose rounding can differ. An overflow or invalid operation
+    raises ``FloatingPointError`` instead of leaving inf or NaN.
     """
     if h.shape[1] != model.input_dim:
         raise ValueError(
@@ -150,15 +157,16 @@ def _propagate(model: Model, h: np.ndarray, incidence, depth: int, mask=None, ex
         for li in range(depth):
             weights = model.layers[li]
             last = li == model.depth - 1
-            agg = np.zeros((len(incidence), weights.shape[0]))
-            for i, pairs in enumerate(incidence):
+            n = len(incidence) if rows is None else rows[li]
+            agg = np.zeros((max(n, min_rows), weights.shape[0]))
+            for i in range(n):
                 if model.self_loop:
                     acc = h[i].copy()
                     count = 1
                 else:
                     acc = np.zeros(weights.shape[0])
                     count = 0
-                for j, eid in pairs:
+                for j, eid in incidence[i]:
                     acc += h[j] if mask is None else float(mask.get(eid, 1.0)) * h[j]
                     count += 1
                 if last and extra_message is not None and i == at:
@@ -167,7 +175,7 @@ def _propagate(model: Model, h: np.ndarray, incidence, depth: int, mask=None, ex
                 if model.mean_aggregate and count:
                     acc = acc / count
                 agg[i] = acc
-            z = agg @ weights
+            z = (agg @ weights)[:n]
             h = _activate(model.activation, z) if (not last or model.final_activation) else z
     return h
 
@@ -179,6 +187,7 @@ def forward_hidden(
     restrict: Subgraph | None = None,
     mask: Mapping | None = None,
     extra_message: np.ndarray | None = None,
+    ball: Ball | None = None,
 ) -> np.ndarray:
     """Last-layer state of node v before the softmax.
 
@@ -187,6 +196,12 @@ def forward_hidden(
     contribute nothing. ``mask`` scales messages per parent-graph edge id
     (default weight 1; the self contribution is never masked).
     ``extra_message`` is added to v's aggregation at the last layer.
+
+    Without ``restrict`` the pass runs on v's ball (``ball``, of at least
+    the model's depth in hops, or a new one): an L-layer state of v reads
+    only nodes within L hops, and layer l computes only the nodes within
+    L - l hops, each from its full neighborhood, so the result is the
+    whole graph's pass at v.
     """
     if not 0 <= v < graph.node_count:
         raise ValueError(f"node id out of range: {v}")
@@ -196,9 +211,10 @@ def forward_hidden(
         _check_mask(mask)
 
     if restrict is None:
-        h = graph.features
-        incidence = graph.incidence
-        local_v = v
+        ball = target_ball(graph, v, model.depth, ball)
+        h, incidence, local_v = ball.features, ball.incidence, 0
+        rows = [ball.within[model.depth - 1 - li] for li in range(model.depth)]
+        min_rows = min(2, graph.node_count)
     else:
         scope = restrict.node_set
         local = {node: i for i, node in enumerate(scope)}
@@ -212,8 +228,9 @@ def forward_hidden(
         h = graph.features[list(scope)]
         incidence = lists
         local_v = local[v]
+        rows, min_rows = None, 1
     try:
-        h = _propagate(model, h, incidence, model.depth, mask, extra_message, local_v)
+        h = _propagate(model, h, incidence, model.depth, mask, extra_message, local_v, rows, min_rows)
     except FloatingPointError as exc:
         raise ValueError(f"forward pass at node {v}: {exc}") from None
     return h[local_v].copy()
@@ -226,28 +243,35 @@ def forward(
     restrict: Subgraph | None = None,
     mask: Mapping | None = None,
     extra_message: np.ndarray | None = None,
+    ball: Ball | None = None,
 ) -> np.ndarray:
     """Class distribution at node v under the (possibly restricted) forward pass."""
-    return softmax(forward_hidden(model, graph, v, restrict, mask, extra_message))
+    return softmax(forward_hidden(model, graph, v, restrict, mask, extra_message, ball))
 
 
-def node_embeddings(model: Model, graph: Graph, depth_limit: int) -> np.ndarray:
-    """All-node states after ``depth_limit`` layers of the unmasked full pass.
+def node_embeddings(model: Model, ball: Ball, depth_limit: int) -> np.ndarray:
+    """States after ``depth_limit`` layers of the unmasked pass, one row per
+    ball node within ``ball.hops - depth_limit`` hops, in local order.
 
-    ``depth_limit`` 0 returns the raw features. Intermediate layers always
+    These are the nodes whose ``depth_limit``-layer state reads only the
+    ball, so each row equals that node's state in the whole graph.
+    ``depth_limit`` 0 returns the ball's features. Intermediate layers always
     apply the activation, matching what the next layer would consume.
     """
-    if not 0 <= depth_limit <= model.depth:
+    if not 0 <= depth_limit <= min(model.depth, ball.hops):
         raise ValueError("depth_limit out of range")
+    rows = [ball.within[ball.hops - 1 - li] for li in range(depth_limit)]
     try:
-        return _propagate(model, graph.features, graph.incidence, depth_limit)
+        return _propagate(
+            model, ball.features, ball.incidence, depth_limit, rows=rows, min_rows=min(2, ball.graph.node_count)
+        )
     except FloatingPointError as exc:
         raise ValueError(f"forward pass: {exc}") from None
 
 
-def masked_loss(model: Model, graph: Graph, v: int, y: int, mask: Mapping | None) -> float:
+def masked_loss(model: Model, graph: Graph, v: int, y: int, mask: Mapping | None, ball: Ball | None = None) -> float:
     """Negative log-probability of class y at v under the masked forward pass."""
-    probs = forward(model, graph, v, mask=mask)
+    probs = forward(model, graph, v, mask=mask, ball=ball)
     if not 0 <= y < probs.size:
         raise ValueError(f"class index out of range: {y}")
     return float(-np.log(probs[y]))

@@ -95,6 +95,33 @@ class CanonicalOrder:
     edge_rank: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Ball(CanonicalOrder):
+    """The nodes within ``hops`` hops of a target and the edges between them.
+
+    Local ids are canonical ranks: ``nodes[i]`` is the global id of the
+    node of rank i, so the target is 0 and the nodes within r hops are the
+    first ``within[r]``. ``node_rank`` maps a global node id to its local
+    id, ``distance[i]`` is local node i's hop distance, and ``features``
+    holds the nodes' feature rows in local order. ``incidence[i]`` lists
+    (local neighbor, global edge id) pairs in the order of
+    ``graph.incidence``, so a sum over it adds the same terms in the same
+    order as over the graph; a node at exactly ``hops`` hops lists only its
+    neighbors inside the ball. ``edge_rank`` maps the global id of each
+    edge in the ball to its position among them, which orders them as the
+    unbounded canonical order does, since ball nodes take its first ranks.
+    """
+
+    graph: Graph = field(repr=False)
+    target: int
+    hops: int
+    nodes: tuple[int, ...]
+    distance: tuple[int, ...]
+    within: tuple[int, ...]
+    incidence: tuple = field(repr=False)
+    features: np.ndarray = field(repr=False)
+
+
 def build_graph(features, edges: Iterable[Sequence[int]], labels=None) -> Graph:
     """Validate raw inputs and assemble a canonical Graph.
 
@@ -161,10 +188,16 @@ def bfs_distances(graph: Graph, source: int) -> list:
     return dist
 
 
-def canonical_order(graph: Graph, target: int) -> CanonicalOrder:
-    """Rank nodes by BFS from ``target`` and edges by their endpoint ranks."""
+def canonical_order(graph: Graph, target: int, hops: int | None = None) -> CanonicalOrder:
+    """Rank nodes by BFS from ``target`` and edges by their endpoint ranks.
+
+    With ``hops``, the BFS stops at that depth and the result is the
+    target's ``Ball``, whose ranks cover only the ball's nodes and edges.
+    """
     if not 0 <= target < graph.node_count:
         raise ValueError(f"node id out of range: {target}")
+    if hops is not None:
+        return _ball(graph, target, hops)
     dist = bfs_distances(graph, target)
     reachable = sorted((v for v in range(graph.node_count) if dist[v] is not None), key=lambda v: (dist[v], v))
     unreachable = [v for v in range(graph.node_count) if dist[v] is None]
@@ -182,12 +215,47 @@ def canonical_order(graph: Graph, target: int) -> CanonicalOrder:
     return CanonicalOrder(tuple(node_rank), tuple(edge_rank))
 
 
-def l_hop_neighborhood(graph: Graph, v: int, hops: int) -> set:
+def _ball(graph: Graph, target: int, hops: int) -> Ball:
+    if hops < 0:
+        raise ValueError("hops must be non-negative")
+    nodes, distance, within = [target], [0], [1]
+    rank = {target: 0}
+    frontier = [target]
+    for d in range(1, hops + 1):
+        frontier = sorted({w for u in frontier for w in graph.adjacency[u] if w not in rank})
+        for w in frontier:
+            rank[w] = len(nodes)
+            nodes.append(w)
+        distance += [d] * len(frontier)
+        within.append(len(nodes))
+    incidence = tuple(tuple((rank[w], eid) for w, eid in graph.incidence[u] if w in rank) for u in nodes)
+    # Local ids are node ranks, so (lower, higher) local id is the edge's sort key.
+    keyed = sorted((i, j, eid) for i, pairs in enumerate(incidence) for j, eid in pairs if i < j)
+    edge_rank = {eid: r for r, (_, _, eid) in enumerate(keyed)}
+    return Ball(
+        rank, edge_rank, graph, target, hops, tuple(nodes), tuple(distance), tuple(within), incidence,
+        graph.features[nodes],
+    )
+
+
+def target_ball(graph: Graph, target: int, hops: int, ball: Ball | None = None) -> Ball:
+    """``ball`` when it is ``target``'s ball in ``graph`` with at least ``hops``
+    hops; a new ``hops``-hop ball when ``ball`` is None."""
+    if ball is None:
+        return canonical_order(graph, target, hops)
+    if ball.graph is not graph or ball.target != target or ball.hops < hops:
+        raise ValueError(
+            f"ball of node {ball.target} with {ball.hops} hops cannot serve node {target} at {hops} hops"
+        )
+    return ball
+
+
+def l_hop_neighborhood(graph: Graph, v: int, hops: int, ball: Ball | None = None) -> set:
     """Nodes within ``hops`` of v, excluding v itself."""
     if hops < 1:
         raise ValueError("hops must be positive")
-    dist = bfs_distances(graph, v)
-    return {u for u in range(graph.node_count) if u != v and dist[u] is not None and dist[u] <= hops}
+    ball = target_ball(graph, v, hops, ball)
+    return set(ball.nodes[1:ball.within[hops]])
 
 
 def make_subgraph(graph: Graph, target: int, edge_ids: Iterable[int]) -> Subgraph:

@@ -23,7 +23,7 @@ from .explain import (
     DEFAULT_EPSILON,
 )
 from .gcn import Model
-from .graph import Graph, Subgraph
+from .graph import Ball, Graph, Subgraph, target_ball
 from .pareto import ScoredFront, rank_pairs
 
 METHODS = (
@@ -45,6 +45,7 @@ class NodeExplanation:
 
     ``front.e``, ``front.c`` index the candidates of ``scorer.enumeration``,
     whose scores are in ``scorer.distributions`` and ``scorer.simulatability``.
+    ``ball`` is the target's ball that every stage read.
     """
 
     target: int
@@ -55,11 +56,20 @@ class NodeExplanation:
     pair_count: int
     front: ScoredFront | None
     scorer: CandidateScorer
+    ball: Ball
     explanation: Subgraph
     explanation_distribution: np.ndarray
     explanation_simulatability: float
     distinct_evaluations: int
     memo_hits: int
+
+
+def ball_hops(model: Model, config: EnumConfig, method: str) -> int:
+    """Hops of the ball that ``explain_node`` reads: the search diameter and
+    the model depth, and for external weights the ``max_nodes - 1`` hops a
+    grown tree can reach, since those weights need not stay near the target."""
+    hops = max(config.diameter, model.depth)
+    return max(hops, config.max_nodes - 1) if method == "external-weights" else hops
 
 
 def explain_node(
@@ -75,52 +85,58 @@ def explain_node(
     fd_step: float = DEFAULT_FD_STEP,
     reference_distribution=None,
     enumeration: Enumeration | None = None,
+    ball: Ball | None = None,
 ) -> NodeExplanation:
     """Run one method on one target and return its selection.
 
     ``reference_distribution`` substitutes the full-graph distribution that
     candidates are compared against (perturbation studies use this).
     ``edge_weights`` supplies the weights for method ``external-weights``.
+    Every stage reads only the target's ball (``ball``, of at least
+    ``ball_hops`` hops, or a new one), so the cost does not grow with the
+    graph. ``enumeration`` and ``ball`` let a caller that explains one
+    target several times build them once.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
+    ball = target_ball(graph, target, ball_hops(model, config, method), ball)
     if enumeration is None:
-        enumeration = enumerate_subgraphs(graph, target, config)
+        enumeration = enumerate_subgraphs(graph, target, config, ball)
     elif enumeration.target != target:
         raise ValueError("enumeration anchored at a different target")
     scorer = CandidateScorer(
-        model, graph, enumeration, epsilon, reference_distribution=reference_distribution
+        model, graph, enumeration, epsilon, reference_distribution=reference_distribution, ball=ball
     )
     root = enumeration.subgraphs[0]
 
     if method in ("pareto-rank", "balanced"):
         pairs = generate_pairs(enumeration, exhaustive=exhaustive_cf)
         strategy = "comprehensive" if method == "pareto-rank" else "balanced"
-        return _finish(scorer, method, pairs, strategy, root)
+        return _finish(scorer, ball, method, pairs, strategy, root)
 
     if method == "shapley":
         picked = baselines.shapley_selection(model, graph, target, config, epsilon, scorer=scorer)
         pairs = np.array([] if picked is None else [picked], dtype=np.intp).reshape(-1, 2)
-        return _finish(scorer, method, pairs, "comprehensive", root)
+        return _finish(scorer, ball, method, pairs, "comprehensive", root)
 
     if method == "random":
-        weights = baselines.random_weights(graph, target, config, seed)
+        weights = baselines.random_weights(graph, target, config, seed, ball)
     elif method == "grad-fd":
-        weights = baselines.grad_weights_fd(model, graph, target, fd_step, config.diameter)
+        weights = baselines.grad_weights_fd(model, graph, target, fd_step, config.diameter, ball)
     elif method == "grad-analytic":
-        weights = baselines.grad_weights_analytic(model, graph, target, config.diameter)
+        weights = baselines.grad_weights_analytic(model, graph, target, config.diameter, ball)
     else:
         if edge_weights is None:
             raise ValueError("method external-weights requires edge weights")
         weights = {int(k): float(v) for k, v in edge_weights.items()}
-    grown = baselines.grow_subgraph(weights, graph, target, config.max_nodes)
+    grown = baselines.grow_subgraph(weights, graph, target, config.max_nodes, ball)
     i = enumeration.index.get(grown.edge_set)
     counterfactuals = [] if i is None else enumeration.counterfactuals(i, exhaustive_cf)
     pairs = np.array([(i, j) for j in counterfactuals], dtype=np.intp).reshape(-1, 2)
-    return _finish(scorer, method, pairs, "comprehensive", grown)
+    return _finish(scorer, ball, method, pairs, "comprehensive", grown)
 
 
-def _finish(scorer, method, pairs, strategy, fallback: Subgraph):
+def _finish(scorer, ball, method, pairs, strategy, fallback: Subgraph):
     """Rank the pairs; with none, explain by ``fallback``, which may lie
     outside the enumeration (a tree grown from external weights)."""
     enumeration = scorer.enumeration
@@ -146,6 +162,7 @@ def _finish(scorer, method, pairs, strategy, fallback: Subgraph):
         pair_count=len(pairs),
         front=front,
         scorer=scorer,
+        ball=ball,
         explanation=explanation,
         explanation_distribution=distribution,
         explanation_simulatability=sim,

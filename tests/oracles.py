@@ -227,6 +227,51 @@ def sem_expand_check(model, graph, target, restrict=None):
     return _activation(model.activation, z) if model.final_activation else z
 
 
+def _package_activation(name, x):
+    """The package's activations, formula for formula, so results compare bitwise."""
+    if name == "relu":
+        return np.maximum(x, 0.0)
+    if name == "sigmoid":
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+    return x
+
+
+def full_states(model, graph, depth, mask=None, extra_message=None, at=None):
+    """Every node's state after ``depth`` layers, by one loop over the whole graph.
+
+    This is the package's layer loop as it ran before passes were limited to
+    a target's ball: every node is aggregated at every layer, in
+    ``graph.incidence`` order, and each layer is one product over all rows.
+    ``mask`` scales messages by edge id; ``extra_message`` joins node
+    ``at``'s aggregation at the model's last layer.
+    """
+    h = graph.features
+    for li in range(depth):
+        weights = model.layers[li]
+        last = li == model.depth - 1
+        agg = np.zeros((graph.node_count, weights.shape[0]))
+        for i, pairs in enumerate(graph.incidence):
+            acc = h[i].copy() if model.self_loop else np.zeros(weights.shape[0])
+            count = 1 if model.self_loop else 0
+            for j, eid in pairs:
+                acc += h[j] if mask is None else float(mask.get(eid, 1.0)) * h[j]
+                count += 1
+            if last and extra_message is not None and i == at:
+                acc = acc + np.asarray(extra_message, dtype=float).reshape(-1)
+                count += 1
+            if model.mean_aggregate and count:
+                acc = acc / count
+            agg[i] = acc
+        z = agg @ weights
+        h = _package_activation(model.activation, z) if (not last or model.final_activation) else z
+    return h
+
+
 def random_graph(rng, max_nodes=8, edge_prob=0.4, feature_dim=2, min_nodes=2):
     """Erdos-style test graph with standard-normal features."""
     n = int(rng.integers(min_nodes, max_nodes + 1))

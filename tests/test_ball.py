@@ -1,0 +1,194 @@
+"""Per-target balls: every per-node pass, rank and scan reads only the
+target's ball, and gives the whole graph's results bit for bit."""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import moexp.gcn
+from moexp import (
+    ACTIVATIONS,
+    METHODS,
+    EnumConfig,
+    Model,
+    build_graph,
+    canonical_order,
+    explain_node,
+    forward_hidden,
+    node_embeddings,
+    run_sanity_sweep,
+)
+from moexp.cli import main
+from moexp.io import graph_to_doc, load_edge_weights, load_graph, load_model, save_model
+from moexp.synth import synth_graph
+
+from oracles import full_distances, full_states, random_graph
+
+INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def _model(rng, depth, activation, self_loop, mean_aggregate, final_activation, feature_dim=2):
+    dims = [feature_dim] + [int(rng.integers(1, 5)) for _ in range(depth - 1)] + [int(rng.integers(2, 4))]
+    layers = tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth))
+    return Model(layers, activation, self_loop, mean_aggregate, final_activation)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.sampled_from(ACTIVATIONS),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_ball_pass_equals_full_pass_bitwise(seed, depth, activation, self_loop, mean, final, masked, extra):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=12, edge_prob=0.3, min_nodes=1)
+    m = _model(rng, depth, activation, self_loop, mean, final)
+    v = int(rng.integers(0, g.node_count))
+    mask = {eid: float(rng.random()) for eid in range(g.edge_count) if rng.random() < 0.5} if masked else None
+    message = rng.standard_normal(m.layers[-1].shape[0]) if extra else None
+    want = full_states(m, g, depth, mask, message, v)[v]
+    assert forward_hidden(m, g, v, mask=mask, extra_message=message).tobytes() == want.tobytes()
+    # A larger ball gives the same bits.
+    ball = canonical_order(g, v, depth + int(rng.integers(1, 3)))
+    assert forward_hidden(m, g, v, mask=mask, extra_message=message, ball=ball).tobytes() == want.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(ACTIVATIONS), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_node_embeddings_rows_equal_full_pass_bitwise(seed, depth, activation, self_loop, mean):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=12, edge_prob=0.3, min_nodes=1)
+    m = _model(rng, depth, activation, self_loop, mean, False)
+    v = int(rng.integers(0, g.node_count))
+    limit = int(rng.integers(0, depth + 1))
+    ball = canonical_order(g, v, limit + int(rng.integers(0, 3)))
+    rows = node_embeddings(m, ball, limit)
+    full = full_states(m, g, limit)
+    assert len(rows) == ball.within[ball.hops - limit]
+    for i, u in enumerate(ball.nodes[: len(rows)]):
+        assert rows[i].tobytes() == full[u].tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_ball_is_the_bounded_canonical_order(seed, hops):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=12, edge_prob=0.3, min_nodes=1)
+    v = int(rng.integers(0, g.node_count))
+    ball = canonical_order(g, v, hops)
+    full = canonical_order(g, v)
+    dist = full_distances(g, v)
+    inside = sorted((u for u, d in dist.items() if d <= hops), key=lambda u: full.node_rank[u])
+    assert list(ball.nodes) == inside
+    assert ball.node_rank == {u: i for i, u in enumerate(inside)}
+    assert list(ball.distance) == [dist[u] for u in inside]
+    assert list(ball.within) == [sum(d <= r for d in ball.distance) for r in range(hops + 1)]
+    assert np.array_equal(ball.features, g.features[inside])
+    for i, u in enumerate(inside):
+        in_ball = [(w, eid) for w, eid in g.incidence[u] if w in dist and dist[w] <= hops]
+        assert [(ball.nodes[j], eid) for j, eid in ball.incidence[i]] == in_ball
+    edges = [eid for eid, (a, b) in enumerate(g.edges) if a in ball.node_rank and b in ball.node_rank]
+    assert sorted(ball.edge_rank, key=ball.edge_rank.get) == sorted(edges, key=lambda e: full.edge_rank[e])
+    assert sorted(ball.edge_rank.values()) == list(range(len(edges)))
+
+
+def test_a_ball_of_another_target_or_too_few_hops_is_rejected(chain_graph, chain_model):
+    with pytest.raises(ValueError, match="ball of node 1 with 2 hops cannot serve node 2"):
+        forward_hidden(chain_model, chain_graph, 2, ball=canonical_order(chain_graph, 1, 2))
+    with pytest.raises(ValueError, match="ball of node 2 with 1 hops cannot serve node 2 at 2 hops"):
+        forward_hidden(chain_model, chain_graph, 2, ball=canonical_order(chain_graph, 2, 1))
+
+
+def _with_far_path(graph, extra: int):
+    """``graph`` plus a disjoint path over ``extra`` new nodes, which take the
+    higher ids, so every old node and edge keeps its id."""
+    n = graph.node_count
+    features = np.vstack([graph.features, np.ones((extra, graph.feature_dim))])
+    edges = list(graph.edges) + [(n + i, n + i + 1) for i in range(extra - 1)]
+    labels = None if graph.labels is None else list(graph.labels) + [None] * extra
+    return build_graph(features, edges, labels=labels)
+
+
+def _arrays(result):
+    front = result.front
+    parts = [result.full_distribution, result.explanation_distribution]
+    if front is not None:
+        parts += [front.e, front.c, front.relevance]
+    return [p.tobytes() for p in parts] + [result.explanation, front is None]
+
+
+def test_explain_node_does_not_depend_on_graph_size(monkeypatch):
+    small = load_graph(INPUTS / "motif.json")
+    model = load_model(INPUTS / "motif_weights.json")
+    weights = load_edge_weights(INPUTS / "motif_edge_weights.json")
+    large = _with_far_path(small, 20_000)
+    assert large.edges[: small.edge_count] == small.edges
+    seen = []
+    propagate = moexp.gcn._propagate
+
+    def counting(model, h, incidence, *args, **kwargs):
+        seen.append(max(len(h), len(incidence)))
+        return propagate(model, h, incidence, *args, **kwargs)
+
+    monkeypatch.setattr(moexp.gcn, "_propagate", counting)
+    config = EnumConfig(max_nodes=4, diameter=2)
+    for target in range(small.node_count):
+        for method in METHODS:
+            kwargs = dict(method=method, seed=target, edge_weights=weights)
+            want = explain_node(model, small, target, config, **kwargs)
+            seen.clear()
+            got = explain_node(model, large, target, config, **kwargs)
+            assert _arrays(got) == _arrays(want), (target, method)
+            assert max(seen) <= len(got.ball.nodes) <= small.node_count
+
+
+def _overflow_inputs(tmp_path):
+    graph, model = synth_graph("erdos", {"nodes": 200, "p": 0.02}, 7)
+    doc = graph_to_doc(graph)
+    doc["nodes"][1]["features"] = [1e308] * graph.feature_dim
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    save_model(model, tmp_path / "w.json")
+    return graph, model
+
+
+@pytest.mark.parametrize("method", ["pareto-rank", "grad-fd", "grad-analytic"])
+def test_overflow_fails_only_targets_whose_ball_holds_it(method, tmp_path):
+    graph, model = _overflow_inputs(tmp_path)
+    dist = full_distances(graph, 1)
+    near = min(v for v, d in dist.items() if d == 1)
+    assert dist[0] > model.depth and dist[3] > model.depth
+    argv = ["explain", "--graph", str(tmp_path / "g.json"), "--weights", str(tmp_path / "w.json")]
+    argv += ["--method", method, "--out", str(tmp_path / "out"), "--targets", f"0,3,{near}"]
+    assert main(argv) == 1
+    for v in (0, 3):
+        written = json.loads((tmp_path / "out" / f"node_{v}.json").read_text())
+        assert "error" not in written and written["node"] == v
+    written = json.loads((tmp_path / "out" / f"node_{near}.json").read_text())
+    assert written["error"] == f"ValueError: forward pass at node {near}: overflow encountered in add"
+
+
+def test_sanity_sweep_enumerates_once_per_node(monkeypatch):
+    graph, model = synth_graph("planted-motif", {}, 7)
+    calls = []
+    for module in (moexp.explain, moexp.pipeline, moexp.analysis, moexp.baselines):
+        original = module.__dict__.get("enumerate_subgraphs")
+        if original is not None:
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args[1])
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, "enumerate_subgraphs", counted)
+    nodes = [0, 2, 5]
+    for mode in ("message", "weights"):
+        calls.clear()
+        records = run_sanity_sweep(model, graph, nodes, mode, steps=4, seed=3)
+        assert calls == nodes
+        assert len(records) == 4 * len(nodes)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import moexp
-from moexp import CandidateScorer, Model, build_graph, enumerate_subgraphs, explain_node
+from moexp import CandidateScorer, Model, build_graph, canonical_order, enumerate_subgraphs, explain_node
 from moexp.cli import RunConfig, main
 from moexp.gcn import forward, forward_hidden, masked_loss, node_embeddings
 from moexp.io import FormatError, graph_to_doc, load_model, model_to_doc, parse_graph, save_graph, save_model
@@ -36,9 +36,13 @@ def test_node_embeddings_match_forward_hidden_bitwise(variant):
     fields = dict(activation=model.activation, self_loop=model.self_loop)
     fields.update(variant)
     model = Model(layers=model.layers, **fields)
-    states = node_embeddings(model, graph, model.depth)
     for v in range(graph.node_count):
-        assert states[v].tobytes() == forward_hidden(model, graph, v).tobytes()
+        # One hop more than the depth: the rows of v and its neighbors are exact.
+        ball = canonical_order(graph, v, model.depth + 1)
+        states = node_embeddings(model, ball, model.depth)
+        assert len(states) == ball.within[1]
+        for i, u in enumerate(ball.nodes[: ball.within[1]]):
+            assert states[i].tobytes() == forward_hidden(model, graph, u).tobytes()
 
 
 def test_unmasked_loss_equals_empty_mask_loss_bitwise():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from moexp import (
     Model,
     build_graph,
+    canonical_order,
     enumerate_subgraphs,
     EnumConfig,
     forward,
@@ -159,13 +160,14 @@ def test_softmax_saturated_logits_underflow_to_zero():
 
 
 def test_node_embeddings_depth_zero_is_features(chain_graph, chain_model):
-    emb = node_embeddings(chain_model, chain_graph, 0)
-    assert np.array_equal(emb, chain_graph.features)
+    ball = canonical_order(chain_graph, 2, 2)
+    emb = node_embeddings(chain_model, ball, 0)
+    assert np.array_equal(emb, chain_graph.features[list(ball.nodes)])
 
 
 def test_node_embeddings_bad_depth(chain_graph, chain_model):
     with pytest.raises(ValueError, match="depth_limit out of range"):
-        node_embeddings(chain_model, chain_graph, 5)
+        node_embeddings(chain_model, canonical_order(chain_graph, 2, 2), 5)
 
 
 @given(st.integers(0, 10_000))
