@@ -12,11 +12,15 @@ are atomic per file.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from fractions import Fraction
+
+import numpy as np
 
 from . import io
 from .analysis import confounder_set, derive_seed, run_sanity_sweep
@@ -84,6 +88,13 @@ def _resolve_targets(spec: str, graph) -> list:
     return out
 
 
+def top_count(top_percent: float, pair_count: int) -> int:
+    """How many of ``pair_count`` ranked pairs a document embeds: the first
+    ceil(P * m / 100), at least one. The percent P is read as the decimal it
+    prints as, so the count is exact: 7 % of 100 pairs is 7."""
+    return max(1, math.ceil(Fraction(str(top_percent)) * pair_count / 100))
+
+
 def _candidate_block(sub, distribution, simulatability, graph) -> dict:
     return {
         "edge_ids": list(sub.edge_set),
@@ -94,7 +105,46 @@ def _candidate_block(sub, distribution, simulatability, graph) -> dict:
     }
 
 
-def node_document(result: NodeExplanation, graph, model, config: RunConfig, manifest: dict) -> dict:
+# One ``top_pairs`` entry as ``json.dumps(sort_keys=True, indent=2)`` writes it.
+_PAIR = """    {
+      "abs_cf_relevance": %s,
+      "cf_rank": %d,
+      "cf_relevance": %s,
+      "counterfactual_edge_ids": %s,
+      "explanation_edge_ids": %s,
+      "explanation_nodes": %s,
+      "on_front": %s,
+      "rank_sum": %d,
+      "removed_nodes": %s,
+      "sim_rank": %d,
+      "simulatability": %s
+    }"""
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _floats(values: np.ndarray) -> list:
+    """Each float as ``json`` writes it: its repr, or NaN, Infinity, -Infinity."""
+    text = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        text = [_NONFINITE.get(t, t) for t in text]
+    return text
+
+
+def _ints(values) -> str:
+    """An int list as ``json`` writes it as the value of a ``top_pairs`` entry's key."""
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+
+
+def node_document(result: NodeExplanation, graph, model, config: RunConfig, manifest: dict) -> str:
+    """The explain document of one node, as ``json.dumps(doc, sort_keys=True,
+    indent=2) + "\n"`` writes it.
+
+    The header fields go through ``json``. ``top_pairs``, the last key and
+    nearly all of the text, is rendered straight from the ranked arrays:
+    each candidate's lists once, then one template per embedded pair.
+    """
     doc = {
         "schema": "moexp/1",
         "node": result.target,
@@ -108,7 +158,7 @@ def node_document(result: NodeExplanation, graph, model, config: RunConfig, mani
         ),
         "manifest": manifest,
     }
-    front = result.front
+    front, top_pairs = result.front, "[]"
     if front is None:
         doc.update(
             counterfactual=None,
@@ -121,48 +171,49 @@ def node_document(result: NodeExplanation, graph, model, config: RunConfig, mani
             on_front=None,
             front_size=0,
             confounders=None,
-            top_pairs=[],
         )
-        return doc
-    enumeration, sims = result.scorer.enumeration, result.scorer.simulatability.tolist()
-    subs = enumeration.subgraphs
-    e, c, relevance = front.e.tolist(), front.c.tolist(), front.relevance.tolist()
-    sel = front.selected
-    removed = enumeration.removed_nodes(e[sel], c[sel])
-    doc.update(
-        counterfactual=_candidate_block(
-            subs[c[sel]], result.scorer.distributions[c[sel]], sims[c[sel]], graph
-        ),
-        removed_nodes=removed,
-        cf_relevance=relevance[sel],
-        abs_cf_relevance=abs(relevance[sel]),
-        rank_sum=front.rank_sums[sel],
-        sim_rank=front.sim_ranks[sel],
-        cf_rank=front.rel_ranks[sel],
-        on_front=front.pareto[sel],
-        front_size=front.front_size,
-        confounders=sorted(confounder_set(graph, result.target, model.depth, removed, result.ball)),
-    )
-    keep = max(1, math.ceil(config.top_percent / 100.0 * len(e)))
-    top = []
-    for i in front.order[:keep]:
-        top.append(
-            {
-                "explanation_edge_ids": list(subs[e[i]].edge_set),
-                "explanation_nodes": list(subs[e[i]].node_set),
-                "counterfactual_edge_ids": list(subs[c[i]].edge_set),
-                "removed_nodes": enumeration.removed_nodes(e[i], c[i]),
-                "simulatability": sims[e[i]],
-                "cf_relevance": relevance[i],
-                "abs_cf_relevance": abs(relevance[i]),
-                "sim_rank": front.sim_ranks[i],
-                "cf_rank": front.rel_ranks[i],
-                "rank_sum": front.rank_sums[i],
-                "on_front": front.pareto[i],
-            }
+    else:
+        scorer = result.scorer
+        enumeration = scorer.enumeration
+        subs = enumeration.subgraphs
+        sel, e, c = front.selected, int(front.e[front.selected]), int(front.c[front.selected])
+        relevance = float(front.relevance[sel])
+        removed = enumeration.removed_nodes(e, c)
+        doc.update(
+            counterfactual=_candidate_block(
+                subs[c], scorer.distributions[c], scorer.simulatability[c], graph
+            ),
+            removed_nodes=removed,
+            cf_relevance=relevance,
+            abs_cf_relevance=abs(relevance),
+            rank_sum=front.rank_sums[sel],
+            sim_rank=front.sim_ranks[sel],
+            cf_rank=front.rel_ranks[sel],
+            on_front=front.pareto[sel],
+            front_size=front.front_size,
+            confounders=sorted(confounder_set(graph, result.target, model.depth, removed, result.ball)),
         )
-    doc["top_pairs"] = top
-    return doc
+        order = front.order[: top_count(config.top_percent, len(front.e))]
+        kept = np.array(order, dtype=np.intp)
+        es, cs = front.e[kept].tolist(), front.c[kept].tolist()
+        rel_text = _floats(front.relevance[kept])
+        explanations = list(set(es))
+        sims = dict(zip(explanations, _floats(scorer.simulatability[explanations])))
+        edge_ids = {j: _ints(subs[j].edge_set) for j in {*es, *cs}}
+        nodes = {j: _ints(subs[j].node_set) for j in explanations}
+        pairs = [
+            _PAIR % (
+                # json writes abs(x) as x without its sign, NaN included.
+                rel_text[k].lstrip("-"), front.rel_ranks[i], rel_text[k], edge_ids[cs[k]], edge_ids[es[k]],
+                nodes[es[k]], "true" if front.pareto[i] else "false", front.rank_sums[i],
+                _ints(enumeration.removed_nodes(es[k], cs[k])), front.sim_ranks[i], sims[es[k]],
+            )
+            for k, i in enumerate(order)
+        ]
+        top_pairs = "[\n" + ",\n".join(pairs) + "\n  ]"
+    header = json.dumps(doc, sort_keys=True, indent=2, default=io._json_default)
+    # "top_pairs" sorts after every header key, so it closes the object.
+    return header[:-2] + ',\n  "top_pairs": ' + top_pairs + "\n}\n"
 
 
 def explain_command(config: RunConfig) -> int:

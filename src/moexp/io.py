@@ -184,9 +184,22 @@ def _json_default(value):
 
 
 def dump_json(doc, path) -> None:
-    """Serialize with sorted keys and replace the destination atomically."""
-    payload = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
-    _atomic_write(path, payload)
+    """Serialize with sorted keys and replace the destination atomically.
+
+    A str is a document already rendered (``cli.node_document``) and is
+    written as it is.
+    """
+    if not isinstance(doc, str):
+        doc = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+    _atomic_write(path, doc)
+
+
+# Written files get the mode open(path, "w") gives, not mkstemp's 0600. The
+# umask can only be read by setting it, so it is read once, at import:
+# setting it while --jobs threads write files would race with them.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
 
 
 def _atomic_write(path, payload: str) -> None:
@@ -196,6 +209,7 @@ def _atomic_write(path, payload: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(payload)
+        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

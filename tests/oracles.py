@@ -15,6 +15,8 @@ import itertools
 import numpy as np
 
 from moexp import build_graph, forward
+from moexp.analysis import confounder_set
+from moexp.cli import top_count
 
 
 def edge_subset_nodes(edges, subset, target):
@@ -322,3 +324,89 @@ def reference_ranking(model, graph, target, pairs, strategy, eps=1e-9):
     if strategy == "balanced":
         selected = min(range(n), key=lambda i: (abs(sim_ranks[i] - rel_ranks[i]), sums[i], keys[i], i))
     return relevance, sim_ranks, rel_ranks, pareto_oracle(scores), order, selected
+
+
+def _candidate_block(sub, distribution, simulatability, graph) -> dict:
+    return {
+        "edge_ids": list(sub.edge_set),
+        "edges": [[int(u), int(w)] for u, w in (graph.edges[e] for e in sub.edge_set)],
+        "nodes": list(sub.node_set),
+        "distribution": [float(x) for x in distribution],
+        "simulatability": float(simulatability),
+    }
+
+
+def reference_document(result, graph, model, config, manifest) -> dict:
+    """The explain document of one node as a dict, one dict per embedded pair.
+
+    This is how ``cli.node_document`` built documents before it rendered
+    ``top_pairs`` as text; ``json.dumps(doc, sort_keys=True, indent=2)`` of
+    it is the text the writer must produce.
+    """
+    doc = {
+        "schema": "moexp/1",
+        "node": result.target,
+        "method": result.method,
+        "predicted_class": result.predicted_class,
+        "full_distribution": [float(x) for x in result.full_distribution],
+        "candidate_count": result.candidate_count,
+        "pair_count": result.pair_count,
+        "explanation": _candidate_block(
+            result.explanation, result.explanation_distribution, result.explanation_simulatability, graph
+        ),
+        "manifest": manifest,
+    }
+    front = result.front
+    if front is None:
+        doc.update(
+            counterfactual=None,
+            removed_nodes=[],
+            cf_relevance=None,
+            abs_cf_relevance=None,
+            rank_sum=None,
+            sim_rank=None,
+            cf_rank=None,
+            on_front=None,
+            front_size=0,
+            confounders=None,
+            top_pairs=[],
+        )
+        return doc
+    enumeration, sims = result.scorer.enumeration, result.scorer.simulatability.tolist()
+    subs = enumeration.subgraphs
+    e, c, relevance = front.e.tolist(), front.c.tolist(), front.relevance.tolist()
+    sel = front.selected
+    removed = enumeration.removed_nodes(e[sel], c[sel])
+    doc.update(
+        counterfactual=_candidate_block(
+            subs[c[sel]], result.scorer.distributions[c[sel]], sims[c[sel]], graph
+        ),
+        removed_nodes=removed,
+        cf_relevance=relevance[sel],
+        abs_cf_relevance=abs(relevance[sel]),
+        rank_sum=front.rank_sums[sel],
+        sim_rank=front.sim_ranks[sel],
+        cf_rank=front.rel_ranks[sel],
+        on_front=front.pareto[sel],
+        front_size=front.front_size,
+        confounders=sorted(confounder_set(graph, result.target, model.depth, removed, result.ball)),
+    )
+    top = []
+    for i in front.order[: top_count(config.top_percent, len(e))]:
+        top.append(
+            {
+                "explanation_edge_ids": list(subs[e[i]].edge_set),
+                "explanation_nodes": list(subs[e[i]].node_set),
+                "counterfactual_edge_ids": list(subs[c[i]].edge_set),
+                "removed_nodes": enumeration.removed_nodes(e[i], c[i]),
+                "simulatability": sims[e[i]],
+                "cf_relevance": relevance[i],
+                "abs_cf_relevance": abs(relevance[i]),
+                "sim_rank": front.sim_ranks[i],
+                "cf_rank": front.rel_ranks[i],
+                "rank_sum": front.rank_sums[i],
+                "on_front": front.pareto[i],
+            }
+        )
+    doc["top_pairs"] = top
+    return doc

@@ -143,6 +143,22 @@ def test_every_traced_span_resolves():
         assert tracer.absent == []
 
 
+def test_traced_boundaries_see_every_document(fixtures_dir, tmp_path):
+    # A writer that bypassed io.dump_json would read 0 KiB per node, silently.
+    path = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    out = tmp_path / "out"
+    argv = ["explain", "--graph", str(fixtures_dir / "chain4.json"), "--weights", str(fixtures_dir / "chain4_weights.json")]
+    with tracing.Tracer() as tracer:
+        assert main(argv + ["--out", str(out)]) == 0
+    files = list(out.glob("node_*.json"))
+    assert len(files) == 4
+    assert tracer.calls["cli.document"] == tracer.calls["io.dump"] == len(files)
+    assert tracer.counts["io.out_bytes"] == sum(p.stat().st_size for p in files)
+
+
 @pytest.mark.parametrize("epsilon", [-0.5, 0.0, 1.0, 1.5])
 def test_epsilon_outside_unit_interval_is_rejected(epsilon, chain_graph, chain_model):
     message = re.escape(f"epsilon must be in (0, 1): {epsilon}")

@@ -1,9 +1,11 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 
@@ -22,6 +24,7 @@ from moexp.cli import (
     main,
     robustness_command,
     shapley_command,
+    top_count,
 )
 from moexp.io import (
     FormatError,
@@ -230,6 +233,56 @@ def test_explain_top_percent_truncates(tmp_path, fixtures_dir):
     )
     doc = json.load(open(tmp_path / "node_2.json"))
     assert len(doc["top_pairs"]) == 3  # ceil(50% of 6)
+
+
+def test_top_count_is_exact():
+    assert top_count(7.0, 100) == 7  # 7 / 100.0 * 100 == 7.000000000000001
+    assert top_count(0.1, 1000) == 1
+    assert top_count(2.5, 100) == 3
+    assert top_count(12.5, 8) == 1
+    assert top_count(1.0, 5) == 1
+    # The percents the goldens and benchmark workloads use count as before.
+    for percent in (1.0, 50.0, 100.0):
+        assert all(top_count(percent, m) == max(1, math.ceil(percent / 100.0 * m)) for m in range(1, 20001))
+
+
+def test_explain_top_percent_7_of_100_pairs(tmp_path):
+    # A 100-leaf star at C=2 pairs each one-edge tree with the bare hub.
+    save_graph(build_graph([[1.0]] + [[0.5]] * 100, [(0, i) for i in range(1, 101)]), tmp_path / "g.json")
+    save_model(Model(layers=(np.array([[1.0]]), np.array([[1.0, -1.0]]))), tmp_path / "w.json")
+    argv = ["explain", "--graph", str(tmp_path / "g.json"), "--weights", str(tmp_path / "w.json"), "--targets", "0"]
+    assert main(argv + ["-C", "2", "-D", "1", "--top-percent", "7", "--out", str(tmp_path / "out")]) == 0
+    doc = json.load(open(tmp_path / "out" / "node_0.json"))
+    assert doc["pair_count"] == 100
+    assert len(doc["top_pairs"]) == 7
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_output_files_take_the_mode_of_the_umask(umask, mode, tmp_path, fixtures_dir):
+    # Set in a child, so this process's umask never changes.
+    graph_path, weights_path = chain_paths(fixtures_dir)
+    package_root = str(pathlib.Path(moexp.__file__).resolve().parent.parent)
+    script = f"""
+import os, sys
+os.umask({umask})
+from moexp.cli import main
+g, w = {graph_path!r}, {weights_path!r}
+codes = [
+    main(["explain", "--graph", g, "--weights", w, "--targets", "2,9", "--keep-going", "--out", "docs"]),
+    main(["enumerate", "--graph", g, "--targets", "2", "--out", "c.csv"]),
+    main(["synth", "--kind", "chain", "--out-graph", "g.json", "--out-weights", "w.json"]),
+]
+sys.exit(max(codes))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = ["docs/node_2.json", "docs/node_9.json", "c.csv", "g.json", "w.json"]
+    assert "error" in json.loads((tmp_path / "docs/node_9.json").read_text())
+    assert {name: stat.S_IMODE((tmp_path / name).stat().st_mode) for name in written} == dict.fromkeys(written, mode)
 
 
 def test_explain_all_test_targets(tmp_path, fixtures_dir):
