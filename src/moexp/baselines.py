@@ -13,7 +13,7 @@ import numpy as np
 
 from .gcn import Model, forward, masked_loss, node_embeddings
 from .graph import Ball, Graph, Subgraph, canonical_order, make_subgraph, target_ball
-from .explain import CandidateScorer, EnumConfig, cf_relevance, enumerate_subgraphs, DEFAULT_EPSILON
+from .explain import CandidateScorer, EnumConfig, enumerate_subgraphs, DEFAULT_EPSILON
 
 
 def neighborhood_edge_ids(graph: Graph, target: int, diameter: int, ball: Ball | None = None) -> list:
@@ -81,22 +81,27 @@ def _scorer(model, graph, target, config, epsilon, scorer) -> CandidateScorer:
     return scorer
 
 
-def _leaf_scan(scorer: CandidateScorer):
-    """Yield (candidate, leaf, candidate without the leaf, simulatability drop),
-    the candidates as enumeration positions.
+def _leaf_scan(scorer: CandidateScorer) -> list:
+    """(candidate, leaf, candidate without the leaf, simulatability drop)
+    tuples, the candidates as enumeration positions.
 
     Visits candidates in enumeration order and their non-target nodes in
     node order, skipping nodes whose removal would disconnect the tree.
+    Every candidate involved is scored in one ``scorer.pair`` call; a
+    leaf's pair differs by one node, so its relevance is the raw drop.
     """
     enumeration = scorer.enumeration
     edges = scorer.graph.edges
+    found = []
     for i, sub in enumerate(enumeration.subgraphs):
         for node in sub.node_set:
             incident = [eid for eid in sub.edge_set if node in edges[eid]]
             if node == scorer.target or len(incident) != 1:
                 continue
-            j = enumeration.index[tuple(e for e in sub.edge_set if e != incident[0])]
-            yield i, node, j, scorer.candidate(i) - scorer.candidate(j)
+            found.append((i, node, enumeration.index[tuple(e for e in sub.edge_set if e != incident[0])]))
+    pairs = np.array([(i, j) for i, _, j in found], dtype=np.intp).reshape(-1, 2)
+    drops = scorer.pair(pairs[:, 0], pairs[:, 1]).tolist()
+    return [(i, node, j, drop) for (i, node, j), drop in zip(found, drops)]
 
 
 def shapley_values(
@@ -145,19 +150,22 @@ def set_shapley_value(
     scorer = _scorer(model, graph, target, config, epsilon, scorer)
     enumeration = scorer.enumeration
     sizes = enumeration.sizes
-    total, count = 0.0, 0
+    pairs = []
     for i, sub in enumerate(enumeration.subgraphs):
         if not removed <= set(sub.node_set):
             continue
         j = enumeration.index.get(tuple(e for e in sub.edge_set if not (set(graph.edges[e]) & removed)))
         # The remainder keeps only nodes outside the set, so equal sizes mean equal node sets.
-        if j is None or sizes[i] - sizes[j] != len(removed):
-            continue
-        total += cf_relevance(scorer.candidate(i), scorer.candidate(j), len(removed))
-        count += 1
-    if count == 0:
+        if j is not None and sizes[i] - sizes[j] == len(removed):
+            pairs.append((i, j))
+    if not pairs:
         return None
-    return ShapleyValue(total / count, count)
+    pairs = np.array(pairs, dtype=np.intp)
+    # Each pair removes exactly the set, so its relevance is cf_relevance's.
+    total = 0.0
+    for value in scorer.pair(pairs[:, 0], pairs[:, 1]).tolist():
+        total += value
+    return ShapleyValue(total / len(pairs), len(pairs))
 
 
 def shapley_selection(

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcn import Model, forward
-from .graph import Ball, Graph, Subgraph, make_subgraph, target_ball
+from .gcn import Model, forward, softmax, trees_hidden
+from .graph import Ball, Graph, Subgraph, target_ball
 
 DEFAULT_EPSILON = 1e-9
 
@@ -38,17 +38,29 @@ class EnumConfig:
             raise ValueError("diameter must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Enumeration:
     """All candidates for one target, with growth parent links.
 
     ``parents[i]`` is the index of the candidate that candidate i was
     expanded from by a single edge (None for the single-node root).
+
+    The candidate table holds every tree again as int arrays, padded with
+    -1 to ``max_nodes`` nodes, for batched restricted passes:
+    ``rows[i]`` lists candidate i's nodes as local ids of ``ball``, the
+    target first and then each node in the order growth added it;
+    ``depth[i]`` their hops from the target inside the tree; and
+    ``slots[i, r]`` the positions in ``rows[i]`` of node r's tree
+    neighbours, ascending by global node id, the order a pass sums them in.
     """
 
     target: int
     subgraphs: tuple
     parents: tuple
+    ball: Ball
+    rows: np.ndarray
+    depth: np.ndarray
+    slots: np.ndarray
 
     def __len__(self) -> int:
         return len(self.subgraphs)
@@ -61,7 +73,7 @@ class Enumeration:
     @functools.cached_property
     def sizes(self) -> np.ndarray:
         """Node count of each candidate."""
-        return np.array([len(s.node_set) for s in self.subgraphs])
+        return np.count_nonzero(self.rows >= 0, axis=1)
 
     @functools.cached_property
     def edge_set_rank(self) -> np.ndarray:
@@ -109,31 +121,68 @@ def enumerate_subgraphs(
     (``ball``, of at least ``config.diameter`` hops, or a new one).
     """
     ball = target_ball(graph, target, config.diameter, ball)
-    dist, erank, incidence = ball.distance, ball.edge_rank, ball.incidence
+    dist, erank, incidence, global_id = ball.distance, ball.edge_rank, ball.incidence, ball.nodes
     subgraphs: list[Subgraph] = []
     parents: list = []
+    # Per candidate, flat: its parent (-1 for the root), the parent's row
+    # the new edge leaves from, the node it adds and its size; the table is
+    # built from these.
+    growth: list[int] = []
 
-    def expand(edge_ids: tuple, nodes: frozenset, parent, forbidden: frozenset):
+    def expand(edge_ids: tuple, rows: tuple, parent, at: int, forbidden: frozenset):
         index = len(subgraphs)
-        subgraphs.append(make_subgraph(graph, target, edge_ids))
+        subgraphs.append(Subgraph(target, tuple(sorted(edge_ids)), tuple(sorted([global_id[r] for r in rows]))))
         parents.append(parent)
-        if len(nodes) >= config.max_nodes:
+        growth.extend((-1 if parent is None else parent, at, rows[-1], len(rows)))
+        if len(rows) >= config.max_nodes:
             return
-        in_tree = set(edge_ids)
+        # An edge between two tree nodes, tree edges included, closes a cycle.
         extensions = []
-        for node in nodes:
+        for r, node in enumerate(rows):
             for nbr, eid in incidence[node]:
-                if eid in in_tree or eid in forbidden or nbr in nodes or dist[nbr] > config.diameter:
+                if eid in forbidden or nbr in rows or dist[nbr] > config.diameter:
                     continue
-                extensions.append((erank[eid], eid, nbr))
+                extensions.append((erank[eid], eid, nbr, r))
         extensions.sort()
         blocked = set(forbidden)
-        for _, eid, nbr in extensions:
-            expand(edge_ids + (eid,), nodes | {nbr}, index, frozenset(blocked))
+        for _, eid, nbr, r in extensions:
+            expand(edge_ids + (eid,), rows + (nbr,), index, r, frozenset(blocked))
             blocked.add(eid)
 
-    expand((), frozenset({0}), None, frozenset())
-    return Enumeration(target, tuple(subgraphs), tuple(parents))
+    expand((), (0,), None, 0, frozenset())
+    rows, depth, slots = _candidate_table(ball, np.array(growth, dtype=np.intp).reshape(-1, 4), config.max_nodes)
+    return Enumeration(target, tuple(subgraphs), tuple(parents), ball, rows, depth, slots)
+
+
+def _candidate_table(ball: Ball, growth: np.ndarray, max_nodes: int):
+    """(rows, depth, slots) of ``Enumeration`` from each candidate's
+    (parent, row grown from, added node, size): a candidate of k nodes is
+    its parent's arrays plus row k - 1, so one step per size builds them."""
+    n = len(growth)
+    parent, at, added, size = growth.T
+    global_id = np.asarray(ball.nodes)
+    rows = np.full((n, max_nodes), -1, dtype=np.int32)
+    depth = np.full((n, max_nodes), -1, dtype=np.int32)
+    slots = np.full((n, max_nodes, max_nodes - 1), -1, dtype=np.int32)
+    rows[0, 0] = depth[0, 0] = 0
+    width = np.arange(max_nodes - 1)
+    for r in range(1, max_nodes):
+        idx = np.flatnonzero(size == r + 1)
+        if not idx.size:
+            break
+        p, a = parent[idx], at[idx]
+        rows[idx], depth[idx], slots[idx] = rows[p], depth[p], slots[p]
+        rows[idx, r] = added[idx]
+        depth[idx, r] = depth[p, a] + 1
+        slots[idx, r, 0] = a
+        # Insert row r among row a's slots, which stay ascending by global
+        # id with the padding last.
+        old = slots[idx, a]
+        ids = np.where(old >= 0, global_id[rows[idx[:, None], old]], np.iinfo(np.intp).max)
+        place = np.count_nonzero(ids < global_id[added[idx]][:, None], axis=1)[:, None]
+        moved = np.concatenate([old[:, :1], old[:, :-1]], axis=1)  # one place to the right
+        slots[idx, a] = np.where(width < place, old, np.where(width == place, r, moved))
+    return rows, depth, slots
 
 
 def generate_pairs(enumeration: Enumeration, exhaustive: bool = False) -> np.ndarray:
@@ -144,24 +193,32 @@ def generate_pairs(enumeration: Enumeration, exhaustive: bool = False) -> np.nda
     return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
-def simulatability(reference, candidate, epsilon: float = DEFAULT_EPSILON) -> float:
+def simulatability(reference, candidate, epsilon: float = DEFAULT_EPSILON):
     """Negative symmetric KL divergence between two class distributions.
 
     Both distributions are smoothed toward uniform by ``epsilon`` before the
     divergence, so the value is finite even for saturated inputs. Always
     <= 0, and 0 exactly when the smoothed distributions coincide. The
     summation is arranged so swapping the arguments is a bitwise no-op.
+    Either argument may be a 2-D stack of distributions, one per row; the
+    result is then an array of one value per row, each the bits of the
+    one-row call.
     """
-    p = np.asarray(reference, dtype=float).reshape(-1)
-    q = np.asarray(candidate, dtype=float).reshape(-1)
-    if p.size != q.size:
-        raise ValueError(f"distribution length mismatch: {p.size} != {q.size}")
+    p, q = _distributions(reference), _distributions(candidate)
+    if p.shape[-1] != q.shape[-1]:
+        raise ValueError(f"distribution length mismatch: {p.shape[-1]} != {q.shape[-1]}")
     if epsilon:
-        k = p.size
+        k = p.shape[-1]
         p = (1.0 - epsilon) * p + epsilon / k
         q = (1.0 - epsilon) * q + epsilon / k
-    total = float(((p - q) * (np.log(p) - np.log(q))).sum())
-    return -total + 0.0
+    total = ((p - q) * (np.log(p) - np.log(q))).sum(axis=-1)
+    value = -total + 0.0
+    return value if value.ndim else float(value)
+
+
+def _distributions(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim == 2 else x.reshape(-1)
 
 
 def cf_relevance(sim_explanation: float, sim_counterfactual: float, removed_count: int) -> float:
@@ -179,10 +236,12 @@ class CandidateScorer:
 
     Candidate i's restricted pass runs on its first request; its distribution
     and simulatability then stay in ``distributions[i]`` and
-    ``simulatability[i]``. ``forward_count`` counts restricted passes and
-    ``hit_count`` the requests answered without one, so tests can verify
-    sharing. ``reference_distribution`` overrides the distribution that
-    candidates are compared against (used by perturbation studies).
+    ``simulatability[i]``. The candidates a call requests for the first time
+    are scored together, one ``trees_hidden`` batch per tree size, from the
+    enumeration's candidate table. ``forward_count`` counts the trees scored
+    and ``hit_count`` the requests answered without a pass, so tests can
+    verify sharing. ``reference_distribution`` overrides the distribution
+    that candidates are compared against (used by perturbation studies).
     """
 
     def __init__(
@@ -219,11 +278,7 @@ class CandidateScorer:
 
     def candidate(self, i: int) -> float:
         """Simulatability of candidate i."""
-        if self._scored[i]:
-            self.hit_count += 1
-        else:
-            self.distributions[i], self.simulatability[i] = self.score(self.enumeration.subgraphs[i])
-            self._scored[i] = True
+        self._request(np.array([i]))
         return float(self.simulatability[i])
 
     def pair(self, e: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -233,10 +288,23 @@ class CandidateScorer:
         Each pair requests both of its candidates, so the counts are those of
         scoring the pairs one after another.
         """
-        requested = np.concatenate([e, c])
-        fresh = np.unique(requested[~self._scored[requested]])
-        for i in fresh:
-            self.candidate(i)
-        self.hit_count += requested.size - fresh.size
+        self._request(np.concatenate([e, c]))
         sizes = self.enumeration.sizes
         return (self.simulatability[e] - self.simulatability[c]) / (sizes[e] - sizes[c])
+
+    def _request(self, requested: np.ndarray) -> None:
+        """Score the requested candidates not scored yet; count the rest as hits."""
+        fresh = np.unique(requested[~self._scored[requested]])
+        self.hit_count += requested.size - fresh.size
+        self.forward_count += fresh.size
+        enumeration = self.enumeration
+        sizes = enumeration.sizes[fresh]
+        for k in np.unique(sizes):
+            batch = fresh[sizes == k]
+            hidden = trees_hidden(
+                self.model, enumeration.ball.features, enumeration.rows[batch, :k],
+                enumeration.depth[batch, :k], enumeration.slots[batch, :k, : k - 1], self.target,
+            )
+            self.distributions[batch] = softmax(hidden)
+            self.simulatability[batch] = simulatability(self.full_distribution, self.distributions[batch], self.epsilon)
+        self._scored[fresh] = True

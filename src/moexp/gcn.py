@@ -1,5 +1,9 @@
 """Forward-only graph convolution with subgraph restriction and edge masks.
 
+Two routines run the layers: ``_propagate`` on a target's ball, and
+``trees_hidden`` on a batch of trees (restricted passes). Both sum a node's
+messages in ascending neighbour id order, so they agree bit for bit.
+
 Aggregation at every layer is a plain sum of the node's own state and the
 states of its in-scope neighbors (no degree normalization; an optional mean
 aggregator divides by the message count). The node's own contribution is
@@ -35,11 +39,16 @@ def _activate(name: str, x: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits) -> np.ndarray:
-    """Stable softmax; output entries are strictly positive and sum to one."""
-    z = np.asarray(logits, dtype=float).reshape(-1)
-    z = z - z.max()
+    """Stable softmax; output entries are strictly positive and sum to one.
+
+    A 2-D stack of logits gets one softmax per row, each the bits of the
+    one-row call."""
+    z = np.asarray(logits, dtype=float)
+    if z.ndim != 2:
+        z = z.reshape(-1)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,31 +142,24 @@ def _check_mask(mask) -> None:
             raise ValueError(f"mask weight out of range for edge {eid}: {w}")
 
 
-def _propagate(
-    model: Model, h: np.ndarray, incidence, depth: int, mask=None, extra_message=None, at=None, rows=None, min_rows=1
-):
+def _propagate(model: Model, h: np.ndarray, incidence, depth: int, rows, mask=None, extra_message=None, min_rows=1):
     """States after the first ``depth`` layers, starting from the rows of ``h``.
 
     ``incidence[i]`` lists (neighbor row, parent-graph edge id) pairs of row
-    i. ``mask`` scales messages by edge id; ``extra_message`` joins row
-    ``at``'s aggregation at the model's last layer. ``rows[li]``, when
-    given, is how many leading rows layer li computes (each of them reads
-    only rows that the layer before computed); otherwise every row is
-    computed. A layer's product gets zero rows appended up to ``min_rows``:
+    i. Layer li computes the leading ``rows[li]`` rows (each of them reads
+    only rows that the layer before computed). ``mask`` scales messages by
+    edge id; ``extra_message`` joins row 0's aggregation at the model's last
+    layer. A layer's product gets zero rows appended up to ``min_rows``:
     NumPy multiplies a single row by a different BLAS routine than a matrix
     of several, whose rounding can differ. An overflow or invalid operation
     raises ``FloatingPointError`` instead of leaving inf or NaN.
     """
-    if h.shape[1] != model.input_dim:
-        raise ValueError(
-            f"shape error: features have dim {h.shape[1]}, "
-            f"first layer expects {model.input_dim}"
-        )
+    _check_width(model, h)
     with np.errstate(over="raise", invalid="raise"):
         for li in range(depth):
             weights = model.layers[li]
             last = li == model.depth - 1
-            n = len(incidence) if rows is None else rows[li]
+            n = rows[li]
             agg = np.zeros((max(n, min_rows), weights.shape[0]))
             for i in range(n):
                 if model.self_loop:
@@ -169,7 +171,7 @@ def _propagate(
                 for j, eid in incidence[i]:
                     acc += h[j] if mask is None else float(mask.get(eid, 1.0)) * h[j]
                     count += 1
-                if last and extra_message is not None and i == at:
+                if last and extra_message is not None and i == 0:
                     acc = acc + np.asarray(extra_message, dtype=float).reshape(-1)
                     count += 1
                 if model.mean_aggregate and count:
@@ -178,6 +180,119 @@ def _propagate(
             z = (agg @ weights)[:n]
             h = _activate(model.activation, z) if (not last or model.final_activation) else z
     return h
+
+
+def _check_width(model: Model, features: np.ndarray) -> None:
+    if features.shape[1] != model.input_dim:
+        raise ValueError(
+            f"shape error: features have dim {features.shape[1]}, "
+            f"first layer expects {model.input_dim}"
+        )
+
+
+def trees_hidden(
+    model: Model,
+    features: np.ndarray,
+    rows: np.ndarray,
+    depth: np.ndarray,
+    slots: np.ndarray,
+    node: int,
+    weights: np.ndarray | None = None,
+    extra_message: np.ndarray | None = None,
+) -> np.ndarray:
+    """Last-layer state of the target of each tree in a batch of same-size
+    trees, before the softmax: one row per tree.
+
+    Tree b's nodes are the rows ``rows[b]`` of ``features``, its target
+    first; ``depth[b]`` holds their hops from the target inside the tree,
+    and ``slots[b, i]`` the positions in ``rows[b]`` of node i's neighbours,
+    ascending by global node id and padded with -1. ``weights[b, i, s]``,
+    when given, scales the message of slot s (an edge mask);
+    ``extra_message`` joins each target's aggregation at the last layer.
+
+    Each tree gets the same bits as a pass over that tree alone: a node adds
+    its neighbours to its own state slot by slot, and a padded slot adds
+    nothing, so a -0.0 stays -0.0. Layer l computes only the nodes within
+    L - 1 - l tree hops of the target, the ones its output reads, so a node
+    that cannot reach it never overflows the batch. Each layer is one
+    product over the batch, padded to two rows unless the trees have one
+    node (see ``_propagate``). An overflow or invalid operation raises
+    ``ValueError`` naming ``node``.
+    """
+    _check_width(model, features)
+    count, k = rows.shape
+    # Neighbour slots as rows of the flattened batch; -1 stays padding.
+    offset = (np.arange(count) * k)[:, None, None]
+    neighbours = np.where(slots >= 0, slots + offset, -1).reshape(count * k, -1)
+    if weights is not None:
+        weights = weights.reshape(count * k, -1)
+    hops = depth.reshape(-1)
+    h = features[rows.reshape(-1)]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for li, layer in enumerate(model.layers):
+                last = li == model.depth - 1
+                live = np.flatnonzero(hops <= model.depth - 1 - li)
+                n = live.size
+                agg = np.zeros((max(n, min(2, k)), layer.shape[0]))
+                messages = np.full(n, int(model.self_loop))
+                if model.self_loop:
+                    agg[:n] = h[live]
+                for s, column in enumerate(neighbours[live].T):
+                    at = np.flatnonzero(column >= 0)
+                    if not at.size:
+                        break  # slots are padded at the end, so no later slot is used
+                    if weights is None:
+                        agg[at] += h[column[at]]
+                    else:
+                        agg[at] += weights[live[at], s][:, None] * h[column[at]]
+                    messages[at] += 1
+                if last and extra_message is not None:
+                    agg[:n] += np.asarray(extra_message, dtype=float).reshape(-1)
+                    messages += 1
+                if model.mean_aggregate:
+                    np.divide(agg[:n], messages[:, None], out=agg[:n], where=messages[:, None] > 0)
+                z = (agg @ layer)[:n]
+                z = _activate(model.activation, z) if (not last or model.final_activation) else z
+                if last:
+                    return z  # the live rows are now the targets, one per tree
+                h = np.zeros((count * k, layer.shape[1]))
+                h[live] = z
+    except FloatingPointError as exc:
+        raise ValueError(f"forward pass at node {node}: {exc}") from None
+
+
+def _tree_table(graph: Graph, sub: Subgraph, mask: Mapping | None):
+    """``sub`` as a one-tree batch for ``trees_hidden``: (rows, depth,
+    slots, weights), with global node ids as rows, the target first and
+    then ascending, and each slot's ``mask`` weight (None without a mask).
+    A node that the target cannot reach through ``sub`` gets a depth beyond
+    every layer, so no layer computes it."""
+    nodes = [sub.target] + [u for u in sub.node_set if u != sub.target]
+    local = {u: i for i, u in enumerate(nodes)}
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    for eid in sub.edge_set:
+        a, b = graph.edges[eid]
+        adjacent[local[a]].append((b, eid))
+        adjacent[local[b]].append((a, eid))
+    k = len(nodes)
+    slots = np.full((k, k - 1), -1)
+    weights = None if mask is None else np.ones((k, k - 1))
+    for i, pairs in enumerate(adjacent):
+        pairs.sort()
+        for s, (u, eid) in enumerate(pairs):
+            slots[i, s] = local[u]
+            if mask is not None:
+                weights[i, s] = float(mask.get(eid, 1.0))
+    depth = np.full(k, np.iinfo(np.intp).max)
+    depth[0] = 0
+    queue = [0]
+    for i in queue:
+        for j in slots[i, : len(adjacent[i])]:
+            if depth[j] > depth[i] + 1:
+                depth[j] = depth[i] + 1
+                queue.append(j)
+    return np.array([nodes]), depth[None], slots[None], None if mask is None else weights[None]
 
 
 def forward_hidden(
@@ -193,8 +308,9 @@ def forward_hidden(
 
     ``restrict`` limits both the node scope and the usable edges to an
     edge-induced subgraph whose target must be v; nodes outside it
-    contribute nothing. ``mask`` scales messages per parent-graph edge id
-    (default weight 1; the self contribution is never masked).
+    contribute nothing. Such a pass runs ``trees_hidden`` on the one-tree
+    batch of ``_tree_table``. ``mask`` scales messages per parent-graph edge
+    id (default weight 1; the self contribution is never masked).
     ``extra_message`` is added to v's aggregation at the last layer.
 
     Without ``restrict`` the pass runs on v's ball (``ball``, of at least
@@ -210,30 +326,18 @@ def forward_hidden(
     if mask:
         _check_mask(mask)
 
-    if restrict is None:
-        ball = target_ball(graph, v, model.depth, ball)
-        h, incidence, local_v = ball.features, ball.incidence, 0
-        rows = [ball.within[model.depth - 1 - li] for li in range(model.depth)]
-        min_rows = min(2, graph.node_count)
-    else:
-        scope = restrict.node_set
-        local = {node: i for i, node in enumerate(scope)}
-        lists: list[list[tuple[int, int]]] = [[] for _ in scope]
-        for eid in restrict.edge_set:
-            a, b = graph.edges[eid]
-            lists[local[a]].append((local[b], eid))
-            lists[local[b]].append((local[a], eid))
-        for lst in lists:
-            lst.sort()
-        h = graph.features[list(scope)]
-        incidence = lists
-        local_v = local[v]
-        rows, min_rows = None, 1
+    if restrict is not None:
+        rows, depth, slots, weights = _tree_table(graph, restrict, mask)
+        return trees_hidden(model, graph.features, rows, depth, slots, v, weights, extra_message)[0]
+    ball = target_ball(graph, v, model.depth, ball)
+    rows = [ball.within[model.depth - 1 - li] for li in range(model.depth)]
     try:
-        h = _propagate(model, h, incidence, model.depth, mask, extra_message, local_v, rows, min_rows)
+        h = _propagate(
+            model, ball.features, ball.incidence, model.depth, rows, mask, extra_message, min(2, graph.node_count)
+        )
     except FloatingPointError as exc:
         raise ValueError(f"forward pass at node {v}: {exc}") from None
-    return h[local_v].copy()
+    return h[0].copy()
 
 
 def forward(
@@ -263,7 +367,7 @@ def node_embeddings(model: Model, ball: Ball, depth_limit: int) -> np.ndarray:
     rows = [ball.within[ball.hops - 1 - li] for li in range(depth_limit)]
     try:
         return _propagate(
-            model, ball.features, ball.incidence, depth_limit, rows=rows, min_rows=min(2, ball.graph.node_count)
+            model, ball.features, ball.incidence, depth_limit, rows, min_rows=min(2, ball.graph.node_count)
         )
     except FloatingPointError as exc:
         raise ValueError(f"forward pass: {exc}") from None

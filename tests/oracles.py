@@ -252,12 +252,36 @@ def full_states(model, graph, depth, mask=None, extra_message=None, at=None):
     ``mask`` scales messages by edge id; ``extra_message`` joins node
     ``at``'s aggregation at the model's last layer.
     """
-    h = graph.features
+    return _row_loop(model, graph.features, graph.incidence, depth, mask, extra_message, at)
+
+
+def restricted_hidden(model, graph, v, restrict, mask=None, extra_message=None):
+    """Last-layer state of v on the subgraph ``restrict`` alone, by the per-row loop.
+
+    This is how ``forward_hidden(restrict=...)`` ran before the batched tree
+    kernel: the subgraph's nodes in ascending id order, each with its
+    (neighbour, edge id) list sorted by neighbour, and every node computed
+    at every layer, one product over all of them per layer.
+    """
+    scope = restrict.node_set
+    local = {node: i for i, node in enumerate(scope)}
+    incidence = [[] for _ in scope]
+    for eid in restrict.edge_set:
+        a, b = graph.edges[eid]
+        incidence[local[a]].append((local[b], eid))
+        incidence[local[b]].append((local[a], eid))
+    for pairs in incidence:
+        pairs.sort()
+    h = _row_loop(model, graph.features[list(scope)], incidence, model.depth, mask, extra_message, local[v])
+    return h[local[v]]
+
+
+def _row_loop(model, h, incidence, depth, mask, extra_message, at):
     for li in range(depth):
         weights = model.layers[li]
         last = li == model.depth - 1
-        agg = np.zeros((graph.node_count, weights.shape[0]))
-        for i, pairs in enumerate(graph.incidence):
+        agg = np.zeros((len(incidence), weights.shape[0]))
+        for i, pairs in enumerate(incidence):
             acc = h[i].copy() if model.self_loop else np.zeros(weights.shape[0])
             count = 1 if model.self_loop else 0
             for j, eid in pairs:

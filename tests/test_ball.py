@@ -176,6 +176,28 @@ def test_overflow_fails_only_targets_whose_ball_holds_it(method, tmp_path):
     assert written["error"] == f"ValueError: forward pass at node {near}: overflow encountered in add"
 
 
+def test_overflow_beyond_every_trees_reach_leaves_the_node_explained(tmp_path):
+    # Node 1's overflow is two hops from node 11. A restricted pass computes
+    # at layer l only the tree nodes within L - 1 - l hops of the target, so
+    # no tree holding node 1 computes node 1's own sum.
+    graph, model = _overflow_inputs(tmp_path)
+    assert full_distances(graph, 1)[11] == 2 == model.depth
+    # What the gradient methods wrote before restricted passes were batched.
+    unchanged = {
+        "grad-fd": ([36, 52, 53], [36, 52], 0.6528832896644932),
+        "grad-analytic": ([36, 52, 55], [36, 52], 0.6386296621556462),
+    }
+    argv = ["explain", "--graph", str(tmp_path / "g.json"), "--weights", str(tmp_path / "w.json"), "--targets", "11"]
+    for method in ("pareto-rank", "balanced", "shapley", *unchanged):
+        out = tmp_path / method
+        assert main(argv + ["--method", method, "--out", str(out)]) == 0
+        written = json.loads((out / "node_11.json").read_text())
+        assert "error" not in written and written["node"] == 11 and written["pair_count"] > 0
+        assert np.isfinite(written["explanation"]["distribution"]).all()
+        picked = (written["explanation"]["edge_ids"], written["counterfactual"]["edge_ids"], written["cf_relevance"])
+        assert picked == unchanged.get(method, picked)
+
+
 def test_sanity_sweep_enumerates_once_per_node(monkeypatch):
     graph, model = synth_graph("planted-motif", {}, 7)
     calls = []

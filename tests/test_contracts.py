@@ -103,6 +103,26 @@ def test_overflowing_features_give_an_error_document(tmp_path):
     assert written["error"] == "ValueError: forward pass at node 0: overflow encountered in add"
 
 
+def test_a_tree_that_overflows_fails_its_node_with_the_pass_error(tmp_path):
+    # One identity layer; the target's neighbours carry +1e308, -1e308 and
+    # +1e308. Summed in id order the full neighbourhood cancels, so the
+    # reference pass is finite, but the tree holding both positive
+    # neighbours overflows inside the batch of its size.
+    graph = build_graph([[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0], [1e308, 0.0]], [(0, 1), (0, 2), (0, 3)])
+    model = Model(layers=(np.eye(2),), activation="identity")
+    assert np.isfinite(forward(model, graph, 0)).all()
+    message = "forward pass at node 0: overflow encountered in add"
+    for method in ("pareto-rank", "balanced", "shapley"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            explain_node(model, graph, 0, method=method)
+    save_graph(graph, tmp_path / "g.json")
+    save_model(model, tmp_path / "w.json")
+    argv = ["explain", "--graph", str(tmp_path / "g.json"), "--weights", str(tmp_path / "w.json")]
+    assert main(argv + ["--targets", "0", "--out", str(tmp_path / "out")]) == 1
+    written = json.loads((tmp_path / "out" / "node_0.json").read_text())
+    assert written["error"] == f"ValueError: {message}"
+
+
 def test_overflowing_features_fail_shapley_without_a_csv(tmp_path, capsys):
     # The same input as above: no NaN attribution rows may be written.
     graph, model = synth_graph("planted-motif", {}, 7)

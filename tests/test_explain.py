@@ -12,6 +12,7 @@ from moexp import (
     enumerate_subgraphs,
     generate_pairs,
     simulatability,
+    softmax,
     validate_subgraph,
 )
 from moexp.cli import RunConfig
@@ -198,6 +199,37 @@ def test_simulatability_nonpositive_symmetric_matches_oracle(a, b):
     assert v <= 0.0
     assert v == simulatability(q, p)
     assert v == pytest.approx(-sym_kl(p, q), rel=1e-9, abs=1e-12)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 20),
+    st.integers(1, 12),
+    st.sampled_from([1e-12, 1e-9, 1e-3, 0.25, 0.9]),
+)
+@settings(max_examples=300, deadline=None)
+def test_stacked_softmax_and_simulatability_equal_row_calls_bitwise(seed, classes, count, epsilon):
+    rng = np.random.default_rng(seed)
+    # Moderate rows, rows saturated past exp's range, ties, and -0.0.
+    logits = rng.standard_normal((count, classes)) * rng.choice([1.0, 40.0, 1000.0], size=(count, 1))
+    logits[rng.random(logits.shape) < 0.2] = -0.0
+    tied = rng.random(count) < 0.3
+    logits[tied] = logits[tied, :1]
+    stacked = softmax(logits)
+    for row, z in zip(stacked, logits):
+        assert row.tobytes() == softmax(z).tobytes()
+    # The candidates: those rows, copies of the reference, exact 0/1 rows
+    # and -0.0 entries.
+    reference = softmax(rng.standard_normal(classes) * rng.choice([1.0, 1000.0]))
+    q = stacked.copy()
+    q[rng.random(count) < 0.2] = reference
+    q[rng.random(q.shape) < 0.1] = -0.0
+    values = simulatability(reference, q, epsilon)
+    swapped = simulatability(q, reference, epsilon)
+    for k, row in enumerate(q):
+        one = simulatability(reference, row, epsilon)
+        assert values[k].tobytes() == swapped[k].tobytes() == np.float64(one).tobytes()
+        assert one == simulatability(row, reference, epsilon)
 
 
 def test_cf_relevance_direct():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moexp import (
+    ACTIVATIONS,
     Model,
     build_graph,
     canonical_order,
@@ -18,7 +19,9 @@ from moexp import (
     softmax,
 )
 
-from oracles import random_graph, random_model, standalone_distribution
+from moexp.gcn import trees_hidden
+
+from oracles import random_graph, random_model, restricted_hidden, standalone_distribution
 
 
 def test_isolated_node_identity_layer():
@@ -192,3 +195,97 @@ def test_forward_deterministic(seed):
     m = random_model(rng)
     v = int(rng.integers(0, g.node_count))
     assert np.array_equal(forward(m, g, v), forward(m, g, v))
+
+
+def _slot_weights(enum, batch, k, mask, graph):
+    """Mask weight of every slot of the trees ``batch`` (size ``k``), by edge id."""
+    ids = np.asarray(enum.ball.nodes)[enum.rows[batch, :k]]
+    slots = enum.slots[batch, :k, : k - 1]
+    weights = np.ones(slots.shape)
+    for b, i, s in zip(*np.nonzero(slots >= 0)):
+        eid = graph.edge_id(int(ids[b, i]), int(ids[b, slots[b, i, s]]))
+        weights[b, i, s] = mask.get(eid, 1.0)
+    return weights
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.sampled_from(ACTIVATIONS),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 5),
+)
+@settings(max_examples=200, deadline=None)
+def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, self_loop, mean, final, masked, extra, size):
+    # Layer inputs stay narrower than 16, and than 8 before a one-column
+    # layer: there the BLAS rounds a row of a product the same whatever else
+    # the product holds, so a batch and a pass per tree agree bit for bit.
+    rng = np.random.default_rng(seed)
+    dims = [int(rng.integers(1, 16)) for _ in range(depth)] + [int(rng.integers(2, 4))]
+    for i in range(1, depth):
+        if dims[i] == 1:
+            dims[i - 1] = min(dims[i - 1], 7)
+    g = random_graph(rng, max_nodes=10, edge_prob=0.35, feature_dim=dims[0], min_nodes=1)
+    layers = tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth))
+    m = Model(layers, activation, self_loop, mean, final)
+    v = int(rng.integers(0, g.node_count))
+    mask = {eid: float(rng.random()) for eid in range(g.edge_count) if rng.random() < 0.5} if masked else None
+    message = rng.standard_normal(dims[-2]) if extra else None
+    enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=size, diameter=int(rng.integers(1, 4))))
+    want = [restricted_hidden(m, g, v, sub, mask, message).tobytes() for sub in enum.subgraphs]
+    # One tree per pass, through the public API.
+    for sub, bits in zip(enum.subgraphs, want):
+        assert forward_hidden(m, g, v, restrict=sub, mask=mask, extra_message=message).tobytes() == bits
+    # All trees of one size in one batch from the candidate table, and a
+    # batch of a single tree.
+    for k in np.unique(enum.sizes):
+        every = np.flatnonzero(enum.sizes == k)
+        for batch in (every, every[rng.integers(0, every.size, 1)]):
+            weights = None if mask is None else _slot_weights(enum, batch, k, mask, g)
+            got = trees_hidden(
+                m, enum.ball.features, enum.rows[batch, :k], enum.depth[batch, :k],
+                enum.slots[batch, :k, : k - 1], v, weights, message,
+            )
+            assert [row.tobytes() for row in got] == [want[i] for i in batch]
+
+
+def test_candidate_table_lists_each_tree():
+    # Triangle 0-1-2 plus a pendant 3 on node 2; target 2.
+    g = build_graph([[0.0]] * 4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    enum = enumerate_subgraphs(g, 2, EnumConfig(max_nodes=3, diameter=1))
+    nodes = np.asarray(enum.ball.nodes)
+    for i, sub in enumerate(enum.subgraphs):
+        k = len(sub.node_set)
+        rows = enum.rows[i]
+        assert (rows[k:] == -1).all() and nodes[rows[0]] == 2
+        assert sorted(nodes[rows[:k]]) == list(sub.node_set)
+        for r in range(k):
+            used = enum.slots[i, r][enum.slots[i, r] >= 0]
+            ids = nodes[rows[used]]
+            want = sorted(w for e in sub.edge_set for u, w in (g.edges[e], g.edges[e][::-1]) if u == nodes[rows[r]])
+            assert list(ids) == want
+            assert (enum.slots[i, r, used.size:] == -1).all()
+        tree_hops = {2: 0}
+        for _ in sub.edge_set:
+            for e in sub.edge_set:
+                a, b = g.edges[e]
+                for x, y in ((a, b), (b, a)):
+                    if x in tree_hops and y not in tree_hops:
+                        tree_hops[y] = tree_hops[x] + 1
+        assert [tree_hops[u] for u in nodes[rows[:k]]] == list(enum.depth[i, :k])
+
+
+def test_restricted_pass_skips_nodes_beyond_reach():
+    # One layer reads only the target's tree neighbours, so node 2's
+    # overflowing sum, two tree hops out or outside the target's component,
+    # is never computed; as a target, node 2 fails.
+    g = build_graph([[1.0], [1.0], [1e308], [1e308]], [(0, 1), (1, 2), (2, 3)])
+    m = Model(layers=(np.array([[1.0, -1.0]]),))
+    assert forward_hidden(m, g, 0, restrict=make_subgraph(g, 0, [0, 1, 2])).tolist() == [2.0, -2.0]
+    assert forward_hidden(m, g, 0, restrict=make_subgraph(g, 0, [0, 2])).tolist() == [2.0, -2.0]
+    with pytest.raises(ValueError, match="^forward pass at node 2: overflow encountered in add$"):
+        forward_hidden(m, g, 2, restrict=make_subgraph(g, 2, [1, 2]))
