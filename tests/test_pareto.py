@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moexp import (
@@ -131,6 +131,10 @@ def test_comprehensive_choice_is_never_dominated(scores):
 def test_ranks_invariant_under_monotone_transform(scores):
     # strictly increasing maps applied per objective leave every rank unchanged
     warped = [(np.tanh(s) * 3.0, r**3 + 2.0 * r) for s, r in scores]
+    # In floating point tanh can round two inputs near -10 to one value, and
+    # then the map is not strictly increasing on the draw.
+    for k in (0, 1):
+        assume(len({p[k] for p in scores}) == len({p[k] for p in warped}))
     a = select_comprehensive(scores)
     b = select_comprehensive(warped)
     assert a.sim_ranks == b.sim_ranks
