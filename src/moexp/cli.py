@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -242,7 +241,8 @@ def explain_command(config: RunConfig) -> int:
                 node,
                 econfig,
                 method=config.method,
-                seed=derive_seed(config.seed, node),
+                # Only random draws from the seed; deriving it imports numpy.random.
+                seed=derive_seed(config.seed, node) if config.method == "random" else config.seed,
                 exhaustive_cf=config.exhaustive_cf,
                 epsilon=config.epsilon,
                 edge_weights=external,
@@ -261,6 +261,9 @@ def explain_command(config: RunConfig) -> int:
         return ok
 
     if config.jobs > 1:
+        # Imported only here: it loads logging, which a one-thread run does not need.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(work, targets))
     else:
@@ -477,12 +480,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _seed_from_env(seed: int) -> int:
+    """The run's seed: MOEXP_SEED when set, else ``--seed``; either must be a
+    non-negative integer, as numpy's SeedSequence requires."""
     env = os.environ.get("MOEXP_SEED")
-    if env is not None:
+    if env is None:
+        source = "--seed"
+    else:
+        source = "MOEXP_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(f"MOEXP_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
     return seed
 
 

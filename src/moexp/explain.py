@@ -294,12 +294,16 @@ class CandidateScorer:
 
     def _request(self, requested: np.ndarray) -> None:
         """Score the requested candidates not scored yet; count the rest as hits."""
-        fresh = np.unique(requested[~self._scored[requested]])
+        # A mark array and flatnonzero give np.unique's sorted positions
+        # without importing numpy.ma, which np.unique does on first use.
+        marked = np.zeros(len(self._scored), dtype=bool)
+        marked[requested] = True
+        fresh = np.flatnonzero(marked & ~self._scored)
         self.hit_count += requested.size - fresh.size
         self.forward_count += fresh.size
         enumeration = self.enumeration
         sizes = enumeration.sizes[fresh]
-        for k in np.unique(sizes):
+        for k in np.flatnonzero(np.bincount(sizes)):
             batch = fresh[sizes == k]
             hidden = trees_hidden(
                 self.model, enumeration.ball.features, enumeration.rows[batch, :k],

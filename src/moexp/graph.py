@@ -126,20 +126,11 @@ def build_graph(features, edges: Iterable[Sequence[int]], labels=None) -> Graph:
     """Validate raw inputs and assemble a canonical Graph.
 
     Raises ValueError for ragged feature vectors, out-of-range node ids,
-    self-loops, or duplicate edges (in either orientation).
+    self-loops, or duplicate edges (in either orientation), naming the first
+    offending entry. An edge entry's first two items are read with ``int``.
     """
-    rows = [np.asarray(f, dtype=float).reshape(-1) for f in features]
-    n = len(rows)
-    if n == 0:
-        raise ValueError("graph needs at least one node")
-    dim = rows[0].size
-    if dim == 0:
-        raise ValueError("feature vectors must be non-empty")
-    for i, r in enumerate(rows):
-        if r.size != dim:
-            raise ValueError(f"feature length mismatch at node {i}: {r.size} != {dim}")
-    feats = np.vstack(rows)
-
+    feats = _feature_matrix(features)
+    n = len(feats)
     label_tuple = None
     if labels is not None:
         labels = list(labels)
@@ -147,29 +138,101 @@ def build_graph(features, edges: Iterable[Sequence[int]], labels=None) -> Graph:
             raise ValueError(f"label count {len(labels)} != node count {n}")
         label_tuple = tuple(None if l is None else int(l) for l in labels)
 
-    seen: set[tuple[int, int]] = set()
-    for pair in edges:
-        u, w = int(pair[0]), int(pair[1])
-        if not (0 <= u < n and 0 <= w < n):
-            raise ValueError(f"node id out of range in edge ({u}, {w})")
-        if u == w:
-            raise ValueError(f"self-loop at node {u} not allowed")
-        key = (u, w) if u < w else (w, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge ({u}, {w})")
-        seen.add(key)
-
-    edge_list = tuple(sorted(seen))
-    edge_index = {e: i for i, e in enumerate(edge_list)}
-    incidence_lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (u, w) in enumerate(edge_list):
-        incidence_lists[u].append((w, eid))
-        incidence_lists[w].append((u, eid))
-    for lst in incidence_lists:
-        lst.sort()
-    adjacency = tuple(tuple(nbr for nbr, _ in lst) for lst in incidence_lists)
-    incidence = tuple(tuple(lst) for lst in incidence_lists)
+    lo, hi = _canonical_edges(edges, n)
+    # Ids as Python ints in object arrays: every tuple below that holds a
+    # node or edge id holds that id's one int object.
+    node_id, edge_id = np.arange(n).astype(object), np.arange(len(lo)).astype(object)
+    edge_list = tuple(zip(node_id[lo].tolist(), node_id[hi].tolist()))
+    edge_index = dict(zip(edge_list, edge_id.tolist()))
+    # Each edge is listed at both of its ends; a node's entries sort by
+    # neighbour, and the nodes' runs follow each other in id order.
+    ends, nbrs = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    # The keys are distinct, so any sort gives this order; "stable" is the
+    # one _check_edges ran, which keeps a load to one sort routine's code.
+    order = np.argsort(ends * n + nbrs, kind="stable")
+    nbr_list = node_id[nbrs[order]].tolist()
+    pairs = list(zip(nbr_list, np.tile(edge_id, 2)[order].tolist()))
+    stops = np.bincount(ends, minlength=n).cumsum().tolist()
+    spans = list(zip([0, *stops[:-1]], stops))
+    adjacency = tuple(tuple(nbr_list[a:b]) for a, b in spans)
+    incidence = tuple(tuple(pairs[a:b]) for a, b in spans)
     return Graph(n, feats, label_tuple, edge_list, adjacency, incidence, edge_index)
+
+
+def _feature_matrix(features) -> np.ndarray:
+    """One float row per node; a node's value is flattened into its row."""
+    try:
+        feats = np.array(features, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        feats = None
+    if feats is not None and feats.ndim == 2 and feats.size:
+        return feats
+    # Not a plain non-empty matrix: read row by row, which names what is wrong.
+    rows = [np.asarray(f, dtype=float).reshape(-1) for f in features]
+    if not rows:
+        raise ValueError("graph needs at least one node")
+    dim = rows[0].size
+    if dim == 0:
+        raise ValueError("feature vectors must be non-empty")
+    for i, r in enumerate(rows):
+        if r.size != dim:
+            raise ValueError(f"feature length mismatch at node {i}: {r.size} != {dim}")
+    return np.vstack(rows)
+
+
+def _canonical_edges(edges, n: int):
+    """(lo, hi) endpoint arrays of the validated edges, sorted by (lo, hi).
+
+    The entries are read as an int matrix when NumPy gives one; otherwise
+    each entry is read with ``int``, and an entry that cannot be read is
+    reported after the entries before it are checked.
+    """
+    try:
+        raw = np.asarray(edges)
+    except (TypeError, ValueError, OverflowError):
+        raw = None
+    if raw is not None and raw.dtype.kind in "bi" and raw.shape[1:] == (2,):
+        return _check_edges(raw, raw.astype(np.int64), n)
+    raw = []
+    for pair in edges:
+        try:
+            raw.append((int(pair[0]), int(pair[1])))
+        except Exception:
+            _check_edges(raw, _in_range(raw, n), n)
+            raise
+    return _check_edges(raw, _in_range(raw, n), n)
+
+
+def _in_range(raw: list, n: int) -> np.ndarray:
+    """The (u, w) ints as an (m, 2) array, any id outside 0..n-1 as -1."""
+    ids = [(u if 0 <= u < n else -1, w if 0 <= w < n else -1) for u, w in raw]
+    return np.array(ids, dtype=np.int64).reshape(-1, 2)
+
+
+def _check_edges(raw, ids: np.ndarray, n: int):
+    """Raise for the first entry of ``ids`` that is out of range, a self-loop
+    or a duplicate, quoting it from ``raw``; else return sorted (lo, hi)."""
+    u, w = ids[:, 0], ids[:, 1]
+    outside = (u < 0) | (u >= n) | (w < 0) | (w >= n)
+    loop = u == w
+    lo, hi = np.minimum(u, w), np.maximum(u, w)
+    keys = lo * n + hi
+    order = np.argsort(keys, kind="stable")
+    # A key's later entries follow its first one in the stable order. Keys of
+    # out-of-range entries are meaningless, but a valid entry that repeats
+    # one comes after it, so the out-of-range entry is reported first.
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    bad = outside | loop | repeat
+    if bad.any():
+        k = int(np.argmax(bad))
+        a, b = int(raw[k][0]), int(raw[k][1])
+        if outside[k]:
+            raise ValueError(f"node id out of range in edge ({a}, {b})")
+        if loop[k]:
+            raise ValueError(f"self-loop at node {a} not allowed")
+        raise ValueError(f"duplicate edge ({a}, {b})")
+    return lo[order], hi[order]
 
 
 def bfs_distances(graph: Graph, source: int) -> list:

@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -65,9 +65,12 @@ def parse_graph(doc: Mapping) -> Graph:
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise FormatError("edges: expected a list")
-    for i, pair in enumerate(edges):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise FormatError(f"edges[{i}]: expected a pair")
+    # The set test passes a document of plain two-item lists and tuples, which
+    # is every valid one that json gives; the loop names the first bad entry.
+    if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}):
+        for i, pair in enumerate(edges):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise FormatError(f"edges[{i}]: expected a pair")
     try:
         graph = build_graph(features, edges, labels)
     except ValueError as exc:

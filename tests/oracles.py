@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here deliberately avoids the package's own algorithms: trees are
-found by filtering raw edge subsets, Pareto flags come from the quadratic
+Everything here deliberately avoids the package's own algorithms: graphs are
+validated and assembled entry by entry, trees are found by filtering raw edge
+subsets, Pareto flags come from the quadratic
 all-pairs definition, restricted predictions are computed by rebuilding the
 subgraph as a standalone graph, two-layer outputs are expanded into nested
 sums, and the symmetric KL uses the two-term textbook formula instead of the
@@ -11,12 +12,14 @@ package's fused form.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 
 import numpy as np
 
-from moexp import build_graph, forward
+from moexp import Graph, build_graph, forward
 from moexp.analysis import confounder_set
 from moexp.cli import top_count
+from moexp.io import FormatError
 
 
 def edge_subset_nodes(edges, subset, target):
@@ -434,3 +437,98 @@ def reference_document(result, graph, model, config, manifest) -> dict:
         )
     doc["top_pairs"] = top
     return doc
+
+
+def reference_graph(features, edges, labels=None) -> Graph:
+    """``build_graph`` one entry at a time: each edge is read with ``int`` and
+    checked against the edges before it, then each node's incidence is sorted."""
+    rows = [np.asarray(f, dtype=float).reshape(-1) for f in features]
+    n = len(rows)
+    if n == 0:
+        raise ValueError("graph needs at least one node")
+    dim = rows[0].size
+    if dim == 0:
+        raise ValueError("feature vectors must be non-empty")
+    for i, r in enumerate(rows):
+        if r.size != dim:
+            raise ValueError(f"feature length mismatch at node {i}: {r.size} != {dim}")
+    feats = np.vstack(rows)
+
+    label_tuple = None
+    if labels is not None:
+        labels = list(labels)
+        if len(labels) != n:
+            raise ValueError(f"label count {len(labels)} != node count {n}")
+        label_tuple = tuple(None if l is None else int(l) for l in labels)
+
+    seen: set[tuple[int, int]] = set()
+    for pair in edges:
+        u, w = int(pair[0]), int(pair[1])
+        if not (0 <= u < n and 0 <= w < n):
+            raise ValueError(f"node id out of range in edge ({u}, {w})")
+        if u == w:
+            raise ValueError(f"self-loop at node {u} not allowed")
+        key = (u, w) if u < w else (w, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge ({u}, {w})")
+        seen.add(key)
+
+    edge_list = tuple(sorted(seen))
+    edge_index = {e: i for i, e in enumerate(edge_list)}
+    incidence_lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (u, w) in enumerate(edge_list):
+        incidence_lists[u].append((w, eid))
+        incidence_lists[w].append((u, eid))
+    for lst in incidence_lists:
+        lst.sort()
+    adjacency = tuple(tuple(nbr for nbr, _ in lst) for lst in incidence_lists)
+    incidence = tuple(tuple(lst) for lst in incidence_lists)
+    return Graph(n, feats, label_tuple, edge_list, adjacency, incidence, edge_index)
+
+
+def reference_parse_graph(doc) -> Graph:
+    """``io.parse_graph`` with every edge entry checked in a loop and the graph
+    built by ``reference_graph``."""
+    if not isinstance(doc, Mapping):
+        raise FormatError("graph document must be an object")
+    if doc.get("directed", False):
+        raise FormatError("directed graphs are not supported")
+    nodes = doc.get("nodes")
+    if not isinstance(nodes, list) or not nodes:
+        raise FormatError("nodes: expected a non-empty list")
+    seen: dict[int, dict] = {}
+    for i, node in enumerate(nodes):
+        if not isinstance(node, Mapping):
+            raise FormatError(f"nodes[{i}]: expected an object")
+        if "id" not in node:
+            raise FormatError(f"nodes[{i}]: missing 'id'")
+        if "features" not in node:
+            raise FormatError(f"nodes[{i}]: missing 'features'")
+        nid = node["id"]
+        if not isinstance(nid, int) or isinstance(nid, bool):
+            raise FormatError(f"nodes[{i}]: id must be an integer")
+        if nid in seen:
+            raise FormatError(f"nodes[{i}]: duplicate id {nid}")
+        seen[nid] = node
+    n = len(seen)
+    if set(seen) != set(range(n)):
+        raise FormatError(f"node ids must be dense 0..{n - 1}")
+    features = [seen[i]["features"] for i in range(n)]
+    labels = None
+    if any("label" in seen[i] for i in range(n)):
+        labels = [seen[i].get("label") for i in range(n)]
+    edges = doc.get("edges", [])
+    if not isinstance(edges, list):
+        raise FormatError("edges: expected a list")
+    for i, pair in enumerate(edges):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise FormatError(f"edges[{i}]: expected a pair")
+    try:
+        graph = reference_graph(features, edges, labels)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    finite = np.isfinite(graph.features).all(axis=1)
+    if not finite.all():
+        i = next(i for i, node in enumerate(nodes) if not finite[node["id"]])
+        raise FormatError(f"nodes[{i}]: features must be finite")
+    return graph

@@ -232,3 +232,41 @@ def test_robustness_keeps_the_rows_of_nodes_that_succeed(tmp_path, capsys):
     assert main(argv + ["--targets", "0,1", "--out", str(tmp_path / "none.csv")]) == 1
     assert capsys.readouterr().err == "error: steps must be at least 2\n"
     assert not (tmp_path / "none.csv").exists()
+
+
+# Run in a fresh interpreter: the modules loaded by ``import moexp.cli`` and
+# those explain loads after it.
+_IMPORT_PROBE = """
+import json, sys
+from moexp import cli
+before = set(sys.modules)
+for method in sys.argv[1:]:
+    argv = ["explain", "--graph", "g.json", "--weights", "w.json", "--targets", "0,1,2,5"]
+    if cli.main(argv + ["--method", method, "--jobs", "1", "--out", "out-" + method]) != 0:
+        sys.exit("explain --method %s failed" % method)
+print(json.dumps([sorted(before), sorted(set(sys.modules) - before)]))
+"""
+
+
+def _within(names, packages) -> list:
+    return [m for m in names if m in packages or m.startswith(tuple(p + "." for p in packages))]
+
+
+def test_explain_imports_only_what_its_run_uses(tmp_path):
+    graph, model = synth_graph("planted-motif", {}, 7)
+    save_graph(graph, tmp_path / "g.json")
+    save_model(model, tmp_path / "w.json")
+    methods = ["pareto-rank", "balanced", "shapley", "grad-fd", "grad-analytic"]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(moexp.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *methods], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, loaded = json.loads(proc.stdout.splitlines()[-1])
+    # numpy.ma (np.unique loads it on numpy 2) and numpy.random (only method
+    # random draws) are checked against what the import loaded, so numpy
+    # 1.x, which loads both with numpy itself, passes too.
+    assert _within(loaded, ("numpy.ma", "numpy.random")) == []
+    # The thread pool, which loads logging, is for --jobs above 1 only.
+    assert _within(at_import + loaded, ("concurrent.futures",)) == []

@@ -461,6 +461,31 @@ def test_env_seed_overrides_flag(tmp_path, fixtures_dir):
     assert doc["manifest"]["seed"] == 777
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["explain", "robustness", "synth"])
+def test_negative_seed_is_one_error_that_names_its_source(command, source, tmp_path, fixtures_dir, monkeypatch, capsys):
+    graph_path, weights_path = chain_paths(fixtures_dir)
+    out = tmp_path / "out"
+    argv = {
+        "explain": ["explain", "--graph", graph_path, "--weights", weights_path, "--targets", "1,2", "--out", str(out)],
+        "robustness": ["robustness", "--graph", graph_path, "--weights", weights_path, "--targets", "2",
+                       "--steps", "2", "--out", str(out)],
+        "synth": ["synth", "--kind", "planted-motif", "--out-graph", str(out / "g.json"),
+                  "--out-weights", str(out / "w.json")],
+    }[command]
+    if source == "flag":
+        monkeypatch.delenv("MOEXP_SEED", raising=False)
+        argv += ["--seed", "-1"]
+        message = "--seed must be a non-negative integer, got -1"
+    else:
+        monkeypatch.setenv("MOEXP_SEED", "-1")
+        argv += ["--seed", "5"]
+        message = "MOEXP_SEED must be a non-negative integer, got -1"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def declared_console_script(name):
     """The ``(module, function)`` that pyproject.toml's ``[project.scripts]`` declares for ``name``.
 
