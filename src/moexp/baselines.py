@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcn import Model, forward, masked_loss, node_embeddings
+from .gcn import Model, forward, layers_hidden, node_embeddings, softmax
 from .graph import Ball, Graph, Subgraph, canonical_order, make_subgraph, target_ball
 from .explain import CandidateScorer, EnumConfig, enumerate_subgraphs, DEFAULT_EPSILON
 
@@ -224,28 +224,75 @@ def grad_weights_analytic(
     return weights
 
 
+# Most entries of node states and messages one grad-fd batch may hold: a
+# target's passes run in consecutive batches of as many passes as stay
+# under this (or one), so a hub's 1 + E passes keep memory bounded.
+FD_BATCH_ENTRIES = 1 << 18
+
+
 def grad_weights_fd(
     model: Model, graph: Graph, target: int, step: float, diameter: int | None = None, ball: Ball | None = None
 ) -> dict:
     """Zeroth-order saliency: loss shift from damping one edge's messages.
 
     Each neighborhood edge is masked to 1 - step (all others stay 1) and the
-    weight is |masked_loss - baseline_loss| / step for the unmasked
-    predicted class. Edges outside the model's receptive field come out
-    exactly zero because the masked pass reproduces the baseline bitwise.
-    Every pass runs on the target's ball (``ball``, of at least
-    max(diameter, depth) hops, or a new one).
+    weight is |masked loss - unmasked loss| / step, the loss being the
+    negative log-probability of the unmasked predicted class. Edges outside
+    the model's receptive field come out exactly zero because the masked
+    pass reproduces the unmasked one bitwise. Every pass runs on the
+    target's ball (``ball``, of at least max(diameter, depth) hops, or a new
+    one), as a row of a ``layers_hidden`` batch with the bits of
+    ``masked_loss`` on that edge: row 0 is the unmasked pass and row b
+    scales both messages of the b-th edge. A batch holds at most
+    ``FD_BATCH_ENTRIES`` entries of node states and messages, or one pass.
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
     if diameter is None:
         diameter = model.depth
     ball = target_ball(graph, target, max(diameter, model.depth), ball)
-    probs = forward(model, graph, target, ball=ball)
-    y = int(np.argmax(probs))
-    base = float(-np.log(probs[y]))
-    weights = {}
-    for eid in neighborhood_edge_ids(graph, target, diameter, ball):
-        shifted = masked_loss(model, graph, target, y, {eid: 1.0 - step}, ball)
-        weights[eid] = abs(shifted - base) / step
-    return weights
+    eids = neighborhood_edge_ids(graph, target, diameter, ball)
+    # The nodes an L-layer pass reads, and the ones it computes; the latter
+    # have all their neighbours among the former.
+    k, inner = ball.within[model.depth], ball.within[model.depth - 1]
+    row = {eid: b for b, eid in enumerate(eids, 1)}
+    # Each message of a pass, slot by slot: (slot, node, neighbour, batch
+    # row that damps it or 0).
+    entries = [
+        (s, i, j, row.get(eid, 0))
+        for i, pairs in enumerate(ball.incidence[:inner])
+        for s, (j, eid) in enumerate(pairs)
+    ]
+    slot, node, neighbour, damped = np.array(sorted(entries), dtype=np.intp).reshape(-1, 4).T
+    bounds = np.flatnonzero(np.diff(slot)) + 1
+    width = max(d for layer in model.layers for d in layer.shape)
+    size = max(1, FD_BATCH_ENTRIES // (k * width + len(entries)))
+
+    def passes(lo, hi):
+        offset = np.arange(hi - lo) * k
+        scale = np.ones((len(entries), hi - lo))
+        hit = np.flatnonzero((damped >= max(lo, 1)) & (damped < hi))
+        scale[hit, damped[hit] - lo] = 1.0 - step
+        columns = (node[:, None] + offset, neighbour[:, None] + offset, scale)
+        messages = [tuple(a.ravel() for a in group) for group in zip(*(np.split(a, bounds) for a in columns))]
+        h = np.tile(ball.features[:k], (hi - lo, 1))
+        hops = np.tile(ball.distance[:k], hi - lo)
+        return layers_hidden(model, h, hops, messages, target, k, tree_products=True)
+
+    count = 1 + len(eids)
+    hidden = []
+    for lo in range(0, count, size):
+        hi = min(lo + size, count)
+        try:
+            hidden.append(passes(lo, hi))
+        except ValueError:
+            # A batch runs layer by layer, and the batches before passed;
+            # report what the first pass to fail raises on its own, as
+            # passes run one by one would.
+            for b in range(lo, hi):
+                passes(b, b + 1)
+            raise
+    probs = softmax(np.concatenate(hidden))
+    y = int(np.argmax(probs[0]))
+    loss = -np.log(probs[:, y])
+    return dict(zip(eids, (np.abs(loss[1:] - loss[0]) / step).tolist()))

@@ -1,8 +1,11 @@
 """Forward-only graph convolution with subgraph restriction and edge masks.
 
 Two routines run the layers: ``_propagate`` on a target's ball, and
-``trees_hidden`` on a batch of trees (restricted passes). Both sum a node's
-messages in ascending neighbour id order, so they agree bit for bit.
+``layers_hidden`` on a batch of trees given as message lists, one per
+neighbour slot. ``trees_hidden`` feeds it batches of restricted trees;
+grad-fd's masked passes, whose trees are copies of the ball, feed it
+directly. Both sum a node's messages in ascending neighbour id order, so
+they agree bit for bit.
 
 Aggregation at every layer is a plain sum of the node's own state and the
 states of its in-scope neighbors (no degree normalization; an optional mean
@@ -209,54 +212,95 @@ def trees_hidden(
     ascending by global node id and padded with -1. ``weights[b, i, s]``,
     when given, scales the message of slot s (an edge mask);
     ``extra_message`` joins each target's aggregation at the last layer.
-
-    Each tree gets the same bits as a pass over that tree alone: a node adds
-    its neighbours to its own state slot by slot, and a padded slot adds
-    nothing, so a -0.0 stays -0.0. Layer l computes only the nodes within
-    L - 1 - l tree hops of the target, the ones its output reads, so a node
-    that cannot reach it never overflows the batch. Each layer is one
-    product over the batch, padded to two rows unless the trees have one
-    node (see ``_propagate``). An overflow or invalid operation raises
-    ``ValueError`` naming ``node``.
+    The batch runs through ``layers_hidden``, one message list per slot.
     """
-    _check_width(model, features)
     count, k = rows.shape
-    # Neighbour slots as rows of the flattened batch; -1 stays padding.
-    offset = (np.arange(count) * k)[:, None, None]
-    neighbours = np.where(slots >= 0, slots + offset, -1).reshape(count * k, -1)
+    flat = slots.reshape(count * k, -1)
     if weights is not None:
         weights = weights.reshape(count * k, -1)
-    hops = depth.reshape(-1)
+    messages = []
+    for s, column in enumerate(flat.T):
+        at = np.flatnonzero(column >= 0)
+        if not at.size:
+            break  # slots are padded at the end, so no later slot is used
+        # Neighbour slots as rows of the flattened batch.
+        source = column[at] + at // k * k
+        messages.append((at, source, None if weights is None else weights[at, s]))
     h = features[rows.reshape(-1)]
+    return layers_hidden(model, h, depth.reshape(-1), messages, node, k, extra_message)
+
+
+def layers_hidden(
+    model: Model,
+    h: np.ndarray,
+    hops: np.ndarray,
+    messages: list,
+    node: int,
+    tree_size: int,
+    extra_message: np.ndarray | None = None,
+    tree_products: bool = False,
+) -> np.ndarray:
+    """Last-layer state of each target in a batch of trees whose nodes are
+    the rows of ``h``, before the softmax: one row per tree.
+
+    ``hops`` holds each row's hops from its tree's target, so the targets
+    are the rows at 0, in order. ``messages`` lists one slot after another
+    as (row, source, scale) arrays: each row adds ``h[source]``, times its
+    ``scale`` when that is not None, and no row appears twice in a slot.
+    ``extra_message`` joins each target's aggregation at the last layer.
+
+    A node adds its neighbours to its own state slot by slot, as a pass
+    over its tree alone does, so a -0.0 stays -0.0. Layer l computes only
+    the rows within L - 1 - l hops of their target, the ones its output
+    reads, so a node that cannot reach it never overflows the batch. Each
+    layer is one product over the batch, padded to two rows unless the
+    trees have one node (``tree_size``; see ``_propagate``). For some layer
+    shapes a product's rounding depends on its row count, so a batch can
+    round a tree differently from a pass over it alone. ``tree_products``,
+    for batches whose trees all have the same number of rows at each
+    layer, makes each product a stack of one padded product per tree,
+    which gives every tree exactly the bits of a pass over it alone. An
+    overflow or invalid operation raises ``ValueError`` naming ``node``.
+    """
+    _check_width(model, h)
+    trees = np.count_nonzero(hops == 0)
+    position = np.zeros(len(hops), dtype=np.intp)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for li, layer in enumerate(model.layers):
                 last = li == model.depth - 1
-                live = np.flatnonzero(hops <= model.depth - 1 - li)
+                reach = model.depth - 1 - li
+                live = np.flatnonzero(hops <= reach)
                 n = live.size
-                agg = np.zeros((max(n, min(2, k)), layer.shape[0]))
-                messages = np.full(n, int(model.self_loop))
+                position[live] = np.arange(n)
+                agg = np.zeros((max(n, min(2, tree_size)), layer.shape[0]))
+                count = np.full(n, int(model.self_loop))
                 if model.self_loop:
                     agg[:n] = h[live]
-                for s, column in enumerate(neighbours[live].T):
-                    at = np.flatnonzero(column >= 0)
-                    if not at.size:
-                        break  # slots are padded at the end, so no later slot is used
-                    if weights is None:
-                        agg[at] += h[column[at]]
+                for row, source, scale in messages:
+                    keep = np.flatnonzero(hops[row] <= reach)
+                    at = position[row[keep]]
+                    if scale is None:
+                        agg[at] += h[source[keep]]
                     else:
-                        agg[at] += weights[live[at], s][:, None] * h[column[at]]
-                    messages[at] += 1
+                        agg[at] += scale[keep][:, None] * h[source[keep]]
+                    count[at] += 1
                 if last and extra_message is not None:
                     agg[:n] += np.asarray(extra_message, dtype=float).reshape(-1)
-                    messages += 1
+                    count += 1
                 if model.mean_aggregate:
-                    np.divide(agg[:n], messages[:, None], out=agg[:n], where=messages[:, None] > 0)
-                z = (agg @ layer)[:n]
+                    np.divide(agg[:n], count[:, None], out=agg[:n], where=count[:, None] > 0)
+                if tree_products:
+                    per = n // trees  # the same for every tree
+                    stack = np.zeros((trees, max(per, min(2, tree_size)), layer.shape[0]))
+                    stack[:, :per] = agg[:n].reshape(trees, per, -1)
+                    z = (stack @ layer)[:, :per].reshape(n, -1)
+                else:
+                    z = (agg @ layer)[:n]
                 z = _activate(model.activation, z) if (not last or model.final_activation) else z
                 if last:
                     return z  # the live rows are now the targets, one per tree
-                h = np.zeros((count * k, layer.shape[1]))
+                h = np.zeros((len(hops), layer.shape[1]))
                 h[live] = z
     except FloatingPointError as exc:
         raise ValueError(f"forward pass at node {node}: {exc}") from None

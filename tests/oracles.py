@@ -16,7 +16,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from moexp import Graph, build_graph, forward
+from moexp import Graph, build_graph, forward, masked_loss, neighborhood_edge_ids, target_ball
 from moexp.analysis import confounder_set
 from moexp.cli import top_count
 from moexp.io import FormatError
@@ -299,6 +299,28 @@ def _row_loop(model, h, incidence, depth, mask, extra_message, at):
         z = agg @ weights
         h = _package_activation(model.activation, z) if (not last or model.final_activation) else z
     return h
+
+
+def reference_grad_weights_fd(model, graph, target, step, diameter=None, ball=None):
+    """Finite-difference edge saliency by one masked ``forward`` per edge.
+
+    This is how ``grad_weights_fd`` ran before its passes were batched: the
+    unmasked pass, then one ``masked_loss`` per neighbourhood edge in id
+    order, each on the target's ball through the per-row loop.
+    """
+    if not 0.0 < step <= 0.5:
+        raise ValueError("step must be in (0, 0.5]")
+    if diameter is None:
+        diameter = model.depth
+    ball = target_ball(graph, target, max(diameter, model.depth), ball)
+    probs = forward(model, graph, target, ball=ball)
+    y = int(np.argmax(probs))
+    base = float(-np.log(probs[y]))
+    weights = {}
+    for eid in neighborhood_edge_ids(graph, target, diameter, ball):
+        shifted = masked_loss(model, graph, target, y, {eid: 1.0 - step}, ball)
+        weights[eid] = abs(shifted - base) / step
+    return weights
 
 
 def random_graph(rng, max_nodes=8, edge_prob=0.4, feature_dim=2, min_nodes=2):

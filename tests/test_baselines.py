@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moexp.baselines
+import moexp.gcn
 from moexp import (
     CandidateScorer,
     EnumConfig,
@@ -21,7 +25,9 @@ from moexp import (
     shapley_values,
 )
 
-from oracles import random_graph, random_model, shapley_oracle
+from moexp.baselines import FD_BATCH_ENTRIES
+
+from oracles import random_graph, random_model, reference_grad_weights_fd, shapley_oracle
 
 
 def star_graph():
@@ -289,3 +295,138 @@ def test_grad_fd_weights_are_finite_and_nonnegative():
     m = random_model(rng)
     weights = grad_weights_fd(m, g, 0, 1e-3)
     assert all(np.isfinite(v) and v >= 0.0 for v in weights.values())
+
+
+@st.composite
+def fd_cases(draw):
+    """A random graph, target and model for grad-fd, with every model option.
+
+    The target may be isolated, and the graph may have one node."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 9))
+    # Inputs of 16 or more columns: a product's rounding can then depend on
+    # its row count.
+    width = st.one_of(st.integers(1, 4), st.sampled_from([16, 33]))
+    dims = [draw(width) for _ in range(draw(st.integers(1, 3)))] + [draw(st.integers(2, 4))]
+    edge_prob = draw(st.sampled_from([0.2, 0.4, 0.7]))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_prob]
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        edges = [e for e in edges if n - 1 not in e]  # an isolated node, drawn as the target below
+        target = n - 1
+    else:
+        target = draw(st.integers(0, n - 1))
+    graph = build_graph(rng.standard_normal((n, dims[0])), edges)
+    model = Model(
+        layers=tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(len(dims) - 1)),
+        activation=draw(st.sampled_from(["relu", "sigmoid", "identity"])),
+        self_loop=draw(st.booleans()),
+        mean_aggregate=draw(st.booleans()),
+        final_activation=draw(st.booleans()),
+    )
+    step = draw(st.floats(0.0, 0.5, exclude_min=True))
+    diameter = draw(st.integers(0, model.depth + 2))
+    return model, graph, target, step, diameter
+
+
+def _kept_batches(monkeypatch):
+    """Record (targets, node states, messages) of each grad-fd batch."""
+    batches = []
+
+    def kept(model, h, hops, messages, *args, **kwargs):
+        width = max(d for layer in model.layers for d in layer.shape)
+        batches.append((int(np.sum(hops == 0)), h.shape[0] * width, sum(row.size for row, _, _ in messages)))
+        return moexp.gcn.layers_hidden(model, h, hops, messages, *args, **kwargs)
+
+    monkeypatch.setattr(moexp.baselines, "layers_hidden", kept)
+    return batches
+
+
+def test_grad_fd_splits_a_hub_into_bounded_batches(monkeypatch):
+    # A 300-leaf star: every pass over a 2-layer ball reads 301 nodes and
+    # adds 600 messages (the hub as target) or 301 (a leaf), so its 301
+    # passes do not fit in one batch.
+    n = 301
+    rng = np.random.default_rng(11)
+    graph = build_graph(rng.standard_normal((n, 3)), [(0, v) for v in range(1, n)])
+    model = Model(layers=(rng.standard_normal((3, 4)), rng.standard_normal((4, 3))), activation="sigmoid")
+    batches = _kept_batches(monkeypatch)
+    for target in (0, 7):
+        batches.clear()
+        weights = grad_weights_fd(model, graph, target, 0.25)
+        assert len(weights) == n - 1
+        assert [(k, float.hex(v)) for k, v in weights.items()] == [
+            (k, float.hex(v)) for k, v in reference_grad_weights_fd(model, graph, target, 0.25).items()
+        ]
+        assert sum(rows for rows, _, _ in batches) == n
+        assert len(batches) > 1
+        for rows, states, messages in batches:
+            assert states + messages <= FD_BATCH_ENTRIES
+        for rows, states, messages in batches[:-1]:  # as large as the budget allows
+            assert states + messages + (states + messages) // rows > FD_BATCH_ENTRIES
+
+
+def test_grad_fd_is_one_kernel_call_and_no_forward(monkeypatch):
+    rng = np.random.default_rng(5)
+    graph = random_graph(rng, max_nodes=9, min_nodes=6, edge_prob=0.5)
+    model = random_model(rng)
+    calls = {"layers_hidden": 0, "trees_hidden": 0, "forward": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        for module in (moexp.baselines, moexp.gcn):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    weights = grad_weights_fd(model, graph, 0, 1e-3)
+    assert len(weights) > 1
+    assert calls == {"layers_hidden": 1, "trees_hidden": 0, "forward": 0}
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", [(k, float.hex(v)) for k, v in fn(*args).items()]
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(
+    fd_cases(),
+    st.lists(st.integers(0, 8), max_size=3),
+    st.sampled_from([1e154, 1e307, 1.7e308]),
+    st.sampled_from([FD_BATCH_ENTRIES, 1, 60, 200]),
+)
+@settings(max_examples=300, deadline=None)
+def test_batched_grad_fd_equals_per_edge_passes_bitwise(case, huge, scale, entries):
+    # The same keys in the same order and the same bits, or the same
+    # exception and text: the ``huge`` nodes carry features near the float
+    # limit, so some passes overflow. Small ``entries`` split the passes
+    # into several batches, down to one pass each.
+    model, graph, target, step, diameter = case
+    features = graph.features.copy()
+    rows = [v % graph.node_count for v in huge]
+    features[rows] = np.sign(features[rows]) * scale
+    graph = build_graph(features, graph.edges)
+    with mock.patch.object(moexp.baselines, "FD_BATCH_ENTRIES", entries):
+        batched = _outcome(grad_weights_fd, model, graph, target, step, diameter)
+    assert batched == _outcome(reference_grad_weights_fd, model, graph, target, step, diameter)
+
+
+def test_batched_grad_fd_reports_the_first_failing_pass(monkeypatch):
+    # The unmasked pass cancels to finite values. Damping edge 0 (0-1)
+    # overflows the target's last-layer product; damping edge 2 (1-3)
+    # overflows node 1's first-layer sum, which a batch run layer by layer
+    # meets first. Passes run one by one meet edge 0's overflow first.
+    graph = build_graph([[0.0], [1.5e308], [-1.5e308], [-1.5e308], [1.5e308]], [(0, 1), (0, 2), (1, 3), (1, 4)])
+    model = Model(layers=(np.array([[1.0]]), np.array([[2.0, 0.0]])), activation="identity")
+    assert np.isfinite(forward(model, graph, 0)).all()
+    message = "^forward pass at node 0: overflow encountered in matmul$"
+    with pytest.raises(ValueError, match=message):
+        reference_grad_weights_fd(model, graph, 0, 0.5)
+    for entries in (FD_BATCH_ENTRIES, 1):  # one batch, or one per pass
+        monkeypatch.setattr(moexp.baselines, "FD_BATCH_ENTRIES", entries)
+        with pytest.raises(ValueError, match=message):
+            grad_weights_fd(model, graph, 0, 0.5)

@@ -521,6 +521,86 @@ def test_console_script_smoke(tmp_path, fixtures_dir):
     assert (tmp_path / "node_2.json").exists()
 
 
+def _moexp_child(launcher, args, cwd, prelude=""):
+    """Run the CLI in a child process with stdout and stderr on pipes.
+
+    ``launcher`` is ``"module"`` (``python -m moexp.cli``) or ``"script"``
+    (the declared console-script function, as pip's wrapper calls it);
+    ``prelude`` is Python run before the script's entry point.
+    """
+    package_root = str(pathlib.Path(moexp.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    if launcher == "module":
+        command = ["-m", "moexp.cli"]
+    else:
+        module, func = declared_console_script("moexp")
+        command = ["-c", f"import sys; {prelude}from {module} import {func}; sys.exit({func}())"]
+    return subprocess.run(
+        [sys.executable, *command, *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=120
+    )
+
+
+def _documents(out):
+    """Every written node document, parsed, by node id; a truncated file fails to parse."""
+    return {int(p.stem.split("_")[1]): json.loads(p.read_text()) for p in out.glob("node_*.json")}
+
+
+@pytest.mark.parametrize("launcher", ["module", "script"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_child_exit_codes_and_documents(launcher, jobs, tmp_path, fixtures_dir):
+    graph_path, weights_path = chain_paths(fixtures_dir)
+    argv = ["explain", "--graph", graph_path, "--weights", weights_path, "--jobs", jobs]
+
+    proc = _moexp_child(launcher, argv + ["--out", str(tmp_path / "ok")], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    docs = _documents(tmp_path / "ok")
+    assert sorted(docs) == [0, 1, 2, 3] and not any("error" in d for d in docs.values())
+
+    proc = _moexp_child(launcher, argv + ["--out", str(tmp_path / "bad"), "--targets", "1,9,2"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (1, "1 of 3 nodes failed\n")
+    docs = _documents(tmp_path / "bad")
+    assert sorted(docs) == [1, 2, 9]
+    assert docs[9]["error"] == "ValueError: target node missing: 9" and "error" not in docs[2]
+
+    proc = _moexp_child(launcher, argv + ["--out", str(tmp_path / "flag"), "--no-such-flag"], tmp_path)
+    assert proc.returncode == 2 and "unrecognized arguments: --no-such-flag" in proc.stderr
+    assert not (tmp_path / "flag").exists()
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_cli_child_reports_a_stream_it_cannot_flush(stream, tmp_path, fixtures_dir):
+    # The fast exit skips the interpreter's own flush at teardown, so it must
+    # not lose that flush's failure: the status turns non-zero and the error
+    # is written to the descriptor underneath the closed stream.
+    graph_path, weights_path = chain_paths(fixtures_dir)
+    argv = ["explain", "--graph", graph_path, "--weights", weights_path, "--out", str(tmp_path / "out")]
+    proc = _moexp_child("script", argv, tmp_path, prelude=f"sys.{stream}.close(); ")
+    assert proc.returncode == 120
+    assert proc.stderr == f"error: cannot flush {stream}: I/O operation on closed file.\n"
+    assert sorted(_documents(tmp_path / "out")) == [0, 1, 2, 3]
+
+
+def test_cli_child_exits_without_interpreter_teardown(tmp_path, fixtures_dir, monkeypatch):
+    # A sitecustomize module registers an exit handler that leaves a file
+    # behind; the interpreter's teardown runs it, a fast exit does not.
+    hook = tmp_path / "hook"
+    hook.mkdir()
+    marker = tmp_path / "torn-down"
+    (hook / "sitecustomize.py").write_text(f"import atexit, pathlib\natexit.register(pathlib.Path({str(marker)!r}).touch)\n")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(hook), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", "pass"], check=True, timeout=120)
+    assert marker.exists()
+    marker.unlink()
+    graph_path, weights_path = chain_paths(fixtures_dir)
+    for launcher in ("module", "script"):
+        out = tmp_path / launcher
+        proc = _moexp_child(launcher, ["explain", "--graph", graph_path, "--weights", weights_path, "--out", str(out)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(_documents(out)) == [0, 1, 2, 3]
+        assert not marker.exists()
+
+
 def test_cli_reports_missing_file_cleanly(tmp_path):
     code = main(
         ["explain", "--graph", str(tmp_path / "absent.json"), "--weights", str(tmp_path / "absent.json"),
