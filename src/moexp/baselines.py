@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcn import Model, forward, layers_hidden, node_embeddings, softmax
+from .gcn import Model, ball_messages, forward, layers_hidden, node_embeddings, softmax
 from .graph import Ball, Graph, Subgraph, canonical_order, make_subgraph, target_ball
 from .explain import CandidateScorer, EnumConfig, enumerate_subgraphs, DEFAULT_EPSILON
 
@@ -231,19 +231,25 @@ FD_BATCH_ENTRIES = 1 << 18
 
 
 def grad_weights_fd(
-    model: Model, graph: Graph, target: int, step: float, diameter: int | None = None, ball: Ball | None = None
+    model: Model,
+    graph: Graph,
+    target: int,
+    step: float,
+    diameter: int | None = None,
+    ball: Ball | None = None,
+    reference: np.ndarray | None = None,
 ) -> dict:
     """Zeroth-order saliency: loss shift from damping one edge's messages.
 
-    Each neighborhood edge is masked to 1 - step (all others stay 1) and the
-    weight is |masked loss - unmasked loss| / step, the loss being the
-    negative log-probability of the unmasked predicted class. Edges outside
-    the model's receptive field come out exactly zero because the masked
-    pass reproduces the unmasked one bitwise. Every pass runs on the
-    target's ball (``ball``, of at least max(diameter, depth) hops, or a new
-    one), as a row of a ``layers_hidden`` batch with the bits of
-    ``masked_loss`` on that edge: row 0 is the unmasked pass and row b
-    scales both messages of the b-th edge. A batch holds at most
+    Each neighborhood edge is damped to 1 - step (all others stay 1) and the
+    weight is |damped loss - loss| / step, the loss being the negative
+    log-probability of the predicted class. ``reference`` is the target's
+    class distribution under the model (``forward``'s, computed when not
+    given). Edges outside the model's receptive field come out exactly zero
+    because the damped pass reproduces the reference pass bitwise. Every
+    pass runs on the target's ball (``ball``, of at least max(diameter,
+    depth) hops, or a new one), as a row of a ``layers_hidden`` batch: row
+    b scales both messages of the b-th edge. A batch holds at most
     ``FD_BATCH_ENTRIES`` entries of node states and messages, or one pass.
     """
     if not 0.0 < step <= 0.5:
@@ -251,27 +257,24 @@ def grad_weights_fd(
     if diameter is None:
         diameter = model.depth
     ball = target_ball(graph, target, max(diameter, model.depth), ball)
+    if reference is None:
+        reference = forward(model, graph, target, ball=ball)
     eids = neighborhood_edge_ids(graph, target, diameter, ball)
-    # The nodes an L-layer pass reads, and the ones it computes; the latter
-    # have all their neighbours among the former.
-    k, inner = ball.within[model.depth], ball.within[model.depth - 1]
-    row = {eid: b for b, eid in enumerate(eids, 1)}
-    # Each message of a pass, slot by slot: (slot, node, neighbour, batch
-    # row that damps it or 0).
-    entries = [
-        (s, i, j, row.get(eid, 0))
-        for i, pairs in enumerate(ball.incidence[:inner])
-        for s, (j, eid) in enumerate(pairs)
-    ]
-    slot, node, neighbour, damped = np.array(sorted(entries), dtype=np.intp).reshape(-1, 4).T
-    bounds = np.flatnonzero(np.diff(slot)) + 1
+    if not eids:
+        return {}
+    # The nodes an L-layer pass reads, and each of its messages, slot by
+    # slot, with the batch row that damps it or -1.
+    k = ball.within[model.depth]
+    node, neighbour, eid, bounds = ball_messages(ball, model.depth)
+    row = {e: b for b, e in enumerate(eids)}
+    damped = np.array([row.get(e, -1) for e in eid.tolist()], dtype=np.intp)
     width = max(d for layer in model.layers for d in layer.shape)
-    size = max(1, FD_BATCH_ENTRIES // (k * width + len(entries)))
+    size = max(1, FD_BATCH_ENTRIES // (k * width + len(node)))
 
     def passes(lo, hi):
         offset = np.arange(hi - lo) * k
-        scale = np.ones((len(entries), hi - lo))
-        hit = np.flatnonzero((damped >= max(lo, 1)) & (damped < hi))
+        scale = np.ones((len(node), hi - lo))
+        hit = np.flatnonzero((damped >= lo) & (damped < hi))
         scale[hit, damped[hit] - lo] = 1.0 - step
         columns = (node[:, None] + offset, neighbour[:, None] + offset, scale)
         messages = [tuple(a.ravel() for a in group) for group in zip(*(np.split(a, bounds) for a in columns))]
@@ -279,10 +282,9 @@ def grad_weights_fd(
         hops = np.tile(ball.distance[:k], hi - lo)
         return layers_hidden(model, h, hops, messages, target, k, tree_products=True)
 
-    count = 1 + len(eids)
     hidden = []
-    for lo in range(0, count, size):
-        hi = min(lo + size, count)
+    for lo in range(0, len(eids), size):
+        hi = min(lo + size, len(eids))
         try:
             hidden.append(passes(lo, hi))
         except ValueError:
@@ -292,7 +294,7 @@ def grad_weights_fd(
             for b in range(lo, hi):
                 passes(b, b + 1)
             raise
-    probs = softmax(np.concatenate(hidden))
+    probs = np.vstack([reference, softmax(np.concatenate(hidden))])
     y = int(np.argmax(probs[0]))
     loss = -np.log(probs[:, y])
     return dict(zip(eids, (np.abs(loss[1:] - loss[0]) / step).tolist()))

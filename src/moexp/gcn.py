@@ -1,16 +1,16 @@
-"""Forward-only graph convolution with subgraph restriction and edge masks.
+"""Forward-only graph convolution over a target's ball or a restricted tree.
 
-Two routines run the layers: ``_propagate`` on a target's ball, and
-``layers_hidden`` on a batch of trees given as message lists, one per
-neighbour slot. ``trees_hidden`` feeds it batches of restricted trees;
-grad-fd's masked passes, whose trees are copies of the ball, feed it
-directly. Both sum a node's messages in ascending neighbour id order, so
-they agree bit for bit.
+One routine runs the layers: ``layers_hidden``, on a batch of trees given
+as message lists, one per neighbour slot. A pass over a target's ball is
+a batch of one tree; ``trees_hidden`` feeds it batches of restricted
+trees, and grad-fd's damped passes, whose trees are copies of the ball,
+feed it directly. A node sums its messages in ascending neighbour id
+order, whatever the batch, so every pass agrees with the whole graph's.
 
 Aggregation at every layer is a plain sum of the node's own state and the
 states of its in-scope neighbors (no degree normalization; an optional mean
 aggregator divides by the message count). The node's own contribution is
-always included when ``self_loop`` is set and is never subject to masking.
+always included when ``self_loop`` is set and is never scaled.
 The update is ``act(weights.T @ agg)``; by default the activation is skipped
 at the last layer so the output feeds a softmax, but ``final_activation``
 forces it on for models whose last layer is a plain structural equation.
@@ -18,7 +18,7 @@ forces it on for models whose last layer is a plain structural equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -49,7 +49,10 @@ def softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     if z.ndim != 2:
         z = z.reshape(-1)
-    z = z - z.max(axis=-1, keepdims=True)
+    # A logit far below the top one can overflow to -inf here, which
+    # exp maps to exactly 0.
+    with np.errstate(over="ignore"):
+        z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -139,52 +142,6 @@ def load_weights(doc: Mapping) -> Model:
     return model
 
 
-def _check_mask(mask) -> None:
-    for eid, w in mask.items():
-        if not 0.0 <= float(w) <= 1.0:
-            raise ValueError(f"mask weight out of range for edge {eid}: {w}")
-
-
-def _propagate(model: Model, h: np.ndarray, incidence, depth: int, rows, mask=None, extra_message=None, min_rows=1):
-    """States after the first ``depth`` layers, starting from the rows of ``h``.
-
-    ``incidence[i]`` lists (neighbor row, parent-graph edge id) pairs of row
-    i. Layer li computes the leading ``rows[li]`` rows (each of them reads
-    only rows that the layer before computed). ``mask`` scales messages by
-    edge id; ``extra_message`` joins row 0's aggregation at the model's last
-    layer. A layer's product gets zero rows appended up to ``min_rows``:
-    NumPy multiplies a single row by a different BLAS routine than a matrix
-    of several, whose rounding can differ. An overflow or invalid operation
-    raises ``FloatingPointError`` instead of leaving inf or NaN.
-    """
-    _check_width(model, h)
-    with np.errstate(over="raise", invalid="raise"):
-        for li in range(depth):
-            weights = model.layers[li]
-            last = li == model.depth - 1
-            n = rows[li]
-            agg = np.zeros((max(n, min_rows), weights.shape[0]))
-            for i in range(n):
-                if model.self_loop:
-                    acc = h[i].copy()
-                    count = 1
-                else:
-                    acc = np.zeros(weights.shape[0])
-                    count = 0
-                for j, eid in incidence[i]:
-                    acc += h[j] if mask is None else float(mask.get(eid, 1.0)) * h[j]
-                    count += 1
-                if last and extra_message is not None and i == 0:
-                    acc = acc + np.asarray(extra_message, dtype=float).reshape(-1)
-                    count += 1
-                if model.mean_aggregate and count:
-                    acc = acc / count
-                agg[i] = acc
-            z = (agg @ weights)[:n]
-            h = _activate(model.activation, z) if (not last or model.final_activation) else z
-    return h
-
-
 def _check_width(model: Model, features: np.ndarray) -> None:
     if features.shape[1] != model.input_dim:
         raise ValueError(
@@ -200,7 +157,6 @@ def trees_hidden(
     depth: np.ndarray,
     slots: np.ndarray,
     node: int,
-    weights: np.ndarray | None = None,
     extra_message: np.ndarray | None = None,
 ) -> np.ndarray:
     """Last-layer state of the target of each tree in a batch of same-size
@@ -209,25 +165,37 @@ def trees_hidden(
     Tree b's nodes are the rows ``rows[b]`` of ``features``, its target
     first; ``depth[b]`` holds their hops from the target inside the tree,
     and ``slots[b, i]`` the positions in ``rows[b]`` of node i's neighbours,
-    ascending by global node id and padded with -1. ``weights[b, i, s]``,
-    when given, scales the message of slot s (an edge mask);
-    ``extra_message`` joins each target's aggregation at the last layer.
-    The batch runs through ``layers_hidden``, one message list per slot.
+    ascending by global node id and padded with -1. ``extra_message`` joins
+    each target's aggregation at the last layer. The batch runs through
+    ``layers_hidden``, one message list per slot.
     """
     count, k = rows.shape
-    flat = slots.reshape(count * k, -1)
-    if weights is not None:
-        weights = weights.reshape(count * k, -1)
     messages = []
-    for s, column in enumerate(flat.T):
+    for column in slots.reshape(count * k, -1).T:
         at = np.flatnonzero(column >= 0)
         if not at.size:
             break  # slots are padded at the end, so no later slot is used
         # Neighbour slots as rows of the flattened batch.
-        source = column[at] + at // k * k
-        messages.append((at, source, None if weights is None else weights[at, s]))
+        messages.append((at, column[at] + at // k * k, None))
     h = features[rows.reshape(-1)]
     return layers_hidden(model, h, depth.reshape(-1), messages, node, k, extra_message)
+
+
+def ball_messages(ball: Ball, hops: int) -> tuple:
+    """The messages of a pass that reads the ball nodes within ``hops``
+    hops, as (node, neighbour, edge id, bounds): local ids and global edge
+    ids, one slot after another and ascending by node within a slot, so
+    ``np.split(column, bounds)`` gives one array per slot. Only the nodes
+    within ``hops - 1`` hops receive messages, and slot s of a node is the
+    s-th entry of its ``ball.incidence``.
+    """
+    entries = sorted(
+        (s, i, j, eid)
+        for i, pairs in enumerate(ball.incidence[: ball.within[hops - 1]])
+        for s, (j, eid) in enumerate(pairs)
+    )
+    slot, node, neighbour, eid = np.array(entries, dtype=np.intp).reshape(-1, 4).T
+    return node, neighbour, eid, np.flatnonzero(np.diff(slot)) + 1
 
 
 def layers_hidden(
@@ -241,11 +209,12 @@ def layers_hidden(
     tree_products: bool = False,
 ) -> np.ndarray:
     """Last-layer state of each target in a batch of trees whose nodes are
-    the rows of ``h``, before the softmax: one row per tree.
+    the rows of ``h``, before the softmax: one row per target.
 
     ``hops`` holds each row's hops from its tree's target, so the targets
-    are the rows at 0, in order. ``messages`` lists one slot after another
-    as (row, source, scale) arrays: each row adds ``h[source]``, times its
+    are the rows at 0, in order; a tree may have several, as the ball pass
+    of ``node_embeddings`` has. ``messages`` lists one slot after another as
+    (row, source, scale) arrays: each row adds ``h[source]``, times its
     ``scale`` when that is not None, and no row appears twice in a slot.
     ``extra_message`` joins each target's aggregation at the last layer.
 
@@ -253,14 +222,16 @@ def layers_hidden(
     over its tree alone does, so a -0.0 stays -0.0. Layer l computes only
     the rows within L - 1 - l hops of their target, the ones its output
     reads, so a node that cannot reach it never overflows the batch. Each
-    layer is one product over the batch, padded to two rows unless the
-    trees have one node (``tree_size``; see ``_propagate``). For some layer
-    shapes a product's rounding depends on its row count, so a batch can
-    round a tree differently from a pass over it alone. ``tree_products``,
-    for batches whose trees all have the same number of rows at each
-    layer, makes each product a stack of one padded product per tree,
-    which gives every tree exactly the bits of a pass over it alone. An
-    overflow or invalid operation raises ``ValueError`` naming ``node``.
+    layer is one product over the batch, padded to two rows unless
+    ``tree_size`` is 1: NumPy multiplies a single row by a different BLAS
+    routine than a matrix of several, whose rounding can differ. For some
+    layer shapes a product's rounding depends on its row count, so a batch
+    can round a tree differently from a pass over it alone.
+    ``tree_products``, for batches of one target per tree whose trees all
+    have the same number of rows at each layer, makes each product a stack
+    of one padded product per tree, which gives every tree exactly the
+    bits of a pass over it alone. An overflow or invalid operation raises
+    ``ValueError`` naming ``node``.
     """
     _check_width(model, h)
     trees = np.count_nonzero(hops == 0)
@@ -306,28 +277,23 @@ def layers_hidden(
         raise ValueError(f"forward pass at node {node}: {exc}") from None
 
 
-def _tree_table(graph: Graph, sub: Subgraph, mask: Mapping | None):
+def _tree_table(graph: Graph, sub: Subgraph):
     """``sub`` as a one-tree batch for ``trees_hidden``: (rows, depth,
-    slots, weights), with global node ids as rows, the target first and
-    then ascending, and each slot's ``mask`` weight (None without a mask).
-    A node that the target cannot reach through ``sub`` gets a depth beyond
-    every layer, so no layer computes it."""
+    slots), with global node ids as rows, the target first and then
+    ascending. A node that the target cannot reach through ``sub`` gets a
+    depth beyond every layer, so no layer computes it."""
     nodes = [sub.target] + [u for u in sub.node_set if u != sub.target]
     local = {u: i for i, u in enumerate(nodes)}
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    adjacent: list[list[int]] = [[] for _ in nodes]
     for eid in sub.edge_set:
         a, b = graph.edges[eid]
-        adjacent[local[a]].append((b, eid))
-        adjacent[local[b]].append((a, eid))
+        adjacent[local[a]].append(b)
+        adjacent[local[b]].append(a)
     k = len(nodes)
     slots = np.full((k, k - 1), -1)
-    weights = None if mask is None else np.ones((k, k - 1))
-    for i, pairs in enumerate(adjacent):
-        pairs.sort()
-        for s, (u, eid) in enumerate(pairs):
-            slots[i, s] = local[u]
-            if mask is not None:
-                weights[i, s] = float(mask.get(eid, 1.0))
+    for i, nbrs in enumerate(adjacent):
+        nbrs.sort()
+        slots[i, : len(nbrs)] = [local[u] for u in nbrs]
     depth = np.full(k, np.iinfo(np.intp).max)
     depth[0] = 0
     queue = [0]
@@ -336,7 +302,27 @@ def _tree_table(graph: Graph, sub: Subgraph, mask: Mapping | None):
             if depth[j] > depth[i] + 1:
                 depth[j] = depth[i] + 1
                 queue.append(j)
-    return np.array([nodes]), depth[None], slots[None], None if mask is None else weights[None]
+    return np.array([nodes]), depth[None], slots[None]
+
+
+def _ball_pass(model: Model, ball: Ball, hops: int, extra_message: np.ndarray | None = None) -> np.ndarray:
+    """States after the model's layers of the ball nodes within ``hops -
+    model.depth`` hops, in local order, each from its full neighbourhood.
+
+    The pass reads the nodes within ``hops`` hops as one tree for
+    ``layers_hidden``, whose targets are the output rows: a node's hops
+    count from them, ``ball.distance`` shifted down by ``hops -
+    model.depth``. A product is padded to two rows whenever the graph has
+    two nodes, as the whole graph's products are, so a one-row product
+    rounds as the whole graph's pass does.
+    """
+    node, neighbour, _, bounds = ball_messages(ball, hops)
+    messages = [(i, j, None) for i, j in zip(np.split(node, bounds), np.split(neighbour, bounds))]
+    k = ball.within[hops]
+    shifted = np.maximum(np.asarray(ball.distance[:k]) - (hops - model.depth), 0)
+    return layers_hidden(
+        model, ball.features[:k], shifted, messages, ball.target, ball.graph.node_count, extra_message
+    )
 
 
 def forward_hidden(
@@ -344,7 +330,6 @@ def forward_hidden(
     graph: Graph,
     v: int,
     restrict: Subgraph | None = None,
-    mask: Mapping | None = None,
     extra_message: np.ndarray | None = None,
     ball: Ball | None = None,
 ) -> np.ndarray:
@@ -353,35 +338,25 @@ def forward_hidden(
     ``restrict`` limits both the node scope and the usable edges to an
     edge-induced subgraph whose target must be v; nodes outside it
     contribute nothing. Such a pass runs ``trees_hidden`` on the one-tree
-    batch of ``_tree_table``. ``mask`` scales messages per parent-graph edge
-    id (default weight 1; the self contribution is never masked).
-    ``extra_message`` is added to v's aggregation at the last layer.
+    batch of ``_tree_table``. ``extra_message`` is added to v's aggregation
+    at the last layer.
 
     Without ``restrict`` the pass runs on v's ball (``ball``, of at least
     the model's depth in hops, or a new one): an L-layer state of v reads
     only nodes within L hops, and layer l computes only the nodes within
-    L - l hops, each from its full neighborhood, so the result is the
+    L - 1 - l hops, each from its full neighborhood, so the result is the
     whole graph's pass at v.
     """
     if not 0 <= v < graph.node_count:
         raise ValueError(f"node id out of range: {v}")
     if restrict is not None and restrict.target != v:
         raise ValueError("target not in subgraph: restriction is anchored elsewhere")
-    if mask:
-        _check_mask(mask)
 
     if restrict is not None:
-        rows, depth, slots, weights = _tree_table(graph, restrict, mask)
-        return trees_hidden(model, graph.features, rows, depth, slots, v, weights, extra_message)[0]
+        rows, depth, slots = _tree_table(graph, restrict)
+        return trees_hidden(model, graph.features, rows, depth, slots, v, extra_message)[0]
     ball = target_ball(graph, v, model.depth, ball)
-    rows = [ball.within[model.depth - 1 - li] for li in range(model.depth)]
-    try:
-        h = _propagate(
-            model, ball.features, ball.incidence, model.depth, rows, mask, extra_message, min(2, graph.node_count)
-        )
-    except FloatingPointError as exc:
-        raise ValueError(f"forward pass at node {v}: {exc}") from None
-    return h[0].copy()
+    return _ball_pass(model, ball, model.depth, extra_message)[0]
 
 
 def forward(
@@ -389,17 +364,16 @@ def forward(
     graph: Graph,
     v: int,
     restrict: Subgraph | None = None,
-    mask: Mapping | None = None,
     extra_message: np.ndarray | None = None,
     ball: Ball | None = None,
 ) -> np.ndarray:
     """Class distribution at node v under the (possibly restricted) forward pass."""
-    return softmax(forward_hidden(model, graph, v, restrict, mask, extra_message, ball))
+    return softmax(forward_hidden(model, graph, v, restrict, extra_message, ball))
 
 
 def node_embeddings(model: Model, ball: Ball, depth_limit: int) -> np.ndarray:
-    """States after ``depth_limit`` layers of the unmasked pass, one row per
-    ball node within ``ball.hops - depth_limit`` hops, in local order.
+    """States after ``depth_limit`` layers of the pass, one row per ball
+    node within ``ball.hops - depth_limit`` hops, in local order.
 
     These are the nodes whose ``depth_limit``-layer state reads only the
     ball, so each row equals that node's state in the whole graph.
@@ -408,18 +382,9 @@ def node_embeddings(model: Model, ball: Ball, depth_limit: int) -> np.ndarray:
     """
     if not 0 <= depth_limit <= min(model.depth, ball.hops):
         raise ValueError("depth_limit out of range")
-    rows = [ball.within[ball.hops - 1 - li] for li in range(depth_limit)]
-    try:
-        return _propagate(
-            model, ball.features, ball.incidence, depth_limit, rows, min_rows=min(2, ball.graph.node_count)
-        )
-    except FloatingPointError as exc:
-        raise ValueError(f"forward pass: {exc}") from None
-
-
-def masked_loss(model: Model, graph: Graph, v: int, y: int, mask: Mapping | None, ball: Ball | None = None) -> float:
-    """Negative log-probability of class y at v under the masked forward pass."""
-    probs = forward(model, graph, v, mask=mask, ball=ball)
-    if not 0 <= y < probs.size:
-        raise ValueError(f"class index out of range: {y}")
-    return float(-np.log(probs[y]))
+    if depth_limit == 0:
+        _check_width(model, ball.features)
+        return ball.features
+    final = model.final_activation or depth_limit < model.depth
+    head = replace(model, layers=model.layers[:depth_limit], final_activation=final)
+    return _ball_pass(head, ball, ball.hops)

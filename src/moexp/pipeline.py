@@ -122,7 +122,9 @@ def explain_node(
     if method == "random":
         weights = baselines.random_weights(graph, target, config, seed, ball)
     elif method == "grad-fd":
-        weights = baselines.grad_weights_fd(model, graph, target, fd_step, config.diameter, ball)
+        # The scorer's pass is the model's own unless a reference overrides it.
+        reference = scorer.full_distribution if reference_distribution is None else None
+        weights = baselines.grad_weights_fd(model, graph, target, fd_step, config.diameter, ball, reference)
     elif method == "grad-analytic":
         weights = baselines.grad_weights_analytic(model, graph, target, config.diameter, ball)
     else:

@@ -16,7 +16,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from moexp import Graph, build_graph, forward, masked_loss, neighborhood_edge_ids, target_ball
+from moexp import Graph, build_graph, forward, neighborhood_edge_ids, softmax, target_ball
 from moexp.analysis import confounder_set
 from moexp.cli import top_count
 from moexp.io import FormatError
@@ -279,12 +279,45 @@ def restricted_hidden(model, graph, v, restrict, mask=None, extra_message=None):
     return h[local[v]]
 
 
-def _row_loop(model, h, incidence, depth, mask, extra_message, at):
+def ball_hidden(model, graph, v, mask=None, extra_message=None, ball=None):
+    """Last-layer state of v by the per-row loop over v's ball.
+
+    This is how ``forward_hidden`` ran before ball passes used the tree
+    kernel: layer l computes the leading ball rows within L - 1 - l hops,
+    each over its ``ball.incidence`` in order, and a product gets zero rows
+    up to ``min(2, graph.node_count)``, as one over the whole graph has.
+    ``mask`` scales messages by edge id; ``extra_message`` joins v's
+    aggregation at the last layer. An overflow or invalid operation raises
+    the package's ``ValueError``.
+    """
+    ball = target_ball(graph, v, model.depth, ball)
+    rows = [ball.within[model.depth - 1 - li] for li in range(model.depth)]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            h = _row_loop(
+                model, ball.features, ball.incidence, model.depth, mask, extra_message, 0, rows,
+                min(2, graph.node_count),
+            )
+    except FloatingPointError as exc:
+        raise ValueError(f"forward pass at node {v}: {exc}") from None
+    return h[0]
+
+
+def masked_loss(model, graph, v, y, mask, ball=None):
+    """Negative log-probability of class y at v under the masked ball loop."""
+    return float(-np.log(softmax(ball_hidden(model, graph, v, mask, ball=ball))[y]))
+
+
+def _row_loop(model, h, incidence, depth, mask, extra_message, at, rows=None, min_rows=1):
+    """States after ``depth`` layers; layer l computes the leading ``rows[l]``
+    rows (every row without ``rows``) in one product of at least
+    ``min_rows`` rows."""
     for li in range(depth):
         weights = model.layers[li]
         last = li == model.depth - 1
-        agg = np.zeros((len(incidence), weights.shape[0]))
-        for i, pairs in enumerate(incidence):
+        n = len(incidence) if rows is None else rows[li]
+        agg = np.zeros((max(n, min_rows), weights.shape[0]))
+        for i, pairs in enumerate(incidence[:n]):
             acc = h[i].copy() if model.self_loop else np.zeros(weights.shape[0])
             count = 1 if model.self_loop else 0
             for j, eid in pairs:
@@ -296,13 +329,13 @@ def _row_loop(model, h, incidence, depth, mask, extra_message, at):
             if model.mean_aggregate and count:
                 acc = acc / count
             agg[i] = acc
-        z = agg @ weights
+        z = (agg @ weights)[:n]
         h = _package_activation(model.activation, z) if (not last or model.final_activation) else z
     return h
 
 
 def reference_grad_weights_fd(model, graph, target, step, diameter=None, ball=None):
-    """Finite-difference edge saliency by one masked ``forward`` per edge.
+    """Finite-difference edge saliency by one masked ball loop per edge.
 
     This is how ``grad_weights_fd`` ran before its passes were batched: the
     unmasked pass, then one ``masked_loss`` per neighbourhood edge in id
@@ -313,7 +346,7 @@ def reference_grad_weights_fd(model, graph, target, step, diameter=None, ball=No
     if diameter is None:
         diameter = model.depth
     ball = target_ball(graph, target, max(diameter, model.depth), ball)
-    probs = forward(model, graph, target, ball=ball)
+    probs = softmax(ball_hidden(model, graph, target, ball=ball))
     y = int(np.argmax(probs))
     base = float(-np.log(probs[y]))
     weights = {}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moexp.baselines
 import moexp.gcn
 from moexp import (
     ACTIVATIONS,
@@ -26,7 +27,7 @@ from moexp.cli import main
 from moexp.io import graph_to_doc, load_edge_weights, load_graph, load_model, save_model
 from moexp.synth import synth_graph
 
-from oracles import full_distances, full_states, random_graph
+from oracles import ball_hidden, full_distances, full_states, random_graph
 
 INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -55,11 +56,48 @@ def test_ball_pass_equals_full_pass_bitwise(seed, depth, activation, self_loop, 
     v = int(rng.integers(0, g.node_count))
     mask = {eid: float(rng.random()) for eid in range(g.edge_count) if rng.random() < 0.5} if masked else None
     message = rng.standard_normal(m.layers[-1].shape[0]) if extra else None
-    want = full_states(m, g, depth, mask, message, v)[v]
-    assert forward_hidden(m, g, v, mask=mask, extra_message=message).tobytes() == want.tobytes()
-    # A larger ball gives the same bits.
+    want = full_states(m, g, depth, mask, message, v)[v].tobytes()
+    # A larger ball gives the same bits. The package has no masked pass:
+    # masked draws check the oracles' masked ball loop, which grad-fd's
+    # damped passes are checked against.
     ball = canonical_order(g, v, depth + int(rng.integers(1, 3)))
-    assert forward_hidden(m, g, v, mask=mask, extra_message=message, ball=ball).tobytes() == want.tobytes()
+    assert ball_hidden(m, g, v, mask, message).tobytes() == want
+    assert ball_hidden(m, g, v, mask, message, ball).tobytes() == want
+    if mask is None:
+        assert forward_hidden(m, g, v, extra_message=message).tobytes() == want
+        assert forward_hidden(m, g, v, extra_message=message, ball=ball).tobytes() == want
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.one_of(st.integers(1, 4), st.sampled_from([16, 33])), min_size=1, max_size=3),
+    st.sampled_from(ACTIVATIONS),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_reference_pass_equals_the_ball_loop_bitwise(seed, dims, activation, self_loop, mean, final, isolated, extra):
+    # Layer inputs of 16 or 33 columns, where a product's rounding can
+    # depend on its row count, and isolated targets in graphs of several
+    # nodes, whose one-row products are padded as the whole graph's are.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 10))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    v = int(rng.integers(0, n))
+    if isolated:
+        edges = [e for e in edges if v not in e]
+    g = build_graph(rng.standard_normal((n, dims[0])), edges)
+    dims = dims + [int(rng.integers(2, 4))]
+    layers = tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(len(dims) - 1))
+    m = Model(layers, activation, self_loop, mean, final)
+    message = rng.standard_normal(dims[-2]) if extra else None
+    ball = canonical_order(g, v, m.depth + int(rng.integers(0, 3)))
+    want = ball_hidden(m, g, v, extra_message=message).tobytes()
+    assert forward_hidden(m, g, v, extra_message=message).tobytes() == want
+    assert forward_hidden(m, g, v, extra_message=message, ball=ball).tobytes() == want
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(ACTIVATIONS), st.booleans(), st.booleans())
@@ -133,13 +171,16 @@ def test_explain_node_does_not_depend_on_graph_size(monkeypatch):
     large = _with_far_path(small, 20_000)
     assert large.edges[: small.edge_count] == small.edges
     seen = []
-    propagate = moexp.gcn._propagate
+    kernel = moexp.gcn.layers_hidden
 
-    def counting(model, h, incidence, *args, **kwargs):
-        seen.append(max(len(h), len(incidence)))
-        return propagate(model, h, incidence, *args, **kwargs)
+    def counting(model, h, hops, *args, **kwargs):
+        # Node rows per target: a batch of trees holds one target per tree,
+        # and a ball pass over all of a ball's nodes one per output row.
+        seen.append(len(h) / np.count_nonzero(hops == 0))
+        return kernel(model, h, hops, *args, **kwargs)
 
-    monkeypatch.setattr(moexp.gcn, "_propagate", counting)
+    for module in (moexp.gcn, moexp.baselines):
+        monkeypatch.setattr(module, "layers_hidden", counting)
     config = EnumConfig(max_nodes=4, diameter=2)
     for target in range(small.node_count):
         for method in METHODS:
@@ -158,6 +199,21 @@ def _overflow_inputs(tmp_path):
     (tmp_path / "g.json").write_text(json.dumps(doc))
     save_model(model, tmp_path / "w.json")
     return graph, model
+
+
+def test_reference_pass_reads_only_the_models_reach():
+    # On the path 0-1-2-3, node 2's own sum 1e308 + 1e308 overflows. A
+    # 2-layer pass at node 0 reads node 2 but never computes it, though
+    # the ball of a 3-hop search holds node 3 too.
+    graph = build_graph([[1.0], [1.0], [1e308], [1e308]], [(0, 1), (1, 2), (2, 3)])
+    model = Model(layers=(np.array([[1.0]]), np.array([[1.0, -1.0]])))
+    config = EnumConfig(diameter=3)
+    result = explain_node(model, graph, 0, config, method="pareto-rank")
+    assert result.full_distribution.tolist() == [1.0, 0.0]
+    # grad-analytic takes the first layer's states of every node within
+    # D - 1 hops, node 2's among them.
+    with pytest.raises(ValueError, match="^forward pass at node 0: overflow encountered in add$"):
+        explain_node(model, graph, 0, config, method="grad-analytic")
 
 
 @pytest.mark.parametrize("method", ["pareto-rank", "grad-fd", "grad-analytic"])

@@ -13,6 +13,7 @@ from moexp import (
     Model,
     build_graph,
     enumerate_subgraphs,
+    explain_node,
     forward,
     grad_weights_analytic,
     grad_weights_fd,
@@ -357,7 +358,7 @@ def test_grad_fd_splits_a_hub_into_bounded_batches(monkeypatch):
         assert [(k, float.hex(v)) for k, v in weights.items()] == [
             (k, float.hex(v)) for k, v in reference_grad_weights_fd(model, graph, target, 0.25).items()
         ]
-        assert sum(rows for rows, _, _ in batches) == n
+        assert sum(rows for rows, _, _ in batches) == n - 1  # one damped pass per edge
         assert len(batches) > 1
         for rows, states, messages in batches:
             assert states + messages <= FD_BATCH_ENTRIES
@@ -366,9 +367,12 @@ def test_grad_fd_splits_a_hub_into_bounded_batches(monkeypatch):
 
 
 def test_grad_fd_is_one_kernel_call_and_no_forward(monkeypatch):
+    # Given the reference distribution, grad-fd runs only its damped passes;
+    # without it, one forward pass besides.
     rng = np.random.default_rng(5)
     graph = random_graph(rng, max_nodes=9, min_nodes=6, edge_prob=0.5)
     model = random_model(rng)
+    reference = forward(model, graph, 0)
     calls = {"layers_hidden": 0, "trees_hidden": 0, "forward": 0}
 
     def counted(name, original):
@@ -381,9 +385,44 @@ def test_grad_fd_is_one_kernel_call_and_no_forward(monkeypatch):
         for module in (moexp.baselines, moexp.gcn):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    weights = grad_weights_fd(model, graph, 0, 1e-3)
+    weights = grad_weights_fd(model, graph, 0, 1e-3, reference=reference)
     assert len(weights) > 1
     assert calls == {"layers_hidden": 1, "trees_hidden": 0, "forward": 0}
+    assert grad_weights_fd(model, graph, 0, 1e-3) == weights
+    assert calls == {"layers_hidden": 3, "trees_hidden": 0, "forward": 1}
+
+
+def test_grad_fd_node_runs_one_reference_pass(monkeypatch):
+    # explain_node hands the scorer's pass to grad-fd. A reference
+    # distribution that overrides it is not the model's, so grad-fd then
+    # runs the model's own pass.
+    rng = np.random.default_rng(8)
+    graph = random_graph(rng, max_nodes=9, min_nodes=6, edge_prob=0.5)
+    model = random_model(rng)
+    config = EnumConfig(max_nodes=3, diameter=2)
+    want = grad_weights_fd(model, graph, 0, 1e-4, config.diameter)
+    passes, weights = [], []
+    forward_hidden, fd = moexp.gcn.forward_hidden, moexp.baselines.grad_weights_fd
+
+    def counted(model, graph, v, restrict=None, *args, **kwargs):
+        if restrict is None:
+            passes.append(v)
+        return forward_hidden(model, graph, v, restrict, *args, **kwargs)
+
+    def kept(*args, **kwargs):
+        weights.append(fd(*args, **kwargs))
+        return weights[-1]
+
+    monkeypatch.setattr(moexp.gcn, "forward_hidden", counted)
+    monkeypatch.setattr(moexp.baselines, "grad_weights_fd", kept)
+    for override in (None, forward(model, graph, 0)[::-1]):
+        passes.clear()
+        weights.clear()
+        explain_node(model, graph, 0, config, method="grad-fd", reference_distribution=override)
+        assert passes == [0]
+        assert [[(k, float.hex(v)) for k, v in w.items()] for w in weights] == [
+            [(k, float.hex(v)) for k, v in want.items()]
+        ]
 
 
 def _outcome(fn, *args):

@@ -14,14 +14,13 @@ from moexp import (
     forward_hidden,
     load_weights,
     make_subgraph,
-    masked_loss,
     node_embeddings,
     softmax,
 )
 
 from moexp.gcn import trees_hidden
 
-from oracles import random_graph, random_model, restricted_hidden, standalone_distribution
+from oracles import ball_hidden, masked_loss, random_graph, random_model, restricted_hidden, standalone_distribution
 
 
 def test_isolated_node_identity_layer():
@@ -33,14 +32,10 @@ def test_isolated_node_identity_layer():
 
 
 def test_all_ones_mask_is_identity(chain_graph, chain_model):
+    # The masked ball loop of the oracles, with every weight 1, is the pass.
     plain = forward(chain_model, chain_graph, 2)
-    masked = forward(chain_model, chain_graph, 2, mask={0: 1.0, 1: 1.0, 2: 1.0})
+    masked = softmax(ball_hidden(chain_model, chain_graph, 2, mask={0: 1.0, 1: 1.0, 2: 1.0}))
     assert np.array_equal(plain, masked)
-
-
-def test_mask_out_of_range_rejected(chain_graph, chain_model):
-    with pytest.raises(ValueError, match="mask weight out of range"):
-        forward(chain_model, chain_graph, 2, mask={0: 1.5})
 
 
 def test_restrict_anchored_elsewhere_rejected(chain_graph, chain_model):
@@ -108,14 +103,14 @@ def test_masked_loss_all_ones_equals_nll(chain_graph, chain_model):
 def test_masked_loss_goes_to_zero_when_certain():
     g = build_graph([[50.0, 0.0]], [])
     m = Model(layers=(np.eye(2),))
-    assert masked_loss(m, g, 0, 0, {}) < 1e-20
+    assert masked_loss(m, g, 0, 0, {}) == float(-np.log(forward(m, g, 0)[0])) < 1e-20
 
 
 def test_mask_outside_receptive_field_is_inert():
     # path 0-1-2-3-4, two-layer model, target 0: edge (3,4) is 3 hops out
     g = build_graph([[1.0], [2.0], [3.0], [4.0], [5.0]], [(0, 1), (1, 2), (2, 3), (3, 4)])
     m = Model(layers=(np.array([[1.0]]), np.array([[1.0, -1.0]])), activation="relu")
-    base = masked_loss(m, g, 0, 0, {})
+    base = float(-np.log(forward(m, g, 0)[0]))
     assert masked_loss(m, g, 0, 0, {3: 0.0}) == base
 
 
@@ -162,6 +157,11 @@ def test_softmax_saturated_logits_underflow_to_zero():
     assert p[0] == 1.0 and p[1] == 0.0
 
 
+def test_softmax_of_logits_whose_gap_overflows_is_exact():
+    # 1e308 - (-1e308) overflows to inf, whose exp is exactly 0: no warning.
+    assert softmax([1e308, -1e308]).tolist() == [1.0, 0.0]
+
+
 def test_node_embeddings_depth_zero_is_features(chain_graph, chain_model):
     ball = canonical_order(chain_graph, 2, 2)
     emb = node_embeddings(chain_model, ball, 0)
@@ -197,17 +197,6 @@ def test_forward_deterministic(seed):
     assert np.array_equal(forward(m, g, v), forward(m, g, v))
 
 
-def _slot_weights(enum, batch, k, mask, graph):
-    """Mask weight of every slot of the trees ``batch`` (size ``k``), by edge id."""
-    ids = np.asarray(enum.ball.nodes)[enum.rows[batch, :k]]
-    slots = enum.slots[batch, :k, : k - 1]
-    weights = np.ones(slots.shape)
-    for b, i, s in zip(*np.nonzero(slots >= 0)):
-        eid = graph.edge_id(int(ids[b, i]), int(ids[b, slots[b, i, s]]))
-        weights[b, i, s] = mask.get(eid, 1.0)
-    return weights
-
-
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 3),
@@ -216,11 +205,10 @@ def _slot_weights(enum, batch, k, mask, graph):
     st.booleans(),
     st.booleans(),
     st.booleans(),
-    st.booleans(),
     st.integers(1, 5),
 )
 @settings(max_examples=200, deadline=None)
-def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, self_loop, mean, final, masked, extra, size):
+def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, self_loop, mean, final, extra, size):
     # Layer inputs stay narrower than 16, and than 8 before a one-column
     # layer: there the BLAS rounds a row of a product the same whatever else
     # the product holds, so a batch and a pass per tree agree bit for bit.
@@ -233,22 +221,20 @@ def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, sel
     layers = tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth))
     m = Model(layers, activation, self_loop, mean, final)
     v = int(rng.integers(0, g.node_count))
-    mask = {eid: float(rng.random()) for eid in range(g.edge_count) if rng.random() < 0.5} if masked else None
     message = rng.standard_normal(dims[-2]) if extra else None
     enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=size, diameter=int(rng.integers(1, 4))))
-    want = [restricted_hidden(m, g, v, sub, mask, message).tobytes() for sub in enum.subgraphs]
+    want = [restricted_hidden(m, g, v, sub, extra_message=message).tobytes() for sub in enum.subgraphs]
     # One tree per pass, through the public API.
     for sub, bits in zip(enum.subgraphs, want):
-        assert forward_hidden(m, g, v, restrict=sub, mask=mask, extra_message=message).tobytes() == bits
+        assert forward_hidden(m, g, v, restrict=sub, extra_message=message).tobytes() == bits
     # All trees of one size in one batch from the candidate table, and a
     # batch of a single tree.
     for k in np.unique(enum.sizes):
         every = np.flatnonzero(enum.sizes == k)
         for batch in (every, every[rng.integers(0, every.size, 1)]):
-            weights = None if mask is None else _slot_weights(enum, batch, k, mask, g)
             got = trees_hidden(
                 m, enum.ball.features, enum.rows[batch, :k], enum.depth[batch, :k],
-                enum.slots[batch, :k, : k - 1], v, weights, message,
+                enum.slots[batch, :k, : k - 1], v, message,
             )
             assert [row.tobytes() for row in got] == [want[i] for i in batch]
 

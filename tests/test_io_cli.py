@@ -601,6 +601,17 @@ def test_cli_child_exits_without_interpreter_teardown(tmp_path, fixtures_dir, mo
         assert not marker.exists()
 
 
+def test_cli_child_is_silent_on_logits_whose_gap_overflows(tmp_path):
+    # Target 0's logits are about +-1e308: their softmax subtracts one from
+    # the other, which overflows to -inf and gives exactly 0.
+    save_graph(build_graph([[1.0], [1.0], [1e308], [1e308]], [(0, 1), (1, 2), (2, 3)]), tmp_path / "g.json")
+    save_model(Model(layers=(np.array([[1.0]]), np.array([[1.0, -1.0]]))), tmp_path / "w.json")
+    argv = ["explain", "--graph", str(tmp_path / "g.json"), "--weights", str(tmp_path / "w.json")]
+    proc = _moexp_child("module", argv + ["--out", str(tmp_path / "out"), "--targets", "0", "-D", "3"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert _documents(tmp_path / "out")[0]["full_distribution"] == [1.0, 0.0]
+
+
 def test_cli_reports_missing_file_cleanly(tmp_path):
     code = main(
         ["explain", "--graph", str(tmp_path / "absent.json"), "--weights", str(tmp_path / "absent.json"),
