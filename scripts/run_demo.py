@@ -22,7 +22,7 @@ def main() -> None:
     graph, model = synth_graph(args.kind, seed=args.seed)
     config = EnumConfig(max_nodes=args.max_nodes, diameter=args.diameter)
     dist = forward(model, graph, args.target)
-    print(f"graph: {args.kind} seed={args.seed} ({graph.node_count} nodes, {len(graph.edges)} edges)")
+    print(f"graph: {args.kind} seed={args.seed} ({graph.node_count} nodes, {graph.edge_count} edges)")
     print(f"target {args.target}: full prediction {dist.round(4).tolist()}")
     print()
     print(f"{'method':<17}{'explanation nodes':<22}{'removed':<12}{'sim':>10}{'cf_rel':>10}")

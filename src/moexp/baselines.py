@@ -81,6 +81,12 @@ def _scorer(model, graph, target, config, epsilon, scorer) -> CandidateScorer:
     return scorer
 
 
+def _ball_edges(graph: Graph, ball: Ball) -> dict:
+    """The (lo, hi) pair of each edge between ``ball``'s nodes, keyed by edge id."""
+    ids = list(ball.edge_rank)
+    return dict(zip(ids, graph.endpoints(ids)))
+
+
 def _leaf_scan(scorer: CandidateScorer) -> list:
     """(candidate, leaf, candidate without the leaf, simulatability drop)
     tuples, the candidates as enumeration positions.
@@ -91,7 +97,7 @@ def _leaf_scan(scorer: CandidateScorer) -> list:
     leaf's pair differs by one node, so its relevance is the raw drop.
     """
     enumeration = scorer.enumeration
-    edges = scorer.graph.edges
+    edges = _ball_edges(scorer.graph, enumeration.ball)
     found = []
     for i, sub in enumerate(enumeration.subgraphs):
         for node in sub.node_set:
@@ -150,11 +156,12 @@ def set_shapley_value(
     scorer = _scorer(model, graph, target, config, epsilon, scorer)
     enumeration = scorer.enumeration
     sizes = enumeration.sizes
+    edges = _ball_edges(graph, enumeration.ball)
     pairs = []
     for i, sub in enumerate(enumeration.subgraphs):
         if not removed <= set(sub.node_set):
             continue
-        j = enumeration.index.get(tuple(e for e in sub.edge_set if not (set(graph.edges[e]) & removed)))
+        j = enumeration.index.get(tuple(e for e in sub.edge_set if not (set(edges[e]) & removed)))
         # The remainder keeps only nodes outside the set, so equal sizes mean equal node sets.
         if j is not None and sizes[i] - sizes[j] == len(removed):
             pairs.append((i, j))
@@ -203,7 +210,9 @@ def grad_weights_analytic(
     node j's state entering the last layer. The closed form only covers the
     target's own aggregation, so neighborhood edges not incident to the
     target are reported with weight 0. Every pass runs on the target's
-    ball (``ball``, of at least max(diameter, depth) hops, or a new one).
+    ball (``ball``, of at least max(diameter, depth) hops, or a new one)
+    and reads only its nodes within the model's depth in hops, as the
+    weights do.
     """
     if diameter is None:
         diameter = model.depth
@@ -212,15 +221,13 @@ def grad_weights_analytic(
     y = int(np.argmax(probs))
     margin = 1.0 - float(probs[y])
     theta_y = model.layers[-1][:, y]
-    states = node_embeddings(model, ball, model.depth - 1)
+    # The states of the target and its neighbours, the ball's first rows.
+    states = node_embeddings(model, ball, model.depth - 1, hops=model.depth)
+    neighbour = {eid: j for j, eid in ball.incidence[0]}
     weights = {}
     for eid in neighborhood_edge_ids(graph, target, diameter, ball):
-        u, w = graph.edges[eid]
-        if u == target or w == target:
-            j = w if u == target else u
-            weights[eid] = abs(margin * float(theta_y @ states[ball.node_rank[j]]))
-        else:
-            weights[eid] = 0.0
+        j = neighbour.get(eid)
+        weights[eid] = 0.0 if j is None else abs(margin * float(theta_y @ states[j]))
     return weights
 
 

@@ -97,7 +97,7 @@ def top_count(top_percent: float, pair_count: int) -> int:
 def _candidate_block(sub, distribution, simulatability, graph) -> dict:
     return {
         "edge_ids": list(sub.edge_set),
-        "edges": [[int(u), int(w)] for u, w in (graph.edges[e] for e in sub.edge_set)],
+        "edges": [list(pair) for pair in graph.endpoints(sub.edge_set)],
         "nodes": list(sub.node_set),
         "distribution": [float(x) for x in distribution],
         "simulatability": float(simulatability),

@@ -285,8 +285,7 @@ def _tree_table(graph: Graph, sub: Subgraph):
     nodes = [sub.target] + [u for u in sub.node_set if u != sub.target]
     local = {u: i for i, u in enumerate(nodes)}
     adjacent: list[list[int]] = [[] for _ in nodes]
-    for eid in sub.edge_set:
-        a, b = graph.edges[eid]
+    for a, b in graph.endpoints(sub.edge_set):
         adjacent[local[a]].append(b)
         adjacent[local[b]].append(a)
     k = len(nodes)
@@ -371,20 +370,24 @@ def forward(
     return softmax(forward_hidden(model, graph, v, restrict, extra_message, ball))
 
 
-def node_embeddings(model: Model, ball: Ball, depth_limit: int) -> np.ndarray:
-    """States after ``depth_limit`` layers of the pass, one row per ball
-    node within ``ball.hops - depth_limit`` hops, in local order.
+def node_embeddings(model: Model, ball: Ball, depth_limit: int, hops: int | None = None) -> np.ndarray:
+    """States after ``depth_limit`` layers of the pass that reads the ball
+    nodes within ``hops`` hops (``ball.hops`` by default): one row per node
+    within ``hops - depth_limit`` hops, in local order.
 
-    These are the nodes whose ``depth_limit``-layer state reads only the
-    ball, so each row equals that node's state in the whole graph.
-    ``depth_limit`` 0 returns the ball's features. Intermediate layers always
+    These are the nodes whose ``depth_limit``-layer state reads only those
+    nodes, so each row equals that node's state in the whole graph.
+    ``depth_limit`` 0 returns their feature rows. Intermediate layers always
     apply the activation, matching what the next layer would consume.
     """
-    if not 0 <= depth_limit <= min(model.depth, ball.hops):
+    hops = ball.hops if hops is None else hops
+    if not 0 <= hops <= ball.hops:
+        raise ValueError("hops out of range")
+    if not 0 <= depth_limit <= min(model.depth, hops):
         raise ValueError("depth_limit out of range")
     if depth_limit == 0:
         _check_width(model, ball.features)
-        return ball.features
+        return ball.features[: ball.within[hops]]
     final = model.final_activation or depth_limit < model.depth
     head = replace(model, layers=model.layers[:depth_limit], final_activation=final)
-    return _ball_pass(head, ball, ball.hops)
+    return _ball_pass(head, ball, hops)

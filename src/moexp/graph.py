@@ -8,6 +8,8 @@ stable across runs and input permutations.
 
 from __future__ import annotations
 
+import functools
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -21,19 +23,28 @@ MISSING_TARGET = "missing-target"
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Canonical in-memory form of an undirected graph.
+    """Canonical in-memory form of an undirected graph, held as NumPy arrays.
 
-    ``adjacency[v]`` lists neighbors ascending; ``incidence[v]`` pairs each
-    neighbor with the id of the connecting edge.
+    Edge e joins ``lo[e] < hi[e]``, and the edges are sorted by (lo, hi).
+    Node v's incidence is the run ``indptr[v]:indptr[v + 1]`` of
+    ``nbr_node``, its neighbours ascending, and of ``nbr_edge``, the ids of
+    the edges to them. These id arrays are read-only.
+
+    ``edges``, ``adjacency``, ``incidence`` and ``edge_index`` give the same
+    ids as Python tuples and a dict: ``adjacency[v]`` lists v's neighbours
+    ascending, ``incidence[v]`` pairs each with the id of the connecting
+    edge, and ``edge_index`` maps (lo, hi) to the edge id. Each view is
+    built on first use and kept; no per-node stage reads them.
     """
 
     node_count: int
     features: np.ndarray
     labels: tuple | None
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    incidence: tuple[tuple[tuple[int, int], ...], ...]
-    edge_index: dict = field(repr=False, default_factory=dict)
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    nbr_node: np.ndarray = field(repr=False)
+    nbr_edge: np.ndarray = field(repr=False)
 
     @property
     def feature_dim(self) -> int:
@@ -41,17 +52,58 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.lo)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        return tuple(self.nbr_node[self.indptr[v] : self.indptr[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def edge_id(self, u: int, w: int) -> int:
-        key = (u, w) if u < w else (w, u)
-        return self.edge_index[key]
+        """Id of the edge between u and w; ``KeyError`` when there is none."""
+        a, b = (u, w) if u < w else (w, u)
+        if 0 <= a and b < self.node_count:
+            start, stop = self.indptr[a], self.indptr[a + 1]
+            i = start + int(np.searchsorted(self.nbr_node[start:stop], b))
+            if i < stop and self.nbr_node[i] == b:
+                return int(self.nbr_edge[i])
+        raise KeyError((a, b))
+
+    def endpoints(self, ids) -> list:
+        """The (lo, hi) pair of each edge of ``ids``, as Python ints."""
+        ids = np.asarray(ids, dtype=np.intp)
+        return list(zip(self.lo[ids].tolist(), self.hi[ids].tolist()))
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.lo.tolist(), self.hi.tolist()))
+
+    @functools.cached_property
+    def edge_index(self) -> dict:
+        return dict(zip(self.edges, range(self.edge_count)))
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return self._per_node(self.nbr_node.tolist())
+
+    @functools.cached_property
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return self._per_node(list(zip(self.nbr_node.tolist(), self.nbr_edge.tolist())))
+
+    @functools.cached_property
+    def _scratch(self) -> threading.local:
+        """Per thread, an array of -1s, one per node: a ball writes its
+        nodes' local ids into it and puts the -1s back, so mapping the ball's
+        neighbour ids to local ids is one gather, and no ball allocates an
+        array the size of the graph. Threads of a ``--jobs`` run each get
+        their own."""
+        return threading.local()
+
+    def _per_node(self, items: list) -> tuple:
+        """``items``, one per CSR entry, as one tuple per node."""
+        stops = self.indptr.tolist()
+        return tuple(tuple(items[a:b]) for a, b in zip(stops, stops[1:]))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -59,7 +111,8 @@ class Graph:
         return (
             self.node_count == other.node_count
             and self.labels == other.labels
-            and self.edges == other.edges
+            and np.array_equal(self.lo, other.lo)
+            and np.array_equal(self.hi, other.hi)
             and np.array_equal(self.features, other.features)
         )
 
@@ -87,8 +140,8 @@ class CanonicalOrder:
     """Deterministic node and edge ranks relative to a target.
 
     ``node_rank[v]`` is the BFS discovery position from the target, ties
-    broken by ascending node id; unreachable nodes come last, ascending.
-    ``edge_rank[e]`` orders edges by the sorted pair of endpoint ranks.
+    broken by ascending node id; ``edge_rank[e]`` orders edges by the sorted
+    pair of endpoint ranks. A ``Ball`` holds them for its nodes and edges.
     """
 
     node_rank: tuple[int, ...]
@@ -104,12 +157,13 @@ class Ball(CanonicalOrder):
     first ``within[r]``. ``node_rank`` maps a global node id to its local
     id, ``distance[i]`` is local node i's hop distance, and ``features``
     holds the nodes' feature rows in local order. ``incidence[i]`` lists
-    (local neighbor, global edge id) pairs in the order of
-    ``graph.incidence``, so a sum over it adds the same terms in the same
-    order as over the graph; a node at exactly ``hops`` hops lists only its
-    neighbors inside the ball. ``edge_rank`` maps the global id of each
-    edge in the ball to its position among them, which orders them as the
-    unbounded canonical order does, since ball nodes take its first ranks.
+    (local neighbor, global edge id) pairs in the order of the graph's
+    incidence run, ascending by global neighbor id, so a sum over it adds
+    the same terms in the same order as over the graph; a node at exactly
+    ``hops`` hops lists only its neighbors inside the ball. ``edge_rank``
+    maps the global id of each edge in the ball to its position among them,
+    which orders them as the unbounded canonical order does, since ball
+    nodes take its first ranks.
     """
 
     graph: Graph = field(repr=False)
@@ -139,24 +193,18 @@ def build_graph(features, edges: Iterable[Sequence[int]], labels=None) -> Graph:
         label_tuple = tuple(None if l is None else int(l) for l in labels)
 
     lo, hi = _canonical_edges(edges, n)
-    # Ids as Python ints in object arrays: every tuple below that holds a
-    # node or edge id holds that id's one int object.
-    node_id, edge_id = np.arange(n).astype(object), np.arange(len(lo)).astype(object)
-    edge_list = tuple(zip(node_id[lo].tolist(), node_id[hi].tolist()))
-    edge_index = dict(zip(edge_list, edge_id.tolist()))
     # Each edge is listed at both of its ends; a node's entries sort by
     # neighbour, and the nodes' runs follow each other in id order.
     ends, nbrs = np.concatenate([lo, hi]), np.concatenate([hi, lo])
     # The keys are distinct, so any sort gives this order; "stable" is the
     # one _check_edges ran, which keeps a load to one sort routine's code.
     order = np.argsort(ends * n + nbrs, kind="stable")
-    nbr_list = node_id[nbrs[order]].tolist()
-    pairs = list(zip(nbr_list, np.tile(edge_id, 2)[order].tolist()))
-    stops = np.bincount(ends, minlength=n).cumsum().tolist()
-    spans = list(zip([0, *stops[:-1]], stops))
-    adjacency = tuple(tuple(nbr_list[a:b]) for a, b in spans)
-    incidence = tuple(tuple(pairs[a:b]) for a, b in spans)
-    return Graph(n, feats, label_tuple, edge_list, adjacency, incidence, edge_index)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    arrays = (lo, hi, indptr, nbrs[order], np.tile(np.arange(len(lo)), 2)[order])
+    for a in arrays:
+        a.flags.writeable = False
+    return Graph(n, feats, label_tuple, *arrays)
 
 
 def _feature_matrix(features) -> np.ndarray:
@@ -235,70 +283,60 @@ def _check_edges(raw, ids: np.ndarray, n: int):
     return lo[order], hi[order]
 
 
-def bfs_distances(graph: Graph, source: int) -> list:
-    """Hop distance from ``source`` to every node; None when unreachable."""
-    if not 0 <= source < graph.node_count:
-        raise ValueError(f"node id out of range: {source}")
-    dist: list = [None] * graph.node_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in graph.adjacency[u]:
-            if dist[w] is None:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
-def canonical_order(graph: Graph, target: int, hops: int | None = None) -> CanonicalOrder:
-    """Rank nodes by BFS from ``target`` and edges by their endpoint ranks.
-
-    With ``hops``, the BFS stops at that depth and the result is the
-    target's ``Ball``, whose ranks cover only the ball's nodes and edges.
-    """
+def canonical_order(graph: Graph, target: int, hops: int) -> Ball:
+    """The target's ``Ball`` of ``hops`` hops: one BFS that stops at that
+    depth, with canonical ranks for the ball's nodes and edges."""
     if not 0 <= target < graph.node_count:
         raise ValueError(f"node id out of range: {target}")
-    if hops is not None:
-        return _ball(graph, target, hops)
-    dist = bfs_distances(graph, target)
-    reachable = sorted((v for v in range(graph.node_count) if dist[v] is not None), key=lambda v: (dist[v], v))
-    unreachable = [v for v in range(graph.node_count) if dist[v] is None]
-    node_rank = [0] * graph.node_count
-    for rank, v in enumerate(reachable + unreachable):
-        node_rank[v] = rank
-
-    keyed = sorted(
-        range(len(graph.edges)),
-        key=lambda e: tuple(sorted((node_rank[graph.edges[e][0]], node_rank[graph.edges[e][1]]))),
-    )
-    edge_rank = [0] * len(graph.edges)
-    for rank, eid in enumerate(keyed):
-        edge_rank[eid] = rank
-    return CanonicalOrder(tuple(node_rank), tuple(edge_rank))
-
-
-def _ball(graph: Graph, target: int, hops: int) -> Ball:
     if hops < 0:
         raise ValueError("hops must be non-negative")
+    # The array work below calls ndarray methods, not their ``np.``
+    # wrappers, whose Python frames add up over the few dozen calls of a ball.
     nodes, distance, within = [target], [0], [1]
     rank = {target: 0}
     frontier = [target]
     for d in range(1, hops + 1):
-        frontier = sorted({w for u in frontier for w in graph.adjacency[u] if w not in rank})
-        for w in frontier:
-            rank[w] = len(nodes)
-            nodes.append(w)
-        distance += [d] * len(frontier)
+        if frontier:
+            at, _ = _run_positions(graph.indptr, np.array(frontier, dtype=np.intp))
+            frontier = sorted(set(graph.nbr_node[at].tolist()).difference(rank))
+            rank.update(zip(frontier, range(len(nodes), len(nodes) + len(frontier))))
+            nodes += frontier
+            distance += [d] * len(frontier)
         within.append(len(nodes))
-    incidence = tuple(tuple((rank[w], eid) for w, eid in graph.incidence[u] if w in rank) for u in nodes)
+    ids = np.array(nodes, dtype=np.intp)
+    at, counts = _run_positions(graph.indptr, ids)
+    scratch = graph._scratch
+    local_ids = getattr(scratch, "local_ids", None)
+    if local_ids is None:
+        local_ids = scratch.local_ids = np.full(graph.node_count, -1, dtype=np.intp)
+    local_ids[ids] = np.arange(len(ids))
+    try:
+        local = local_ids[graph.nbr_node[at]]
+    finally:
+        local_ids[ids] = -1
+    keep = (local >= 0).nonzero()[0]  # a neighbour outside the ball reads -1
+    owner = np.arange(len(ids)).repeat(counts)[keep]
+    local, eid = local[keep], graph.nbr_edge[at[keep]]
+    stops = owner.searchsorted(np.arange(1, len(ids) + 1)).tolist()
+    pairs = list(zip(local.tolist(), eid.tolist()))
+    incidence = tuple(tuple(pairs[a:b]) for a, b in zip([0, *stops[:-1]], stops))
     # Local ids are node ranks, so (lower, higher) local id is the edge's sort key.
-    keyed = sorted((i, j, eid) for i, pairs in enumerate(incidence) for j, eid in pairs if i < j)
-    edge_rank = {eid: r for r, (_, _, eid) in enumerate(keyed)}
+    ahead = (local > owner).nonzero()[0]
+    keyed = eid[ahead[(owner[ahead] * len(ids) + local[ahead]).argsort()]]
+    edge_rank = dict(zip(keyed.tolist(), range(len(keyed))))
     return Ball(
         rank, edge_rank, graph, target, hops, tuple(nodes), tuple(distance), tuple(within), incidence,
-        graph.features[nodes],
+        graph.features[ids],
     )
+
+
+def _run_positions(indptr: np.ndarray, nodes: np.ndarray):
+    """Positions in the CSR arrays of the incidence runs of ``nodes``, one
+    run after another, and the length of each run. ``nodes`` is not empty."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = counts.cumsum()
+    return (starts - ends + counts).repeat(counts) + np.arange(ends[-1]), counts
 
 
 def target_ball(graph: Graph, target: int, hops: int, ball: Ball | None = None) -> Ball:
@@ -326,13 +364,9 @@ def make_subgraph(graph: Graph, target: int, edge_ids: Iterable[int]) -> Subgrap
     if not 0 <= target < graph.node_count:
         raise ValueError(f"node id out of range: {target}")
     ids = sorted(set(int(e) for e in edge_ids))
-    if ids and not (0 <= ids[0] and ids[-1] < len(graph.edges)):
+    if ids and not (0 <= ids[0] and ids[-1] < graph.edge_count):
         raise ValueError("edge id out of range")
-    nodes = {target}
-    for eid in ids:
-        u, w = graph.edges[eid]
-        nodes.add(u)
-        nodes.add(w)
+    nodes = {target, *(x for pair in graph.endpoints(ids) for x in pair)}
     return Subgraph(target, tuple(ids), tuple(sorted(nodes)))
 
 
@@ -343,12 +377,11 @@ def validate_subgraph(graph: Graph, sub: Subgraph):
     subgraph is connected, acyclic, and contains its target.
     """
     for eid in sub.edge_set:
-        if not 0 <= eid < len(graph.edges):
+        if not 0 <= eid < graph.edge_count:
             raise ValueError(f"edge id out of range: {eid}")
     nodes = {sub.target}
     adj: dict[int, list[int]] = {sub.target: []}
-    for eid in sub.edge_set:
-        u, w = graph.edges[eid]
+    for u, w in graph.endpoints(sub.edge_set):
         for x in (u, w):
             nodes.add(x)
             adj.setdefault(x, [])

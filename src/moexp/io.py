@@ -41,27 +41,11 @@ def parse_graph(doc: Mapping) -> Graph:
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         raise FormatError("nodes: expected a non-empty list")
-    seen: dict[int, dict] = {}
-    for i, node in enumerate(nodes):
-        if not isinstance(node, Mapping):
-            raise FormatError(f"nodes[{i}]: expected an object")
-        if "id" not in node:
-            raise FormatError(f"nodes[{i}]: missing 'id'")
-        if "features" not in node:
-            raise FormatError(f"nodes[{i}]: missing 'features'")
-        nid = node["id"]
-        if not isinstance(nid, int) or isinstance(nid, bool):
-            raise FormatError(f"nodes[{i}]: id must be an integer")
-        if nid in seen:
-            raise FormatError(f"nodes[{i}]: duplicate id {nid}")
-        seen[nid] = node
-    n = len(seen)
-    if set(seen) != set(range(n)):
-        raise FormatError(f"node ids must be dense 0..{n - 1}")
-    features = [seen[i]["features"] for i in range(n)]
+    ordered = _ordered_nodes(nodes)
+    features = [node["features"] for node in ordered]
     labels = None
-    if any("label" in seen[i] for i in range(n)):
-        labels = [seen[i].get("label") for i in range(n)]
+    if any("label" in node for node in ordered):
+        labels = [node.get("label") for node in ordered]
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise FormatError("edges: expected a list")
@@ -82,14 +66,44 @@ def parse_graph(doc: Mapping) -> Graph:
     return graph
 
 
+def _ordered_nodes(nodes: list) -> list:
+    """The node objects in id order, after checking each one.
+
+    The set tests and the comparison with 0..n-1 pass a list of plain
+    dicts whose ids are the ints 0..n-1 in order, each with features, which
+    is every valid list that ``graph_to_doc`` writes; any other list runs
+    the loop, which names the first bad entry.
+    """
+    if set(map(type, nodes)) == {dict} and all("features" in node for node in nodes):
+        ids = [node.get("id") for node in nodes]
+        if set(map(type, ids)) == {int} and ids == list(range(len(nodes))):
+            return nodes
+    seen: dict[int, Mapping] = {}
+    for i, node in enumerate(nodes):
+        if not isinstance(node, Mapping):
+            raise FormatError(f"nodes[{i}]: expected an object")
+        if "id" not in node:
+            raise FormatError(f"nodes[{i}]: missing 'id'")
+        if "features" not in node:
+            raise FormatError(f"nodes[{i}]: missing 'features'")
+        nid = node["id"]
+        if not isinstance(nid, int) or isinstance(nid, bool):
+            raise FormatError(f"nodes[{i}]: id must be an integer")
+        if nid in seen:
+            raise FormatError(f"nodes[{i}]: duplicate id {nid}")
+        seen[nid] = node
+    n = len(seen)
+    if set(seen) != set(range(n)):
+        raise FormatError(f"node ids must be dense 0..{n - 1}")
+    return [seen[i] for i in range(n)]
+
+
 def graph_to_doc(graph: Graph) -> dict:
-    nodes = []
-    for i in range(graph.node_count):
-        node: dict = {"id": i, "features": [float(x) for x in graph.features[i]]}
-        if graph.labels is not None and graph.labels[i] is not None:
-            node["label"] = int(graph.labels[i])
-        nodes.append(node)
-    return {"directed": False, "nodes": nodes, "edges": [[int(u), int(w)] for u, w in graph.edges]}
+    nodes = [{"id": i, "features": row} for i, row in enumerate(graph.features.tolist())]
+    for node, label in zip(nodes, graph.labels or ()):
+        if label is not None:
+            node["label"] = label
+    return {"directed": False, "nodes": nodes, "edges": np.stack([graph.lo, graph.hi], axis=1).tolist()}
 
 
 def load_graph(path) -> Graph:

@@ -12,13 +12,15 @@ package's fused form.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
-from moexp import Graph, build_graph, forward, neighborhood_edge_ids, softmax, target_ball
+from moexp import CanonicalOrder, build_graph, forward, neighborhood_edge_ids, softmax, target_ball
 from moexp.analysis import confounder_set
-from moexp.cli import top_count
+from moexp.cli import _candidate_block, top_count
 from moexp.io import FormatError
 
 
@@ -65,6 +67,76 @@ def full_distances(graph, source):
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+def bfs_distances(graph, source: int) -> list:
+    """Hop distance from ``source`` to every node; None when unreachable."""
+    if not 0 <= source < graph.node_count:
+        raise ValueError(f"node id out of range: {source}")
+    dist: list = [None] * graph.node_count
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in graph.adjacency[u]:
+            if dist[w] is None:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def full_canonical_order(graph, target: int) -> CanonicalOrder:
+    """The canonical order over the whole graph, which a ball's ranks follow.
+
+    ``node_rank[v]`` is the BFS discovery position from the target, ties
+    broken by ascending node id; unreachable nodes come last, ascending.
+    ``edge_rank[e]`` orders edges by the sorted pair of endpoint ranks.
+    """
+    if not 0 <= target < graph.node_count:
+        raise ValueError(f"node id out of range: {target}")
+    dist = bfs_distances(graph, target)
+    reachable = sorted((v for v in range(graph.node_count) if dist[v] is not None), key=lambda v: (dist[v], v))
+    unreachable = [v for v in range(graph.node_count) if dist[v] is None]
+    node_rank = [0] * graph.node_count
+    for rank, v in enumerate(reachable + unreachable):
+        node_rank[v] = rank
+
+    keyed = sorted(
+        range(len(graph.edges)),
+        key=lambda e: tuple(sorted((node_rank[graph.edges[e][0]], node_rank[graph.edges[e][1]]))),
+    )
+    edge_rank = [0] * len(graph.edges)
+    for rank, eid in enumerate(keyed):
+        edge_rank[eid] = rank
+    return CanonicalOrder(tuple(node_rank), tuple(edge_rank))
+
+
+def reference_ball(graph, target: int, hops: int) -> dict:
+    """The fields of ``canonical_order(graph, target, hops)`` as the BFS over
+    the graph's tuples built them before the graph was held as arrays."""
+    nodes, distance, within = [target], [0], [1]
+    rank = {target: 0}
+    frontier = [target]
+    for d in range(1, hops + 1):
+        frontier = sorted({w for u in frontier for w in graph.adjacency[u] if w not in rank})
+        for w in frontier:
+            rank[w] = len(nodes)
+            nodes.append(w)
+        distance += [d] * len(frontier)
+        within.append(len(nodes))
+    incidence = tuple(tuple((rank[w], eid) for w, eid in graph.incidence[u] if w in rank) for u in nodes)
+    keyed = sorted((i, j, eid) for i, pairs in enumerate(incidence) for j, eid in pairs if i < j)
+    return {
+        "node_rank": rank,
+        "edge_rank": {eid: r for r, (_, _, eid) in enumerate(keyed)},
+        "target": target,
+        "hops": hops,
+        "nodes": tuple(nodes),
+        "distance": tuple(distance),
+        "within": tuple(within),
+        "incidence": incidence,
+        "features": graph.features[nodes],
+    }
 
 
 def brute_force_trees(graph, target, max_nodes, diameter):
@@ -408,16 +480,6 @@ def reference_ranking(model, graph, target, pairs, strategy, eps=1e-9):
     return relevance, sim_ranks, rel_ranks, pareto_oracle(scores), order, selected
 
 
-def _candidate_block(sub, distribution, simulatability, graph) -> dict:
-    return {
-        "edge_ids": list(sub.edge_set),
-        "edges": [[int(u), int(w)] for u, w in (graph.edges[e] for e in sub.edge_set)],
-        "nodes": list(sub.node_set),
-        "distribution": [float(x) for x in distribution],
-        "simulatability": float(simulatability),
-    }
-
-
 def reference_document(result, graph, model, config, manifest) -> dict:
     """The explain document of one node as a dict, one dict per embedded pair.
 
@@ -494,7 +556,21 @@ def reference_document(result, graph, model, config, manifest) -> dict:
     return doc
 
 
-def reference_graph(features, edges, labels=None) -> Graph:
+@dataclass(frozen=True, eq=False)
+class ReferenceGraph:
+    """A graph as tuples and a dict, the form ``Graph`` had before it held
+    arrays; its fields are the contents of ``Graph``'s views."""
+
+    node_count: int
+    features: np.ndarray
+    labels: tuple | None
+    edges: tuple
+    adjacency: tuple
+    incidence: tuple
+    edge_index: dict
+
+
+def reference_graph(features, edges, labels=None) -> ReferenceGraph:
     """``build_graph`` one entry at a time: each edge is read with ``int`` and
     checked against the edges before it, then each node's incidence is sorted."""
     rows = [np.asarray(f, dtype=float).reshape(-1) for f in features]
@@ -538,10 +614,10 @@ def reference_graph(features, edges, labels=None) -> Graph:
         lst.sort()
     adjacency = tuple(tuple(nbr for nbr, _ in lst) for lst in incidence_lists)
     incidence = tuple(tuple(lst) for lst in incidence_lists)
-    return Graph(n, feats, label_tuple, edge_list, adjacency, incidence, edge_index)
+    return ReferenceGraph(n, feats, label_tuple, edge_list, adjacency, incidence, edge_index)
 
 
-def reference_parse_graph(doc) -> Graph:
+def reference_parse_graph(doc) -> ReferenceGraph:
     """``io.parse_graph`` with every edge entry checked in a loop and the graph
     built by ``reference_graph``."""
     if not isinstance(doc, Mapping):

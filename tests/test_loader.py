@@ -5,8 +5,10 @@
 with the same text, which names the first offending entry.
 """
 
+import itertools
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moexp import build_graph
@@ -36,14 +38,36 @@ def assert_same(got, expected):
         assert got == expected
         return
     assert not isinstance(got, tuple), got
+    assert_matches_reference(got, expected)
+
+
+VIEWS = {"edges", "adjacency", "incidence", "edge_index"}
+
+
+def assert_matches_reference(got, expected):
+    """``got``'s arrays and views hold what ``expected``'s tuples hold, field by field."""
     assert got.node_count == expected.node_count
     assert got.labels == expected.labels
+    assert got.features.dtype == expected.features.dtype
+    np.testing.assert_array_equal(got.features, expected.features)
+    # The arrays, read off the tuples; loading built no view.
+    assert not VIEWS & vars(got).keys()
+    arrays = (got.lo, got.hi, got.indptr, got.nbr_node, got.nbr_edge)
+    assert all(a.dtype == np.intp and a.ndim == 1 and not a.flags.writeable for a in arrays)
+    assert got.lo.tolist() == [u for u, _ in expected.edges]
+    assert got.hi.tolist() == [w for _, w in expected.edges]
+    assert got.indptr.tolist() == list(itertools.accumulate(map(len, expected.adjacency), initial=0))
+    assert got.nbr_node.tolist() == [w for row in expected.incidence for w, _ in row]
+    assert got.nbr_edge.tolist() == [eid for row in expected.incidence for _, eid in row]
+    assert got.edge_count == len(expected.edges)
+    assert [got.degree(v) for v in range(got.node_count)] == list(map(len, expected.adjacency))
+    assert all(got.edge_id(w, u) == eid for (u, w), eid in expected.edge_index.items())
+    # The views, built on first use.
     assert got.edges == expected.edges
     assert got.adjacency == expected.adjacency
     assert got.incidence == expected.incidence
     assert got.edge_index == expected.edge_index
-    assert got.features.dtype == expected.features.dtype
-    np.testing.assert_array_equal(got.features, expected.features)
+    assert VIEWS <= vars(got).keys()
     # Python ints throughout, as json and the documents need.
     ids = [x for e in got.edges for x in e] + [x for row in got.incidence for pair in row for x in pair]
     assert all(type(x) is int for x in ids)
@@ -101,7 +125,9 @@ def documents(draw):
     then a duplicate, a gap, or an id that is not an int."""
     n = draw(st.integers(1, 6))
     features = draw(feature_rows(n))
-    ids = draw(st.permutations(range(n)))
+    # In order, as graph_to_doc writes them, half the time: the checks of
+    # such a list take a short path, which must accept only valid lists.
+    ids = list(range(n)) if draw(st.booleans()) else draw(st.permutations(range(n)))
     if draw(st.integers(0, 4)) == 0:
         ids[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0, n, n + 3, True, 1.0, "1", None]))
     nodes = [{"id": i, "features": features[i if type(i) is int and 0 <= i < n else 0]} for i in ids]
@@ -111,6 +137,26 @@ def documents(draw):
     if draw(st.integers(0, 9)) == 0:
         nodes[draw(st.integers(0, n - 1))].pop(draw(st.sampled_from(["id", "features"])))
     return {"directed": False, "nodes": nodes, "edges": draw(edge_entries(n))}
+
+
+@st.composite
+def valid_graphs(draw):
+    """``build_graph`` arguments of a valid graph: edges in any order and
+    orientation, often leaving nodes isolated."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [draw(st.sampled_from([(u, w), (w, u)])) for u, w in draw(st.permutations(edges))]
+    return [[float(v)] for v in range(n)], edges
+
+
+@given(valid_graphs())
+@example(([[0.0]], []))  # a single node
+@example(([[0.0]] * 4, []))  # no edges
+@example(([[0.0]] * 5, [(3, 1), (1, 2)]))  # isolated first, middle and last nodes
+@settings(max_examples=300, deadline=None)
+def test_graph_arrays_and_views_equal_the_loop_oracle(inputs):
+    assert_matches_reference(build_graph(*inputs), reference_graph(*inputs))
 
 
 @given(raw_inputs())
