@@ -1,11 +1,14 @@
-"""Byte identity of explain documents against committed goldens.
+"""Byte identity of explain documents and CSVs against committed goldens.
 
 Every ``--method``, with and without ``--exhaustive-cf``, runs on the two
 fixtures and on a seeded planted-motif graph. Each case's documents are
 compared byte for byte with ``tests/golden/<graph>/<method>[-exhaustive-cf].txt``
 after the only run-dependent fields are blanked: ``generated_at`` and the
-input paths (the input hashes stay). A change that keeps the goldens passing
-writes the same documents as the code the goldens were made with.
+input paths (the input hashes stay). The ``enumerate`` and ``shapley``
+commands run on the same graphs and targets, and their CSVs are compared
+byte for byte with ``tests/golden/<graph>/<command>.csv``. A change that
+keeps the goldens passing writes the same documents and CSVs as the code
+the goldens were made with.
 
 Regenerate the inputs and goldens, from the repository root, with::
 
@@ -36,6 +39,7 @@ GRAPHS = {
     "motif": (INPUTS / "motif.json", INPUTS / "motif_weights.json", "0,2,5"),
 }
 CASES = [(g, m, ex) for g in GRAPHS for m in METHODS for ex in (False, True)]
+CSV_CASES = [(g, command) for g in GRAPHS for command in ("enumerate", "shapley")]
 SEED = 7
 _BLANK = re.compile(r'("(?:generated_at|path)": )"[^"\n]*"')
 
@@ -55,6 +59,21 @@ def run_case(graph: str, method: str, exhaustive: bool, out_dir) -> str:
     assert main(argv) == 0
     files = sorted(pathlib.Path(out_dir).glob("node_*.json"), key=lambda p: int(p.stem[5:]))
     return "".join(f"=== {p.name}\n" + _BLANK.sub(r'\1""', p.read_text()) for p in files)
+
+
+def csv_golden_path(graph: str, command: str) -> pathlib.Path:
+    return GOLDEN / graph / f"{command}.csv"
+
+
+def run_csv_case(graph: str, command: str, out_dir) -> str:
+    """Run the ``enumerate`` or ``shapley`` command and return its CSV."""
+    g, w, targets = GRAPHS[graph]
+    out = pathlib.Path(out_dir) / f"{command}.csv"
+    argv = [command, "--graph", str(g), "--out", str(out), "--targets", targets]
+    if command == "shapley":
+        argv += ["--weights", str(w)]
+    assert main(argv) == 0
+    return out.read_text()
 
 
 def make_inputs() -> None:
@@ -77,6 +96,11 @@ def test_documents_match_golden(graph, method, exhaustive, tmp_path, monkeypatch
     assert run_case(graph, method, exhaustive, tmp_path) == expected
 
 
+@pytest.mark.parametrize("graph,command", CSV_CASES)
+def test_csv_matches_golden(graph, command, tmp_path):
+    assert run_csv_case(graph, command, tmp_path) == csv_golden_path(graph, command).read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -87,4 +111,7 @@ if __name__ == "__main__":
         path.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory() as tmp:
             path.write_text(run_case(*case, tmp))
-    print(f"wrote {len(CASES)} goldens under {GOLDEN}", file=sys.stderr)
+    for case in CSV_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_golden_path(*case).write_text(run_csv_case(*case, tmp))
+    print(f"wrote {len(CASES) + len(CSV_CASES)} goldens under {GOLDEN}", file=sys.stderr)
