@@ -47,11 +47,8 @@ from .explain import (
 from .pareto import (
     ScoredFront,
     competition_ranks,
-    dominates,
     pareto_front,
     rank_pairs,
-    select_balanced,
-    select_comprehensive,
 )
 from .baselines import (
     ShapleyValue,
@@ -114,7 +111,6 @@ __all__ = [
     "competition_ranks",
     "confounder_set",
     "derive_seed",
-    "dominates",
     "enumerate_subgraphs",
     "explain_node",
     "forward",
@@ -142,8 +138,6 @@ __all__ = [
     "save_edge_weights",
     "save_graph",
     "save_model",
-    "select_balanced",
-    "select_comprehensive",
     "set_shapley_value",
     "shapley_selection",
     "shapley_values",

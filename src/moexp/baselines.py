@@ -81,10 +81,12 @@ def _scorer(model, graph, target, config, epsilon, scorer) -> CandidateScorer:
     return scorer
 
 
-def _ball_edges(graph: Graph, ball: Ball) -> dict:
-    """The (lo, hi) pair of each edge between ``ball``'s nodes, keyed by edge id."""
-    ids = list(ball.edge_rank)
-    return dict(zip(ids, graph.endpoints(ids)))
+def _endpoints(graph: Graph, edge_ids: np.ndarray):
+    """The lo and hi ends of each edge of ``edge_ids``, -1 for its -1 padding."""
+    pad = edge_ids < 0
+    if not graph.edge_count:
+        return np.where(pad, -1, 0), np.where(pad, -1, 0)
+    return np.where(pad, -1, graph.lo[edge_ids]), np.where(pad, -1, graph.hi[edge_ids])
 
 
 def _leaf_scan(scorer: CandidateScorer) -> list:
@@ -97,17 +99,15 @@ def _leaf_scan(scorer: CandidateScorer) -> list:
     leaf's pair differs by one node, so its relevance is the raw drop.
     """
     enumeration = scorer.enumeration
-    edges = _ball_edges(scorer.graph, enumeration.ball)
-    found = []
-    for i, sub in enumerate(enumeration.subgraphs):
-        for node in sub.node_set:
-            incident = [eid for eid in sub.edge_set if node in edges[eid]]
-            if node == scorer.target or len(incident) != 1:
-                continue
-            found.append((i, node, enumeration.index[tuple(e for e in sub.edge_set if e != incident[0])]))
-    pairs = np.array([(i, j) for i, _, j in found], dtype=np.intp).reshape(-1, 2)
-    drops = scorer.pair(pairs[:, 0], pairs[:, 1]).tolist()
-    return [(i, node, j, drop) for (i, node, j), drop in zip(found, drops)]
+    nodes = enumeration.node_ids
+    lo, hi = _endpoints(scorer.graph, enumeration.edge_ids)
+    # touches[i, a, b]: edge b of candidate i has node a of candidate i as an end.
+    touches = (lo[:, None, :] == nodes[:, :, None]) | (hi[:, None, :] == nodes[:, :, None])
+    leaf = (np.count_nonzero(touches, axis=2) == 1) & (nodes != scorer.target) & (nodes >= 0)
+    i, at = np.nonzero(leaf)
+    j = enumeration.remainders(i, touches[i, at])
+    drops = scorer.pair(i, j).tolist()
+    return list(zip(i.tolist(), nodes[i, at].tolist(), j.tolist(), drops))
 
 
 def shapley_values(
@@ -154,20 +154,20 @@ def set_shapley_value(
     if not removed:
         raise ValueError("removed set must be non-empty")
     scorer = _scorer(model, graph, target, config, epsilon, scorer)
-    enumeration = scorer.enumeration
-    sizes = enumeration.sizes
-    edges = _ball_edges(graph, enumeration.ball)
-    pairs = []
-    for i, sub in enumerate(enumeration.subgraphs):
-        if not removed <= set(sub.node_set):
-            continue
-        j = enumeration.index.get(tuple(e for e in sub.edge_set if not (set(edges[e]) & removed)))
-        # The remainder keeps only nodes outside the set, so equal sizes mean equal node sets.
-        if j is not None and sizes[i] - sizes[j] == len(removed):
-            pairs.append((i, j))
-    if not pairs:
+    if not removed <= set(range(graph.node_count)):
         return None
-    pairs = np.array(pairs, dtype=np.intp)
+    enumeration = scorer.enumeration
+    gone = np.array(sorted(removed), dtype=np.intp)
+    nodes, edges = enumeration.node_ids, enumeration.edge_ids
+    i = np.flatnonzero((nodes[:, :, None] == gone).any(axis=1).all(axis=1))
+    lo, hi = _endpoints(graph, edges[i])
+    j = enumeration.remainders(i, ((lo[..., None] == gone) | (hi[..., None] == gone)).any(axis=2))
+    # The remainder keeps only nodes outside the set, so equal sizes mean equal node sets.
+    sizes = enumeration.sizes
+    keep = (j >= 0) & (sizes[i] - sizes[j] == len(removed))
+    if not keep.any():
+        return None
+    pairs = np.stack([i[keep], j[keep]], axis=1)
     # Each pair removes exactly the set, so its relevance is cf_relevance's.
     total = 0.0
     for value in scorer.pair(pairs[:, 0], pairs[:, 1]).tolist():

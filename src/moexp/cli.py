@@ -104,20 +104,26 @@ def _candidate_block(sub, distribution, simulatability, graph) -> dict:
     }
 
 
-# One ``top_pairs`` entry as ``json.dumps(sort_keys=True, indent=2)`` writes it.
-_PAIR = """    {
-      "abs_cf_relevance": %s,
-      "cf_rank": %d,
-      "cf_relevance": %s,
-      "counterfactual_edge_ids": %s,
-      "explanation_edge_ids": %s,
-      "explanation_nodes": %s,
-      "on_front": %s,
-      "rank_sum": %d,
-      "removed_nodes": %s,
-      "sim_rank": %d,
-      "simulatability": %s
-    }"""
+# The text around the values of one ``top_pairs`` entry, as
+# ``json.dumps(sort_keys=True, indent=2)`` writes it: the entry is these
+# pieces with its values, in key order, between them.
+_PAIR_TEXT = (
+    '    {\n      "abs_cf_relevance": ',
+    ',\n      "cf_rank": ',
+    ',\n      "cf_relevance": ',
+    ',\n      "counterfactual_edge_ids": ',
+    ',\n      "explanation_edge_ids": ',
+    ',\n      "explanation_nodes": ',
+    ',\n      "on_front": ',
+    ',\n      "rank_sum": ',
+    ',\n      "removed_nodes": ',
+    ',\n      "sim_rank": ',
+    ',\n      "simulatability": ',
+    "\n    },\n",
+)
+_BOOLS = np.array(["false", "true"], dtype=object)
+# The end of an int list: an empty one, or the line after its last item.
+_CLOSE = np.array(["[]", "\n      ]"], dtype=object)
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -129,11 +135,80 @@ def _floats(values: np.ndarray) -> list:
     return text
 
 
-def _ints(values) -> str:
-    """An int list as ``json`` writes it as the value of a ``top_pairs`` entry's key."""
-    if not values:
-        return "[]"
-    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+def _distinct(values: np.ndarray):
+    """The distinct values of a 1-D array, ascending, and each entry's
+    position among them. (``np.unique`` would import ``numpy.ma``.)"""
+    order = values.argsort()
+    ordered = values[order]
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    return ordered[first], inverse
+
+
+def _list_cells(ids: np.ndarray) -> np.ndarray:
+    """Each row of ``ids`` (ascending, padded with -1 at the end) as the
+    pieces of the list ``json`` writes as the value of a ``top_pairs``
+    entry's key: per id the text before it and the id, "" per -1, and the
+    end of the list. Each distinct id is rendered once."""
+    distinct, inverse = _distinct(ids.ravel())
+    texts = list(map(str, distinct.tolist()))
+    table = np.array([["[\n        " + t, ",\n        " + t] for t in texts], dtype=object).reshape(-1, 2)
+    if len(distinct) and distinct[0] < 0:
+        table[0] = ""
+    cells = table[inverse.reshape(ids.shape), np.arange(ids.shape[1]).clip(max=1)]
+    full = ids[:, :1] >= 0 if ids.shape[1] else np.zeros((len(ids), 1), dtype=bool)
+    return np.concatenate([cells, _CLOSE[full.view(np.int8)]], axis=1)
+
+
+def _joined(cells: np.ndarray) -> np.ndarray:
+    """Each row of ``cells`` joined into one text, as a one-column object array."""
+    return np.array(list(map("".join, cells.tolist())), dtype=object)[:, None]
+
+
+def _top_pairs(front, scorer, kept: np.ndarray) -> str:
+    """The ``top_pairs`` value for the pairs ``kept`` of ``front``, in that order.
+
+    Every distinct candidate list, id, rank and float is rendered once;
+    the entries are then assembled from those texts by array indexing, and
+    one join writes them all.
+    """
+    enumeration = scorer.enumeration
+    k = len(kept)
+    es, cs = front.e[kept], front.c[kept]
+    candidates, at = _distinct(np.concatenate([es, cs]))
+    edge_lists = _joined(_list_cells(enumeration.edge_ids[candidates]))
+    explanations, e_at = _distinct(es)
+    bits, rel_at = _distinct(front.relevance[kept].view(np.int64))  # -0.0 and 0.0 are written apart
+    rel_text = _floats(bits.view(np.float64))
+    ranks, rank_at = _distinct(np.concatenate([front.rel_ranks[kept], front.rank_sums[kept], front.sim_ranks[kept]]))
+    rank_text = np.array(list(map(str, ranks.tolist())), dtype=object)[rank_at].reshape(3, k, 1)
+    values = (
+        # json writes abs(x) as x without its sign, NaN included.
+        np.array([t.lstrip("-") for t in rel_text], dtype=object)[rel_at, None],
+        rank_text[0],
+        np.array(rel_text, dtype=object)[rel_at, None],
+        edge_lists[at[k:]],
+        edge_lists[at[:k]],
+        _joined(_list_cells(enumeration.node_ids[explanations]))[e_at],
+        _BOOLS[front.pareto[kept].view(np.int8), None],
+        rank_text[1],
+        # The target stays, so at most max_nodes - 1 nodes are removed.
+        _list_cells(enumeration.removed_node_ids(es, cs)[:, :-1]),
+        rank_text[2],
+        np.array(_floats(scorer.simulatability[explanations]), dtype=object)[e_at, None],
+    )
+    widths = [value.shape[1] for value in values]
+    starts = np.cumsum([0] + [1 + w for w in widths])
+    pieces = np.empty((k, starts[-1] + 1), dtype=object)
+    pieces[:, starts] = _PAIR_TEXT
+    for start, value in zip(starts, values):
+        pieces[:, start + 1 : start + 1 + value.shape[1]] = value
+    pieces[0, 0] = "[\n" + _PAIR_TEXT[0]
+    pieces[-1, -1] = "\n    }\n  ]"
+    return "".join(pieces.ravel().tolist())
 
 
 def node_document(result: NodeExplanation, graph, model, config: RunConfig, manifest: dict) -> str:
@@ -141,8 +216,8 @@ def node_document(result: NodeExplanation, graph, model, config: RunConfig, mani
     indent=2) + "\n"`` writes it.
 
     The header fields go through ``json``. ``top_pairs``, the last key and
-    nearly all of the text, is rendered straight from the ranked arrays:
-    each candidate's lists once, then one template per embedded pair.
+    nearly all of the text, is assembled from the ranked arrays
+    (``_top_pairs``).
     """
     doc = {
         "schema": "moexp/1",
@@ -174,42 +249,24 @@ def node_document(result: NodeExplanation, graph, model, config: RunConfig, mani
     else:
         scorer = result.scorer
         enumeration = scorer.enumeration
-        subs = enumeration.subgraphs
         sel, e, c = front.selected, int(front.e[front.selected]), int(front.c[front.selected])
         relevance = float(front.relevance[sel])
         removed = enumeration.removed_nodes(e, c)
         doc.update(
             counterfactual=_candidate_block(
-                subs[c], scorer.distributions[c], scorer.simulatability[c], graph
+                enumeration.subgraph(c), scorer.distributions[c], scorer.simulatability[c], graph
             ),
             removed_nodes=removed,
             cf_relevance=relevance,
             abs_cf_relevance=abs(relevance),
-            rank_sum=front.rank_sums[sel],
-            sim_rank=front.sim_ranks[sel],
-            cf_rank=front.rel_ranks[sel],
-            on_front=front.pareto[sel],
+            rank_sum=int(front.rank_sums[sel]),
+            sim_rank=int(front.sim_ranks[sel]),
+            cf_rank=int(front.rel_ranks[sel]),
+            on_front=bool(front.pareto[sel]),
             front_size=front.front_size,
             confounders=sorted(confounder_set(graph, result.target, model.depth, removed, result.ball)),
         )
-        order = front.order[: top_count(config.top_percent, len(front.e))]
-        kept = np.array(order, dtype=np.intp)
-        es, cs = front.e[kept].tolist(), front.c[kept].tolist()
-        rel_text = _floats(front.relevance[kept])
-        explanations = list(set(es))
-        sims = dict(zip(explanations, _floats(scorer.simulatability[explanations])))
-        edge_ids = {j: _ints(subs[j].edge_set) for j in {*es, *cs}}
-        nodes = {j: _ints(subs[j].node_set) for j in explanations}
-        pairs = [
-            _PAIR % (
-                # json writes abs(x) as x without its sign, NaN included.
-                rel_text[k].lstrip("-"), front.rel_ranks[i], rel_text[k], edge_ids[cs[k]], edge_ids[es[k]],
-                nodes[es[k]], "true" if front.pareto[i] else "false", front.rank_sums[i],
-                _ints(enumeration.removed_nodes(es[k], cs[k])), front.sim_ranks[i], sims[es[k]],
-            )
-            for k, i in enumerate(order)
-        ]
-        top_pairs = "[\n" + ",\n".join(pairs) + "\n  ]"
+        top_pairs = _top_pairs(front, scorer, front.order[: top_count(config.top_percent, len(front.e))])
     header = json.dumps(doc, sort_keys=True, indent=2, default=io._json_default)
     # "top_pairs" sorts after every header key, so it closes the object.
     return header[:-2] + ',\n  "top_pairs": ' + top_pairs + "\n}\n"
@@ -291,17 +348,13 @@ def enumerate_command(config: EnumerateConfig) -> int:
         if not 0 <= node < graph.node_count:
             raise ValueError(f"target node missing: {node}")
         enumeration = enumerate_subgraphs(graph, node, econfig)
-        for i, sub in enumerate(enumeration.subgraphs):
-            parent = enumeration.parents[i]
+        table = zip(
+            enumeration.parent.tolist(), enumeration.sizes.tolist(),
+            enumeration.edge_ids.tolist(), enumeration.node_ids.tolist(),
+        )
+        for i, (parent, k, edges, nodes) in enumerate(table):
             rows.append(
-                (
-                    node,
-                    i,
-                    "" if parent is None else parent,
-                    len(sub.node_set),
-                    "|".join(str(e) for e in sub.edge_set),
-                    "|".join(str(v) for v in sub.node_set),
-                )
+                (node, i, "" if parent < 0 else parent, k, "|".join(map(str, edges[: k - 1])), "|".join(map(str, nodes[:k])))
             )
     io.write_csv(
         config.output_path,

@@ -2,10 +2,11 @@
 
 A candidate explanation is a connected acyclic edge-induced subgraph (a
 tree) containing the target node. Candidates are produced by a DFS that
-grows one edge at a time inside the target's D-hop ball, using a forbidden
-set so every tree is emitted exactly once, in an order fixed by canonical
-edge ranks. Each candidate remembers the candidate it was grown from, and
-counterfactuals are drawn from those growth ancestors (or, exhaustively,
+grows one edge at a time inside the target's D-hop ball, carrying each
+candidate's extension set so every tree is emitted exactly once, in an
+order fixed by canonical edge ranks. The DFS records only how each
+candidate grew; the candidates are held as one table of int arrays.
+Counterfactuals are drawn from the growth ancestors (or, exhaustively,
 from every enumerated sub-tree).
 """
 
@@ -40,30 +41,50 @@ class EnumConfig:
 
 @dataclass(frozen=True, eq=False)
 class Enumeration:
-    """All candidates for one target, with growth parent links.
+    """All candidates for one target, as one table of int arrays.
 
-    ``parents[i]`` is the index of the candidate that candidate i was
-    expanded from by a single edge (None for the single-node root).
+    Candidate i was grown from candidate ``parent[i]`` by one edge; the
+    single-node root is candidate 0, with parent -1, and parents come
+    before their children. ``edge_ids[i]`` and ``node_ids[i]`` hold
+    candidate i's global edge and node ids ascending, padded with -1 to
+    ``max_nodes - 1`` and ``max_nodes`` columns.
 
-    The candidate table holds every tree again as int arrays, padded with
-    -1 to ``max_nodes`` nodes, for batched restricted passes:
-    ``rows[i]`` lists candidate i's nodes as local ids of ``ball``, the
-    target first and then each node in the order growth added it;
-    ``depth[i]`` their hops from the target inside the tree; and
-    ``slots[i, r]`` the positions in ``rows[i]`` of node r's tree
-    neighbours, ascending by global node id, the order a pass sums them in.
+    For batched restricted passes, the table holds every tree again as
+    local ids of ``ball``, padded with -1 to ``max_nodes`` nodes:
+    ``rows[i]`` lists candidate i's nodes, the target first and then each
+    node in the order growth added it; ``depth[i]`` their hops from the
+    target inside the tree; and ``slots[i, r]`` the positions in
+    ``rows[i]`` of node r's tree neighbours, ascending by global node id,
+    the order a pass sums them in.
+
+    ``subgraph(i)`` builds candidate i's ``Subgraph``. ``subgraphs`` and
+    ``index`` give every candidate as a ``Subgraph`` and a dict from edge
+    set to position; each view is built on first use and kept, and no
+    explain run builds them.
     """
 
     target: int
-    subgraphs: tuple
-    parents: tuple
     ball: Ball
+    parent: np.ndarray
+    edge_ids: np.ndarray
+    node_ids: np.ndarray
     rows: np.ndarray
     depth: np.ndarray
     slots: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.subgraphs)
+        return len(self.parent)
+
+    def subgraph(self, i: int) -> Subgraph:
+        edges, nodes = self.edge_ids[i], self.node_ids[i]
+        return Subgraph(self.target, tuple(edges[edges >= 0].tolist()), tuple(nodes[nodes >= 0].tolist()))
+
+    @functools.cached_property
+    def subgraphs(self) -> tuple:
+        return tuple(
+            Subgraph(self.target, tuple(edges[: k - 1]), tuple(nodes[:k]))
+            for edges, nodes, k in zip(self.edge_ids.tolist(), self.node_ids.tolist(), self.sizes.tolist())
+        )
 
     @functools.cached_property
     def index(self) -> dict:
@@ -78,35 +99,92 @@ class Enumeration:
     @functools.cached_property
     def edge_set_rank(self) -> np.ndarray:
         """Position of each candidate when the edge sets are sorted."""
-        return np.argsort(sorted(range(len(self.subgraphs)), key=lambda i: self.subgraphs[i].edge_set))
+        rank = np.empty(len(self), dtype=np.intp)
+        rank[self._sorted[0]] = np.arange(len(self))
+        return rank
+
+    @functools.cached_property
+    def _sorted(self):
+        """The candidates in edge-set order, and their ``_keys`` in that order.
+
+        A row padded with -1 sorts as its tuple does, shorter prefixes
+        first, so a lexsort of the padded rows sorts the edge sets.
+        """
+        order = np.lexsort(self.edge_ids.T[::-1]) if self.edge_ids.shape[1] else np.arange(len(self))
+        return order, self._keys(self.edge_ids[order])[0]
+
+    @functools.cached_property
+    def _ball_edges(self) -> np.ndarray:
+        """The global ids of the ball's edges, ascending."""
+        return np.sort(np.fromiter(self.ball.edge_rank, dtype=np.intp, count=len(self.ball.edge_rank)))
+
+    def _keys(self, edge_ids: np.ndarray):
+        """One key per row of sorted edge ids padded with -1, ordered as the
+        rows sort, and whether every id of the row is a ball edge.
+
+        Each id becomes 1 + its position among the ball's edges, and the
+        padding 0; a row's key is those digits in base (ball edges + 1),
+        or, when that would not fit 63 bits, their big-endian bytes.
+        """
+        ball_edges = self._ball_edges
+        at = ball_edges.searchsorted(edge_ids)
+        pad = edge_ids < 0
+        valid = pad | (ball_edges[np.minimum(at, len(ball_edges) - 1)] == edge_ids) if len(ball_edges) else pad
+        digits = np.where(pad, 0, at + 1)
+        base, width = len(ball_edges) + 1, edge_ids.shape[1]
+        if base**width < 2**63:
+            keys = np.zeros(len(edge_ids), dtype=np.int64)
+            for column in digits.T:
+                keys = keys * base + column
+        else:
+            digits = np.ascontiguousarray(digits.astype(">u8"))
+            keys = digits.view(np.dtype((np.void, 8 * width))).ravel()
+        return keys, valid.all(axis=1)
+
+    def positions(self, edge_ids: np.ndarray) -> np.ndarray:
+        """The position of each row's edge set, given as sorted ids padded
+        with -1 to the table's width; -1 for a set that is no candidate."""
+        order, keys = self._sorted
+        wanted, valid = self._keys(edge_ids)
+        at = np.minimum(keys.searchsorted(wanted), len(keys) - 1)
+        return np.where(valid & (keys[at] == wanted), order[at], -1)
+
+    def position(self, edge_set) -> int | None:
+        """Position of the candidate with this sorted edge set; None when
+        no candidate has it."""
+        width = self.edge_ids.shape[1]
+        if len(edge_set) > width:
+            return None
+        row = np.full((1, width), -1, dtype=np.intp)
+        row[0, : len(edge_set)] = edge_set
+        i = int(self.positions(row)[0])
+        return None if i < 0 else i
+
+    def remainders(self, candidates: np.ndarray, dropped: np.ndarray) -> np.ndarray:
+        """The position of each candidate's edge set without the edges
+        ``dropped`` marks (a bool row over the table's edge columns per
+        candidate); -1 where what remains is no candidate."""
+        return self.positions(_sorted_rows(np.where(dropped, -1, self.edge_ids[candidates])))
+
+    def removed_node_ids(self, e: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Per pair k, the nodes of candidate e[k] that candidate c[k]
+        lacks, ascending and padded with -1."""
+        nodes = self.node_ids[e]
+        kept = (nodes[:, :, None] == self.node_ids[c][:, None, :]).any(axis=2)
+        return _sorted_rows(np.where(kept, -1, nodes))
 
     def removed_nodes(self, i: int, j: int) -> list:
         """Nodes of candidate i that candidate j lacks, ascending."""
-        kept = set(self.subgraphs[j].node_set)
-        return [v for v in self.subgraphs[i].node_set if v not in kept]
+        removed = self.removed_node_ids(np.array([i]), np.array([j]))[0]
+        return removed[removed >= 0].tolist()
 
-    def counterfactuals(self, i: int, exhaustive: bool) -> list:
-        """Indices of candidate i's counterfactuals, in pairing order.
 
-        Default mode gives the proper growth ancestors, nearest first.
-        Exhaustive mode gives every enumerated proper sub-tree, in
-        ``itertools.combinations`` order of its edge set. Both drop the bare
-        target for explanations of three or more nodes; it is only allowed
-        for two-node explanations, where no other counterfactual exists.
-        """
-        sub = self.subgraphs[i]
-        if exhaustive:
-            combos = (c for r in range(len(sub.edge_set)) for c in itertools.combinations(sub.edge_set, r))
-            out = [j for j in map(self.index.get, combos) if j is not None]
-        else:
-            out = []
-            j = self.parents[i]
-            while j is not None:
-                out.append(j)
-                j = self.parents[j]
-        if len(sub.node_set) >= 3:
-            out = [j for j in out if self.subgraphs[j].edge_set]
-        return out
+def _sorted_rows(matrix: np.ndarray) -> np.ndarray:
+    """Each row's ids ascending, with its -1 padding moved to the end."""
+    top = np.iinfo(matrix.dtype).max
+    out = np.sort(np.where(matrix < 0, top, matrix), axis=1)
+    out[out == top] = -1
+    return out
 
 
 def enumerate_subgraphs(
@@ -114,56 +192,63 @@ def enumerate_subgraphs(
 ) -> Enumeration:
     """Every tree containing the target within the config bounds, exactly once.
 
-    Extension edges at each step are tried in canonical rank order; after a
-    branch returns, its edge is forbidden for the remaining siblings, which
-    is what guarantees uniqueness. An isolated target yields just the
+    Each candidate carries its extension set: the edges that leave it, in
+    canonical rank order. Its children are grown along those edges in
+    turn, and a child inherits only the later ones, so every tree is
+    emitted once (the extension sets of ESU and of reverse search). The
+    DFS records only each candidate's growth; ``Enumeration``'s table is
+    built from those records. An isolated target yields just the
     single-node candidate. The search reads only the target's ball
     (``ball``, of at least ``config.diameter`` hops, or a new one).
     """
     ball = target_ball(graph, target, config.diameter, ball)
-    dist, erank, incidence, global_id = ball.distance, ball.edge_rank, ball.incidence, ball.nodes
-    subgraphs: list[Subgraph] = []
-    parents: list = []
-    # Per candidate, flat: its parent (-1 for the root), the parent's row
-    # the new edge leaves from, the node it adds and its size; the table is
-    # built from these.
-    growth: list[int] = []
+    erank, incidence, max_nodes = ball.edge_rank, ball.incidence, config.max_nodes
+    # A tree node lies within max_nodes - 1 hops of the target, and its
+    # extensions within the diameter: (edge rank, edge id, neighbour) each.
+    inner = ball.within[config.diameter]
+    links = [
+        sorted((erank[eid], eid, nbr) for nbr, eid in incidence[v] if nbr < inner)
+        for v in range(ball.within[min(config.diameter, max_nodes - 1)])
+    ]
+    # Per candidate, flat: its parent, the parent's row the new edge leaves
+    # from, the node it adds and the edge.
+    growth = [-1, 0, 0, -1]
+    rows = [0]
 
-    def expand(edge_ids: tuple, rows: tuple, parent, at: int, forbidden: frozenset):
-        index = len(subgraphs)
-        subgraphs.append(Subgraph(target, tuple(sorted(edge_ids)), tuple(sorted([global_id[r] for r in rows]))))
-        parents.append(parent)
-        growth.extend((-1 if parent is None else parent, at, rows[-1], len(rows)))
-        if len(rows) >= config.max_nodes:
-            return
-        # An edge between two tree nodes, tree edges included, closes a cycle.
-        extensions = []
-        for r, node in enumerate(rows):
-            for nbr, eid in incidence[node]:
-                if eid in forbidden or nbr in rows or dist[nbr] > config.diameter:
-                    continue
-                extensions.append((erank[eid], eid, nbr, r))
-        extensions.sort()
-        blocked = set(forbidden)
-        for _, eid, nbr, r in extensions:
-            expand(edge_ids + (eid,), rows + (nbr,), index, r, frozenset(blocked))
-            blocked.add(eid)
+    def expand(index: int, extensions: list):
+        for k, (_, eid, nbr, at) in enumerate(extensions):
+            child = len(growth) // 4
+            growth.extend((index, at, nbr, eid))
+            if len(rows) + 1 < max_nodes:
+                # An edge between two tree nodes closes a cycle.
+                later = [x for x in extensions[k + 1 :] if x[2] != nbr]
+                rows.append(nbr)
+                new = [(rank, e, w, len(rows) - 1) for rank, e, w in links[nbr] if w not in rows]
+                expand(child, sorted(later + new) if new else later)
+                rows.pop()
 
-    expand((), (0,), None, 0, frozenset())
-    rows, depth, slots = _candidate_table(ball, np.array(growth, dtype=np.intp).reshape(-1, 4), config.max_nodes)
-    return Enumeration(target, tuple(subgraphs), tuple(parents), ball, rows, depth, slots)
+    if max_nodes > 1:
+        expand(0, [(rank, eid, nbr, 0) for rank, eid, nbr in links[0]])
+    return _candidate_table(target, ball, np.array(growth, dtype=np.intp).reshape(-1, 4), max_nodes)
 
 
-def _candidate_table(ball: Ball, growth: np.ndarray, max_nodes: int):
-    """(rows, depth, slots) of ``Enumeration`` from each candidate's
-    (parent, row grown from, added node, size): a candidate of k nodes is
-    its parent's arrays plus row k - 1, so one step per size builds them."""
+def _candidate_table(target: int, ball: Ball, growth: np.ndarray, max_nodes: int) -> Enumeration:
+    """The ``Enumeration`` of each candidate's (parent, row grown from,
+    added node, added edge): a candidate of k nodes is its parent's arrays
+    plus row k - 1, so one step per size builds them."""
     n = len(growth)
-    parent, at, added, size = growth.T
+    parent, at, added, edge = growth.T
     global_id = np.asarray(ball.nodes)
+    size = np.ones(n, dtype=np.intp)
+    above = np.append(parent, -1)  # above[-1] is -1, the root's parent
+    ancestor = parent
+    while (ancestor >= 0).any():
+        size += ancestor >= 0
+        ancestor = above[ancestor]
     rows = np.full((n, max_nodes), -1, dtype=np.int32)
     depth = np.full((n, max_nodes), -1, dtype=np.int32)
     slots = np.full((n, max_nodes, max_nodes - 1), -1, dtype=np.int32)
+    edges = np.full((n, max_nodes - 1), -1, dtype=np.intp)
     rows[0, 0] = depth[0, 0] = 0
     width = np.arange(max_nodes - 1)
     for r in range(1, max_nodes):
@@ -171,8 +256,9 @@ def _candidate_table(ball: Ball, growth: np.ndarray, max_nodes: int):
         if not idx.size:
             break
         p, a = parent[idx], at[idx]
-        rows[idx], depth[idx], slots[idx] = rows[p], depth[p], slots[p]
+        rows[idx], depth[idx], slots[idx], edges[idx] = rows[p], depth[p], slots[p], edges[p]
         rows[idx, r] = added[idx]
+        edges[idx, r - 1] = edge[idx]
         depth[idx, r] = depth[p, a] + 1
         slots[idx, r, 0] = a
         # Insert row r among row a's slots, which stay ascending by global
@@ -182,15 +268,71 @@ def _candidate_table(ball: Ball, growth: np.ndarray, max_nodes: int):
         place = np.count_nonzero(ids < global_id[added[idx]][:, None], axis=1)[:, None]
         moved = np.concatenate([old[:, :1], old[:, :-1]], axis=1)  # one place to the right
         slots[idx, a] = np.where(width < place, old, np.where(width == place, r, moved))
-    return rows, depth, slots
+    node_ids = _sorted_rows(np.where(rows >= 0, global_id[rows], -1))
+    return Enumeration(target, ball, parent, _sorted_rows(edges), node_ids, rows, depth, slots)
+
+
+def _combinations(k: int, width: int) -> np.ndarray:
+    """The proper subsets of k columns in ``itertools.combinations`` order,
+    smallest first, one row each, padded with column k to ``width``."""
+    subsets = [c for r in range(k) for c in itertools.combinations(range(k), r)]
+    out = np.full((len(subsets), width), k, dtype=np.intp)
+    for row, c in zip(out, subsets):
+        row[: len(c)] = c
+    return out
+
+
+def counterfactual_table(enumeration: Enumeration, explanations: np.ndarray, exhaustive: bool) -> np.ndarray:
+    """The counterfactual positions of each of the ``explanations``, one
+    row each in pairing order and padded with -1.
+
+    Default mode gives the proper growth ancestors, nearest first: the
+    parent array applied again and again. Exhaustive mode gives every
+    enumerated proper sub-tree, in ``itertools.combinations`` order of its
+    edge set, found by looking the subsets up in the table. Both drop the
+    bare target (the root, position 0) for explanations of three or more
+    nodes; it is only allowed for two-node explanations, where no other
+    counterfactual exists.
+    """
+    parent = enumeration.parent
+    width = enumeration.edge_ids.shape[1]
+    sizes = enumeration.sizes[explanations]
+    if not exhaustive:
+        above = np.append(parent, -1)  # above[-1] is -1, the root's parent
+        columns = [parent[explanations]]
+        for _ in range(width - 1):
+            columns.append(above[columns[-1]])
+        table = np.stack(columns, axis=1) if width else np.zeros((len(explanations), 0), dtype=np.intp)
+    else:
+        table = np.full((len(explanations), 2**width - 1), -1, dtype=np.intp)
+        edge_ids = enumeration.edge_ids[explanations]
+        padded = np.concatenate([edge_ids, np.full((len(edge_ids), 1), -1, dtype=np.intp)], axis=1)
+        for k in range(1, width + 1):
+            idx = np.flatnonzero(sizes == k + 1)
+            if idx.size:
+                combos = _combinations(k, width)
+                # Column k of a k-edge row is -1, so the padding reads -1.
+                subsets = padded[idx[:, None, None], combos[None]]
+                found = enumeration.positions(subsets.reshape(-1, width)).reshape(len(idx), len(combos))
+                table[idx, : len(combos)] = found
+    table[(table == 0) & (sizes >= 3)[:, None]] = -1
+    return table
+
+
+def counterfactual_pairs(enumeration: Enumeration, explanations: np.ndarray, exhaustive: bool) -> np.ndarray:
+    """(explanation, counterfactual) positions as an (m, 2) int array for
+    the ``explanations``, in their order, each followed by its
+    counterfactuals (see ``counterfactual_table``)."""
+    table = counterfactual_table(enumeration, explanations, exhaustive)
+    row, column = np.nonzero(table >= 0)
+    return np.stack([explanations[row], table[row, column]], axis=1)
 
 
 def generate_pairs(enumeration: Enumeration, exhaustive: bool = False) -> np.ndarray:
     """(explanation, counterfactual) positions as an (m, 2) int array, one
     explanation after another in enumeration order (see
-    ``Enumeration.counterfactuals``)."""
-    pairs = [(i, j) for i in range(len(enumeration)) for j in enumeration.counterfactuals(i, exhaustive)]
-    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    ``counterfactual_table``)."""
+    return counterfactual_pairs(enumeration, np.arange(len(enumeration)), exhaustive)
 
 
 def simulatability(reference, candidate, epsilon: float = DEFAULT_EPSILON):

@@ -1,4 +1,4 @@
-"""Pareto dominance and rank-based selection over scored pairs.
+"""Pareto fronts and rank-based selection over scored pairs.
 
 Scores are (simulatability, absolute relevance) and both coordinates are
 maximized. Ranks use competition ranking (ties share the smallest position,
@@ -11,11 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-
-def dominates(a, b) -> bool:
-    """True when a is at least as good as b in both coordinates and better in one."""
-    return a[0] >= b[0] and a[1] >= b[1] and (a[0] > b[0] or a[1] > b[1])
 
 
 def _reject_nan(values: np.ndarray) -> None:
@@ -67,16 +62,17 @@ def competition_ranks(values) -> list:
 class ScoredFront:
     """Per-pair ranks, the listing order, and the index the strategy picked.
 
-    ``order`` lists every index by (rank sum, tie key, index). A front from
-    ``rank_pairs`` also holds each pair's explanation position ``e``,
-    counterfactual position ``c`` and ``relevance``.
+    ``sim_ranks``, ``rel_ranks``, ``rank_sums`` and ``pareto`` hold one
+    value per pair; ``order`` lists every index by (rank sum, tie key,
+    index). A front from ``rank_pairs`` also holds each pair's explanation
+    position ``e``, counterfactual position ``c`` and ``relevance``.
     """
 
-    sim_ranks: tuple
-    rel_ranks: tuple
-    rank_sums: tuple
-    pareto: tuple
-    order: tuple
+    sim_ranks: np.ndarray
+    rel_ranks: np.ndarray
+    rank_sums: np.ndarray
+    pareto: np.ndarray
+    order: np.ndarray
     selected: int
     e: np.ndarray | None = None
     c: np.ndarray | None = None
@@ -84,7 +80,7 @@ class ScoredFront:
 
     @property
     def front_size(self) -> int:
-        return sum(self.pareto)
+        return int(np.count_nonzero(self.pareto))
 
 
 def _select(first: np.ndarray, second: np.ndarray, tie_keys, balanced: bool) -> ScoredFront:
@@ -99,35 +95,7 @@ def _select(first: np.ndarray, second: np.ndarray, tie_keys, balanced: bool) -> 
     if balanced:
         gaps = np.abs(sim_ranks - rel_ranks)
         selected = order[np.argmax(gaps[order] == gaps.min())]
-    return ScoredFront(
-        tuple(sim_ranks.tolist()),
-        tuple(rel_ranks.tolist()),
-        tuple(sums.tolist()),
-        tuple(_front(first, second).tolist()),
-        tuple(order.tolist()),
-        int(selected),
-    )
-
-
-def _scores(scores, tie_keys, balanced: bool) -> ScoredFront:
-    pairs = np.asarray(scores, dtype=float).reshape(-1, 2)
-    # Positions in a stable sort by key keep the (key, index) order.
-    keys = [] if tie_keys is None else [np.argsort(sorted(range(len(tie_keys)), key=tie_keys.__getitem__))]
-    return _select(pairs[:, 0], pairs[:, 1], keys, balanced)
-
-
-def select_comprehensive(scores, tie_keys=None) -> ScoredFront:
-    """Pick the minimal rank sum; ties fall back to the given sort keys, then the index."""
-    return _scores(scores, tie_keys, balanced=False)
-
-
-def select_balanced(scores, tie_keys=None) -> ScoredFront:
-    """Pick the pair whose two ranks are closest, favoring small rank sums.
-
-    The primary key is |sim_rank - rel_rank|, the secondary key the rank
-    sum, and remaining ties fall back to the given sort keys, then the index.
-    """
-    return _scores(scores, tie_keys, balanced=True)
+    return ScoredFront(sim_ranks, rel_ranks, sums, _front(first, second), order, int(selected))
 
 
 def rank_pairs(enumeration, simulatability, pairs, relevance, strategy: str = "comprehensive") -> ScoredFront:

@@ -18,6 +18,7 @@ from .explain import (
     CandidateScorer,
     EnumConfig,
     Enumeration,
+    counterfactual_pairs,
     enumerate_subgraphs,
     generate_pairs,
     DEFAULT_EPSILON,
@@ -107,17 +108,16 @@ def explain_node(
     scorer = CandidateScorer(
         model, graph, enumeration, epsilon, reference_distribution=reference_distribution, ball=ball
     )
-    root = enumeration.subgraphs[0]
 
     if method in ("pareto-rank", "balanced"):
         pairs = generate_pairs(enumeration, exhaustive=exhaustive_cf)
         strategy = "comprehensive" if method == "pareto-rank" else "balanced"
-        return _finish(scorer, ball, method, pairs, strategy, root)
+        return _finish(scorer, ball, method, pairs, strategy, 0)
 
     if method == "shapley":
         picked = baselines.shapley_selection(model, graph, target, config, epsilon, scorer=scorer)
         pairs = np.array([] if picked is None else [picked], dtype=np.intp).reshape(-1, 2)
-        return _finish(scorer, ball, method, pairs, "comprehensive", root)
+        return _finish(scorer, ball, method, pairs, "comprehensive", 0)
 
     if method == "random":
         weights = baselines.random_weights(graph, target, config, seed, ball)
@@ -132,28 +132,31 @@ def explain_node(
             raise ValueError("method external-weights requires edge weights")
         weights = {int(k): float(v) for k, v in edge_weights.items()}
     grown = baselines.grow_subgraph(weights, graph, target, config.max_nodes, ball)
-    i = enumeration.index.get(grown.edge_set)
-    counterfactuals = [] if i is None else enumeration.counterfactuals(i, exhaustive_cf)
-    pairs = np.array([(i, j) for j in counterfactuals], dtype=np.intp).reshape(-1, 2)
-    return _finish(scorer, ball, method, pairs, "comprehensive", grown)
+    i = enumeration.position(grown.edge_set)
+    if i is None:
+        pairs = np.zeros((0, 2), dtype=np.intp)
+    else:
+        pairs = counterfactual_pairs(enumeration, np.array([i]), exhaustive_cf)
+    return _finish(scorer, ball, method, pairs, "comprehensive", i, grown)
 
 
-def _finish(scorer, ball, method, pairs, strategy, fallback: Subgraph):
-    """Rank the pairs; with none, explain by ``fallback``, which may lie
-    outside the enumeration (a tree grown from external weights)."""
+def _finish(scorer, ball, method, pairs, strategy, i: int | None, grown: Subgraph | None = None):
+    """Rank the pairs; with none, explain by candidate ``i``, or when that
+    is None by ``grown``, a tree outside the enumeration (one grown from
+    external weights)."""
     enumeration = scorer.enumeration
-    front, i = None, enumeration.index.get(fallback.edge_set)
+    front = None
     if len(pairs):
         relevance = scorer.pair(pairs[:, 0], pairs[:, 1])
         front = rank_pairs(enumeration, scorer.simulatability, pairs, relevance, strategy)
-        i = front.e[front.selected]
+        i = int(front.e[front.selected])
     elif i is not None:
         scorer.candidate(i)
     if i is None:
-        explanation = fallback
-        distribution, sim = scorer.score(fallback)
+        explanation = grown
+        distribution, sim = scorer.score(grown)
     else:
-        explanation = enumeration.subgraphs[i]
+        explanation = enumeration.subgraph(i)
         distribution, sim = scorer.distributions[i], float(scorer.simulatability[i])
     return NodeExplanation(
         target=scorer.target,

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from moexp import CanonicalOrder, build_graph, forward, neighborhood_edge_ids, softmax, target_ball
+from moexp import CanonicalOrder, Subgraph, build_graph, forward, neighborhood_edge_ids, softmax, target_ball
 from moexp.analysis import confounder_set
-from moexp.cli import _candidate_block, top_count
+from moexp.cli import _candidate_block, _floats, top_count
+from moexp.pareto import _select
 from moexp.io import FormatError
 
 
@@ -176,6 +177,144 @@ def tree_records(graph, target, max_edges):
             radius = max(dist[v] for v in nodes)
             records.append((subset, len(nodes), radius))
     return records
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceEnumeration:
+    """An enumeration as the recursive DFS builds it: one ``Subgraph`` per
+    candidate, parent links (None for the root), and the candidate table
+    (``rows``, ``depth``, ``slots``) filled in one candidate at a time."""
+
+    target: int
+    subgraphs: tuple
+    parents: tuple
+    rows: np.ndarray
+    depth: np.ndarray
+    slots: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.subgraphs)
+
+    @property
+    def index(self) -> dict:
+        return {s.edge_set: i for i, s in enumerate(self.subgraphs)}
+
+    @property
+    def edge_set_rank(self) -> np.ndarray:
+        return np.argsort(sorted(range(len(self.subgraphs)), key=lambda i: self.subgraphs[i].edge_set))
+
+    def removed_nodes(self, i: int, j: int) -> list:
+        kept = set(self.subgraphs[j].node_set)
+        return [v for v in self.subgraphs[i].node_set if v not in kept]
+
+    def counterfactuals(self, i: int, exhaustive: bool) -> list:
+        """Candidate i's counterfactuals in pairing order: the growth
+        ancestors nearest first, or every enumerated proper sub-tree in
+        ``itertools.combinations`` order of its edge set; the bare target
+        only for two-node explanations."""
+        sub = self.subgraphs[i]
+        if exhaustive:
+            index = self.index
+            combos = (c for r in range(len(sub.edge_set)) for c in itertools.combinations(sub.edge_set, r))
+            out = [j for j in map(index.get, combos) if j is not None]
+        else:
+            out = []
+            j = self.parents[i]
+            while j is not None:
+                out.append(j)
+                j = self.parents[j]
+        if len(sub.node_set) >= 3:
+            out = [j for j in out if self.subgraphs[j].edge_set]
+        return out
+
+
+def recursive_enumeration(graph, target, config, ball=None) -> ReferenceEnumeration:
+    """The DFS that builds every tree: each step recomputes the extension
+    edges of the whole tree, tries them in canonical rank order, and
+    forbids a branch's edge for its later siblings."""
+    ball = target_ball(graph, target, config.diameter, ball)
+    dist, erank, incidence, global_id = ball.distance, ball.edge_rank, ball.incidence, ball.nodes
+    subgraphs, parents, tables = [], [], []
+
+    def expand(edge_ids, rows, depth, tree, parent, forbidden):
+        index = len(subgraphs)
+        subgraphs.append(Subgraph(target, tuple(sorted(edge_ids)), tuple(sorted(global_id[r] for r in rows))))
+        parents.append(parent)
+        slots = [sorted(tree[r], key=lambda q: global_id[rows[q]]) for r in range(len(rows))]
+        tables.append((rows, depth, slots))
+        if len(rows) >= config.max_nodes:
+            return
+        extensions = []
+        for r, node in enumerate(rows):
+            for nbr, eid in incidence[node]:
+                if eid in forbidden or nbr in rows or dist[nbr] > config.diameter:
+                    continue
+                extensions.append((erank[eid], eid, nbr, r))
+        extensions.sort()
+        blocked = set(forbidden)
+        for _, eid, nbr, r in extensions:
+            grown = tuple(t + (len(rows),) if q == r else t for q, t in enumerate(tree)) + ((r,),)
+            expand(edge_ids + (eid,), rows + (nbr,), depth + (depth[r] + 1,), grown, index, frozenset(blocked))
+            blocked.add(eid)
+
+    expand((), (0,), (0,), ((),), None, frozenset())
+    c = config.max_nodes
+    rows = np.full((len(tables), c), -1, dtype=np.int32)
+    depth = np.full((len(tables), c), -1, dtype=np.int32)
+    slots = np.full((len(tables), c, c - 1), -1, dtype=np.int32)
+    for i, (r, d, s) in enumerate(tables):
+        rows[i, : len(r)] = r
+        depth[i, : len(d)] = d
+        for k, row in enumerate(s):
+            slots[i, k, : len(row)] = row
+    return ReferenceEnumeration(target, tuple(subgraphs), tuple(parents), rows, depth, slots)
+
+
+def reference_pairs(enumeration, exhaustive: bool) -> list:
+    """(explanation, counterfactual) positions, one candidate at a time."""
+    return [(i, j) for i in range(len(enumeration)) for j in enumeration.counterfactuals(i, exhaustive)]
+
+
+def dominates(a, b) -> bool:
+    """True when a is at least as good as b in both coordinates and better in one."""
+    return a[0] >= b[0] and a[1] >= b[1] and (a[0] > b[0] or a[1] > b[1])
+
+
+@dataclass(frozen=True)
+class Selection:
+    """``pareto._select``'s ranks, flags, order and pick as tuples."""
+
+    sim_ranks: tuple
+    rel_ranks: tuple
+    rank_sums: tuple
+    pareto: tuple
+    order: tuple
+    selected: int
+
+
+def _scores(scores, tie_keys, balanced: bool) -> Selection:
+    pairs = np.asarray(scores, dtype=float).reshape(-1, 2)
+    # Positions in a stable sort by key keep the (key, index) order.
+    keys = [] if tie_keys is None else [np.argsort(sorted(range(len(tie_keys)), key=tie_keys.__getitem__))]
+    front = _select(pairs[:, 0], pairs[:, 1], keys, balanced)
+    return Selection(
+        *(tuple(a.tolist()) for a in (front.sim_ranks, front.rel_ranks, front.rank_sums, front.pareto, front.order)),
+        front.selected,
+    )
+
+
+def select_comprehensive(scores, tie_keys=None) -> Selection:
+    """Pick the minimal rank sum; ties fall back to the given sort keys, then the index."""
+    return _scores(scores, tie_keys, balanced=False)
+
+
+def select_balanced(scores, tie_keys=None) -> Selection:
+    """Pick the pair whose two ranks are closest, favoring small rank sums.
+
+    The primary key is |sim_rank - rel_rank|, the secondary key the rank
+    sum, and remaining ties fall back to the given sort keys, then the index.
+    """
+    return _scores(scores, tie_keys, balanced=True)
 
 
 def dominates_oracle(a, b):
@@ -519,6 +658,9 @@ def reference_document(result, graph, model, config, manifest) -> dict:
     enumeration, sims = result.scorer.enumeration, result.scorer.simulatability.tolist()
     subs = enumeration.subgraphs
     e, c, relevance = front.e.tolist(), front.c.tolist(), front.relevance.tolist()
+    sim_ranks, rel_ranks, rank_sums, pareto = (
+        a.tolist() for a in (front.sim_ranks, front.rel_ranks, front.rank_sums, front.pareto)
+    )
     sel = front.selected
     removed = enumeration.removed_nodes(e[sel], c[sel])
     doc.update(
@@ -528,15 +670,15 @@ def reference_document(result, graph, model, config, manifest) -> dict:
         removed_nodes=removed,
         cf_relevance=relevance[sel],
         abs_cf_relevance=abs(relevance[sel]),
-        rank_sum=front.rank_sums[sel],
-        sim_rank=front.sim_ranks[sel],
-        cf_rank=front.rel_ranks[sel],
-        on_front=front.pareto[sel],
+        rank_sum=rank_sums[sel],
+        sim_rank=sim_ranks[sel],
+        cf_rank=rel_ranks[sel],
+        on_front=pareto[sel],
         front_size=front.front_size,
         confounders=sorted(confounder_set(graph, result.target, model.depth, removed, result.ball)),
     )
     top = []
-    for i in front.order[: top_count(config.top_percent, len(e))]:
+    for i in front.order.tolist()[: top_count(config.top_percent, len(e))]:
         top.append(
             {
                 "explanation_edge_ids": list(subs[e[i]].edge_set),
@@ -546,14 +688,63 @@ def reference_document(result, graph, model, config, manifest) -> dict:
                 "simulatability": sims[e[i]],
                 "cf_relevance": relevance[i],
                 "abs_cf_relevance": abs(relevance[i]),
-                "sim_rank": front.sim_ranks[i],
-                "cf_rank": front.rel_ranks[i],
-                "rank_sum": front.rank_sums[i],
-                "on_front": front.pareto[i],
+                "sim_rank": sim_ranks[i],
+                "cf_rank": rel_ranks[i],
+                "rank_sum": rank_sums[i],
+                "on_front": pareto[i],
             }
         )
     doc["top_pairs"] = top
     return doc
+
+
+# One ``top_pairs`` entry as ``json.dumps(sort_keys=True, indent=2)`` writes it.
+_PAIR = """    {
+      "abs_cf_relevance": %s,
+      "cf_rank": %d,
+      "cf_relevance": %s,
+      "counterfactual_edge_ids": %s,
+      "explanation_edge_ids": %s,
+      "explanation_nodes": %s,
+      "on_front": %s,
+      "rank_sum": %d,
+      "removed_nodes": %s,
+      "sim_rank": %d,
+      "simulatability": %s
+    }"""
+
+
+def _ints(values) -> str:
+    """An int list as ``json`` writes it as the value of a ``top_pairs`` entry's key."""
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+
+
+def template_top_pairs(result, config) -> str:
+    """The ``top_pairs`` text of a document with a front, one ``%`` template
+    per embedded pair: how ``cli.node_document`` rendered it before it
+    assembled the entries from distinct-value texts."""
+    front, scorer = result.front, result.scorer
+    enumeration = scorer.enumeration
+    subs = enumeration.subgraphs
+    order = front.order[: top_count(config.top_percent, len(front.e))].tolist()
+    kept = np.array(order, dtype=np.intp)
+    es, cs = front.e[kept].tolist(), front.c[kept].tolist()
+    rel_text = _floats(front.relevance[kept])
+    explanations = list(set(es))
+    sims = dict(zip(explanations, _floats(scorer.simulatability[explanations])))
+    edge_ids = {j: _ints(subs[j].edge_set) for j in {*es, *cs}}
+    nodes = {j: _ints(subs[j].node_set) for j in explanations}
+    pairs = [
+        _PAIR % (
+            rel_text[k].lstrip("-"), front.rel_ranks[i], rel_text[k], edge_ids[cs[k]], edge_ids[es[k]],
+            nodes[es[k]], "true" if front.pareto[i] else "false", front.rank_sums[i],
+            _ints(enumeration.removed_nodes(es[k], cs[k])), front.sim_ranks[i], sims[es[k]],
+        )
+        for k, i in enumerate(order)
+    ]
+    return "[\n" + ",\n".join(pairs) + "\n  ]"
 
 
 @dataclass(frozen=True, eq=False)

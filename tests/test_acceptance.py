@@ -20,7 +20,6 @@ from moexp import (
     build_graph,
     cf_relevance,
     confounder_set,
-    dominates,
     enumerate_subgraphs,
     explain_node,
     forward,
@@ -29,7 +28,6 @@ from moexp import (
     grow_subgraph,
     make_subgraph,
     pareto_front,
-    select_comprehensive,
     shapley_values,
     simulatability,
     synth_graph,
@@ -40,9 +38,11 @@ from moexp.io import save_graph, save_model
 
 from conftest import sem_chain, sem_model
 from oracles import (
+    dominates,
     pareto_oracle,
     random_graph,
     random_model,
+    select_comprehensive,
     sem_expand_check,
     shapley_oracle,
     tree_records,

@@ -2,7 +2,9 @@
 
 ``cli.node_document`` renders ``top_pairs`` as text; each document must be
 the exact text ``json.dumps(sort_keys=True, indent=2)`` writes for the dict
-``oracles.reference_document`` builds from the same result.
+``oracles.reference_document`` builds from the same result, and its
+``top_pairs`` the text of ``oracles.template_top_pairs``, one ``%``
+template per pair.
 """
 
 import json
@@ -15,14 +17,17 @@ from hypothesis import strategies as st
 from moexp import METHODS, EnumConfig, build_graph, explain_node
 from moexp.cli import RunConfig, _floats, node_document
 
-from oracles import random_graph, random_model, reference_document
+from oracles import random_graph, random_model, reference_document, template_top_pairs
 
 
 def _documents(result, graph, model, method, exhaustive, top_percent):
     config = RunConfig("g.json", "w.json", "out", top_percent=top_percent, method=method, exhaustive_cf=exhaustive)
     manifest = {"tool": "moexp", "seed": 7, "config": config.public_dict(), "inputs": {}, "generated_at": ""}
     want = json.dumps(reference_document(result, graph, model, config, manifest), sort_keys=True, indent=2) + "\n"
-    return node_document(result, graph, model, config, manifest), want
+    got = node_document(result, graph, model, config, manifest)
+    if result.front is not None:
+        assert got.endswith('"top_pairs": ' + template_top_pairs(result, config) + "\n}\n")
+    return got, want
 
 
 def _explain(model, graph, target, method, exhaustive, rng, config=EnumConfig()):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from moexp import (
     CandidateScorer,
+    Enumeration,
     EnumConfig,
     Model,
     build_graph,
@@ -16,8 +17,16 @@ from moexp import (
     validate_subgraph,
 )
 from moexp.cli import RunConfig
+from moexp.explain import counterfactual_pairs
 
-from oracles import brute_force_trees, random_graph, random_model, sym_kl
+from oracles import (
+    brute_force_trees,
+    random_graph,
+    random_model,
+    recursive_enumeration,
+    reference_pairs,
+    sym_kl,
+)
 
 
 def three_chain():
@@ -48,17 +57,21 @@ def test_counterfactuals_match_brute_force(seed):
     v = int(rng.integers(0, g.node_count))
     enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=4, diameter=2))
     trees = [frozenset(t) for t in brute_force_trees(g, v, 4, 2)]
+    by_explanation = {mode: [[] for _ in range(len(enum))] for mode in (False, True)}
+    for mode, lists in by_explanation.items():
+        for e, c in generate_pairs(enum, exhaustive=mode).tolist():
+            lists[e].append(c)
     for i, sub in enumerate(enum.subgraphs):
         edges = frozenset(sub.edge_set)
         bare_ok = len(sub.node_set) < 3
-        exhaustive = [frozenset(enum.subgraphs[j].edge_set) for j in enum.counterfactuals(i, True)]
+        exhaustive = [frozenset(enum.subgraphs[j].edge_set) for j in by_explanation[True][i]]
         assert len(exhaustive) == len(set(exhaustive))
         assert set(exhaustive) == {t for t in trees if t < edges and (t or bare_ok)}
-        chain, j = [], enum.parents[i]
-        while j is not None:
+        chain, j = [], enum.parent[i]
+        while j >= 0:
             chain.append(j)
-            j = enum.parents[j]
-        assert enum.counterfactuals(i, False) == [j for j in chain if enum.subgraphs[j].edge_set or bare_ok]
+            j = enum.parent[j]
+        assert by_explanation[False][i] == [j for j in chain if enum.subgraphs[j].edge_set or bare_ok]
 
 
 def test_enumerate_chain_three_candidates():
@@ -91,8 +104,8 @@ def test_parent_links_grow_by_one_edge():
     g = random_graph(np.random.default_rng(5), max_nodes=7)
     enum = enumerate_subgraphs(g, 0, EnumConfig(max_nodes=4, diameter=3))
     for i, sub in enumerate(enum.subgraphs):
-        parent = enum.parents[i]
-        if parent is None:
+        parent = enum.parent[i]
+        if parent < 0:
             assert sub.edge_set == ()
             continue
         pset = set(enum.subgraphs[parent].edge_set)
@@ -120,6 +133,76 @@ def test_enumeration_matches_bruteforce(seed, max_nodes, diameter):
     assert set(keys) == brute_force_trees(g, v, max_nodes, diameter)
     for sub in enum.subgraphs:
         assert validate_subgraph(g, sub) is None
+
+
+def assert_table_matches_recursive_oracle(enum: Enumeration, graph, config, rng):
+    ref = recursive_enumeration(graph, enum.target, config)
+    assert enum.subgraphs == ref.subgraphs
+    assert [enum.subgraph(i) for i in range(len(enum))] == list(ref.subgraphs)
+    assert enum.parent.tolist() == [-1 if p is None else p for p in ref.parents]
+    assert enum.sizes.tolist() == [len(s.node_set) for s in ref.subgraphs]
+    for name in ("rows", "depth", "slots"):
+        got, want = getattr(enum, name), getattr(ref, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+    assert enum.edge_set_rank.tolist() == ref.edge_set_rank.tolist()
+    assert enum.index == ref.index
+
+    # Every candidate, subsets of the ball's edges that may or may not be
+    # trees, sets with edges outside the ball and sets too large to be one.
+    ball_edges = sorted(enum.ball.edge_rank)
+    outside = [e for e in range(graph.edge_count) if e not in enum.ball.edge_rank]
+    queries = [s.edge_set for s in ref.subgraphs]
+    for k in range(1, min(len(ball_edges), config.max_nodes) + 1):
+        for _ in range(5):
+            queries.append(tuple(sorted(rng.choice(ball_edges, size=k, replace=False).tolist())))
+    queries += [(e,) for e in outside[:3]] + [tuple(sorted(ball_edges[:1] + outside[:1]))]
+    for q in queries:
+        assert enum.position(q) == ref.index.get(q), q
+    width = config.max_nodes - 1
+    fitting = [q for q in queries if len(q) <= width]
+    rows = np.full((len(fitting), width), -1, dtype=np.intp)
+    for row, q in zip(rows, fitting):
+        row[: len(q)] = q
+    assert enum.positions(rows).tolist() == [ref.index.get(q, -1) for q in fitting]
+
+    for exhaustive in (False, True):
+        want = reference_pairs(ref, exhaustive)
+        got = generate_pairs(enum, exhaustive)
+        assert got.dtype == np.intp and got.shape == (len(want), 2)
+        assert got.tolist() == [list(p) for p in want]
+        some = np.flatnonzero(rng.random(len(enum)) < 0.5)
+        assert counterfactual_pairs(enum, some, exhaustive).tolist() == [list(p) for p in want if p[0] in some]
+        for e, c in want:
+            assert enum.removed_nodes(e, c) == ref.removed_nodes(e, c)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(1, 8),
+    st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.8]),
+)
+@settings(max_examples=300, deadline=None)
+def test_table_enumeration_matches_recursive_oracle(seed, max_nodes, diameter, nodes, edge_prob):
+    # Single-node graphs, isolated targets, paths, dense balls.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=nodes, edge_prob=edge_prob, min_nodes=1)
+    v = int(rng.integers(0, g.node_count))
+    config = EnumConfig(max_nodes=max_nodes, diameter=diameter)
+    assert_table_matches_recursive_oracle(enumerate_subgraphs(g, v, config), g, config, rng)
+
+
+def test_lookup_keys_wider_than_63_bits_match_the_oracle():
+    # 16 edge columns over a 20-edge ball: 21**16 does not fit 63 bits, so
+    # the lookup keys are bytes.
+    g = build_graph([[0.0]] * 21, [(i, i + 1) for i in range(20)])
+    config = EnumConfig(max_nodes=17, diameter=10)
+    enum = enumerate_subgraphs(g, 10, config)
+    assert enum._sorted[1].dtype.kind == "V"
+    # Paths through node 10 of a nodes to its left and b to its right, a + b <= 16.
+    assert len(enum) == 11 * 11 - 10
+    assert_table_matches_recursive_oracle(enum, g, config, np.random.default_rng(0))
 
 
 def edge_set_pairs(enum, pairs):

@@ -3,15 +3,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moexp import (
-    competition_ranks,
+from moexp import EnumConfig, competition_ranks, enumerate_subgraphs, generate_pairs, pareto_front, rank_pairs
+
+from oracles import (
     dominates,
-    pareto_front,
+    dominates_oracle,
+    pareto_oracle,
+    random_graph,
     select_balanced,
     select_comprehensive,
 )
-
-from oracles import dominates_oracle, pareto_oracle
 
 score_lists = st.lists(
     st.tuples(st.floats(-10, 0), st.floats(0, 10)), min_size=1, max_size=40
@@ -124,6 +125,26 @@ def test_comprehensive_choice_is_never_dominated(scores):
     for other in scores:
         assert not dominates(other, chosen)
     assert sel.pareto[sel.selected]
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(2, 5), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_rank_pairs_selection_is_never_dominated(seed, exhaustive, max_nodes, diameter):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=7, edge_prob=0.5)
+    enum = enumerate_subgraphs(g, int(rng.integers(0, g.node_count)), EnumConfig(max_nodes, diameter))
+    pairs = generate_pairs(enum, exhaustive)
+    assume(len(pairs))
+    # Few distinct values, so that both objectives tie often.
+    simulatability = -rng.choice([0.0, 0.25, 0.5, 2.0], size=len(enum))
+    relevance = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 3.0], size=len(pairs))
+    front = rank_pairs(enum, simulatability, pairs, relevance, "comprehensive")
+    scores = list(zip(simulatability[pairs[:, 0]].tolist(), np.abs(relevance).tolist()))
+    chosen = scores[front.selected]
+    assert not any(dominates_oracle(other, chosen) for other in scores)
+    assert front.pareto[front.selected]
+    assert front.pareto.tolist() == pareto_oracle(scores)
+    assert front.order[0] == front.selected
 
 
 @given(score_lists)

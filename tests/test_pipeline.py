@@ -180,10 +180,10 @@ def test_index_pairs_match_object_reference(seed, flat, exhaustive, method):
     strategy = "comprehensive" if method == "pareto-rank" else "balanced"
     relevance, sim_ranks, rel_ranks, pareto, order, selected = reference_ranking(m, g, v, pairs, strategy)
     assert front.relevance.tobytes() == np.array(relevance).tobytes()
-    assert front.sim_ranks == tuple(sim_ranks)
-    assert front.rel_ranks == tuple(rel_ranks)
-    assert front.pareto == tuple(pareto)
-    assert front.order == tuple(order)
+    assert front.sim_ranks.tolist() == sim_ranks
+    assert front.rel_ranks.tolist() == rel_ranks
+    assert front.pareto.tolist() == pareto
+    assert front.order.tolist() == order
     assert front.selected == selected
 
 
