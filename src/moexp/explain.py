@@ -237,7 +237,7 @@ def _candidate_table(target: int, ball: Ball, growth: np.ndarray, max_nodes: int
     added node, added edge): a candidate of k nodes is its parent's arrays
     plus row k - 1, so one step per size builds them."""
     n = len(growth)
-    parent, at, added, edge = growth.T
+    parent, at, added, edge = np.ascontiguousarray(growth.T)
     global_id = np.asarray(ball.nodes)
     size = np.ones(n, dtype=np.intp)
     above = np.append(parent, -1)  # above[-1] is -1, the root's parent
