@@ -353,9 +353,8 @@ def enumerate_command(config: EnumerateConfig) -> int:
             enumeration.edge_ids.tolist(), enumeration.node_ids.tolist(),
         )
         for i, (parent, k, edges, nodes) in enumerate(table):
-            rows.append(
-                (node, i, "" if parent < 0 else parent, k, "|".join(map(str, edges[: k - 1])), "|".join(map(str, nodes[:k])))
-            )
+            edge_text, node_text = "|".join(map(str, edges[: k - 1])), "|".join(map(str, nodes[:k]))
+            rows.append((node, i, "" if parent < 0 else parent, k, edge_text, node_text))
     io.write_csv(
         config.output_path,
         ["node", "index", "parent", "node_count", "edge_ids", "node_ids"],

@@ -282,9 +282,10 @@ def _combinations(k: int, width: int) -> np.ndarray:
     return out
 
 
-def counterfactual_table(enumeration: Enumeration, explanations: np.ndarray, exhaustive: bool) -> np.ndarray:
-    """The counterfactual positions of each of the ``explanations``, one
-    row each in pairing order and padded with -1.
+def counterfactual_pairs(enumeration: Enumeration, explanations: np.ndarray, exhaustive: bool) -> np.ndarray:
+    """(explanation, counterfactual) positions as an (m, 2) int array for
+    the ``explanations``, in their order, each followed by its
+    counterfactuals in pairing order.
 
     Default mode gives the proper growth ancestors, nearest first: the
     parent array applied again and again. Exhaustive mode gives every
@@ -316,14 +317,8 @@ def counterfactual_table(enumeration: Enumeration, explanations: np.ndarray, exh
                 found = enumeration.positions(subsets.reshape(-1, width)).reshape(len(idx), len(combos))
                 table[idx, : len(combos)] = found
     table[(table == 0) & (sizes >= 3)[:, None]] = -1
-    return table
-
-
-def counterfactual_pairs(enumeration: Enumeration, explanations: np.ndarray, exhaustive: bool) -> np.ndarray:
-    """(explanation, counterfactual) positions as an (m, 2) int array for
-    the ``explanations``, in their order, each followed by its
-    counterfactuals (see ``counterfactual_table``)."""
-    table = counterfactual_table(enumeration, explanations, exhaustive)
+    # One row per explanation, its counterfactuals in order, -1 where none:
+    # row-major nonzero lists the pairs in pairing order.
     row, column = np.nonzero(table >= 0)
     return np.stack([explanations[row], table[row, column]], axis=1)
 
@@ -331,7 +326,7 @@ def counterfactual_pairs(enumeration: Enumeration, explanations: np.ndarray, exh
 def generate_pairs(enumeration: Enumeration, exhaustive: bool = False) -> np.ndarray:
     """(explanation, counterfactual) positions as an (m, 2) int array, one
     explanation after another in enumeration order (see
-    ``counterfactual_table``)."""
+    ``counterfactual_pairs``)."""
     return counterfactual_pairs(enumeration, np.arange(len(enumeration)), exhaustive)
 
 
