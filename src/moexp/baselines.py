@@ -83,9 +83,9 @@ def _scorer(model, graph, target, config, epsilon, scorer) -> CandidateScorer:
 
 def _endpoints(graph: Graph, edge_ids: np.ndarray):
     """The lo and hi ends of each edge of ``edge_ids``, -1 for its -1 padding."""
+    if not graph.edge_count:  # every id is padding
+        return np.full(edge_ids.shape, -1), np.full(edge_ids.shape, -1)
     pad = edge_ids < 0
-    if not graph.edge_count:
-        return np.where(pad, -1, 0), np.where(pad, -1, 0)
     return np.where(pad, -1, graph.lo[edge_ids]), np.where(pad, -1, graph.hi[edge_ids])
 
 
@@ -154,7 +154,7 @@ def set_shapley_value(
     if not removed:
         raise ValueError("removed set must be non-empty")
     scorer = _scorer(model, graph, target, config, epsilon, scorer)
-    if not removed <= set(range(graph.node_count)):
+    if not all(0 <= v < graph.node_count for v in removed):
         return None
     enumeration = scorer.enumeration
     gone = np.array(sorted(removed), dtype=np.intp)

@@ -282,6 +282,12 @@ def _combinations(k: int, width: int) -> np.ndarray:
     return out
 
 
+# Exhaustive pairing looks up 2**(max_nodes - 1) - 1 edge subsets per
+# explanation; it runs on runs of explanations whose subsets hold at most
+# this many ids, so its memory stays bounded at any max_nodes.
+LOOKUP_ENTRIES = 1 << 21
+
+
 def counterfactual_pairs(enumeration: Enumeration, explanations: np.ndarray, exhaustive: bool) -> np.ndarray:
     """(explanation, counterfactual) positions as an (m, 2) int array for
     the ``explanations``, in their order, each followed by its
@@ -297,6 +303,10 @@ def counterfactual_pairs(enumeration: Enumeration, explanations: np.ndarray, exh
     """
     parent = enumeration.parent
     width = enumeration.edge_ids.shape[1]
+    step = max(1, LOOKUP_ENTRIES // (2**width * max(width, 1)))
+    if exhaustive and len(explanations) > step:
+        runs = [explanations[start : start + step] for start in range(0, len(explanations), step)]
+        return np.concatenate([counterfactual_pairs(enumeration, run, True) for run in runs])
     sizes = enumeration.sizes[explanations]
     if not exhaustive:
         above = np.append(parent, -1)  # above[-1] is -1, the root's parent

@@ -9,6 +9,7 @@ from moexp import (
     EnumConfig,
     Model,
     build_graph,
+    canonical_order,
     cf_relevance,
     enumerate_subgraphs,
     generate_pairs,
@@ -193,15 +194,18 @@ def test_table_enumeration_matches_recursive_oracle(seed, max_nodes, diameter, n
     assert_table_matches_recursive_oracle(enumerate_subgraphs(g, v, config), g, config, rng)
 
 
-def test_lookup_keys_wider_than_63_bits_match_the_oracle():
-    # 16 edge columns over a 20-edge ball: 21**16 does not fit 63 bits, so
-    # the lookup keys are bytes.
-    g = build_graph([[0.0]] * 21, [(i, i + 1) for i in range(20)])
-    config = EnumConfig(max_nodes=17, diameter=10)
-    enum = enumerate_subgraphs(g, 10, config)
+@pytest.mark.parametrize("nodes,target,max_nodes,diameter,hops", [(21, 10, 17, 10, 10), (300, 260, 9, 8, 299)])
+def test_lookup_keys_wider_than_63_bits_match_the_oracle(nodes, target, max_nodes, diameter, hops):
+    # On a path, 16 edge columns over a 20-edge ball (21**16 does not fit 63
+    # bits), and 8 columns over a 299-edge ball whose candidates' digits
+    # cross 256, so the byte keys must be big-endian to sort as the rows do.
+    g = build_graph([[0.0]] * nodes, [(i, i + 1) for i in range(nodes - 1)])
+    config = EnumConfig(max_nodes=max_nodes, diameter=diameter)
+    enum = enumerate_subgraphs(g, target, config, canonical_order(g, target, hops))
     assert enum._sorted[1].dtype.kind == "V"
-    # Paths through node 10 of a nodes to its left and b to its right, a + b <= 16.
-    assert len(enum) == 11 * 11 - 10
+    # Paths of a nodes left and b nodes right of the target, a + b < max_nodes.
+    left, right = min(diameter, target), min(diameter, nodes - 1 - target)
+    assert len(enum) == sum(1 for a in range(left + 1) for b in range(right + 1) if a + b < max_nodes)
     assert_table_matches_recursive_oracle(enum, g, config, np.random.default_rng(0))
 
 
