@@ -45,9 +45,10 @@ class Enumeration:
 
     Candidate i was grown from candidate ``parent[i]`` by one edge; the
     single-node root is candidate 0, with parent -1, and parents come
-    before their children. ``edge_ids[i]`` and ``node_ids[i]`` hold
-    candidate i's global edge and node ids ascending, padded with -1 to
-    ``max_nodes - 1`` and ``max_nodes`` columns.
+    before their children. ``sizes[i]`` is candidate i's node count, and
+    ``edge_ids[i]`` and ``node_ids[i]`` hold its global edge and node ids
+    ascending, padded with -1 to ``max_nodes - 1`` and ``max_nodes``
+    columns.
 
     For batched restricted passes, the table holds every tree again as
     local ids of ``ball``, padded with -1 to ``max_nodes`` nodes:
@@ -66,6 +67,7 @@ class Enumeration:
     target: int
     ball: Ball
     parent: np.ndarray
+    sizes: np.ndarray
     edge_ids: np.ndarray
     node_ids: np.ndarray
     rows: np.ndarray
@@ -92,62 +94,32 @@ class Enumeration:
         return {s.edge_set: i for i, s in enumerate(self.subgraphs)}
 
     @functools.cached_property
-    def sizes(self) -> np.ndarray:
-        """Node count of each candidate."""
-        return np.count_nonzero(self.rows >= 0, axis=1)
-
-    @functools.cached_property
     def edge_set_rank(self) -> np.ndarray:
         """Position of each candidate when the edge sets are sorted."""
         rank = np.empty(len(self), dtype=np.intp)
-        rank[self._sorted[0]] = np.arange(len(self))
+        rank[self._order] = np.arange(len(self))
         return rank
 
     @functools.cached_property
-    def _sorted(self):
-        """The candidates in edge-set order, and their ``_keys`` in that order.
+    def _order(self) -> np.ndarray:
+        """The candidates in edge-set order.
 
         A row padded with -1 sorts as its tuple does, shorter prefixes
         first, so a lexsort of the padded rows sorts the edge sets.
         """
-        order = np.lexsort(self.edge_ids.T[::-1]) if self.edge_ids.shape[1] else np.arange(len(self))
-        return order, self._keys(self.edge_ids[order])[0]
+        return np.lexsort(self.edge_ids.T[::-1]) if self.edge_ids.shape[1] else np.arange(len(self))
 
     @functools.cached_property
-    def _ball_edges(self) -> np.ndarray:
-        """The global ids of the ball's edges, ascending."""
-        return np.sort(np.fromiter(self.ball.edge_rank, dtype=np.intp, count=len(self.ball.edge_rank)))
-
-    def _keys(self, edge_ids: np.ndarray):
-        """One key per row of sorted edge ids padded with -1, ordered as the
-        rows sort, and whether every id of the row is a ball edge.
-
-        Each id becomes 1 + its position among the ball's edges, and the
-        padding 0; a row's key is those digits in base (ball edges + 1),
-        or, when that would not fit 63 bits, their big-endian bytes.
-        """
-        ball_edges = self._ball_edges
-        at = ball_edges.searchsorted(edge_ids)
-        pad = edge_ids < 0
-        valid = pad | (ball_edges[np.minimum(at, len(ball_edges) - 1)] == edge_ids) if len(ball_edges) else pad
-        digits = np.where(pad, 0, at + 1)
-        base, width = len(ball_edges) + 1, edge_ids.shape[1]
-        if base**width < 2**63:
-            keys = np.zeros(len(edge_ids), dtype=np.int64)
-            for column in digits.T:
-                keys = keys * base + column
-        else:
-            digits = np.ascontiguousarray(digits.astype(">u8"))
-            keys = digits.view(np.dtype((np.void, 8 * width))).ravel()
-        return keys, valid.all(axis=1)
+    def _sorted_keys(self) -> np.ndarray:
+        """The candidates' ``_keys`` in edge-set order."""
+        return _keys(self.edge_ids[self._order])
 
     def positions(self, edge_ids: np.ndarray) -> np.ndarray:
         """The position of each row's edge set, given as sorted ids padded
         with -1 to the table's width; -1 for a set that is no candidate."""
-        order, keys = self._sorted
-        wanted, valid = self._keys(edge_ids)
+        keys, wanted = self._sorted_keys, _keys(edge_ids)
         at = np.minimum(keys.searchsorted(wanted), len(keys) - 1)
-        return np.where(valid & (keys[at] == wanted), order[at], -1)
+        return np.where(keys[at] == wanted, self._order[at], -1)
 
     def position(self, edge_set) -> int | None:
         """Position of the candidate with this sorted edge set; None when
@@ -177,6 +149,16 @@ class Enumeration:
         """Nodes of candidate i that candidate j lacks, ascending."""
         removed = self.removed_node_ids(np.array([i]), np.array([j]))[0]
         return removed[removed >= 0].tolist()
+
+
+def _keys(edge_ids: np.ndarray) -> np.ndarray:
+    """One bytes key per row of sorted edge ids padded with -1, ordered as
+    the rows sort: each id + 1 and the padding 0 as big-endian words. A
+    zero word closes every key, so rows of no columns have keys too."""
+    n, width = edge_ids.shape
+    words = np.zeros((n, width + 1), dtype=">u8")
+    words[:, :width] = edge_ids + 1
+    return words.view(np.dtype((np.void, 8 * (width + 1)))).ravel()
 
 
 def _sorted_rows(matrix: np.ndarray) -> np.ndarray:
@@ -211,14 +193,14 @@ def enumerate_subgraphs(
         for v in range(ball.within[min(config.diameter, max_nodes - 1)])
     ]
     # Per candidate, flat: its parent, the parent's row the new edge leaves
-    # from, the node it adds and the edge.
-    growth = [-1, 0, 0, -1]
+    # from, the node it adds, the edge and its node count.
+    growth = [-1, 0, 0, -1, 1]
     rows = [0]
 
     def expand(index: int, extensions: list):
         for k, (_, eid, nbr, at) in enumerate(extensions):
-            child = len(growth) // 4
-            growth.extend((index, at, nbr, eid))
+            child = len(growth) // 5
+            growth.extend((index, at, nbr, eid, len(rows) + 1))
             if len(rows) + 1 < max_nodes:
                 # An edge between two tree nodes closes a cycle.
                 later = [x for x in extensions[k + 1 :] if x[2] != nbr]
@@ -229,22 +211,16 @@ def enumerate_subgraphs(
 
     if max_nodes > 1:
         expand(0, [(rank, eid, nbr, 0) for rank, eid, nbr in links[0]])
-    return _candidate_table(target, ball, np.array(growth, dtype=np.intp).reshape(-1, 4), max_nodes)
+    return _candidate_table(target, ball, np.array(growth, dtype=np.intp).reshape(-1, 5), max_nodes)
 
 
 def _candidate_table(target: int, ball: Ball, growth: np.ndarray, max_nodes: int) -> Enumeration:
     """The ``Enumeration`` of each candidate's (parent, row grown from,
-    added node, added edge): a candidate of k nodes is its parent's arrays
-    plus row k - 1, so one step per size builds them."""
+    added node, added edge, node count): a candidate of k nodes is its
+    parent's arrays plus row k - 1, so one step per size builds them."""
     n = len(growth)
-    parent, at, added, edge = np.ascontiguousarray(growth.T)
+    parent, at, added, edge, size = np.ascontiguousarray(growth.T)
     global_id = np.asarray(ball.nodes)
-    size = np.ones(n, dtype=np.intp)
-    above = np.append(parent, -1)  # above[-1] is -1, the root's parent
-    ancestor = parent
-    while (ancestor >= 0).any():
-        size += ancestor >= 0
-        ancestor = above[ancestor]
     rows = np.full((n, max_nodes), -1, dtype=np.int32)
     depth = np.full((n, max_nodes), -1, dtype=np.int32)
     slots = np.full((n, max_nodes, max_nodes - 1), -1, dtype=np.int32)
@@ -269,7 +245,7 @@ def _candidate_table(target: int, ball: Ball, growth: np.ndarray, max_nodes: int
         moved = np.concatenate([old[:, :1], old[:, :-1]], axis=1)  # one place to the right
         slots[idx, a] = np.where(width < place, old, np.where(width == place, r, moved))
     node_ids = _sorted_rows(np.where(rows >= 0, global_id[rows], -1))
-    return Enumeration(target, ball, parent, _sorted_rows(edges), node_ids, rows, depth, slots)
+    return Enumeration(target, ball, parent, size, _sorted_rows(edges), node_ids, rows, depth, slots)
 
 
 def _combinations(k: int, width: int) -> np.ndarray:
