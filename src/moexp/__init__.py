@@ -15,7 +15,6 @@ from .graph import (
     CYCLIC,
     DISCONNECTED,
     MISSING_TARGET,
-    CanonicalOrder,
     Graph,
     Subgraph,
     build_graph,
@@ -88,7 +87,6 @@ __all__ = [
     "Ball",
     "CYCLIC",
     "CandidateScorer",
-    "CanonicalOrder",
     "DEFAULT_EPSILON",
     "DISCONNECTED",
     "EnumConfig",

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcn import Model, ball_messages, forward, layers_hidden, node_embeddings, softmax
-from .graph import Ball, Graph, Subgraph, canonical_order, make_subgraph, target_ball
-from .explain import CandidateScorer, EnumConfig, enumerate_subgraphs, DEFAULT_EPSILON
+from .graph import Ball, Graph, Subgraph, canonical_order, target_ball
+from .explain import CandidateScorer, EnumConfig, Enumeration, _candidate_table, enumerate_subgraphs, DEFAULT_EPSILON
 
 
 def neighborhood_edge_ids(graph: Graph, target: int, diameter: int, ball: Ball | None = None) -> list:
@@ -33,14 +33,17 @@ def random_weights(graph: Graph, target: int, config: EnumConfig, seed: int, bal
     return {eid: float(v) for eid, v in zip(eids, values)}
 
 
-def grow_subgraph(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | None = None) -> Subgraph:
-    """Greedy tree growth from the target along the heaviest frontier edge.
+def grow_table(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | None = None) -> Enumeration:
+    """Greedy tree growth from the target along the heaviest frontier edge,
+    as the one-path ``Enumeration`` of its steps: candidate k is the tree
+    after k steps, grown from candidate k - 1.
 
     Only edges present in ``weights`` are considered; ties are broken by
     canonical edge rank. Growth stops at ``max_nodes`` nodes or when no
     weighted frontier edge remains. It reads the target's ball: ``ball``
     must hold every weighted edge the growth can reach, which the default
-    ``max_nodes - 1`` hops always do.
+    ``max_nodes - 1`` hops always do. Each step is recorded as the DFS of
+    ``enumerate_subgraphs`` records a candidate.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be at least 1")
@@ -49,22 +52,29 @@ def grow_subgraph(weights, graph: Graph, target: int, max_nodes: int, ball: Ball
     else:
         ball = target_ball(graph, target, 0, ball)
     erank = ball.edge_rank
-    nodes = {0}
-    chosen: list[int] = []
-    while len(nodes) < max_nodes:
+    rows = [0]
+    # (parent, row grown from, node added, edge added, node count) per step.
+    growth = [(-1, 0, 0, -1, 1)]
+    while len(rows) < max_nodes:
         best = None
-        for node in nodes:
+        for at, node in enumerate(rows):
             for nbr, eid in ball.incidence[node]:
-                if nbr in nodes or eid not in weights:
+                if nbr in rows or eid not in weights:
                     continue
                 key = (-weights[eid], erank[eid])
                 if best is None or key < best[0]:
-                    best = (key, eid, nbr)
+                    best = (key, at, nbr, eid)
         if best is None:
             break
-        chosen.append(best[1])
-        nodes.add(best[2])
-    return make_subgraph(graph, target, chosen)
+        growth.append((len(rows) - 1, *best[1:], len(rows) + 1))
+        rows.append(best[2])
+    return _candidate_table(target, ball, np.array(growth, dtype=np.intp), max_nodes)
+
+
+def grow_subgraph(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | None = None) -> Subgraph:
+    """The tree that ``grow_table`` grows, as a ``Subgraph``."""
+    tree = grow_table(weights, graph, target, max_nodes, ball)
+    return tree.subgraph(len(tree) - 1)
 
 
 @dataclass(frozen=True)

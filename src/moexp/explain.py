@@ -121,17 +121,6 @@ class Enumeration:
         at = np.minimum(keys.searchsorted(wanted), len(keys) - 1)
         return np.where(keys[at] == wanted, self._order[at], -1)
 
-    def position(self, edge_set) -> int | None:
-        """Position of the candidate with this sorted edge set; None when
-        no candidate has it."""
-        width = self.edge_ids.shape[1]
-        if len(edge_set) > width:
-            return None
-        row = np.full((1, width), -1, dtype=np.intp)
-        row[0, : len(edge_set)] = edge_set
-        i = int(self.positions(row)[0])
-        return None if i < 0 else i
-
     def remainders(self, candidates: np.ndarray, dropped: np.ndarray) -> np.ndarray:
         """The position of each candidate's edge set without the edges
         ``dropped`` marks (a bool row over the table's edge columns per
@@ -217,7 +206,9 @@ def enumerate_subgraphs(
 def _candidate_table(target: int, ball: Ball, growth: np.ndarray, max_nodes: int) -> Enumeration:
     """The ``Enumeration`` of each candidate's (parent, row grown from,
     added node, added edge, node count): a candidate of k nodes is its
-    parent's arrays plus row k - 1, so one step per size builds them."""
+    parent's arrays plus row k - 1, so one step per size builds them. The
+    DFS records every candidate, greedy growth (``baselines.grow_table``)
+    one path."""
     n = len(growth)
     parent, at, added, edge, size = np.ascontiguousarray(growth.T)
     global_id = np.asarray(ball.nodes)
@@ -392,12 +383,6 @@ class CandidateScorer:
         self._scored = np.zeros(len(enumeration), dtype=bool)
         self.forward_count = 0
         self.hit_count = 0
-
-    def score(self, sub: Subgraph):
-        """(distribution, simulatability) of one tree, by one restricted pass."""
-        dist = forward(self.model, self.graph, self.target, restrict=sub)
-        self.forward_count += 1
-        return dist, simulatability(self.full_distribution, dist, self.epsilon)
 
     def candidate(self, i: int) -> float:
         """Simulatability of candidate i."""

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import Ball, Graph, Subgraph, target_ball
+from .graph import Ball, Graph, target_ball
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
 
@@ -277,33 +277,6 @@ def layers_hidden(
         raise ValueError(f"forward pass at node {node}: {exc}") from None
 
 
-def _tree_table(graph: Graph, sub: Subgraph):
-    """``sub`` as a one-tree batch for ``trees_hidden``: (rows, depth,
-    slots), with global node ids as rows, the target first and then
-    ascending. A node that the target cannot reach through ``sub`` gets a
-    depth beyond every layer, so no layer computes it."""
-    nodes = [sub.target] + [u for u in sub.node_set if u != sub.target]
-    local = {u: i for i, u in enumerate(nodes)}
-    adjacent: list[list[int]] = [[] for _ in nodes]
-    for a, b in graph.endpoints(sub.edge_set):
-        adjacent[local[a]].append(b)
-        adjacent[local[b]].append(a)
-    k = len(nodes)
-    slots = np.full((k, k - 1), -1)
-    for i, nbrs in enumerate(adjacent):
-        nbrs.sort()
-        slots[i, : len(nbrs)] = [local[u] for u in nbrs]
-    depth = np.full(k, np.iinfo(np.intp).max)
-    depth[0] = 0
-    queue = [0]
-    for i in queue:
-        for j in slots[i, : len(adjacent[i])]:
-            if depth[j] > depth[i] + 1:
-                depth[j] = depth[i] + 1
-                queue.append(j)
-    return np.array([nodes]), depth[None], slots[None]
-
-
 def _ball_pass(model: Model, ball: Ball, hops: int, extra_message: np.ndarray | None = None) -> np.ndarray:
     """States after the model's layers of the ball nodes within ``hops -
     model.depth`` hops, in local order, each from its full neighbourhood.
@@ -328,32 +301,21 @@ def forward_hidden(
     model: Model,
     graph: Graph,
     v: int,
-    restrict: Subgraph | None = None,
+    *,
     extra_message: np.ndarray | None = None,
     ball: Ball | None = None,
 ) -> np.ndarray:
     """Last-layer state of node v before the softmax.
 
-    ``restrict`` limits both the node scope and the usable edges to an
-    edge-induced subgraph whose target must be v; nodes outside it
-    contribute nothing. Such a pass runs ``trees_hidden`` on the one-tree
-    batch of ``_tree_table``. ``extra_message`` is added to v's aggregation
-    at the last layer.
-
-    Without ``restrict`` the pass runs on v's ball (``ball``, of at least
-    the model's depth in hops, or a new one): an L-layer state of v reads
-    only nodes within L hops, and layer l computes only the nodes within
-    L - 1 - l hops, each from its full neighborhood, so the result is the
-    whole graph's pass at v.
+    The pass runs on v's ball (``ball``, of at least the model's depth in
+    hops, or a new one): an L-layer state of v reads only nodes within L
+    hops, and layer l computes only the nodes within L - 1 - l hops, each
+    from its full neighborhood, so the result is the whole graph's pass at
+    v. ``extra_message`` is added to v's aggregation at the last layer.
+    A tree's pass runs in ``trees_hidden`` batches.
     """
     if not 0 <= v < graph.node_count:
         raise ValueError(f"node id out of range: {v}")
-    if restrict is not None and restrict.target != v:
-        raise ValueError("target not in subgraph: restriction is anchored elsewhere")
-
-    if restrict is not None:
-        rows, depth, slots = _tree_table(graph, restrict)
-        return trees_hidden(model, graph.features, rows, depth, slots, v, extra_message)[0]
     ball = target_ball(graph, v, model.depth, ball)
     return _ball_pass(model, ball, model.depth, extra_message)[0]
 
@@ -362,12 +324,12 @@ def forward(
     model: Model,
     graph: Graph,
     v: int,
-    restrict: Subgraph | None = None,
+    *,
     extra_message: np.ndarray | None = None,
     ball: Ball | None = None,
 ) -> np.ndarray:
-    """Class distribution at node v under the (possibly restricted) forward pass."""
-    return softmax(forward_hidden(model, graph, v, restrict, extra_message, ball))
+    """Class distribution at node v under the full-graph forward pass."""
+    return softmax(forward_hidden(model, graph, v, extra_message=extra_message, ball=ball))
 
 
 def node_embeddings(model: Model, ball: Ball, depth_limit: int, hops: int | None = None) -> np.ndarray:

@@ -54,9 +54,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.lo)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.nbr_node[self.indptr[v] : self.indptr[v + 1]].tolist())
-
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
@@ -135,37 +132,28 @@ class Subgraph:
         return len(self.node_set)
 
 
-@dataclass(frozen=True)
-class CanonicalOrder:
-    """Deterministic node and edge ranks relative to a target.
-
-    ``node_rank[v]`` is the BFS discovery position from the target, ties
-    broken by ascending node id; ``edge_rank[e]`` orders edges by the sorted
-    pair of endpoint ranks. A ``Ball`` holds them for its nodes and edges.
-    """
-
-    node_rank: tuple[int, ...]
-    edge_rank: tuple[int, ...]
-
-
 @dataclass(frozen=True, eq=False)
-class Ball(CanonicalOrder):
+class Ball:
     """The nodes within ``hops`` hops of a target and the edges between them.
 
     Local ids are canonical ranks: ``nodes[i]`` is the global id of the
-    node of rank i, so the target is 0 and the nodes within r hops are the
-    first ``within[r]``. ``node_rank`` maps a global node id to its local
-    id, ``distance[i]`` is local node i's hop distance, and ``features``
-    holds the nodes' feature rows in local order. ``incidence[i]`` lists
-    (local neighbor, global edge id) pairs in the order of the graph's
-    incidence run, ascending by global neighbor id, so a sum over it adds
-    the same terms in the same order as over the graph; a node at exactly
-    ``hops`` hops lists only its neighbors inside the ball. ``edge_rank``
-    maps the global id of each edge in the ball to its position among them,
-    which orders them as the unbounded canonical order does, since ball
-    nodes take its first ranks.
+    node of rank i, its BFS discovery position from the target with ties
+    broken by ascending node id, so the target is 0 and the nodes within r
+    hops are the first ``within[r]``. ``node_rank`` maps a global node id
+    to its local id, ``distance[i]`` is local node i's hop distance, and
+    ``features`` holds the nodes' feature rows in local order.
+    ``incidence[i]`` lists (local neighbor, global edge id) pairs in the
+    order of the graph's incidence run, ascending by global neighbor id, so
+    a sum over it adds the same terms in the same order as over the graph;
+    a node at exactly ``hops`` hops lists only its neighbors inside the
+    ball. ``edge_rank`` maps the global id of each edge in the ball to its
+    position among them by the sorted pair of endpoint ranks, which orders
+    them as the canonical order of the whole graph does, since ball nodes
+    take its first ranks.
     """
 
+    node_rank: dict
+    edge_rank: dict
     graph: Graph = field(repr=False)
     target: int
     hops: int

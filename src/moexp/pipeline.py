@@ -131,46 +131,43 @@ def explain_node(
         if edge_weights is None:
             raise ValueError("method external-weights requires edge weights")
         weights = {int(k): float(v) for k, v in edge_weights.items()}
-    grown = baselines.grow_subgraph(weights, graph, target, config.max_nodes, ball)
-    i = enumeration.position(grown.edge_set)
-    if i is None:
-        pairs = np.zeros((0, 2), dtype=np.intp)
-    else:
+    tree = baselines.grow_table(weights, graph, target, config.max_nodes, ball)
+    last = len(tree) - 1
+    i = int(enumeration.positions(tree.edge_ids[last:])[0])
+    if i >= 0:
         pairs = counterfactual_pairs(enumeration, np.array([i]), exhaustive_cf)
-    return _finish(scorer, ball, method, pairs, "comprehensive", i, grown)
+        return _finish(scorer, ball, method, pairs, "comprehensive", i)
+    # The tree left the search (external weights need not stay near the
+    # target): score it from its growth table, against the same reference.
+    grown = CandidateScorer(model, graph, tree, epsilon, reference_distribution=scorer.full_distribution)
+    return _finish(scorer, ball, method, np.zeros((0, 2), dtype=np.intp), "comprehensive", last, grown)
 
 
-def _finish(scorer, ball, method, pairs, strategy, i: int | None, grown: Subgraph | None = None):
-    """Rank the pairs; with none, explain by candidate ``i``, or when that
-    is None by ``grown``, a tree outside the enumeration (one grown from
-    external weights)."""
-    enumeration = scorer.enumeration
+def _finish(scorer, ball, method, pairs, strategy, i: int, source: CandidateScorer | None = None):
+    """Rank the pairs; with none, explain by candidate ``i`` of ``source``,
+    the scorer of a grown tree's own table, or of ``scorer`` by default."""
+    source = scorer if source is None else source
     front = None
     if len(pairs):
         relevance = scorer.pair(pairs[:, 0], pairs[:, 1])
-        front = rank_pairs(enumeration, scorer.simulatability, pairs, relevance, strategy)
+        front = rank_pairs(scorer.enumeration, scorer.simulatability, pairs, relevance, strategy)
         i = int(front.e[front.selected])
-    elif i is not None:
-        scorer.candidate(i)
-    if i is None:
-        explanation = grown
-        distribution, sim = scorer.score(grown)
     else:
-        explanation = enumeration.subgraph(i)
-        distribution, sim = scorer.distributions[i], float(scorer.simulatability[i])
+        source.candidate(i)
+    scorers = {scorer, source}
     return NodeExplanation(
         target=scorer.target,
         method=method,
         full_distribution=scorer.full_distribution,
         predicted_class=int(np.argmax(scorer.full_distribution)),
-        candidate_count=len(enumeration),
+        candidate_count=len(scorer.enumeration),
         pair_count=len(pairs),
         front=front,
         scorer=scorer,
         ball=ball,
-        explanation=explanation,
-        explanation_distribution=distribution,
-        explanation_simulatability=sim,
-        distinct_evaluations=scorer.forward_count,
-        memo_hits=scorer.hit_count,
+        explanation=source.enumeration.subgraph(i),
+        explanation_distribution=source.distributions[i],
+        explanation_simulatability=float(source.simulatability[i]),
+        distinct_evaluations=sum(s.forward_count for s in scorers),
+        memo_hits=sum(s.hit_count for s in scorers),
     )

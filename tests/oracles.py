@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from moexp import CanonicalOrder, Subgraph, build_graph, forward, neighborhood_edge_ids, softmax, target_ball
+from moexp import Subgraph, build_graph, forward, neighborhood_edge_ids, softmax, target_ball
+from moexp.gcn import trees_hidden
 from moexp.analysis import confounder_set
 from moexp.cli import _candidate_block, _floats, top_count
 from moexp.pareto import _select
@@ -84,6 +85,19 @@ def bfs_distances(graph, source: int) -> list:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+@dataclass(frozen=True)
+class CanonicalOrder:
+    """Deterministic node and edge ranks relative to a target.
+
+    ``node_rank[v]`` is the BFS discovery position from the target, ties
+    broken by ascending node id; ``edge_rank[e]`` orders edges by the sorted
+    pair of endpoint ranks. A ``Ball`` holds them for its nodes and edges.
+    """
+
+    node_rank: tuple[int, ...]
+    edge_rank: tuple[int, ...]
 
 
 def full_canonical_order(graph, target: int) -> CanonicalOrder:
@@ -472,10 +486,10 @@ def full_states(model, graph, depth, mask=None, extra_message=None, at=None):
 def restricted_hidden(model, graph, v, restrict, mask=None, extra_message=None):
     """Last-layer state of v on the subgraph ``restrict`` alone, by the per-row loop.
 
-    This is how ``forward_hidden(restrict=...)`` ran before the batched tree
-    kernel: the subgraph's nodes in ascending id order, each with its
-    (neighbour, edge id) list sorted by neighbour, and every node computed
-    at every layer, one product over all of them per layer.
+    This is how a restricted pass ran before the batched tree kernel: the
+    subgraph's nodes in ascending id order, each with its (neighbour, edge
+    id) list sorted by neighbour, and every node computed at every layer,
+    one product over all of them per layer.
     """
     scope = restrict.node_set
     local = {node: i for i, node in enumerate(scope)}
@@ -488,6 +502,53 @@ def restricted_hidden(model, graph, v, restrict, mask=None, extra_message=None):
         pairs.sort()
     h = _row_loop(model, graph.features[list(scope)], incidence, model.depth, mask, extra_message, local[v])
     return h[local[v]]
+
+
+def _tree_table(graph, sub: Subgraph):
+    """``sub`` as a one-tree batch for ``trees_hidden``: (rows, depth,
+    slots), with global node ids as rows, the target first and then
+    ascending. A node that the target cannot reach through ``sub`` gets a
+    depth beyond every layer, so no layer computes it."""
+    nodes = [sub.target] + [u for u in sub.node_set if u != sub.target]
+    local = {u: i for i, u in enumerate(nodes)}
+    adjacent: list[list[int]] = [[] for _ in nodes]
+    for a, b in graph.endpoints(sub.edge_set):
+        adjacent[local[a]].append(b)
+        adjacent[local[b]].append(a)
+    k = len(nodes)
+    slots = np.full((k, k - 1), -1)
+    for i, nbrs in enumerate(adjacent):
+        nbrs.sort()
+        slots[i, : len(nbrs)] = [local[u] for u in nbrs]
+    depth = np.full(k, np.iinfo(np.intp).max)
+    depth[0] = 0
+    queue = [0]
+    for i in queue:
+        for j in slots[i, : len(adjacent[i])]:
+            if depth[j] > depth[i] + 1:
+                depth[j] = depth[i] + 1
+                queue.append(j)
+    return np.array([nodes]), depth[None], slots[None]
+
+
+def restricted_hidden_tree(model, graph, v, sub: Subgraph, extra_message=None):
+    """Last-layer state of v on the tree ``sub`` alone, by a one-tree
+    ``trees_hidden`` batch built from the subgraph, not from a candidate
+    table.
+
+    This is how ``forward_hidden(restrict=sub)`` ran before every tree was
+    scored from a growth table: the tree's rows are global ids, the target
+    first and then ascending, with hops and neighbour slots found by a BFS
+    over ``sub``'s edges.
+    """
+    assert sub.target == v, "the tree must be anchored at v"
+    rows, depth, slots = _tree_table(graph, sub)
+    return trees_hidden(model, graph.features, rows, depth, slots, v, extra_message)[0]
+
+
+def restricted_forward(model, graph, v, sub: Subgraph, extra_message=None):
+    """Class distribution of ``restricted_hidden_tree``."""
+    return softmax(restricted_hidden_tree(model, graph, v, sub, extra_message))
 
 
 def ball_hidden(model, graph, v, mask=None, extra_message=None, ball=None):
@@ -599,7 +660,7 @@ def reference_ranking(model, graph, target, pairs, strategy, eps=1e-9):
     reference = forward(model, graph, target)
 
     def nu(sub):
-        return simulatability(reference, forward(model, graph, target, restrict=sub), eps)
+        return simulatability(reference, restricted_forward(model, graph, target, sub), eps)
 
     relevance, scores, keys = [], [], []
     for expl, cf in pairs:

@@ -42,6 +42,7 @@ from oracles import (
     pareto_oracle,
     random_graph,
     random_model,
+    restricted_hidden_tree,
     select_comprehensive,
     sem_expand_check,
     shapley_oracle,
@@ -206,8 +207,8 @@ def test_confounder_chain_example():
 
     def delta(t):
         g = sem_chain(t)
-        expl = forward_hidden(m, g, 2, restrict=make_subgraph(g, 2, [0, 1, 2]))
-        cf = forward_hidden(m, g, 2, restrict=make_subgraph(g, 2, [1, 2]))
+        expl = restricted_hidden_tree(m, g, 2, make_subgraph(g, 2, [0, 1, 2]))
+        cf = restricted_hidden_tree(m, g, 2, make_subgraph(g, 2, [1, 2]))
         return float(expl[0] - cf[0])
 
     d0, d5 = delta(0.0), delta(5.0)

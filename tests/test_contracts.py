@@ -204,7 +204,7 @@ def test_epsilon_outside_unit_interval_fails_the_command(command, fixtures_dir, 
         assert not out.exists()
     else:
         assert err == "node 2: ValueError: epsilon must be in (0, 1): -0.5\n"
-        assert len(list(csv.reader(open(out)))) == 1
+        assert len(list(csv.reader(out.read_text().splitlines()))) == 1
 
 
 def test_jobs_below_one_is_rejected(fixtures_dir, tmp_path, capsys):
@@ -226,7 +226,7 @@ def test_robustness_keeps_the_rows_of_nodes_that_succeed(tmp_path, capsys):
     assert main(argv + ["--targets", "0,1", "--out", str(tmp_path / "both.csv")]) == 1
     assert capsys.readouterr().err == "node 1: ValueError: degenerate class direction: zero-norm class column\n"
     assert main(argv + ["--targets", "0", "--out", str(tmp_path / "alone.csv")]) == 0
-    rows = list(csv.reader(open(tmp_path / "both.csv")))
+    rows = list(csv.reader((tmp_path / "both.csv").read_text().splitlines()))
     assert [r[0] for r in rows[1:]] == ["0", "0"]
     assert (tmp_path / "both.csv").read_text() == (tmp_path / "alone.csv").read_text()
     # A bad option is still one error for the whole run, not one per node.

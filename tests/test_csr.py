@@ -22,8 +22,8 @@ from moexp import (
     build_graph,
     canonical_order,
     explain_node,
-    forward,
     grad_weights_analytic,
+    grow_subgraph,
     make_subgraph,
     set_shapley_value,
     shapley_values,
@@ -32,7 +32,7 @@ from moexp import (
 from moexp.cli import main
 from moexp.io import graph_to_doc, load_graph, load_model, parse_graph
 
-from oracles import random_graph, reference_ball, reference_graph
+from oracles import random_graph, reference_ball, reference_graph, restricted_forward
 
 INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 VIEWS = {"edges", "adjacency", "incidence", "edge_index"}
@@ -160,7 +160,8 @@ def test_subgraph_helpers_and_baselines_build_no_view():
     ball = canonical_order(graph, 0, 3)
     sub = make_subgraph(graph, 0, [eid for _, eid in ball.incidence[0]][:2])
     assert validate_subgraph(graph, sub) is None
-    forward(model, graph, 0, restrict=sub)
+    restricted_forward(model, graph, 0, sub)
+    grow_subgraph(dict.fromkeys(ball.edge_rank, 1.0), graph, 0, 4)
     shapley_values(model, graph, 0)
     set_shapley_value(model, graph, 0, sub.node_set[1:2])
     grad_weights_analytic(model, graph, 0, 3)

@@ -20,7 +20,16 @@ from moexp import (
 
 from moexp.gcn import trees_hidden
 
-from oracles import ball_hidden, masked_loss, random_graph, random_model, restricted_hidden, standalone_distribution
+from oracles import (
+    ball_hidden,
+    masked_loss,
+    random_graph,
+    random_model,
+    restricted_forward,
+    restricted_hidden,
+    restricted_hidden_tree,
+    standalone_distribution,
+)
 
 
 def test_isolated_node_identity_layer():
@@ -36,12 +45,6 @@ def test_all_ones_mask_is_identity(chain_graph, chain_model):
     plain = forward(chain_model, chain_graph, 2)
     masked = softmax(ball_hidden(chain_model, chain_graph, 2, mask={0: 1.0, 1: 1.0, 2: 1.0}))
     assert np.array_equal(plain, masked)
-
-
-def test_restrict_anchored_elsewhere_rejected(chain_graph, chain_model):
-    sub = make_subgraph(chain_graph, 1, [0])
-    with pytest.raises(ValueError, match="target not in subgraph"):
-        forward(chain_model, chain_graph, 2, restrict=sub)
 
 
 def test_feature_dim_mismatch_rejected(chain_graph):
@@ -182,7 +185,7 @@ def test_restricted_forward_equals_standalone_subgraph(seed):
     v = int(rng.integers(0, g.node_count))
     enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=4, diameter=2))
     for sub in enum.subgraphs:
-        restricted = forward(m, g, v, restrict=sub)
+        restricted = restricted_forward(m, g, v, sub)
         rebuilt = standalone_distribution(m, g, v, sub.edge_set)
         assert np.array_equal(restricted, rebuilt)
 
@@ -224,9 +227,9 @@ def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, sel
     message = rng.standard_normal(dims[-2]) if extra else None
     enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=size, diameter=int(rng.integers(1, 4))))
     want = [restricted_hidden(m, g, v, sub, extra_message=message).tobytes() for sub in enum.subgraphs]
-    # One tree per pass, through the public API.
+    # One tree per pass, from the subgraph alone.
     for sub, bits in zip(enum.subgraphs, want):
-        assert forward_hidden(m, g, v, restrict=sub, extra_message=message).tobytes() == bits
+        assert restricted_hidden_tree(m, g, v, sub, extra_message=message).tobytes() == bits
     # All trees of one size in one batch from the candidate table, and a
     # batch of a single tree.
     for k in np.unique(enum.sizes):
@@ -271,7 +274,7 @@ def test_restricted_pass_skips_nodes_beyond_reach():
     # is never computed; as a target, node 2 fails.
     g = build_graph([[1.0], [1.0], [1e308], [1e308]], [(0, 1), (1, 2), (2, 3)])
     m = Model(layers=(np.array([[1.0, -1.0]]),))
-    assert forward_hidden(m, g, 0, restrict=make_subgraph(g, 0, [0, 1, 2])).tolist() == [2.0, -2.0]
-    assert forward_hidden(m, g, 0, restrict=make_subgraph(g, 0, [0, 2])).tolist() == [2.0, -2.0]
+    assert restricted_hidden_tree(m, g, 0, make_subgraph(g, 0, [0, 1, 2])).tolist() == [2.0, -2.0]
+    assert restricted_hidden_tree(m, g, 0, make_subgraph(g, 0, [0, 2])).tolist() == [2.0, -2.0]
     with pytest.raises(ValueError, match="^forward pass at node 2: overflow encountered in add$"):
-        forward_hidden(m, g, 2, restrict=make_subgraph(g, 2, [1, 2]))
+        restricted_hidden_tree(m, g, 2, make_subgraph(g, 2, [1, 2]))

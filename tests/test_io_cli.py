@@ -147,7 +147,7 @@ def test_edge_weights_round_trip(tmp_path):
     path = tmp_path / "w.json"
     save_edge_weights({0: 0.25, 3: 1.5}, path)
     assert load_edge_weights(path) == {0: 0.25, 3: 1.5}
-    raw = json.load(open(path))
+    raw = json.loads(path.read_text())
     assert raw == {"0": 0.25, "3": 1.5}
 
 
@@ -196,7 +196,7 @@ def test_explain_document_contents(tmp_path, fixtures_dir):
         RunConfig(graph_path=graph_path, weights_path=weights_path, output_dir=str(tmp_path), targets="2")
     )
     assert code == 0
-    doc = json.load(open(tmp_path / "node_2.json"))
+    doc = json.loads((tmp_path / "node_2.json").read_text())
     assert doc["schema"] == "moexp/1"
     assert doc["node"] == 2
     assert doc["method"] == "pareto-rank"
@@ -231,7 +231,7 @@ def test_explain_top_percent_truncates(tmp_path, fixtures_dir):
             targets="2", top_percent=50.0,
         )
     )
-    doc = json.load(open(tmp_path / "node_2.json"))
+    doc = json.loads((tmp_path / "node_2.json").read_text())
     assert len(doc["top_pairs"]) == 3  # ceil(50% of 6)
 
 
@@ -252,7 +252,7 @@ def test_explain_top_percent_7_of_100_pairs(tmp_path):
     save_model(Model(layers=(np.array([[1.0]]), np.array([[1.0, -1.0]]))), tmp_path / "w.json")
     argv = ["explain", "--graph", str(tmp_path / "g.json"), "--weights", str(tmp_path / "w.json"), "--targets", "0"]
     assert main(argv + ["-C", "2", "-D", "1", "--top-percent", "7", "--out", str(tmp_path / "out")]) == 0
-    doc = json.load(open(tmp_path / "out" / "node_0.json"))
+    doc = json.loads((tmp_path / "out" / "node_0.json").read_text())
     assert doc["pair_count"] == 100
     assert len(doc["top_pairs"]) == 7
 
@@ -315,7 +315,7 @@ def test_explain_bad_target_writes_error_doc(tmp_path, fixtures_dir):
         RunConfig(graph_path=graph_path, weights_path=weights_path, output_dir=str(tmp_path), targets="99")
     )
     assert code == 1
-    doc = json.load(open(tmp_path / "node_99.json"))
+    doc = json.loads((tmp_path / "node_99.json").read_text())
     assert doc["node"] == 99
     assert "error" in doc
     assert "manifest" in doc
@@ -330,9 +330,9 @@ def test_explain_keep_going_masks_failures(tmp_path, fixtures_dir):
         )
     )
     assert code == 0
-    good = json.load(open(tmp_path / "node_2.json"))
+    good = json.loads((tmp_path / "node_2.json").read_text())
     assert "error" not in good
-    bad = json.load(open(tmp_path / "node_99.json"))
+    bad = json.loads((tmp_path / "node_99.json").read_text())
     assert "error" in bad
 
 
@@ -352,8 +352,8 @@ def test_jobs_do_not_change_outputs(tmp_path, fixtures_dir):
             RunConfig(graph_path=graph_path, weights_path=weights_path, output_dir=str(out), jobs=jobs)
         )
     for name in sorted(p.name for p in serial.iterdir()):
-        a = json.load(open(serial / name))
-        b = json.load(open(threaded / name))
+        a = json.loads((serial / name).read_text())
+        b = json.loads((threaded / name).read_text())
         a["manifest"].pop("generated_at")
         b["manifest"].pop("generated_at")
         assert a == b
@@ -368,7 +368,7 @@ def test_enumerate_triangle_has_six_rows(tmp_path, fixtures_dir):
         )
     )
     assert code == 0
-    rows = list(csv.reader(open(out)))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["node", "index", "parent", "node_count", "edge_ids", "node_ids"]
     assert len(rows) == 7
     assert rows[1][2] == ""  # the bare-target row has no parent
@@ -387,7 +387,7 @@ def test_shapley_two_node_graph_single_row(tmp_path, fixtures_dir):
         )
     )
     assert code == 0
-    rows = list(csv.reader(open(out)))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["target", "node", "shapley_value", "support_count"]
     assert len(rows) == 2
     assert rows[1][0] == "0" and rows[1][1] == "1" and rows[1][3] == "1"
@@ -404,7 +404,7 @@ def test_robustness_record_grid(tmp_path, fixtures_dir):
         )
     )
     assert code == 0
-    rows = list(csv.reader(open(out)))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["node", "kind", "strength", "pred_before", "pred_after", "jaccard", "seed"]
     assert len(rows) == 7
     assert [r[0] for r in rows[1:]] == ["0", "0", "0", "1", "1", "1"]
@@ -419,7 +419,7 @@ def test_robustness_weights_zero_step_is_inert(tmp_path, fixtures_dir):
             targets="2", mode="weights", steps=3, seed=11, max_distance=2.0,
         )
     )
-    rows = list(csv.reader(open(out)))
+    rows = list(csv.reader(out.read_text().splitlines()))
     first = rows[1]
     assert float(first[2]) == 0.0
     assert first[3] == first[4]
@@ -457,7 +457,7 @@ def test_env_seed_overrides_flag(tmp_path, fixtures_dir):
             os.environ.pop("MOEXP_SEED", None)
         else:
             os.environ["MOEXP_SEED"] = env_backup
-    doc = json.load(open(tmp_path / "node_2.json"))
+    doc = json.loads((tmp_path / "node_2.json").read_text())
     assert doc["manifest"]["seed"] == 777
 
 

@@ -14,12 +14,13 @@ from moexp import (
     forward,
     grow_subgraph,
     random_weights,
+    simulatability,
     validate_subgraph,
 )
 from moexp.io import load_edge_weights, load_graph, load_model
 from moexp.pipeline import METHODS
 
-from oracles import random_graph, random_model, reference_ranking, sym_kl
+from oracles import random_graph, random_model, reference_ranking, restricted_forward, sym_kl
 
 GOLDEN_INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -159,6 +160,33 @@ def test_balanced_selection_minimizes_rank_gap(chain_graph, chain_model):
     gaps = [abs(a - b) for a, b in zip(front.sim_ranks, front.rel_ranks)]
     assert gaps[front.selected] == min(gaps)
     assert res.explanation.edge_set == (1, 2)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 2), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_grown_tree_outside_the_search_is_scored_from_its_growth_table(seed, max_nodes, diameter, depth):
+    # External weights on every edge can grow a tree past the D-hop search.
+    # Such a tree is scored from its own growth table, against the main
+    # scorer's reference, with the bits of a pass over the tree alone, and
+    # its one pass adds (1, 0) to the counts.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=10, edge_prob=0.35, min_nodes=1)
+    m = random_model(rng, hidden=int(rng.integers(1, 13)), classes=int(rng.integers(2, 4)), depth=depth)
+    v = int(rng.integers(0, g.node_count))
+    weights = dict(enumerate(rng.random(g.edge_count).tolist()))
+    config = EnumConfig(max_nodes=max_nodes, diameter=diameter)
+    res = explain_node(m, g, v, config, method="external-weights", edge_weights=weights)
+    grown = grow_subgraph(weights, g, v, max_nodes)
+    assert res.explanation == grown
+    extra = (res.distinct_evaluations - res.scorer.forward_count, res.memo_hits - res.scorer.hit_count)
+    if grown.edge_set in res.scorer.enumeration.index:
+        assert extra == (0, 0)
+        return
+    assert res.front is None and res.pair_count == 0
+    want = restricted_forward(m, g, v, grown)
+    assert res.explanation_distribution.tobytes() == want.tobytes()
+    assert float.hex(res.explanation_simulatability) == float.hex(simulatability(res.full_distribution, want))
+    assert extra == (1, 0)
 
 
 @given(st.integers(0, 50_000), st.booleans(), st.booleans(), st.sampled_from(["pareto-rank", "balanced"]))
