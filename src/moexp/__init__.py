@@ -6,142 +6,94 @@ counterfactual relevance, and picks a Pareto-optimal pair by rank
 aggregation. Baseline explainers, confounder analysis, and robustness
 sweeps share the same scoring machinery. Everything here is pure and
 seeded, so runs are reproducible bit for bit.
+
+The public names are loaded on first use (PEP 562), so a process imports
+only the modules it reads: an ``explain`` run never loads ``analysis``,
+``synth`` or the commands other than its own.
 """
 
 __version__ = "0.1.0"
 
-from .graph import (
-    Ball,
-    CYCLIC,
-    DISCONNECTED,
-    MISSING_TARGET,
-    Graph,
-    Subgraph,
-    build_graph,
-    canonical_order,
-    l_hop_neighborhood,
-    make_subgraph,
-    target_ball,
-    validate_subgraph,
-)
-from .gcn import (
-    ACTIVATIONS,
-    Model,
-    forward,
-    forward_hidden,
-    load_weights,
-    node_embeddings,
-    softmax,
-)
-from .explain import (
-    CandidateScorer,
-    DEFAULT_EPSILON,
-    EnumConfig,
-    Enumeration,
-    cf_relevance,
-    enumerate_subgraphs,
-    generate_pairs,
-    simulatability,
-)
-from .pareto import (
-    ScoredFront,
-    competition_ranks,
-    pareto_front,
-    rank_pairs,
-)
-from .baselines import (
-    ShapleyValue,
-    grad_weights_analytic,
-    grad_weights_fd,
-    grow_subgraph,
-    neighborhood_edge_ids,
-    random_weights,
-    set_shapley_value,
-    shapley_selection,
-    shapley_values,
-)
-from .pipeline import METHODS, NodeExplanation, explain_node
-from .analysis import (
-    MessagePerturbation,
-    PerturbRecord,
-    confounder_set,
-    derive_seed,
-    jaccard_distance,
-    perturb_message,
-    perturb_weights,
-    run_sanity_sweep,
-)
-from .synth import KINDS, prototype_model, synth_graph
-from .io import (
-    FormatError,
-    load_edge_weights,
-    load_graph,
-    load_model,
-    save_edge_weights,
-    save_graph,
-    save_model,
-)
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "Ball": "graph",
+    "CYCLIC": "graph",
+    "DISCONNECTED": "graph",
+    "MISSING_TARGET": "graph",
+    "Graph": "graph",
+    "Subgraph": "graph",
+    "build_graph": "graph",
+    "canonical_order": "graph",
+    "confounder_set": "graph",
+    "l_hop_neighborhood": "graph",
+    "make_subgraph": "graph",
+    "target_ball": "graph",
+    "validate_subgraph": "graph",
+    "ACTIVATIONS": "gcn",
+    "Model": "gcn",
+    "forward": "gcn",
+    "forward_hidden": "gcn",
+    "load_weights": "gcn",
+    "node_embeddings": "gcn",
+    "softmax": "gcn",
+    "CandidateScorer": "explain",
+    "DEFAULT_EPSILON": "explain",
+    "EnumConfig": "explain",
+    "Enumeration": "explain",
+    "cf_relevance": "explain",
+    "enumerate_subgraphs": "explain",
+    "generate_pairs": "explain",
+    "simulatability": "explain",
+    "ScoredFront": "pareto",
+    "competition_ranks": "pareto",
+    "pareto_front": "pareto",
+    "rank_pairs": "pareto",
+    "ShapleyValue": "baselines",
+    "grad_weights_analytic": "baselines",
+    "grad_weights_fd": "baselines",
+    "grow_subgraph": "baselines",
+    "neighborhood_edge_ids": "baselines",
+    "random_weights": "baselines",
+    "set_shapley_value": "baselines",
+    "shapley_selection": "baselines",
+    "shapley_values": "baselines",
+    "METHODS": "pipeline",
+    "NodeExplanation": "pipeline",
+    "explain_node": "pipeline",
+    "MessagePerturbation": "analysis",
+    "PerturbRecord": "analysis",
+    "derive_seed": "analysis",
+    "jaccard_distance": "analysis",
+    "perturb_message": "analysis",
+    "perturb_weights": "analysis",
+    "run_sanity_sweep": "analysis",
+    "KINDS": "synth",
+    "prototype_model": "synth",
+    "synth_graph": "synth",
+    "FormatError": "io",
+    "load_edge_weights": "io",
+    "load_graph": "io",
+    "load_model": "io",
+    "save_edge_weights": "io",
+    "save_graph": "io",
+    "save_model": "io",
+}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "commands"}
 
-__all__ = [
-    "ACTIVATIONS",
-    "Ball",
-    "CYCLIC",
-    "CandidateScorer",
-    "DEFAULT_EPSILON",
-    "DISCONNECTED",
-    "EnumConfig",
-    "Enumeration",
-    "FormatError",
-    "Graph",
-    "KINDS",
-    "METHODS",
-    "MISSING_TARGET",
-    "MessagePerturbation",
-    "Model",
-    "NodeExplanation",
-    "PerturbRecord",
-    "ScoredFront",
-    "ShapleyValue",
-    "Subgraph",
-    "build_graph",
-    "canonical_order",
-    "cf_relevance",
-    "competition_ranks",
-    "confounder_set",
-    "derive_seed",
-    "enumerate_subgraphs",
-    "explain_node",
-    "forward",
-    "forward_hidden",
-    "generate_pairs",
-    "grad_weights_analytic",
-    "grad_weights_fd",
-    "grow_subgraph",
-    "jaccard_distance",
-    "l_hop_neighborhood",
-    "load_edge_weights",
-    "load_graph",
-    "load_model",
-    "load_weights",
-    "make_subgraph",
-    "neighborhood_edge_ids",
-    "node_embeddings",
-    "pareto_front",
-    "perturb_message",
-    "perturb_weights",
-    "prototype_model",
-    "random_weights",
-    "rank_pairs",
-    "run_sanity_sweep",
-    "save_edge_weights",
-    "save_graph",
-    "save_model",
-    "set_shapley_value",
-    "shapley_selection",
-    "shapley_values",
-    "simulatability",
-    "softmax",
-    "synth_graph",
-    "target_ball",
-    "validate_subgraph",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _EXPORTS:
+        value = getattr(import_module("." + _EXPORTS[name], __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return import_module("." + name, __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

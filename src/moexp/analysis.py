@@ -1,4 +1,4 @@
-"""Confounder identification and robustness probes.
+"""Robustness probes. (``confounder_set`` lives in ``graph``.)
 
 The perturbation helpers stress the selected explanation from two sides:
 a synthetic message with controlled alignment to the predicted class
@@ -15,19 +15,9 @@ import numpy as np
 
 from .explain import EnumConfig, Enumeration, enumerate_subgraphs, DEFAULT_EPSILON
 from .gcn import Model, forward
-from .graph import Ball, Graph, l_hop_neighborhood, target_ball
+from .graph import Ball, Graph, target_ball
+from .graph import confounder_set as confounder_set  # its old home; the name stays importable here
 from .pipeline import NodeExplanation, ball_hops, explain_node
-
-
-def confounder_set(graph: Graph, target: int, hops: int, removed, ball: Ball | None = None) -> set:
-    """Nodes that can open back-door paths for a pair's node difference.
-
-    These are the nodes inside the target's ``hops``-ball that are not part
-    of the ``removed`` nodes: they keep influencing the prediction in both
-    the explanation and the counterfactual regime. ``ball``, when given, is
-    a ball of the target of at least ``hops`` hops to read them from.
-    """
-    return l_hop_neighborhood(graph, target, hops, ball) - set(removed)
 
 
 def jaccard_distance(a, b) -> float:

@@ -7,26 +7,26 @@ MOEXP_SEED overrides --seed for explain, robustness and synth; enumerate
 and shapley accept --seed but do not use it. Outputs embed a run manifest
 with the configuration, the seed, and content hashes of the inputs; writes
 are atomic per file.
+
+An ``explain`` run loads only what it uses: the other four commands are in
+``moexp.commands``, and ``main`` builds the arguments of the one command
+it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
 from . import io
-from .analysis import confounder_set, derive_seed, run_sanity_sweep
-from .baselines import shapley_values
-from .explain import EnumConfig, enumerate_subgraphs
+from .explain import EnumConfig
+from .graph import confounder_set
 from .pipeline import METHODS, NodeExplanation, explain_node
-from .synth import KINDS, synth_graph
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,16 @@ def top_count(top_percent: float, pair_count: int) -> int:
     """How many of ``pair_count`` ranked pairs a document embeds: the first
     ceil(P * m / 100), at least one. The percent P is read as the decimal it
     prints as, so the count is exact: 7 % of 100 pairs is 7."""
-    return max(1, math.ceil(Fraction(str(top_percent)) * pair_count / 100))
+    # P is digits * 10**shift exactly, read from its repr.
+    mantissa, _, exponent = repr(float(top_percent)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits, shift = int(whole + fraction), int(exponent or 0) - len(fraction)
+    num, den = digits * pair_count, 100
+    if shift >= 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    return max(1, -(-num // den))
 
 
 def _candidate_block(sub, distribution, simulatability, graph) -> dict:
@@ -292,14 +301,19 @@ def explain_command(config: RunConfig) -> int:
         try:
             if not 0 <= node < graph.node_count:
                 raise ValueError(f"target node missing: {node}")
+            seed = config.seed
+            if config.method == "random":
+                # Only random draws from the seed; deriving it imports numpy.random.
+                from .analysis import derive_seed
+
+                seed = derive_seed(config.seed, node)
             result = explain_node(
                 model,
                 graph,
                 node,
                 econfig,
                 method=config.method,
-                # Only random draws from the seed; deriving it imports numpy.random.
-                seed=derive_seed(config.seed, node) if config.method == "random" else config.seed,
+                seed=seed,
                 exhaustive_cf=config.exhaustive_cf,
                 epsilon=config.epsilon,
                 edge_weights=external,
@@ -331,204 +345,84 @@ def explain_command(config: RunConfig) -> int:
     return 0 if (failed == 0 or config.keep_going) else 1
 
 
-@dataclass(frozen=True)
-class EnumerateConfig:
-    graph_path: str
-    output_path: str
-    targets: str
-    max_nodes: int = 4
-    diameter: int = 2
+# Every command and its line in ``moexp -h``, in the order listed there.
+_COMMANDS = {
+    "explain": "write one explanation document per node",
+    "enumerate": "list candidate subgraphs as CSV",
+    "shapley": "per-node attribution as CSV",
+    "robustness": "perturbation sweep as CSV",
+    "synth": "write a synthetic graph and matching weights",
+}
 
 
-def enumerate_command(config: EnumerateConfig) -> int:
-    graph = io.load_graph(config.graph_path)
-    econfig = EnumConfig(config.max_nodes, config.diameter)
-    rows = []
-    for node in _resolve_targets(config.targets, graph):
-        if not 0 <= node < graph.node_count:
-            raise ValueError(f"target node missing: {node}")
-        enumeration = enumerate_subgraphs(graph, node, econfig)
-        table = zip(
-            enumeration.parent.tolist(), enumeration.sizes.tolist(),
-            enumeration.edge_ids.tolist(), enumeration.node_ids.tolist(),
-        )
-        for i, (parent, k, edges, nodes) in enumerate(table):
-            edge_text, node_text = "|".join(map(str, edges[: k - 1])), "|".join(map(str, nodes[:k]))
-            rows.append((node, i, "" if parent < 0 else parent, k, edge_text, node_text))
-    io.write_csv(
-        config.output_path,
-        ["node", "index", "parent", "node_count", "edge_ids", "node_ids"],
-        rows,
-    )
-    return 0
-
-
-@dataclass(frozen=True)
-class ShapleyConfig:
-    graph_path: str
-    weights_path: str
-    output_path: str
-    targets: str
-    max_nodes: int = 4
-    diameter: int = 2
-    epsilon: float = 1e-9
-
-
-def shapley_command(config: ShapleyConfig) -> int:
-    graph = io.load_graph(config.graph_path)
-    model = io.load_model(config.weights_path)
-    econfig = EnumConfig(config.max_nodes, config.diameter)
-    rows = []
-    for node in _resolve_targets(config.targets, graph):
-        if not 0 <= node < graph.node_count:
-            raise ValueError(f"target node missing: {node}")
-        report = shapley_values(model, graph, node, econfig, config.epsilon)
-        for other in sorted(report):
-            entry = report[other]
-            rows.append((node, other, entry.value, entry.support_count))
-    io.write_csv(
-        config.output_path,
-        ["target", "node", "shapley_value", "support_count"],
-        rows,
-    )
-    return 0
-
-
-@dataclass(frozen=True)
-class RobustnessConfig:
-    graph_path: str
-    weights_path: str
-    output_path: str
-    targets: str
-    mode: str = "message"
-    steps: int = 5
-    seed: int = 42
-    magnitude: float = 1.0
-    max_distance: float = 1.0
-    method: str = "pareto-rank"
-    max_nodes: int = 4
-    diameter: int = 2
-    epsilon: float = 1e-9
-
-    def __post_init__(self):
-        # Checked once here, so a bad value is not reported once per node.
-        if self.steps < 2:
-            raise ValueError("steps must be at least 2")
-
-
-def robustness_command(config: RobustnessConfig) -> int:
-    graph = io.load_graph(config.graph_path)
-    model = io.load_model(config.weights_path)
-    econfig = EnumConfig(config.max_nodes, config.diameter)
-    nodes = _resolve_targets(config.targets, graph)
-    for node in nodes:
-        if not 0 <= node < graph.node_count:
-            raise ValueError(f"target node missing: {node}")
-    records, failed = [], 0
-    for node in nodes:
-        try:
-            records += run_sanity_sweep(
-                model, graph, [node], config.mode, config.steps, config.seed, econfig,
-                magnitude=config.magnitude, max_distance=config.max_distance,
-                method=config.method, epsilon=config.epsilon,
-            )
-        except Exception as exc:  # reported per node; the other nodes' rows are kept
-            print(f"node {node}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            failed += 1
-    io.write_csv(
-        config.output_path,
-        ["node", "kind", "strength", "pred_before", "pred_after", "jaccard", "seed"],
-        [(r.node, r.kind, r.strength, r.pred_before, r.pred_after, r.jaccard, r.seed) for r in records],
-    )
-    return 1 if failed else 0
-
-
-def synth_command(args) -> int:
-    graph, model = synth_graph(args.kind, _parse_params(args.param), _seed_from_env(args.seed))
-    io.save_graph(graph, args.out_graph)
-    io.save_model(model, args.out_weights)
-    return 0
-
-
-def _parse_params(pairs) -> dict:
-    out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise ValueError(f"bad --param (expected key=value): {item!r}")
-        key, value = item.split("=", 1)
-        try:
-            out[key] = int(value)
-        except ValueError:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                out[key] = value
-    return out
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``moexp`` parser. Every command is registered, but only
+    ``command`` gets its arguments (each one costs argparse a formatter and
+    gettext lookups), or every command when ``command`` names none."""
     parser = argparse.ArgumentParser(prog="moexp", description=__doc__.split("\n")[1])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, weights=True):
-        p.add_argument("--graph", dest="graph_path", metavar="GRAPH", required=True, help="graph JSON file")
-        if weights:
-            p.add_argument(
-                "--weights", dest="weights_path", metavar="WEIGHTS", required=True, help="model weights JSON file"
-            )
-        p.add_argument("--targets", default="all-test", help="comma-separated node ids or 'all-test'")
-        p.add_argument("--max-nodes", "-C", type=int, default=4, help="max nodes per candidate")
-        p.add_argument("--diameter", "-D", type=int, default=2, help="max hops from the target")
-        p.add_argument("--seed", type=int, default=42)
-
-    p = sub.add_parser("explain", help="write one explanation document per node")
-    common(p)
-    p.add_argument("--out", dest="output_dir", metavar="OUT", required=True, help="output directory")
-    p.add_argument("--method", choices=METHODS, default="pareto-rank")
-    p.add_argument("--top-percent", type=float, default=100.0)
-    p.add_argument("--exhaustive-cf", action="store_true")
-    p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--keep-going", action="store_true")
-    p.add_argument(
-        "--edge-weights",
-        dest="edge_weights_path",
-        metavar="EDGE_WEIGHTS",
-        help="edge weight JSON for method external-weights",
-    )
-    p.set_defaults(run=explain_command, config=RunConfig)
-
-    p = sub.add_parser("enumerate", help="list candidate subgraphs as CSV")
-    common(p, weights=False)
-    p.add_argument("--out", dest="output_path", metavar="OUT", required=True, help="output CSV file")
-    p.set_defaults(run=enumerate_command, config=EnumerateConfig)
-
-    p = sub.add_parser("shapley", help="per-node attribution as CSV")
-    common(p)
-    p.add_argument("--out", dest="output_path", metavar="OUT", required=True, help="output CSV file")
-    p.add_argument("--epsilon", type=float, default=1e-9)
-    p.set_defaults(run=shapley_command, config=ShapleyConfig)
-
-    p = sub.add_parser("robustness", help="perturbation sweep as CSV")
-    common(p)
-    p.add_argument("--out", dest="output_path", metavar="OUT", required=True, help="output CSV file")
-    p.add_argument("--mode", choices=["message", "weights"], default="message")
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--magnitude", type=float, default=1.0, help="message norm (message mode)")
-    p.add_argument("--max-distance", type=float, default=1.0, help="last-layer shift (weights mode)")
-    p.add_argument("--method", choices=METHODS, default="pareto-rank")
-    p.add_argument("--epsilon", type=float, default=1e-9)
-    p.set_defaults(run=robustness_command, config=RobustnessConfig)
-
-    p = sub.add_parser("synth", help="write a synthetic graph and matching weights")
-    p.add_argument("--kind", choices=KINDS, required=True)
-    p.add_argument("--param", action="append", help="kind parameter as key=value", default=[])
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out-graph", required=True)
-    p.add_argument("--out-weights", required=True)
-    p.set_defaults(run=synth_command, config=None)
-
+    for name, text in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command == name or command not in _COMMANDS:
+            _add_arguments(name, p)
     return parser
+
+
+def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
+    """Add ``command``'s arguments and its ``run``/``config`` defaults to
+    ``p``. Every command but ``explain`` imports ``moexp.commands``."""
+    if command == "synth":
+        from .commands import synth_command
+        from .synth import KINDS
+
+        p.add_argument("--kind", choices=KINDS, required=True)
+        p.add_argument("--param", action="append", help="kind parameter as key=value", default=[])
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--out-graph", required=True)
+        p.add_argument("--out-weights", required=True)
+        p.set_defaults(run=synth_command, config=None)
+        return
+    p.add_argument("--graph", dest="graph_path", metavar="GRAPH", required=True, help="graph JSON file")
+    if command != "enumerate":
+        p.add_argument(
+            "--weights", dest="weights_path", metavar="WEIGHTS", required=True, help="model weights JSON file"
+        )
+    p.add_argument("--targets", default="all-test", help="comma-separated node ids or 'all-test'")
+    p.add_argument("--max-nodes", "-C", type=int, default=4, help="max nodes per candidate")
+    p.add_argument("--diameter", "-D", type=int, default=2, help="max hops from the target")
+    p.add_argument("--seed", type=int, default=42)
+    if command == "explain":
+        p.add_argument("--out", dest="output_dir", metavar="OUT", required=True, help="output directory")
+        p.add_argument("--method", choices=METHODS, default="pareto-rank")
+        p.add_argument("--top-percent", type=float, default=100.0)
+        p.add_argument("--exhaustive-cf", action="store_true")
+        p.add_argument("--epsilon", type=float, default=1e-9)
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--keep-going", action="store_true")
+        p.add_argument(
+            "--edge-weights",
+            dest="edge_weights_path",
+            metavar="EDGE_WEIGHTS",
+            help="edge weight JSON for method external-weights",
+        )
+        p.set_defaults(run=explain_command, config=RunConfig)
+        return
+    from . import commands
+
+    p.add_argument("--out", dest="output_path", metavar="OUT", required=True, help="output CSV file")
+    if command == "enumerate":
+        p.set_defaults(run=commands.enumerate_command, config=commands.EnumerateConfig)
+    elif command == "shapley":
+        p.add_argument("--epsilon", type=float, default=1e-9)
+        p.set_defaults(run=commands.shapley_command, config=commands.ShapleyConfig)
+    else:
+        p.add_argument("--mode", choices=["message", "weights"], default="message")
+        p.add_argument("--steps", type=int, default=5)
+        p.add_argument("--magnitude", type=float, default=1.0, help="message norm (message mode)")
+        p.add_argument("--max-distance", type=float, default=1.0, help="last-layer shift (weights mode)")
+        p.add_argument("--method", choices=METHODS, default="pareto-rank")
+        p.add_argument("--epsilon", type=float, default=1e-9)
+        p.set_defaults(run=commands.robustness_command, config=commands.RobustnessConfig)
 
 
 def _seed_from_env(seed: int) -> int:
@@ -557,7 +451,9 @@ def _config(config_class, args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The command is the first argument that is not an option.
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
         return args.run(args if args.config is None else _config(args.config, args))
     except Exception as exc:

@@ -1,0 +1,153 @@
+"""The enumerate, shapley, robustness and synth commands.
+
+``cli.main`` imports this module only to run one of them (or to list every
+command's arguments), so an ``explain`` process never loads it, nor the
+``baselines``, ``analysis`` and ``synth`` modules these commands read.
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import dataclass
+
+from . import io
+from .analysis import run_sanity_sweep
+from .baselines import shapley_values
+from .cli import _resolve_targets, _seed_from_env
+from .explain import EnumConfig, enumerate_subgraphs
+from .synth import synth_graph
+
+
+@dataclass(frozen=True)
+class EnumerateConfig:
+    graph_path: str
+    output_path: str
+    targets: str
+    max_nodes: int = 4
+    diameter: int = 2
+
+
+def enumerate_command(config: EnumerateConfig) -> int:
+    graph = io.load_graph(config.graph_path)
+    econfig = EnumConfig(config.max_nodes, config.diameter)
+    rows = []
+    for node in _resolve_targets(config.targets, graph):
+        if not 0 <= node < graph.node_count:
+            raise ValueError(f"target node missing: {node}")
+        enumeration = enumerate_subgraphs(graph, node, econfig)
+        table = zip(
+            enumeration.parent.tolist(), enumeration.sizes.tolist(),
+            enumeration.edge_ids.tolist(), enumeration.node_ids.tolist(),
+        )
+        for i, (parent, k, edges, nodes) in enumerate(table):
+            edge_text, node_text = "|".join(map(str, edges[: k - 1])), "|".join(map(str, nodes[:k]))
+            rows.append((node, i, "" if parent < 0 else parent, k, edge_text, node_text))
+    io.write_csv(
+        config.output_path,
+        ["node", "index", "parent", "node_count", "edge_ids", "node_ids"],
+        rows,
+    )
+    return 0
+
+
+@dataclass(frozen=True)
+class ShapleyConfig:
+    graph_path: str
+    weights_path: str
+    output_path: str
+    targets: str
+    max_nodes: int = 4
+    diameter: int = 2
+    epsilon: float = 1e-9
+
+
+def shapley_command(config: ShapleyConfig) -> int:
+    graph = io.load_graph(config.graph_path)
+    model = io.load_model(config.weights_path)
+    econfig = EnumConfig(config.max_nodes, config.diameter)
+    rows = []
+    for node in _resolve_targets(config.targets, graph):
+        if not 0 <= node < graph.node_count:
+            raise ValueError(f"target node missing: {node}")
+        report = shapley_values(model, graph, node, econfig, config.epsilon)
+        for other in sorted(report):
+            entry = report[other]
+            rows.append((node, other, entry.value, entry.support_count))
+    io.write_csv(
+        config.output_path,
+        ["target", "node", "shapley_value", "support_count"],
+        rows,
+    )
+    return 0
+
+
+@dataclass(frozen=True)
+class RobustnessConfig:
+    graph_path: str
+    weights_path: str
+    output_path: str
+    targets: str
+    mode: str = "message"
+    steps: int = 5
+    seed: int = 42
+    magnitude: float = 1.0
+    max_distance: float = 1.0
+    method: str = "pareto-rank"
+    max_nodes: int = 4
+    diameter: int = 2
+    epsilon: float = 1e-9
+
+    def __post_init__(self):
+        # Checked once here, so a bad value is not reported once per node.
+        if self.steps < 2:
+            raise ValueError("steps must be at least 2")
+
+
+def robustness_command(config: RobustnessConfig) -> int:
+    graph = io.load_graph(config.graph_path)
+    model = io.load_model(config.weights_path)
+    econfig = EnumConfig(config.max_nodes, config.diameter)
+    nodes = _resolve_targets(config.targets, graph)
+    for node in nodes:
+        if not 0 <= node < graph.node_count:
+            raise ValueError(f"target node missing: {node}")
+    records, failed = [], 0
+    for node in nodes:
+        try:
+            records += run_sanity_sweep(
+                model, graph, [node], config.mode, config.steps, config.seed, econfig,
+                magnitude=config.magnitude, max_distance=config.max_distance,
+                method=config.method, epsilon=config.epsilon,
+            )
+        except Exception as exc:  # reported per node; the other nodes' rows are kept
+            print(f"node {node}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failed += 1
+    io.write_csv(
+        config.output_path,
+        ["node", "kind", "strength", "pred_before", "pred_after", "jaccard", "seed"],
+        [(r.node, r.kind, r.strength, r.pred_before, r.pred_after, r.jaccard, r.seed) for r in records],
+    )
+    return 1 if failed else 0
+
+
+def synth_command(args) -> int:
+    graph, model = synth_graph(args.kind, _parse_params(args.param), _seed_from_env(args.seed))
+    io.save_graph(graph, args.out_graph)
+    io.save_model(model, args.out_weights)
+    return 0
+
+
+def _parse_params(pairs) -> dict:
+    out = {}
+    for item in pairs or []:
+        if "=" not in item:
+            raise ValueError(f"bad --param (expected key=value): {item!r}")
+        key, value = item.split("=", 1)
+        try:
+            out[key] = int(value)
+        except ValueError:
+            try:
+                out[key] = float(value)
+            except ValueError:
+                out[key] = value
+    return out

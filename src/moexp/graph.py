@@ -347,6 +347,17 @@ def l_hop_neighborhood(graph: Graph, v: int, hops: int, ball: Ball | None = None
     return set(ball.nodes[1:ball.within[hops]])
 
 
+def confounder_set(graph: Graph, target: int, hops: int, removed, ball: Ball | None = None) -> set:
+    """Nodes that can open back-door paths for a pair's node difference.
+
+    These are the nodes inside the target's ``hops``-ball that are not part
+    of the ``removed`` nodes: they keep influencing the prediction in both
+    the explanation and the counterfactual regime. ``ball``, when given, is
+    a ball of the target of at least ``hops`` hops to read them from.
+    """
+    return l_hop_neighborhood(graph, target, hops, ball) - set(removed)
+
+
 def make_subgraph(graph: Graph, target: int, edge_ids: Iterable[int]) -> Subgraph:
     """Build a Subgraph from parent-graph edge ids, deriving the node set."""
     if not 0 <= target < graph.node_count:

@@ -13,7 +13,6 @@ flat object mapping edge-id strings to numbers.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import hashlib
 import json
@@ -236,6 +235,7 @@ def _atomic_write(path, payload: str) -> None:
 
 def write_csv(path, header, rows) -> None:
     """Write rows atomically with an exact header line."""
+    import csv
     import io as _io
 
     buffer = _io.StringIO()

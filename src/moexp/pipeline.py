@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baselines
 from .explain import (
     CandidateScorer,
     EnumConfig,
@@ -113,6 +112,9 @@ def explain_node(
         pairs = generate_pairs(enumeration, exhaustive=exhaustive_cf)
         strategy = "comprehensive" if method == "pareto-rank" else "balanced"
         return _finish(scorer, ball, method, pairs, strategy, 0)
+
+    # Imported here: the pareto-rank and balanced methods do not read it.
+    from . import baselines
 
     if method == "shapley":
         picked = baselines.shapley_selection(model, graph, target, config, epsilon, scorer=scorer)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gcn import Model
-from .graph import Graph, build_graph
+from .graph import build_graph
 
 KINDS = ("chain", "star", "planted-motif", "erdos")
 

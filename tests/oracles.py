@@ -12,18 +12,26 @@ package's fused form.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from moexp import Subgraph, build_graph, forward, neighborhood_edge_ids, softmax, target_ball
 from moexp.gcn import trees_hidden
 from moexp.analysis import confounder_set
-from moexp.cli import _candidate_block, _floats, top_count
+from moexp.cli import _candidate_block, _floats
 from moexp.pareto import _select
 from moexp.io import FormatError
+
+
+def top_count(top_percent: float, pair_count: int) -> int:
+    """``cli.top_count`` through ``fractions``: ceil(P * m / 100), at least
+    one, with P read as the decimal it prints as."""
+    return max(1, math.ceil(Fraction(str(top_percent)) * pair_count / 100))
 
 
 def edge_subset_nodes(edges, subset, target):

@@ -6,7 +6,6 @@ Run with ``pytest -v`` (add ``-s`` to see the summary lines on success).
 """
 
 import functools
-import json
 import re
 import statistics
 import time

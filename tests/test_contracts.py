@@ -1,6 +1,8 @@
 """Contracts of the public surface: one propagation loop, finite inputs, NaN-safe ranking,
-checked option ranges, per-node errors, and traced boundaries that exist."""
+checked option ranges, per-node errors, traced boundaries that exist, a lazy package
+namespace, and no import that nothing reads."""
 
+import ast
 import csv
 import importlib.util
 import json
@@ -24,9 +26,67 @@ from moexp.synth import synth_graph
 from oracles import masked_loss
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_ENV = dict(os.environ, PYTHONPATH=str(pathlib.Path(moexp.__file__).resolve().parent.parent))
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in moexp.__all__ if not hasattr(moexp, name)]
     assert missing == []
+
+
+def test_lazy_namespace_lists_binds_and_rejects():
+    assert set(moexp.__all__) <= set(dir(moexp))
+    namespace = {}
+    exec("from moexp import *", namespace)
+    assert all(namespace[name] is getattr(moexp, name) for name in moexp.__all__)
+    with pytest.raises(AttributeError, match="^module 'moexp' has no attribute 'no_such_name'$"):
+        moexp.no_such_name
+    with pytest.raises(ImportError):
+        exec("from moexp import no_such_name", {})
+
+
+def test_bare_import_loads_no_module_until_a_name_is_read():
+    code = """
+import sys
+import moexp
+assert [m for m in sys.modules if m.startswith("moexp.")] == [], sys.modules
+assert moexp.analysis is sys.modules["moexp.analysis"]
+assert moexp.confounder_set is sys.modules["moexp.graph"].confounder_set
+assert moexp.analysis.confounder_set is moexp.confounder_set
+import moexp.synth
+assert moexp.synth.KINDS is moexp.KINDS
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    """``file:line: name`` for each name an import binds that the file never
+    reads. ``import x as x`` (a re-export) and a line marked ``noqa: F401``
+    (an import for its side effect) are exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if alias.name != "*" and alias.asname != alias.name and name not in read:
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    return unused
+
+
+def test_no_import_is_unused():
+    # __init__.py files are exempt: they re-export what they import.
+    files = [p for d in ("src/moexp", "tests", "scripts", "benchmark") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(files) > 20
+    assert [u for p in files if p.name != "__init__.py" for u in _unused_imports(p)] == []
 
 
 @pytest.mark.parametrize(
@@ -236,17 +296,19 @@ def test_robustness_keeps_the_rows_of_nodes_that_succeed(tmp_path, capsys):
     assert not (tmp_path / "none.csv").exists()
 
 
-# Run in a fresh interpreter: the modules loaded by ``import moexp.cli`` and
-# those explain loads after it.
+# Run in a fresh interpreter: the modules loaded by ``import moexp.cli``, and
+# those each explain run, in the order given, loads after it.
 _IMPORT_PROBE = """
 import json, sys
 from moexp import cli
-before = set(sys.modules)
+at_import, loaded = sorted(sys.modules), {}
 for method in sys.argv[1:]:
+    before = set(sys.modules)
     argv = ["explain", "--graph", "g.json", "--weights", "w.json", "--targets", "0,1,2,5"]
     if cli.main(argv + ["--method", method, "--jobs", "1", "--out", "out-" + method]) != 0:
         sys.exit("explain --method %s failed" % method)
-print(json.dumps([sorted(before), sorted(set(sys.modules) - before)]))
+    loaded[method] = sorted(set(sys.modules) - before)
+print(json.dumps([at_import, loaded]))
 """
 
 
@@ -258,14 +320,23 @@ def test_explain_imports_only_what_its_run_uses(tmp_path):
     graph, model = synth_graph("planted-motif", {}, 7)
     save_graph(graph, tmp_path / "g.json")
     save_model(model, tmp_path / "w.json")
-    methods = ["pareto-rank", "balanced", "shapley", "grad-fd", "grad-analytic"]
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(moexp.__file__).resolve().parent.parent))
+    methods = ["pareto-rank", "balanced", "grad-fd", "shapley", "grad-analytic"]
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *methods], cwd=tmp_path, env=env, capture_output=True, text=True,
+        [sys.executable, "-c", _IMPORT_PROBE, *methods], cwd=tmp_path, env=_ENV, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    at_import, loaded = json.loads(proc.stdout.splitlines()[-1])
+    at_import, by_method = json.loads(proc.stdout.splitlines()[-1])
+    loaded = [m for names in by_method.values() for m in names]
+    # The package namespace is lazy, and the other commands live in
+    # moexp.commands: the import loads the explain path and nothing else.
+    path = ["moexp", "moexp.cli", "moexp.explain", "moexp.gcn", "moexp.graph", "moexp.io", "moexp.pareto"]
+    assert _within(at_import, ("moexp",)) == path + ["moexp.pipeline"]
+    assert _within(at_import, ("fractions", "csv")) == []
+    # Only the baseline methods read moexp.baselines.
+    assert _within(by_method["pareto-rank"] + by_method["balanced"], ("moexp",)) == []
+    assert _within(by_method["grad-fd"], ("moexp",)) == ["moexp.baselines"]
+    assert _within(loaded, ("moexp.analysis", "moexp.synth", "moexp.commands")) == []
     # numpy.ma (np.unique loads it on numpy 2) and numpy.random (only method
     # random draws) are checked against what the import loaded, so numpy
     # 1.x, which loads both with numpy itself, passes too.

@@ -7,7 +7,6 @@ from moexp import (
     CandidateScorer,
     Enumeration,
     EnumConfig,
-    Model,
     build_graph,
     canonical_order,
     cf_relevance,

@@ -11,20 +11,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moexp
 from moexp import Model, build_graph
-from moexp.cli import (
+from moexp.cli import RunConfig, explain_command, main, top_count
+from moexp.commands import (
     EnumerateConfig,
     RobustnessConfig,
-    RunConfig,
     ShapleyConfig,
     enumerate_command,
-    explain_command,
-    main,
     robustness_command,
     shapley_command,
-    top_count,
 )
 from moexp.io import (
     FormatError,
@@ -42,6 +41,8 @@ from moexp.io import (
     sha256_file,
     write_csv,
 )
+
+import oracles
 
 
 def chain_paths(fixtures_dir):
@@ -244,6 +245,22 @@ def test_top_count_is_exact():
     # The percents the goldens and benchmark workloads use count as before.
     for percent in (1.0, 50.0, 100.0):
         assert all(top_count(percent, m) == max(1, math.ceil(percent / 100.0 * m)) for m in range(1, 20001))
+
+
+@given(
+    st.floats(min_value=0.0, max_value=100.0, exclude_min=True) | st.sampled_from([1e-05, 5e-324, 0.1, 7.0, 100.0]),
+    st.integers(min_value=0, max_value=10**7),
+)
+@settings(max_examples=500, deadline=None)
+def test_top_count_matches_the_fraction_oracle(percent, pairs):
+    # Integer arithmetic on the digits of repr(percent), against Fraction(str(percent)).
+    assert top_count(percent, pairs) == oracles.top_count(percent, pairs)
+
+
+@pytest.mark.parametrize("percent", [1e-05, 5e-324, 0.1, 7.0, 100.0])
+def test_top_count_matches_the_fraction_oracle_at_the_edges(percent):
+    for pairs in (0, 1, 3, 7, 100, 1000, 99_999, 10**7 - 1, 10**7):
+        assert top_count(percent, pairs) == oracles.top_count(percent, pairs)
 
 
 def test_explain_top_percent_7_of_100_pairs(tmp_path):

@@ -11,7 +11,6 @@ from moexp import (
     derive_seed,
     enumerate_subgraphs,
     explain_node,
-    forward,
     grow_subgraph,
     random_weights,
     simulatability,

@@ -1,0 +1,89 @@
+"""Help, usage and argument errors of the ``moexp`` command, against a golden.
+
+``cli.main`` builds the arguments of the one command it runs. Each case's
+exit status, stdout and stderr (``COLUMNS=80``) are compared with
+``tests/golden/usage.json``, recorded on the Python version it names.
+argparse lays its texts out differently in some versions, so on another
+version each case is compared with the parser that carries every
+command's arguments instead.
+
+Regenerate the golden, from the repository root, with::
+
+    PYTHONPATH=src python tests/test_usage.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import sys
+
+import pytest
+
+from moexp import cli
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "usage.json"
+
+_INPUTS = ["--graph", "g.json", "--weights", "w.json", "--out", "out"]
+CASES = [
+    ["-h"],
+    ["--help", "explain"],
+    *([command, "-h"] for command in ("explain", "enumerate", "shapley", "robustness", "synth")),
+    [],
+    ["--bogus"],
+    ["bogus"],
+    ["explain"],
+    ["enumerate", "--graph", "g.json"],
+    ["explain", *_INPUTS, "--bogus"],
+    ["explain", *_INPUTS, "--method", "nope"],
+    ["explain", *_INPUTS, "-C", "x"],
+    ["shapley", *_INPUTS, "--epsilon"],
+    ["robustness", *_INPUTS, "--mode", "nope"],
+    ["synth", "--kind", "nope", "--out-graph", "g.json", "--out-weights", "w.json"],
+    ["synth", "--out-graph", "g.json"],
+    ["enumerate", "--graph", "g.json", "--out", "e.csv", "--weights", "w.json"],
+]
+
+
+def run_usage(argv, parse=None) -> dict:
+    """Status, stdout and stderr of ``cli.main(argv)``, or of ``parse(argv)``
+    (a parser's ``parse_args``); every case stops in the parser."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = (parse or cli.main)(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+    return {"argv": list(argv), "status": status, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _version() -> str:
+    return "%d.%d" % sys.version_info[:2]
+
+
+@pytest.fixture
+def golden(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_lists_every_case(golden):
+    assert [case["argv"] for case in golden["cases"]] == CASES
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=[" ".join(argv) or "(none)" for argv in CASES])
+def test_usage_matches_golden(index, golden):
+    result = run_usage(CASES[index])
+    assert result["status"] in (0, 2)
+    if golden["python"] == _version():
+        assert result == golden["cases"][index]
+    else:
+        assert result == run_usage(CASES[index], cli.build_parser().parse_args)
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    cases = [run_usage(argv) for argv in CASES]
+    GOLDEN.write_text(json.dumps({"python": _version(), "cases": cases}, indent=2) + "\n")
+    print(f"wrote {len(cases)} cases to {GOLDEN}", file=sys.stderr)
