@@ -8,8 +8,8 @@ sweeps share the same scoring machinery. Everything here is pure and
 seeded, so runs are reproducible bit for bit.
 
 The public names are loaded on first use (PEP 562), so a process imports
-only the modules it reads: an ``explain`` run never loads ``analysis``,
-``synth`` or the commands other than its own.
+only the modules it reads: an ``explain`` run loads neither ``synth`` nor
+``commands``, and ``analysis`` only for ``--method random``.
 """
 
 __version__ = "0.1.0"
