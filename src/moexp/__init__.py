@@ -17,18 +17,12 @@ __version__ = "0.1.0"
 # Public name -> the module that defines it.
 _EXPORTS = {
     "Ball": "graph",
-    "CYCLIC": "graph",
-    "DISCONNECTED": "graph",
-    "MISSING_TARGET": "graph",
     "Graph": "graph",
     "Subgraph": "graph",
     "build_graph": "graph",
     "canonical_order": "graph",
     "confounder_set": "graph",
-    "l_hop_neighborhood": "graph",
-    "make_subgraph": "graph",
     "target_ball": "graph",
-    "validate_subgraph": "graph",
     "ACTIVATIONS": "gcn",
     "Model": "gcn",
     "forward": "gcn",
@@ -40,21 +34,16 @@ _EXPORTS = {
     "DEFAULT_EPSILON": "explain",
     "EnumConfig": "explain",
     "Enumeration": "explain",
-    "cf_relevance": "explain",
     "enumerate_subgraphs": "explain",
     "generate_pairs": "explain",
     "simulatability": "explain",
     "ScoredFront": "pareto",
-    "competition_ranks": "pareto",
-    "pareto_front": "pareto",
     "rank_pairs": "pareto",
     "ShapleyValue": "baselines",
     "grad_weights_analytic": "baselines",
     "grad_weights_fd": "baselines",
-    "grow_subgraph": "baselines",
     "neighborhood_edge_ids": "baselines",
     "random_weights": "baselines",
-    "set_shapley_value": "baselines",
     "shapley_selection": "baselines",
     "shapley_values": "baselines",
     "METHODS": "pipeline",

@@ -1,4 +1,4 @@
-"""Robustness probes. (``confounder_set`` lives in ``graph``.)
+"""Robustness probes.
 
 The perturbation helpers stress the selected explanation from two sides:
 a synthetic message with controlled alignment to the predicted class
@@ -16,7 +16,6 @@ import numpy as np
 from .explain import EnumConfig, Enumeration, enumerate_subgraphs, DEFAULT_EPSILON
 from .gcn import Model, forward
 from .graph import Ball, Graph, target_ball
-from .graph import confounder_set as confounder_set  # its old home; the name stays importable here
 from .pipeline import NodeExplanation, ball_hops, explain_node
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcn import Model, ball_messages, forward, layers_hidden, node_embeddings, softmax
-from .graph import Ball, Graph, Subgraph, canonical_order, target_ball
+from .graph import Ball, Graph, canonical_order, target_ball
 from .explain import CandidateScorer, EnumConfig, Enumeration, _candidate_table, enumerate_subgraphs, DEFAULT_EPSILON
 
 
@@ -69,12 +69,6 @@ def grow_table(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | 
         growth.append((len(rows) - 1, *best[1:], len(rows) + 1))
         rows.append(best[2])
     return _candidate_table(target, ball, np.array(growth, dtype=np.intp), max_nodes)
-
-
-def grow_subgraph(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | None = None) -> Subgraph:
-    """The tree that ``grow_table`` grows, as a ``Subgraph``."""
-    tree = grow_table(weights, graph, target, max_nodes, ball)
-    return tree.subgraph(len(tree) - 1)
 
 
 @dataclass(frozen=True)
@@ -141,48 +135,6 @@ def shapley_values(
         sums[node] = sums.get(node, 0.0) + drop
         counts[node] = counts.get(node, 0) + 1
     return {node: ShapleyValue(sums[node] / counts[node], counts[node]) for node in sorted(sums)}
-
-
-def set_shapley_value(
-    model: Model,
-    graph: Graph,
-    target: int,
-    removed,
-    config: EnumConfig = EnumConfig(),
-    epsilon: float = DEFAULT_EPSILON,
-    scorer: CandidateScorer | None = None,
-) -> ShapleyValue | None:
-    """Attribution of deleting a whole node set, normalized per removed node.
-
-    Averages the per-node relevance over every enumerated candidate that
-    contains the set and stays a connected tree (with exactly that node
-    difference) after deletion. None when no candidate supports the set.
-    """
-    removed = set(int(x) for x in removed)
-    if target in removed:
-        raise ValueError("cannot remove the target")
-    if not removed:
-        raise ValueError("removed set must be non-empty")
-    scorer = _scorer(model, graph, target, config, epsilon, scorer)
-    if not all(0 <= v < graph.node_count for v in removed):
-        return None
-    enumeration = scorer.enumeration
-    gone = np.array(sorted(removed), dtype=np.intp)
-    nodes, edges = enumeration.node_ids, enumeration.edge_ids
-    i = np.flatnonzero((nodes[:, :, None] == gone).any(axis=1).all(axis=1))
-    lo, hi = _endpoints(graph, edges[i])
-    j = enumeration.remainders(i, ((lo[..., None] == gone) | (hi[..., None] == gone)).any(axis=2))
-    # The remainder keeps only nodes outside the set, so equal sizes mean equal node sets.
-    sizes = enumeration.sizes
-    keep = (j >= 0) & (sizes[i] - sizes[j] == len(removed))
-    if not keep.any():
-        return None
-    pairs = np.stack([i[keep], j[keep]], axis=1)
-    # Each pair removes exactly the set, so its relevance is cf_relevance's.
-    total = 0.0
-    for value in scorer.pair(pairs[:, 0], pairs[:, 1]).tolist():
-        total += value
-    return ShapleyValue(total / len(pairs), len(pairs))
 
 
 def shapley_selection(

@@ -18,6 +18,16 @@ from .explain import EnumConfig, enumerate_subgraphs
 from .synth import synth_graph
 
 
+def _targets(spec: str, graph) -> list:
+    """The target ids ``spec`` names; a ``ValueError`` for the first one
+    that is not a node of ``graph``, so a command fails before any work."""
+    nodes = _resolve_targets(spec, graph)
+    for node in nodes:
+        if not 0 <= node < graph.node_count:
+            raise ValueError(f"target node missing: {node}")
+    return nodes
+
+
 @dataclass(frozen=True)
 class EnumerateConfig:
     graph_path: str
@@ -31,9 +41,7 @@ def enumerate_command(config: EnumerateConfig) -> int:
     graph = io.load_graph(config.graph_path)
     econfig = EnumConfig(config.max_nodes, config.diameter)
     rows = []
-    for node in _resolve_targets(config.targets, graph):
-        if not 0 <= node < graph.node_count:
-            raise ValueError(f"target node missing: {node}")
+    for node in _targets(config.targets, graph):
         enumeration = enumerate_subgraphs(graph, node, econfig)
         table = zip(
             enumeration.parent.tolist(), enumeration.sizes.tolist(),
@@ -66,9 +74,7 @@ def shapley_command(config: ShapleyConfig) -> int:
     model = io.load_model(config.weights_path)
     econfig = EnumConfig(config.max_nodes, config.diameter)
     rows = []
-    for node in _resolve_targets(config.targets, graph):
-        if not 0 <= node < graph.node_count:
-            raise ValueError(f"target node missing: {node}")
+    for node in _targets(config.targets, graph):
         report = shapley_values(model, graph, node, econfig, config.epsilon)
         for other in sorted(report):
             entry = report[other]
@@ -107,12 +113,8 @@ def robustness_command(config: RobustnessConfig) -> int:
     graph = io.load_graph(config.graph_path)
     model = io.load_model(config.weights_path)
     econfig = EnumConfig(config.max_nodes, config.diameter)
-    nodes = _resolve_targets(config.targets, graph)
-    for node in nodes:
-        if not 0 <= node < graph.node_count:
-            raise ValueError(f"target node missing: {node}")
     records, failed = [], 0
-    for node in nodes:
+    for node in _targets(config.targets, graph):
         try:
             records += run_sanity_sweep(
                 model, graph, [node], config.mode, config.steps, config.seed, econfig,

@@ -58,10 +58,8 @@ class Enumeration:
     ``rows[i]`` of node r's tree neighbours, ascending by global node id,
     the order a pass sums them in.
 
-    ``subgraph(i)`` builds candidate i's ``Subgraph``. ``subgraphs`` and
-    ``index`` give every candidate as a ``Subgraph`` and a dict from edge
-    set to position; each view is built on first use and kept, and no
-    explain run builds them.
+    ``subgraph(i)`` builds candidate i's ``Subgraph``, and ``positions``
+    finds candidates by their edge sets.
     """
 
     target: int
@@ -80,18 +78,6 @@ class Enumeration:
     def subgraph(self, i: int) -> Subgraph:
         edges, nodes = self.edge_ids[i], self.node_ids[i]
         return Subgraph(self.target, tuple(edges[edges >= 0].tolist()), tuple(nodes[nodes >= 0].tolist()))
-
-    @functools.cached_property
-    def subgraphs(self) -> tuple:
-        return tuple(
-            Subgraph(self.target, tuple(edges[: k - 1]), tuple(nodes[:k]))
-            for edges, nodes, k in zip(self.edge_ids.tolist(), self.node_ids.tolist(), self.sizes.tolist())
-        )
-
-    @functools.cached_property
-    def index(self) -> dict:
-        """Position of each candidate, keyed by its edge set."""
-        return {s.edge_set: i for i, s in enumerate(self.subgraphs)}
 
     @functools.cached_property
     def edge_set_rank(self) -> np.ndarray:
@@ -333,13 +319,6 @@ def simulatability(reference, candidate, epsilon: float = DEFAULT_EPSILON):
 def _distributions(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return x if x.ndim == 2 else x.reshape(-1)
-
-
-def cf_relevance(sim_explanation: float, sim_counterfactual: float, removed_count: int) -> float:
-    """Simulatability drop per removed node."""
-    if removed_count < 1:
-        raise ValueError("removed_count must be at least 1")
-    return (sim_explanation - sim_counterfactual) / removed_count
 
 
 class CandidateScorer:

@@ -10,15 +10,10 @@ from __future__ import annotations
 
 import functools
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-
-DISCONNECTED = "disconnected"
-CYCLIC = "cyclic"
-MISSING_TARGET = "missing-target"
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,11 +25,11 @@ class Graph:
     ``nbr_node``, its neighbours ascending, and of ``nbr_edge``, the ids of
     the edges to them. These id arrays are read-only.
 
-    ``edges``, ``adjacency``, ``incidence`` and ``edge_index`` give the same
-    ids as Python tuples and a dict: ``adjacency[v]`` lists v's neighbours
-    ascending, ``incidence[v]`` pairs each with the id of the connecting
-    edge, and ``edge_index`` maps (lo, hi) to the edge id. Each view is
-    built on first use and kept; no per-node stage reads them.
+    ``edges``, ``adjacency`` and ``incidence`` give the same ids as Python
+    tuples: ``edges[e]`` is edge e's (lo, hi), ``adjacency[v]`` lists v's
+    neighbours ascending, and ``incidence[v]`` pairs each with the id of
+    the connecting edge. Each view is built on first use and kept; no
+    per-node stage reads them.
     """
 
     node_count: int
@@ -57,16 +52,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
-    def edge_id(self, u: int, w: int) -> int:
-        """Id of the edge between u and w; ``KeyError`` when there is none."""
-        a, b = (u, w) if u < w else (w, u)
-        if 0 <= a and b < self.node_count:
-            start, stop = self.indptr[a], self.indptr[a + 1]
-            i = start + int(np.searchsorted(self.nbr_node[start:stop], b))
-            if i < stop and self.nbr_node[i] == b:
-                return int(self.nbr_edge[i])
-        raise KeyError((a, b))
-
     def endpoints(self, ids) -> list:
         """The (lo, hi) pair of each edge of ``ids``, as Python ints."""
         ids = np.asarray(ids, dtype=np.intp)
@@ -75,10 +60,6 @@ class Graph:
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.lo.tolist(), self.hi.tolist()))
-
-    @functools.cached_property
-    def edge_index(self) -> dict:
-        return dict(zip(self.edges, range(self.edge_count)))
 
     @functools.cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -339,65 +320,16 @@ def target_ball(graph: Graph, target: int, hops: int, ball: Ball | None = None) 
     return ball
 
 
-def l_hop_neighborhood(graph: Graph, v: int, hops: int, ball: Ball | None = None) -> set:
-    """Nodes within ``hops`` of v, excluding v itself."""
-    if hops < 1:
-        raise ValueError("hops must be positive")
-    ball = target_ball(graph, v, hops, ball)
-    return set(ball.nodes[1:ball.within[hops]])
-
-
 def confounder_set(graph: Graph, target: int, hops: int, removed, ball: Ball | None = None) -> set:
     """Nodes that can open back-door paths for a pair's node difference.
 
-    These are the nodes inside the target's ``hops``-ball that are not part
-    of the ``removed`` nodes: they keep influencing the prediction in both
-    the explanation and the counterfactual regime. ``ball``, when given, is
+    These are the nodes inside the target's ``hops``-ball, other than the
+    target, that are not part of the ``removed`` nodes: they keep
+    influencing the prediction in both the explanation and the
+    counterfactual regime. ``hops`` is at least 1. ``ball``, when given, is
     a ball of the target of at least ``hops`` hops to read them from.
     """
-    return l_hop_neighborhood(graph, target, hops, ball) - set(removed)
-
-
-def make_subgraph(graph: Graph, target: int, edge_ids: Iterable[int]) -> Subgraph:
-    """Build a Subgraph from parent-graph edge ids, deriving the node set."""
-    if not 0 <= target < graph.node_count:
-        raise ValueError(f"node id out of range: {target}")
-    ids = sorted(set(int(e) for e in edge_ids))
-    if ids and not (0 <= ids[0] and ids[-1] < graph.edge_count):
-        raise ValueError("edge id out of range")
-    nodes = {target, *(x for pair in graph.endpoints(ids) for x in pair)}
-    return Subgraph(target, tuple(ids), tuple(sorted(nodes)))
-
-
-def validate_subgraph(graph: Graph, sub: Subgraph):
-    """Check the tree discipline; return None when valid.
-
-    Returns one of ``missing-target``, ``disconnected``, ``cyclic``. A valid
-    subgraph is connected, acyclic, and contains its target.
-    """
-    for eid in sub.edge_set:
-        if not 0 <= eid < graph.edge_count:
-            raise ValueError(f"edge id out of range: {eid}")
-    nodes = {sub.target}
-    adj: dict[int, list[int]] = {sub.target: []}
-    for u, w in graph.endpoints(sub.edge_set):
-        for x in (u, w):
-            nodes.add(x)
-            adj.setdefault(x, [])
-        adj[u].append(w)
-        adj[w].append(u)
-    if sub.target not in sub.node_set:
-        return MISSING_TARGET
-    reached = {sub.target}
-    queue = deque([sub.target])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-    if reached != nodes:
-        return DISCONNECTED
-    if len(sub.edge_set) != len(nodes) - 1:
-        return CYCLIC
-    return None
+    if hops < 1:
+        raise ValueError("hops must be positive")
+    ball = target_ball(graph, target, hops, ball)
+    return set(ball.nodes[1:ball.within[hops]]) - set(removed)

@@ -21,6 +21,13 @@ def _reject_nan(values: np.ndarray) -> None:
 
 
 def _front(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Flag the non-dominated entries via a single descending sweep.
+
+    Sorting by the first coordinate groups exact ties; inside a group only
+    entries matching the group's best second coordinate survive, and only
+    if no strictly-better first coordinate already reached that second
+    coordinate. Equivalent to the quadratic all-pairs check.
+    """
     n = first.size
     _reject_nan(first)
     _reject_nan(second)
@@ -36,26 +43,10 @@ def _front(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return flags
 
 
-def pareto_front(scores) -> list:
-    """Flag the non-dominated entries via a single descending sweep.
-
-    Sorting by the first coordinate groups exact ties; inside a group only
-    entries matching the group's best second coordinate survive, and only
-    if no strictly-better first coordinate already reached that second
-    coordinate. Equivalent to the quadratic all-pairs check.
-    """
-    pairs = np.asarray(scores, dtype=float).reshape(-1, 2)
-    return _front(pairs[:, 0], pairs[:, 1]).tolist()
-
-
 def _ranks(values: np.ndarray) -> np.ndarray:
+    """1-based descending ranks; tied values share 1 + (count strictly better)."""
     _reject_nan(values)
     return np.searchsorted(np.sort(-values), -values, side="left") + 1
-
-
-def competition_ranks(values) -> list:
-    """1-based descending ranks; tied values share 1 + (count strictly better)."""
-    return _ranks(np.asarray(values, dtype=float)).tolist()
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ import numpy as np
 
 from moexp import Subgraph, build_graph, forward, neighborhood_edge_ids, softmax, target_ball
 from moexp.gcn import trees_hidden
-from moexp.analysis import confounder_set
+from moexp.graph import confounder_set
 from moexp.cli import _candidate_block, _floats
 from moexp.pareto import _select
 from moexp.io import FormatError
@@ -32,6 +32,29 @@ def top_count(top_percent: float, pair_count: int) -> int:
     """``cli.top_count`` through ``fractions``: ceil(P * m / 100), at least
     one, with P read as the decimal it prints as."""
     return max(1, math.ceil(Fraction(str(top_percent)) * pair_count / 100))
+
+
+def make_subgraph(graph, target, edge_ids) -> Subgraph:
+    """The ``Subgraph`` of parent-graph ``edge_ids`` anchored at ``target``:
+    the edges' endpoints and the target are its nodes."""
+    ids = tuple(sorted(set(int(e) for e in edge_ids)))
+    nodes = {target, *(x for pair in graph.endpoints(ids) for x in pair)}
+    return Subgraph(target, ids, tuple(sorted(nodes)))
+
+
+def subgraphs(enumeration) -> tuple:
+    """Every candidate of ``enumeration`` as a ``Subgraph``, in order."""
+    return tuple(enumeration.subgraph(i) for i in range(len(enumeration)))
+
+
+def index(enumeration) -> dict:
+    """The position of each candidate of ``enumeration``, keyed by its edge set."""
+    return {s.edge_set: i for i, s in enumerate(subgraphs(enumeration))}
+
+
+def cf_relevance(sim_explanation: float, sim_counterfactual: float, removed_count: int) -> float:
+    """Counterfactual relevance: the simulatability drop per removed node."""
+    return (sim_explanation - sim_counterfactual) / removed_count
 
 
 def edge_subset_nodes(edges, subset, target):
@@ -663,7 +686,7 @@ def reference_ranking(model, graph, target, pairs, strategy, eps=1e-9):
     counts and plain sorts. Returns (relevance, sim_ranks, rel_ranks,
     pareto, order, selected).
     """
-    from moexp import cf_relevance, simulatability
+    from moexp import simulatability
 
     reference = forward(model, graph, target)
 
@@ -725,7 +748,7 @@ def reference_document(result, graph, model, config, manifest) -> dict:
         )
         return doc
     enumeration, sims = result.scorer.enumeration, result.scorer.simulatability.tolist()
-    subs = enumeration.subgraphs
+    subs = subgraphs(enumeration)
     e, c, relevance = front.e.tolist(), front.c.tolist(), front.relevance.tolist()
     sim_ranks, rel_ranks, rank_sums, pareto = (
         a.tolist() for a in (front.sim_ranks, front.rel_ranks, front.rank_sums, front.pareto)
@@ -796,7 +819,7 @@ def template_top_pairs(result, config) -> str:
     assembled the entries from distinct-value texts."""
     front, scorer = result.front, result.scorer
     enumeration = scorer.enumeration
-    subs = enumeration.subgraphs
+    subs = subgraphs(enumeration)
     order = front.order[: top_count(config.top_percent, len(front.e))].tolist()
     kept = np.array(order, dtype=np.intp)
     es, cs = front.e[kept].tolist(), front.c[kept].tolist()
@@ -827,7 +850,6 @@ class ReferenceGraph:
     edges: tuple
     adjacency: tuple
     incidence: tuple
-    edge_index: dict
 
 
 def reference_graph(features, edges, labels=None) -> ReferenceGraph:
@@ -865,7 +887,6 @@ def reference_graph(features, edges, labels=None) -> ReferenceGraph:
         seen.add(key)
 
     edge_list = tuple(sorted(seen))
-    edge_index = {e: i for i, e in enumerate(edge_list)}
     incidence_lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid, (u, w) in enumerate(edge_list):
         incidence_lists[u].append((w, eid))
@@ -874,7 +895,7 @@ def reference_graph(features, edges, labels=None) -> ReferenceGraph:
         lst.sort()
     adjacency = tuple(tuple(nbr for nbr, _ in lst) for lst in incidence_lists)
     incidence = tuple(tuple(lst) for lst in incidence_lists)
-    return ReferenceGraph(n, feats, label_tuple, edge_list, adjacency, incidence, edge_index)
+    return ReferenceGraph(n, feats, label_tuple, edge_list, adjacency, incidence)
 
 
 def reference_parse_graph(doc) -> ReferenceGraph:

@@ -12,7 +12,6 @@ from moexp import (
     enumerate_subgraphs,
     forward,
     jaccard_distance,
-    make_subgraph,
     perturb_message,
     perturb_weights,
     run_sanity_sweep,
@@ -20,12 +19,13 @@ from moexp import (
 from moexp.gcn import forward_hidden
 
 from conftest import sem_chain, sem_model
-from oracles import random_graph, random_model, restricted_hidden_tree, sem_expand_check
+from oracles import index, make_subgraph, random_graph, random_model, restricted_hidden_tree, sem_expand_check
 
 
 def chain_removed(graph, expl_edges, cf_edges, target=2):
     enum = enumerate_subgraphs(graph, target, EnumConfig(max_nodes=4, diameter=2))
-    return enum.removed_nodes(enum.index[tuple(expl_edges)], enum.index[tuple(cf_edges)])
+    position = index(enum)
+    return enum.removed_nodes(position[tuple(expl_edges)], position[tuple(cf_edges)])
 
 
 def test_confounders_chain_far_node_removed(chain_graph):

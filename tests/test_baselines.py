@@ -17,18 +17,24 @@ from moexp import (
     forward,
     grad_weights_analytic,
     grad_weights_fd,
-    grow_subgraph,
-    make_subgraph,
     neighborhood_edge_ids,
     random_weights,
-    set_shapley_value,
     shapley_selection,
     shapley_values,
 )
 
-from moexp.baselines import FD_BATCH_ENTRIES
+from moexp.baselines import FD_BATCH_ENTRIES, grow_table
 
-from oracles import random_graph, random_model, reference_grad_weights_fd, shapley_oracle
+from oracles import (
+    index,
+    is_tree_with_target,
+    make_subgraph,
+    random_graph,
+    random_model,
+    reference_grad_weights_fd,
+    shapley_oracle,
+    subgraphs,
+)
 
 
 def star_graph():
@@ -50,7 +56,7 @@ def simulatability_of(model, graph, target):
     """nu(nodes): the scored simulatability of the tree induced on the nodes."""
     enum = enumerate_subgraphs(graph, target)
     scorer = CandidateScorer(model, graph, enum)
-    return lambda nodes: scorer.candidate(enum.index[induced_tree(graph, target, nodes).edge_set])
+    return lambda nodes: scorer.candidate(index(enum)[induced_tree(graph, target, nodes).edge_set])
 
 
 def test_neighborhood_edge_ids_respects_radius():
@@ -80,34 +86,34 @@ def test_random_weights_isolated_target_empty():
 def test_grow_subgraph_follows_heaviest_edges():
     g = star_graph()
     weights = {0: 0.9, 1: 0.5, 2: 0.3}
-    assert grow_subgraph(weights, g, 0, 2).edge_set == (0,)
-    assert grow_subgraph(weights, g, 0, 3).edge_set == (0, 1)
-    assert grow_subgraph(weights, g, 0, 4).edge_set == (0, 1, 2)
+    assert grow_table(weights, g, 0, 2).subgraph(-1).edge_set == (0,)
+    assert grow_table(weights, g, 0, 3).subgraph(-1).edge_set == (0, 1)
+    assert grow_table(weights, g, 0, 4).subgraph(-1).edge_set == (0, 1, 2)
 
 
 def test_grow_subgraph_frontier_not_global():
     # path 2-0-1-3 with a heavy far edge only reachable through a light one
     g = build_graph([[0.0]] * 4, [(0, 1), (0, 2), (1, 3)])
     weights = {0: 0.1, 1: 0.2, 2: 0.95}
-    grown = grow_subgraph(weights, g, 0, 3)
+    grown = grow_table(weights, g, 0, 3).subgraph(-1)
     # first pick is the heaviest frontier edge (0,2); then (0,1) beats nothing
     assert grown.edge_set == (0, 1)
-    grown4 = grow_subgraph(weights, g, 0, 4)
+    grown4 = grow_table(weights, g, 0, 4).subgraph(-1)
     assert grown4.edge_set == (0, 1, 2)
 
 
 def test_grow_subgraph_equal_weights_use_canonical_order():
     g = star_graph()
     weights = {0: 0.5, 1: 0.5, 2: 0.5}
-    assert grow_subgraph(weights, g, 0, 3).edge_set == (0, 1)
+    assert grow_table(weights, g, 0, 3).subgraph(-1).edge_set == (0, 1)
 
 
 def test_grow_subgraph_single_node_and_empty_weights():
     g = star_graph()
-    assert grow_subgraph({0: 0.9}, g, 0, 1).edge_set == ()
-    assert grow_subgraph({}, g, 0, 4).edge_set == ()
+    assert grow_table({0: 0.9}, g, 0, 1).subgraph(-1).edge_set == ()
+    assert grow_table({}, g, 0, 4).subgraph(-1).edge_set == ()
     with pytest.raises(ValueError, match="max_nodes"):
-        grow_subgraph({}, g, 0, 0)
+        grow_table({}, g, 0, 0)
 
 
 def test_grow_subgraph_is_always_a_tree():
@@ -117,11 +123,9 @@ def test_grow_subgraph_is_always_a_tree():
         v = int(rng.integers(0, g.node_count))
         eids = neighborhood_edge_ids(g, v, 2)
         weights = {eid: float(rng.random()) for eid in eids}
-        sub = grow_subgraph(weights, g, v, 4)
+        sub = grow_table(weights, g, v, 4).subgraph(-1)
         assert len(sub.edge_set) == len(sub.node_set) - 1
-        from moexp import validate_subgraph
-
-        assert validate_subgraph(g, sub) is None
+        assert is_tree_with_target(g.edges, sub.edge_set, v)
 
 
 def test_shapley_chain_matches_direct_formula(chain_model):
@@ -173,38 +177,6 @@ def test_shapley_matches_independent_oracle(seed):
         assert ours[node].value == pytest.approx(ref[node][0], abs=1e-12)
 
 
-def test_set_shapley_single_node_agrees_with_per_node(chain_model):
-    g = three_chain()
-    cfg = EnumConfig(max_nodes=3, diameter=2)
-    per_node = shapley_values(chain_model, g, 2, cfg)
-    joint = set_shapley_value(chain_model, g, 2, {0}, cfg)
-    assert joint.support_count == 1
-    assert joint.value == pytest.approx(per_node[0].value, abs=1e-15)
-
-
-def test_set_shapley_pair_normalizes_by_set_size(chain_model):
-    g = three_chain()
-    cfg = EnumConfig(max_nodes=3, diameter=2)
-    nu = simulatability_of(chain_model, g, 2)
-    joint = set_shapley_value(chain_model, g, 2, {0, 1}, cfg)
-    assert joint.support_count == 1
-    assert joint.value == pytest.approx((nu([0, 1, 2]) - nu([2])) / 2, abs=1e-15)
-
-
-def test_set_shapley_unsupported_set_is_none(chain_model):
-    g = three_chain()
-    # with max_nodes=2 no candidate ever contains node 0
-    assert set_shapley_value(chain_model, g, 2, {0}, EnumConfig(max_nodes=2, diameter=2)) is None
-
-
-def test_set_shapley_input_validation(chain_model):
-    g = three_chain()
-    with pytest.raises(ValueError, match="target"):
-        set_shapley_value(chain_model, g, 2, {2})
-    with pytest.raises(ValueError, match="non-empty"):
-        set_shapley_value(chain_model, g, 2, set())
-
-
 def test_shapley_selection_chain_picks_largest_drop(chain_model):
     g = three_chain()
     cfg = EnumConfig(max_nodes=3, diameter=2)
@@ -215,7 +187,7 @@ def test_shapley_selection_chain_picks_largest_drop(chain_model):
     scorer = CandidateScorer(chain_model, g, enum)
     drop = abs(scorer.candidate(expl) - scorer.candidate(cf))
     # exhaustively confirm no other (candidate, leaf) combination beats it
-    for i, sub in enumerate(enum.subgraphs):
+    for i, sub in enumerate(subgraphs(enum)):
         for node in sub.node_set:
             if node == 2:
                 continue
@@ -223,7 +195,7 @@ def test_shapley_selection_chain_picks_largest_drop(chain_model):
             if len(incident) != 1:
                 continue
             rest = make_subgraph(g, 2, [e for e in sub.edge_set if e != incident[0]])
-            other = abs(scorer.candidate(i) - scorer.candidate(enum.index[rest.edge_set]))
+            other = abs(scorer.candidate(i) - scorer.candidate(index(enum)[rest.edge_set]))
             assert other <= drop + 1e-15
 
 

@@ -1,6 +1,6 @@
 """Contracts of the public surface: one propagation loop, finite inputs, NaN-safe ranking,
 checked option ranges, per-node errors, traced boundaries that exist, a lazy package
-namespace, and no import that nothing reads."""
+namespace, and no import or public name that nothing reads."""
 
 import ast
 import csv
@@ -20,7 +20,7 @@ from moexp import CandidateScorer, Model, build_graph, canonical_order, enumerat
 from moexp.cli import RunConfig, main
 from moexp.gcn import forward, forward_hidden, node_embeddings
 from moexp.io import FormatError, graph_to_doc, load_model, model_to_doc, parse_graph, save_graph, save_model
-from moexp.pareto import competition_ranks, pareto_front
+from moexp.pareto import _front, _ranks
 from moexp.synth import synth_graph
 
 from oracles import masked_loss
@@ -53,7 +53,6 @@ import moexp
 assert [m for m in sys.modules if m.startswith("moexp.")] == [], sys.modules
 assert moexp.analysis is sys.modules["moexp.analysis"]
 assert moexp.confounder_set is sys.modules["moexp.graph"].confounder_set
-assert moexp.analysis.confounder_set is moexp.confounder_set
 import moexp.synth
 assert moexp.synth.KINDS is moexp.KINDS
 """
@@ -63,8 +62,8 @@ assert moexp.synth.KINDS is moexp.KINDS
 
 def _unused_imports(path: pathlib.Path) -> list:
     """``file:line: name`` for each name an import binds that the file never
-    reads. ``import x as x`` (a re-export) and a line marked ``noqa: F401``
-    (an import for its side effect) are exempt."""
+    reads. A line marked ``noqa: F401`` (an import for its side effect) is
+    exempt."""
     source = path.read_text()
     lines = source.splitlines()
     tree = ast.parse(source, str(path))
@@ -77,7 +76,7 @@ def _unused_imports(path: pathlib.Path) -> list:
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
-            if alias.name != "*" and alias.asname != alias.name and name not in read:
+            if alias.name != "*" and name not in read:
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     return unused
 
@@ -87,6 +86,59 @@ def test_no_import_is_unused():
     files = [p for d in ("src/moexp", "tests", "scripts", "benchmark") for p in sorted((ROOT / d).rglob("*.py"))]
     assert len(files) > 20
     assert [u for p in files if p.name != "__init__.py" for u in _unused_imports(p)] == []
+
+
+def _unread_public_names() -> list:
+    """``file:line: name`` for each public top-level function or class, and
+    each public method, of ``src/moexp`` that no code in ``src/``,
+    ``scripts/`` or ``benchmark/`` reads outside the name's own body. A
+    read is a name or an attribute spelled the same, or a part of a
+    dotted path in ``benchmark/tracing.py``'s ``SPANS``; reads inside the
+    body of an unread name do not count. Reads are matched by spelling
+    alone, so a member that shares its name with another attribute read
+    somewhere (``list.index``) counts as read."""
+    defined, reads = [], []
+    for d in ("src/moexp", "scripts", "benchmark"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            where = str(path.relative_to(ROOT))
+            for top in tree.body if d == "src/moexp" else ():
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                    defined.append((where, top, top.name))
+                    for member in top.body if isinstance(top, ast.ClassDef) else ():
+                        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                            defined.append((where, member, f"{top.name}.{member.name}"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    reads.append((where, node.lineno, node.id))
+                elif isinstance(node, ast.Attribute):
+                    reads.append((where, node.lineno, node.attr))
+                elif where == "benchmark/tracing.py" and isinstance(node, ast.Assign):
+                    if [ast.unparse(t) for t in node.targets] == ["SPANS"]:
+                        spans = ast.literal_eval(node.value)
+                        reads += [(where, node.lineno, part) for _, dotted, _ in spans for part in dotted.split(".")]
+
+    def inside(read, definition) -> bool:
+        return read[0] == definition[0] and definition[1].lineno <= read[1] <= definition[1].end_lineno
+
+    unread = []
+    while True:
+        live = [r for r in reads if not any(inside(r, u) for u in unread)]
+        more = [
+            d for d in defined
+            if d not in unread and not any(r[2] == d[1].name and not inside(r, d) for r in live)
+        ]
+        if not more:
+            return sorted(f"{where}:{node.lineno}: {name}" for where, node, name in unread)
+        unread += more
+
+
+def test_every_public_name_is_read_by_the_program():
+    # Names that only tests read belong in tests/oracles.py. save_edge_weights
+    # stays: the golden-input regeneration in tests/test_golden.py writes the
+    # edge-weight files with it, and the CLI's --edge-weights reads them.
+    unread = _unread_public_names()
+    assert [u for u in unread if not u.endswith(": save_edge_weights")] == []
 
 
 @pytest.mark.parametrize(
@@ -117,13 +169,13 @@ def test_unmasked_loss_equals_empty_mask_loss_bitwise():
 
 def test_competition_ranks_rejects_nan():
     with pytest.raises(ValueError, match="non-finite score at index 1: nan"):
-        competition_ranks([1.0, float("nan")])
+        _ranks(np.array([1.0, float("nan")]))
 
 
 @pytest.mark.parametrize("scores", [[(float("nan"), 1.0)], [(1.0, 2.0), (0.5, float("nan"))]])
 def test_pareto_front_rejects_nan(scores):
     with pytest.raises(ValueError, match="non-finite score"):
-        pareto_front(scores)
+        _front(*np.array(scores).T)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -265,6 +317,17 @@ def test_epsilon_outside_unit_interval_fails_the_command(command, fixtures_dir, 
     else:
         assert err == "node 2: ValueError: epsilon must be in (0, 1): -0.5\n"
         assert len(list(csv.reader(out.read_text().splitlines()))) == 1
+
+
+@pytest.mark.parametrize("command", ["enumerate", "shapley", "robustness"])
+def test_a_missing_target_fails_the_csv_command_without_a_csv(command, fixtures_dir, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = [command, "--graph", str(fixtures_dir / "chain4.json"), "--targets", "2,9", "--out", str(out)]
+    if command != "enumerate":
+        argv += ["--weights", str(fixtures_dir / "chain4_weights.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: target node missing: 9\n"
+    assert not out.exists()
 
 
 def test_jobs_below_one_is_rejected(fixtures_dir, tmp_path, capsys):

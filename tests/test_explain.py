@@ -9,22 +9,24 @@ from moexp import (
     EnumConfig,
     build_graph,
     canonical_order,
-    cf_relevance,
     enumerate_subgraphs,
     generate_pairs,
     simulatability,
     softmax,
-    validate_subgraph,
 )
 from moexp.cli import RunConfig
 from moexp.explain import counterfactual_pairs
 
 from oracles import (
     brute_force_trees,
+    cf_relevance,
+    index,
+    is_tree_with_target,
     random_graph,
     random_model,
     recursive_enumeration,
     reference_pairs,
+    subgraphs,
     sym_kl,
 )
 
@@ -61,28 +63,29 @@ def test_counterfactuals_match_brute_force(seed):
     for mode, lists in by_explanation.items():
         for e, c in generate_pairs(enum, exhaustive=mode).tolist():
             lists[e].append(c)
-    for i, sub in enumerate(enum.subgraphs):
+    subs = subgraphs(enum)
+    for i, sub in enumerate(subs):
         edges = frozenset(sub.edge_set)
         bare_ok = len(sub.node_set) < 3
-        exhaustive = [frozenset(enum.subgraphs[j].edge_set) for j in by_explanation[True][i]]
+        exhaustive = [frozenset(subs[j].edge_set) for j in by_explanation[True][i]]
         assert len(exhaustive) == len(set(exhaustive))
         assert set(exhaustive) == {t for t in trees if t < edges and (t or bare_ok)}
         chain, j = [], enum.parent[i]
         while j >= 0:
             chain.append(j)
             j = enum.parent[j]
-        assert by_explanation[False][i] == [j for j in chain if enum.subgraphs[j].edge_set or bare_ok]
+        assert by_explanation[False][i] == [j for j in chain if subs[j].edge_set or bare_ok]
 
 
 def test_enumerate_chain_three_candidates():
     enum = enumerate_subgraphs(three_chain(), 2, EnumConfig(max_nodes=3, diameter=2))
-    assert {s.edge_set for s in enum.subgraphs} == {(), (1,), (0, 1)}
+    assert {s.edge_set for s in subgraphs(enum)} == {(), (1,), (0, 1)}
 
 
 def test_enumerate_star_seven_candidates():
     enum = enumerate_subgraphs(star_graph(), 0, EnumConfig(max_nodes=3, diameter=1))
     assert len(enum) == 7
-    sizes = sorted(len(s.edge_set) for s in enum.subgraphs)
+    sizes = sorted(len(s.edge_set) for s in subgraphs(enum))
     assert sizes == [0, 1, 1, 1, 2, 2, 2]
 
 
@@ -90,25 +93,25 @@ def test_enumerate_triangle_excludes_cycle():
     g = build_graph([[0.0], [0.0], [0.0]], [(0, 1), (0, 2), (1, 2)])
     enum = enumerate_subgraphs(g, 0, EnumConfig(max_nodes=3, diameter=2))
     assert len(enum) == 6
-    assert all(len(s.edge_set) < 3 for s in enum.subgraphs)
+    assert all(len(s.edge_set) < 3 for s in subgraphs(enum))
 
 
 def test_enumerate_isolated_target():
     g = build_graph([[0.0], [0.0], [0.0]], [(1, 2)])
     enum = enumerate_subgraphs(g, 0)
     assert len(enum) == 1
-    assert enum.subgraphs[0].edge_set == ()
+    assert enum.subgraph(0).edge_set == ()
 
 
 def test_parent_links_grow_by_one_edge():
     g = random_graph(np.random.default_rng(5), max_nodes=7)
     enum = enumerate_subgraphs(g, 0, EnumConfig(max_nodes=4, diameter=3))
-    for i, sub in enumerate(enum.subgraphs):
+    for i, sub in enumerate(subgraphs(enum)):
         parent = enum.parent[i]
         if parent < 0:
             assert sub.edge_set == ()
             continue
-        pset = set(enum.subgraphs[parent].edge_set)
+        pset = set(enum.subgraph(parent).edge_set)
         assert pset < set(sub.edge_set)
         assert len(sub.edge_set) == len(pset) + 1
 
@@ -117,7 +120,7 @@ def test_diameter_bound_respected():
     # path 0-1-2-3-4, target 0, D=2: node 3 must never appear
     g = build_graph([[0.0]] * 5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     enum = enumerate_subgraphs(g, 0, EnumConfig(max_nodes=5, diameter=2))
-    for sub in enum.subgraphs:
+    for sub in subgraphs(enum):
         assert max(sub.node_set) <= 2
 
 
@@ -128,24 +131,22 @@ def test_enumeration_matches_bruteforce(seed, max_nodes, diameter):
     g = random_graph(rng, max_nodes=7)
     v = int(rng.integers(0, g.node_count))
     enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=max_nodes, diameter=diameter))
-    keys = [s.edge_set for s in enum.subgraphs]
+    keys = [s.edge_set for s in subgraphs(enum)]
     assert len(keys) == len(set(keys)), "duplicate candidate"
     assert set(keys) == brute_force_trees(g, v, max_nodes, diameter)
-    for sub in enum.subgraphs:
-        assert validate_subgraph(g, sub) is None
+    for sub in subgraphs(enum):
+        assert is_tree_with_target(g.edges, sub.edge_set, v)
 
 
 def assert_table_matches_recursive_oracle(enum: Enumeration, graph, config, rng):
     ref = recursive_enumeration(graph, enum.target, config)
-    assert enum.subgraphs == ref.subgraphs
-    assert [enum.subgraph(i) for i in range(len(enum))] == list(ref.subgraphs)
+    assert subgraphs(enum) == ref.subgraphs
     assert enum.parent.tolist() == [-1 if p is None else p for p in ref.parents]
     assert enum.sizes.tolist() == [len(s.node_set) for s in ref.subgraphs]
     for name in ("rows", "depth", "slots"):
         got, want = getattr(enum, name), getattr(ref, name)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
     assert enum.edge_set_rank.tolist() == ref.edge_set_rank.tolist()
-    assert enum.index == ref.index
 
     # Every candidate, subsets of the ball's edges that may or may not be
     # trees, sets with edges outside the ball and sets too large to be one.
@@ -206,7 +207,7 @@ def test_lookup_keys_wider_than_63_bits_match_the_oracle(nodes, target, max_node
 
 
 def edge_set_pairs(enum, pairs):
-    return [(enum.subgraphs[e].edge_set, enum.subgraphs[c].edge_set) for e, c in pairs]
+    return [(enum.subgraph(e).edge_set, enum.subgraph(c).edge_set) for e, c in pairs]
 
 
 def test_generate_pairs_chain_with_extreme_rule():
@@ -315,19 +316,6 @@ def test_stacked_softmax_and_simulatability_equal_row_calls_bitwise(seed, classe
         assert one == simulatability(row, reference, epsilon)
 
 
-def test_cf_relevance_direct():
-    assert cf_relevance(-0.1, -0.5, 2) == pytest.approx(0.2)
-    assert cf_relevance(-0.3, -0.3, 7) == 0.0
-    with pytest.raises(ValueError, match="removed_count"):
-        cf_relevance(-0.1, -0.5, 0)
-
-
-def test_cf_relevance_halves_exactly():
-    num_a, num_b = -0.1, -0.734
-    assert cf_relevance(num_a, num_b, 2) == cf_relevance(num_a, num_b, 1) / 2
-    assert cf_relevance(num_a, num_b, 4) == cf_relevance(num_a, num_b, 1) / 4
-
-
 def chain_scorer(graph, model):
     enum = enumerate_subgraphs(graph, 2, EnumConfig(max_nodes=4, diameter=2))
     return enum, CandidateScorer(model, graph, enum)
@@ -335,9 +323,8 @@ def chain_scorer(graph, model):
 
 def test_scorer_memoizes_shared_counterfactual(chain_graph, chain_model):
     enum, scorer = chain_scorer(chain_graph, chain_model)
-    shared_cf = enum.index[(1,)]
-    a = enum.index[(0, 1)]
-    b = enum.index[(1, 2)]
+    position = index(enum)
+    shared_cf, a, b = position[(1,)], position[(0, 1)], position[(1, 2)]
     scorer.pair(np.array([a]), np.array([shared_cf]))
     scorer.pair(np.array([b]), np.array([shared_cf]))
     assert scorer.forward_count == 3
@@ -361,7 +348,7 @@ def test_pair_invariants_reconstruct_bitwise(chain_graph, chain_model):
     relevance = scorer.pair(pairs[:, 0], pairs[:, 1])
     assert len(pairs)
     for (e, c), rel in zip(pairs, relevance):
-        expl, cf = enum.subgraphs[e], enum.subgraphs[c]
+        expl, cf = enum.subgraph(e), enum.subgraph(c)
         assert set(cf.edge_set) < set(expl.edge_set)
         removed = enum.removed_nodes(e, c)
         assert len(removed) >= 1
@@ -373,7 +360,8 @@ def test_pair_invariants_reconstruct_bitwise(chain_graph, chain_model):
 def test_chain_pair_relevance_frozen(chain_graph, chain_model):
     # the whole chain as explanation vs dropping the far signal node
     enum, scorer = chain_scorer(chain_graph, chain_model)
-    e, c = enum.index[(0, 1, 2)], enum.index[(1, 2)]
+    position = index(enum)
+    e, c = position[(0, 1, 2)], position[(1, 2)]
     relevance = scorer.pair(np.array([e]), np.array([c]))
     assert enum.removed_nodes(e, c) == [0]
     assert scorer.simulatability[e] == 0.0

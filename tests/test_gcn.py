@@ -13,7 +13,6 @@ from moexp import (
     forward,
     forward_hidden,
     load_weights,
-    make_subgraph,
     node_embeddings,
     softmax,
 )
@@ -22,6 +21,7 @@ from moexp.gcn import trees_hidden
 
 from oracles import (
     ball_hidden,
+    make_subgraph,
     masked_loss,
     random_graph,
     random_model,
@@ -29,6 +29,7 @@ from oracles import (
     restricted_hidden,
     restricted_hidden_tree,
     standalone_distribution,
+    subgraphs,
 )
 
 
@@ -184,7 +185,7 @@ def test_restricted_forward_equals_standalone_subgraph(seed):
     m = random_model(rng, activation=rng.choice(["relu", "sigmoid", "identity"]))
     v = int(rng.integers(0, g.node_count))
     enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=4, diameter=2))
-    for sub in enum.subgraphs:
+    for sub in subgraphs(enum):
         restricted = restricted_forward(m, g, v, sub)
         rebuilt = standalone_distribution(m, g, v, sub.edge_set)
         assert np.array_equal(restricted, rebuilt)
@@ -226,9 +227,9 @@ def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, sel
     v = int(rng.integers(0, g.node_count))
     message = rng.standard_normal(dims[-2]) if extra else None
     enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=size, diameter=int(rng.integers(1, 4))))
-    want = [restricted_hidden(m, g, v, sub, extra_message=message).tobytes() for sub in enum.subgraphs]
+    want = [restricted_hidden(m, g, v, sub, extra_message=message).tobytes() for sub in subgraphs(enum)]
     # One tree per pass, from the subgraph alone.
-    for sub, bits in zip(enum.subgraphs, want):
+    for sub, bits in zip(subgraphs(enum), want):
         assert restricted_hidden_tree(m, g, v, sub, extra_message=message).tobytes() == bits
     # All trees of one size in one batch from the candidate table, and a
     # batch of a single tree.
@@ -247,7 +248,7 @@ def test_candidate_table_lists_each_tree():
     g = build_graph([[0.0]] * 4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     enum = enumerate_subgraphs(g, 2, EnumConfig(max_nodes=3, diameter=1))
     nodes = np.asarray(enum.ball.nodes)
-    for i, sub in enumerate(enum.subgraphs):
+    for i, sub in enumerate(subgraphs(enum)):
         k = len(sub.node_set)
         rows = enum.rows[i]
         assert (rows[k:] == -1).all() and nodes[rows[0]] == 2

@@ -3,24 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moexp import (
-    CYCLIC,
-    DISCONNECTED,
-    MISSING_TARGET,
-    build_graph,
-    l_hop_neighborhood,
-    make_subgraph,
-    validate_subgraph,
-)
+from moexp import build_graph, confounder_set
 
-from oracles import bfs_distances, full_canonical_order, full_distances
+from oracles import bfs_distances, full_canonical_order, full_distances, is_tree_with_target, make_subgraph
 
 
 def test_minimal_graph_adjacency():
     g = build_graph([[0.0], [1.0]], [[0, 1]])
     assert g.adjacency == ((1,), (0,))
     assert g.edges == ((0, 1),)
-    assert g.edge_id(1, 0) == 0
 
 
 def test_duplicate_edge_rejected_in_either_orientation():
@@ -94,35 +85,16 @@ def test_edge_rank_orders_by_endpoint_ranks(chain_graph):
 
 
 def test_l_hop_neighborhood_chain(chain_graph):
-    assert l_hop_neighborhood(chain_graph, 2, 1) == {1, 3}
-    assert l_hop_neighborhood(chain_graph, 2, 2) == {0, 1, 3}
+    assert confounder_set(chain_graph, 2, 1, removed=()) == {1, 3}
+    assert confounder_set(chain_graph, 2, 2, removed=()) == {0, 1, 3}
 
 
 def test_l_hop_neighborhood_isolated():
     g = build_graph([[0.0], [1.0], [2.0]], [(1, 2)])
-    assert l_hop_neighborhood(g, 0, 1) == set()
-    assert l_hop_neighborhood(g, 0, 5) == set()
-
-
-def test_validate_subgraph_cases(triangle_graph):
-    full = make_subgraph(triangle_graph, 0, [0, 1, 2])
-    assert validate_subgraph(triangle_graph, full) == CYCLIC
-    single = make_subgraph(triangle_graph, 0, [])
-    assert validate_subgraph(triangle_graph, single) is None
-
-
-def test_validate_subgraph_disconnected():
-    g = build_graph([[0.0]] * 5, [(0, 1), (2, 3), (3, 4)])
-    sub = make_subgraph(g, 0, [0, 1])
-    assert validate_subgraph(g, sub) == DISCONNECTED
-
-
-def test_validate_subgraph_missing_target():
-    from moexp.graph import Subgraph
-
-    g = build_graph([[0.0]] * 3, [(1, 2)])
-    bad = Subgraph(target=0, edge_set=(0,), node_set=(1, 2))
-    assert validate_subgraph(g, bad) == MISSING_TARGET
+    assert confounder_set(g, 0, 1, removed=()) == set()
+    assert confounder_set(g, 0, 5, removed=()) == set()
+    with pytest.raises(ValueError, match="hops must be positive"):
+        confounder_set(g, 0, 0, removed=())
 
 
 def graph_strategy(max_n=7):
@@ -142,8 +114,8 @@ def graph_strategy(max_n=7):
 @settings(max_examples=120, deadline=None)
 def test_neighborhood_monotone_and_matches_bfs(g, v, hops):
     v = v % g.node_count
-    smaller = l_hop_neighborhood(g, v, hops)
-    larger = l_hop_neighborhood(g, v, hops + 1)
+    smaller = confounder_set(g, v, hops, removed=())
+    larger = confounder_set(g, v, hops + 1, removed=())
     assert smaller <= larger
     dist = full_distances(g, v)
     assert smaller == {u for u, d in dist.items() if 0 < d <= hops}
@@ -169,7 +141,7 @@ def test_accepted_subgraphs_satisfy_tree_identity(g, v):
     # a star of up to two incident edges around v is always a valid tree
     incident = [eid for _, eid in g.incidence[v]][:2]
     sub = make_subgraph(g, v, incident)
-    assert validate_subgraph(g, sub) is None
+    assert is_tree_with_target(g.edges, sub.edge_set, v)
     assert len(sub.edge_set) == len(sub.node_set) - 1
 
 

@@ -41,7 +41,7 @@ def assert_same(got, expected):
     assert_matches_reference(got, expected)
 
 
-VIEWS = {"edges", "adjacency", "incidence", "edge_index"}
+VIEWS = {"edges", "adjacency", "incidence"}
 
 
 def assert_matches_reference(got, expected):
@@ -61,12 +61,10 @@ def assert_matches_reference(got, expected):
     assert got.nbr_edge.tolist() == [eid for row in expected.incidence for _, eid in row]
     assert got.edge_count == len(expected.edges)
     assert [got.degree(v) for v in range(got.node_count)] == list(map(len, expected.adjacency))
-    assert all(got.edge_id(w, u) == eid for (u, w), eid in expected.edge_index.items())
     # The views, built on first use.
     assert got.edges == expected.edges
     assert got.adjacency == expected.adjacency
     assert got.incidence == expected.incidence
-    assert got.edge_index == expected.edge_index
     assert VIEWS <= vars(got).keys()
     # Python ints throughout, as json and the documents need.
     ids = [x for e in got.edges for x in e] + [x for row in got.incidence for pair in row for x in pair]

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moexp import EnumConfig, competition_ranks, enumerate_subgraphs, generate_pairs, pareto_front, rank_pairs
+from moexp import EnumConfig, enumerate_subgraphs, generate_pairs, rank_pairs
+from moexp.pareto import _front, _ranks
 
 from oracles import (
     dominates,
@@ -13,6 +14,17 @@ from oracles import (
     select_balanced,
     select_comprehensive,
 )
+
+def front(scores) -> list:
+    """``_front``'s flags for a list of (first, second) score pairs."""
+    pairs = np.asarray(scores, dtype=float).reshape(-1, 2)
+    return _front(pairs[:, 0], pairs[:, 1]).tolist()
+
+
+def ranks(values) -> list:
+    """``_ranks`` of a list of values, as a list."""
+    return _ranks(np.asarray(values, dtype=float)).tolist()
+
 
 score_lists = st.lists(
     st.tuples(st.floats(-10, 0), st.floats(0, 10)), min_size=1, max_size=40
@@ -38,28 +50,28 @@ def test_dominates_matches_oracle_and_is_asymmetric(a, b):
 
 
 def test_competition_ranks_with_ties():
-    assert competition_ranks([-0.5, -0.1, -0.5, -0.9]) == [2, 1, 2, 4]
-    assert competition_ranks([3.0, 1.0, 2.0]) == [1, 3, 2]
-    assert competition_ranks([1.0, 1.0, 1.0]) == [1, 1, 1]
+    assert ranks([-0.5, -0.1, -0.5, -0.9]) == [2, 1, 2, 4]
+    assert ranks([3.0, 1.0, 2.0]) == [1, 3, 2]
+    assert ranks([1.0, 1.0, 1.0]) == [1, 1, 1]
 
 
 def test_pareto_front_example():
     scores = [(-0.1, 0.5), (-0.2, 0.9), (-0.05, 0.2), (-0.3, 0.4)]
-    assert pareto_front(scores) == [True, True, True, False]
+    assert front(scores) == [True, True, True, False]
 
 
 def test_pareto_front_all_identical():
-    assert pareto_front([(-0.1, 0.3)] * 4) == [True] * 4
+    assert front([(-0.1, 0.3)] * 4) == [True] * 4
 
 
 def test_pareto_front_single():
-    assert pareto_front([(-0.7, 0.0)]) == [True]
+    assert front([(-0.7, 0.0)]) == [True]
 
 
 @given(score_lists)
 @settings(max_examples=250, deadline=None)
 def test_pareto_front_matches_quadratic_oracle(scores):
-    assert pareto_front(scores) == pareto_oracle(scores)
+    assert front(scores) == pareto_oracle(scores)
 
 
 def test_select_comprehensive_example():
@@ -200,4 +212,4 @@ def test_order_and_picks_match_brute_force(scores, data):
 def test_empty_scores():
     with pytest.raises(ValueError, match="at least one"):
         select_comprehensive([])
-    assert pareto_front([]) == []
+    assert front([]) == []

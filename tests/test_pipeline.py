@@ -11,15 +11,23 @@ from moexp import (
     derive_seed,
     enumerate_subgraphs,
     explain_node,
-    grow_subgraph,
     random_weights,
     simulatability,
-    validate_subgraph,
 )
+from moexp.baselines import grow_table
 from moexp.io import load_edge_weights, load_graph, load_model
 from moexp.pipeline import METHODS
 
-from oracles import random_graph, random_model, reference_ranking, restricted_forward, sym_kl
+from oracles import (
+    index,
+    is_tree_with_target,
+    random_graph,
+    random_model,
+    reference_ranking,
+    restricted_forward,
+    subgraphs,
+    sym_kl,
+)
 
 GOLDEN_INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -44,11 +52,11 @@ def test_chain_rank_selection_frozen(chain_graph, chain_model):
     sel = res.front.selected
     e, c = res.front.e[sel], res.front.c[sel]
     enum = res.scorer.enumeration
-    assert res.explanation == enum.subgraphs[e]
+    assert res.explanation == enum.subgraph(e)
     assert res.explanation.edge_set == (1,)
     assert res.explanation.node_set == (1, 2)
     assert res.explanation_simulatability == -0.08662254246870793
-    assert enum.subgraphs[c].edge_set == ()
+    assert enum.subgraph(c).edge_set == ()
     assert enum.removed_nodes(e, c) == [1]
     assert res.front.relevance[sel] == 0.1929366323464467
     assert (res.front.sim_ranks[sel], res.front.rel_ranks[sel]) == (5, 1)
@@ -66,9 +74,9 @@ def test_every_method_returns_valid_trees(chain_graph, chain_model):
         res = explain_node(chain_model, chain_graph, 2, method=method, **kwargs)
         assert res.method == method
         assert 2 in res.explanation.node_set
-        assert validate_subgraph(chain_graph, res.explanation) is None
+        assert is_tree_with_target(chain_graph.edges, res.explanation.edge_set, 2)
         if res.front is not None:
-            cf = res.scorer.enumeration.subgraphs[res.front.c[res.front.selected]]
+            cf = res.scorer.enumeration.subgraph(res.front.c[res.front.selected])
             assert set(cf.node_set) < set(res.explanation.node_set)
 
 
@@ -76,7 +84,7 @@ def test_weight_methods_explain_their_grown_tree(chain_graph, chain_model):
     cfg = EnumConfig(max_nodes=4, diameter=2)
     res = explain_node(chain_model, chain_graph, 2, cfg, method="random", seed=7)
     weights = random_weights(chain_graph, 2, cfg, 7)
-    grown = grow_subgraph(weights, chain_graph, 2, cfg.max_nodes)
+    grown = grow_table(weights, chain_graph, 2, cfg.max_nodes).subgraph(-1)
     assert res.explanation.edge_set == grown.edge_set
 
 
@@ -175,10 +183,10 @@ def test_grown_tree_outside_the_search_is_scored_from_its_growth_table(seed, max
     weights = dict(enumerate(rng.random(g.edge_count).tolist()))
     config = EnumConfig(max_nodes=max_nodes, diameter=diameter)
     res = explain_node(m, g, v, config, method="external-weights", edge_weights=weights)
-    grown = grow_subgraph(weights, g, v, max_nodes)
+    grown = grow_table(weights, g, v, max_nodes).subgraph(-1)
     assert res.explanation == grown
     extra = (res.distinct_evaluations - res.scorer.forward_count, res.memo_hits - res.scorer.hit_count)
-    if grown.edge_set in res.scorer.enumeration.index:
+    if grown.edge_set in index(res.scorer.enumeration):
         assert extra == (0, 0)
         return
     assert res.front is None and res.pair_count == 0
@@ -202,7 +210,7 @@ def test_index_pairs_match_object_reference(seed, flat, exhaustive, method):
     if res.front is None:
         assert res.pair_count == 0
         return
-    front, subs = res.front, res.scorer.enumeration.subgraphs
+    front, subs = res.front, subgraphs(res.scorer.enumeration)
     pairs = [(subs[e], subs[c]) for e, c in zip(front.e, front.c)]
     strategy = "comprehensive" if method == "pareto-rank" else "balanced"
     relevance, sim_ranks, rel_ranks, pareto, order, selected = reference_ranking(m, g, v, pairs, strategy)
