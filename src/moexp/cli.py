@@ -411,10 +411,10 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
 
     p.add_argument("--out", dest="output_path", metavar="OUT", required=True, help="output CSV file")
     if command == "enumerate":
-        p.set_defaults(run=commands.enumerate_command, config=commands.EnumerateConfig)
+        p.set_defaults(run=commands.enumerate_command, config=None)
     elif command == "shapley":
         p.add_argument("--epsilon", type=float, default=1e-9)
-        p.set_defaults(run=commands.shapley_command, config=commands.ShapleyConfig)
+        p.set_defaults(run=commands.shapley_command, config=None)
     else:
         p.add_argument("--mode", choices=["message", "weights"], default="message")
         p.add_argument("--steps", type=int, default=5)

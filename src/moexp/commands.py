@@ -28,20 +28,11 @@ def _targets(spec: str, graph) -> list:
     return nodes
 
 
-@dataclass(frozen=True)
-class EnumerateConfig:
-    graph_path: str
-    output_path: str
-    targets: str
-    max_nodes: int = 4
-    diameter: int = 2
-
-
-def enumerate_command(config: EnumerateConfig) -> int:
-    graph = io.load_graph(config.graph_path)
-    econfig = EnumConfig(config.max_nodes, config.diameter)
+def enumerate_command(args) -> int:
+    graph = io.load_graph(args.graph_path)
+    econfig = EnumConfig(args.max_nodes, args.diameter)
     rows = []
-    for node in _targets(config.targets, graph):
+    for node in _targets(args.targets, graph):
         enumeration = enumerate_subgraphs(graph, node, econfig)
         table = zip(
             enumeration.parent.tolist(), enumeration.sizes.tolist(),
@@ -51,36 +42,25 @@ def enumerate_command(config: EnumerateConfig) -> int:
             edge_text, node_text = "|".join(map(str, edges[: k - 1])), "|".join(map(str, nodes[:k]))
             rows.append((node, i, "" if parent < 0 else parent, k, edge_text, node_text))
     io.write_csv(
-        config.output_path,
+        args.output_path,
         ["node", "index", "parent", "node_count", "edge_ids", "node_ids"],
         rows,
     )
     return 0
 
 
-@dataclass(frozen=True)
-class ShapleyConfig:
-    graph_path: str
-    weights_path: str
-    output_path: str
-    targets: str
-    max_nodes: int = 4
-    diameter: int = 2
-    epsilon: float = 1e-9
-
-
-def shapley_command(config: ShapleyConfig) -> int:
-    graph = io.load_graph(config.graph_path)
-    model = io.load_model(config.weights_path)
-    econfig = EnumConfig(config.max_nodes, config.diameter)
+def shapley_command(args) -> int:
+    graph = io.load_graph(args.graph_path)
+    model = io.load_model(args.weights_path)
+    econfig = EnumConfig(args.max_nodes, args.diameter)
     rows = []
-    for node in _targets(config.targets, graph):
-        report = shapley_values(model, graph, node, econfig, config.epsilon)
+    for node in _targets(args.targets, graph):
+        report = shapley_values(model, graph, node, econfig, args.epsilon)
         for other in sorted(report):
             entry = report[other]
             rows.append((node, other, entry.value, entry.support_count))
     io.write_csv(
-        config.output_path,
+        args.output_path,
         ["target", "node", "shapley_value", "support_count"],
         rows,
     )

@@ -109,8 +109,10 @@ def load_weights(doc: Mapping) -> Model:
         {"activation": "relu", "self_loop": true,
          "layers": [{"rows": r, "cols": c, "data": [... r*c row-major ...]}]}
 
-    Optional keys ``mean_aggregate`` and ``final_activation`` default to
-    false. Classification use requires at least two output classes.
+    ``rows`` and ``cols`` are positive integers. The optional flags
+    ``self_loop`` (default true), ``mean_aggregate`` and
+    ``final_activation`` (default false) are JSON booleans. Classification
+    use requires at least two output classes.
     """
     if not isinstance(doc, Mapping):
         raise ValueError("weights document must be an object")
@@ -119,24 +121,26 @@ def load_weights(doc: Mapping) -> Model:
         activation = doc["activation"]
     except KeyError as exc:
         raise ValueError(f"weights document missing key: {exc.args[0]}") from None
+    defaults = {"self_loop": True, "mean_aggregate": False, "final_activation": False}
+    flags = {key: doc.get(key, default) for key, default in defaults.items()}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"{key} must be true or false, got {value!r}")
     mats = []
     for i, layer in enumerate(raw_layers):
         try:
-            rows, cols, data = int(layer["rows"]), int(layer["cols"]), layer["data"]
+            rows, cols, data = layer["rows"], layer["cols"], layer["data"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"layers[{i}]: malformed entry ({exc})") from None
+        for key, value in (("rows", rows), ("cols", cols)):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"layers[{i}]: {key} must be a positive integer, got {value!r}")
         if len(data) != rows * cols:
             raise ValueError(f"layers[{i}]: data length {len(data)} != rows*cols {rows * cols}")
         mats.append(np.asarray(data, dtype=float).reshape(rows, cols))
         if not np.isfinite(mats[-1]).all():
             raise ValueError(f"layers[{i}]: weights must be finite")
-    model = Model(
-        layers=tuple(mats),
-        activation=str(activation),
-        self_loop=bool(doc.get("self_loop", True)),
-        mean_aggregate=bool(doc.get("mean_aggregate", False)),
-        final_activation=bool(doc.get("final_activation", False)),
-    )
+    model = Model(layers=tuple(mats), activation=str(activation), **flags)
     if model.class_count < 2:
         raise ValueError("class count must be at least 2")
     return model

@@ -9,7 +9,6 @@ stable across runs and input permutations.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -42,15 +41,8 @@ class Graph:
     nbr_edge: np.ndarray = field(repr=False)
 
     @property
-    def feature_dim(self) -> int:
-        return int(self.features.shape[1])
-
-    @property
     def edge_count(self) -> int:
         return len(self.lo)
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
 
     def endpoints(self, ids) -> list:
         """The (lo, hi) pair of each edge of ``ids``, as Python ints."""
@@ -68,15 +60,6 @@ class Graph:
     @functools.cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return self._per_node(list(zip(self.nbr_node.tolist(), self.nbr_edge.tolist())))
-
-    @functools.cached_property
-    def _scratch(self) -> threading.local:
-        """Per thread, an array of -1s, one per node: a ball writes its
-        nodes' local ids into it and puts the -1s back, so mapping the ball's
-        neighbour ids to local ids is one gather, and no ball allocates an
-        array the size of the graph. Threads of a ``--jobs`` run each get
-        their own."""
-        return threading.local()
 
     def _per_node(self, items: list) -> tuple:
         """``items``, one per CSR entry, as one tuple per node."""
@@ -108,10 +91,6 @@ class Subgraph:
     edge_set: tuple[int, ...]
     node_set: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.node_set)
-
 
 @dataclass(frozen=True, eq=False)
 class Ball:
@@ -120,11 +99,10 @@ class Ball:
     Local ids are canonical ranks: ``nodes[i]`` is the global id of the
     node of rank i, its BFS discovery position from the target with ties
     broken by ascending node id, so the target is 0 and the nodes within r
-    hops are the first ``within[r]``. ``node_rank`` maps a global node id
-    to its local id, ``distance[i]`` is local node i's hop distance, and
-    ``features`` holds the nodes' feature rows in local order.
-    ``incidence[i]`` lists (local neighbor, global edge id) pairs in the
-    order of the graph's incidence run, ascending by global neighbor id, so
+    hops are the first ``within[r]``. ``distance[i]`` is local node i's
+    hop distance, and ``features`` holds the nodes' feature rows in local
+    order. ``incidence[i]`` lists (local neighbor, global edge id) pairs in
+    the order of the graph's incidence run, ascending by global neighbor id, so
     a sum over it adds the same terms in the same order as over the graph;
     a node at exactly ``hops`` hops lists only its neighbors inside the
     ball. ``edge_rank`` maps the global id of each edge in the ball to its
@@ -133,7 +111,6 @@ class Ball:
     take its first ranks.
     """
 
-    node_rank: dict
     edge_rank: dict
     graph: Graph = field(repr=False)
     target: int
@@ -274,16 +251,13 @@ def canonical_order(graph: Graph, target: int, hops: int) -> Ball:
         within.append(len(nodes))
     ids = np.array(nodes, dtype=np.intp)
     at, counts = _run_positions(graph.indptr, ids)
-    scratch = graph._scratch
-    local_ids = getattr(scratch, "local_ids", None)
-    if local_ids is None:
-        local_ids = scratch.local_ids = np.full(graph.node_count, -1, dtype=np.intp)
-    local_ids[ids] = np.arange(len(ids))
-    try:
-        local = local_ids[graph.nbr_node[at]]
-    finally:
-        local_ids[ids] = -1
-    keep = (local >= 0).nonzero()[0]  # a neighbour outside the ball reads -1
+    # Each neighbour's local id is its position in ``ids``, found by a
+    # search of the sorted ids; a neighbour outside the ball reads -1.
+    order = ids.argsort()
+    nbr = graph.nbr_node[at]
+    local = order[ids[order].searchsorted(nbr).clip(max=len(ids) - 1)]
+    local[ids[local] != nbr] = -1
+    keep = (local >= 0).nonzero()[0]
     owner = np.arange(len(ids)).repeat(counts)[keep]
     local, eid = local[keep], graph.nbr_edge[at[keep]]
     stops = owner.searchsorted(np.arange(1, len(ids) + 1)).tolist()
@@ -294,7 +268,7 @@ def canonical_order(graph: Graph, target: int, hops: int) -> Ball:
     keyed = eid[ahead[(owner[ahead] * len(ids) + local[ahead]).argsort()]]
     edge_rank = dict(zip(keyed.tolist(), range(len(keyed))))
     return Ball(
-        rank, edge_rank, graph, target, hops, tuple(nodes), tuple(distance), tuple(within), incidence,
+        edge_rank, graph, target, hops, tuple(nodes), tuple(distance), tuple(within), incidence,
         graph.features[ids],
     )
 

@@ -8,7 +8,7 @@ Graph documents::
 
 Node ids must be dense 0..n-1 (any order); labels are optional per node.
 Weight documents follow ``gcn.load_weights``. Edge-weight documents are a
-flat object mapping edge-id strings to numbers.
+flat object mapping edge-id strings to finite numbers.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import math
 import os
 import tempfile
 from collections.abc import Mapping
@@ -148,9 +149,13 @@ def parse_edge_weights(doc: Mapping) -> dict:
         raise FormatError("edge weights document must be an object")
     out = {}
     for key, value in doc.items():
+        # A JSON number only: float() would also read NaN, Infinity, true and
+        # numeric strings, and isfinite raises OverflowError for a huge int.
         try:
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError
             out[int(key)] = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise FormatError(f"edge weights: bad entry {key!r}: {value!r}") from None
     return out
 

@@ -42,6 +42,21 @@ def make_subgraph(graph, target, edge_ids) -> Subgraph:
     return Subgraph(target, ids, tuple(sorted(nodes)))
 
 
+def degree(graph, v: int) -> int:
+    """Node ``v``'s neighbour count, read from the CSR row pointers."""
+    return int(graph.indptr[v + 1] - graph.indptr[v])
+
+
+def feature_dim(graph) -> int:
+    """The width of ``graph``'s feature rows."""
+    return int(graph.features.shape[1])
+
+
+def node_rank(ball) -> dict:
+    """The local id of each of ``ball``'s nodes, keyed by global id."""
+    return {v: i for i, v in enumerate(ball.nodes)}
+
+
 def subgraphs(enumeration) -> tuple:
     """Every candidate of ``enumeration`` as a ``Subgraph``, in order."""
     return tuple(enumeration.subgraph(i) for i in range(len(enumeration)))
@@ -450,7 +465,7 @@ def sem_expand_check(model, graph, target, restrict=None):
         raise ValueError("requires a two-layer model")
     if restrict is not None and restrict.target != target:
         raise ValueError("target not in subgraph: restriction is anchored elsewhere")
-    if graph.feature_dim != model.input_dim:
+    if feature_dim(graph) != model.input_dim:
         raise ValueError("shape error: feature dim does not match first layer")
     first, second = model.layers
 

@@ -35,6 +35,7 @@ from moexp.pareto import _front
 
 from conftest import sem_chain, sem_model
 from oracles import (
+    degree,
     dominates,
     index,
     make_subgraph,
@@ -300,7 +301,7 @@ def test_runtime_at_scale():
     graph, model = synth_graph(
         "erdos", {"nodes": 80, "p": 0.08, "max_degree": 10, "classes": 3}, seed=17
     )
-    assert max(graph.degree(v) for v in range(graph.node_count)) <= 10
+    assert max(degree(graph, v) for v in range(graph.node_count)) <= 10
     rng = np.random.default_rng(18)
     nodes = rng.choice(graph.node_count, size=30, replace=False)
     timings = []

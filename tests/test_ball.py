@@ -27,7 +27,7 @@ from moexp.cli import main
 from moexp.io import graph_to_doc, load_edge_weights, load_graph, load_model, save_model
 from moexp.synth import synth_graph
 
-from oracles import ball_hidden, full_canonical_order, full_distances, full_states, random_graph
+from oracles import ball_hidden, feature_dim, full_canonical_order, full_distances, full_states, node_rank, random_graph
 
 INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -127,14 +127,15 @@ def test_ball_is_the_bounded_canonical_order(seed, hops):
     dist = full_distances(g, v)
     inside = sorted((u for u, d in dist.items() if d <= hops), key=lambda u: full.node_rank[u])
     assert list(ball.nodes) == inside
-    assert ball.node_rank == {u: i for i, u in enumerate(inside)}
+    ranks = node_rank(ball)
+    assert ranks == {u: i for i, u in enumerate(inside)}
     assert list(ball.distance) == [dist[u] for u in inside]
     assert list(ball.within) == [sum(d <= r for d in ball.distance) for r in range(hops + 1)]
     assert np.array_equal(ball.features, g.features[inside])
     for i, u in enumerate(inside):
         in_ball = [(w, eid) for w, eid in g.incidence[u] if w in dist and dist[w] <= hops]
         assert [(ball.nodes[j], eid) for j, eid in ball.incidence[i]] == in_ball
-    edges = [eid for eid, (a, b) in enumerate(g.edges) if a in ball.node_rank and b in ball.node_rank]
+    edges = [eid for eid, (a, b) in enumerate(g.edges) if a in ranks and b in ranks]
     assert sorted(ball.edge_rank, key=ball.edge_rank.get) == sorted(edges, key=lambda e: full.edge_rank[e])
     assert sorted(ball.edge_rank.values()) == list(range(len(edges)))
 
@@ -150,7 +151,7 @@ def _with_far_path(graph, extra: int):
     """``graph`` plus a disjoint path over ``extra`` new nodes, which take the
     higher ids, so every old node and edge keeps its id."""
     n = graph.node_count
-    features = np.vstack([graph.features, np.ones((extra, graph.feature_dim))])
+    features = np.vstack([graph.features, np.ones((extra, feature_dim(graph)))])
     edges = list(graph.edges) + [(n + i, n + i + 1) for i in range(extra - 1)]
     labels = None if graph.labels is None else list(graph.labels) + [None] * extra
     return build_graph(features, edges, labels=labels)
@@ -195,7 +196,7 @@ def test_explain_node_does_not_depend_on_graph_size(monkeypatch):
 def _overflow_inputs(tmp_path):
     graph, model = synth_graph("erdos", {"nodes": 200, "p": 0.02}, 7)
     doc = graph_to_doc(graph)
-    doc["nodes"][1]["features"] = [1e308] * graph.feature_dim
+    doc["nodes"][1]["features"] = [1e308] * feature_dim(graph)
     (tmp_path / "g.json").write_text(json.dumps(doc))
     save_model(model, tmp_path / "w.json")
     return graph, model

@@ -19,11 +19,13 @@ import moexp
 from moexp import CandidateScorer, Model, build_graph, canonical_order, enumerate_subgraphs, explain_node
 from moexp.cli import RunConfig, main
 from moexp.gcn import forward, forward_hidden, node_embeddings
-from moexp.io import FormatError, graph_to_doc, load_model, model_to_doc, parse_graph, save_graph, save_model
+from moexp.io import (
+    FormatError, graph_to_doc, load_edge_weights, load_model, model_to_doc, parse_graph, save_graph, save_model,
+)
 from moexp.pareto import _front, _ranks
 from moexp.synth import synth_graph
 
-from oracles import masked_loss
+from oracles import feature_dim, masked_loss
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -92,11 +94,13 @@ def _unread_public_names() -> list:
     """``file:line: name`` for each public top-level function or class, and
     each public method, of ``src/moexp`` that no code in ``src/``,
     ``scripts/`` or ``benchmark/`` reads outside the name's own body. A
-    read is a name or an attribute spelled the same, or a part of a
-    dotted path in ``benchmark/tracing.py``'s ``SPANS``; reads inside the
-    body of an unread name do not count. Reads are matched by spelling
-    alone, so a member that shares its name with another attribute read
-    somewhere (``list.index``) counts as read."""
+    function or class is read by a name or an attribute spelled the same;
+    a method or property only by an attribute, so a local variable or a
+    parameter of the same spelling does not hide it. A part of a dotted
+    path in ``benchmark/tracing.py``'s ``SPANS`` reads either. Reads inside
+    the body of an unread name do not count. Reads are matched by
+    spelling, so a member that shares its name with another attribute read
+    somewhere (``list.index``) still counts as read."""
     defined, reads = [], []
     for d in ("src/moexp", "scripts", "benchmark"):
         for path in sorted((ROOT / d).rglob("*.py")):
@@ -110,23 +114,29 @@ def _unread_public_names() -> list:
                             defined.append((where, member, f"{top.name}.{member.name}"))
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
-                    reads.append((where, node.lineno, node.id))
+                    reads.append((where, node.lineno, node.id, False))
                 elif isinstance(node, ast.Attribute):
-                    reads.append((where, node.lineno, node.attr))
+                    reads.append((where, node.lineno, node.attr, True))
                 elif where == "benchmark/tracing.py" and isinstance(node, ast.Assign):
                     if [ast.unparse(t) for t in node.targets] == ["SPANS"]:
                         spans = ast.literal_eval(node.value)
-                        reads += [(where, node.lineno, part) for _, dotted, _ in spans for part in dotted.split(".")]
+                        reads += [
+                            (where, node.lineno, part, True) for _, dotted, _ in spans for part in dotted.split(".")
+                        ]
 
     def inside(read, definition) -> bool:
         return read[0] == definition[0] and definition[1].lineno <= read[1] <= definition[1].end_lineno
+
+    def reads_it(read, definition) -> bool:
+        # A member's name is dotted; only an attribute or a SPANS part reads it.
+        return read[2] == definition[1].name and (read[3] or "." not in definition[2])
 
     unread = []
     while True:
         live = [r for r in reads if not any(inside(r, u) for u in unread)]
         more = [
             d for d in defined
-            if d not in unread and not any(r[2] == d[1].name and not inside(r, d) for r in live)
+            if d not in unread and not any(reads_it(r, d) and not inside(r, d) for r in live)
         ]
         if not more:
             return sorted(f"{where}:{node.lineno}: {name}" for where, node, name in unread)
@@ -198,12 +208,60 @@ def test_load_model_rejects_non_finite_weights(tmp_path, text):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["NaN", "Infinity", "-Infinity", "true", '"0.5"', "1" + "0" * 399],
+    ids=["nan", "inf", "-inf", "bool", "string", "int-400-digits"],
+)
+def test_edge_weights_that_are_not_finite_numbers_fail_the_run(text, tmp_path, capsys):
+    # float() reads every one of these but the int, which it cannot hold. A
+    # NaN on edge 0 would never compare lower than another key, so node 0's
+    # grown explanation would take edges 0, 1 and 2.
+    inputs = ROOT / "tests" / "golden" / "inputs"
+    doc = json.loads((inputs / "motif_edge_weights.json").read_text())
+    doc["0"] = "BAD"
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc).replace('"BAD"', text))
+    message = f"edge weights: bad entry '0': {json.loads(text)!r}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_edge_weights(path)
+    argv = ["explain", "--graph", str(inputs / "motif.json"), "--weights", str(inputs / "motif_weights.json")]
+    argv += ["--method", "external-weights", "--edge-weights", str(path), "--targets", "0"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("self_loop", "false", "self_loop must be true or false, got 'false'"),
+        ("mean_aggregate", "no", "mean_aggregate must be true or false, got 'no'"),
+        ("final_activation", 1, "final_activation must be true or false, got 1"),
+        ("rows", 2.9, "layers[0]: rows must be a positive integer, got 2.9"),
+        ("rows", True, "layers[0]: rows must be a positive integer, got True"),
+        ("cols", 0, "layers[0]: cols must be a positive integer, got 0"),
+        ("cols", "1", "layers[0]: cols must be a positive integer, got '1'"),
+    ],
+    ids=["self_loop-string", "mean_aggregate-string", "final_activation-int", "rows-float", "rows-bool",
+         "cols-zero", "cols-string"],
+)
+def test_load_model_reads_flags_and_shapes_strictly(key, value, message, tmp_path):
+    _, model = synth_graph("chain", {"nodes": 3}, 0)
+    doc = model_to_doc(model)
+    (doc["layers"][0] if key in ("rows", "cols") else doc)[key] = value
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+
+
 def test_overflowing_features_give_an_error_document(tmp_path):
     # 1e308 is finite, but the aggregation overflows; the forward pass
     # raises instead of handing NaN distributions on to ranking.
     graph, model = synth_graph("planted-motif", {}, 7)
     doc = graph_to_doc(graph)
-    doc["nodes"][1]["features"] = [1e308] * graph.feature_dim
+    doc["nodes"][1]["features"] = [1e308] * feature_dim(graph)
     (tmp_path / "g.json").write_text(json.dumps(doc))
     save_model(model, tmp_path / "w.json")
     code = "import sys; from moexp.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -241,7 +299,7 @@ def test_overflowing_features_fail_shapley_without_a_csv(tmp_path, capsys):
     # The same input as above: no NaN attribution rows may be written.
     graph, model = synth_graph("planted-motif", {}, 7)
     doc = graph_to_doc(graph)
-    doc["nodes"][1]["features"] = [1e308] * graph.feature_dim
+    doc["nodes"][1]["features"] = [1e308] * feature_dim(graph)
     (tmp_path / "g.json").write_text(json.dumps(doc))
     save_model(model, tmp_path / "w.json")
     argv = ["shapley", "--graph", str(tmp_path / "g.json"), "--weights", str(tmp_path / "w.json")]

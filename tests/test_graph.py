@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from moexp import build_graph, confounder_set
 
-from oracles import bfs_distances, full_canonical_order, full_distances, is_tree_with_target, make_subgraph
+from oracles import bfs_distances, degree, full_canonical_order, full_distances, is_tree_with_target, make_subgraph
 
 
 def test_minimal_graph_adjacency():
@@ -35,7 +35,7 @@ def test_ragged_features_rejected():
 
 
 def test_chain_degree_sequence(chain_graph):
-    degrees = sorted(chain_graph.degree(v) for v in range(4))
+    degrees = sorted(degree(chain_graph, v) for v in range(4))
     assert degrees == [1, 1, 2, 2]
 
 

@@ -16,15 +16,8 @@ from hypothesis import strategies as st
 
 import moexp
 from moexp import Model, build_graph
-from moexp.cli import RunConfig, explain_command, main, top_count
-from moexp.commands import (
-    EnumerateConfig,
-    RobustnessConfig,
-    ShapleyConfig,
-    enumerate_command,
-    robustness_command,
-    shapley_command,
-)
+from moexp.cli import RunConfig, build_parser, explain_command, main, top_count
+from moexp.commands import RobustnessConfig, enumerate_command, robustness_command, shapley_command
 from moexp.io import (
     FormatError,
     dump_json,
@@ -384,12 +377,8 @@ def test_jobs_do_not_change_outputs(tmp_path, fixtures_dir):
 
 def test_enumerate_triangle_has_six_rows(tmp_path, fixtures_dir):
     out = tmp_path / "enum.csv"
-    code = enumerate_command(
-        EnumerateConfig(
-            graph_path=str(fixtures_dir / "triangle.json"), output_path=str(out),
-            targets="0", max_nodes=3, diameter=2,
-        )
-    )
+    argv = ["enumerate", "--graph", str(fixtures_dir / "triangle.json"), "--out", str(out)]
+    code = enumerate_command(build_parser("enumerate").parse_args(argv + ["--targets", "0", "-C", "3", "-D", "2"]))
     assert code == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["node", "index", "parent", "node_count", "edge_ids", "node_ids"]
@@ -403,12 +392,8 @@ def test_shapley_two_node_graph_single_row(tmp_path, fixtures_dir):
     graph_path = tmp_path / "pair.json"
     save_graph(g, graph_path)
     out = tmp_path / "shap.csv"
-    code = shapley_command(
-        ShapleyConfig(
-            graph_path=str(graph_path), weights_path=str(fixtures_dir / "chain4_weights.json"),
-            output_path=str(out), targets="0",
-        )
-    )
+    argv = ["shapley", "--graph", str(graph_path), "--weights", str(fixtures_dir / "chain4_weights.json")]
+    code = shapley_command(build_parser("shapley").parse_args(argv + ["--targets", "0", "--out", str(out)]))
     assert code == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["target", "node", "shapley_value", "support_count"]
@@ -463,7 +448,7 @@ def test_synth_writes_loadable_deterministic_pair(tmp_path):
     g = load_graph(a / "graph.json")
     m = load_model(a / "weights.json")
     assert g.node_count == 12
-    assert m.input_dim == g.feature_dim
+    assert m.input_dim == oracles.feature_dim(g)
 
 
 def test_env_seed_overrides_flag(tmp_path, fixtures_dir):
