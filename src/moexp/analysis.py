@@ -9,7 +9,7 @@ records how the prediction and the explanation's node set respond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,13 +133,7 @@ def perturb_weights(model: Model, target_distance: float, seed: int) -> Model:
         direction = rng.standard_normal(last.shape)
         norm = float(np.linalg.norm(direction))
     shifted = last + (target_distance / norm) * direction
-    return Model(
-        layers=model.layers[:-1] + (shifted,),
-        activation=model.activation,
-        self_loop=model.self_loop,
-        mean_aggregate=model.mean_aggregate,
-        final_activation=model.final_activation,
-    )
+    return replace(model, layers=model.layers[:-1] + (shifted,))
 
 
 @dataclass(frozen=True)

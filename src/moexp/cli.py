@@ -2,9 +2,9 @@
 
 Subcommands: explain (per-node JSON documents), enumerate (candidate CSV),
 shapley (attribution CSV), robustness (perturbation sweep CSV), and synth
-(write a seeded synthetic graph/model pair). The environment variable
-MOEXP_SEED overrides --seed for explain, robustness and synth; enumerate
-and shapley accept --seed but do not use it. Outputs embed a run manifest
+(write a seeded synthetic graph/model pair). Every command is a function
+of its parsed arguments. explain, robustness and synth take --seed, which
+the environment variable MOEXP_SEED overrides. Outputs embed a run manifest
 with the configuration, the seed, and content hashes of the inputs; writes
 are atomic per file.
 
@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,41 +28,8 @@ from .graph import confounder_set
 from .pipeline import METHODS, NodeExplanation, explain_node
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved configuration of one explain run."""
-
-    graph_path: str
-    weights_path: str
-    output_dir: str
-    targets: str = "all-test"
-    max_nodes: int = 4
-    diameter: int = 2
-    top_percent: float = 100.0
-    method: str = "pareto-rank"
-    exhaustive_cf: bool = False
-    epsilon: float = 1e-9
-    seed: int = 42
-    jobs: int = 1
-    keep_going: bool = False
-    edge_weights_path: str | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.top_percent <= 100.0:
-            raise ValueError("top_percent must be in (0, 100]")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-
-    def public_dict(self) -> dict:
-        return {
-            "targets": self.targets,
-            "max_nodes": self.max_nodes,
-            "diameter": self.diameter,
-            "top_percent": self.top_percent,
-            "method": self.method,
-            "exhaustive_cf": self.exhaustive_cf,
-            "epsilon": self.epsilon,
-        }
+# The flags an explain run records in its manifest's ``config`` block.
+_RECORDED = ("targets", "max_nodes", "diameter", "top_percent", "method", "exhaustive_cf", "epsilon")
 
 
 def _resolve_targets(spec: str, graph) -> list:
@@ -220,7 +186,7 @@ def _top_pairs(front, scorer, kept: np.ndarray) -> str:
     return "".join(pieces.ravel().tolist())
 
 
-def node_document(result: NodeExplanation, graph, model, config: RunConfig, manifest: dict) -> str:
+def node_document(result: NodeExplanation, graph, model, top_percent: float, manifest: dict) -> str:
     """The explain document of one node, as ``json.dumps(doc, sort_keys=True,
     indent=2) + "\n"`` writes it.
 
@@ -275,50 +241,48 @@ def node_document(result: NodeExplanation, graph, model, config: RunConfig, mani
             front_size=front.front_size,
             confounders=sorted(confounder_set(graph, result.target, model.depth, removed, result.ball)),
         )
-        top_pairs = _top_pairs(front, scorer, front.order[: top_count(config.top_percent, len(front.e))])
+        top_pairs = _top_pairs(front, scorer, front.order[: top_count(top_percent, len(front.e))])
     header = json.dumps(doc, sort_keys=True, indent=2, default=io._json_default)
     # "top_pairs" sorts after every header key, so it closes the object.
     return header[:-2] + ',\n  "top_pairs": ' + top_pairs + "\n}\n"
 
 
-def explain_command(config: RunConfig) -> int:
-    graph = io.load_graph(config.graph_path)
-    model = io.load_model(config.weights_path)
-    econfig = EnumConfig(config.max_nodes, config.diameter)
+def explain_command(args) -> int:
+    # Checked before any input is read, so a bad value fails the run once and writes nothing.
+    if not 0.0 < args.top_percent <= 100.0:
+        raise ValueError("top_percent must be in (0, 100]")
+    if args.jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    graph = io.load_graph(args.graph_path)
+    model = io.load_model(args.weights_path)
+    econfig = EnumConfig(args.max_nodes, args.diameter)
     external = None
-    if config.method == "external-weights":
-        if not config.edge_weights_path:
+    if args.method == "external-weights":
+        if not args.edge_weights_path:
             raise ValueError("method external-weights requires --edge-weights")
-        external = io.load_edge_weights(config.edge_weights_path)
-    inputs = {"graph": config.graph_path, "weights": config.weights_path}
-    if config.edge_weights_path:
-        inputs["edge_weights"] = config.edge_weights_path
-    manifest = io.run_manifest(config.public_dict(), config.seed, inputs)
-    targets = _resolve_targets(config.targets, graph)
-    os.makedirs(config.output_dir, exist_ok=True)
+        external = io.load_edge_weights(args.edge_weights_path)
+    inputs = {"graph": args.graph_path, "weights": args.weights_path}
+    if args.edge_weights_path:
+        inputs["edge_weights"] = args.edge_weights_path
+    manifest = io.run_manifest({name: getattr(args, name) for name in _RECORDED}, args.seed, inputs)
+    targets = _resolve_targets(args.targets, graph)
+    os.makedirs(args.output_dir, exist_ok=True)
 
     def work(node: int):
         try:
             if not 0 <= node < graph.node_count:
                 raise ValueError(f"target node missing: {node}")
-            seed = config.seed
-            if config.method == "random":
+            seed = args.seed
+            if args.method == "random":
                 # Only random draws from the seed; deriving it imports numpy.random.
                 from .analysis import derive_seed
 
-                seed = derive_seed(config.seed, node)
+                seed = derive_seed(args.seed, node)
             result = explain_node(
-                model,
-                graph,
-                node,
-                econfig,
-                method=config.method,
-                seed=seed,
-                exhaustive_cf=config.exhaustive_cf,
-                epsilon=config.epsilon,
-                edge_weights=external,
+                model, graph, node, econfig, method=args.method, seed=seed,
+                exhaustive_cf=args.exhaustive_cf, epsilon=args.epsilon, edge_weights=external,
             )
-            doc = node_document(result, graph, model, config, manifest)
+            doc = node_document(result, graph, model, args.top_percent, manifest)
             ok = True
         except Exception as exc:  # recorded per node; the run continues
             doc = {
@@ -328,21 +292,21 @@ def explain_command(config: RunConfig) -> int:
                 "manifest": manifest,
             }
             ok = False
-        io.dump_json(doc, os.path.join(config.output_dir, f"node_{node}.json"))
+        io.dump_json(doc, os.path.join(args.output_dir, f"node_{node}.json"))
         return ok
 
-    if config.jobs > 1:
+    if args.jobs > 1:
         # Imported only here: it loads logging, which a one-thread run does not need.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(work, targets))
     else:
         results = [work(node) for node in targets]
     failed = results.count(False)
     if failed:
         print(f"{failed} of {len(results)} nodes failed", file=sys.stderr)
-    return 0 if (failed == 0 or config.keep_going) else 1
+    return 0 if (failed == 0 or args.keep_going) else 1
 
 
 # Every command and its line in ``moexp -h``, in the order listed there.
@@ -369,8 +333,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
-    """Add ``command``'s arguments and its ``run``/``config`` defaults to
-    ``p``. Every command but ``explain`` imports ``moexp.commands``."""
+    """Add ``command``'s arguments and its ``run`` default to ``p``. Every
+    command but ``explain`` imports ``moexp.commands``."""
     if command == "synth":
         from .commands import synth_command
         from .synth import KINDS
@@ -380,7 +344,7 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out-graph", required=True)
         p.add_argument("--out-weights", required=True)
-        p.set_defaults(run=synth_command, config=None)
+        p.set_defaults(run=synth_command)
         return
     p.add_argument("--graph", dest="graph_path", metavar="GRAPH", required=True, help="graph JSON file")
     if command != "enumerate":
@@ -390,7 +354,8 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
     p.add_argument("--targets", default="all-test", help="comma-separated node ids or 'all-test'")
     p.add_argument("--max-nodes", "-C", type=int, default=4, help="max nodes per candidate")
     p.add_argument("--diameter", "-D", type=int, default=2, help="max hops from the target")
-    p.add_argument("--seed", type=int, default=42)
+    if command in ("explain", "robustness"):
+        p.add_argument("--seed", type=int, default=42)
     if command == "explain":
         p.add_argument("--out", dest="output_dir", metavar="OUT", required=True, help="output directory")
         p.add_argument("--method", choices=METHODS, default="pareto-rank")
@@ -405,16 +370,16 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
             metavar="EDGE_WEIGHTS",
             help="edge weight JSON for method external-weights",
         )
-        p.set_defaults(run=explain_command, config=RunConfig)
+        p.set_defaults(run=explain_command)
         return
     from . import commands
 
     p.add_argument("--out", dest="output_path", metavar="OUT", required=True, help="output CSV file")
     if command == "enumerate":
-        p.set_defaults(run=commands.enumerate_command, config=None)
+        p.set_defaults(run=commands.enumerate_command)
     elif command == "shapley":
         p.add_argument("--epsilon", type=float, default=1e-9)
-        p.set_defaults(run=commands.shapley_command, config=None)
+        p.set_defaults(run=commands.shapley_command)
     else:
         p.add_argument("--mode", choices=["message", "weights"], default="message")
         p.add_argument("--steps", type=int, default=5)
@@ -422,7 +387,7 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("--max-distance", type=float, default=1.0, help="last-layer shift (weights mode)")
         p.add_argument("--method", choices=METHODS, default="pareto-rank")
         p.add_argument("--epsilon", type=float, default=1e-9)
-        p.set_defaults(run=commands.robustness_command, config=commands.RobustnessConfig)
+        p.set_defaults(run=commands.robustness_command)
 
 
 def _seed_from_env(seed: int) -> int:
@@ -442,20 +407,14 @@ def _seed_from_env(seed: int) -> int:
     return seed
 
 
-def _config(config_class, args):
-    """Build a command config from the parsed flags; a seed field honours MOEXP_SEED."""
-    values = {f.name: getattr(args, f.name) for f in fields(config_class)}
-    if "seed" in values:
-        values["seed"] = _seed_from_env(values["seed"])
-    return config_class(**values)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # The command is the first argument that is not an option.
     args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
-        return args.run(args if args.config is None else _config(args.config, args))
+        if "seed" in vars(args):  # the commands that declare --seed
+            args.seed = _seed_from_env(args.seed)
+        return args.run(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,12 +8,11 @@ command's arguments), so an ``explain`` process never loads it, nor the
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from . import io
 from .analysis import run_sanity_sweep
 from .baselines import shapley_values
-from .cli import _resolve_targets, _seed_from_env
+from .cli import _resolve_targets
 from .explain import EnumConfig, enumerate_subgraphs
 from .synth import synth_graph
 
@@ -67,45 +66,26 @@ def shapley_command(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class RobustnessConfig:
-    graph_path: str
-    weights_path: str
-    output_path: str
-    targets: str
-    mode: str = "message"
-    steps: int = 5
-    seed: int = 42
-    magnitude: float = 1.0
-    max_distance: float = 1.0
-    method: str = "pareto-rank"
-    max_nodes: int = 4
-    diameter: int = 2
-    epsilon: float = 1e-9
-
-    def __post_init__(self):
-        # Checked once here, so a bad value is not reported once per node.
-        if self.steps < 2:
-            raise ValueError("steps must be at least 2")
-
-
-def robustness_command(config: RobustnessConfig) -> int:
-    graph = io.load_graph(config.graph_path)
-    model = io.load_model(config.weights_path)
-    econfig = EnumConfig(config.max_nodes, config.diameter)
+def robustness_command(args) -> int:
+    # Checked before any input is read, so a bad value is not reported once per node.
+    if args.steps < 2:
+        raise ValueError("steps must be at least 2")
+    graph = io.load_graph(args.graph_path)
+    model = io.load_model(args.weights_path)
+    econfig = EnumConfig(args.max_nodes, args.diameter)
     records, failed = [], 0
-    for node in _targets(config.targets, graph):
+    for node in _targets(args.targets, graph):
         try:
             records += run_sanity_sweep(
-                model, graph, [node], config.mode, config.steps, config.seed, econfig,
-                magnitude=config.magnitude, max_distance=config.max_distance,
-                method=config.method, epsilon=config.epsilon,
+                model, graph, [node], args.mode, args.steps, args.seed, econfig,
+                magnitude=args.magnitude, max_distance=args.max_distance,
+                method=args.method, epsilon=args.epsilon,
             )
         except Exception as exc:  # reported per node; the other nodes' rows are kept
             print(f"node {node}: {type(exc).__name__}: {exc}", file=sys.stderr)
             failed += 1
     io.write_csv(
-        config.output_path,
+        args.output_path,
         ["node", "kind", "strength", "pred_before", "pred_after", "jaccard", "seed"],
         [(r.node, r.kind, r.strength, r.pred_before, r.pred_after, r.jaccard, r.seed) for r in records],
     )
@@ -113,7 +93,7 @@ def robustness_command(config: RobustnessConfig) -> int:
 
 
 def synth_command(args) -> int:
-    graph, model = synth_graph(args.kind, _parse_params(args.param), _seed_from_env(args.seed))
+    graph, model = synth_graph(args.kind, _parse_params(args.param), args.seed)
     io.save_graph(graph, args.out_graph)
     io.save_model(model, args.out_weights)
     return 0

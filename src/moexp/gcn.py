@@ -109,7 +109,8 @@ def load_weights(doc: Mapping) -> Model:
         {"activation": "relu", "self_loop": true,
          "layers": [{"rows": r, "cols": c, "data": [... r*c row-major ...]}]}
 
-    ``rows`` and ``cols`` are positive integers. The optional flags
+    ``layers`` is a list, ``rows`` and ``cols`` are positive integers, and
+    ``data`` is a list of JSON numbers (not booleans). The optional flags
     ``self_loop`` (default true), ``mean_aggregate`` and
     ``final_activation`` (default false) are JSON booleans. Classification
     use requires at least two output classes.
@@ -126,6 +127,8 @@ def load_weights(doc: Mapping) -> Model:
     for key, value in flags.items():
         if not isinstance(value, bool):
             raise ValueError(f"{key} must be true or false, got {value!r}")
+    if not isinstance(raw_layers, list):
+        raise ValueError(f"layers must be a list, got {raw_layers!r}")
     mats = []
     for i, layer in enumerate(raw_layers):
         try:
@@ -135,11 +138,18 @@ def load_weights(doc: Mapping) -> Model:
         for key, value in (("rows", rows), ("cols", cols)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"layers[{i}]: {key} must be a positive integer, got {value!r}")
+        # Exact types: json reads numbers as int and float, and bool is an int.
+        if not (isinstance(data, list) and set(map(type, data)) <= {int, float}):
+            raise ValueError(f"layers[{i}]: data must be a list of numbers")
         if len(data) != rows * cols:
             raise ValueError(f"layers[{i}]: data length {len(data)} != rows*cols {rows * cols}")
-        mats.append(np.asarray(data, dtype=float).reshape(rows, cols))
-        if not np.isfinite(mats[-1]).all():
+        try:
+            mat = np.asarray(data, dtype=float).reshape(rows, cols)
+        except OverflowError:  # an int beyond the float range
+            mat = None
+        if mat is None or not np.isfinite(mat).all():
             raise ValueError(f"layers[{i}]: weights must be finite")
+        mats.append(mat)
     model = Model(layers=tuple(mats), activation=str(activation), **flags)
     if model.class_count < 2:
         raise ValueError("class count must be at least 2")

@@ -6,7 +6,8 @@ Graph documents::
      "nodes": [{"id": 0, "features": [...], "label": 0}, ...],
      "edges": [[0, 1], ...]}
 
-Node ids must be dense 0..n-1 (any order); labels are optional per node.
+Node ids must be dense 0..n-1 (any order), and edge endpoints are node
+ids, both JSON integers; labels are optional per node.
 Weight documents follow ``gcn.load_weights``. Edge-weight documents are a
 flat object mapping edge-id strings to finite numbers.
 """
@@ -20,6 +21,7 @@ import math
 import os
 import tempfile
 from collections.abc import Mapping
+from itertools import chain
 
 import numpy as np
 
@@ -49,12 +51,16 @@ def parse_graph(doc: Mapping) -> Graph:
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise FormatError("edges: expected a list")
-    # The set test passes a document of plain two-item lists and tuples, which
-    # is every valid one that json gives; the loop names the first bad entry.
-    if not (set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}):
+    # The set tests pass a document of plain two-item lists and tuples of
+    # ints, which is every valid one that json gives; the loop names the
+    # first bad entry.
+    plain_pairs = set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}
+    if not (plain_pairs and set(map(type, chain.from_iterable(edges))) <= {int}):
         for i, pair in enumerate(edges):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise FormatError(f"edges[{i}]: expected a pair")
+            if not all(isinstance(end, int) and not isinstance(end, bool) for end in pair):
+                raise FormatError(f"edges[{i}]: endpoints must be integers")
     try:
         graph = build_graph(features, edges, labels)
     except ValueError as exc:

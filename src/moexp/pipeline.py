@@ -82,7 +82,6 @@ def explain_node(
     exhaustive_cf: bool = False,
     epsilon: float = DEFAULT_EPSILON,
     edge_weights: dict | None = None,
-    fd_step: float = DEFAULT_FD_STEP,
     reference_distribution=None,
     enumeration: Enumeration | None = None,
     ball: Ball | None = None,
@@ -126,7 +125,7 @@ def explain_node(
     elif method == "grad-fd":
         # The scorer's pass is the model's own unless a reference overrides it.
         reference = scorer.full_distribution if reference_distribution is None else None
-        weights = baselines.grad_weights_fd(model, graph, target, fd_step, config.diameter, ball, reference)
+        weights = baselines.grad_weights_fd(model, graph, target, DEFAULT_FD_STEP, config.diameter, ball, reference)
     elif method == "grad-analytic":
         weights = baselines.grad_weights_analytic(model, graph, target, config.diameter, ball)
     else:

@@ -726,7 +726,7 @@ def reference_ranking(model, graph, target, pairs, strategy, eps=1e-9):
     return relevance, sim_ranks, rel_ranks, pareto_oracle(scores), order, selected
 
 
-def reference_document(result, graph, model, config, manifest) -> dict:
+def reference_document(result, graph, model, top_percent, manifest) -> dict:
     """The explain document of one node as a dict, one dict per embedded pair.
 
     This is how ``cli.node_document`` built documents before it rendered
@@ -785,7 +785,7 @@ def reference_document(result, graph, model, config, manifest) -> dict:
         confounders=sorted(confounder_set(graph, result.target, model.depth, removed, result.ball)),
     )
     top = []
-    for i in front.order.tolist()[: top_count(config.top_percent, len(e))]:
+    for i in front.order.tolist()[: top_count(top_percent, len(e))]:
         top.append(
             {
                 "explanation_edge_ids": list(subs[e[i]].edge_set),
@@ -828,14 +828,14 @@ def _ints(values) -> str:
     return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
 
 
-def template_top_pairs(result, config) -> str:
+def template_top_pairs(result, top_percent) -> str:
     """The ``top_pairs`` text of a document with a front, one ``%`` template
     per embedded pair: how ``cli.node_document`` rendered it before it
     assembled the entries from distinct-value texts."""
     front, scorer = result.front, result.scorer
     enumeration = scorer.enumeration
     subs = subgraphs(enumeration)
-    order = front.order[: top_count(config.top_percent, len(front.e))].tolist()
+    order = front.order[: top_count(top_percent, len(front.e))].tolist()
     kept = np.array(order, dtype=np.intp)
     es, cs = front.e[kept].tolist(), front.c[kept].tolist()
     rel_text = _floats(front.relevance[kept])
@@ -950,6 +950,9 @@ def reference_parse_graph(doc) -> ReferenceGraph:
     for i, pair in enumerate(edges):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise FormatError(f"edges[{i}]: expected a pair")
+        for end in pair:
+            if not isinstance(end, int) or isinstance(end, bool):
+                raise FormatError(f"edges[{i}]: endpoints must be integers")
     try:
         graph = reference_graph(features, edges, labels)
     except ValueError as exc:

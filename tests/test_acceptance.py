@@ -28,7 +28,7 @@ from moexp import (
     synth_graph,
 )
 from moexp.baselines import grow_table
-from moexp.cli import RunConfig, explain_command
+from moexp.cli import build_parser, explain_command
 from moexp.gcn import forward_hidden
 from moexp.io import save_graph, save_model
 from moexp.pareto import _front
@@ -344,15 +344,8 @@ def test_cli_determinism_across_jobs(tmp_path):
     outputs = {}
     for jobs in (1, 4):
         out = tmp_path / f"jobs{jobs}"
-        code = explain_command(
-            RunConfig(
-                graph_path=str(graph_path),
-                weights_path=str(weights_path),
-                output_dir=str(out),
-                seed=99,
-                jobs=jobs,
-            )
-        )
+        argv = ["explain", "--graph", str(graph_path), "--weights", str(weights_path), "--out", str(out)]
+        code = explain_command(build_parser("explain").parse_args(argv + ["--seed", "99", "--jobs", str(jobs)]))
         assert code == 0
         blobs = {}
         for path in sorted(out.iterdir()):

@@ -2,25 +2,29 @@
 checked option ranges, per-node errors, traced boundaries that exist, a lazy package
 namespace, and no import or public name that nothing reads."""
 
+import argparse
 import ast
 import csv
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 import moexp
 from moexp import CandidateScorer, Model, build_graph, canonical_order, enumerate_subgraphs, explain_node
-from moexp.cli import RunConfig, main
+from moexp.cli import _add_arguments, build_parser, explain_command, main
 from moexp.gcn import forward, forward_hidden, node_embeddings
 from moexp.io import (
-    FormatError, graph_to_doc, load_edge_weights, load_model, model_to_doc, parse_graph, save_graph, save_model,
+    FormatError, graph_to_doc, load_edge_weights, load_graph, load_model, model_to_doc, parse_graph, save_graph,
+    save_model,
 )
 from moexp.pareto import _front, _ranks
 from moexp.synth import synth_graph
@@ -256,6 +260,45 @@ def test_load_model_reads_flags_and_shapes_strictly(key, value, message, tmp_pat
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "target,value,message",
+    [
+        ("layers", 5, "layers must be a list, got 5"),
+        ("data", 5, "layers[0]: data must be a list of numbers"),
+        ("data[0]", "a", "layers[0]: data must be a list of numbers"),
+        ("data[0]", True, "layers[0]: data must be a list of numbers"),
+        ("data[0]", 10**400, "layers[0]: weights must be finite"),
+    ],
+    ids=["layers-int", "data-int", "data-string", "data-bool", "data-int-400-digits"],
+)
+def test_load_model_reads_layers_and_data_strictly(target, value, message, tmp_path):
+    _, model = synth_graph("chain", {"nodes": 3}, 0)
+    doc = model_to_doc(model)
+    if target == "layers":
+        doc["layers"] = value
+    elif target == "data":
+        doc["layers"][0]["data"] = value
+    else:
+        doc["layers"][0]["data"][0] = value
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edge", ["[0, 1.9]", '["0", "1"]', "[true, 2]", '[0, "1e0"]'])
+def test_edge_endpoints_that_are_not_integers_fail_the_run(edge, tmp_path, capsys):
+    # int() would read the first three as the edges (0, 1), (0, 1) and (1, 2).
+    text = '{"nodes": [{"id": 0, "features": [1.0]}, {"id": 1, "features": [0.0]}, {"id": 2, "features": [0.5]}], '
+    (tmp_path / "g.json").write_text(text + f'"edges": [[0, 2], {edge}]}}')
+    with pytest.raises(FormatError, match=r"^edges\[1\]: endpoints must be integers$"):
+        load_graph(tmp_path / "g.json")
+    argv = ["enumerate", "--graph", str(tmp_path / "g.json"), "--targets", "0", "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: edges[1]: endpoints must be integers\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_overflowing_features_give_an_error_document(tmp_path):
     # 1e308 is finite, but the aggregation overflows; the forward pass
     # raises instead of handing NaN distributions on to ranking.
@@ -325,6 +368,32 @@ def test_moexp_seed_is_read_by_seeded_commands_only(command, reads_seed, fixture
     assert main(argv) == (1 if reads_seed else 0)
 
 
+@pytest.mark.parametrize("command", ["enumerate", "shapley"])
+def test_seed_is_a_usage_error_where_no_command_reads_it(command, capsys):
+    argv = [command, "--graph", "g.json", "--targets", "2", "--out", "out.csv", "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--weights", "w.json"] if command == "shapley" else []))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("moexp: error: unrecognized arguments: --seed 1\n")
+
+
+@pytest.mark.parametrize("command", ["explain", "enumerate", "shapley", "robustness", "synth"])
+def test_every_declared_flag_is_read_by_its_command(command):
+    # A static scan of the run function's ``args.<name>`` reads, nested
+    # functions included: explain reads keep_going only when a node fails.
+    parser = argparse.ArgumentParser()
+    _add_arguments(command, parser)
+    declared = {action.dest for action in parser._actions} - {"help"}
+    function = ast.parse(textwrap.dedent(inspect.getsource(parser.get_default("run")))).body[0]
+    args = function.args.args[0].arg
+    read = {
+        node.attr
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == args
+    }
+    assert read == declared
+
+
 def test_every_traced_span_resolves():
     # A renamed boundary would silently zero its per-layer benchmark metrics.
     path = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
@@ -389,8 +458,10 @@ def test_a_missing_target_fails_the_csv_command_without_a_csv(command, fixtures_
 
 
 def test_jobs_below_one_is_rejected(fixtures_dir, tmp_path, capsys):
+    # Checked before the command reads its (here missing) inputs.
+    args = ["explain", "--graph", "g.json", "--weights", "w.json", "--out", "out", "--jobs", "0"]
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        RunConfig("g.json", "w.json", "out", jobs=0)
+        explain_command(build_parser("explain").parse_args(args))
     argv = ["explain", "--graph", str(fixtures_dir / "chain4.json"), "--weights", str(fixtures_dir / "chain4_weights.json")]
     assert main(argv + ["--targets", "2", "--jobs", "-5", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: jobs must be at least 1\n"

@@ -15,18 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moexp import METHODS, EnumConfig, build_graph, explain_node
-from moexp.cli import RunConfig, _floats, node_document
+from moexp.cli import _RECORDED, _floats, build_parser, node_document
 
 from oracles import random_graph, random_model, reference_document, template_top_pairs
 
 
 def _documents(result, graph, model, method, exhaustive, top_percent):
-    config = RunConfig("g.json", "w.json", "out", top_percent=top_percent, method=method, exhaustive_cf=exhaustive)
-    manifest = {"tool": "moexp", "seed": 7, "config": config.public_dict(), "inputs": {}, "generated_at": ""}
-    want = json.dumps(reference_document(result, graph, model, config, manifest), sort_keys=True, indent=2) + "\n"
-    got = node_document(result, graph, model, config, manifest)
+    argv = ["explain", "--graph", "g.json", "--weights", "w.json", "--out", "out", "--method", method]
+    argv += ["--top-percent", repr(top_percent)] + ["--exhaustive-cf"] * exhaustive
+    args = build_parser("explain").parse_args(argv)
+    config = {name: getattr(args, name) for name in _RECORDED}
+    manifest = {"tool": "moexp", "seed": 7, "config": config, "inputs": {}, "generated_at": ""}
+    doc = reference_document(result, graph, model, args.top_percent, manifest)
+    want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    got = node_document(result, graph, model, args.top_percent, manifest)
     if result.front is not None:
-        assert got.endswith('"top_pairs": ' + template_top_pairs(result, config) + "\n}\n")
+        assert got.endswith('"top_pairs": ' + template_top_pairs(result, args.top_percent) + "\n}\n")
     return got, want
 
 

@@ -14,7 +14,7 @@ from moexp import (
     simulatability,
     softmax,
 )
-from moexp.cli import RunConfig
+from moexp.cli import build_parser, explain_command
 from moexp.explain import counterfactual_pairs
 
 from oracles import (
@@ -45,10 +45,11 @@ def test_enum_config_validation():
         EnumConfig(max_nodes=0)
     with pytest.raises(ValueError, match="diameter"):
         EnumConfig(diameter=0)
-    with pytest.raises(ValueError, match="top_percent"):
-        RunConfig("g.json", "w.json", "out", top_percent=0.0)
-    with pytest.raises(ValueError, match="top_percent"):
-        RunConfig("g.json", "w.json", "out", top_percent=100.5)
+    # Checked before the command reads its (here missing) inputs.
+    argv = ["explain", "--graph", "g.json", "--weights", "w.json", "--out", "out", "--top-percent"]
+    for top_percent in ("0", "100.5"):
+        with pytest.raises(ValueError, match="top_percent"):
+            explain_command(build_parser("explain").parse_args(argv + [top_percent]))
 
 
 @given(st.integers(0, 50_000))

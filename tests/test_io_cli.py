@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import moexp
 from moexp import Model, build_graph
-from moexp.cli import RunConfig, build_parser, explain_command, main, top_count
-from moexp.commands import RobustnessConfig, enumerate_command, robustness_command, shapley_command
+from moexp.cli import build_parser, explain_command, main, top_count
+from moexp.commands import enumerate_command, robustness_command, shapley_command
 from moexp.io import (
     FormatError,
     dump_json,
@@ -40,6 +40,12 @@ import oracles
 
 def chain_paths(fixtures_dir):
     return str(fixtures_dir / "chain4.json"), str(fixtures_dir / "chain4_weights.json")
+
+
+def parsed(command, graph_path, weights_path, out, *flags):
+    """The parsed arguments of ``command`` on these inputs, with the parser's defaults."""
+    argv = [command, "--graph", str(graph_path), "--weights", str(weights_path), "--out", str(out), *flags]
+    return build_parser(command).parse_args(argv)
 
 
 def test_graph_round_trip(tmp_path, chain_graph):
@@ -186,9 +192,7 @@ def test_write_csv_unix_line_endings(tmp_path):
 
 def test_explain_document_contents(tmp_path, fixtures_dir):
     graph_path, weights_path = chain_paths(fixtures_dir)
-    code = explain_command(
-        RunConfig(graph_path=graph_path, weights_path=weights_path, output_dir=str(tmp_path), targets="2")
-    )
+    code = explain_command(parsed("explain", graph_path, weights_path, tmp_path, "--targets", "2"))
     assert code == 0
     doc = json.loads((tmp_path / "node_2.json").read_text())
     assert doc["schema"] == "moexp/1"
@@ -219,12 +223,7 @@ def test_explain_document_contents(tmp_path, fixtures_dir):
 
 def test_explain_top_percent_truncates(tmp_path, fixtures_dir):
     graph_path, weights_path = chain_paths(fixtures_dir)
-    explain_command(
-        RunConfig(
-            graph_path=graph_path, weights_path=weights_path, output_dir=str(tmp_path),
-            targets="2", top_percent=50.0,
-        )
-    )
+    explain_command(parsed("explain", graph_path, weights_path, tmp_path, "--targets", "2", "--top-percent", "50"))
     doc = json.loads((tmp_path / "node_2.json").read_text())
     assert len(doc["top_pairs"]) == 3  # ceil(50% of 6)
 
@@ -303,9 +302,7 @@ sys.exit(max(codes))
 
 def test_explain_all_test_targets(tmp_path, fixtures_dir):
     graph_path, weights_path = chain_paths(fixtures_dir)
-    explain_command(
-        RunConfig(graph_path=graph_path, weights_path=weights_path, output_dir=str(tmp_path))
-    )
+    explain_command(parsed("explain", graph_path, weights_path, tmp_path))
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["node_0.json", "node_1.json", "node_2.json", "node_3.json"]
 
@@ -315,21 +312,13 @@ def test_explain_unlabeled_graph_targets_every_node(tmp_path, fixtures_dir):
     graph_path = tmp_path / "g.json"
     save_graph(g, graph_path)
     out = tmp_path / "out"
-    explain_command(
-        RunConfig(
-            graph_path=str(graph_path),
-            weights_path=str(fixtures_dir / "chain4_weights.json"),
-            output_dir=str(out),
-        )
-    )
+    explain_command(parsed("explain", graph_path, fixtures_dir / "chain4_weights.json", out))
     assert sorted(p.name for p in out.iterdir()) == ["node_0.json", "node_1.json", "node_2.json"]
 
 
 def test_explain_bad_target_writes_error_doc(tmp_path, fixtures_dir):
     graph_path, weights_path = chain_paths(fixtures_dir)
-    code = explain_command(
-        RunConfig(graph_path=graph_path, weights_path=weights_path, output_dir=str(tmp_path), targets="99")
-    )
+    code = explain_command(parsed("explain", graph_path, weights_path, tmp_path, "--targets", "99"))
     assert code == 1
     doc = json.loads((tmp_path / "node_99.json").read_text())
     assert doc["node"] == 99
@@ -339,12 +328,7 @@ def test_explain_bad_target_writes_error_doc(tmp_path, fixtures_dir):
 
 def test_explain_keep_going_masks_failures(tmp_path, fixtures_dir):
     graph_path, weights_path = chain_paths(fixtures_dir)
-    code = explain_command(
-        RunConfig(
-            graph_path=graph_path, weights_path=weights_path, output_dir=str(tmp_path),
-            targets="2,99", keep_going=True,
-        )
-    )
+    code = explain_command(parsed("explain", graph_path, weights_path, tmp_path, "--targets", "2,99", "--keep-going"))
     assert code == 0
     good = json.loads((tmp_path / "node_2.json").read_text())
     assert "error" not in good
@@ -355,18 +339,14 @@ def test_explain_keep_going_masks_failures(tmp_path, fixtures_dir):
 def test_explain_unparseable_target_rejected(tmp_path, fixtures_dir):
     graph_path, weights_path = chain_paths(fixtures_dir)
     with pytest.raises(ValueError, match="bad target id"):
-        explain_command(
-            RunConfig(graph_path=graph_path, weights_path=weights_path, output_dir=str(tmp_path), targets="abc")
-        )
+        explain_command(parsed("explain", graph_path, weights_path, tmp_path, "--targets", "abc"))
 
 
 def test_jobs_do_not_change_outputs(tmp_path, fixtures_dir):
     graph_path, weights_path = chain_paths(fixtures_dir)
     serial, threaded = tmp_path / "serial", tmp_path / "threaded"
     for out, jobs in ((serial, 1), (threaded, 4)):
-        explain_command(
-            RunConfig(graph_path=graph_path, weights_path=weights_path, output_dir=str(out), jobs=jobs)
-        )
+        explain_command(parsed("explain", graph_path, weights_path, out, "--jobs", str(jobs)))
     for name in sorted(p.name for p in serial.iterdir()):
         a = json.loads((serial / name).read_text())
         b = json.loads((threaded / name).read_text())
@@ -405,12 +385,8 @@ def test_robustness_record_grid(tmp_path, fixtures_dir):
     graph_path = str(fixtures_dir / "triangle.json")
     weights_path = str(fixtures_dir / "triangle_weights.json")
     out = tmp_path / "sweep.csv"
-    code = robustness_command(
-        RobustnessConfig(
-            graph_path=graph_path, weights_path=weights_path, output_path=str(out),
-            targets="0,1", mode="message", steps=3, seed=11, magnitude=1.5,
-        )
-    )
+    flags = ["--targets", "0,1", "--mode", "message", "--steps", "3", "--seed", "11", "--magnitude", "1.5"]
+    code = robustness_command(parsed("robustness", graph_path, weights_path, out, *flags))
     assert code == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["node", "kind", "strength", "pred_before", "pred_after", "jaccard", "seed"]
@@ -421,12 +397,8 @@ def test_robustness_record_grid(tmp_path, fixtures_dir):
 def test_robustness_weights_zero_step_is_inert(tmp_path, fixtures_dir):
     graph_path, weights_path = chain_paths(fixtures_dir)
     out = tmp_path / "sweep.csv"
-    robustness_command(
-        RobustnessConfig(
-            graph_path=graph_path, weights_path=weights_path, output_path=str(out),
-            targets="2", mode="weights", steps=3, seed=11, max_distance=2.0,
-        )
-    )
+    flags = ["--targets", "2", "--mode", "weights", "--steps", "3", "--seed", "11", "--max-distance", "2.0"]
+    robustness_command(parsed("robustness", graph_path, weights_path, out, *flags))
     rows = list(csv.reader(out.read_text().splitlines()))
     first = rows[1]
     assert float(first[2]) == 0.0

@@ -154,13 +154,6 @@ def test_same_seed_reproducible_random_method(chain_graph, chain_model):
     assert a.explanation.edge_set == b.explanation.edge_set
 
 
-def test_fd_step_is_plumbed(chain_graph, chain_model):
-    res = explain_node(chain_model, chain_graph, 2, method="grad-fd", fd_step=0.3)
-    assert res.explanation.edge_set
-    with pytest.raises(ValueError, match="step"):
-        explain_node(chain_model, chain_graph, 2, method="grad-fd", fd_step=0.0)
-
-
 def test_balanced_selection_minimizes_rank_gap(chain_graph, chain_model):
     res = explain_node(chain_model, chain_graph, 2, method="balanced")
     front = res.front
