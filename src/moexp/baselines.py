@@ -249,7 +249,7 @@ def grad_weights_fd(
         messages = [tuple(a.ravel() for a in group) for group in zip(*(np.split(a, bounds) for a in columns))]
         h = np.tile(ball.features[:k], (hi - lo, 1))
         hops = np.tile(ball.distance[:k], hi - lo)
-        return layers_hidden(model, h, hops, messages, target, k, tree_products=True)
+        return layers_hidden(model, h, hops, messages, target, k)
 
     hidden = []
     for lo in range(0, len(eids), size):

@@ -323,7 +323,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``moexp`` parser. Every command is registered, but only
     ``command`` gets its arguments (each one costs argparse a formatter and
     gettext lookups), or every command when ``command`` names none."""
-    parser = argparse.ArgumentParser(prog="moexp", description=__doc__.split("\n")[1])
+    # The package's one-line summary; python -OO strips docstrings.
+    summary = (sys.modules[__package__].__doc__ or "").partition("\n")[0]
+    parser = argparse.ArgumentParser(prog="moexp", description=summary)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in _COMMANDS.items():
         p = sub.add_parser(name, help=text)

@@ -5,7 +5,8 @@ as message lists, one per neighbour slot. A pass over a target's ball is
 a batch of one tree; ``trees_hidden`` feeds it batches of restricted
 trees, and grad-fd's damped passes, whose trees are copies of the ball,
 feed it directly. A node sums its messages in ascending neighbour id
-order, whatever the batch, so every pass agrees with the whole graph's.
+order, and each layer is a stack of two-row products, so a tree's bits do
+not depend on its batch and every pass agrees with the whole graph's.
 
 Aggregation at every layer is a plain sum of the node's own state and the
 states of its in-scope neighbors (no degree normalization; an optional mean
@@ -220,7 +221,6 @@ def layers_hidden(
     node: int,
     tree_size: int,
     extra_message: np.ndarray | None = None,
-    tree_products: bool = False,
 ) -> np.ndarray:
     """Last-layer state of each target in a batch of trees whose nodes are
     the rows of ``h``, before the softmax: one row per target.
@@ -236,19 +236,16 @@ def layers_hidden(
     over its tree alone does, so a -0.0 stays -0.0. Layer l computes only
     the rows within L - 1 - l hops of their target, the ones its output
     reads, so a node that cannot reach it never overflows the batch. Each
-    layer is one product over the batch, padded to two rows unless
-    ``tree_size`` is 1: NumPy multiplies a single row by a different BLAS
-    routine than a matrix of several, whose rounding can differ. For some
-    layer shapes a product's rounding depends on its row count, so a batch
-    can round a tree differently from a pass over it alone.
-    ``tree_products``, for batches of one target per tree whose trees all
-    have the same number of rows at each layer, makes each product a stack
-    of one padded product per tree, which gives every tree exactly the
-    bits of a pass over it alone. An overflow or invalid operation raises
+    layer is a stack of two-row products, with a zero row added to an odd
+    count, or of one-row products when ``tree_size`` is 1: a row of a
+    two-row product rounds the same whatever its partner row, so a tree
+    gets the bits of a pass over it alone in any batch (NumPy multiplies a
+    single row by another BLAS routine, so only a one-node tree has
+    one-row products). An overflow or invalid operation raises
     ``ValueError`` naming ``node``.
     """
     _check_width(model, h)
-    trees = np.count_nonzero(hops == 0)
+    pair = min(2, tree_size)
     position = np.zeros(len(hops), dtype=np.intp)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -258,7 +255,7 @@ def layers_hidden(
                 live = np.flatnonzero(hops <= reach)
                 n = live.size
                 position[live] = np.arange(n)
-                agg = np.zeros((max(n, min(2, tree_size)), layer.shape[0]))
+                agg = np.zeros((-(-n // pair) * pair, layer.shape[0]))
                 count = np.full(n, int(model.self_loop))
                 if model.self_loop:
                     agg[:n] = h[live]
@@ -275,13 +272,7 @@ def layers_hidden(
                     count += 1
                 if model.mean_aggregate:
                     np.divide(agg[:n], count[:, None], out=agg[:n], where=count[:, None] > 0)
-                if tree_products:
-                    per = n // trees  # the same for every tree
-                    stack = np.zeros((trees, max(per, min(2, tree_size)), layer.shape[0]))
-                    stack[:, :per] = agg[:n].reshape(trees, per, -1)
-                    z = (stack @ layer)[:, :per].reshape(n, -1)
-                else:
-                    z = (agg @ layer)[:n]
+                z = (agg.reshape(-1, pair, layer.shape[0]) @ layer).reshape(len(agg), -1)[:n]
                 z = _activate(model.activation, z) if (not last or model.final_activation) else z
                 if last:
                     return z  # the live rows are now the targets, one per tree
@@ -298,9 +289,8 @@ def _ball_pass(model: Model, ball: Ball, hops: int, extra_message: np.ndarray | 
     The pass reads the nodes within ``hops`` hops as one tree for
     ``layers_hidden``, whose targets are the output rows: a node's hops
     count from them, ``ball.distance`` shifted down by ``hops -
-    model.depth``. A product is padded to two rows whenever the graph has
-    two nodes, as the whole graph's products are, so a one-row product
-    rounds as the whole graph's pass does.
+    model.depth``. Its tree size is the graph's node count, so its products
+    have two rows, as the whole graph's have, unless the graph has one node.
     """
     node, neighbour, _, bounds = ball_messages(ball, hops)
     messages = [(i, j, None) for i, j in zip(np.split(node, bounds), np.split(neighbour, bounds))]
@@ -324,8 +314,9 @@ def forward_hidden(
     The pass runs on v's ball (``ball``, of at least the model's depth in
     hops, or a new one): an L-layer state of v reads only nodes within L
     hops, and layer l computes only the nodes within L - 1 - l hops, each
-    from its full neighborhood, so the result is the whole graph's pass at
-    v. ``extra_message`` is added to v's aggregation at the last layer.
+    from its full neighborhood and in a product of its own rows, so the
+    result is the whole graph's pass at v bit for bit. ``extra_message`` is
+    added to v's aggregation at the last layer.
     A tree's pass runs in ``trees_hidden`` batches.
     """
     if not 0 <= v < graph.node_count:

@@ -7,9 +7,12 @@ Graph documents::
      "edges": [[0, 1], ...]}
 
 Node ids must be dense 0..n-1 (any order), and edge endpoints are node
-ids, both JSON integers; labels are optional per node.
+ids, both JSON integers. ``features`` is a list of JSON numbers, the same
+length for every node; a label, optional per node, is a JSON integer or
+null; ``directed`` is optional and must be false.
 Weight documents follow ``gcn.load_weights``. Edge-weight documents are a
-flat object mapping edge-id strings to finite numbers.
+flat object mapping edge ids, written as decimal integers, to finite
+numbers.
 """
 
 from __future__ import annotations
@@ -38,7 +41,10 @@ def parse_graph(doc: Mapping) -> Graph:
     """Validate a graph document and build the canonical Graph."""
     if not isinstance(doc, Mapping):
         raise FormatError("graph document must be an object")
-    if doc.get("directed", False):
+    directed = doc.get("directed", False)
+    if not isinstance(directed, bool):
+        raise FormatError(f"directed: expected true or false, got {directed!r}")
+    if directed:
         raise FormatError("directed graphs are not supported")
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
@@ -48,6 +54,18 @@ def parse_graph(doc: Mapping) -> Graph:
     labels = None
     if any("label" in node for node in ordered):
         labels = [node.get("label") for node in ordered]
+    # The set tests pass lists of ints and floats and labels that are ints
+    # or null, which is every valid document that json gives; the loop names
+    # the first bad node.
+    plain_rows = set(map(type, features)) <= {list} and set(map(type, chain.from_iterable(features))) <= {int, float}
+    if not (plain_rows and set(map(type, labels or ())) <= {int, type(None)}):
+        for i, node in enumerate(nodes):
+            label = node.get("label")
+            if not (label is None or _is_int(label)):
+                raise FormatError(f"nodes[{i}]: label must be an integer or null")
+            row = node["features"]
+            if not (isinstance(row, (list, tuple)) and all(_is_int(x) or isinstance(x, float) for x in row)):
+                raise FormatError(f"nodes[{i}]: features must be a list of numbers")
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise FormatError("edges: expected a list")
@@ -59,7 +77,7 @@ def parse_graph(doc: Mapping) -> Graph:
         for i, pair in enumerate(edges):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise FormatError(f"edges[{i}]: expected a pair")
-            if not all(isinstance(end, int) and not isinstance(end, bool) for end in pair):
+            if not all(map(_is_int, pair)):
                 raise FormatError(f"edges[{i}]: endpoints must be integers")
     try:
         graph = build_graph(features, edges, labels)
@@ -70,6 +88,11 @@ def parse_graph(doc: Mapping) -> Graph:
         i = next(i for i, node in enumerate(nodes) if not finite[node["id"]])
         raise FormatError(f"nodes[{i}]: features must be finite")
     return graph
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a JSON integer: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _ordered_nodes(nodes: list) -> list:
@@ -93,7 +116,7 @@ def _ordered_nodes(nodes: list) -> list:
         if "features" not in node:
             raise FormatError(f"nodes[{i}]: missing 'features'")
         nid = node["id"]
-        if not isinstance(nid, int) or isinstance(nid, bool):
+        if not _is_int(nid):
             raise FormatError(f"nodes[{i}]: id must be an integer")
         if nid in seen:
             raise FormatError(f"nodes[{i}]: duplicate id {nid}")
@@ -157,10 +180,15 @@ def parse_edge_weights(doc: Mapping) -> dict:
     for key, value in doc.items():
         # A JSON number only: float() would also read NaN, Infinity, true and
         # numeric strings, and isfinite raises OverflowError for a huge int.
+        # A key is an edge id as str() writes it: int() would also read
+        # " 7 ", "+8", "09" and other digits than ASCII ones.
         try:
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError
-            out[int(key)] = float(value)
+            eid = int(key)
+            if str(eid) != key:
+                raise ValueError
+            out[eid] = float(value)
         except (TypeError, ValueError, OverflowError):
             raise FormatError(f"edge weights: bad entry {key!r}: {value!r}") from None
     return out

@@ -521,8 +521,10 @@ def full_states(model, graph, depth, mask=None, extra_message=None, at=None):
     """Every node's state after ``depth`` layers, by one loop over the whole graph.
 
     This is the package's layer loop as it ran before passes were limited to
-    a target's ball: every node is aggregated at every layer, in
-    ``graph.incidence`` order, and each layer is one product over all rows.
+    a target's ball, with each layer's product made row-local: every node
+    is aggregated at every layer, in ``graph.incidence`` order, and each
+    layer is a stack of two-row products over all rows (of one-row products
+    in a one-node graph).
     ``mask`` scales messages by edge id; ``extra_message`` joins node
     ``at``'s aggregation at the model's last layer.
     """
@@ -535,7 +537,7 @@ def restricted_hidden(model, graph, v, restrict, mask=None, extra_message=None):
     This is how a restricted pass ran before the batched tree kernel: the
     subgraph's nodes in ascending id order, each with its (neighbour, edge
     id) list sorted by neighbour, and every node computed at every layer,
-    one product over all of them per layer.
+    in the two-row products of ``full_states``.
     """
     scope = restrict.node_set
     local = {node: i for i, node in enumerate(scope)}
@@ -602,8 +604,8 @@ def ball_hidden(model, graph, v, mask=None, extra_message=None, ball=None):
 
     This is how ``forward_hidden`` ran before ball passes used the tree
     kernel: layer l computes the leading ball rows within L - 1 - l hops,
-    each over its ``ball.incidence`` in order, and a product gets zero rows
-    up to ``min(2, graph.node_count)``, as one over the whole graph has.
+    each over its ``ball.incidence`` in order, in the products of the
+    whole graph's pass: two-row ones unless the graph has one node.
     ``mask`` scales messages by edge id; ``extra_message`` joins v's
     aggregation at the last layer. An overflow or invalid operation raises
     the package's ``ValueError``.
@@ -614,7 +616,7 @@ def ball_hidden(model, graph, v, mask=None, extra_message=None, ball=None):
         with np.errstate(over="raise", invalid="raise"):
             h = _row_loop(
                 model, ball.features, ball.incidence, model.depth, mask, extra_message, 0, rows,
-                min(2, graph.node_count),
+                graph.node_count,
             )
     except FloatingPointError as exc:
         raise ValueError(f"forward pass at node {v}: {exc}") from None
@@ -626,15 +628,17 @@ def masked_loss(model, graph, v, y, mask, ball=None):
     return float(-np.log(softmax(ball_hidden(model, graph, v, mask, ball=ball))[y]))
 
 
-def _row_loop(model, h, incidence, depth, mask, extra_message, at, rows=None, min_rows=1):
+def _row_loop(model, h, incidence, depth, mask, extra_message, at, rows=None, node_count=None):
     """States after ``depth`` layers; layer l computes the leading ``rows[l]``
-    rows (every row without ``rows``) in one product of at least
-    ``min_rows`` rows."""
+    rows (every row without ``rows``) in a stack of two-row products, a zero
+    row added to an odd count, or of one-row products when the graph (of
+    ``node_count`` nodes, ``len(incidence)`` by default) has one node."""
+    pair = min(2, len(incidence) if node_count is None else node_count)
     for li in range(depth):
         weights = model.layers[li]
         last = li == model.depth - 1
         n = len(incidence) if rows is None else rows[li]
-        agg = np.zeros((max(n, min_rows), weights.shape[0]))
+        agg = np.zeros((-(-n // pair) * pair, weights.shape[0]))
         for i, pairs in enumerate(incidence[:n]):
             acc = h[i].copy() if model.self_loop else np.zeros(weights.shape[0])
             count = 1 if model.self_loop else 0
@@ -647,7 +651,7 @@ def _row_loop(model, h, incidence, depth, mask, extra_message, at, rows=None, mi
             if model.mean_aggregate and count:
                 acc = acc / count
             agg[i] = acc
-        z = (agg @ weights)[:n]
+        z = (agg.reshape(-1, pair, weights.shape[0]) @ weights).reshape(len(agg), -1)[:n]
         h = _package_activation(model.activation, z) if (not last or model.final_activation) else z
     return h
 
@@ -914,11 +918,14 @@ def reference_graph(features, edges, labels=None) -> ReferenceGraph:
 
 
 def reference_parse_graph(doc) -> ReferenceGraph:
-    """``io.parse_graph`` with every edge entry checked in a loop and the graph
-    built by ``reference_graph``."""
+    """``io.parse_graph`` with every node and edge entry checked in a loop and
+    the graph built by ``reference_graph``."""
     if not isinstance(doc, Mapping):
         raise FormatError("graph document must be an object")
-    if doc.get("directed", False):
+    directed = doc.get("directed", False)
+    if type(directed) is not bool:
+        raise FormatError(f"directed: expected true or false, got {directed!r}")
+    if directed:
         raise FormatError("directed graphs are not supported")
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
@@ -940,6 +947,13 @@ def reference_parse_graph(doc) -> ReferenceGraph:
     n = len(seen)
     if set(seen) != set(range(n)):
         raise FormatError(f"node ids must be dense 0..{n - 1}")
+    for i, node in enumerate(nodes):
+        label = node.get("label")
+        if label is not None and type(label) is not int:
+            raise FormatError(f"nodes[{i}]: label must be an integer or null")
+        row = node["features"]
+        if type(row) not in (list, tuple) or any(type(x) not in (int, float) for x in row):
+            raise FormatError(f"nodes[{i}]: features must be a list of numbers")
     features = [seen[i]["features"] for i in range(n)]
     labels = None
     if any("label" in seen[i] for i in range(n)):

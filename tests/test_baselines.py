@@ -26,6 +26,7 @@ from moexp import (
 from moexp.baselines import FD_BATCH_ENTRIES, grow_table
 
 from oracles import (
+    full_distances,
     index,
     is_tree_with_target,
     make_subgraph,
@@ -241,6 +242,26 @@ def test_grad_fd_outside_receptive_field_exact_zero():
     weights = grad_weights_fd(m, g, 0, 1e-4, diameter=2)
     assert weights[1] == 0.0
     assert weights[0] > 0.0
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(1, 2), st.sampled_from(["relu", "sigmoid", "identity"]))
+@settings(max_examples=60, deadline=None)
+def test_grad_fd_is_exactly_zero_outside_the_receptive_field_of_a_wide_model(seed, depth, beyond, activation):
+    # A deep random tree, a model 16 to 48 columns wide and a diameter past
+    # its depth: an edge whose ends both lie L or more hops from the target
+    # carries no message the target reads, so its damped pass repeats the
+    # reference pass bit for bit and its weight is exactly 0.0.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(depth + 3, 12))
+    edges = [(int(rng.integers(max(0, i - 2), i)), i) for i in range(1, n)]
+    dims = [int(rng.integers(16, 49)) for _ in range(depth)] + [int(rng.integers(2, 4))]
+    g = build_graph(rng.standard_normal((n, dims[0])), edges)
+    m = Model(tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth)), activation)
+    hops = full_distances(g, 0)
+    weights = grad_weights_fd(m, g, 0, float(rng.uniform(0.01, 0.5)), diameter=depth + beyond)
+    outside = [eid for eid in weights if min(hops[u] for u in g.edges[eid]) >= depth]
+    assert all(weights[eid] == 0.0 for eid in outside)
+    assert len(outside) < len(weights)
 
 
 def test_grad_fd_tracks_analytic_on_aligned_family():

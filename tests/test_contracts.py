@@ -201,6 +201,45 @@ def test_parse_graph_rejects_non_finite_features(bad):
         parse_graph(doc)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("label", 1.7, "nodes[2]: label must be an integer or null"),
+        ("label", "2", "nodes[2]: label must be an integer or null"),
+        ("label", True, "nodes[2]: label must be an integer or null"),
+        ("label", "x", "nodes[2]: label must be an integer or null"),
+        ("features", [True], "nodes[2]: features must be a list of numbers"),
+        ("features", ["1.5"], "nodes[2]: features must be a list of numbers"),
+        ("directed", "no", "directed: expected true or false, got 'no'"),
+        ("directed", 0, "directed: expected true or false, got 0"),
+    ],
+    ids=["label-float", "label-string", "label-bool", "label-word", "features-bool", "features-string",
+         "directed-string", "directed-int"],
+)
+def test_parse_graph_reads_labels_features_and_directed_strictly(field, value, message):
+    # Each value used to load: labels through int(), features through
+    # float(), and "directed" by truth, so "no" read as directed and 0 did
+    # not. The bad node is node 1, third in the list.
+    nodes = [{"id": i, "features": [0.5], "label": 0} for i in (0, 2, 1)]
+    doc = {"directed": False, "nodes": nodes, "edges": [[0, 1]]}
+    assert parse_graph(doc).labels == (0, 0, 0)
+    (doc if field == "directed" else nodes[2])[field] = value
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_graph(doc)
+
+
+@pytest.mark.parametrize("key", [" 7 ", "+8", "09", "\u0663", "1_0"])
+def test_edge_weight_keys_must_be_decimal_edge_ids(key, tmp_path):
+    # int() reads each of these keys; only str(edge id) is one.
+    path = tmp_path / "e.json"
+    path.write_text('{"3": 0.5, "%s": 1}' % key)
+    key = json.loads(f'"{key}"')
+    with pytest.raises(FormatError, match=f"^{re.escape(f'edge weights: bad entry {key!r}: 1')}$"):
+        load_edge_weights(path)
+    path.write_text('{"3": 0.5, "12": 1}')
+    assert load_edge_weights(path) == {3: 0.5, 12: 1.0}
+
+
 @pytest.mark.parametrize("text", ["NaN", "Infinity"])
 def test_load_model_rejects_non_finite_weights(tmp_path, text):
     _, model = synth_graph("chain", {"nodes": 3}, 0)

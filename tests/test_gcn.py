@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from moexp import (
     softmax,
 )
 
+import moexp.baselines
+from moexp.baselines import grad_weights_fd
 from moexp.gcn import trees_hidden
 
 from oracles import (
@@ -213,14 +217,10 @@ def test_forward_deterministic(seed):
 )
 @settings(max_examples=200, deadline=None)
 def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, self_loop, mean, final, extra, size):
-    # Layer inputs stay narrower than 16, and than 8 before a one-column
-    # layer: there the BLAS rounds a row of a product the same whatever else
-    # the product holds, so a batch and a pass per tree agree bit for bit.
+    # Layer inputs of 1 to 47 columns: a whole product's rounding can depend
+    # on its row count there, a two-row product's row does not.
     rng = np.random.default_rng(seed)
-    dims = [int(rng.integers(1, 16)) for _ in range(depth)] + [int(rng.integers(2, 4))]
-    for i in range(1, depth):
-        if dims[i] == 1:
-            dims[i - 1] = min(dims[i - 1], 7)
+    dims = [int(rng.integers(1, 48)) for _ in range(depth)] + [int(rng.integers(2, 4))]
     g = random_graph(rng, max_nodes=10, edge_prob=0.35, feature_dim=dims[0], min_nodes=1)
     layers = tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth))
     m = Model(layers, activation, self_loop, mean, final)
@@ -241,6 +241,57 @@ def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, sel
                 enum.slots[batch, :k, : k - 1], v, message,
             )
             assert [row.tobytes() for row in got] == [want[i] for i in batch]
+
+
+def test_a_row_of_a_stacked_product_has_the_bits_of_its_own_product():
+    # The kernel's rows are row-local only if this holds. It is a property
+    # of the NumPy and BLAS build, not a guarantee, and this test is what
+    # fails on a build where it does not hold: a row of a stack of two-row
+    # products, in either position and beside any partner, has the bits of
+    # the two-row product of that row and a zero row, and a row of a stack
+    # of one-row products the bits of its own one-row product.
+    rng = np.random.default_rng(0)
+    for width in range(1, 65):
+        for cols in range(1, 33):
+            weights = rng.standard_normal((width, cols))
+            x = rng.standard_normal((6, width))
+            stacked = (x.reshape(3, 2, width) @ weights).reshape(6, cols)
+            alone = [np.stack([row, np.zeros(width)]) @ weights for row in x]
+            assert stacked.tobytes() == np.vstack([own[0] for own in alone]).tobytes()
+            ones = (x[:, None] @ weights).reshape(6, cols)
+            assert ones.tobytes() == np.vstack([x[i : i + 1] @ weights for i in range(6)]).tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.sampled_from(ACTIVATIONS), st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_regrouping_a_wide_batch_keeps_each_trees_bits(seed, depth, activation, self_loop, mean):
+    # A model 8 to 48 columns wide, where one product over a batch rounds a
+    # row by the batch's row count. Splitting a batch of same-size trees or
+    # permuting it gives every tree the same bits, and so does splitting
+    # grad-fd's passes into smaller batches.
+    rng = np.random.default_rng(seed)
+    dims = [int(rng.integers(8, 49)) for _ in range(depth)] + [int(rng.integers(2, 4))]
+    g = random_graph(rng, max_nodes=9, edge_prob=0.4, feature_dim=dims[0])
+    m = Model(tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth)), activation, self_loop, mean)
+    v = int(rng.integers(0, g.node_count))
+    enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=4, diameter=2))
+    for k in np.unique(enum.sizes):
+        every = np.flatnonzero(enum.sizes == k)
+
+        def hidden(batch):
+            rows = enum.rows[batch, :k]
+            return trees_hidden(m, enum.ball.features, rows, enum.depth[batch, :k], enum.slots[batch, :k, : k - 1], v)
+
+        want = hidden(every)
+        order = rng.permutation(every.size)
+        assert hidden(every[order]).tobytes() == want[order].tobytes()
+        cuts = np.sort(rng.integers(0, every.size + 1, 2))
+        parts = [hidden(part) for part in np.split(every, cuts) if part.size]
+        assert np.vstack(parts).tobytes() == want.tobytes()
+    whole = grad_weights_fd(m, g, v, 0.25, diameter=2)
+    for entries in (1, 700):
+        with mock.patch.object(moexp.baselines, "FD_BATCH_ENTRIES", entries):
+            assert grad_weights_fd(m, g, v, 0.25, diameter=2) == whole
 
 
 def test_candidate_table_lists_each_tree():

@@ -22,7 +22,11 @@ ODD_ITEMS = (True, False, 1.0, 1.5, -0.5, "1", "x", None, [0], 2**70, float("nan
 # Edge entries that are not (u, w) pairs.
 ODD_ENTRIES = ([0], [0, 1, 1], "ab", {"a": 1}, 5, [])
 # Feature values that are not a row of the graph's width.
-ODD_ROWS = ([], 3.0, [[0.5]], "x", None, [1.0, "a"], [0.0, 0.0, 0.0, 0.0])
+ODD_ROWS = ([], 3.0, [[0.5]], "x", None, [1.0, "a"], [0.0, 0.0, 0.0, 0.0], [True], ["1.5"])
+# Labels that are not JSON integers or null.
+ODD_LABELS = (1.7, 2.0, "2", "x", True, False, [1])
+# "directed" values that are not JSON booleans.
+ODD_DIRECTED = (None, 0, 1, "no", "false", [])
 
 
 def outcome(fn, *args):
@@ -132,9 +136,12 @@ def documents(draw):
     if draw(st.booleans()):
         for node in nodes:
             node["label"] = draw(st.sampled_from([0, 1, None]))
+        if draw(st.integers(0, 4)) == 0:
+            nodes[draw(st.integers(0, n - 1))]["label"] = draw(st.sampled_from(ODD_LABELS))
     if draw(st.integers(0, 9)) == 0:
         nodes[draw(st.integers(0, n - 1))].pop(draw(st.sampled_from(["id", "features"])))
-    return {"directed": False, "nodes": nodes, "edges": draw(edge_entries(n))}
+    directed = draw(st.sampled_from([True, *ODD_DIRECTED])) if draw(st.integers(0, 4)) == 0 else False
+    return {"directed": directed, "nodes": nodes, "edges": draw(edge_entries(n))}
 
 
 @st.composite

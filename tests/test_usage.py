@@ -17,6 +17,8 @@ import io
 import json
 import os
 import pathlib
+import re
+import subprocess
 import sys
 
 import pytest
@@ -70,6 +72,26 @@ def golden(monkeypatch):
 
 def test_golden_lists_every_case(golden):
     assert [case["argv"] for case in golden["cases"]] == CASES
+
+
+def test_help_gives_the_package_summary():
+    # The summary is the project description of pyproject.toml, as a sentence.
+    project = (GOLDEN.parent.parent.parent / "pyproject.toml").read_text()
+    description = re.search(r'^description = "(.*)"$', project, re.MULTILINE).group(1)
+    assert cli.build_parser().description == description + "."
+
+
+def test_commands_run_without_docstrings(tmp_path):
+    # python -OO strips docstrings, the package's summary among them.
+    fixtures = GOLDEN.parent.parent.parent / "fixtures"
+    argv = ["explain", "--graph", str(fixtures / "chain4.json"), "--weights", str(fixtures / "chain4_weights.json")]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-OO", "-m", "moexp.cli", *argv, "--targets", "2", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "node_2.json").is_file()
 
 
 @pytest.mark.parametrize("index", range(len(CASES)), ids=[" ".join(argv) or "(none)" for argv in CASES])
