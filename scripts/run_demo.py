@@ -11,7 +11,8 @@ from moexp.pipeline import METHODS
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    # python -OO strips docstrings.
+    ap = argparse.ArgumentParser(description=(__doc__ or "").partition("\n")[0])
     ap.add_argument("--kind", default="planted-motif")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--target", type=int, default=0)
@@ -31,8 +32,8 @@ def main() -> None:
         if method == "external-weights":
             kwargs["edge_weights"] = random_weights(graph, args.target, config, seed=args.seed)
         result = explain_node(model, graph, args.target, config, method=method, **kwargs)
-        nodes = ",".join(str(v) for v in result.explanation.node_set)
-        sim = f"{result.explanation_simulatability:.4f}"
+        nodes = ",".join(str(v) for v in result.source.enumeration.nodes(result.explanation))
+        sim = f"{result.source.simulatability[result.explanation]:.4f}"
         front = result.front
         if front is not None:
             sel = front.selected

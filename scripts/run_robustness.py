@@ -19,7 +19,8 @@ HEADER = ["node", "kind", "strength", "pred_before", "pred_after", "jaccard", "s
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    # python -OO strips docstrings.
+    ap = argparse.ArgumentParser(description=(__doc__ or "").partition("\n")[0])
     ap.add_argument("--kind", default="planted-motif")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--nodes", default="0,1,2")

@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Ball": "graph",
     "Graph": "graph",
-    "Subgraph": "graph",
     "build_graph": "graph",
     "canonical_order": "graph",
     "confounder_set": "graph",

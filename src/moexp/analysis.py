@@ -179,7 +179,7 @@ def run_sanity_sweep(
         ball = target_ball(graph, node, ball_hops(model, config, method))
         shared = {"enumeration": enumerate_subgraphs(graph, node, config, ball), "ball": ball}
         baseline = explain_node(model, graph, node, config, method=method, epsilon=epsilon, **shared)
-        base_nodes = set(baseline.explanation.node_set)
+        base_nodes = baseline.source.enumeration.nodes(baseline.explanation)
         for si in range(steps):
             frac = si / (steps - 1)
             rec_seed = derive_seed(seed, node, si)
@@ -203,7 +203,7 @@ def run_sanity_sweep(
                     strength=float(strength),
                     pred_before=baseline.predicted_class,
                     pred_after=int(np.argmax(distribution)),
-                    jaccard=jaccard_distance(base_nodes, set(after.explanation.node_set)),
+                    jaccard=jaccard_distance(base_nodes, after.source.enumeration.nodes(after.explanation)),
                     seed=rec_seed,
                 )
             )

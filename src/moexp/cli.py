@@ -69,13 +69,16 @@ def top_count(top_percent: float, pair_count: int) -> int:
     return max(1, -(-num // den))
 
 
-def _candidate_block(sub, distribution, simulatability, graph) -> dict:
+def _candidate_block(scorer, i: int, graph) -> dict:
+    """Candidate i of ``scorer``'s table with its scores, as a document block."""
+    edges = scorer.enumeration.edge_ids[i]
+    edges = edges[edges >= 0]
     return {
-        "edge_ids": list(sub.edge_set),
-        "edges": [list(pair) for pair in graph.endpoints(sub.edge_set)],
-        "nodes": list(sub.node_set),
-        "distribution": [float(x) for x in distribution],
-        "simulatability": float(simulatability),
+        "edge_ids": edges.tolist(),
+        "edges": [list(pair) for pair in graph.endpoints(edges)],
+        "nodes": scorer.enumeration.nodes(i),
+        "distribution": scorer.distributions[i].tolist(),
+        "simulatability": float(scorer.simulatability[i]),
     }
 
 
@@ -202,9 +205,7 @@ def node_document(result: NodeExplanation, graph, model, top_percent: float, man
         "full_distribution": [float(x) for x in result.full_distribution],
         "candidate_count": result.candidate_count,
         "pair_count": result.pair_count,
-        "explanation": _candidate_block(
-            result.explanation, result.explanation_distribution, result.explanation_simulatability, graph
-        ),
+        "explanation": _candidate_block(result.source, result.explanation, graph),
         "manifest": manifest,
     }
     front, top_pairs = result.front, "[]"
@@ -228,9 +229,7 @@ def node_document(result: NodeExplanation, graph, model, top_percent: float, man
         relevance = float(front.relevance[sel])
         removed = enumeration.removed_nodes(e, c)
         doc.update(
-            counterfactual=_candidate_block(
-                enumeration.subgraph(c), scorer.distributions[c], scorer.simulatability[c], graph
-            ),
+            counterfactual=_candidate_block(scorer, c, graph),
             removed_nodes=removed,
             cf_relevance=relevance,
             abs_cf_relevance=abs(relevance),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcn import Model, forward, softmax, trees_hidden
-from .graph import Ball, Graph, Subgraph, target_ball
+from .graph import Ball, Graph, target_ball
 
 DEFAULT_EPSILON = 1e-9
 
@@ -58,8 +58,8 @@ class Enumeration:
     ``rows[i]`` of node r's tree neighbours, ascending by global node id,
     the order a pass sums them in.
 
-    ``subgraph(i)`` builds candidate i's ``Subgraph``, and ``positions``
-    finds candidates by their edge sets.
+    ``nodes(i)`` lists candidate i's node ids, and ``positions`` finds
+    candidates by their edge sets.
     """
 
     target: int
@@ -75,9 +75,10 @@ class Enumeration:
     def __len__(self) -> int:
         return len(self.parent)
 
-    def subgraph(self, i: int) -> Subgraph:
-        edges, nodes = self.edge_ids[i], self.node_ids[i]
-        return Subgraph(self.target, tuple(edges[edges >= 0].tolist()), tuple(nodes[nodes >= 0].tolist()))
+    def nodes(self, i: int) -> list:
+        """Candidate i's node ids, ascending."""
+        nodes = self.node_ids[i]
+        return nodes[nodes >= 0].tolist()
 
     @functools.cached_property
     def edge_set_rank(self) -> np.ndarray:

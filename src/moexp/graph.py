@@ -24,10 +24,9 @@ class Graph:
     ``nbr_node``, its neighbours ascending, and of ``nbr_edge``, the ids of
     the edges to them. These id arrays are read-only.
 
-    ``edges``, ``adjacency`` and ``incidence`` give the same ids as Python
-    tuples: ``edges[e]`` is edge e's (lo, hi), ``adjacency[v]`` lists v's
-    neighbours ascending, and ``incidence[v]`` pairs each with the id of
-    the connecting edge. Each view is built on first use and kept; no
+    ``edges`` and ``adjacency`` give the same ids as Python tuples:
+    ``edges[e]`` is edge e's (lo, hi), and ``adjacency[v]`` lists v's
+    neighbours ascending. Each view is built on first use and kept; no
     per-node stage reads them.
     """
 
@@ -55,16 +54,8 @@ class Graph:
 
     @functools.cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self._per_node(self.nbr_node.tolist())
-
-    @functools.cached_property
-    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return self._per_node(list(zip(self.nbr_node.tolist(), self.nbr_edge.tolist())))
-
-    def _per_node(self, items: list) -> tuple:
-        """``items``, one per CSR entry, as one tuple per node."""
-        stops = self.indptr.tolist()
-        return tuple(tuple(items[a:b]) for a, b in zip(stops, stops[1:]))
+        stops, nbrs = self.indptr.tolist(), self.nbr_node.tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(stops, stops[1:]))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -76,20 +67,6 @@ class Graph:
             and np.array_equal(self.hi, other.hi)
             and np.array_equal(self.features, other.features)
         )
-
-
-@dataclass(frozen=True)
-class Subgraph:
-    """Edge-induced subgraph anchored at a target node.
-
-    ``edge_set`` holds sorted edge ids of the parent graph; ``node_set``
-    holds the endpoints of those edges plus the target, sorted. Two
-    subgraphs are equal when their targets and edge sets are equal.
-    """
-
-    target: int
-    edge_set: tuple[int, ...]
-    node_set: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,13 +81,24 @@ def parse_graph(doc: Mapping) -> Graph:
                 raise FormatError(f"edges[{i}]: endpoints must be integers")
     try:
         graph = build_graph(features, edges, labels)
+        finite = np.isfinite(graph.features).all(axis=1)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    finite = np.isfinite(graph.features).all(axis=1)
+    except OverflowError:
+        # An integer feature beyond the float range, which no float holds.
+        finite = np.array([_finite_row(node["features"]) for node in ordered])
     if not finite.all():
         i = next(i for i, node in enumerate(nodes) if not finite[node["id"]])
         raise FormatError(f"nodes[{i}]: features must be finite")
     return graph
+
+
+def _finite_row(row) -> bool:
+    """Whether every value of ``row`` reads as a finite float."""
+    try:
+        return bool(np.isfinite(np.array(row, dtype=float)).all())
+    except OverflowError:
+        return False
 
 
 def _is_int(value) -> bool:

@@ -23,7 +23,7 @@ from .explain import (
     DEFAULT_EPSILON,
 )
 from .gcn import Model
-from .graph import Ball, Graph, Subgraph, target_ball
+from .graph import Ball, Graph, target_ball
 from .pareto import ScoredFront, rank_pairs
 
 METHODS = (
@@ -45,7 +45,9 @@ class NodeExplanation:
 
     ``front.e``, ``front.c`` index the candidates of ``scorer.enumeration``,
     whose scores are in ``scorer.distributions`` and ``scorer.simulatability``.
-    ``ball`` is the target's ball that every stage read.
+    ``explanation`` indexes the selected candidate the same way in the table
+    of ``source``: ``scorer`` itself, or the scorer of a grown tree that left
+    the search. ``ball`` is the target's ball that every stage read.
     """
 
     target: int
@@ -57,9 +59,8 @@ class NodeExplanation:
     front: ScoredFront | None
     scorer: CandidateScorer
     ball: Ball
-    explanation: Subgraph
-    explanation_distribution: np.ndarray
-    explanation_simulatability: float
+    source: CandidateScorer
+    explanation: int
     distinct_evaluations: int
     memo_hits: int
 
@@ -166,9 +167,8 @@ def _finish(scorer, ball, method, pairs, strategy, i: int, source: CandidateScor
         front=front,
         scorer=scorer,
         ball=ball,
-        explanation=source.enumeration.subgraph(i),
-        explanation_distribution=source.distributions[i],
-        explanation_simulatability=float(source.simulatability[i]),
+        source=source,
+        explanation=i,
         distinct_evaluations=sum(s.forward_count for s in scorers),
         memo_hits=sum(s.hit_count for s in scorers),
     )

@@ -20,10 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from moexp import Subgraph, build_graph, forward, neighborhood_edge_ids, softmax, target_ball
+from moexp import build_graph, forward, neighborhood_edge_ids, softmax, target_ball
 from moexp.gcn import trees_hidden
 from moexp.graph import confounder_set
-from moexp.cli import _candidate_block, _floats
+from moexp.cli import _floats
 from moexp.pareto import _select
 from moexp.io import FormatError
 
@@ -32,6 +32,39 @@ def top_count(top_percent: float, pair_count: int) -> int:
     """``cli.top_count`` through ``fractions``: ceil(P * m / 100), at least
     one, with P read as the decimal it prints as."""
     return max(1, math.ceil(Fraction(str(top_percent)) * pair_count / 100))
+
+
+@dataclass(frozen=True)
+class Subgraph:
+    """Edge-induced subgraph anchored at a target node, the object form a
+    candidate had before candidates were only table rows.
+
+    ``edge_set`` holds sorted edge ids of the parent graph; ``node_set``
+    holds the endpoints of those edges plus the target, sorted.
+    """
+
+    target: int
+    edge_set: tuple[int, ...]
+    node_set: tuple[int, ...]
+
+
+def subgraph(enumeration, i: int) -> Subgraph:
+    """Candidate i of ``enumeration`` as a ``Subgraph``, read off its table row."""
+    edges, nodes = enumeration.edge_ids[i], enumeration.node_ids[i]
+    return Subgraph(enumeration.target, tuple(edges[edges >= 0].tolist()), tuple(nodes[nodes >= 0].tolist()))
+
+
+def explanation(result) -> Subgraph:
+    """The explanation a ``NodeExplanation`` selected, as a ``Subgraph``."""
+    return subgraph(result.source.enumeration, result.explanation)
+
+
+def incidence(graph) -> tuple:
+    """Per node of ``graph``, its (neighbour, edge id) pairs, neighbours
+    ascending, read off the CSR arrays."""
+    pairs = list(zip(graph.nbr_node.tolist(), graph.nbr_edge.tolist()))
+    stops = graph.indptr.tolist()
+    return tuple(tuple(pairs[a:b]) for a, b in zip(stops, stops[1:]))
 
 
 def make_subgraph(graph, target, edge_ids) -> Subgraph:
@@ -59,7 +92,7 @@ def node_rank(ball) -> dict:
 
 def subgraphs(enumeration) -> tuple:
     """Every candidate of ``enumeration`` as a ``Subgraph``, in order."""
-    return tuple(enumeration.subgraph(i) for i in range(len(enumeration)))
+    return tuple(subgraph(enumeration, i) for i in range(len(enumeration)))
 
 
 def index(enumeration) -> dict:
@@ -522,13 +555,13 @@ def full_states(model, graph, depth, mask=None, extra_message=None, at=None):
 
     This is the package's layer loop as it ran before passes were limited to
     a target's ball, with each layer's product made row-local: every node
-    is aggregated at every layer, in ``graph.incidence`` order, and each
+    is aggregated at every layer, in ``incidence(graph)`` order, and each
     layer is a stack of two-row products over all rows (of one-row products
     in a one-node graph).
     ``mask`` scales messages by edge id; ``extra_message`` joins node
     ``at``'s aggregation at the model's last layer.
     """
-    return _row_loop(model, graph.features, graph.incidence, depth, mask, extra_message, at)
+    return _row_loop(model, graph.features, incidence(graph), depth, mask, extra_message, at)
 
 
 def restricted_hidden(model, graph, v, restrict, mask=None, extra_message=None):
@@ -730,6 +763,17 @@ def reference_ranking(model, graph, target, pairs, strategy, eps=1e-9):
     return relevance, sim_ranks, rel_ranks, pareto_oracle(scores), order, selected
 
 
+def _block(sub: Subgraph, distribution, simulatability, graph) -> dict:
+    """A candidate's document block, from its ``Subgraph`` and the edges view."""
+    return {
+        "edge_ids": list(sub.edge_set),
+        "edges": [list(graph.edges[e]) for e in sub.edge_set],
+        "nodes": list(sub.node_set),
+        "distribution": [float(x) for x in distribution],
+        "simulatability": float(simulatability),
+    }
+
+
 def reference_document(result, graph, model, top_percent, manifest) -> dict:
     """The explain document of one node as a dict, one dict per embedded pair.
 
@@ -745,8 +789,9 @@ def reference_document(result, graph, model, top_percent, manifest) -> dict:
         "full_distribution": [float(x) for x in result.full_distribution],
         "candidate_count": result.candidate_count,
         "pair_count": result.pair_count,
-        "explanation": _candidate_block(
-            result.explanation, result.explanation_distribution, result.explanation_simulatability, graph
+        "explanation": _block(
+            explanation(result), result.source.distributions[result.explanation],
+            result.source.simulatability[result.explanation], graph,
         ),
         "manifest": manifest,
     }
@@ -775,9 +820,7 @@ def reference_document(result, graph, model, top_percent, manifest) -> dict:
     sel = front.selected
     removed = enumeration.removed_nodes(e[sel], c[sel])
     doc.update(
-        counterfactual=_candidate_block(
-            subs[c[sel]], result.scorer.distributions[c[sel]], sims[c[sel]], graph
-        ),
+        counterfactual=_block(subs[c[sel]], result.scorer.distributions[c[sel]], sims[c[sel]], graph),
         removed_nodes=removed,
         cf_relevance=relevance[sel],
         abs_cf_relevance=abs(relevance[sel]),
@@ -861,7 +904,7 @@ def template_top_pairs(result, top_percent) -> str:
 @dataclass(frozen=True, eq=False)
 class ReferenceGraph:
     """A graph as tuples and a dict, the form ``Graph`` had before it held
-    arrays; its fields are the contents of ``Graph``'s views."""
+    arrays; its fields are what ``Graph``'s views and ``incidence`` give."""
 
     node_count: int
     features: np.ndarray
@@ -971,8 +1014,15 @@ def reference_parse_graph(doc) -> ReferenceGraph:
         graph = reference_graph(features, edges, labels)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    finite = np.isfinite(graph.features).all(axis=1)
-    if not finite.all():
-        i = next(i for i, node in enumerate(nodes) if not finite[node["id"]])
-        raise FormatError(f"nodes[{i}]: features must be finite")
+    except OverflowError:
+        # float() cannot read an integer beyond the float range.
+        graph = None
+    for i, node in enumerate(nodes):
+        for x in node["features"]:
+            try:
+                finite = math.isfinite(x)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise FormatError(f"nodes[{i}]: features must be finite")
     return graph

@@ -37,6 +37,7 @@ from conftest import sem_chain, sem_model
 from oracles import (
     degree,
     dominates,
+    explanation,
     index,
     make_subgraph,
     pareto_oracle,
@@ -46,6 +47,7 @@ from oracles import (
     select_comprehensive,
     sem_expand_check,
     shapley_oracle,
+    subgraph,
     subgraphs,
     tree_records,
 )
@@ -252,17 +254,17 @@ def test_rotation_scenario_contrast():
         # the paired opposite neighbors cancel, so the prediction is stable
         assert forward(model, graph, 0)[0] == base_prediction[0]
         res = explain_node(model, graph, 0, config)
-        assert set(res.explanation.node_set) == {0, 1, 2}, f"rotated={rotated}"
+        assert set(explanation(res).node_set) == {0, 1, 2}, f"rotated={rotated}"
         sel = res.front.selected
         assert res.front.sim_ranks[sel] == 1 and res.front.rel_ranks[sel] == 1
     graph, model = rotation_scene(True)
     weights = grad_weights_analytic(model, graph, 0, diameter=1)
-    grown = grow_table(weights, graph, 0, 3).subgraph(-1)
+    grown = subgraph(grow_table(weights, graph, 0, 3), -1)
     assert 3 in grown.node_set
     before_graph, before_model = rotation_scene(False)
-    before = grow_table(
-        grad_weights_analytic(before_model, before_graph, 0, diameter=1), before_graph, 0, 3
-    ).subgraph(-1)
+    before = subgraph(
+        grow_table(grad_weights_analytic(before_model, before_graph, 0, diameter=1), before_graph, 0, 3), -1
+    )
     assert set(before.node_set) == {0, 1, 2}
     return "rank choice {0,1,2} both sides; gradient growth flips to node 3"
 

@@ -27,7 +27,17 @@ from moexp.cli import main
 from moexp.io import graph_to_doc, load_edge_weights, load_graph, load_model, save_model
 from moexp.synth import synth_graph
 
-from oracles import ball_hidden, feature_dim, full_canonical_order, full_distances, full_states, node_rank, random_graph
+from oracles import (
+    ball_hidden,
+    explanation,
+    feature_dim,
+    full_canonical_order,
+    full_distances,
+    full_states,
+    incidence,
+    node_rank,
+    random_graph,
+)
 
 INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -133,7 +143,7 @@ def test_ball_is_the_bounded_canonical_order(seed, hops):
     assert list(ball.within) == [sum(d <= r for d in ball.distance) for r in range(hops + 1)]
     assert np.array_equal(ball.features, g.features[inside])
     for i, u in enumerate(inside):
-        in_ball = [(w, eid) for w, eid in g.incidence[u] if w in dist and dist[w] <= hops]
+        in_ball = [(w, eid) for w, eid in incidence(g)[u] if w in dist and dist[w] <= hops]
         assert [(ball.nodes[j], eid) for j, eid in ball.incidence[i]] == in_ball
     edges = [eid for eid, (a, b) in enumerate(g.edges) if a in ranks and b in ranks]
     assert sorted(ball.edge_rank, key=ball.edge_rank.get) == sorted(edges, key=lambda e: full.edge_rank[e])
@@ -159,10 +169,10 @@ def _with_far_path(graph, extra: int):
 
 def _arrays(result):
     front = result.front
-    parts = [result.full_distribution, result.explanation_distribution]
+    parts = [result.full_distribution, result.source.distributions[result.explanation]]
     if front is not None:
         parts += [front.e, front.c, front.relevance]
-    return [p.tobytes() for p in parts] + [result.explanation, front is None]
+    return [p.tobytes() for p in parts] + [explanation(result), front is None]
 
 
 def test_explain_node_does_not_depend_on_graph_size(monkeypatch):

@@ -34,6 +34,7 @@ from oracles import (
     random_model,
     reference_grad_weights_fd,
     shapley_oracle,
+    subgraph,
     subgraphs,
 )
 
@@ -87,32 +88,32 @@ def test_random_weights_isolated_target_empty():
 def test_grow_subgraph_follows_heaviest_edges():
     g = star_graph()
     weights = {0: 0.9, 1: 0.5, 2: 0.3}
-    assert grow_table(weights, g, 0, 2).subgraph(-1).edge_set == (0,)
-    assert grow_table(weights, g, 0, 3).subgraph(-1).edge_set == (0, 1)
-    assert grow_table(weights, g, 0, 4).subgraph(-1).edge_set == (0, 1, 2)
+    assert subgraph(grow_table(weights, g, 0, 2), -1).edge_set == (0,)
+    assert subgraph(grow_table(weights, g, 0, 3), -1).edge_set == (0, 1)
+    assert subgraph(grow_table(weights, g, 0, 4), -1).edge_set == (0, 1, 2)
 
 
 def test_grow_subgraph_frontier_not_global():
     # path 2-0-1-3 with a heavy far edge only reachable through a light one
     g = build_graph([[0.0]] * 4, [(0, 1), (0, 2), (1, 3)])
     weights = {0: 0.1, 1: 0.2, 2: 0.95}
-    grown = grow_table(weights, g, 0, 3).subgraph(-1)
+    grown = subgraph(grow_table(weights, g, 0, 3), -1)
     # first pick is the heaviest frontier edge (0,2); then (0,1) beats nothing
     assert grown.edge_set == (0, 1)
-    grown4 = grow_table(weights, g, 0, 4).subgraph(-1)
+    grown4 = subgraph(grow_table(weights, g, 0, 4), -1)
     assert grown4.edge_set == (0, 1, 2)
 
 
 def test_grow_subgraph_equal_weights_use_canonical_order():
     g = star_graph()
     weights = {0: 0.5, 1: 0.5, 2: 0.5}
-    assert grow_table(weights, g, 0, 3).subgraph(-1).edge_set == (0, 1)
+    assert subgraph(grow_table(weights, g, 0, 3), -1).edge_set == (0, 1)
 
 
 def test_grow_subgraph_single_node_and_empty_weights():
     g = star_graph()
-    assert grow_table({0: 0.9}, g, 0, 1).subgraph(-1).edge_set == ()
-    assert grow_table({}, g, 0, 4).subgraph(-1).edge_set == ()
+    assert subgraph(grow_table({0: 0.9}, g, 0, 1), -1).edge_set == ()
+    assert subgraph(grow_table({}, g, 0, 4), -1).edge_set == ()
     with pytest.raises(ValueError, match="max_nodes"):
         grow_table({}, g, 0, 0)
 
@@ -124,7 +125,7 @@ def test_grow_subgraph_is_always_a_tree():
         v = int(rng.integers(0, g.node_count))
         eids = neighborhood_edge_ids(g, v, 2)
         weights = {eid: float(rng.random()) for eid in eids}
-        sub = grow_table(weights, g, v, 4).subgraph(-1)
+        sub = subgraph(grow_table(weights, g, v, 4), -1)
         assert len(sub.edge_set) == len(sub.node_set) - 1
         assert is_tree_with_target(g.edges, sub.edge_set, v)
 

@@ -210,16 +210,18 @@ def test_parse_graph_rejects_non_finite_features(bad):
         ("label", "x", "nodes[2]: label must be an integer or null"),
         ("features", [True], "nodes[2]: features must be a list of numbers"),
         ("features", ["1.5"], "nodes[2]: features must be a list of numbers"),
+        ("features", [10**400], "nodes[2]: features must be finite"),
         ("directed", "no", "directed: expected true or false, got 'no'"),
         ("directed", 0, "directed: expected true or false, got 0"),
     ],
     ids=["label-float", "label-string", "label-bool", "label-word", "features-bool", "features-string",
-         "directed-string", "directed-int"],
+         "features-int-401-digits", "directed-string", "directed-int"],
 )
 def test_parse_graph_reads_labels_features_and_directed_strictly(field, value, message):
     # Each value used to load: labels through int(), features through
     # float(), and "directed" by truth, so "no" read as directed and 0 did
-    # not. The bad node is node 1, third in the list.
+    # not. A feature too large for a float raised a bare OverflowError. The
+    # bad node is node 1, third in the list.
     nodes = [{"id": i, "features": [0.5], "label": 0} for i in (0, 2, 1)]
     doc = {"directed": False, "nodes": nodes, "edges": [[0, 1]]}
     assert parse_graph(doc).labels == (0, 0, 0)

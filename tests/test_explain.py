@@ -26,6 +26,7 @@ from oracles import (
     random_model,
     recursive_enumeration,
     reference_pairs,
+    subgraph,
     subgraphs,
     sym_kl,
 )
@@ -101,7 +102,7 @@ def test_enumerate_isolated_target():
     g = build_graph([[0.0], [0.0], [0.0]], [(1, 2)])
     enum = enumerate_subgraphs(g, 0)
     assert len(enum) == 1
-    assert enum.subgraph(0).edge_set == ()
+    assert subgraph(enum, 0).edge_set == ()
 
 
 def test_parent_links_grow_by_one_edge():
@@ -112,7 +113,7 @@ def test_parent_links_grow_by_one_edge():
         if parent < 0:
             assert sub.edge_set == ()
             continue
-        pset = set(enum.subgraph(parent).edge_set)
+        pset = set(subgraph(enum, parent).edge_set)
         assert pset < set(sub.edge_set)
         assert len(sub.edge_set) == len(pset) + 1
 
@@ -208,7 +209,7 @@ def test_lookup_keys_wider_than_63_bits_match_the_oracle(nodes, target, max_node
 
 
 def edge_set_pairs(enum, pairs):
-    return [(enum.subgraph(e).edge_set, enum.subgraph(c).edge_set) for e, c in pairs]
+    return [(subgraph(enum, e).edge_set, subgraph(enum, c).edge_set) for e, c in pairs]
 
 
 def test_generate_pairs_chain_with_extreme_rule():
@@ -349,7 +350,7 @@ def test_pair_invariants_reconstruct_bitwise(chain_graph, chain_model):
     relevance = scorer.pair(pairs[:, 0], pairs[:, 1])
     assert len(pairs)
     for (e, c), rel in zip(pairs, relevance):
-        expl, cf = enum.subgraph(e), enum.subgraph(c)
+        expl, cf = subgraph(enum, e), subgraph(enum, c)
         assert set(cf.edge_set) < set(expl.edge_set)
         removed = enum.removed_nodes(e, c)
         assert len(removed) >= 1

@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 
 from moexp import build_graph, confounder_set
 
-from oracles import bfs_distances, degree, full_canonical_order, full_distances, is_tree_with_target, make_subgraph
+from oracles import (
+    bfs_distances,
+    degree,
+    full_canonical_order,
+    full_distances,
+    incidence,
+    is_tree_with_target,
+    make_subgraph,
+)
 
 
 def test_minimal_graph_adjacency():
@@ -139,7 +147,7 @@ def test_accepted_subgraphs_satisfy_tree_identity(g, v):
     assert sorted(co.node_rank) == list(range(g.node_count))
     assert sorted(co.edge_rank) == list(range(len(g.edges)))
     # a star of up to two incident edges around v is always a valid tree
-    incident = [eid for _, eid in g.incidence[v]][:2]
+    incident = [eid for _, eid in incidence(g)[v]][:2]
     sub = make_subgraph(g, v, incident)
     assert is_tree_with_target(g.edges, sub.edge_set, v)
     assert len(sub.edge_set) == len(sub.node_set) - 1

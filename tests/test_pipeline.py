@@ -19,12 +19,14 @@ from moexp.io import load_edge_weights, load_graph, load_model
 from moexp.pipeline import METHODS
 
 from oracles import (
+    explanation,
     index,
     is_tree_with_target,
     random_graph,
     random_model,
     reference_ranking,
     restricted_forward,
+    subgraph,
     subgraphs,
     sym_kl,
 )
@@ -52,11 +54,11 @@ def test_chain_rank_selection_frozen(chain_graph, chain_model):
     sel = res.front.selected
     e, c = res.front.e[sel], res.front.c[sel]
     enum = res.scorer.enumeration
-    assert res.explanation == enum.subgraph(e)
-    assert res.explanation.edge_set == (1,)
-    assert res.explanation.node_set == (1, 2)
-    assert res.explanation_simulatability == -0.08662254246870793
-    assert enum.subgraph(c).edge_set == ()
+    assert explanation(res) == subgraph(enum, e)
+    assert explanation(res).edge_set == (1,)
+    assert explanation(res).node_set == (1, 2)
+    assert res.source.simulatability[res.explanation] == -0.08662254246870793
+    assert subgraph(enum, c).edge_set == ()
     assert enum.removed_nodes(e, c) == [1]
     assert res.front.relevance[sel] == 0.1929366323464467
     assert (res.front.sim_ranks[sel], res.front.rel_ranks[sel]) == (5, 1)
@@ -73,19 +75,19 @@ def test_every_method_returns_valid_trees(chain_graph, chain_model):
         kwargs = {"edge_weights": {0: 0.9, 1: 0.2, 2: 0.8}} if method == "external-weights" else {}
         res = explain_node(chain_model, chain_graph, 2, method=method, **kwargs)
         assert res.method == method
-        assert 2 in res.explanation.node_set
-        assert is_tree_with_target(chain_graph.edges, res.explanation.edge_set, 2)
+        assert 2 in explanation(res).node_set
+        assert is_tree_with_target(chain_graph.edges, explanation(res).edge_set, 2)
         if res.front is not None:
-            cf = res.scorer.enumeration.subgraph(res.front.c[res.front.selected])
-            assert set(cf.node_set) < set(res.explanation.node_set)
+            cf = subgraph(res.scorer.enumeration, res.front.c[res.front.selected])
+            assert set(cf.node_set) < set(explanation(res).node_set)
 
 
 def test_weight_methods_explain_their_grown_tree(chain_graph, chain_model):
     cfg = EnumConfig(max_nodes=4, diameter=2)
     res = explain_node(chain_model, chain_graph, 2, cfg, method="random", seed=7)
     weights = random_weights(chain_graph, 2, cfg, 7)
-    grown = grow_table(weights, chain_graph, 2, cfg.max_nodes).subgraph(-1)
-    assert res.explanation.edge_set == grown.edge_set
+    grown = subgraph(grow_table(weights, chain_graph, 2, cfg.max_nodes), -1)
+    assert explanation(res).edge_set == grown.edge_set
 
 
 def test_external_weights_steer_growth(chain_graph, chain_model):
@@ -95,7 +97,7 @@ def test_external_weights_steer_growth(chain_graph, chain_model):
         method="external-weights",
         edge_weights={1: 0.1, 2: 0.9},
     )
-    assert res.explanation.edge_set == (2,)
+    assert explanation(res).edge_set == (2,)
 
 
 def test_external_weights_required(chain_graph, chain_model):
@@ -114,7 +116,7 @@ def test_isolated_target_degenerates_gracefully(chain_model):
     g = build_graph([[1.0], [0.0]], [])
     res = explain_node(chain_model, g, 0)
     assert res.front is None
-    assert res.explanation.edge_set == ()
+    assert explanation(res).edge_set == ()
     assert res.pair_count == 0
     assert res.candidate_count == 1
 
@@ -129,8 +131,8 @@ def test_exhaustive_widens_the_pairing(chain_graph, chain_model):
 def test_reference_distribution_shifts_scores(chain_graph, chain_model):
     skewed = np.array([0.05, 0.95])
     res = explain_node(chain_model, chain_graph, 2, reference_distribution=skewed)
-    assert res.explanation_simulatability == pytest.approx(
-        -sym_kl(skewed, res.explanation_distribution), rel=1e-9, abs=1e-12
+    assert res.source.simulatability[res.explanation] == pytest.approx(
+        -sym_kl(skewed, res.source.distributions[res.explanation]), rel=1e-9, abs=1e-12
     )
     # the override becomes the reported full prediction, as in the
     # message-perturbation rescoring path
@@ -143,7 +145,7 @@ def test_precomputed_enumeration_reused(chain_graph, chain_model):
     a = explain_node(chain_model, chain_graph, 2, cfg, enumeration=enum)
     b = explain_node(chain_model, chain_graph, 2, cfg)
     assert a.candidate_count == b.candidate_count
-    assert a.explanation.edge_set == b.explanation.edge_set
+    assert explanation(a).edge_set == explanation(b).edge_set
     with pytest.raises(ValueError, match="different target"):
         explain_node(chain_model, chain_graph, 3, cfg, enumeration=enum)
 
@@ -151,7 +153,7 @@ def test_precomputed_enumeration_reused(chain_graph, chain_model):
 def test_same_seed_reproducible_random_method(chain_graph, chain_model):
     a = explain_node(chain_model, chain_graph, 2, method="random", seed=13)
     b = explain_node(chain_model, chain_graph, 2, method="random", seed=13)
-    assert a.explanation.edge_set == b.explanation.edge_set
+    assert explanation(a).edge_set == explanation(b).edge_set
 
 
 def test_balanced_selection_minimizes_rank_gap(chain_graph, chain_model):
@@ -159,7 +161,7 @@ def test_balanced_selection_minimizes_rank_gap(chain_graph, chain_model):
     front = res.front
     gaps = [abs(a - b) for a, b in zip(front.sim_ranks, front.rel_ranks)]
     assert gaps[front.selected] == min(gaps)
-    assert res.explanation.edge_set == (1, 2)
+    assert explanation(res).edge_set == (1, 2)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 2), st.integers(1, 3))
@@ -176,16 +178,16 @@ def test_grown_tree_outside_the_search_is_scored_from_its_growth_table(seed, max
     weights = dict(enumerate(rng.random(g.edge_count).tolist()))
     config = EnumConfig(max_nodes=max_nodes, diameter=diameter)
     res = explain_node(m, g, v, config, method="external-weights", edge_weights=weights)
-    grown = grow_table(weights, g, v, max_nodes).subgraph(-1)
-    assert res.explanation == grown
+    grown = subgraph(grow_table(weights, g, v, max_nodes), -1)
+    assert explanation(res) == grown
     extra = (res.distinct_evaluations - res.scorer.forward_count, res.memo_hits - res.scorer.hit_count)
     if grown.edge_set in index(res.scorer.enumeration):
         assert extra == (0, 0)
         return
     assert res.front is None and res.pair_count == 0
     want = restricted_forward(m, g, v, grown)
-    assert res.explanation_distribution.tobytes() == want.tobytes()
-    assert float.hex(res.explanation_simulatability) == float.hex(simulatability(res.full_distribution, want))
+    assert res.source.distributions[res.explanation].tobytes() == want.tobytes()
+    assert float.hex(res.source.simulatability[res.explanation]) == float.hex(simulatability(res.full_distribution, want))
     assert extra == (1, 0)
 
 

@@ -4,7 +4,7 @@ import pytest
 from moexp import explain_node, forward, shapley_values, synth_graph
 from moexp.synth import KINDS, prototype_model
 
-from oracles import degree, feature_dim
+from oracles import degree, explanation, feature_dim
 
 
 def test_kind_catalogue():
@@ -86,4 +86,4 @@ def test_synthetic_graphs_explainable_end_to_end():
     for kind in KINDS:
         g, m = synth_graph(kind, seed=4)
         res = explain_node(m, g, 0)
-        assert 0 in res.explanation.node_set
+        assert 0 in explanation(res).node_set

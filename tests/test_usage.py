@@ -26,6 +26,7 @@ import pytest
 from moexp import cli
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "usage.json"
+ROOT = GOLDEN.parent.parent.parent
 
 _INPUTS = ["--graph", "g.json", "--weights", "w.json", "--out", "out"]
 CASES = [
@@ -76,22 +77,32 @@ def test_golden_lists_every_case(golden):
 
 def test_help_gives_the_package_summary():
     # The summary is the project description of pyproject.toml, as a sentence.
-    project = (GOLDEN.parent.parent.parent / "pyproject.toml").read_text()
+    project = (ROOT / "pyproject.toml").read_text()
     description = re.search(r'^description = "(.*)"$', project, re.MULTILINE).group(1)
     assert cli.build_parser().description == description + "."
 
 
+def run_without_docstrings(argv) -> subprocess.CompletedProcess:
+    """``python -OO`` with ``argv``, the package importable from its source."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-OO", *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_commands_run_without_docstrings(tmp_path):
     # python -OO strips docstrings, the package's summary among them.
-    fixtures = GOLDEN.parent.parent.parent / "fixtures"
+    fixtures = ROOT / "fixtures"
     argv = ["explain", "--graph", str(fixtures / "chain4.json"), "--weights", str(fixtures / "chain4_weights.json")]
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-OO", "-m", "moexp.cli", *argv, "--targets", "2", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_without_docstrings(["-m", "moexp.cli", *argv, "--targets", "2", "--out", str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "node_2.json").is_file()
+
+
+@pytest.mark.parametrize("script", ["run_demo.py", "run_robustness.py"])
+def test_scripts_run_without_docstrings(script):
+    # Each script's description is its docstring's first line.
+    proc = run_without_docstrings([str(ROOT / "scripts" / script), "-h"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")
 
 
 @pytest.mark.parametrize("index", range(len(CASES)), ids=[" ".join(argv) or "(none)" for argv in CASES])
