@@ -22,7 +22,8 @@ def neighborhood_edge_ids(graph: Graph, target: int, diameter: int, ball: Ball |
     ``diameter`` hops, or a new one)."""
     ball = target_ball(graph, target, diameter, ball)
     inner = ball.within[diameter]
-    return sorted(eid for i in range(inner) for j, eid in ball.incidence[i] if i < j < inner)
+    owner = np.arange(len(ball.nodes)).repeat(np.diff(ball.indptr))
+    return np.sort(ball.edge[(owner < ball.nbr) & (ball.nbr < inner)]).tolist()
 
 
 def random_weights(graph: Graph, target: int, config: EnumConfig, seed: int, ball: Ball | None = None) -> dict:
@@ -39,11 +40,12 @@ def grow_table(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | 
     after k steps, grown from candidate k - 1.
 
     Only edges present in ``weights`` are considered; ties are broken by
-    canonical edge rank. Growth stops at ``max_nodes`` nodes or when no
-    weighted frontier edge remains. It reads the target's ball: ``ball``
-    must hold every weighted edge the growth can reach, which the default
-    ``max_nodes - 1`` hops always do. Each step is recorded as the DFS of
-    ``enumerate_subgraphs`` records a candidate.
+    the ball's ``edge_key``, the canonical edge order. Growth stops at
+    ``max_nodes`` nodes or when no weighted frontier edge remains. It reads
+    the runs of the target's ball: ``ball`` must hold every weighted edge
+    the growth can reach, which the default ``max_nodes - 1`` hops always
+    do. Each step is recorded as the DFS of ``enumerate_subgraphs`` records
+    a candidate.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be at least 1")
@@ -51,19 +53,19 @@ def grow_table(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | 
         ball = canonical_order(graph, target, max_nodes - 1)
     else:
         ball = target_ball(graph, target, 0, ball)
-    erank = ball.edge_rank
+    stops, nbrs, eids, keys = (a.tolist() for a in (ball.indptr, ball.nbr, ball.edge, ball.edge_key))
     rows = [0]
     # (parent, row grown from, node added, edge added, node count) per step.
     growth = [(-1, 0, 0, -1, 1)]
     while len(rows) < max_nodes:
         best = None
         for at, node in enumerate(rows):
-            for nbr, eid in ball.incidence[node]:
-                if nbr in rows or eid not in weights:
+            for k in range(stops[node], stops[node + 1]):
+                if nbrs[k] in rows or eids[k] not in weights:
                     continue
-                key = (-weights[eid], erank[eid])
+                key = (-weights[eids[k]], keys[k])
                 if best is None or key < best[0]:
-                    best = (key, at, nbr, eid)
+                    best = (key, at, nbrs[k], eids[k])
         if best is None:
             break
         growth.append((len(rows) - 1, *best[1:], len(rows) + 1))
@@ -185,7 +187,7 @@ def grad_weights_analytic(
     theta_y = model.layers[-1][:, y]
     # The states of the target and its neighbours, the ball's first rows.
     states = node_embeddings(model, ball, model.depth - 1, hops=model.depth)
-    neighbour = {eid: j for j, eid in ball.incidence[0]}
+    neighbour = dict(zip(ball.edge[: ball.indptr[1]].tolist(), ball.nbr[: ball.indptr[1]].tolist()))
     weights = {}
     for eid in neighborhood_edge_ids(graph, target, diameter, ball):
         j = neighbour.get(eid)

@@ -151,22 +151,23 @@ def enumerate_subgraphs(
     """Every tree containing the target within the config bounds, exactly once.
 
     Each candidate carries its extension set: the edges that leave it, in
-    canonical rank order. Its children are grown along those edges in
-    turn, and a child inherits only the later ones, so every tree is
-    emitted once (the extension sets of ESU and of reverse search). The
-    DFS records only each candidate's growth; ``Enumeration``'s table is
-    built from those records. An isolated target yields just the
-    single-node candidate. The search reads only the target's ball
-    (``ball``, of at least ``config.diameter`` hops, or a new one).
+    canonical order (by the ball's ``edge_key``). Its children are grown
+    along those edges in turn, and a child inherits only the later ones, so
+    every tree is emitted once (the extension sets of ESU and of reverse
+    search). The DFS records only each candidate's growth;
+    ``Enumeration``'s table is built from those records. An isolated target
+    yields just the single-node candidate. The search reads only the runs
+    of the target's ball (``ball``, of at least ``config.diameter`` hops,
+    or a new one).
     """
     ball = target_ball(graph, target, config.diameter, ball)
-    erank, incidence, max_nodes = ball.edge_rank, ball.incidence, config.max_nodes
+    max_nodes, inner = config.max_nodes, ball.within[config.diameter]
     # A tree node lies within max_nodes - 1 hops of the target, and its
-    # extensions within the diameter: (edge rank, edge id, neighbour) each.
-    inner = ball.within[config.diameter]
+    # extensions within the diameter: (edge key, edge id, neighbour) each.
+    stops = ball.indptr[: ball.within[min(config.diameter, max_nodes - 1)] + 1].tolist()
+    keys, eids, nbrs = (a[: stops[-1]].tolist() for a in (ball.edge_key, ball.edge, ball.nbr))
     links = [
-        sorted((erank[eid], eid, nbr) for nbr, eid in incidence[v] if nbr < inner)
-        for v in range(ball.within[min(config.diameter, max_nodes - 1)])
+        sorted((keys[k], eids[k], nbrs[k]) for k in range(a, b) if nbrs[k] < inner) for a, b in zip(stops, stops[1:])
     ]
     # Per candidate, flat: its parent, the parent's row the new edge leaves
     # from, the node it adds, the edge and its node count.

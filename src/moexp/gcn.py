@@ -202,15 +202,13 @@ def ball_messages(ball: Ball, hops: int) -> tuple:
     ids, one slot after another and ascending by node within a slot, so
     ``np.split(column, bounds)`` gives one array per slot. Only the nodes
     within ``hops - 1`` hops receive messages, and slot s of a node is the
-    s-th entry of its ``ball.incidence``.
+    s-th entry of its run of ``ball.nbr`` and ``ball.edge``.
     """
-    entries = sorted(
-        (s, i, j, eid)
-        for i, pairs in enumerate(ball.incidence[: ball.within[hops - 1]])
-        for s, (j, eid) in enumerate(pairs)
-    )
-    slot, node, neighbour, eid = np.array(entries, dtype=np.intp).reshape(-1, 4).T
-    return node, neighbour, eid, np.flatnonzero(np.diff(slot)) + 1
+    stops = ball.indptr[: ball.within[hops - 1] + 1]
+    node = np.arange(len(stops) - 1).repeat(np.diff(stops))
+    slot = np.arange(len(node)) - stops[node]
+    order = slot.argsort(kind="stable")
+    return node[order], ball.nbr[order], ball.edge[order], np.flatnonzero(np.diff(slot[order])) + 1
 
 
 def layers_hidden(

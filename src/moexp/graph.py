@@ -57,17 +57,6 @@ class Graph:
         stops, nbrs = self.indptr.tolist(), self.nbr_node.tolist()
         return tuple(tuple(nbrs[a:b]) for a, b in zip(stops, stops[1:]))
 
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (
-            self.node_count == other.node_count
-            and self.labels == other.labels
-            and np.array_equal(self.lo, other.lo)
-            and np.array_equal(self.hi, other.hi)
-            and np.array_equal(self.features, other.features)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Ball:
@@ -78,24 +67,27 @@ class Ball:
     broken by ascending node id, so the target is 0 and the nodes within r
     hops are the first ``within[r]``. ``distance[i]`` is local node i's
     hop distance, and ``features`` holds the nodes' feature rows in local
-    order. ``incidence[i]`` lists (local neighbor, global edge id) pairs in
-    the order of the graph's incidence run, ascending by global neighbor id, so
-    a sum over it adds the same terms in the same order as over the graph;
-    a node at exactly ``hops`` hops lists only its neighbors inside the
-    ball. ``edge_rank`` maps the global id of each edge in the ball to its
-    position among them by the sorted pair of endpoint ranks, which orders
-    them as the canonical order of the whole graph does, since ball nodes
-    take its first ranks.
+    order. Local node i's run ``indptr[i]:indptr[i + 1]`` of ``nbr`` holds
+    its local neighbours and of ``edge`` the global ids of the edges to
+    them, in the order of the graph's incidence run, ascending by global
+    neighbour id, so a sum over it adds the same terms in the same order as
+    over the graph; a node at exactly ``hops`` hops lists only its
+    neighbours inside the ball. ``edge_key`` gives each entry's edge the key
+    ``min(i, j) * len(nodes) + max(i, j)`` of its local ends: sorted by it,
+    the ball's edges follow the canonical order of the whole graph, since
+    ball nodes take its first ranks. These id arrays are read-only.
     """
 
-    edge_rank: dict
     graph: Graph = field(repr=False)
     target: int
     hops: int
     nodes: tuple[int, ...]
     distance: tuple[int, ...]
     within: tuple[int, ...]
-    incidence: tuple = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    nbr: np.ndarray = field(repr=False)
+    edge: np.ndarray = field(repr=False)
+    edge_key: np.ndarray = field(repr=False)
     features: np.ndarray = field(repr=False)
 
 
@@ -237,17 +229,12 @@ def canonical_order(graph: Graph, target: int, hops: int) -> Ball:
     keep = (local >= 0).nonzero()[0]
     owner = np.arange(len(ids)).repeat(counts)[keep]
     local, eid = local[keep], graph.nbr_edge[at[keep]]
-    stops = owner.searchsorted(np.arange(1, len(ids) + 1)).tolist()
-    pairs = list(zip(local.tolist(), eid.tolist()))
-    incidence = tuple(tuple(pairs[a:b]) for a, b in zip([0, *stops[:-1]], stops))
     # Local ids are node ranks, so (lower, higher) local id is the edge's sort key.
-    ahead = (local > owner).nonzero()[0]
-    keyed = eid[ahead[(owner[ahead] * len(ids) + local[ahead]).argsort()]]
-    edge_rank = dict(zip(keyed.tolist(), range(len(keyed))))
-    return Ball(
-        edge_rank, graph, target, hops, tuple(nodes), tuple(distance), tuple(within), incidence,
-        graph.features[ids],
-    )
+    key = np.minimum(owner, local) * len(ids) + np.maximum(owner, local)
+    arrays = (owner.searchsorted(np.arange(len(ids) + 1)), local, eid, key)
+    for a in arrays:
+        a.flags.writeable = False
+    return Ball(graph, target, hops, tuple(nodes), tuple(distance), tuple(within), *arrays, graph.features[ids])
 
 
 def _run_positions(indptr: np.ndarray, nodes: np.ndarray):

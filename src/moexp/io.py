@@ -146,9 +146,17 @@ def graph_to_doc(graph: Graph) -> dict:
     return {"directed": False, "nodes": nodes, "edges": np.stack([graph.lo, graph.hi], axis=1).tolist()}
 
 
-def load_graph(path) -> Graph:
+def _read_json(path):
+    """The JSON document at ``path``; ``FormatError``, naming it, when the file is not JSON."""
     with open(path) as fh:
-        return parse_graph(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise FormatError(f"{path}: not a JSON document: {exc}") from None
+
+
+def load_graph(path) -> Graph:
+    return parse_graph(_read_json(path))
 
 
 def save_graph(graph: Graph, path) -> None:
@@ -172,8 +180,7 @@ def model_to_doc(model: Model) -> dict:
 
 
 def load_model(path) -> Model:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     try:
         return load_weights(doc)
     except ValueError as exc:
@@ -206,8 +213,7 @@ def parse_edge_weights(doc: Mapping) -> dict:
 
 
 def load_edge_weights(path) -> dict:
-    with open(path) as fh:
-        return parse_edge_weights(json.load(fh))
+    return parse_edge_weights(_read_json(path))
 
 
 def save_edge_weights(weights: Mapping, path) -> None:

@@ -59,12 +59,40 @@ def explanation(result) -> Subgraph:
     return subgraph(result.source.enumeration, result.explanation)
 
 
+def _runs(indptr, nbr, edge) -> tuple:
+    """Per run of ``indptr``, its (neighbour, edge id) pairs."""
+    pairs = list(zip(nbr.tolist(), edge.tolist()))
+    stops = indptr.tolist()
+    return tuple(tuple(pairs[a:b]) for a, b in zip(stops, stops[1:]))
+
+
 def incidence(graph) -> tuple:
     """Per node of ``graph``, its (neighbour, edge id) pairs, neighbours
     ascending, read off the CSR arrays."""
-    pairs = list(zip(graph.nbr_node.tolist(), graph.nbr_edge.tolist()))
-    stops = graph.indptr.tolist()
-    return tuple(tuple(pairs[a:b]) for a, b in zip(stops, stops[1:]))
+    return _runs(graph.indptr, graph.nbr_node, graph.nbr_edge)
+
+
+def ball_incidence(ball) -> tuple:
+    """Per local node of ``ball``, its (local neighbour, edge id) pairs,
+    read off the ball's runs."""
+    return _runs(ball.indptr, ball.nbr, ball.edge)
+
+
+def ball_edge_rank(ball) -> dict:
+    """Each edge of ``ball`` mapped to its position among them by ``edge_key``."""
+    keyed = sorted(set(zip(ball.edge_key.tolist(), ball.edge.tolist())))
+    return {eid: rank for rank, (_, eid) in enumerate(keyed)}
+
+
+def same_graph(a, b) -> bool:
+    """Whether two graphs hold the same nodes, labels, edges and features."""
+    return (
+        a.node_count == b.node_count
+        and a.labels == b.labels
+        and np.array_equal(a.lo, b.lo)
+        and np.array_equal(a.hi, b.hi)
+        and np.array_equal(a.features, b.features)
+    )
 
 
 def make_subgraph(graph, target, edge_ids) -> Subgraph:
@@ -172,7 +200,8 @@ class CanonicalOrder:
 
     ``node_rank[v]`` is the BFS discovery position from the target, ties
     broken by ascending node id; ``edge_rank[e]`` orders edges by the sorted
-    pair of endpoint ranks. A ``Ball`` holds them for its nodes and edges.
+    pair of endpoint ranks. A ``Ball``'s ``nodes`` and ``edge_key`` order its
+    nodes and edges as they do.
     """
 
     node_rank: tuple[int, ...]
@@ -206,8 +235,16 @@ def full_canonical_order(graph, target: int) -> CanonicalOrder:
 
 
 def reference_ball(graph, target: int, hops: int) -> dict:
-    """The fields of ``canonical_order(graph, target, hops)`` as the BFS over
-    the graph's tuples built them before the graph was held as arrays."""
+    """The target's ball as the BFS over the graph's tuples built it before
+    the graph was held as arrays. ``graph`` is a ``Graph`` or a
+    ``ReferenceGraph``; only its ``adjacency`` and ``edges`` are read.
+
+    The ``Ball`` fields ``nodes``, ``distance``, ``within`` and
+    ``features`` come with ``node_rank`` (each node's local id, by global
+    id), ``incidence`` (per local node, its (local neighbour, edge id)
+    pairs, neighbours ascending by global id) and ``edge_rank`` (each ball
+    edge's position by the sorted pair of its ends' local ids).
+    """
     nodes, distance, within = [target], [0], [1]
     rank = {target: 0}
     frontier = [target]
@@ -218,8 +255,13 @@ def reference_ball(graph, target: int, hops: int) -> dict:
             nodes.append(w)
         distance += [d] * len(frontier)
         within.append(len(nodes))
-    incidence = tuple(tuple((rank[w], eid) for w, eid in graph.incidence[u] if w in rank) for u in nodes)
-    keyed = sorted((i, j, eid) for i, pairs in enumerate(incidence) for j, eid in pairs if i < j)
+    pairs: list[list] = [[] for _ in nodes]
+    for eid, (a, b) in enumerate(graph.edges):
+        if a in rank and b in rank:
+            pairs[rank[a]].append((b, eid))
+            pairs[rank[b]].append((a, eid))
+    incidence = tuple(tuple((rank[w], eid) for w, eid in sorted(run)) for run in pairs)
+    keyed = sorted((i, j, eid) for i, run in enumerate(incidence) for j, eid in run if i < j)
     return {
         "node_rank": rank,
         "edge_rank": {eid: r for r, (_, _, eid) in enumerate(keyed)},
@@ -321,12 +363,13 @@ class ReferenceEnumeration:
         return out
 
 
-def recursive_enumeration(graph, target, config, ball=None) -> ReferenceEnumeration:
+def recursive_enumeration(graph, target, config) -> ReferenceEnumeration:
     """The DFS that builds every tree: each step recomputes the extension
     edges of the whole tree, tries them in canonical rank order, and
-    forbids a branch's edge for its later siblings."""
-    ball = target_ball(graph, target, config.diameter, ball)
-    dist, erank, incidence, global_id = ball.distance, ball.edge_rank, ball.incidence, ball.nodes
+    forbids a branch's edge for its later siblings. It reads the target's
+    ``reference_ball``."""
+    ball = reference_ball(graph, target, config.diameter)
+    dist, erank, incidence, global_id = ball["distance"], ball["edge_rank"], ball["incidence"], ball["nodes"]
     subgraphs, parents, tables = [], [], []
 
     def expand(edge_ids, rows, depth, tree, parent, forbidden):
@@ -637,18 +680,21 @@ def ball_hidden(model, graph, v, mask=None, extra_message=None, ball=None):
 
     This is how ``forward_hidden`` ran before ball passes used the tree
     kernel: layer l computes the leading ball rows within L - 1 - l hops,
-    each over its ``ball.incidence`` in order, in the products of the
-    whole graph's pass: two-row ones unless the graph has one node.
+    each over its incidence in order, in the products of the whole graph's
+    pass: two-row ones unless the graph has one node. The ball is v's
+    ``reference_ball``, of ``ball.hops`` hops when ``ball`` (a ball of v of
+    at least the model's depth) is given, else of the model's depth.
     ``mask`` scales messages by edge id; ``extra_message`` joins v's
     aggregation at the last layer. An overflow or invalid operation raises
     the package's ``ValueError``.
     """
-    ball = target_ball(graph, v, model.depth, ball)
-    rows = [ball.within[model.depth - 1 - li] for li in range(model.depth)]
+    hops = model.depth if ball is None else target_ball(graph, v, model.depth, ball).hops
+    ref = reference_ball(graph, v, hops)
+    rows = [ref["within"][model.depth - 1 - li] for li in range(model.depth)]
     try:
         with np.errstate(over="raise", invalid="raise"):
             h = _row_loop(
-                model, ball.features, ball.incidence, model.depth, mask, extra_message, 0, rows,
+                model, ref["features"], ref["incidence"], model.depth, mask, extra_message, 0, rows,
                 graph.node_count,
             )
     except FloatingPointError as exc:

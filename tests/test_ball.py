@@ -29,6 +29,7 @@ from moexp.synth import synth_graph
 
 from oracles import (
     ball_hidden,
+    ball_incidence,
     explanation,
     feature_dim,
     full_canonical_order,
@@ -37,6 +38,7 @@ from oracles import (
     incidence,
     node_rank,
     random_graph,
+    reference_ball,
 )
 
 INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
@@ -142,12 +144,20 @@ def test_ball_is_the_bounded_canonical_order(seed, hops):
     assert list(ball.distance) == [dist[u] for u in inside]
     assert list(ball.within) == [sum(d <= r for d in ball.distance) for r in range(hops + 1)]
     assert np.array_equal(ball.features, g.features[inside])
+    runs = ball_incidence(ball)
+    assert runs == reference_ball(g, v, hops)["incidence"]
     for i, u in enumerate(inside):
         in_ball = [(w, eid) for w, eid in incidence(g)[u] if w in dist and dist[w] <= hops]
-        assert [(ball.nodes[j], eid) for j, eid in ball.incidence[i]] == in_ball
+        assert [(ball.nodes[j], eid) for j, eid in runs[i]] == in_ball
+    assert ball.indptr[-1] == len(ball.nbr) == len(ball.edge) == len(ball.edge_key)
+    # Both entries of an edge carry its key, no two edges share one, and the
+    # keys sort the edges as the whole graph's canonical order does.
+    keyed = sorted(set(zip(ball.edge_key.tolist(), ball.edge.tolist())))
+    assert len({key for key, _ in keyed}) == len(keyed)
     edges = [eid for eid, (a, b) in enumerate(g.edges) if a in ranks and b in ranks]
-    assert sorted(ball.edge_rank, key=ball.edge_rank.get) == sorted(edges, key=lambda e: full.edge_rank[e])
-    assert sorted(ball.edge_rank.values()) == list(range(len(edges)))
+    assert [eid for _, eid in keyed] == sorted(edges, key=lambda e: full.edge_rank[e])
+    for a in (ball.indptr, ball.nbr, ball.edge, ball.edge_key):
+        assert a.dtype == np.intp and not a.flags.writeable
 
 
 def test_a_ball_of_another_target_or_too_few_hops_is_rejected(chain_graph, chain_model):

@@ -152,8 +152,8 @@ def assert_table_matches_recursive_oracle(enum: Enumeration, graph, config, rng)
 
     # Every candidate, subsets of the ball's edges that may or may not be
     # trees, sets with edges outside the ball and sets too large to be one.
-    ball_edges = sorted(enum.ball.edge_rank)
-    outside = [e for e in range(graph.edge_count) if e not in enum.ball.edge_rank]
+    ball_edges = sorted(set(enum.ball.edge.tolist()))
+    outside = [e for e in range(graph.edge_count) if e not in ball_edges]
     queries = [s.edge_set for s in ref.subgraphs]
     for k in range(1, min(len(ball_edges), config.max_nodes) + 1):
         for _ in range(5):

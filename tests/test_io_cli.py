@@ -51,7 +51,7 @@ def parsed(command, graph_path, weights_path, out, *flags):
 def test_graph_round_trip(tmp_path, chain_graph):
     path = tmp_path / "g.json"
     save_graph(chain_graph, path)
-    assert load_graph(path) == chain_graph
+    assert oracles.same_graph(load_graph(path), chain_graph)
     assert load_graph(path).labels == (1, 0, 0, 0)
 
 
@@ -60,7 +60,7 @@ def test_graph_round_trip_without_labels(tmp_path):
     path = tmp_path / "g.json"
     save_graph(g, path)
     back = load_graph(path)
-    assert back == g
+    assert oracles.same_graph(back, g)
     assert back.labels is None
 
 
@@ -463,6 +463,23 @@ def test_negative_seed_is_one_error_that_names_its_source(command, source, tmp_p
         message = "MOEXP_SEED must be a non-negative integer, got -1"
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b'{"nodes": [', b"\xff\xfe"], ids=["truncated", "not-utf-8"])
+@pytest.mark.parametrize("role", ["--graph", "--weights", "--edge-weights"])
+def test_an_input_file_that_is_not_json_is_named(role, content, tmp_path, fixtures_dir, capsys):
+    graph_path, weights_path = chain_paths(fixtures_dir)
+    edge_weights_path = pathlib.Path(__file__).resolve().parent / "golden" / "inputs" / "chain4_edge_weights.json"
+    paths = {"--graph": graph_path, "--weights": weights_path, "--edge-weights": str(edge_weights_path)}
+    bad = tmp_path / "bad input.json"
+    bad.write_bytes(content)
+    paths[role] = str(bad)
+    out = tmp_path / "out"
+    argv = ["explain", "--method", "external-weights", "--targets", "2", "--out", str(out)]
+    assert main(argv + [x for pair in paths.items() for x in pair]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not a JSON document: ") and err.count("\n") == 1
     assert not out.exists()
 
 
