@@ -26,7 +26,6 @@ _EXPORTS = {
     "Model": "gcn",
     "forward": "gcn",
     "forward_hidden": "gcn",
-    "load_weights": "gcn",
     "node_embeddings": "gcn",
     "softmax": "gcn",
     "CandidateScorer": "explain",
@@ -62,6 +61,7 @@ _EXPORTS = {
     "load_edge_weights": "io",
     "load_graph": "io",
     "load_model": "io",
+    "load_weights": "io",
     "save_edge_weights": "io",
     "save_graph": "io",
     "save_model": "io",

@@ -255,14 +255,17 @@ def explain_command(args) -> int:
     graph = io.load_graph(args.graph_path)
     model = io.load_model(args.weights_path)
     econfig = EnumConfig(args.max_nodes, args.diameter)
-    external = None
-    if args.method == "external-weights":
-        if not args.edge_weights_path:
-            raise ValueError("method external-weights requires --edge-weights")
-        external = io.load_edge_weights(args.edge_weights_path)
     inputs = {"graph": args.graph_path, "weights": args.weights_path}
+    external = None
     if args.edge_weights_path:
+        # Read whatever the method, since the manifest records the file.
+        external = io.load_edge_weights(args.edge_weights_path)
+        stray = next((eid for eid in external if not 0 <= eid < graph.edge_count), None)
+        if stray is not None:
+            raise io.FormatError(f"{args.edge_weights_path}: edge weights: key '{stray}' names no edge of the graph")
         inputs["edge_weights"] = args.edge_weights_path
+    elif args.method == "external-weights":
+        raise ValueError("method external-weights requires --edge-weights")
     manifest = io.run_manifest({name: getattr(args, name) for name in _RECORDED}, args.seed, inputs)
     targets = _resolve_targets(args.targets, graph)
     os.makedirs(args.output_dir, exist_ok=True)

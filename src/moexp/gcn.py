@@ -20,7 +20,6 @@ forces it on for models whose last layer is a plain structural equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -102,61 +101,6 @@ class Model:
         return int(self.layers[-1].shape[1])
 
 
-def load_weights(doc: Mapping) -> Model:
-    """Build a Model from its dictionary form.
-
-    Expected shape::
-
-        {"activation": "relu", "self_loop": true,
-         "layers": [{"rows": r, "cols": c, "data": [... r*c row-major ...]}]}
-
-    ``layers`` is a list, ``rows`` and ``cols`` are positive integers, and
-    ``data`` is a list of JSON numbers (not booleans). The optional flags
-    ``self_loop`` (default true), ``mean_aggregate`` and
-    ``final_activation`` (default false) are JSON booleans. Classification
-    use requires at least two output classes.
-    """
-    if not isinstance(doc, Mapping):
-        raise ValueError("weights document must be an object")
-    try:
-        raw_layers = doc["layers"]
-        activation = doc["activation"]
-    except KeyError as exc:
-        raise ValueError(f"weights document missing key: {exc.args[0]}") from None
-    defaults = {"self_loop": True, "mean_aggregate": False, "final_activation": False}
-    flags = {key: doc.get(key, default) for key, default in defaults.items()}
-    for key, value in flags.items():
-        if not isinstance(value, bool):
-            raise ValueError(f"{key} must be true or false, got {value!r}")
-    if not isinstance(raw_layers, list):
-        raise ValueError(f"layers must be a list, got {raw_layers!r}")
-    mats = []
-    for i, layer in enumerate(raw_layers):
-        try:
-            rows, cols, data = layer["rows"], layer["cols"], layer["data"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"layers[{i}]: malformed entry ({exc})") from None
-        for key, value in (("rows", rows), ("cols", cols)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"layers[{i}]: {key} must be a positive integer, got {value!r}")
-        # Exact types: json reads numbers as int and float, and bool is an int.
-        if not (isinstance(data, list) and set(map(type, data)) <= {int, float}):
-            raise ValueError(f"layers[{i}]: data must be a list of numbers")
-        if len(data) != rows * cols:
-            raise ValueError(f"layers[{i}]: data length {len(data)} != rows*cols {rows * cols}")
-        try:
-            mat = np.asarray(data, dtype=float).reshape(rows, cols)
-        except OverflowError:  # an int beyond the float range
-            mat = None
-        if mat is None or not np.isfinite(mat).all():
-            raise ValueError(f"layers[{i}]: weights must be finite")
-        mats.append(mat)
-    model = Model(layers=tuple(mats), activation=str(activation), **flags)
-    if model.class_count < 2:
-        raise ValueError("class count must be at least 2")
-    return model
-
-
 def _check_width(model: Model, features: np.ndarray) -> None:
     if features.shape[1] != model.input_dim:
         raise ValueError(
@@ -172,7 +116,6 @@ def trees_hidden(
     depth: np.ndarray,
     slots: np.ndarray,
     node: int,
-    extra_message: np.ndarray | None = None,
 ) -> np.ndarray:
     """Last-layer state of the target of each tree in a batch of same-size
     trees, before the softmax: one row per tree.
@@ -180,8 +123,7 @@ def trees_hidden(
     Tree b's nodes are the rows ``rows[b]`` of ``features``, its target
     first; ``depth[b]`` holds their hops from the target inside the tree,
     and ``slots[b, i]`` the positions in ``rows[b]`` of node i's neighbours,
-    ascending by global node id and padded with -1. ``extra_message`` joins
-    each target's aggregation at the last layer. The batch runs through
+    ascending by global node id and padded with -1. The batch runs through
     ``layers_hidden``, one message list per slot.
     """
     count, k = rows.shape
@@ -193,7 +135,7 @@ def trees_hidden(
         # Neighbour slots as rows of the flattened batch.
         messages.append((at, column[at] + at // k * k, None))
     h = features[rows.reshape(-1)]
-    return layers_hidden(model, h, depth.reshape(-1), messages, node, k, extra_message)
+    return layers_hidden(model, h, depth.reshape(-1), messages, node, k)
 
 
 def ball_messages(ball: Ball, hops: int) -> tuple:

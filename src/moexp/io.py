@@ -9,10 +9,21 @@ Graph documents::
 Node ids must be dense 0..n-1 (any order), and edge endpoints are node
 ids, both JSON integers. ``features`` is a list of JSON numbers, the same
 length for every node; a label, optional per node, is a JSON integer or
-null; ``directed`` is optional and must be false.
-Weight documents follow ``gcn.load_weights``. Edge-weight documents are a
-flat object mapping edge ids, written as decimal integers, to finite
-numbers.
+null; ``directed`` is optional and must be false. Other keys are ignored.
+
+Weight documents::
+
+    {"activation": "relu", "self_loop": true,
+     "layers": [{"rows": r, "cols": c, "data": [... r*c row-major ...]}]}
+
+``activation`` is one of ``gcn.ACTIVATIONS``; each layer's ``rows`` and
+``cols`` are positive integers and its ``data`` a list of finite JSON
+numbers. The optional flags ``self_loop`` (default true),
+``mean_aggregate`` and ``final_activation`` (default false) are JSON
+booleans. Any other key fails the load. The model needs two classes or more.
+
+Edge-weight documents are a flat object mapping edge ids, written as
+decimal integers, to finite numbers.
 """
 
 from __future__ import annotations
@@ -20,7 +31,6 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-import math
 import os
 import tempfile
 from collections.abc import Mapping
@@ -29,12 +39,26 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .gcn import Model, load_weights
+from .gcn import Model
 from .graph import Graph, build_graph
 
 
 class FormatError(ValueError):
     """Schema violation in an input document, with field context."""
+
+
+# A JSON integer is an int and a JSON number an int or a float, by exact
+# type, so a bool is neither.
+_NUMBER = frozenset({int, float})
+
+
+def _finite(values) -> bool:
+    """Whether ``values``, a JSON number or a list of them, read as finite
+    floats; an integer beyond the float range does not."""
+    try:
+        return bool(np.isfinite(np.array(values, dtype=float)).all())
+    except OverflowError:
+        return False
 
 
 def parse_graph(doc: Mapping) -> Graph:
@@ -57,14 +81,14 @@ def parse_graph(doc: Mapping) -> Graph:
     # The set tests pass lists of ints and floats and labels that are ints
     # or null, which is every valid document that json gives; the loop names
     # the first bad node.
-    plain_rows = set(map(type, features)) <= {list} and set(map(type, chain.from_iterable(features))) <= {int, float}
+    plain_rows = set(map(type, features)) <= {list} and set(map(type, chain.from_iterable(features))) <= _NUMBER
     if not (plain_rows and set(map(type, labels or ())) <= {int, type(None)}):
         for i, node in enumerate(nodes):
             label = node.get("label")
-            if not (label is None or _is_int(label)):
+            if not (label is None or type(label) is int):
                 raise FormatError(f"nodes[{i}]: label must be an integer or null")
             row = node["features"]
-            if not (isinstance(row, (list, tuple)) and all(_is_int(x) or isinstance(x, float) for x in row)):
+            if not (isinstance(row, (list, tuple)) and set(map(type, row)) <= _NUMBER):
                 raise FormatError(f"nodes[{i}]: features must be a list of numbers")
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
@@ -77,7 +101,7 @@ def parse_graph(doc: Mapping) -> Graph:
         for i, pair in enumerate(edges):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise FormatError(f"edges[{i}]: expected a pair")
-            if not all(map(_is_int, pair)):
+            if not all(type(x) is int for x in pair):
                 raise FormatError(f"edges[{i}]: endpoints must be integers")
     try:
         graph = build_graph(features, edges, labels)
@@ -86,24 +110,11 @@ def parse_graph(doc: Mapping) -> Graph:
         raise FormatError(str(exc)) from None
     except OverflowError:
         # An integer feature beyond the float range, which no float holds.
-        finite = np.array([_finite_row(node["features"]) for node in ordered])
+        finite = np.array([_finite(node["features"]) for node in ordered])
     if not finite.all():
         i = next(i for i, node in enumerate(nodes) if not finite[node["id"]])
         raise FormatError(f"nodes[{i}]: features must be finite")
     return graph
-
-
-def _finite_row(row) -> bool:
-    """Whether every value of ``row`` reads as a finite float."""
-    try:
-        return bool(np.isfinite(np.array(row, dtype=float)).all())
-    except OverflowError:
-        return False
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is a JSON integer: an int, and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _ordered_nodes(nodes: list) -> list:
@@ -127,7 +138,7 @@ def _ordered_nodes(nodes: list) -> list:
         if "features" not in node:
             raise FormatError(f"nodes[{i}]: missing 'features'")
         nid = node["id"]
-        if not _is_int(nid):
+        if type(nid) is not int:
             raise FormatError(f"nodes[{i}]: id must be an integer")
         if nid in seen:
             raise FormatError(f"nodes[{i}]: duplicate id {nid}")
@@ -179,12 +190,55 @@ def model_to_doc(model: Model) -> dict:
     return doc
 
 
-def load_model(path) -> Model:
-    doc = _read_json(path)
+def load_weights(doc: Mapping) -> Model:
+    """Build a Model from a weights document (see the module docstring)."""
+    if not isinstance(doc, Mapping):
+        raise FormatError("weights document must be an object")
     try:
-        return load_weights(doc)
-    except ValueError as exc:
+        raw_layers = doc["layers"]
+        activation = doc["activation"]
+    except KeyError as exc:
+        raise FormatError(f"weights document missing key: {exc.args[0]}") from None
+    defaults = {"self_loop": True, "mean_aggregate": False, "final_activation": False}
+    for key in doc:
+        if key not in defaults and key not in ("activation", "layers"):
+            raise FormatError(f"weights document: unknown key {key!r}")
+    flags = {key: doc.get(key, default) for key, default in defaults.items()}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise FormatError(f"{key} must be true or false, got {value!r}")
+    if not isinstance(raw_layers, list):
+        raise FormatError(f"layers must be a list, got {raw_layers!r}")
+    mats = []
+    for i, layer in enumerate(raw_layers):
+        try:
+            rows, cols, data = layer["rows"], layer["cols"], layer["data"]
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"layers[{i}]: malformed entry ({exc})") from None
+        for key in layer:
+            if key not in ("rows", "cols", "data"):
+                raise FormatError(f"layers[{i}]: unknown key {key!r}")
+        for key, value in (("rows", rows), ("cols", cols)):
+            if type(value) is not int or value < 1:
+                raise FormatError(f"layers[{i}]: {key} must be a positive integer, got {value!r}")
+        if not (isinstance(data, list) and set(map(type, data)) <= _NUMBER):
+            raise FormatError(f"layers[{i}]: data must be a list of numbers")
+        if len(data) != rows * cols:
+            raise FormatError(f"layers[{i}]: data length {len(data)} != rows*cols {rows * cols}")
+        if not _finite(data):
+            raise FormatError(f"layers[{i}]: weights must be finite")
+        mats.append(np.array(data, dtype=float).reshape(rows, cols))
+    try:
+        model = Model(layers=tuple(mats), activation=activation, **flags)
+    except ValueError as exc:  # no layers, shapes that do not chain, or an unknown activation
         raise FormatError(str(exc)) from None
+    if model.class_count < 2:
+        raise FormatError("class count must be at least 2")
+    return model
+
+
+def load_model(path) -> Model:
+    return load_weights(_read_json(path))
 
 
 def save_model(model: Model, path) -> None:
@@ -197,18 +251,15 @@ def parse_edge_weights(doc: Mapping) -> dict:
     out = {}
     for key, value in doc.items():
         # A JSON number only: float() would also read NaN, Infinity, true and
-        # numeric strings, and isfinite raises OverflowError for a huge int.
-        # A key is an edge id as str() writes it: int() would also read
-        # " 7 ", "+8", "09" and other digits than ASCII ones.
+        # numeric strings. A key is an edge id as str() writes it: int() would
+        # also read " 7 ", "+8", "09" and other digits than ASCII ones.
         try:
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError
             eid = int(key)
-            if str(eid) != key:
+            if str(eid) != key or type(value) not in _NUMBER or not _finite(value):
                 raise ValueError
-            out[eid] = float(value)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError):
             raise FormatError(f"edge weights: bad entry {key!r}: {value!r}") from None
+        out[eid] = float(value)
     return out
 
 

@@ -607,7 +607,7 @@ def full_states(model, graph, depth, mask=None, extra_message=None, at=None):
     return _row_loop(model, graph.features, incidence(graph), depth, mask, extra_message, at)
 
 
-def restricted_hidden(model, graph, v, restrict, mask=None, extra_message=None):
+def restricted_hidden(model, graph, v, restrict):
     """Last-layer state of v on the subgraph ``restrict`` alone, by the per-row loop.
 
     This is how a restricted pass ran before the batched tree kernel: the
@@ -624,7 +624,7 @@ def restricted_hidden(model, graph, v, restrict, mask=None, extra_message=None):
         incidence[local[b]].append((local[a], eid))
     for pairs in incidence:
         pairs.sort()
-    h = _row_loop(model, graph.features[list(scope)], incidence, model.depth, mask, extra_message, local[v])
+    h = _row_loop(model, graph.features[list(scope)], incidence, model.depth, None, None, local[v])
     return h[local[v]]
 
 
@@ -655,7 +655,7 @@ def _tree_table(graph, sub: Subgraph):
     return np.array([nodes]), depth[None], slots[None]
 
 
-def restricted_hidden_tree(model, graph, v, sub: Subgraph, extra_message=None):
+def restricted_hidden_tree(model, graph, v, sub: Subgraph):
     """Last-layer state of v on the tree ``sub`` alone, by a one-tree
     ``trees_hidden`` batch built from the subgraph, not from a candidate
     table.
@@ -667,12 +667,12 @@ def restricted_hidden_tree(model, graph, v, sub: Subgraph, extra_message=None):
     """
     assert sub.target == v, "the tree must be anchored at v"
     rows, depth, slots = _tree_table(graph, sub)
-    return trees_hidden(model, graph.features, rows, depth, slots, v, extra_message)[0]
+    return trees_hidden(model, graph.features, rows, depth, slots, v)[0]
 
 
-def restricted_forward(model, graph, v, sub: Subgraph, extra_message=None):
+def restricted_forward(model, graph, v, sub: Subgraph):
     """Class distribution of ``restricted_hidden_tree``."""
-    return softmax(restricted_hidden_tree(model, graph, v, sub, extra_message))
+    return softmax(restricted_hidden_tree(model, graph, v, sub))
 
 
 def ball_hidden(model, graph, v, mask=None, extra_message=None, ball=None):

@@ -327,6 +327,29 @@ def test_load_model_reads_layers_and_data_strictly(target, value, message, tmp_p
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "target,key,value,message",
+    [
+        ("doc", "mean_agregate", True, "weights document: unknown key 'mean_agregate'"),
+        ("doc", "bias", [0.0, 0.0], "weights document: unknown key 'bias'"),
+        ("layer", "bias", [0.0, 0.0], "layers[1]: unknown key 'bias'"),
+        ("doc", "activation", ["relu"], "unknown activation: ['relu']"),
+        ("doc", "activation", 1, "unknown activation: 1"),
+    ],
+    ids=["misspelt-flag", "doc-key", "layer-key", "activation-list", "activation-int"],
+)
+def test_load_model_reads_only_the_keys_it_knows(target, key, value, message, tmp_path):
+    # Each unknown key used to be ignored, so a misspelt mean_aggregate left
+    # the model summing; the activation was read through str().
+    _, model = synth_graph("chain", {"nodes": 3}, 0)
+    doc = model_to_doc(model)
+    (doc["layers"][1] if target == "layer" else doc)[key] = value
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("edge", ["[0, 1.9]", '["0", "1"]', "[true, 2]", '[0, "1e0"]'])
 def test_edge_endpoints_that_are_not_integers_fail_the_run(edge, tmp_path, capsys):
     # int() would read the first three as the edges (0, 1), (0, 1) and (1, 2).

@@ -212,11 +212,10 @@ def test_forward_deterministic(seed):
     st.booleans(),
     st.booleans(),
     st.booleans(),
-    st.booleans(),
     st.integers(1, 5),
 )
 @settings(max_examples=200, deadline=None)
-def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, self_loop, mean, final, extra, size):
+def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, self_loop, mean, final, size):
     # Layer inputs of 1 to 47 columns: a whole product's rounding can depend
     # on its row count there, a two-row product's row does not.
     rng = np.random.default_rng(seed)
@@ -225,12 +224,11 @@ def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, sel
     layers = tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth))
     m = Model(layers, activation, self_loop, mean, final)
     v = int(rng.integers(0, g.node_count))
-    message = rng.standard_normal(dims[-2]) if extra else None
     enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=size, diameter=int(rng.integers(1, 4))))
-    want = [restricted_hidden(m, g, v, sub, extra_message=message).tobytes() for sub in subgraphs(enum)]
+    want = [restricted_hidden(m, g, v, sub).tobytes() for sub in subgraphs(enum)]
     # One tree per pass, from the subgraph alone.
     for sub, bits in zip(subgraphs(enum), want):
-        assert restricted_hidden_tree(m, g, v, sub, extra_message=message).tobytes() == bits
+        assert restricted_hidden_tree(m, g, v, sub).tobytes() == bits
     # All trees of one size in one batch from the candidate table, and a
     # batch of a single tree.
     for k in np.unique(enum.sizes):
@@ -238,7 +236,7 @@ def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, sel
         for batch in (every, every[rng.integers(0, every.size, 1)]):
             got = trees_hidden(
                 m, enum.ball.features, enum.rows[batch, :k], enum.depth[batch, :k],
-                enum.slots[batch, :k, : k - 1], v, message,
+                enum.slots[batch, :k, : k - 1], v,
             )
             assert [row.tobytes() for row in got] == [want[i] for i in batch]
 

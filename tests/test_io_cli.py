@@ -483,6 +483,41 @@ def test_an_input_file_that_is_not_json_is_named(role, content, tmp_path, fixtur
     assert not out.exists()
 
 
+GOLDEN_INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def motif_explain(method, edge_weights, out):
+    return ["explain", "--graph", str(GOLDEN_INPUTS / "motif.json"), "--weights",
+            str(GOLDEN_INPUTS / "motif_weights.json"), "--method", method, "--edge-weights", str(edge_weights),
+            "--targets", "0", "--out", str(out)]
+
+
+@pytest.mark.parametrize("method", moexp.METHODS)
+def test_an_edge_weights_file_is_read_whatever_the_method(method, tmp_path, capsys):
+    # The manifest records the file and its hash, so every method reads it.
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    out = tmp_path / "out"
+    assert main(motif_explain(method, empty, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {empty}: not a JSON document: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["-1", "9", "99999"])
+def test_edge_weight_keys_that_name_no_edge_fail_the_run(key, tmp_path, capsys):
+    # motif.json has edges 0..8. A key outside them used to leave the grown
+    # explanation the bare target.
+    path = tmp_path / "e.json"
+    path.write_text('{"8": 1.0, "%s": 0.5}' % key)
+    out = tmp_path / "out"
+    assert main(motif_explain("external-weights", path, out)) == 1
+    assert capsys.readouterr().err == f"error: {path}: edge weights: key '{key}' names no edge of the graph\n"
+    assert not out.exists()
+    path.write_text('{"8": 1.0, "0": 0.5}')
+    assert main(motif_explain("external-weights", path, out)) == 0
+
+
 def declared_console_script(name):
     """The ``(module, function)`` that pyproject.toml's ``[project.scripts]`` declares for ``name``.
 
