@@ -86,6 +86,10 @@ class Model:
                 )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation: {self.activation!r}")
+        for key in ("self_loop", "mean_aggregate", "final_activation"):
+            value = getattr(self, key)
+            if not isinstance(value, bool):
+                raise ValueError(f"{key} must be true or false, got {value!r}")
         object.__setattr__(self, "layers", mats)
 
     @property

@@ -105,7 +105,10 @@ def build_graph(features, edges: Iterable[Sequence[int]], labels=None) -> Graph:
         labels = list(labels)
         if len(labels) != n:
             raise ValueError(f"label count {len(labels)} != node count {n}")
-        label_tuple = tuple(None if l is None else int(l) for l in labels)
+        if set(map(type, labels)) <= {int, type(None)}:
+            label_tuple = tuple(labels)
+        else:
+            label_tuple = tuple(None if l is None else int(l) for l in labels)
 
     lo, hi = _canonical_edges(edges, n)
     # Each edge is listed at both of its ends; a node's entries sort by

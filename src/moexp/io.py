@@ -1,5 +1,7 @@
 """JSON/CSV formats, content-hashed run manifests, and atomic writes.
 
+Every document is read and written as UTF-8, whatever the locale.
+
 Graph documents::
 
     {"directed": false,
@@ -61,6 +63,15 @@ def _finite(values) -> bool:
         return False
 
 
+def _as_array(values: list, dtype, shape, nested):
+    """The flat ``values`` as an array of ``shape``, or ``nested``, the same
+    entries as a list of rows, when an int is beyond ``dtype``'s range."""
+    try:
+        return np.array(values, dtype=dtype).reshape(shape)
+    except OverflowError:
+        return nested
+
+
 def parse_graph(doc: Mapping) -> Graph:
     """Validate a graph document and build the canonical Graph."""
     if not isinstance(doc, Mapping):
@@ -81,8 +92,9 @@ def parse_graph(doc: Mapping) -> Graph:
     # The set tests pass lists of ints and floats and labels that are ints
     # or null, which is every valid document that json gives; the loop names
     # the first bad node.
-    plain_rows = set(map(type, features)) <= {list} and set(map(type, chain.from_iterable(features))) <= _NUMBER
-    if not (plain_rows and set(map(type, labels or ())) <= {int, type(None)}):
+    list_rows = set(map(type, features)) <= {list}
+    values = list(chain.from_iterable(features)) if list_rows else []
+    if not (list_rows and set(map(type, values)) <= _NUMBER and set(map(type, labels or ())) <= {int, type(None)}):
         for i, node in enumerate(nodes):
             label = node.get("label")
             if not (label is None or type(label) is int):
@@ -90,19 +102,30 @@ def parse_graph(doc: Mapping) -> Graph:
             row = node["features"]
             if not (isinstance(row, (list, tuple)) and set(map(type, row)) <= _NUMBER):
                 raise FormatError(f"nodes[{i}]: features must be a list of numbers")
+    # Rows of one non-zero width go to build_graph as an array, converted
+    # from their flat column in one call, and so do the edges below. Ragged
+    # or empty rows, an int feature beyond the float range and an endpoint
+    # beyond int64 go as they are, and build_graph names the fault.
+    width = len(features[0]) if list_rows else 0
+    if width and set(map(len, features)) == {width}:
+        features = _as_array(values, float, (len(features), width), features)
+    del values
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise FormatError("edges: expected a list")
     # The set tests pass a document of plain two-item lists and tuples of
     # ints, which is every valid one that json gives; the loop names the
     # first bad entry.
-    plain_pairs = set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}
-    if not (plain_pairs and set(map(type, chain.from_iterable(edges))) <= {int}):
+    pairs = set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}
+    ends = list(chain.from_iterable(edges)) if pairs else []
+    if not (pairs and set(map(type, ends)) <= {int}):
         for i, pair in enumerate(edges):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise FormatError(f"edges[{i}]: expected a pair")
             if not all(type(x) is int for x in pair):
                 raise FormatError(f"edges[{i}]: endpoints must be integers")
+    edges = _as_array(ends, np.int64, (len(edges), 2), edges)
+    del ends
     try:
         graph = build_graph(features, edges, labels)
         finite = np.isfinite(graph.features).all(axis=1)
@@ -159,7 +182,7 @@ def graph_to_doc(graph: Graph) -> dict:
 
 def _read_json(path):
     """The JSON document at ``path``; ``FormatError``, naming it, when the file is not JSON."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
@@ -330,7 +353,7 @@ def _atomic_write(path, payload: str) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(payload)
         os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)

@@ -7,6 +7,7 @@ import ast
 import csv
 import importlib.util
 import inspect
+import itertools
 import json
 import os
 import pathlib
@@ -299,6 +300,26 @@ def test_load_model_reads_flags_and_shapes_strictly(key, value, message, tmp_pat
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         load_model(path)
+
+
+FLAGS = ("self_loop", "mean_aggregate", "final_activation")
+
+
+@pytest.mark.parametrize("flags", [dict(zip(FLAGS, bits)) for bits in itertools.product([False, True], repeat=3)])
+def test_a_saved_model_loads_with_its_flags(flags, tmp_path):
+    save_model(Model(layers=(np.eye(2), np.eye(2)), **flags), tmp_path / "w.json")
+    back = load_model(tmp_path / "w.json")
+    assert {key: getattr(back, key) for key in FLAGS} == flags
+
+
+@pytest.mark.parametrize("key", FLAGS)
+@pytest.mark.parametrize("value", [1, 0, "yes", None, np.True_])
+def test_model_rejects_a_flag_that_is_not_a_bool(key, value):
+    # The weights reader's wording: a Model that cannot be saved and loaded
+    # back is not built.
+    message = f"{key} must be true or false, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Model(layers=(np.eye(2), np.eye(2)), **{key: value})
 
 
 @pytest.mark.parametrize(

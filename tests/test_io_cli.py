@@ -483,6 +483,30 @@ def test_an_input_file_that_is_not_json_is_named(role, content, tmp_path, fixtur
     assert not out.exists()
 
 
+def test_documents_are_read_and_written_as_utf8_in_any_locale(tmp_path, fixtures_dir):
+    # Under the C locale, with UTF-8 mode and locale coercion off, open()
+    # without an encoding reads and writes ASCII.
+    doc = json.loads(pathlib.Path(fixtures_dir, "chain4.json").read_text(encoding="utf-8"))
+    doc["name"] = "café graph"
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    code = (
+        "import sys; from moexp.io import load_graph, write_csv\n"
+        "assert not sys.flags.utf8_mode\n"
+        "print(load_graph(sys.argv[1]).node_count)\n"
+        "write_csv(sys.argv[2], ['name'], [['caf\\u00e9']])\n"
+    )
+    package_root = str(pathlib.Path(moexp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=package_root, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(graph_path), str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4\n"
+    assert (tmp_path / "out.csv").read_bytes() == "name\ncafé\n".encode("utf-8")
+
+
 GOLDEN_INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
 
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moexp import build_graph
-from moexp.io import parse_graph
+from moexp.io import FormatError, parse_graph
 
 from oracles import degree, incidence, reference_graph, reference_parse_graph, same_graph
 
@@ -52,6 +52,8 @@ def assert_matches_reference(got, expected):
     """``got``'s arrays and views hold what ``expected``'s tuples hold, field by field."""
     assert got.node_count == expected.node_count
     assert got.labels == expected.labels
+    # Python ints or None: 2.0 == 2 and True == 1 would hide a label left unread.
+    assert list(map(type, got.labels or ())) == list(map(type, expected.labels or ()))
     assert got.features.dtype == expected.features.dtype
     np.testing.assert_array_equal(got.features, expected.features)
     # The arrays, read off the tuples; loading built no view.
@@ -95,10 +97,15 @@ def edge_entries(draw, n):
     return entries
 
 
+# Feature values as json gives them: floats and ints, mixed in a row, and
+# an int that rounds to a float (2**53 + 1 reads as 2**53).
+FEATURE_VALUES = st.one_of(st.floats(-10, 10), st.integers(-10, 10), st.just(2**53 + 1))
+
+
 @st.composite
 def feature_rows(draw, n):
     dim = draw(st.integers(1, 3))
-    rows = [draw(st.lists(st.floats(-10, 10), min_size=dim, max_size=dim)) for _ in range(n)]
+    rows = [draw(st.lists(FEATURE_VALUES, min_size=dim, max_size=dim)) for _ in range(n)]
     if draw(st.integers(0, 4)) == 0:
         rows[draw(st.integers(0, n - 1))] = draw(st.sampled_from(ODD_ROWS))
     return rows
@@ -170,10 +177,35 @@ def test_build_graph_matches_loop_oracle(inputs):
     assert_same(outcome(build_graph, *inputs), outcome(reference_graph, *inputs))
 
 
+def _doc(features, edges):
+    return {"nodes": [{"id": i, "features": row} for i, row in enumerate(features)], "edges": edges}
+
+
 @given(documents())
+# Documents that the flat columns do not convert, which build_graph reads
+# as nested rows: a ragged row next to valid rows, an all-empty feature
+# column, an endpoint beyond int64 and an int feature beyond the float
+# range; then int rows, which they do.
+@example(_doc([[0.0, 1.0], [2.0], [3.0, 4.0]], [[0, 1]]))
+@example(_doc([[], [], []], [[0, 1]]))
+@example(_doc([[0.0], [1.0]], [[0, 1], [0, 2**70]]))
+@example(_doc([[0.0], [10**400]], [[0, 1]]))
+@example(_doc([[0.0, 1], [2**53 + 1, -3]], [[1, 0]]))
 @settings(max_examples=400, deadline=None)
 def test_parse_graph_matches_loop_oracle(doc):
     assert_same(outcome(parse_graph, doc), outcome(reference_parse_graph, doc))
+
+
+def test_documents_outside_the_flat_columns_keep_their_errors():
+    assert outcome(parse_graph, _doc([[0.0, 1.0], [2.0], [3.0, 4.0]], [[0, 1]])) == (
+        FormatError, "feature length mismatch at node 1: 1 != 2"
+    )
+    assert outcome(parse_graph, _doc([[], [], []], [[0, 1]])) == (FormatError, "feature vectors must be non-empty")
+    assert outcome(parse_graph, _doc([[0.0], [1.0]], [[0, 1], [0, 2**70]])) == (
+        FormatError, f"node id out of range in edge (0, {2**70})"
+    )
+    assert outcome(parse_graph, _doc([[0.0], [10**400]], [[0, 1]])) == (FormatError, "nodes[1]: features must be finite")
+    assert parse_graph(_doc([[0.0, 1], [2**53 + 1, -3]], [[1, 0]])).features.tolist() == [[0.0, 1.0], [2.0**53, -3.0]]
 
 
 def test_loader_reports_the_first_offending_edge():
