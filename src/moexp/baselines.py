@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcn import Model, ball_messages, forward, layers_hidden, node_embeddings, softmax
+from .gcn import Model, ball_messages, batch_runs, forward, layers_hidden, node_embeddings, softmax
 from .graph import Ball, Graph, canonical_order, target_ball
 from .explain import CandidateScorer, EnumConfig, Enumeration, _candidate_table, enumerate_subgraphs, DEFAULT_EPSILON
 
@@ -195,12 +195,6 @@ def grad_weights_analytic(
     return weights
 
 
-# Most entries of node states and messages one grad-fd batch may hold: a
-# target's passes run in consecutive batches of as many passes as stay
-# under this (or one), so a hub's 1 + E passes keep memory bounded.
-FD_BATCH_ENTRIES = 1 << 18
-
-
 def grad_weights_fd(
     model: Model,
     graph: Graph,
@@ -220,8 +214,8 @@ def grad_weights_fd(
     because the damped pass reproduces the reference pass bitwise. Every
     pass runs on the target's ball (``ball``, of at least max(diameter,
     depth) hops, or a new one), as a row of a ``layers_hidden`` batch: row
-    b scales both messages of the b-th edge. A batch holds at most
-    ``FD_BATCH_ENTRIES`` entries of node states and messages, or one pass.
+    b scales both messages of the b-th edge. The batches are the
+    ``gcn.batch_runs`` of the passes, a pass holding its node states and messages.
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
@@ -239,8 +233,6 @@ def grad_weights_fd(
     node, neighbour, eid, bounds = ball_messages(ball, model.depth)
     row = {e: b for b, e in enumerate(eids)}
     damped = np.array([row.get(e, -1) for e in eid.tolist()], dtype=np.intp)
-    width = max(d for layer in model.layers for d in layer.shape)
-    size = max(1, FD_BATCH_ENTRIES // (k * width + len(node)))
 
     def passes(lo, hi):
         offset = np.arange(hi - lo) * k
@@ -254,8 +246,7 @@ def grad_weights_fd(
         return layers_hidden(model, h, hops, messages, target, k)
 
     hidden = []
-    for lo in range(0, len(eids), size):
-        hi = min(lo + size, len(eids))
+    for lo, hi in batch_runs(len(eids), k * model.max_width + len(node)):
         try:
             hidden.append(passes(lo, hi))
         except ValueError:

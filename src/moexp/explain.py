@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcn import Model, forward, softmax, trees_hidden
+from .gcn import Model, batch_runs, forward, softmax, trees_hidden
 from .graph import Ball, Graph, target_ball
 
 DEFAULT_EPSILON = 1e-9
@@ -237,12 +237,6 @@ def _combinations(k: int, width: int) -> np.ndarray:
     return out
 
 
-# Exhaustive pairing looks up 2**(max_nodes - 1) - 1 edge subsets per
-# explanation; it runs on runs of explanations whose subsets hold at most
-# this many ids, so its memory stays bounded at any max_nodes.
-LOOKUP_ENTRIES = 1 << 21
-
-
 def counterfactual_pairs(enumeration: Enumeration, explanations: np.ndarray, exhaustive: bool) -> np.ndarray:
     """(explanation, counterfactual) positions as an (m, 2) int array for
     the ``explanations``, in their order, each followed by its
@@ -256,36 +250,35 @@ def counterfactual_pairs(enumeration: Enumeration, explanations: np.ndarray, exh
     nodes; it is only allowed for two-node explanations, where no other
     counterfactual exists.
     """
-    parent = enumeration.parent
     width = enumeration.edge_ids.shape[1]
-    step = max(1, LOOKUP_ENTRIES // (2**width * max(width, 1)))
-    if exhaustive and len(explanations) > step:
-        runs = [explanations[start : start + step] for start in range(0, len(explanations), step)]
-        return np.concatenate([counterfactual_pairs(enumeration, run, True) for run in runs])
-    sizes = enumeration.sizes[explanations]
-    if not exhaustive:
-        above = np.append(parent, -1)  # above[-1] is -1, the root's parent
-        columns = [parent[explanations]]
-        for _ in range(width - 1):
-            columns.append(above[columns[-1]])
-        table = np.stack(columns, axis=1) if width else np.zeros((len(explanations), 0), dtype=np.intp)
-    else:
-        table = np.full((len(explanations), 2**width - 1), -1, dtype=np.intp)
-        edge_ids = enumeration.edge_ids[explanations]
-        padded = np.concatenate([edge_ids, np.full((len(edge_ids), 1), -1, dtype=np.intp)], axis=1)
-        for k in range(1, width + 1):
-            idx = np.flatnonzero(sizes == k + 1)
-            if idx.size:
+    # An exhaustive lookup holds 2**width - 1 subsets of width ids per explanation.
+    runs = batch_runs(len(explanations), 2**width * width) if exhaustive else [(0, len(explanations))]
+    pairs = []
+    for lo, hi in runs:
+        run = explanations[lo:hi]
+        sizes = enumeration.sizes[run]
+        if not exhaustive:
+            above = np.append(enumeration.parent, -1)  # above[-1] is -1, the root's parent
+            columns = [above[run]]
+            for _ in range(width - 1):
+                columns.append(above[columns[-1]])
+            table = np.stack(columns, axis=1) if width else np.zeros((len(run), 0), dtype=np.intp)
+        else:
+            table = np.full((len(run), 2**width - 1), -1, dtype=np.intp)
+            padded = np.pad(enumeration.edge_ids[run], ((0, 0), (0, 1)), constant_values=-1)
+            for k in range(1, width + 1):
+                idx = np.flatnonzero(sizes == k + 1)
                 combos = _combinations(k, width)
                 # Column k of a k-edge row is -1, so the padding reads -1.
                 subsets = padded[idx[:, None, None], combos[None]]
                 found = enumeration.positions(subsets.reshape(-1, width)).reshape(len(idx), len(combos))
                 table[idx, : len(combos)] = found
-    table[(table == 0) & (sizes >= 3)[:, None]] = -1
-    # One row per explanation, its counterfactuals in order, -1 where none:
-    # row-major nonzero lists the pairs in pairing order.
-    row, column = np.nonzero(table >= 0)
-    return np.stack([explanations[row], table[row, column]], axis=1)
+        table[(table == 0) & (sizes >= 3)[:, None]] = -1
+        # One row per explanation, its counterfactuals in order, -1 where
+        # none: row-major nonzero lists the pairs in pairing order.
+        row, column = np.nonzero(table >= 0)
+        pairs.append(np.stack([run[row], table[row, column]], axis=1))
+    return np.concatenate(pairs) if pairs else np.zeros((0, 2), dtype=np.intp)
 
 
 def generate_pairs(enumeration: Enumeration, exhaustive: bool = False) -> np.ndarray:
@@ -332,10 +325,10 @@ class CandidateScorer:
     Candidate i's restricted pass runs on its first request; its distribution
     and simulatability then stay in ``distributions[i]`` and
     ``simulatability[i]``. The candidates a call requests for the first time
-    are scored together, one ``trees_hidden`` batch per tree size, from the
-    enumeration's candidate table. ``forward_count`` counts the trees scored
-    and ``hit_count`` the requests answered without a pass, so tests can
-    verify sharing. ``reference_distribution`` overrides the distribution
+    are scored together, in the ``gcn.batch_runs`` of each tree size, from
+    the enumeration's candidate table. ``forward_count`` counts the trees
+    scored and ``hit_count`` the requests answered without a pass, so tests
+    can verify sharing. ``reference_distribution`` replaces the distribution
     that candidates are compared against (used by perturbation studies).
     """
 
@@ -393,11 +386,12 @@ class CandidateScorer:
         enumeration = self.enumeration
         sizes = enumeration.sizes[fresh]
         for k in np.flatnonzero(np.bincount(sizes)):
-            batch = fresh[sizes == k]
-            hidden = trees_hidden(
-                self.model, enumeration.ball.features, enumeration.rows[batch, :k],
-                enumeration.depth[batch, :k], enumeration.slots[batch, :k, : k - 1], self.target,
-            )
-            self.distributions[batch] = softmax(hidden)
-            self.simulatability[batch] = simulatability(self.full_distribution, self.distributions[batch], self.epsilon)
+            same = fresh[sizes == k]
+            for lo, hi in batch_runs(same.size, k * self.model.max_width + 2 * (k - 1)):
+                batch = same[lo:hi]
+                self.distributions[batch] = softmax(trees_hidden(
+                    self.model, enumeration.ball.features, enumeration.rows[batch, :k],
+                    enumeration.depth[batch, :k], enumeration.slots[batch, :k, : k - 1], self.target,
+                ))
+                self.simulatability[batch] = simulatability(self.full_distribution, self.distributions[batch], self.epsilon)
         self._scored[fresh] = True

@@ -104,6 +104,10 @@ class Model:
     def class_count(self) -> int:
         return int(self.layers[-1].shape[1])
 
+    @property
+    def max_width(self) -> int:
+        return max(max(w.shape) for w in self.layers)
+
 
 def _check_width(model: Model, features: np.ndarray) -> None:
     if features.shape[1] != model.input_dim:
@@ -155,6 +159,17 @@ def ball_messages(ball: Ball, hops: int) -> tuple:
     slot = np.arange(len(node)) - stops[node]
     order = slot.argsort(kind="stable")
     return node[order], ball.nbr[order], ball.edge[order], np.flatnonzero(np.diff(slot[order])) + 1
+
+
+# Most array entries one batch may hold: 2 MiB per float64 or intp array.
+BATCH_ENTRIES = 1 << 18
+
+
+def batch_runs(count: int, entries_each: int) -> list:
+    """The consecutive (lo, hi) runs of ``count`` items of ``entries_each``
+    array entries each: as many items as fit in ``BATCH_ENTRIES``, or one."""
+    size = max(1, BATCH_ENTRIES // max(entries_each, 1))
+    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def layers_hidden(

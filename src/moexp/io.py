@@ -185,7 +185,7 @@ def _read_json(path):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # a JSONDecodeError, a UnicodeDecodeError or deep nesting
             raise FormatError(f"{path}: not a JSON document: {exc}") from None
 
 

@@ -23,7 +23,8 @@ from moexp import (
     shapley_values,
 )
 
-from moexp.baselines import FD_BATCH_ENTRIES, grow_table
+from moexp.baselines import grow_table
+from moexp.gcn import BATCH_ENTRIES
 
 from oracles import (
     full_distances,
@@ -355,9 +356,9 @@ def test_grad_fd_splits_a_hub_into_bounded_batches(monkeypatch):
         assert sum(rows for rows, _, _ in batches) == n - 1  # one damped pass per edge
         assert len(batches) > 1
         for rows, states, messages in batches:
-            assert states + messages <= FD_BATCH_ENTRIES
+            assert states + messages <= BATCH_ENTRIES
         for rows, states, messages in batches[:-1]:  # as large as the budget allows
-            assert states + messages + (states + messages) // rows > FD_BATCH_ENTRIES
+            assert states + messages + (states + messages) // rows > BATCH_ENTRIES
 
 
 def test_grad_fd_is_one_kernel_call_and_no_forward(monkeypatch):
@@ -429,7 +430,7 @@ def _outcome(fn, *args):
     fd_cases(),
     st.lists(st.integers(0, 8), max_size=3),
     st.sampled_from([1e154, 1e307, 1.7e308]),
-    st.sampled_from([FD_BATCH_ENTRIES, 1, 60, 200]),
+    st.sampled_from([BATCH_ENTRIES, 1, 60, 200]),
 )
 @settings(max_examples=300, deadline=None)
 def test_batched_grad_fd_equals_per_edge_passes_bitwise(case, huge, scale, entries):
@@ -442,7 +443,7 @@ def test_batched_grad_fd_equals_per_edge_passes_bitwise(case, huge, scale, entri
     rows = [v % graph.node_count for v in huge]
     features[rows] = np.sign(features[rows]) * scale
     graph = build_graph(features, graph.edges)
-    with mock.patch.object(moexp.baselines, "FD_BATCH_ENTRIES", entries):
+    with mock.patch.object(moexp.gcn, "BATCH_ENTRIES", entries):
         batched = _outcome(grad_weights_fd, model, graph, target, step, diameter)
     assert batched == _outcome(reference_grad_weights_fd, model, graph, target, step, diameter)
 
@@ -458,7 +459,7 @@ def test_batched_grad_fd_reports_the_first_failing_pass(monkeypatch):
     message = "^forward pass at node 0: overflow encountered in matmul$"
     with pytest.raises(ValueError, match=message):
         reference_grad_weights_fd(model, graph, 0, 0.5)
-    for entries in (FD_BATCH_ENTRIES, 1):  # one batch, or one per pass
-        monkeypatch.setattr(moexp.baselines, "FD_BATCH_ENTRIES", entries)
+    for entries in (BATCH_ENTRIES, 1):  # one batch, or one per pass
+        monkeypatch.setattr(moexp.gcn, "BATCH_ENTRIES", entries)
         with pytest.raises(ValueError, match=message):
             grad_weights_fd(model, graph, 0, 0.5)

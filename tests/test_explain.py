@@ -1,12 +1,18 @@
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moexp.explain
+import moexp.gcn
 from moexp import (
     CandidateScorer,
     Enumeration,
     EnumConfig,
+    Model,
     build_graph,
     canonical_order,
     enumerate_subgraphs,
@@ -388,3 +394,79 @@ def test_scored_pairs_track_oracle_metric(seed):
         assert scorer.simulatability[e] == pytest.approx(
             -sym_kl(reference, scorer.distributions[e]), rel=1e-9, abs=1e-12
         )
+
+
+def _kept_tree_batches(monkeypatch):
+    """Record (trees, nodes per tree) of each scoring batch."""
+    batches = []
+
+    def kept(model, features, rows, *args):
+        batches.append(rows.shape)
+        return moexp.gcn.trees_hidden(model, features, rows, *args)
+
+    monkeypatch.setattr(moexp.explain, "trees_hidden", kept)
+    return batches
+
+
+def _scored(model, graph, enum, pairs, entries):
+    """A scorer after a few requests, run under a budget of ``entries``."""
+    with mock.patch.object(moexp.gcn, "BATCH_ENTRIES", entries):
+        scorer = CandidateScorer(model, graph, enum)
+        half = len(pairs) // 2
+        scorer.pair(pairs[:half, 0], pairs[:half, 1])
+        scorer.candidate(len(enum) - 1)
+        scorer.pair(pairs[:, 0], pairs[:, 1])
+    return scorer
+
+
+@given(st.integers(0, 50_000), st.integers(1, 4), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_scoring_one_tree_per_run_keeps_the_bits(seed, max_nodes, exhaustive):
+    # A budget of one entry scores every tree in a run of its own, and
+    # looks up each explanation's counterfactuals on their own.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=7)
+    m = random_model(rng, hidden=int(rng.integers(1, 6)), classes=int(rng.integers(2, 4)))
+    v = int(rng.integers(0, g.node_count))
+    enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=max_nodes, diameter=2))
+    pairs = generate_pairs(enum, exhaustive)
+    with mock.patch.object(moexp.gcn, "BATCH_ENTRIES", 1):
+        assert generate_pairs(enum, exhaustive).tolist() == pairs.tolist()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        batches = _kept_tree_batches(monkeypatch)
+        one = _scored(m, g, enum, pairs, 1)
+    assert batches and all(trees == 1 for trees, _ in batches)
+    whole = _scored(m, g, enum, pairs, sys.maxsize)
+    assert one.distributions.tobytes() == whole.distributions.tobytes()
+    assert one.simulatability.tobytes() == whole.simulatability.tobytes()
+    assert (one.forward_count, one.hit_count) == (whole.forward_count, whole.hit_count)
+
+
+def test_scoring_splits_a_hub_into_bounded_batches(monkeypatch):
+    # A 300-leaf star with the hub as target: at C=3 its 44,850 three-node
+    # trees do not fit in one batch.
+    n = 301
+    rng = np.random.default_rng(11)
+    graph = build_graph(rng.standard_normal((n, 3)), [(0, v) for v in range(1, n)])
+    model = Model(layers=(rng.standard_normal((3, 4)), rng.standard_normal((4, 3))), activation="sigmoid")
+    enum = enumerate_subgraphs(graph, 0, EnumConfig(max_nodes=3, diameter=1))
+    assert np.bincount(enum.sizes).tolist() == [0, 1, n - 1, (n - 1) * (n - 2) // 2]
+    pairs = generate_pairs(enum)
+    batches = _kept_tree_batches(monkeypatch)
+    scorer = CandidateScorer(model, graph, enum)
+    scorer.pair(pairs[:, 0], pairs[:, 1])  # one request of every tree
+    width = max(d for layer in model.layers for d in layer.shape)
+    budget = moexp.gcn.BATCH_ENTRIES
+    runs = [trees for trees, k in batches if k == 3]
+    assert len(runs) > 1 and sum(runs) == (n - 1) * (n - 2) // 2
+    for trees, k in batches:
+        assert trees * (k * width + 2 * (k - 1)) <= budget
+    for trees in runs[:-1]:  # as large as the budget allows
+        assert (trees + 1) * (3 * width + 4) > budget
+    batches.clear()
+    with mock.patch.object(moexp.gcn, "BATCH_ENTRIES", sys.maxsize):
+        whole = CandidateScorer(model, graph, enum)
+        whole.pair(pairs[:, 0], pairs[:, 1])
+    assert [k for _, k in batches] == [1, 2, 3]  # one call per tree size
+    assert scorer.distributions.tobytes() == whole.distributions.tobytes()
+    assert scorer.simulatability.tobytes() == whole.simulatability.tobytes()

@@ -288,7 +288,7 @@ def test_regrouping_a_wide_batch_keeps_each_trees_bits(seed, depth, activation, 
         assert np.vstack(parts).tobytes() == want.tobytes()
     whole = grad_weights_fd(m, g, v, 0.25, diameter=2)
     for entries in (1, 700):
-        with mock.patch.object(moexp.baselines, "FD_BATCH_ENTRIES", entries):
+        with mock.patch.object(moexp.gcn, "BATCH_ENTRIES", entries):
             assert grad_weights_fd(m, g, v, 0.25, diameter=2) == whole
 
 

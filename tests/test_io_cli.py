@@ -466,7 +466,9 @@ def test_negative_seed_is_one_error_that_names_its_source(command, source, tmp_p
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content", [b'{"nodes": [', b"\xff\xfe"], ids=["truncated", "not-utf-8"])
+@pytest.mark.parametrize(
+    "content", [b'{"nodes": [', b"\xff\xfe", b"[" * 200_000], ids=["truncated", "not-utf-8", "nested"]
+)
 @pytest.mark.parametrize("role", ["--graph", "--weights", "--edge-weights"])
 def test_an_input_file_that_is_not_json_is_named(role, content, tmp_path, fixtures_dir, capsys):
     graph_path, weights_path = chain_paths(fixtures_dir)
