@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcn import Model, ball_messages, batch_runs, forward, layers_hidden, node_embeddings, softmax
+from .gcn import Model, ball_hidden, batch_runs, forward, node_embeddings, softmax
 from .graph import Ball, Graph, canonical_order, target_ball
-from .explain import CandidateScorer, EnumConfig, Enumeration, _candidate_table, enumerate_subgraphs, DEFAULT_EPSILON
+from .explain import CandidateScorer, EnumConfig, Enumeration, enumerate_subgraphs, growth_table, DEFAULT_EPSILON
 
 
 def neighborhood_edge_ids(graph: Graph, target: int, diameter: int, ball: Ball | None = None) -> list:
@@ -70,7 +70,7 @@ def grow_table(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | 
             break
         growth.append((len(rows) - 1, *best[1:], len(rows) + 1))
         rows.append(best[2])
-    return _candidate_table(target, ball, np.array(growth, dtype=np.intp), max_nodes)
+    return growth_table(target, ball, np.array(growth, dtype=np.intp), max_nodes)
 
 
 @dataclass(frozen=True)
@@ -87,33 +87,23 @@ def _scorer(model, graph, target, config, epsilon, scorer) -> CandidateScorer:
     return scorer
 
 
-def _endpoints(graph: Graph, edge_ids: np.ndarray):
-    """The lo and hi ends of each edge of ``edge_ids``, -1 for its -1 padding."""
-    if not graph.edge_count:  # every id is padding
-        return np.full(edge_ids.shape, -1), np.full(edge_ids.shape, -1)
-    pad = edge_ids < 0
-    return np.where(pad, -1, graph.lo[edge_ids]), np.where(pad, -1, graph.hi[edge_ids])
+def _leaf_scan(scorer: CandidateScorer) -> tuple:
+    """(candidates, candidates without a leaf, leaves, simulatability drops)
+    arrays, the candidates as enumeration positions, one entry per
+    candidate and non-target leaf.
 
-
-def _leaf_scan(scorer: CandidateScorer) -> list:
-    """(candidate, leaf, candidate without the leaf, simulatability drop)
-    tuples, the candidates as enumeration positions.
-
-    Visits candidates in enumeration order and their non-target nodes in
-    node order, skipping nodes whose removal would disconnect the tree.
-    Every candidate involved is scored in one ``scorer.pair`` call; a
-    leaf's pair differs by one node, so its relevance is the raw drop.
+    Drops each candidate's edges one at a time and looks up what remains
+    with ``Enumeration.remainders``: it is a candidate exactly when the
+    dropped edge held a leaf other than the target. The entries follow the
+    enumeration order, each candidate's in edge order. Every candidate
+    involved is scored in one ``scorer.pair`` call; a leaf's pair differs by
+    one node, so its relevance is the raw drop.
     """
     enumeration = scorer.enumeration
-    nodes = enumeration.node_ids
-    lo, hi = _endpoints(scorer.graph, enumeration.edge_ids)
-    # touches[i, a, b]: edge b of candidate i has node a of candidate i as an end.
-    touches = (lo[:, None, :] == nodes[:, :, None]) | (hi[:, None, :] == nodes[:, :, None])
-    leaf = (np.count_nonzero(touches, axis=2) == 1) & (nodes != scorer.target) & (nodes >= 0)
-    i, at = np.nonzero(leaf)
-    j = enumeration.remainders(i, touches[i, at])
-    drops = scorer.pair(i, j).tolist()
-    return list(zip(i.tolist(), nodes[i, at].tolist(), j.tolist(), drops))
+    i, column = np.nonzero(enumeration.edge_ids >= 0)
+    j = enumeration.remainders(i, np.arange(enumeration.edge_ids.shape[1]) == column[:, None])
+    i, j = i[j >= 0], j[j >= 0]
+    return i, j, enumeration.removed_node_ids(i, j)[:, 0], scorer.pair(i, j)
 
 
 def shapley_values(
@@ -131,9 +121,10 @@ def shapley_values(
     Candidates where deletion would disconnect the tree are skipped and do
     not count toward the support.
     """
+    _, _, leaves, drops = _leaf_scan(_scorer(model, graph, target, config, epsilon, scorer))
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for _, node, _, drop in _leaf_scan(_scorer(model, graph, target, config, epsilon, scorer)):
+    for node, drop in zip(leaves.tolist(), drops.tolist()):  # in enumeration order
         sums[node] = sums.get(node, 0.0) + drop
         counts[node] = counts.get(node, 0) + 1
     return {node: ShapleyValue(sums[node] / counts[node], counts[node]) for node in sorted(sums)}
@@ -155,13 +146,12 @@ def shapley_selection(
     two-node candidate at all.
     """
     scorer = _scorer(model, graph, target, config, epsilon, scorer)
+    i, j, _, drops = _leaf_scan(scorer)
+    if not i.size:
+        return None
     sizes, rank = scorer.enumeration.sizes, scorer.enumeration.edge_set_rank
-    best = None
-    for i, _, j, drop in _leaf_scan(scorer):
-        key = (-abs(drop), sizes[i], rank[i], rank[j])
-        if best is None or key < best[0]:
-            best = (key, i, j)
-    return None if best is None else best[1:]
+    best = np.lexsort((rank[j], rank[i], sizes[i], -np.abs(drops)))[0]
+    return int(i[best]), int(j[best])
 
 
 def grad_weights_analytic(
@@ -213,9 +203,9 @@ def grad_weights_fd(
     given). Edges outside the model's receptive field come out exactly zero
     because the damped pass reproduces the reference pass bitwise. Every
     pass runs on the target's ball (``ball``, of at least max(diameter,
-    depth) hops, or a new one), as a row of a ``layers_hidden`` batch: row
-    b scales both messages of the b-th edge. The batches are the
-    ``gcn.batch_runs`` of the passes, a pass holding its node states and messages.
+    depth) hops, or a new one), as a damped copy of ``gcn.ball_hidden``'s
+    pass: copy b scales both messages of the b-th edge. The batches are the
+    ``gcn.batch_runs`` of the copies, a copy holding its node states and messages.
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
@@ -227,34 +217,19 @@ def grad_weights_fd(
     eids = neighborhood_edge_ids(graph, target, diameter, ball)
     if not eids:
         return {}
-    # The nodes an L-layer pass reads, and each of its messages, slot by
-    # slot, with the batch row that damps it or -1.
-    k = ball.within[model.depth]
-    node, neighbour, eid, bounds = ball_messages(ball, model.depth)
-    row = {e: b for b, e in enumerate(eids)}
-    damped = np.array([row.get(e, -1) for e in eid.tolist()], dtype=np.intp)
-
-    def passes(lo, hi):
-        offset = np.arange(hi - lo) * k
-        scale = np.ones((len(node), hi - lo))
-        hit = np.flatnonzero((damped >= lo) & (damped < hi))
-        scale[hit, damped[hit] - lo] = 1.0 - step
-        columns = (node[:, None] + offset, neighbour[:, None] + offset, scale)
-        messages = [tuple(a.ravel() for a in group) for group in zip(*(np.split(a, bounds) for a in columns))]
-        h = np.tile(ball.features[:k], (hi - lo, 1))
-        hops = np.tile(ball.distance[:k], hi - lo)
-        return layers_hidden(model, h, hops, messages, target, k)
-
+    # A pass holds the states of the nodes it reads, and the messages of
+    # those within L - 1 hops.
+    entries = ball.within[model.depth] * model.max_width + ball.indptr[ball.within[model.depth - 1]]
     hidden = []
-    for lo, hi in batch_runs(len(eids), k * model.max_width + len(node)):
+    for lo, hi in batch_runs(len(eids), entries):
         try:
-            hidden.append(passes(lo, hi))
+            hidden.append(ball_hidden(model, ball, model.depth, damped=eids[lo:hi], factor=1.0 - step))
         except ValueError:
             # A batch runs layer by layer, and the batches before passed;
             # report what the first pass to fail raises on its own, as
             # passes run one by one would.
             for b in range(lo, hi):
-                passes(b, b + 1)
+                ball_hidden(model, ball, model.depth, damped=eids[b : b + 1], factor=1.0 - step)
             raise
     probs = np.vstack([reference, softmax(np.concatenate(hidden))])
     y = int(np.argmax(probs[0]))

@@ -32,7 +32,7 @@ from .pipeline import METHODS, NodeExplanation, explain_node
 _RECORDED = ("targets", "max_nodes", "diameter", "top_percent", "method", "exhaustive_cf", "epsilon")
 
 
-def _resolve_targets(spec: str, graph) -> list:
+def resolve_targets(spec: str, graph) -> list:
     if spec.strip() == "all-test":
         if graph.labels is not None:
             labeled = [i for i, l in enumerate(graph.labels) if l is not None]
@@ -241,7 +241,7 @@ def node_document(result: NodeExplanation, graph, model, top_percent: float, man
             confounders=sorted(confounder_set(graph, result.target, model.depth, removed, result.ball)),
         )
         top_pairs = _top_pairs(front, scorer, front.order[: top_count(top_percent, len(front.e))])
-    header = json.dumps(doc, sort_keys=True, indent=2, default=io._json_default)
+    header = json.dumps(doc, sort_keys=True, indent=2, default=io.json_default)
     # "top_pairs" sorts after every header key, so it closes the object.
     return header[:-2] + ',\n  "top_pairs": ' + top_pairs + "\n}\n"
 
@@ -267,7 +267,7 @@ def explain_command(args) -> int:
     elif args.method == "external-weights":
         raise ValueError("method external-weights requires --edge-weights")
     manifest = io.run_manifest({name: getattr(args, name) for name in _RECORDED}, args.seed, inputs)
-    targets = _resolve_targets(args.targets, graph)
+    targets = resolve_targets(args.targets, graph)
     os.makedirs(args.output_dir, exist_ok=True)
 
     def work(node: int):

@@ -12,7 +12,7 @@ import sys
 from . import io
 from .analysis import run_sanity_sweep
 from .baselines import shapley_values
-from .cli import _resolve_targets
+from .cli import resolve_targets
 from .explain import EnumConfig, enumerate_subgraphs
 from .synth import synth_graph
 
@@ -20,7 +20,7 @@ from .synth import synth_graph
 def _targets(spec: str, graph) -> list:
     """The target ids ``spec`` names; a ``ValueError`` for the first one
     that is not a node of ``graph``, so a command fails before any work."""
-    nodes = _resolve_targets(spec, graph)
+    nodes = resolve_targets(spec, graph)
     for node in nodes:
         if not 0 <= node < graph.node_count:
             raise ValueError(f"target node missing: {node}")

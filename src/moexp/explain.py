@@ -188,10 +188,10 @@ def enumerate_subgraphs(
 
     if max_nodes > 1:
         expand(0, [(rank, eid, nbr, 0) for rank, eid, nbr in links[0]])
-    return _candidate_table(target, ball, np.array(growth, dtype=np.intp).reshape(-1, 5), max_nodes)
+    return growth_table(target, ball, np.array(growth, dtype=np.intp).reshape(-1, 5), max_nodes)
 
 
-def _candidate_table(target: int, ball: Ball, growth: np.ndarray, max_nodes: int) -> Enumeration:
+def growth_table(target: int, ball: Ball, growth: np.ndarray, max_nodes: int) -> Enumeration:
     """The ``Enumeration`` of each candidate's (parent, row grown from,
     added node, added edge, node count): a candidate of k nodes is its
     parent's arrays plus row k - 1, so one step per size builds them. The

@@ -1,10 +1,10 @@
 """Forward-only graph convolution over a target's ball or a restricted tree.
 
 One routine runs the layers: ``layers_hidden``, on a batch of trees given
-as message lists, one per neighbour slot. A pass over a target's ball is
-a batch of one tree; ``trees_hidden`` feeds it batches of restricted
-trees, and grad-fd's damped passes, whose trees are copies of the ball,
-feed it directly. A node sums its messages in ascending neighbour id
+as message lists, one per neighbour slot. ``ball_hidden`` feeds it a pass
+over a target's ball as a batch of one tree, or grad-fd's damped copies
+of that tree as one batch; ``trees_hidden`` feeds it batches of restricted
+trees. A node sums its messages in ascending neighbour id
 order, and each layer is a stack of two-row products, so a tree's bits do
 not depend on its batch and every pass agrees with the whole graph's.
 
@@ -146,7 +146,7 @@ def trees_hidden(
     return layers_hidden(model, h, depth.reshape(-1), messages, node, k)
 
 
-def ball_messages(ball: Ball, hops: int) -> tuple:
+def _ball_messages(ball: Ball, hops: int) -> tuple:
     """The messages of a pass that reads the ball nodes within ``hops``
     hops, as (node, neighbour, edge id, bounds): local ids and global edge
     ids, one slot after another and ascending by node within a slot, so
@@ -241,7 +241,14 @@ def layers_hidden(
         raise ValueError(f"forward pass at node {node}: {exc}") from None
 
 
-def _ball_pass(model: Model, ball: Ball, hops: int, extra_message: np.ndarray | None = None) -> np.ndarray:
+def ball_hidden(
+    model: Model,
+    ball: Ball,
+    hops: int,
+    extra_message: np.ndarray | None = None,
+    damped: list | None = None,
+    factor: float = 1.0,
+) -> np.ndarray:
     """States after the model's layers of the ball nodes within ``hops -
     model.depth`` hops, in local order, each from its full neighbourhood.
 
@@ -250,13 +257,26 @@ def _ball_pass(model: Model, ball: Ball, hops: int, extra_message: np.ndarray | 
     count from them, ``ball.distance`` shifted down by ``hops -
     model.depth``. Its tree size is the graph's node count, so its products
     have two rows, as the whole graph's have, unless the graph has one node.
+
+    Given ``damped`` edge ids, one batch runs a copy of the pass per id,
+    each copy's rows after the last one's: copy b scales both messages of
+    edge ``damped[b]`` by ``factor``.
     """
-    node, neighbour, _, bounds = ball_messages(ball, hops)
-    messages = [(i, j, None) for i, j in zip(np.split(node, bounds), np.split(neighbour, bounds))]
+    node, neighbour, edge, bounds = _ball_messages(ball, hops)
     k = ball.within[hops]
     shifted = np.maximum(np.asarray(ball.distance[:k]) - (hops - model.depth), 0)
+    copies = 1 if damped is None else len(damped)
+    offset = np.arange(copies) * k
+    # Each message's row, source and scale in every copy, slot by slot.
+    rows, sources = node[:, None] + offset, neighbour[:, None] + offset
+    scale = None if damped is None else np.where(edge[:, None] == np.asarray(damped), factor, 1.0)
+    messages = [
+        (rows[at].ravel(), sources[at].ravel(), None if scale is None else scale[at].ravel())
+        for at in np.split(np.arange(len(node)), bounds)
+    ]
+    h = np.tile(ball.features[:k], (copies, 1))
     return layers_hidden(
-        model, ball.features[:k], shifted, messages, ball.target, ball.graph.node_count, extra_message
+        model, h, np.tile(shifted, copies), messages, ball.target, ball.graph.node_count, extra_message
     )
 
 
@@ -281,7 +301,7 @@ def forward_hidden(
     if not 0 <= v < graph.node_count:
         raise ValueError(f"node id out of range: {v}")
     ball = target_ball(graph, v, model.depth, ball)
-    return _ball_pass(model, ball, model.depth, extra_message)[0]
+    return ball_hidden(model, ball, model.depth, extra_message)[0]
 
 
 def forward(
@@ -316,4 +336,4 @@ def node_embeddings(model: Model, ball: Ball, depth_limit: int, hops: int | None
         return ball.features[: ball.within[hops]]
     final = model.final_activation or depth_limit < model.depth
     head = replace(model, layers=model.layers[:depth_limit], final_activation=final)
-    return _ball_pass(head, ball, hops)
+    return ball_hidden(head, ball, hops)

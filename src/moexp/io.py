@@ -322,7 +322,7 @@ def run_manifest(config: Mapping, seed: int, inputs: Mapping) -> dict:
     }
 
 
-def _json_default(value):
+def json_default(value):
     """Convert numpy arrays and scalars, which ``json`` cannot serialize, to Python values."""
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
@@ -336,7 +336,7 @@ def dump_json(doc, path) -> None:
     written as it is.
     """
     if not isinstance(doc, str):
-        doc = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+        doc = json.dumps(doc, sort_keys=True, indent=2, default=json_default) + "\n"
     _atomic_write(path, doc)
 
 

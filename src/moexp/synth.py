@@ -50,10 +50,18 @@ def _check_params(params, allowed, kind):
         raise ValueError(f"bad params for kind {kind!r}: {sorted(unknown)}")
 
 
+def _finite(params, key, default) -> float:
+    value = float(params.get(key, default))
+    if not np.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
+
+
 def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
     """Build a named graph family member plus its companion model.
 
-    Kinds and their params (all optional):
+    Kinds and their params (all optional; ``noise`` and ``scale`` must be
+    finite, and so must the features they draw, or ``ValueError`` is raised):
 
     - ``chain``: nodes, classes, noise, scale. Path graph, classes alternate
       along the path.
@@ -76,8 +84,8 @@ def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
         _check_params(params, {"nodes", "classes", "noise", "scale"}, kind)
         n = int(params.get("nodes", 4))
         classes = int(params.get("classes", 2))
-        noise = float(params.get("noise", 0.05))
-        scale = float(params.get("scale", 1.0))
+        noise = _finite(params, "noise", 0.05)
+        scale = _finite(params, "scale", 1.0)
         if n < 2:
             raise ValueError("chain needs at least 2 nodes")
         labels = [i % classes for i in range(n)]
@@ -88,8 +96,8 @@ def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
         _check_params(params, {"leaves", "classes", "noise", "scale"}, kind)
         leaves = int(params.get("leaves", 3))
         classes = int(params.get("classes", 2))
-        noise = float(params.get("noise", 0.05))
-        scale = float(params.get("scale", 1.0))
+        noise = _finite(params, "noise", 0.05)
+        scale = _finite(params, "scale", 1.0)
         if leaves < 1:
             raise ValueError("star needs at least 1 leaf")
         labels = [0] + [(1 + i) % classes for i in range(leaves)]
@@ -100,7 +108,7 @@ def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
         _check_params(params, {"background", "classes", "noise"}, kind)
         background = int(params.get("background", 6))
         classes = int(params.get("classes", 3))
-        noise = float(params.get("noise", 0.05))
+        noise = _finite(params, "noise", 0.05)
         if classes < 2:
             raise ValueError("planted-motif needs at least 2 classes")
         n = 4 + background
@@ -117,8 +125,8 @@ def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
         n = int(params.get("nodes", 30))
         p = float(params.get("p", 0.1))
         classes = int(params.get("classes", 3))
-        noise = float(params.get("noise", 0.05))
-        scale = float(params.get("scale", 1.0))
+        noise = _finite(params, "noise", 0.05)
+        scale = _finite(params, "scale", 1.0)
         cap = params.get("max_degree")
         if n < 1:
             raise ValueError("erdos needs at least 1 node")
@@ -139,7 +147,10 @@ def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
         scales = [scale] * n
 
     protos = _prototypes(classes, classes, seed)
-    feats = _features(labels, protos, scales, noise, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats = _features(labels, protos, scales, noise, rng)
+    if not np.isfinite(feats).all():
+        raise ValueError("drawn features overflow: noise or scale too large for finite features")
     graph = build_graph(feats, edges, labels)
     model = prototype_model(classes, seed=seed)
     return graph, model

@@ -27,6 +27,8 @@ from moexp.baselines import grow_table
 from moexp.gcn import BATCH_ENTRIES
 
 from oracles import (
+    brute_force_trees,
+    edge_subset_nodes,
     full_distances,
     index,
     is_tree_with_target,
@@ -207,6 +209,57 @@ def test_shapley_selection_isolated_target_none(chain_model):
     assert shapley_selection(chain_model, g, 0) is None
 
 
+@st.composite
+def shapley_cases(draw):
+    """A model, a random graph or a star whose leaves share their features
+    (so leaf drops tie), a target and a config of C in 2-5, D in 1-2, all
+    but the graph's kind drawn from the seed's stream. Half the models
+    have zero weights, so every drop ties at 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        graph = random_graph(rng, max_nodes=7)
+    else:
+        leaves = int(rng.integers(1, 6))
+        graph = build_graph([[1.0, -0.5]] + [[0.25, 0.75]] * leaves, [(0, v) for v in range(1, leaves + 1)])
+    model = random_model(rng)
+    if rng.random() < 0.5:
+        model = Model(layers=tuple(0.0 * w for w in model.layers))
+    target = int(rng.integers(graph.node_count))
+    return model, graph, target, EnumConfig(max_nodes=int(rng.integers(2, 6)), diameter=int(rng.integers(1, 3)))
+
+
+def scanned_pick(scorer, graph, target, config):
+    """The Shapley pick by a scan of every leaf removal from the brute-force
+    trees, ranked by -|drop|, explanation size, then the sorted edge tuples
+    of the explanation and the counterfactual; drops read from ``scorer``."""
+    position = index(scorer.enumeration)
+    best = None
+    for subset in brute_force_trees(graph, target, config.max_nodes, config.diameter):
+        nodes = edge_subset_nodes(graph.edges, subset, target)
+        for leaf in sorted(nodes - {target}):
+            incident = [e for e in subset if leaf in graph.edges[e]]
+            if len(incident) != 1:
+                continue
+            rest = tuple(e for e in subset if e != incident[0])
+            i, j = position[tuple(sorted(subset))], position[tuple(sorted(rest))]
+            drop = scorer.candidate(i) - scorer.candidate(j)
+            key = (-abs(drop), len(nodes), tuple(sorted(subset)), tuple(sorted(rest)))
+            if best is None or key < best[0]:
+                best = (key, (i, j))
+    return None if best is None else best[1]
+
+
+@given(shapley_cases())
+@settings(max_examples=100, deadline=None)
+def test_shapley_selection_matches_a_scan_of_leaf_removals(case):
+    model, graph, target, config = case
+    scorer = CandidateScorer(model, graph, enumerate_subgraphs(graph, target, config))
+    assert shapley_selection(model, graph, target, config, scorer=scorer) == scanned_pick(scorer, graph, target, config)
+    counts = {node: v.support_count for node, v in shapley_values(model, graph, target, config, scorer=scorer).items()}
+    oracle = shapley_oracle(model, graph, target, config.max_nodes, config.diameter)
+    assert counts == {node: count for node, (_, count) in oracle.items()}
+
+
 def one_layer_model(columns):
     return Model(layers=(np.array(columns, dtype=float),))
 
@@ -327,13 +380,14 @@ def fd_cases(draw):
 def _kept_batches(monkeypatch):
     """Record (targets, node states, messages) of each grad-fd batch."""
     batches = []
+    kernel = moexp.gcn.layers_hidden
 
     def kept(model, h, hops, messages, *args, **kwargs):
         width = max(d for layer in model.layers for d in layer.shape)
         batches.append((int(np.sum(hops == 0)), h.shape[0] * width, sum(row.size for row, _, _ in messages)))
-        return moexp.gcn.layers_hidden(model, h, hops, messages, *args, **kwargs)
+        return kernel(model, h, hops, messages, *args, **kwargs)
 
-    monkeypatch.setattr(moexp.baselines, "layers_hidden", kept)
+    monkeypatch.setattr(moexp.gcn, "layers_hidden", kept)
     return batches
 
 
@@ -347,8 +401,9 @@ def test_grad_fd_splits_a_hub_into_bounded_batches(monkeypatch):
     model = Model(layers=(rng.standard_normal((3, 4)), rng.standard_normal((4, 3))), activation="sigmoid")
     batches = _kept_batches(monkeypatch)
     for target in (0, 7):
+        reference = forward(model, graph, target)  # so that only damped batches are recorded
         batches.clear()
-        weights = grad_weights_fd(model, graph, target, 0.25)
+        weights = grad_weights_fd(model, graph, target, 0.25, reference=reference)
         assert len(weights) == n - 1
         assert [(k, float.hex(v)) for k, v in weights.items()] == [
             (k, float.hex(v)) for k, v in reference_grad_weights_fd(model, graph, target, 0.25).items()

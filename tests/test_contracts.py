@@ -95,6 +95,43 @@ def test_no_import_is_unused():
     assert [u for p in files if p.name != "__init__.py" for u in _unused_imports(p)] == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_crossings(path: pathlib.Path) -> list:
+    """``module <- other._name`` for each ``_``-prefixed name of another
+    ``moexp`` module that the module at ``path`` imports, or reads as an
+    attribute of that module. Dunder names are not private."""
+    tree = ast.parse(path.read_text(), str(path))
+    here, modules, crossings = path.stem, {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "moexp"):
+            source = (node.module or "").removeprefix("moexp").lstrip(".")
+            for alias in node.names:
+                if not source:  # ``from . import io`` binds a module
+                    modules[alias.asname or alias.name] = alias.name
+                elif _is_private(alias.name) and source != here:
+                    crossings.append(f"{here} <- {source}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("moexp."):
+                    modules[alias.asname or alias.name] = alias.name.removeprefix("moexp.")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            source = modules.get(ast.unparse(node.value))
+            if source is not None and source != here:
+                crossings.append(f"{here} <- {source}.{node.attr}")
+    return crossings
+
+
+def test_no_private_name_crosses_a_module():
+    # A name one module of the package reads from another is public.
+    files = sorted((ROOT / "src/moexp").glob("*.py"))
+    assert len(files) > 10
+    assert [c for p in files for c in _private_crossings(p)] == []
+
+
 def _unread_public_names() -> list:
     """``file:line: name`` for each public top-level function or class, and
     each public method, of ``src/moexp`` that no code in ``src/``,

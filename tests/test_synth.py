@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from moexp import explain_node, forward, shapley_values, synth_graph
+from moexp.cli import main
 from moexp.synth import KINDS, prototype_model
 
 from oracles import degree, explanation, feature_dim, same_graph
@@ -66,6 +69,35 @@ def test_bad_inputs_rejected():
         synth_graph("planted-motif", {"classes": 1})
     with pytest.raises(ValueError, match=r"p must lie"):
         synth_graph("erdos", {"p": 1.5})
+
+
+NOT_FINITE = [
+    ("chain", {"scale": float("inf")}, "^scale must be finite, got inf$"),
+    ("star", {"noise": float("nan")}, "^noise must be finite, got nan$"),
+    ("erdos", {"nodes": 5, "noise": 1e308}, "^drawn features overflow"),
+]
+
+
+@pytest.mark.parametrize("kind, params, message", NOT_FINITE)
+def test_parameters_that_draw_no_finite_features_are_rejected(kind, params, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes
+        with pytest.raises(ValueError, match=message):
+            synth_graph(kind, params, seed=42)  # the seed the synth command defaults to
+
+
+@pytest.mark.parametrize("kind, params, message", NOT_FINITE)
+def test_synth_command_writes_nothing_for_features_that_are_not_finite(kind, params, message, tmp_path, capsys):
+    flags = [f for key, value in params.items() for f in ("--param", f"{key}={value}")]
+    graph, weights = tmp_path / "g.json", tmp_path / "w.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(
+            ["synth", "--kind", kind, *flags, "--seed", "42", "--out-graph", str(graph), "--out-weights", str(weights)]
+        )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: " + message.lstrip("^").rstrip("$"))
+    assert not graph.exists() and not weights.exists()
 
 
 def test_prototype_model_square_features_identity():
