@@ -6,9 +6,12 @@ compared byte for byte with ``tests/golden/<graph>/<method>[-exhaustive-cf].txt`
 after the only run-dependent fields are blanked: ``generated_at`` and the
 input paths (the input hashes stay). The ``enumerate`` and ``shapley``
 commands run on the same graphs and targets, and their CSVs are compared
-byte for byte with ``tests/golden/<graph>/<command>.csv``. A change that
-keeps the goldens passing writes the same documents and CSVs as the code
-the goldens were made with.
+byte for byte with ``tests/golden/<graph>/<command>.csv``. The
+``robustness`` command sweeps the motif graph's targets in both modes with
+the default method, and its CSVs are compared with
+``tests/golden/motif/robustness-<mode>.csv``. A change that keeps the
+goldens passing writes the same documents and CSVs as the code the goldens
+were made with.
 
 Regenerate the inputs and goldens, from the repository root, with::
 
@@ -40,6 +43,7 @@ GRAPHS = {
 }
 CASES = [(g, m, ex) for g in GRAPHS for m in METHODS for ex in (False, True)]
 CSV_CASES = [(g, command) for g in GRAPHS for command in ("enumerate", "shapley")]
+SWEEP_MODES = ("message", "weights")
 SEED = 7
 _BLANK = re.compile(r'("(?:generated_at|path)": )"[^"\n]*"')
 
@@ -76,6 +80,20 @@ def run_csv_case(graph: str, command: str, out_dir) -> str:
     return out.read_text()
 
 
+def sweep_golden_path(mode: str) -> pathlib.Path:
+    return GOLDEN / "motif" / f"robustness-{mode}.csv"
+
+
+def run_sweep_case(mode: str, out_dir) -> str:
+    """Run the ``robustness`` command on the motif graph and return its CSV."""
+    g, w, targets = GRAPHS["motif"]
+    out = pathlib.Path(out_dir) / f"robustness-{mode}.csv"
+    argv = ["robustness", "--graph", str(g), "--weights", str(w), "--out", str(out), "--targets", targets,
+            "--mode", mode, "--steps", "4", "--seed", str(SEED)]
+    assert main(argv) == 0
+    return out.read_text()
+
+
 def make_inputs() -> None:
     """Write the seeded planted-motif pair and one seeded edge-weight file per graph."""
     from moexp.io import load_graph, save_edge_weights, save_graph, save_model
@@ -101,6 +119,12 @@ def test_csv_matches_golden(graph, command, tmp_path):
     assert run_csv_case(graph, command, tmp_path) == csv_golden_path(graph, command).read_text()
 
 
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_sweep_matches_golden(mode, tmp_path, monkeypatch):
+    monkeypatch.delenv("MOEXP_SEED", raising=False)
+    assert run_sweep_case(mode, tmp_path) == sweep_golden_path(mode).read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -114,4 +138,7 @@ if __name__ == "__main__":
     for case in CSV_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             csv_golden_path(*case).write_text(run_csv_case(*case, tmp))
-    print(f"wrote {len(CASES) + len(CSV_CASES)} goldens under {GOLDEN}", file=sys.stderr)
+    for mode in SWEEP_MODES:
+        with tempfile.TemporaryDirectory() as tmp:
+            sweep_golden_path(mode).write_text(run_sweep_case(mode, tmp))
+    print(f"wrote {len(CASES) + len(CSV_CASES) + len(SWEEP_MODES)} goldens under {GOLDEN}", file=sys.stderr)
