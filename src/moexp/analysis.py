@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .explain import EnumConfig, Enumeration, enumerate_subgraphs, DEFAULT_EPSILON
+from .explain import EnumConfig, enumerate_subgraphs, DEFAULT_EPSILON
 from .gcn import Model, forward
 from .graph import Ball, Graph, target_ball
-from .pipeline import NodeExplanation, ball_hops, explain_node
+from .pipeline import ball_hops, explain_node
 
 
 def jaccard_distance(a, b) -> float:
@@ -44,7 +44,6 @@ class MessagePerturbation:
     magnitude: float
     seed: int
     distribution: np.ndarray
-    explanation: NodeExplanation | None
 
 
 def perturb_message(
@@ -54,27 +53,21 @@ def perturb_message(
     target_cos: float,
     magnitude: float,
     seed: int,
-    config: EnumConfig | None = None,
-    method: str = "pareto-rank",
-    epsilon: float = DEFAULT_EPSILON,
-    enumeration: Enumeration | None = None,
     ball: Ball | None = None,
 ) -> MessagePerturbation:
     """Inject a message with chosen alignment to the predicted class column.
 
     The message has the requested norm and cosine against theta_y (the
     last-layer column of the unperturbed predicted class); its orthogonal
-    component points in a seeded random direction. When ``config`` is given
-    the explanation is recomputed against the perturbed prediction, from
-    ``enumeration`` when given. Every pass reads the target's ball
-    (``ball``, or a new one).
+    component points in a seeded random direction. Both passes read the
+    target's ball (``ball``, of at least the model's depth in hops, or a
+    new one).
     """
     if not -1.0 <= target_cos <= 1.0:
         raise ValueError("target_cos must lie in [-1, 1]")
     if magnitude < 0:
         raise ValueError("magnitude must be non-negative")
-    hops = model.depth if config is None else ball_hops(model, config, method)
-    ball = target_ball(graph, target, hops, ball)
+    ball = target_ball(graph, target, model.depth, ball)
     base = forward(model, graph, target, ball=ball)
     y = int(np.argmax(base))
     theta_y = model.layers[-1][:, y]
@@ -104,14 +97,7 @@ def perturb_message(
         distribution = base
     else:
         distribution = forward(model, graph, target, extra_message=message, ball=ball)
-    explanation = None
-    if config is not None:
-        explanation = explain_node(
-            model, graph, target, config,
-            method=method, epsilon=epsilon, reference_distribution=distribution,
-            enumeration=enumeration, ball=ball,
-        )
-    return MessagePerturbation(target, message, float(target_cos), float(magnitude), int(seed), distribution, explanation)
+    return MessagePerturbation(target, message, float(target_cos), float(magnitude), int(seed), distribution)
 
 
 def perturb_weights(model: Model, target_distance: float, seed: int) -> Model:
@@ -168,7 +154,9 @@ def run_sanity_sweep(
     negated cosine, so it grows with adversariality); weights mode sweeps
     the parameter distance from 0 to ``max_distance``. Endpoints are always
     included and the record count is ``steps * len(nodes)``. Each node's
-    ball and candidates are built once and shared by all of its steps.
+    ball and candidates are built once and shared by all of its steps, and
+    each step re-explains the node once: against the perturbed prediction,
+    or with the shifted model.
     """
     if mode not in ("message", "weights"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -185,11 +173,11 @@ def run_sanity_sweep(
             rec_seed = derive_seed(seed, node, si)
             if mode == "message":
                 cos = 1.0 - 2.0 * frac
-                probe = perturb_message(
-                    model, graph, node, cos, magnitude, rec_seed, config, method, epsilon, **shared
+                distribution = perturb_message(model, graph, node, cos, magnitude, rec_seed, ball=ball).distribution
+                after = explain_node(
+                    model, graph, node, config, method=method, epsilon=epsilon,
+                    reference_distribution=distribution, **shared,
                 )
-                after = probe.explanation
-                distribution = probe.distribution
                 strength = -cos + 0.0
             else:
                 shifted = perturb_weights(model, max_distance * frac, rec_seed)

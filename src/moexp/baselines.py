@@ -81,12 +81,6 @@ class ShapleyValue:
     support_count: int
 
 
-def _scorer(model, graph, target, config, epsilon, scorer) -> CandidateScorer:
-    if scorer is None:
-        scorer = CandidateScorer(model, graph, enumerate_subgraphs(graph, target, config), epsilon)
-    return scorer
-
-
 def _leaf_scan(scorer: CandidateScorer) -> tuple:
     """(candidates, candidates without a leaf, leaves, simulatability drops)
     arrays, the candidates as enumeration positions, one entry per
@@ -112,7 +106,6 @@ def shapley_values(
     target: int,
     config: EnumConfig = EnumConfig(),
     epsilon: float = DEFAULT_EPSILON,
-    scorer: CandidateScorer | None = None,
 ) -> dict:
     """Per-node attribution averaged over the enumerated candidates.
 
@@ -121,7 +114,8 @@ def shapley_values(
     Candidates where deletion would disconnect the tree are skipped and do
     not count toward the support.
     """
-    _, _, leaves, drops = _leaf_scan(_scorer(model, graph, target, config, epsilon, scorer))
+    scorer = CandidateScorer(model, graph, enumerate_subgraphs(graph, target, config), epsilon)
+    _, _, leaves, drops = _leaf_scan(scorer)
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for node, drop in zip(leaves.tolist(), drops.tolist()):  # in enumeration order
@@ -145,7 +139,8 @@ def shapley_selection(
     explanations, then canonical edge sets. None when the target has no
     two-node candidate at all.
     """
-    scorer = _scorer(model, graph, target, config, epsilon, scorer)
+    if scorer is None:
+        scorer = CandidateScorer(model, graph, enumerate_subgraphs(graph, target, config), epsilon)
     i, j, _, drops = _leaf_scan(scorer)
     if not i.size:
         return None

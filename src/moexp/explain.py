@@ -89,12 +89,8 @@ class Enumeration:
 
     @functools.cached_property
     def _order(self) -> np.ndarray:
-        """The candidates in edge-set order.
-
-        A row padded with -1 sorts as its tuple does, shorter prefixes
-        first, so a lexsort of the padded rows sorts the edge sets.
-        """
-        return np.lexsort(self.edge_ids.T[::-1]) if self.edge_ids.shape[1] else np.arange(len(self))
+        """The candidates in edge-set order: the order of their ``_keys``."""
+        return np.argsort(_keys(self.edge_ids))
 
     @functools.cached_property
     def _sorted_keys(self) -> np.ndarray:

@@ -17,23 +17,12 @@ from .graph import build_graph
 KINDS = ("chain", "star", "planted-motif", "erdos")
 
 
-def _prototypes(class_count: int, feature_dim: int, seed: int) -> np.ndarray:
+def prototype_model(class_count: int) -> Model:
+    """Two-layer classifier matched to prototype features: the first layer
+    projects features onto the class directions, the identity columns."""
     if class_count < 2:
         raise ValueError("class_count must be at least 2")
-    if feature_dim < class_count:
-        raise ValueError("feature_dim must be at least class_count")
-    if feature_dim == class_count:
-        return np.eye(feature_dim)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-    q, _ = np.linalg.qr(rng.standard_normal((feature_dim, feature_dim)))
-    return q[:, :class_count]
-
-
-def prototype_model(class_count: int, feature_dim: int | None = None, seed: int = 0) -> Model:
-    """Two-layer classifier matched to prototype features."""
-    dim = class_count if feature_dim is None else feature_dim
-    protos = _prototypes(class_count, dim, seed)
-    return Model(layers=(protos, np.eye(class_count)), activation="relu", self_loop=True)
+    return Model(layers=(np.eye(class_count), np.eye(class_count)), activation="relu", self_loop=True)
 
 
 def _features(labels, protos, scales, noise, rng):
@@ -50,6 +39,18 @@ def _check_params(params, allowed, kind):
         raise ValueError(f"bad params for kind {kind!r}: {sorted(unknown)}")
 
 
+def _count(params, key, default, least, needs) -> int:
+    """``params[key]``, or ``default``, as an exact int of at least ``least``,
+    as io reads JSON integers: a bool, a float or a string is none.
+    ``needs`` states the bound in the error."""
+    value = params.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{needs} ({key}={value})")
+    return value
+
+
 def _finite(params, key, default) -> float:
     value = float(params.get(key, default))
     if not np.isfinite(value):
@@ -60,8 +61,11 @@ def _finite(params, key, default) -> float:
 def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
     """Build a named graph family member plus its companion model.
 
-    Kinds and their params (all optional; ``noise`` and ``scale`` must be
-    finite, and so must the features they draw, or ``ValueError`` is raised):
+    Kinds and their params, all optional. Before anything is drawn, the
+    counts ``nodes``, ``leaves``, ``background``, ``classes`` and
+    ``max_degree`` must be ints (not bools or floats) no smaller than the
+    kind's bound, and ``noise`` and ``scale`` finite; the features they
+    draw must be finite too. Otherwise ``ValueError`` names the parameter.
 
     - ``chain``: nodes, classes, noise, scale. Path graph, classes alternate
       along the path.
@@ -82,35 +86,29 @@ def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
 
     if kind == "chain":
         _check_params(params, {"nodes", "classes", "noise", "scale"}, kind)
-        n = int(params.get("nodes", 4))
-        classes = int(params.get("classes", 2))
+        n = _count(params, "nodes", 4, 2, "chain needs at least 2 nodes")
+        classes = _count(params, "classes", 2, 2, "chain needs at least 2 classes")
         noise = _finite(params, "noise", 0.05)
         scale = _finite(params, "scale", 1.0)
-        if n < 2:
-            raise ValueError("chain needs at least 2 nodes")
         labels = [i % classes for i in range(n)]
         edges = [(i, i + 1) for i in range(n - 1)]
         scales = [scale] * n
 
     elif kind == "star":
         _check_params(params, {"leaves", "classes", "noise", "scale"}, kind)
-        leaves = int(params.get("leaves", 3))
-        classes = int(params.get("classes", 2))
+        leaves = _count(params, "leaves", 3, 1, "star needs at least 1 leaf")
+        classes = _count(params, "classes", 2, 2, "star needs at least 2 classes")
         noise = _finite(params, "noise", 0.05)
         scale = _finite(params, "scale", 1.0)
-        if leaves < 1:
-            raise ValueError("star needs at least 1 leaf")
         labels = [0] + [(1 + i) % classes for i in range(leaves)]
         edges = [(0, i + 1) for i in range(leaves)]
         scales = [scale] * (leaves + 1)
 
     elif kind == "planted-motif":
         _check_params(params, {"background", "classes", "noise"}, kind)
-        background = int(params.get("background", 6))
-        classes = int(params.get("classes", 3))
+        background = _count(params, "background", 6, 0, "planted-motif needs at least 0 background nodes")
+        classes = _count(params, "classes", 3, 2, "planted-motif needs at least 2 classes")
         noise = _finite(params, "noise", 0.05)
-        if classes < 2:
-            raise ValueError("planted-motif needs at least 2 classes")
         n = 4 + background
         labels = [0, 0, 0, 0] + [1 + i % (classes - 1) for i in range(background)]
         edges = [(0, 1), (0, 2), (1, 3)]
@@ -122,20 +120,19 @@ def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
 
     else:
         _check_params(params, {"nodes", "p", "classes", "noise", "scale", "max_degree"}, kind)
-        n = int(params.get("nodes", 30))
+        n = _count(params, "nodes", 30, 1, "erdos needs at least 1 node")
         p = float(params.get("p", 0.1))
-        classes = int(params.get("classes", 3))
+        classes = _count(params, "classes", 3, 2, "erdos needs at least 2 classes")
         noise = _finite(params, "noise", 0.05)
         scale = _finite(params, "scale", 1.0)
         cap = params.get("max_degree")
-        if n < 1:
-            raise ValueError("erdos needs at least 1 node")
+        if cap is not None:
+            cap = _count(params, "max_degree", None, 0, "erdos needs a max_degree of at least 0")
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         labels = [int(c) for c in rng.integers(0, classes, size=n)]
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         if cap is not None:
-            cap = int(cap)
             degree = [0] * n
             kept = []
             for u, w in sorted(edges):
@@ -146,11 +143,9 @@ def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
             edges = kept
         scales = [scale] * n
 
-    protos = _prototypes(classes, classes, seed)
+    model = prototype_model(classes)
     with np.errstate(over="ignore", invalid="ignore"):
-        feats = _features(labels, protos, scales, noise, rng)
+        feats = _features(labels, model.layers[0], scales, noise, rng)
     if not np.isfinite(feats).all():
         raise ValueError("drawn features overflow: noise or scale too large for finite features")
-    graph = build_graph(feats, edges, labels)
-    model = prototype_model(classes, seed=seed)
-    return graph, model
+    return build_graph(feats, edges, labels), model

@@ -24,7 +24,7 @@ from moexp import build_graph, forward, neighborhood_edge_ids, softmax, target_b
 from moexp.gcn import trees_hidden
 from moexp.graph import confounder_set
 from moexp.cli import _floats
-from moexp.pareto import _select
+from moexp.pareto import _front, _select
 from moexp.io import FormatError
 
 
@@ -432,10 +432,10 @@ def _scores(scores, tie_keys, balanced: bool) -> Selection:
     pairs = np.asarray(scores, dtype=float).reshape(-1, 2)
     # Positions in a stable sort by key keep the (key, index) order.
     keys = [] if tie_keys is None else [np.argsort(sorted(range(len(tie_keys)), key=tie_keys.__getitem__))]
-    front = _select(pairs[:, 0], pairs[:, 1], keys, balanced)
+    sim_ranks, rel_ranks, order, selected = _select(pairs[:, 0], pairs[:, 1], keys, balanced)
+    pareto = _front(sim_ranks, rel_ranks)
     return Selection(
-        *(tuple(a.tolist()) for a in (front.sim_ranks, front.rel_ranks, front.rank_sums, front.pareto, front.order)),
-        front.selected,
+        *(tuple(a.tolist()) for a in (sim_ranks, rel_ranks, sim_ranks + rel_ranks, pareto, order)), selected
     )
 
 
@@ -465,6 +465,41 @@ def pareto_oracle(scores):
         not any(dominates_oracle(scores[j], scores[i]) for j in range(len(scores)) if j != i)
         for i in range(len(scores))
     ]
+
+
+def float_front(first, second) -> np.ndarray:
+    """Non-domination flags from a descending sweep over the raw scores,
+    the form ``pareto._front`` had before it read the ranks.
+
+    Sorting by the first coordinate groups exact ties; inside a group only
+    entries matching the group's best second coordinate survive, and only
+    if no strictly-better first coordinate already reached that second
+    coordinate. The scores hold no NaN.
+    """
+    first, second = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
+    n = first.size
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    order = np.lexsort((-second, -first))
+    a, b = first[order], second[order]
+    starts = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+    group = np.repeat(starts, np.diff(np.r_[starts, n]))
+    best_before = np.r_[-np.inf, np.maximum.accumulate(b)[:-1]]
+    flags = np.empty(n, dtype=bool)
+    flags[order] = (b == b[group]) & (b[group] > best_before[group])
+    return flags
+
+
+def lexsort_edge_set_rank(edge_ids) -> np.ndarray:
+    """Each row's position when the sorted, -1-padded edge rows are sorted,
+    by a ``lexsort`` of the padded rows: a row padded with -1 sorts as its
+    tuple does, shorter prefixes first. ``Enumeration.edge_set_rank`` in
+    the form it had before it read the lookup keys."""
+    n, width = edge_ids.shape
+    order = np.lexsort(edge_ids.T[::-1]) if width else np.arange(n)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    return rank
 
 
 def sym_kl(p, q, eps=1e-9):

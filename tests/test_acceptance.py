@@ -31,7 +31,7 @@ from moexp.baselines import grow_table
 from moexp.cli import build_parser, explain_command
 from moexp.gcn import forward_hidden
 from moexp.io import save_graph, save_model
-from moexp.pareto import _front
+from moexp.pareto import _front, _ranks
 
 from conftest import sem_chain, sem_model
 from oracles import (
@@ -163,7 +163,7 @@ def test_comprehensive_selection_never_dominated():
 def test_pareto_front_oracle():
     for scores in fuzz_scores():
         first, second = np.array(scores, dtype=float).T
-        assert _front(first, second).tolist() == pareto_oracle(scores)
+        assert _front(_ranks(first), _ranks(second)).tolist() == pareto_oracle(scores)
     return "1000 fuzz sets"
 
 

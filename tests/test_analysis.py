@@ -10,6 +10,7 @@ from moexp import (
     confounder_set,
     derive_seed,
     enumerate_subgraphs,
+    explain_node,
     forward,
     jaccard_distance,
     perturb_message,
@@ -196,14 +197,23 @@ def test_message_zero_class_column_rejected():
         perturb_message(m, g, 0, 0.5, 1.0, seed=0)
 
 
-def test_message_with_config_rescoring(triangle_graph, triangle_model):
-    out = perturb_message(
-        triangle_model, triangle_graph, 0, -1.0, 3.0, seed=2, config=EnumConfig(max_nodes=3, diameter=2)
+def test_message_sweep_explains_against_the_perturbed_prediction(triangle_graph, triangle_model):
+    config = EnumConfig(max_nodes=3, diameter=2)
+    steps = 3
+    records = run_sanity_sweep(
+        triangle_model, triangle_graph, [0, 2], "message", steps, seed=2, config=config, magnitude=3.0
     )
-    assert out.explanation is not None
-    assert out.explanation.target == 0
-    # the re-scored explanation sees the perturbed full distribution
-    assert np.array_equal(out.explanation.full_distribution, out.distribution)
+    for k, record in enumerate(records):
+        node, cos = record.node, 1.0 - 2.0 * (k % steps) / (steps - 1)
+        before = explain_node(triangle_model, triangle_graph, node, config)
+        probe = perturb_message(triangle_model, triangle_graph, node, cos, 3.0, record.seed)
+        after = explain_node(triangle_model, triangle_graph, node, config, reference_distribution=probe.distribution)
+        # the re-scored explanation sees the perturbed full distribution
+        assert np.array_equal(after.full_distribution, probe.distribution)
+        nodes = [r.source.enumeration.nodes(r.explanation) for r in (before, after)]
+        assert (record.pred_before, record.pred_after, record.jaccard) == (
+            before.predicted_class, int(np.argmax(probe.distribution)), jaccard_distance(*nodes)
+        )
 
 
 def test_weights_perturbation_exact_distance(triangle_model):

@@ -255,7 +255,7 @@ def test_shapley_selection_matches_a_scan_of_leaf_removals(case):
     model, graph, target, config = case
     scorer = CandidateScorer(model, graph, enumerate_subgraphs(graph, target, config))
     assert shapley_selection(model, graph, target, config, scorer=scorer) == scanned_pick(scorer, graph, target, config)
-    counts = {node: v.support_count for node, v in shapley_values(model, graph, target, config, scorer=scorer).items()}
+    counts = {node: v.support_count for node, v in shapley_values(model, graph, target, config).items()}
     oracle = shapley_oracle(model, graph, target, config.max_nodes, config.diameter)
     assert counts == {node: count for node, (_, count) in oracle.items()}
 

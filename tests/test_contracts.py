@@ -193,6 +193,51 @@ def test_every_public_name_is_read_by_the_program():
     assert [u for u in unread if not u.endswith(": save_edge_weights")] == []
 
 
+def _unpassed_optional_parameters() -> list:
+    """``function(parameter)`` for each parameter with a default of a public
+    top-level function or class of ``src/moexp`` (a class's parameters are
+    its ``__init__``'s) that no call in ``src/``, ``scripts/`` or
+    ``benchmark/`` passes, by keyword or by position. Calls are matched by
+    the spelling of the called name or attribute. A ``*args`` call passes
+    every positional parameter and a ``**kwargs`` call every parameter; the
+    keywords of a ``replace`` call count for every class, since the scan
+    does not know the class of its first argument."""
+    calls = {}
+    for d in ("src/moexp", "scripts", "benchmark"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    starred = any(isinstance(a, ast.Starred) for a in node.args)
+                    calls.setdefault(name, []).append(
+                        (sys.maxsize if starred else len(node.args), {k.arg for k in node.keywords})
+                    )
+    replaced = {k for _, keywords in calls.get("replace", []) for k in keywords}
+    unpassed = []
+    for path in sorted((ROOT / "src/moexp").glob("[!_]*.py")):
+        module = importlib.import_module(f"moexp.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            # A class without an __init__ of its own (an exception) is skipped.
+            if not (inspect.isfunction(obj) or inspect.isclass(obj) and "__init__" in vars(obj)):
+                continue
+            params = list(inspect.signature(obj).parameters.values())
+            positional = [p.name for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+            passed = set(replaced) if inspect.isclass(obj) else set()
+            for count, keywords in calls.get(name, []):
+                passed.update(positional[:count], keywords)
+                if None in keywords:  # **kwargs
+                    passed.update(p.name for p in params)
+            unpassed += [f"{name}({p.name})" for p in params if p.default is not p.empty and p.name not in passed]
+    return sorted(unpassed)
+
+
+def test_every_optional_parameter_is_passed_by_the_program():
+    # A default that only tests override is a knob the program never turns.
+    assert _unpassed_optional_parameters() == []
+
+
 @pytest.mark.parametrize(
     "variant",
     [{}, {"self_loop": False}, {"mean_aggregate": True}, {"final_activation": True, "activation": "sigmoid"}],
@@ -226,8 +271,9 @@ def test_competition_ranks_rejects_nan():
 
 @pytest.mark.parametrize("scores", [[(float("nan"), 1.0)], [(1.0, 2.0), (0.5, float("nan"))]])
 def test_pareto_front_rejects_nan(scores):
+    # The front reads the ranks, so ``_ranks`` is the one NaN check.
     with pytest.raises(ValueError, match="non-finite score"):
-        _front(*np.array(scores).T)
+        _front(*map(_ranks, np.array(scores).T))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

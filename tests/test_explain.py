@@ -28,6 +28,7 @@ from oracles import (
     cf_relevance,
     index,
     is_tree_with_target,
+    lexsort_edge_set_rank,
     random_graph,
     random_model,
     recursive_enumeration,
@@ -198,6 +199,17 @@ def test_table_enumeration_matches_recursive_oracle(seed, max_nodes, diameter, n
     v = int(rng.integers(0, g.node_count))
     config = EnumConfig(max_nodes=max_nodes, diameter=diameter)
     assert_table_matches_recursive_oracle(enumerate_subgraphs(g, v, config), g, config, rng)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3), st.sampled_from([0.15, 0.4, 0.8]))
+@settings(max_examples=200, deadline=None)
+def test_edge_set_rank_matches_the_lexsort_oracle(seed, max_nodes, diameter, edge_prob):
+    # The order of the lookup keys is the order of the padded edge rows,
+    # for one-node candidates (no edge columns) too.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=9, edge_prob=edge_prob, min_nodes=1)
+    enum = enumerate_subgraphs(g, int(rng.integers(0, g.node_count)), EnumConfig(max_nodes, diameter))
+    assert enum.edge_set_rank.tolist() == lexsort_edge_set_rank(enum.edge_ids).tolist()
 
 
 @pytest.mark.parametrize("nodes,target,max_nodes,diameter,hops", [(21, 10, 17, 10, 10), (300, 260, 9, 8, 299)])

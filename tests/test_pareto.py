@@ -9,6 +9,7 @@ from moexp.pareto import _front, _ranks
 from oracles import (
     dominates,
     dominates_oracle,
+    float_front,
     pareto_oracle,
     random_graph,
     select_balanced,
@@ -16,9 +17,10 @@ from oracles import (
 )
 
 def front(scores) -> list:
-    """``_front``'s flags for a list of (first, second) score pairs."""
+    """``_front``'s flags for a list of (first, second) score pairs, read
+    off the two coordinates' ``_ranks``."""
     pairs = np.asarray(scores, dtype=float).reshape(-1, 2)
-    return _front(pairs[:, 0], pairs[:, 1]).tolist()
+    return _front(_ranks(pairs[:, 0]), _ranks(pairs[:, 1])).tolist()
 
 
 def ranks(values) -> list:
@@ -29,6 +31,9 @@ def ranks(values) -> list:
 score_lists = st.lists(
     st.tuples(st.floats(-10, 0), st.floats(0, 10)), min_size=1, max_size=40
 )
+# Few distinct values, signed zeros and infinities, so ties are the rule.
+tied = st.sampled_from([-np.inf, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.inf])
+tied_score_lists = st.lists(st.tuples(tied, tied), max_size=40)
 
 
 def test_dominates_examples():
@@ -72,6 +77,21 @@ def test_pareto_front_single():
 @settings(max_examples=250, deadline=None)
 def test_pareto_front_matches_quadratic_oracle(scores):
     assert front(scores) == pareto_oracle(scores)
+
+
+@given(tied_score_lists)
+@settings(max_examples=300, deadline=None)
+def test_front_of_the_ranks_matches_the_float_sweep_on_ties(scores):
+    # -0.0 == 0.0 and the infinities tie with themselves, in the ranks as in
+    # the scores, so the flags agree with both float-valued oracles. The
+    # float sweep starts its running best at -inf, so it drops the leading
+    # entries whose second score is -inf; rank_pairs' second score is an
+    # absolute relevance, which is never -inf.
+    pairs = np.asarray(scores, dtype=float).reshape(-1, 2)
+    flags = front(scores)
+    assert flags == pareto_oracle(scores)
+    if not (pairs[:, 1] == -np.inf).any():
+        assert flags == float_front(pairs[:, 0], pairs[:, 1]).tolist()
 
 
 def test_select_comprehensive_example():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -101,17 +102,41 @@ def test_synth_command_writes_nothing_for_features_that_are_not_finite(kind, par
 
 
 def test_prototype_model_square_features_identity():
-    m = prototype_model(class_count=3, feature_dim=3, seed=0)
+    m = prototype_model(class_count=3)
     assert np.array_equal(m.layers[0], np.eye(3))
     assert np.array_equal(m.layers[1], np.eye(3))
 
 
-def test_prototype_model_rectangular_is_orthonormal():
-    m = prototype_model(class_count=2, feature_dim=5, seed=0)
-    protos = m.layers[0]
-    assert protos.shape == (5, 2)
-    gram = protos.T @ protos
-    assert np.allclose(gram, np.eye(2), atol=1e-12)
+BAD_COUNTS = [
+    ("chain", {"nodes": 3.5}, "nodes must be an integer, got 3.5"),
+    ("chain", {"nodes": "abc"}, "nodes must be an integer, got 'abc'"),
+    ("chain", {"nodes": True}, "nodes must be an integer, got True"),
+    ("star", {"leaves": 2.7}, "leaves must be an integer, got 2.7"),
+    ("planted-motif", {"background": -1}, "planted-motif needs at least 0 background nodes (background=-1)"),
+    ("erdos", {"max_degree": -1}, "erdos needs a max_degree of at least 0 (max_degree=-1)"),
+    ("chain", {"classes": 0}, "chain needs at least 2 classes (classes=0)"),
+    ("star", {"classes": 0}, "star needs at least 2 classes (classes=0)"),
+    ("erdos", {"classes": 0}, "erdos needs at least 2 classes (classes=0)"),
+    ("erdos", {"classes": 1}, "erdos needs at least 2 classes (classes=1)"),
+]
+
+
+@pytest.mark.parametrize("kind, params, message", BAD_COUNTS)
+def test_counts_are_exact_ints_checked_before_any_draw(kind, params, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synth_graph(kind, params, seed=42)
+
+
+@pytest.mark.parametrize(
+    "kind, param", [("chain", "nodes=3.5"), ("chain", "classes=0"), ("star", "leaves=2.7"), ("erdos", "nodes=abc")]
+)
+def test_synth_command_names_a_bad_count_and_writes_nothing(kind, param, tmp_path, capsys):
+    graph, weights = tmp_path / "g.json", tmp_path / "w.json"
+    code = main(["synth", "--kind", kind, "--param", param, "--out-graph", str(graph), "--out-weights", str(weights)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and param.split("=")[0] in err
+    assert not graph.exists() and not weights.exists()
 
 
 def test_synthetic_graphs_explainable_end_to_end():
