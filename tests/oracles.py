@@ -474,7 +474,9 @@ def float_front(first, second) -> np.ndarray:
     Sorting by the first coordinate groups exact ties; inside a group only
     entries matching the group's best second coordinate survive, and only
     if no strictly-better first coordinate already reached that second
-    coordinate. The scores hold no NaN.
+    coordinate. The scores hold no NaN. The running best starts at -inf,
+    so the sweep flags none of the leading entries whose second score is
+    -inf, which the quadratic definition keeps.
     """
     first, second = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
     n = first.size
