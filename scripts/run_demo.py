@@ -32,8 +32,8 @@ def main() -> None:
         if method == "external-weights":
             kwargs["edge_weights"] = random_weights(graph, args.target, config, seed=args.seed)
         result = explain_node(model, graph, args.target, config, method=method, **kwargs)
-        nodes = ",".join(str(v) for v in result.source.enumeration.nodes(result.explanation))
-        sim = f"{result.source.simulatability[result.explanation]:.4f}"
+        nodes = ",".join(str(v) for v in result.scorer.enumeration.nodes(result.explanation))
+        sim = f"{result.scorer.simulatability[result.explanation]:.4f}"
         front = result.front
         if front is not None:
             sel = front.selected

@@ -165,9 +165,9 @@ def run_sanity_sweep(
     records = []
     for node in nodes:
         ball = target_ball(graph, node, ball_hops(model, config, method))
-        shared = {"enumeration": enumerate_subgraphs(graph, node, config, ball), "ball": ball}
-        baseline = explain_node(model, graph, node, config, method=method, epsilon=epsilon, **shared)
-        base_nodes = baseline.source.enumeration.nodes(baseline.explanation)
+        enumeration = enumerate_subgraphs(graph, node, config, ball)
+        baseline = explain_node(model, graph, node, config, method=method, epsilon=epsilon, enumeration=enumeration)
+        base_nodes = baseline.scorer.enumeration.nodes(baseline.explanation)
         for si in range(steps):
             frac = si / (steps - 1)
             rec_seed = derive_seed(seed, node, si)
@@ -176,12 +176,14 @@ def run_sanity_sweep(
                 distribution = perturb_message(model, graph, node, cos, magnitude, rec_seed, ball=ball).distribution
                 after = explain_node(
                     model, graph, node, config, method=method, epsilon=epsilon,
-                    reference_distribution=distribution, **shared,
+                    reference_distribution=distribution, enumeration=enumeration,
                 )
                 strength = -cos + 0.0
             else:
                 shifted = perturb_weights(model, max_distance * frac, rec_seed)
-                after = explain_node(shifted, graph, node, config, method=method, epsilon=epsilon, **shared)
+                after = explain_node(
+                    shifted, graph, node, config, method=method, epsilon=epsilon, enumeration=enumeration
+                )
                 distribution = after.full_distribution
                 strength = max_distance * frac
             records.append(
@@ -191,7 +193,7 @@ def run_sanity_sweep(
                     strength=float(strength),
                     pred_before=baseline.predicted_class,
                     pred_after=int(np.argmax(distribution)),
-                    jaccard=jaccard_distance(base_nodes, after.source.enumeration.nodes(after.explanation)),
+                    jaccard=jaccard_distance(base_nodes, after.scorer.enumeration.nodes(after.explanation)),
                     seed=rec_seed,
                 )
             )

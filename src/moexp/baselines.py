@@ -114,7 +114,7 @@ def shapley_values(
     Candidates where deletion would disconnect the tree are skipped and do
     not count toward the support.
     """
-    scorer = CandidateScorer(model, graph, enumerate_subgraphs(graph, target, config), epsilon)
+    scorer = CandidateScorer(model, enumerate_subgraphs(graph, target, config), epsilon)
     _, _, leaves, drops = _leaf_scan(scorer)
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
@@ -124,23 +124,15 @@ def shapley_values(
     return {node: ShapleyValue(sums[node] / counts[node], counts[node]) for node in sorted(sums)}
 
 
-def shapley_selection(
-    model: Model,
-    graph: Graph,
-    target: int,
-    config: EnumConfig = EnumConfig(),
-    epsilon: float = DEFAULT_EPSILON,
-    scorer: CandidateScorer | None = None,
-):
-    """Explanation/counterfactual positions chosen by the Shapley baseline.
+def shapley_selection(scorer: CandidateScorer):
+    """Explanation/counterfactual positions in ``scorer``'s table chosen by
+    the Shapley baseline.
 
     Scans every (candidate, deletable leaf) combination and keeps the one
     with the largest absolute simulatability drop; ties prefer smaller
     explanations, then canonical edge sets. None when the target has no
     two-node candidate at all.
     """
-    if scorer is None:
-        scorer = CandidateScorer(model, graph, enumerate_subgraphs(graph, target, config), epsilon)
     i, j, _, drops = _leaf_scan(scorer)
     if not i.size:
         return None

@@ -69,13 +69,13 @@ def top_count(top_percent: float, pair_count: int) -> int:
     return max(1, -(-num // den))
 
 
-def _candidate_block(scorer, i: int, graph) -> dict:
+def _candidate_block(scorer, i: int) -> dict:
     """Candidate i of ``scorer``'s table with its scores, as a document block."""
     edges = scorer.enumeration.edge_ids[i]
     edges = edges[edges >= 0]
     return {
         "edge_ids": edges.tolist(),
-        "edges": [list(pair) for pair in graph.endpoints(edges)],
+        "edges": [list(pair) for pair in scorer.enumeration.ball.graph.endpoints(edges)],
         "nodes": scorer.enumeration.nodes(i),
         "distribution": scorer.distributions[i].tolist(),
         "simulatability": float(scorer.simulatability[i]),
@@ -189,7 +189,7 @@ def _top_pairs(front, scorer, kept: np.ndarray) -> str:
     return "".join(pieces.ravel().tolist())
 
 
-def node_document(result: NodeExplanation, graph, model, top_percent: float, manifest: dict) -> str:
+def node_document(result: NodeExplanation, top_percent: float, manifest: dict) -> str:
     """The explain document of one node, as ``json.dumps(doc, sort_keys=True,
     indent=2) + "\n"`` writes it.
 
@@ -205,7 +205,7 @@ def node_document(result: NodeExplanation, graph, model, top_percent: float, man
         "full_distribution": [float(x) for x in result.full_distribution],
         "candidate_count": result.candidate_count,
         "pair_count": result.pair_count,
-        "explanation": _candidate_block(result.source, result.explanation, graph),
+        "explanation": _candidate_block(result.scorer, result.explanation),
         "manifest": manifest,
     }
     front, top_pairs = result.front, "[]"
@@ -223,13 +223,13 @@ def node_document(result: NodeExplanation, graph, model, top_percent: float, man
             confounders=None,
         )
     else:
-        scorer = result.scorer
+        scorer, ball = result.scorer, result.ball
         enumeration = scorer.enumeration
         sel, e, c = front.selected, int(front.e[front.selected]), int(front.c[front.selected])
         relevance = float(front.relevance[sel])
         removed = enumeration.removed_nodes(e, c)
         doc.update(
-            counterfactual=_candidate_block(scorer, c, graph),
+            counterfactual=_candidate_block(scorer, c),
             removed_nodes=removed,
             cf_relevance=relevance,
             abs_cf_relevance=abs(relevance),
@@ -238,7 +238,7 @@ def node_document(result: NodeExplanation, graph, model, top_percent: float, man
             cf_rank=int(front.rel_ranks[sel]),
             on_front=bool(front.pareto[sel]),
             front_size=front.front_size,
-            confounders=sorted(confounder_set(graph, result.target, model.depth, removed, result.ball)),
+            confounders=sorted(confounder_set(ball.graph, result.target, scorer.model.depth, removed, ball)),
         )
         top_pairs = _top_pairs(front, scorer, front.order[: top_count(top_percent, len(front.e))])
     header = json.dumps(doc, sort_keys=True, indent=2, default=io.json_default)
@@ -284,7 +284,7 @@ def explain_command(args) -> int:
                 model, graph, node, econfig, method=args.method, seed=seed,
                 exhaustive_cf=args.exhaustive_cf, epsilon=args.epsilon, edge_weights=external,
             )
-            doc = node_document(result, graph, model, args.top_percent, manifest)
+            doc = node_document(result, args.top_percent, manifest)
             ok = True
         except Exception as exc:  # recorded per node; the run continues
             doc = {

@@ -70,6 +70,8 @@ def robustness_command(args) -> int:
     # Checked before any input is read, so a bad value is not reported once per node.
     if args.steps < 2:
         raise ValueError("steps must be at least 2")
+    if args.method == "external-weights":
+        raise ValueError("method external-weights needs edge weights, which robustness does not read")
     graph = io.load_graph(args.graph_path)
     model = io.load_model(args.weights_path)
     econfig = EnumConfig(args.max_nodes, args.diameter)

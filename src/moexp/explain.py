@@ -315,8 +315,9 @@ def _distributions(x) -> np.ndarray:
 class CandidateScorer:
     """Scores of one enumeration's candidates against the full-graph prediction.
 
-    The full-graph prediction is one pass on the target's ball (``ball``, or
-    a new one of the model's depth in hops).
+    The full-graph prediction is one pass on the target's ball in the
+    enumeration's graph: the enumeration's ball when it has at least the
+    model's depth in hops, or a new one of that depth.
 
     Candidate i's restricted pass runs on its first request; its distribution
     and simulatability then stay in ``distributions[i]`` and
@@ -329,23 +330,18 @@ class CandidateScorer:
     """
 
     def __init__(
-        self,
-        model: Model,
-        graph: Graph,
-        enumeration: Enumeration,
-        epsilon: float = DEFAULT_EPSILON,
-        reference_distribution=None,
-        ball: Ball | None = None,
+        self, model: Model, enumeration: Enumeration, epsilon: float = DEFAULT_EPSILON, reference_distribution=None
     ):
         if not 0.0 < epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1): {epsilon}")
         self.model = model
-        self.graph = graph
         self.enumeration = enumeration
         self.target = enumeration.target
         self.epsilon = epsilon
         if reference_distribution is None:
-            self.full_distribution = forward(model, graph, self.target, ball=ball)
+            ball = enumeration.ball
+            deep = ball if ball.hops >= model.depth else None
+            self.full_distribution = forward(model, ball.graph, self.target, ball=deep)
         else:
             self.full_distribution = np.asarray(reference_distribution, dtype=float)
         self.distributions = np.zeros((len(enumeration), model.class_count))

@@ -51,8 +51,17 @@ def _count(params, key, default, least, needs) -> int:
     return value
 
 
+def _number(params, key, default) -> float:
+    """``params[key]``, or ``default``, as a float; the error names ``key``."""
+    value = params.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
 def _finite(params, key, default) -> float:
-    value = float(params.get(key, default))
+    value = _number(params, key, default)
     if not np.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value}")
     return value
@@ -64,8 +73,9 @@ def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
     Kinds and their params, all optional. Before anything is drawn, the
     counts ``nodes``, ``leaves``, ``background``, ``classes`` and
     ``max_degree`` must be ints (not bools or floats) no smaller than the
-    kind's bound, and ``noise`` and ``scale`` finite; the features they
-    draw must be finite too. Otherwise ``ValueError`` names the parameter.
+    kind's bound, ``noise`` and ``scale`` finite numbers and ``p`` a number
+    in [0, 1]; the features they draw must be finite too. Otherwise
+    ``ValueError`` names the parameter.
 
     - ``chain``: nodes, classes, noise, scale. Path graph, classes alternate
       along the path.
@@ -121,7 +131,7 @@ def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
     else:
         _check_params(params, {"nodes", "p", "classes", "noise", "scale", "max_degree"}, kind)
         n = _count(params, "nodes", 30, 1, "erdos needs at least 1 node")
-        p = float(params.get("p", 0.1))
+        p = _number(params, "p", 0.1)
         classes = _count(params, "classes", 3, 2, "erdos needs at least 2 classes")
         noise = _finite(params, "noise", 0.05)
         scale = _finite(params, "scale", 1.0)

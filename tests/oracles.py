@@ -56,7 +56,7 @@ def subgraph(enumeration, i: int) -> Subgraph:
 
 def explanation(result) -> Subgraph:
     """The explanation a ``NodeExplanation`` selected, as a ``Subgraph``."""
-    return subgraph(result.source.enumeration, result.explanation)
+    return subgraph(result.scorer.enumeration, result.explanation)
 
 
 def _runs(indptr, nbr, edge) -> tuple:
@@ -873,8 +873,8 @@ def reference_document(result, graph, model, top_percent, manifest) -> dict:
         "candidate_count": result.candidate_count,
         "pair_count": result.pair_count,
         "explanation": _block(
-            explanation(result), result.source.distributions[result.explanation],
-            result.source.simulatability[result.explanation], graph,
+            explanation(result), result.scorer.distributions[result.explanation],
+            result.scorer.simulatability[result.explanation], graph,
         ),
         "manifest": manifest,
     }

@@ -210,7 +210,7 @@ def test_message_sweep_explains_against_the_perturbed_prediction(triangle_graph,
         after = explain_node(triangle_model, triangle_graph, node, config, reference_distribution=probe.distribution)
         # the re-scored explanation sees the perturbed full distribution
         assert np.array_equal(after.full_distribution, probe.distribution)
-        nodes = [r.source.enumeration.nodes(r.explanation) for r in (before, after)]
+        nodes = [r.scorer.enumeration.nodes(r.explanation) for r in (before, after)]
         assert (record.pred_before, record.pred_after, record.jaccard) == (
             before.predicted_class, int(np.argmax(probe.distribution)), jaccard_distance(*nodes)
         )

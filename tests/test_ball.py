@@ -14,11 +14,14 @@ import moexp.gcn
 from moexp import (
     ACTIVATIONS,
     METHODS,
+    CandidateScorer,
     EnumConfig,
     Model,
     build_graph,
     canonical_order,
+    enumerate_subgraphs,
     explain_node,
+    forward,
     forward_hidden,
     node_embeddings,
     run_sanity_sweep,
@@ -167,6 +170,40 @@ def test_a_ball_of_another_target_or_too_few_hops_is_rejected(chain_graph, chain
         forward_hidden(chain_model, chain_graph, 2, ball=canonical_order(chain_graph, 2, 1))
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.sampled_from(ACTIVATIONS), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_scorer_reference_is_the_full_pass_bitwise(seed, depth, activation, mean):
+    # The scorer's pass runs on the enumeration's ball when it has the
+    # model's depth in hops and on a new ball otherwise: at diameter 1 the
+    # ball is shallower than the model, from diameter ``depth`` on as deep.
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, max_nodes=9)
+    model = _model(rng, depth, activation, True, mean, False, feature_dim(graph))
+    v = int(rng.integers(0, graph.node_count))
+    want = forward(model, graph, v).tobytes()
+    for diameter in range(1, depth + 2):
+        enumeration = enumerate_subgraphs(graph, v, EnumConfig(max_nodes=3, diameter=diameter))
+        assert CandidateScorer(model, enumeration).full_distribution.tobytes() == want, diameter
+
+
+def test_explain_node_rejects_an_enumeration_whose_ball_is_too_shallow(chain_graph, chain_model):
+    # The two-layer model's pass needs 2 hops, and a grown tree 3 at C = 4.
+    config = EnumConfig(max_nodes=4, diameter=1)
+    shallow = enumerate_subgraphs(chain_graph, 2, config)
+    with pytest.raises(ValueError, match="ball of node 2 with 1 hops cannot serve node 2 at 2 hops"):
+        explain_node(chain_model, chain_graph, 2, config, enumeration=shallow)
+    config = EnumConfig(max_nodes=4, diameter=2)
+    search = enumerate_subgraphs(chain_graph, 2, config)
+    with pytest.raises(ValueError, match="ball of node 2 with 2 hops cannot serve node 2 at 3 hops"):
+        explain_node(
+            chain_model, chain_graph, 2, config, method="external-weights", edge_weights={}, enumeration=search
+        )
+    # An enumeration of the same target in another graph is no ball of this one.
+    other = enumerate_subgraphs(build_graph(chain_graph.features, chain_graph.edges), 2, config)
+    with pytest.raises(ValueError, match="ball of node 2 with 2 hops cannot serve node 2"):
+        explain_node(chain_model, chain_graph, 2, config, enumeration=other)
+
+
 def _with_far_path(graph, extra: int):
     """``graph`` plus a disjoint path over ``extra`` new nodes, which take the
     higher ids, so every old node and edge keeps its id."""
@@ -179,7 +216,7 @@ def _with_far_path(graph, extra: int):
 
 def _arrays(result):
     front = result.front
-    parts = [result.full_distribution, result.source.distributions[result.explanation]]
+    parts = [result.full_distribution, result.scorer.distributions[result.explanation]]
     if front is not None:
         parts += [front.e, front.c, front.relevance]
     return [p.tobytes() for p in parts] + [explanation(result), front is None]

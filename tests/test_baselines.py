@@ -60,7 +60,7 @@ def induced_tree(graph, target, nodes):
 def simulatability_of(model, graph, target):
     """nu(nodes): the scored simulatability of the tree induced on the nodes."""
     enum = enumerate_subgraphs(graph, target)
-    scorer = CandidateScorer(model, graph, enum)
+    scorer = CandidateScorer(model, enum)
     return lambda nodes: scorer.candidate(index(enum)[induced_tree(graph, target, nodes).edge_set])
 
 
@@ -185,11 +185,11 @@ def test_shapley_matches_independent_oracle(seed):
 def test_shapley_selection_chain_picks_largest_drop(chain_model):
     g = three_chain()
     cfg = EnumConfig(max_nodes=3, diameter=2)
-    picked = shapley_selection(chain_model, g, 2, cfg)
+    enum = enumerate_subgraphs(g, 2, cfg)
+    scorer = CandidateScorer(chain_model, enum)
+    picked = shapley_selection(scorer)
     assert picked is not None
     expl, cf = picked
-    enum = enumerate_subgraphs(g, 2, cfg)
-    scorer = CandidateScorer(chain_model, g, enum)
     drop = abs(scorer.candidate(expl) - scorer.candidate(cf))
     # exhaustively confirm no other (candidate, leaf) combination beats it
     for i, sub in enumerate(subgraphs(enum)):
@@ -206,7 +206,7 @@ def test_shapley_selection_chain_picks_largest_drop(chain_model):
 
 def test_shapley_selection_isolated_target_none(chain_model):
     g = build_graph([[1.0], [0.0]], [])
-    assert shapley_selection(chain_model, g, 0) is None
+    assert shapley_selection(CandidateScorer(chain_model, enumerate_subgraphs(g, 0))) is None
 
 
 @st.composite
@@ -253,8 +253,8 @@ def scanned_pick(scorer, graph, target, config):
 @settings(max_examples=100, deadline=None)
 def test_shapley_selection_matches_a_scan_of_leaf_removals(case):
     model, graph, target, config = case
-    scorer = CandidateScorer(model, graph, enumerate_subgraphs(graph, target, config))
-    assert shapley_selection(model, graph, target, config, scorer=scorer) == scanned_pick(scorer, graph, target, config)
+    scorer = CandidateScorer(model, enumerate_subgraphs(graph, target, config))
+    assert shapley_selection(scorer) == scanned_pick(scorer, graph, target, config)
     counts = {node: v.support_count for node, v in shapley_values(model, graph, target, config).items()}
     oracle = shapley_oracle(model, graph, target, config.max_nodes, config.diameter)
     assert counts == {node: count for node, (_, count) in oracle.items()}

@@ -592,7 +592,7 @@ def test_traced_boundaries_see_every_document(fixtures_dir, tmp_path):
 def test_epsilon_outside_unit_interval_is_rejected(epsilon, chain_graph, chain_model):
     message = re.escape(f"epsilon must be in (0, 1): {epsilon}")
     with pytest.raises(ValueError, match=message):
-        CandidateScorer(chain_model, chain_graph, enumerate_subgraphs(chain_graph, 2), epsilon)
+        CandidateScorer(chain_model, enumerate_subgraphs(chain_graph, 2), epsilon)
     with pytest.raises(ValueError, match=message):
         explain_node(chain_model, chain_graph, 2, epsilon=epsilon)
 
@@ -654,6 +654,17 @@ def test_robustness_keeps_the_rows_of_nodes_that_succeed(tmp_path, capsys):
     assert main(argv + ["--targets", "0,1", "--out", str(tmp_path / "none.csv")]) == 1
     assert capsys.readouterr().err == "error: steps must be at least 2\n"
     assert not (tmp_path / "none.csv").exists()
+
+
+def test_robustness_rejects_external_weights_before_reading_inputs(tmp_path, capsys):
+    # The command reads no edge weights, so the method could only fail every
+    # node; it is one error for the run, checked before the (missing) inputs.
+    out = tmp_path / "sweep.csv"
+    argv = ["robustness", "--graph", str(tmp_path / "none.json"), "--weights", str(tmp_path / "none.json")]
+    assert main(argv + ["--method", "external-weights", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: method external-weights needs edge weights, which robustness does not read\n"
+    assert not out.exists()
 
 
 # Run in a fresh interpreter: the modules loaded by ``import moexp.cli``, and

@@ -28,7 +28,7 @@ def _documents(result, graph, model, method, exhaustive, top_percent):
     manifest = {"tool": "moexp", "seed": 7, "config": config, "inputs": {}, "generated_at": ""}
     doc = reference_document(result, graph, model, args.top_percent, manifest)
     want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    got = node_document(result, graph, model, args.top_percent, manifest)
+    got = node_document(result, args.top_percent, manifest)
     if result.front is not None:
         assert got.endswith('"top_pairs": ' + template_top_pairs(result, args.top_percent) + "\n}\n")
     return got, want

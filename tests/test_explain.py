@@ -338,7 +338,7 @@ def test_stacked_softmax_and_simulatability_equal_row_calls_bitwise(seed, classe
 
 def chain_scorer(graph, model):
     enum = enumerate_subgraphs(graph, 2, EnumConfig(max_nodes=4, diameter=2))
-    return enum, CandidateScorer(model, graph, enum)
+    return enum, CandidateScorer(model, enum)
 
 
 def test_scorer_memoizes_shared_counterfactual(chain_graph, chain_model):
@@ -356,7 +356,7 @@ def test_memoization_semantically_invisible(chain_graph, chain_model):
     pairs = generate_pairs(enum)
     with_memo = scorer.pair(pairs[:, 0], pairs[:, 1])
     for k, (e, c) in enumerate(pairs):
-        fresh = CandidateScorer(chain_model, chain_graph, enum)
+        fresh = CandidateScorer(chain_model, enum)
         assert with_memo[k] == fresh.pair(pairs[k : k + 1, 0], pairs[k : k + 1, 1])[0]
         assert scorer.simulatability[e] == fresh.simulatability[e]
         assert np.array_equal(scorer.distributions[e], fresh.distributions[e])
@@ -396,7 +396,7 @@ def test_scored_pairs_track_oracle_metric(seed):
     m = random_model(rng)
     v = int(rng.integers(0, g.node_count))
     enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=3, diameter=2))
-    scorer = CandidateScorer(m, g, enum)
+    scorer = CandidateScorer(m, enum)
     pairs = generate_pairs(enum)
     scorer.pair(pairs[:, 0], pairs[:, 1])
     from moexp import forward
@@ -423,7 +423,7 @@ def _kept_tree_batches(monkeypatch):
 def _scored(model, graph, enum, pairs, entries):
     """A scorer after a few requests, run under a budget of ``entries``."""
     with mock.patch.object(moexp.gcn, "BATCH_ENTRIES", entries):
-        scorer = CandidateScorer(model, graph, enum)
+        scorer = CandidateScorer(model, enum)
         half = len(pairs) // 2
         scorer.pair(pairs[:half, 0], pairs[:half, 1])
         scorer.candidate(len(enum) - 1)
@@ -465,7 +465,7 @@ def test_scoring_splits_a_hub_into_bounded_batches(monkeypatch):
     assert np.bincount(enum.sizes).tolist() == [0, 1, n - 1, (n - 1) * (n - 2) // 2]
     pairs = generate_pairs(enum)
     batches = _kept_tree_batches(monkeypatch)
-    scorer = CandidateScorer(model, graph, enum)
+    scorer = CandidateScorer(model, enum)
     scorer.pair(pairs[:, 0], pairs[:, 1])  # one request of every tree
     width = max(d for layer in model.layers for d in layer.shape)
     budget = moexp.gcn.BATCH_ENTRIES
@@ -477,7 +477,7 @@ def test_scoring_splits_a_hub_into_bounded_batches(monkeypatch):
         assert (trees + 1) * (3 * width + 4) > budget
     batches.clear()
     with mock.patch.object(moexp.gcn, "BATCH_ENTRIES", sys.maxsize):
-        whole = CandidateScorer(model, graph, enum)
+        whole = CandidateScorer(model, enum)
         whole.pair(pairs[:, 0], pairs[:, 1])
     assert [k for _, k in batches] == [1, 2, 3]  # one call per tree size
     assert scorer.distributions.tobytes() == whole.distributions.tobytes()

@@ -11,6 +11,7 @@ from moexp import (
     derive_seed,
     enumerate_subgraphs,
     explain_node,
+    forward,
     random_weights,
     simulatability,
 )
@@ -57,7 +58,7 @@ def test_chain_rank_selection_frozen(chain_graph, chain_model):
     assert explanation(res) == subgraph(enum, e)
     assert explanation(res).edge_set == (1,)
     assert explanation(res).node_set == (1, 2)
-    assert res.source.simulatability[res.explanation] == -0.08662254246870793
+    assert res.scorer.simulatability[res.explanation] == -0.08662254246870793
     assert subgraph(enum, c).edge_set == ()
     assert enum.removed_nodes(e, c) == [1]
     assert res.front.relevance[sel] == 0.1929366323464467
@@ -131,8 +132,8 @@ def test_exhaustive_widens_the_pairing(chain_graph, chain_model):
 def test_reference_distribution_shifts_scores(chain_graph, chain_model):
     skewed = np.array([0.05, 0.95])
     res = explain_node(chain_model, chain_graph, 2, reference_distribution=skewed)
-    assert res.source.simulatability[res.explanation] == pytest.approx(
-        -sym_kl(skewed, res.source.distributions[res.explanation]), rel=1e-9, abs=1e-12
+    assert res.scorer.simulatability[res.explanation] == pytest.approx(
+        -sym_kl(skewed, res.scorer.distributions[res.explanation]), rel=1e-9, abs=1e-12
     )
     # the override becomes the reported full prediction, as in the
     # message-perturbation rescoring path
@@ -168,9 +169,9 @@ def test_balanced_selection_minimizes_rank_gap(chain_graph, chain_model):
 @settings(max_examples=150, deadline=None)
 def test_grown_tree_outside_the_search_is_scored_from_its_growth_table(seed, max_nodes, diameter, depth):
     # External weights on every edge can grow a tree past the D-hop search.
-    # Such a tree is scored from its own growth table, against the main
-    # scorer's reference, with the bits of a pass over the tree alone, and
-    # its one pass adds (1, 0) to the counts.
+    # Such a tree's own scorer, over its growth table, becomes the result's:
+    # it scores the tree against the search scorer's reference, with the
+    # bits of a pass over the tree alone, and its one pass is the counts.
     rng = np.random.default_rng(seed)
     g = random_graph(rng, max_nodes=10, edge_prob=0.35, min_nodes=1)
     m = random_model(rng, hidden=int(rng.integers(1, 13)), classes=int(rng.integers(2, 4)), depth=depth)
@@ -178,17 +179,44 @@ def test_grown_tree_outside_the_search_is_scored_from_its_growth_table(seed, max
     weights = dict(enumerate(rng.random(g.edge_count).tolist()))
     config = EnumConfig(max_nodes=max_nodes, diameter=diameter)
     res = explain_node(m, g, v, config, method="external-weights", edge_weights=weights)
-    grown = subgraph(grow_table(weights, g, v, max_nodes), -1)
+    table = grow_table(weights, g, v, max_nodes)
+    grown = subgraph(table, -1)
     assert explanation(res) == grown
-    extra = (res.distinct_evaluations - res.scorer.forward_count, res.memo_hits - res.scorer.hit_count)
-    if grown.edge_set in index(res.scorer.enumeration):
-        assert extra == (0, 0)
+    search = enumerate_subgraphs(g, v, config)
+    assert res.candidate_count == len(search)
+    counts = (res.distinct_evaluations, res.memo_hits)
+    assert counts == (res.scorer.forward_count, res.scorer.hit_count)
+    if grown.edge_set in index(search):
+        assert len(res.scorer.enumeration) == len(search)
         return
     assert res.front is None and res.pair_count == 0
+    assert res.scorer.enumeration.parent.tolist() == table.parent.tolist() and res.explanation == len(table) - 1
     want = restricted_forward(m, g, v, grown)
-    assert res.source.distributions[res.explanation].tobytes() == want.tobytes()
-    assert float.hex(res.source.simulatability[res.explanation]) == float.hex(simulatability(res.full_distribution, want))
-    assert extra == (1, 0)
+    assert res.scorer.distributions[res.explanation].tobytes() == want.tobytes()
+    assert float.hex(res.scorer.simulatability[res.explanation]) == float.hex(simulatability(res.full_distribution, want))
+    assert res.full_distribution.tobytes() == forward(m, g, v).tobytes()
+    assert counts == (1, 0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_the_explanation_is_a_row_of_the_scorers_table(method):
+    # At D = 1 the golden motif's external weights grow some trees past the
+    # search; their rows are in the grown tree's own table.
+    g = load_graph(GOLDEN_INPUTS / "motif.json")
+    m = load_model(GOLDEN_INPUTS / "motif_weights.json")
+    weights = load_edge_weights(GOLDEN_INPUTS / "motif_edge_weights.json")
+    config = EnumConfig(max_nodes=4, diameter=1)
+    grown = []
+    for v in range(g.node_count):
+        res = explain_node(m, g, v, config, method=method, seed=v, edge_weights=weights)
+        table = res.scorer.enumeration
+        assert 0 <= res.explanation < len(table)
+        want = restricted_forward(m, g, v, subgraph(table, res.explanation))
+        assert res.scorer.distributions[res.explanation].tobytes() == want.tobytes()
+        if res.front is not None:
+            assert res.front.e[res.front.selected] == res.explanation
+        grown.append(len(table) != res.candidate_count)
+    assert any(grown) == (method == "external-weights")
 
 
 @given(st.integers(0, 50_000), st.booleans(), st.booleans(), st.sampled_from(["pareto-rank", "balanced"]))

@@ -139,6 +139,23 @@ def test_synth_command_names_a_bad_count_and_writes_nothing(kind, param, tmp_pat
     assert not graph.exists() and not weights.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, param, message",
+    [
+        ("erdos", "p=abc", "p must be a number, got 'abc'"),
+        ("erdos", "noise=abc", "noise must be a number, got 'abc'"),
+        ("chain", "scale=x", "scale must be a number, got 'x'"),
+        ("erdos", "p=1.5", "p must lie in [0, 1]"),
+    ],
+)
+def test_synth_command_names_a_parameter_that_is_no_number_and_writes_nothing(kind, param, message, tmp_path, capsys):
+    graph, weights = tmp_path / "g.json", tmp_path / "w.json"
+    code = main(["synth", "--kind", kind, "--param", param, "--out-graph", str(graph), "--out-weights", str(weights)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not graph.exists() and not weights.exists()
+
+
 def test_synthetic_graphs_explainable_end_to_end():
     for kind in KINDS:
         g, m = synth_graph(kind, seed=4)
