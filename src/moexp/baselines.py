@@ -45,10 +45,10 @@ def grow_table(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | 
     the runs of the target's ball: ``ball`` must hold every weighted edge
     the growth can reach, which the default ``max_nodes - 1`` hops always
     do. Each step is recorded as the DFS of ``enumerate_subgraphs`` records
-    a candidate.
+    a candidate, in a table whose ``config`` holds the bounds growth obeys:
+    ``max_nodes`` nodes within ``max_nodes - 1`` hops (at least 1).
     """
-    if max_nodes < 1:
-        raise ValueError("max_nodes must be at least 1")
+    config = EnumConfig(max_nodes, max(1, max_nodes - 1))
     if ball is None:
         ball = canonical_order(graph, target, max_nodes - 1)
     else:
@@ -70,7 +70,7 @@ def grow_table(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | 
             break
         growth.append((len(rows) - 1, *best[1:], len(rows) + 1))
         rows.append(best[2])
-    return growth_table(target, ball, np.array(growth, dtype=np.intp), max_nodes)
+    return growth_table(target, ball, np.array(growth, dtype=np.intp), config)
 
 
 @dataclass(frozen=True)

@@ -223,8 +223,8 @@ def node_document(result: NodeExplanation, top_percent: float, manifest: dict) -
             confounders=None,
         )
     else:
-        scorer, ball = result.scorer, result.ball
-        enumeration = scorer.enumeration
+        scorer = result.scorer
+        enumeration, ball = scorer.enumeration, scorer.enumeration.ball
         sel, e, c = front.selected, int(front.e[front.selected]), int(front.c[front.selected])
         relevance = float(front.relevance[sel])
         removed = enumeration.removed_nodes(e, c)

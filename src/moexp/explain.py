@@ -58,12 +58,14 @@ class Enumeration:
     ``rows[i]`` of node r's tree neighbours, ascending by global node id,
     the order a pass sums them in.
 
-    ``nodes(i)`` lists candidate i's node ids, and ``positions`` finds
-    candidates by their edge sets.
+    ``config`` holds the bounds of the search that built the table: a
+    growth table's are those its growth obeys. ``nodes(i)`` lists candidate
+    i's node ids, and ``positions`` finds candidates by their edge sets.
     """
 
     target: int
     ball: Ball
+    config: EnumConfig
     parent: np.ndarray
     sizes: np.ndarray
     edge_ids: np.ndarray
@@ -184,16 +186,16 @@ def enumerate_subgraphs(
 
     if max_nodes > 1:
         expand(0, [(rank, eid, nbr, 0) for rank, eid, nbr in links[0]])
-    return growth_table(target, ball, np.array(growth, dtype=np.intp).reshape(-1, 5), max_nodes)
+    return growth_table(target, ball, np.array(growth, dtype=np.intp).reshape(-1, 5), config)
 
 
-def growth_table(target: int, ball: Ball, growth: np.ndarray, max_nodes: int) -> Enumeration:
+def growth_table(target: int, ball: Ball, growth: np.ndarray, config: EnumConfig) -> Enumeration:
     """The ``Enumeration`` of each candidate's (parent, row grown from,
-    added node, added edge, node count): a candidate of k nodes is its
-    parent's arrays plus row k - 1, so one step per size builds them. The
-    DFS records every candidate, greedy growth (``baselines.grow_table``)
-    one path."""
-    n = len(growth)
+    added node, added edge, node count) under the bounds ``config``: a
+    candidate of k nodes is its parent's arrays plus row k - 1, so one step
+    per size builds them. The DFS records every candidate, greedy growth
+    (``baselines.grow_table``) one path."""
+    n, max_nodes = len(growth), config.max_nodes
     parent, at, added, edge, size = np.ascontiguousarray(growth.T)
     global_id = np.asarray(ball.nodes)
     rows = np.full((n, max_nodes), -1, dtype=np.int32)
@@ -220,7 +222,7 @@ def growth_table(target: int, ball: Ball, growth: np.ndarray, max_nodes: int) ->
         moved = np.concatenate([old[:, :1], old[:, :-1]], axis=1)  # one place to the right
         slots[idx, a] = np.where(width < place, old, np.where(width == place, r, moved))
     node_ids = _sorted_rows(np.where(rows >= 0, global_id[rows], -1))
-    return Enumeration(target, ball, parent, size, _sorted_rows(edges), node_ids, rows, depth, slots)
+    return Enumeration(target, ball, config, parent, size, _sorted_rows(edges), node_ids, rows, depth, slots)
 
 
 def _combinations(k: int, width: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .explain import (
     DEFAULT_EPSILON,
 )
 from .gcn import Model
-from .graph import Ball, Graph, target_ball
+from .graph import Graph, target_ball
 from .pareto import ScoredFront, rank_pairs
 
 METHODS = (
@@ -49,7 +49,7 @@ class NodeExplanation:
     grown tree that left the search (``front`` is then None).
     ``candidate_count`` counts the search's candidates, and
     ``distinct_evaluations`` and ``memo_hits`` are the scorer's counts.
-    ``ball`` is the target's ball that every stage read.
+    Every stage read the target's ball, ``scorer.enumeration.ball``.
     """
 
     target: int
@@ -60,7 +60,6 @@ class NodeExplanation:
     pair_count: int
     front: ScoredFront | None
     scorer: CandidateScorer
-    ball: Ball
     explanation: int
     distinct_evaluations: int
     memo_hits: int
@@ -94,13 +93,16 @@ def explain_node(
     ``edge_weights`` supplies the weights for method ``external-weights``.
     Every stage reads only the target's ball, of ``ball_hops`` hops, so the
     cost does not grow with the graph. ``enumeration`` lets a caller that
-    explains one target several times enumerate once; its ball is the one
-    every stage reads, and must have at least ``ball_hops`` hops.
+    explains one target several times enumerate once: it must have been
+    built under ``config``, and its ball, the one every stage reads, must
+    have at least ``ball_hops`` hops.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
     if enumeration is not None and enumeration.target != target:
         raise ValueError("enumeration anchored at a different target")
+    if enumeration is not None and enumeration.config != config:
+        raise ValueError(f"enumeration built under {enumeration.config} cannot serve {config}")
     given = None if enumeration is None else enumeration.ball
     ball = target_ball(graph, target, ball_hops(model, config, method), given)
     if enumeration is None:
@@ -158,7 +160,6 @@ def explain_node(
         pair_count=len(pairs),
         front=front,
         scorer=scorer,
-        ball=ball,
         explanation=i,
         distinct_evaluations=scorer.forward_count,
         memo_hits=scorer.hit_count,

@@ -1,0 +1,87 @@
+"""The CLI's failure cases, one row each, run by ``tests/test_cli_cases.py``.
+
+``{name}`` in a row's ``argv`` (split as a shell would) and ``err`` is the
+path ``name`` in the run's temp dir, where ``files`` are written first: the
+bytes given, or a copy of the file given. stderr must equal ``err``
+(``match`` "whole"), start with it and be one line ("prefix"), or end with
+it ("suffix"). ``exists`` and ``absent`` name paths in the temp dir.
+"""
+
+import pathlib
+from dataclasses import dataclass, field
+
+from moexp import METHODS
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+INPUTS = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+@dataclass(frozen=True)
+class Case:
+    id: str
+    argv: str
+    status: int
+    err: str
+    match: str = "whole"
+    files: dict = field(default_factory=dict)
+    exists: tuple = ()
+    absent: tuple = ()
+
+
+CHAIN = {"g.json": FIXTURES / "chain4.json", "w.json": FIXTURES / "chain4_weights.json"}
+MOTIF = {"g.json": INPUTS / "motif.json", "w.json": INPUTS / "motif_weights.json"}
+NOT_JSON = {"truncated": b'{"nodes": [', "not-utf-8": b"\xff\xfe", "nested": b"[" * 200_000}
+INPUT_FLAGS = {"--graph": "{g.json}", "--weights": "{w.json}", "--edge-weights": "{e.json}"}
+CSV = {
+    "enumerate": "enumerate --graph {g.json}",
+    "shapley": "shapley --graph {g.json} --weights {w.json}",
+    "robustness": "robustness --graph {g.json} --weights {w.json}",
+}
+
+CASES = [
+    # robustness reads no edge weights: one error for the run, before the (missing) inputs are read.
+    Case("robustness-external-weights", "robustness --graph {none.json} --weights {none.json} --method external-weights"
+         " --out {sweep.csv}", 1, "error: method external-weights needs edge weights, which robustness does not read\n",
+         absent=("sweep.csv",)),
+    *(Case(command + "-seed", CSV[command] + " --targets 2 --out {out.csv} --seed 1", 2,
+           "moexp: error: unrecognized arguments: --seed 1\n", "suffix", absent=("out.csv",))
+      for command in ("enumerate", "shapley")),
+    *(Case(command + "-missing-target", CSV[command] + " --targets 2,9 --out {out.csv}", 1,
+           "error: target node missing: 9\n", files=CHAIN, absent=("out.csv",))
+      for command in ("enumerate", "shapley", "robustness")),
+    # explain writes an error document for the missing node and counts it.
+    Case("explain-missing-target", "explain --graph {g.json} --weights {w.json} --targets 1,9 --out {out}", 1,
+         "1 of 2 nodes failed\n", files=CHAIN, exists=("out/node_1.json", "out/node_9.json")),
+    # An input that is not JSON fails the run and is named, whatever its role.
+    *(Case(f"explain-{flag[2:]}-{name}", "explain --method external-weights --targets 2 --out {out} "
+           + " ".join(f"{f} {path}" for f, path in {**INPUT_FLAGS, flag: "'{bad input.json}'"}.items()), 1,
+           "error: {bad input.json}: not a JSON document: ", "prefix",
+           {**CHAIN, "e.json": INPUTS / "chain4_edge_weights.json", "bad input.json": content}, absent=("out",))
+      for flag in INPUT_FLAGS for name, content in NOT_JSON.items()),
+    *(Case(f"enumerate-graph-{name}", "enumerate --graph {g.json} --targets 0 --out {out.csv}", 1,
+           "error: {g.json}: not a JSON document: ", "prefix", {"g.json": content}, absent=("out.csv",))
+      for name, content in NOT_JSON.items()),
+    # An --edge-weights file is read whatever the method, since the manifest records it.
+    *(Case(f"explain-{method}-empty-edge-weights", "explain --method " + method + " --targets 0 --out {out} "
+           + " ".join(f"{f} {path}" for f, path in INPUT_FLAGS.items()), 1,
+           "error: {e.json}: not a JSON document: ", "prefix", {**MOTIF, "e.json": b""}, absent=("out",))
+      for method in METHODS),
+    # A synth parameter that is no number, a bad count, or draws features that are not finite: no file is written.
+    *(Case(f"synth-{kind}-{params.replace(' ', '-')}", f"synth --kind {kind} --seed 42"
+           + "".join(f" --param {p}" for p in params.split()) + " --out-graph {g.json} --out-weights {w.json}", 1,
+           f"error: {message}\n", absent=("g.json", "w.json"))
+      for kind, params, message in [
+          ("chain", "scale=inf", "scale must be finite, got inf"),
+          ("star", "noise=nan", "noise must be finite, got nan"),
+          ("erdos", "nodes=5 noise=1e308", "drawn features overflow: noise or scale too large for finite features"),
+          ("chain", "nodes=3.5", "nodes must be an integer, got 3.5"),
+          ("chain", "classes=0", "chain needs at least 2 classes (classes=0)"),
+          ("star", "leaves=2.7", "leaves must be an integer, got 2.7"),
+          ("erdos", "nodes=abc", "nodes must be an integer, got 'abc'"),
+          ("erdos", "p=abc", "p must be a number, got 'abc'"),
+          ("erdos", "noise=abc", "noise must be a number, got 'abc'"),
+          ("chain", "noise=abc", "noise must be a number, got 'abc'"),
+          ("chain", "scale=x", "scale must be a number, got 'x'"),
+          ("erdos", "p=1.5", "p must lie in [0, 1]"),
+      ]),
+]

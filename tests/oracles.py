@@ -912,7 +912,7 @@ def reference_document(result, graph, model, top_percent, manifest) -> dict:
         cf_rank=rel_ranks[sel],
         on_front=pareto[sel],
         front_size=front.front_size,
-        confounders=sorted(confounder_set(graph, result.target, model.depth, removed, result.ball)),
+        confounders=sorted(confounder_set(graph, result.target, model.depth, removed, enumeration.ball)),
     )
     top = []
     for i in front.order.tolist()[: top_count(top_percent, len(e))]:

@@ -3,10 +3,11 @@ target's ball, and gives the whole graph's results bit for bit."""
 
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moexp.baselines
@@ -246,7 +247,30 @@ def test_explain_node_does_not_depend_on_graph_size(monkeypatch):
             seen.clear()
             got = explain_node(model, large, target, config, **kwargs)
             assert _arrays(got) == _arrays(want), (target, method)
-            assert max(seen) <= len(got.ball.nodes) <= small.node_count
+            assert max(seen) <= len(got.scorer.enumeration.ball.nodes) <= small.node_count
+
+
+_CONFIGS = st.builds(EnumConfig, st.integers(1, 4), st.integers(1, 3))
+
+
+@given(_CONFIGS, _CONFIGS, st.booleans(), st.sampled_from(METHODS), st.integers(0, 9))
+@example(EnumConfig(4, 3), EnumConfig(3, 3), False, "pareto-rank", 0)
+@example(EnumConfig(4, 3), EnumConfig(3, 3), False, "grad-fd", 0)
+@settings(max_examples=80, deadline=None)
+def test_an_enumeration_serves_only_the_config_it_was_built_under(built, other, same, method, target):
+    # A table read under other bounds would rank candidates those bounds
+    # exclude, or look trees up by keys of another width.
+    graph, model = load_graph(INPUTS / "motif.json"), load_model(INPUTS / "motif_weights.json")
+    used = built if same else other
+    kwargs = dict(method=method, seed=target, edge_weights=load_edge_weights(INPUTS / "motif_edge_weights.json"))
+    hops = max(built.diameter, used.diameter, used.max_nodes - 1, model.depth)
+    enumeration = enumerate_subgraphs(graph, target, built, canonical_order(graph, target, hops))
+    if built != used:
+        with pytest.raises(ValueError, match=re.escape(f"enumeration built under {built} cannot serve {used}")):
+            explain_node(model, graph, target, used, enumeration=enumeration, **kwargs)
+    else:
+        want = _arrays(explain_node(model, graph, target, used, **kwargs))
+        assert _arrays(explain_node(model, graph, target, used, enumeration=enumeration, **kwargs)) == want
 
 
 def _overflow_inputs(tmp_path):

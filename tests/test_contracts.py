@@ -536,15 +536,6 @@ def test_moexp_seed_is_read_by_seeded_commands_only(command, reads_seed, fixture
     assert main(argv) == (1 if reads_seed else 0)
 
 
-@pytest.mark.parametrize("command", ["enumerate", "shapley"])
-def test_seed_is_a_usage_error_where_no_command_reads_it(command, capsys):
-    argv = [command, "--graph", "g.json", "--targets", "2", "--out", "out.csv", "--seed", "1"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + (["--weights", "w.json"] if command == "shapley" else []))
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith("moexp: error: unrecognized arguments: --seed 1\n")
-
-
 @pytest.mark.parametrize("command", ["explain", "enumerate", "shapley", "robustness", "synth"])
 def test_every_declared_flag_is_read_by_its_command(command):
     # A static scan of the run function's ``args.<name>`` reads, nested
@@ -614,17 +605,6 @@ def test_epsilon_outside_unit_interval_fails_the_command(command, fixtures_dir, 
         assert len(list(csv.reader(out.read_text().splitlines()))) == 1
 
 
-@pytest.mark.parametrize("command", ["enumerate", "shapley", "robustness"])
-def test_a_missing_target_fails_the_csv_command_without_a_csv(command, fixtures_dir, tmp_path, capsys):
-    out = tmp_path / "out.csv"
-    argv = [command, "--graph", str(fixtures_dir / "chain4.json"), "--targets", "2,9", "--out", str(out)]
-    if command != "enumerate":
-        argv += ["--weights", str(fixtures_dir / "chain4_weights.json")]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "error: target node missing: 9\n"
-    assert not out.exists()
-
-
 def test_jobs_below_one_is_rejected(fixtures_dir, tmp_path, capsys):
     # Checked before the command reads its (here missing) inputs.
     args = ["explain", "--graph", "g.json", "--weights", "w.json", "--out", "out", "--jobs", "0"]
@@ -654,17 +634,6 @@ def test_robustness_keeps_the_rows_of_nodes_that_succeed(tmp_path, capsys):
     assert main(argv + ["--targets", "0,1", "--out", str(tmp_path / "none.csv")]) == 1
     assert capsys.readouterr().err == "error: steps must be at least 2\n"
     assert not (tmp_path / "none.csv").exists()
-
-
-def test_robustness_rejects_external_weights_before_reading_inputs(tmp_path, capsys):
-    # The command reads no edge weights, so the method could only fail every
-    # node; it is one error for the run, checked before the (missing) inputs.
-    out = tmp_path / "sweep.csv"
-    argv = ["robustness", "--graph", str(tmp_path / "none.json"), "--weights", str(tmp_path / "none.json")]
-    assert main(argv + ["--method", "external-weights", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: method external-weights needs edge weights, which robustness does not read\n"
-    assert not out.exists()
 
 
 # Run in a fresh interpreter: the modules loaded by ``import moexp.cli``, and

@@ -146,5 +146,5 @@ def test_a_graph_of_100k_nodes_loads_and_explains_without_views():
     target = int(np.argmax(np.diff(again.indptr)))
     result = explain_node(model, again, target, EnumConfig(max_nodes=3, diameter=2))
     assert result.candidate_count > 1 and result.front is not None
-    assert len(result.ball.nodes) < 1000
+    assert len(result.scorer.enumeration.ball.nodes) < 1000
     assert not VIEWS & (vars(graph).keys() | vars(again).keys())

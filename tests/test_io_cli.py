@@ -466,25 +466,6 @@ def test_negative_seed_is_one_error_that_names_its_source(command, source, tmp_p
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "content", [b'{"nodes": [', b"\xff\xfe", b"[" * 200_000], ids=["truncated", "not-utf-8", "nested"]
-)
-@pytest.mark.parametrize("role", ["--graph", "--weights", "--edge-weights"])
-def test_an_input_file_that_is_not_json_is_named(role, content, tmp_path, fixtures_dir, capsys):
-    graph_path, weights_path = chain_paths(fixtures_dir)
-    edge_weights_path = pathlib.Path(__file__).resolve().parent / "golden" / "inputs" / "chain4_edge_weights.json"
-    paths = {"--graph": graph_path, "--weights": weights_path, "--edge-weights": str(edge_weights_path)}
-    bad = tmp_path / "bad input.json"
-    bad.write_bytes(content)
-    paths[role] = str(bad)
-    out = tmp_path / "out"
-    argv = ["explain", "--method", "external-weights", "--targets", "2", "--out", str(out)]
-    assert main(argv + [x for pair in paths.items() for x in pair]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: not a JSON document: ") and err.count("\n") == 1
-    assert not out.exists()
-
-
 def test_documents_are_read_and_written_as_utf8_in_any_locale(tmp_path, fixtures_dir):
     # Under the C locale, with UTF-8 mode and locale coercion off, open()
     # without an encoding reads and writes ASCII.
@@ -516,18 +497,6 @@ def motif_explain(method, edge_weights, out):
     return ["explain", "--graph", str(GOLDEN_INPUTS / "motif.json"), "--weights",
             str(GOLDEN_INPUTS / "motif_weights.json"), "--method", method, "--edge-weights", str(edge_weights),
             "--targets", "0", "--out", str(out)]
-
-
-@pytest.mark.parametrize("method", moexp.METHODS)
-def test_an_edge_weights_file_is_read_whatever_the_method(method, tmp_path, capsys):
-    # The manifest records the file and its hash, so every method reads it.
-    empty = tmp_path / "empty.json"
-    empty.write_text("")
-    out = tmp_path / "out"
-    assert main(motif_explain(method, empty, out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {empty}: not a JSON document: ") and err.count("\n") == 1
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["-1", "9", "99999"])

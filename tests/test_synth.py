@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from moexp import explain_node, forward, shapley_values, synth_graph
-from moexp.cli import main
 from moexp.synth import KINDS, prototype_model
 
 from oracles import degree, explanation, feature_dim, same_graph
@@ -87,20 +86,6 @@ def test_parameters_that_draw_no_finite_features_are_rejected(kind, params, mess
             synth_graph(kind, params, seed=42)  # the seed the synth command defaults to
 
 
-@pytest.mark.parametrize("kind, params, message", NOT_FINITE)
-def test_synth_command_writes_nothing_for_features_that_are_not_finite(kind, params, message, tmp_path, capsys):
-    flags = [f for key, value in params.items() for f in ("--param", f"{key}={value}")]
-    graph, weights = tmp_path / "g.json", tmp_path / "w.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(
-            ["synth", "--kind", kind, *flags, "--seed", "42", "--out-graph", str(graph), "--out-weights", str(weights)]
-        )
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: " + message.lstrip("^").rstrip("$"))
-    assert not graph.exists() and not weights.exists()
-
-
 def test_prototype_model_square_features_identity():
     m = prototype_model(class_count=3)
     assert np.array_equal(m.layers[0], np.eye(3))
@@ -125,35 +110,6 @@ BAD_COUNTS = [
 def test_counts_are_exact_ints_checked_before_any_draw(kind, params, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         synth_graph(kind, params, seed=42)
-
-
-@pytest.mark.parametrize(
-    "kind, param", [("chain", "nodes=3.5"), ("chain", "classes=0"), ("star", "leaves=2.7"), ("erdos", "nodes=abc")]
-)
-def test_synth_command_names_a_bad_count_and_writes_nothing(kind, param, tmp_path, capsys):
-    graph, weights = tmp_path / "g.json", tmp_path / "w.json"
-    code = main(["synth", "--kind", kind, "--param", param, "--out-graph", str(graph), "--out-weights", str(weights)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and param.split("=")[0] in err
-    assert not graph.exists() and not weights.exists()
-
-
-@pytest.mark.parametrize(
-    "kind, param, message",
-    [
-        ("erdos", "p=abc", "p must be a number, got 'abc'"),
-        ("erdos", "noise=abc", "noise must be a number, got 'abc'"),
-        ("chain", "scale=x", "scale must be a number, got 'x'"),
-        ("erdos", "p=1.5", "p must lie in [0, 1]"),
-    ],
-)
-def test_synth_command_names_a_parameter_that_is_no_number_and_writes_nothing(kind, param, message, tmp_path, capsys):
-    graph, weights = tmp_path / "g.json", tmp_path / "w.json"
-    code = main(["synth", "--kind", kind, "--param", param, "--out-graph", str(graph), "--out-weights", str(weights)])
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not graph.exists() and not weights.exists()
 
 
 def test_synthetic_graphs_explainable_end_to_end():
