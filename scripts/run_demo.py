@@ -6,7 +6,7 @@ Usage: python scripts/run_demo.py [--kind planted-motif] [--seed 7] [--target 0]
 
 import argparse
 
-from moexp import EnumConfig, explain_node, forward, random_weights, synth_graph
+from moexp import EnumConfig, canonical_order, explain_node, forward, random_weights, synth_graph
 from moexp.pipeline import METHODS
 
 
@@ -22,7 +22,7 @@ def main() -> None:
 
     graph, model = synth_graph(args.kind, seed=args.seed)
     config = EnumConfig(max_nodes=args.max_nodes, diameter=args.diameter)
-    dist = forward(model, graph, args.target)
+    dist = forward(model, canonical_order(graph, args.target, model.depth))
     print(f"graph: {args.kind} seed={args.seed} ({graph.node_count} nodes, {graph.edge_count} edges)")
     print(f"target {args.target}: full prediction {dist.round(4).tolist()}")
     print()
@@ -30,7 +30,8 @@ def main() -> None:
     for method in METHODS:
         kwargs = {}
         if method == "external-weights":
-            kwargs["edge_weights"] = random_weights(graph, args.target, config, seed=args.seed)
+            ball = canonical_order(graph, args.target, config.diameter)
+            kwargs["edge_weights"] = random_weights(ball, config.diameter, seed=args.seed)
         result = explain_node(model, graph, args.target, config, method=method, **kwargs)
         nodes = ",".join(str(v) for v in result.scorer.enumeration.nodes(result.explanation))
         sim = f"{result.scorer.simulatability[result.explanation]:.4f}"

@@ -21,7 +21,6 @@ _EXPORTS = {
     "build_graph": "graph",
     "canonical_order": "graph",
     "confounder_set": "graph",
-    "target_ball": "graph",
     "ACTIVATIONS": "gcn",
     "Model": "gcn",
     "forward": "gcn",

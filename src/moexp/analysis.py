@@ -15,7 +15,7 @@ import numpy as np
 
 from .explain import EnumConfig, enumerate_subgraphs, DEFAULT_EPSILON
 from .gcn import Model, forward
-from .graph import Ball, Graph, target_ball
+from .graph import Ball, Graph, canonical_order
 from .pipeline import ball_hops, explain_node
 
 
@@ -46,29 +46,19 @@ class MessagePerturbation:
     distribution: np.ndarray
 
 
-def perturb_message(
-    model: Model,
-    graph: Graph,
-    target: int,
-    target_cos: float,
-    magnitude: float,
-    seed: int,
-    ball: Ball | None = None,
-) -> MessagePerturbation:
+def perturb_message(model: Model, ball: Ball, target_cos: float, magnitude: float, seed: int) -> MessagePerturbation:
     """Inject a message with chosen alignment to the predicted class column.
 
     The message has the requested norm and cosine against theta_y (the
     last-layer column of the unperturbed predicted class); its orthogonal
     component points in a seeded random direction. Both passes read the
-    target's ball (``ball``, of at least the model's depth in hops, or a
-    new one).
+    target's ball, of at least the model's depth in hops.
     """
     if not -1.0 <= target_cos <= 1.0:
         raise ValueError("target_cos must lie in [-1, 1]")
     if magnitude < 0:
         raise ValueError("magnitude must be non-negative")
-    ball = target_ball(graph, target, model.depth, ball)
-    base = forward(model, graph, target, ball=ball)
+    base = forward(model, ball)
     y = int(np.argmax(base))
     theta_y = model.layers[-1][:, y]
     norm = float(np.linalg.norm(theta_y))
@@ -96,8 +86,8 @@ def perturb_message(
     if magnitude == 0.0:
         distribution = base
     else:
-        distribution = forward(model, graph, target, extra_message=message, ball=ball)
-    return MessagePerturbation(target, message, float(target_cos), float(magnitude), int(seed), distribution)
+        distribution = forward(model, ball, extra_message=message)
+    return MessagePerturbation(ball.target, message, float(target_cos), float(magnitude), int(seed), distribution)
 
 
 def perturb_weights(model: Model, target_distance: float, seed: int) -> Model:
@@ -164,8 +154,8 @@ def run_sanity_sweep(
         raise ValueError("steps must be at least 2")
     records = []
     for node in nodes:
-        ball = target_ball(graph, node, ball_hops(model, config, method))
-        enumeration = enumerate_subgraphs(graph, node, config, ball)
+        ball = canonical_order(graph, node, ball_hops(model, config, method))
+        enumeration = enumerate_subgraphs(ball, config)
         baseline = explain_node(model, graph, node, config, method=method, epsilon=epsilon, enumeration=enumeration)
         base_nodes = baseline.scorer.enumeration.nodes(baseline.explanation)
         for si in range(steps):
@@ -173,7 +163,7 @@ def run_sanity_sweep(
             rec_seed = derive_seed(seed, node, si)
             if mode == "message":
                 cos = 1.0 - 2.0 * frac
-                distribution = perturb_message(model, graph, node, cos, magnitude, rec_seed, ball=ball).distribution
+                distribution = perturb_message(model, ball, cos, magnitude, rec_seed).distribution
                 after = explain_node(
                     model, graph, node, config, method=method, epsilon=epsilon,
                     reference_distribution=distribution, enumeration=enumeration,

@@ -12,52 +12,58 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcn import Model, ball_hidden, batch_runs, forward, node_embeddings, softmax
-from .graph import Ball, Graph, canonical_order, target_ball
+from .graph import Ball, Graph, canonical_order, require_hops
 from .explain import CandidateScorer, EnumConfig, Enumeration, enumerate_subgraphs, growth_table, DEFAULT_EPSILON
 
 
-def neighborhood_edge_ids(graph: Graph, target: int, diameter: int, ball: Ball | None = None) -> list:
+def neighborhood_edge_ids(ball: Ball, diameter: int) -> list:
     """Ids of edges whose endpoints both lie within ``diameter`` hops of
-    target, ascending; read from the target's ball (``ball``, of at least
-    ``diameter`` hops, or a new one)."""
-    ball = target_ball(graph, target, diameter, ball)
+    the ball's target, ascending; the ball has at least ``diameter`` hops."""
+    require_hops(ball, diameter)
     inner = ball.within[diameter]
     owner = np.arange(len(ball.nodes)).repeat(np.diff(ball.indptr))
     return np.sort(ball.edge[(owner < ball.nbr) & (ball.nbr < inner)]).tolist()
 
 
-def random_weights(graph: Graph, target: int, config: EnumConfig, seed: int, ball: Ball | None = None) -> dict:
-    """Uniform [0, 1) weight per neighborhood edge from a PCG64 stream."""
+def random_weights(ball: Ball, diameter: int, seed: int) -> dict:
+    """Uniform [0, 1) weight per edge within ``diameter`` hops of the
+    ball's target, from a PCG64 stream."""
     rng = np.random.default_rng(seed)
-    eids = neighborhood_edge_ids(graph, target, config.diameter, ball)
+    eids = neighborhood_edge_ids(ball, diameter)
     values = rng.random(len(eids))
     return {eid: float(v) for eid, v in zip(eids, values)}
 
 
-def grow_table(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | None = None) -> Enumeration:
-    """Greedy tree growth from the target along the heaviest frontier edge,
-    as the one-path ``Enumeration`` of its steps: candidate k is the tree
-    after k steps, grown from candidate k - 1.
+def grow_table(weights, ball: Ball, max_nodes: int) -> Enumeration:
+    """Greedy tree growth from the ball's target along the heaviest
+    frontier edge, as the one-path ``Enumeration`` of its steps: candidate
+    k is the tree after k steps, grown from candidate k - 1.
 
     Only edges present in ``weights`` are considered; ties are broken by
     the ball's ``edge_key``, the canonical edge order. Growth stops at
     ``max_nodes`` nodes or when no weighted frontier edge remains. It reads
-    the runs of the target's ball: ``ball`` must hold every weighted edge
-    the growth can reach, which the default ``max_nodes - 1`` hops always
-    do. Each step is recorded as the DFS of ``enumerate_subgraphs`` records
-    a candidate, in a table whose ``config`` holds the bounds growth obeys:
-    ``max_nodes`` nodes within ``max_nodes - 1`` hops (at least 1).
+    the runs of the ball, which must hold every weighted edge of each tree
+    node growth extends: ``max_nodes - 1`` hops always do, and a node on
+    the ball's rim with a weighted edge that leaves the ball raises the
+    shallow-ball ``ValueError``. Each step is recorded as the DFS of
+    ``enumerate_subgraphs`` records a candidate, in a table whose
+    ``config`` holds the bounds growth obeys: ``max_nodes`` nodes within
+    ``max_nodes - 1`` hops (at least 1).
     """
     config = EnumConfig(max_nodes, max(1, max_nodes - 1))
-    if ball is None:
-        ball = canonical_order(graph, target, max_nodes - 1)
-    else:
-        ball = target_ball(graph, target, 0, ball)
+    graph = ball.graph
     stops, nbrs, eids, keys = (a.tolist() for a in (ball.indptr, ball.nbr, ball.edge, ball.edge_key))
     rows = [0]
     # (parent, row grown from, node added, edge added, node count) per step.
     growth = [(-1, 0, 0, -1, 1)]
     while len(rows) < max_nodes:
+        new = rows[-1]  # its run is read for the first time
+        if ball.distance[new] == ball.hops:
+            # The ball lists a rim node's edges inside it only.
+            u = ball.nodes[new]
+            edges = set(graph.nbr_edge[graph.indptr[u] : graph.indptr[u + 1]].tolist())
+            if any(e in weights for e in edges.difference(eids[stops[new] : stops[new + 1]])):
+                require_hops(ball, ball.hops + 1)
         best = None
         for at, node in enumerate(rows):
             for k in range(stops[node], stops[node + 1]):
@@ -70,7 +76,7 @@ def grow_table(weights, graph: Graph, target: int, max_nodes: int, ball: Ball | 
             break
         growth.append((len(rows) - 1, *best[1:], len(rows) + 1))
         rows.append(best[2])
-    return growth_table(target, ball, np.array(growth, dtype=np.intp), config)
+    return growth_table(ball, np.array(growth, dtype=np.intp), config)
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,9 @@ def shapley_values(
     Candidates where deletion would disconnect the tree are skipped and do
     not count toward the support.
     """
-    scorer = CandidateScorer(model, enumerate_subgraphs(graph, target, config), epsilon)
+    # One ball serves the search and the reference pass.
+    ball = canonical_order(graph, target, max(config.diameter, model.depth))
+    scorer = CandidateScorer(model, enumerate_subgraphs(ball, config), epsilon)
     _, _, leaves, drops = _leaf_scan(scorer)
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
@@ -141,9 +149,7 @@ def shapley_selection(scorer: CandidateScorer):
     return int(i[best]), int(j[best])
 
 
-def grad_weights_analytic(
-    model: Model, graph: Graph, target: int, diameter: int | None = None, ball: Ball | None = None
-) -> dict:
+def grad_weights_analytic(model: Model, ball: Ball, diameter: int) -> dict:
     """Closed-form saliency of the target's incident edges at the last layer.
 
     The weight of edge (j, target) is |(1 - P(y)) * theta_y . h_j| with y
@@ -151,14 +157,11 @@ def grad_weights_analytic(
     node j's state entering the last layer. The closed form only covers the
     target's own aggregation, so neighborhood edges not incident to the
     target are reported with weight 0. Every pass runs on the target's
-    ball (``ball``, of at least max(diameter, depth) hops, or a new one)
-    and reads only its nodes within the model's depth in hops, as the
-    weights do.
+    ball, of at least max(diameter, depth) hops, and reads only its nodes
+    within the model's depth in hops, as the weights do.
     """
-    if diameter is None:
-        diameter = model.depth
-    ball = target_ball(graph, target, max(diameter, model.depth), ball)
-    probs = forward(model, graph, target, ball=ball)
+    require_hops(ball, max(diameter, model.depth))
+    probs = forward(model, ball)
     y = int(np.argmax(probs))
     margin = 1.0 - float(probs[y])
     theta_y = model.layers[-1][:, y]
@@ -166,21 +169,13 @@ def grad_weights_analytic(
     states = node_embeddings(model, ball, model.depth - 1, hops=model.depth)
     neighbour = dict(zip(ball.edge[: ball.indptr[1]].tolist(), ball.nbr[: ball.indptr[1]].tolist()))
     weights = {}
-    for eid in neighborhood_edge_ids(graph, target, diameter, ball):
+    for eid in neighborhood_edge_ids(ball, diameter):
         j = neighbour.get(eid)
         weights[eid] = 0.0 if j is None else abs(margin * float(theta_y @ states[j]))
     return weights
 
 
-def grad_weights_fd(
-    model: Model,
-    graph: Graph,
-    target: int,
-    step: float,
-    diameter: int | None = None,
-    ball: Ball | None = None,
-    reference: np.ndarray | None = None,
-) -> dict:
+def grad_weights_fd(model: Model, ball: Ball, step: float, diameter: int, reference: np.ndarray | None = None) -> dict:
     """Zeroth-order saliency: loss shift from damping one edge's messages.
 
     Each neighborhood edge is damped to 1 - step (all others stay 1) and the
@@ -189,19 +184,17 @@ def grad_weights_fd(
     class distribution under the model (``forward``'s, computed when not
     given). Edges outside the model's receptive field come out exactly zero
     because the damped pass reproduces the reference pass bitwise. Every
-    pass runs on the target's ball (``ball``, of at least max(diameter,
-    depth) hops, or a new one), as a damped copy of ``gcn.ball_hidden``'s
-    pass: copy b scales both messages of the b-th edge. The batches are the
-    ``gcn.batch_runs`` of the copies, a copy holding its node states and messages.
+    pass runs on the target's ball, of at least max(diameter, depth) hops,
+    as a damped copy of ``gcn.ball_hidden``'s pass: copy b scales both
+    messages of the b-th edge. The batches are the ``gcn.batch_runs`` of
+    the copies, a copy holding its node states and messages.
     """
     if not 0.0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
-    if diameter is None:
-        diameter = model.depth
-    ball = target_ball(graph, target, max(diameter, model.depth), ball)
+    require_hops(ball, max(diameter, model.depth))
     if reference is None:
-        reference = forward(model, graph, target, ball=ball)
-    eids = neighborhood_edge_ids(graph, target, diameter, ball)
+        reference = forward(model, ball)
+    eids = neighborhood_edge_ids(ball, diameter)
     if not eids:
         return {}
     # A pass holds the states of the nodes it reads, and the messages of

@@ -224,7 +224,7 @@ def node_document(result: NodeExplanation, top_percent: float, manifest: dict) -
         )
     else:
         scorer = result.scorer
-        enumeration, ball = scorer.enumeration, scorer.enumeration.ball
+        enumeration = scorer.enumeration
         sel, e, c = front.selected, int(front.e[front.selected]), int(front.c[front.selected])
         relevance = float(front.relevance[sel])
         removed = enumeration.removed_nodes(e, c)
@@ -238,7 +238,7 @@ def node_document(result: NodeExplanation, top_percent: float, manifest: dict) -
             cf_rank=int(front.rel_ranks[sel]),
             on_front=bool(front.pareto[sel]),
             front_size=front.front_size,
-            confounders=sorted(confounder_set(ball.graph, result.target, scorer.model.depth, removed, ball)),
+            confounders=sorted(confounder_set(enumeration.ball, scorer.model.depth, removed)),
         )
         top_pairs = _top_pairs(front, scorer, front.order[: top_count(top_percent, len(front.e))])
     header = json.dumps(doc, sort_keys=True, indent=2, default=io.json_default)

@@ -14,6 +14,7 @@ from .analysis import run_sanity_sweep
 from .baselines import shapley_values
 from .cli import resolve_targets
 from .explain import EnumConfig, enumerate_subgraphs
+from .graph import canonical_order
 from .synth import synth_graph
 
 
@@ -32,7 +33,7 @@ def enumerate_command(args) -> int:
     econfig = EnumConfig(args.max_nodes, args.diameter)
     rows = []
     for node in _targets(args.targets, graph):
-        enumeration = enumerate_subgraphs(graph, node, econfig)
+        enumeration = enumerate_subgraphs(canonical_order(graph, node, econfig.diameter), econfig)
         table = zip(
             enumeration.parent.tolist(), enumeration.sizes.tolist(),
             enumeration.edge_ids.tolist(), enumeration.node_ids.tolist(),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcn import Model, batch_runs, forward, softmax, trees_hidden
-from .graph import Ball, Graph, target_ball
+from .graph import Ball, canonical_order, require_hops
 
 DEFAULT_EPSILON = 1e-9
 
@@ -41,7 +41,7 @@ class EnumConfig:
 
 @dataclass(frozen=True, eq=False)
 class Enumeration:
-    """All candidates for one target, as one table of int arrays.
+    """All candidates for the target of ``ball``, as one table of int arrays.
 
     Candidate i was grown from candidate ``parent[i]`` by one edge; the
     single-node root is candidate 0, with parent -1, and parents come
@@ -63,7 +63,6 @@ class Enumeration:
     i's node ids, and ``positions`` finds candidates by their edge sets.
     """
 
-    target: int
     ball: Ball
     config: EnumConfig
     parent: np.ndarray
@@ -143,10 +142,9 @@ def _sorted_rows(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def enumerate_subgraphs(
-    graph: Graph, target: int, config: EnumConfig = EnumConfig(), ball: Ball | None = None
-) -> Enumeration:
-    """Every tree containing the target within the config bounds, exactly once.
+def enumerate_subgraphs(ball: Ball, config: EnumConfig) -> Enumeration:
+    """Every tree containing the ball's target within the config bounds,
+    exactly once.
 
     Each candidate carries its extension set: the edges that leave it, in
     canonical order (by the ball's ``edge_key``). Its children are grown
@@ -155,10 +153,9 @@ def enumerate_subgraphs(
     search). The DFS records only each candidate's growth;
     ``Enumeration``'s table is built from those records. An isolated target
     yields just the single-node candidate. The search reads only the runs
-    of the target's ball (``ball``, of at least ``config.diameter`` hops,
-    or a new one).
+    of the ball, which has at least ``config.diameter`` hops.
     """
-    ball = target_ball(graph, target, config.diameter, ball)
+    require_hops(ball, config.diameter)
     max_nodes, inner = config.max_nodes, ball.within[config.diameter]
     # A tree node lies within max_nodes - 1 hops of the target, and its
     # extensions within the diameter: (edge key, edge id, neighbour) each.
@@ -186,10 +183,10 @@ def enumerate_subgraphs(
 
     if max_nodes > 1:
         expand(0, [(rank, eid, nbr, 0) for rank, eid, nbr in links[0]])
-    return growth_table(target, ball, np.array(growth, dtype=np.intp).reshape(-1, 5), config)
+    return growth_table(ball, np.array(growth, dtype=np.intp).reshape(-1, 5), config)
 
 
-def growth_table(target: int, ball: Ball, growth: np.ndarray, config: EnumConfig) -> Enumeration:
+def growth_table(ball: Ball, growth: np.ndarray, config: EnumConfig) -> Enumeration:
     """The ``Enumeration`` of each candidate's (parent, row grown from,
     added node, added edge, node count) under the bounds ``config``: a
     candidate of k nodes is its parent's arrays plus row k - 1, so one step
@@ -222,7 +219,7 @@ def growth_table(target: int, ball: Ball, growth: np.ndarray, config: EnumConfig
         moved = np.concatenate([old[:, :1], old[:, :-1]], axis=1)  # one place to the right
         slots[idx, a] = np.where(width < place, old, np.where(width == place, r, moved))
     node_ids = _sorted_rows(np.where(rows >= 0, global_id[rows], -1))
-    return Enumeration(target, ball, config, parent, size, _sorted_rows(edges), node_ids, rows, depth, slots)
+    return Enumeration(ball, config, parent, size, _sorted_rows(edges), node_ids, rows, depth, slots)
 
 
 def _combinations(k: int, width: int) -> np.ndarray:
@@ -317,9 +314,9 @@ def _distributions(x) -> np.ndarray:
 class CandidateScorer:
     """Scores of one enumeration's candidates against the full-graph prediction.
 
-    The full-graph prediction is one pass on the target's ball in the
-    enumeration's graph: the enumeration's ball when it has at least the
-    model's depth in hops, or a new one of that depth.
+    The full-graph prediction is one pass on the target's ball: the
+    enumeration's ball when it has at least the model's depth in hops, or
+    a new one of that depth.
 
     Candidate i's restricted pass runs on its first request; its distribution
     and simulatability then stay in ``distributions[i]`` and
@@ -338,12 +335,12 @@ class CandidateScorer:
             raise ValueError(f"epsilon must be in (0, 1): {epsilon}")
         self.model = model
         self.enumeration = enumeration
-        self.target = enumeration.target
         self.epsilon = epsilon
         if reference_distribution is None:
             ball = enumeration.ball
-            deep = ball if ball.hops >= model.depth else None
-            self.full_distribution = forward(model, ball.graph, self.target, ball=deep)
+            if ball.hops < model.depth:
+                ball = canonical_order(ball.graph, ball.target, model.depth)
+            self.full_distribution = forward(model, ball)
         else:
             self.full_distribution = np.asarray(reference_distribution, dtype=float)
         self.distributions = np.zeros((len(enumeration), model.class_count))
@@ -385,7 +382,7 @@ class CandidateScorer:
                 batch = same[lo:hi]
                 self.distributions[batch] = softmax(trees_hidden(
                     self.model, enumeration.ball.features, enumeration.rows[batch, :k],
-                    enumeration.depth[batch, :k], enumeration.slots[batch, :k, : k - 1], self.target,
+                    enumeration.depth[batch, :k], enumeration.slots[batch, :k, : k - 1], enumeration.ball.target,
                 ))
                 self.simulatability[batch] = simulatability(self.full_distribution, self.distributions[batch], self.epsilon)
         self._scored[fresh] = True

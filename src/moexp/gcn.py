@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import Ball, Graph, target_ball
+from .graph import Ball, require_hops
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
 
@@ -280,40 +280,24 @@ def ball_hidden(
     )
 
 
-def forward_hidden(
-    model: Model,
-    graph: Graph,
-    v: int,
-    *,
-    extra_message: np.ndarray | None = None,
-    ball: Ball | None = None,
-) -> np.ndarray:
-    """Last-layer state of node v before the softmax.
+def forward_hidden(model: Model, ball: Ball, *, extra_message: np.ndarray | None = None) -> np.ndarray:
+    """Last-layer state of the ball's target before the softmax.
 
-    The pass runs on v's ball (``ball``, of at least the model's depth in
-    hops, or a new one): an L-layer state of v reads only nodes within L
-    hops, and layer l computes only the nodes within L - 1 - l hops, each
-    from its full neighborhood and in a product of its own rows, so the
-    result is the whole graph's pass at v bit for bit. ``extra_message`` is
-    added to v's aggregation at the last layer.
+    The pass runs on the ball, of at least the model's depth in hops: an
+    L-layer state of the target reads only nodes within L hops, and layer l
+    computes only the nodes within L - 1 - l hops, each from its full
+    neighborhood and in a product of its own rows, so the result is the
+    whole graph's pass at the target bit for bit. ``extra_message`` is
+    added to the target's aggregation at the last layer.
     A tree's pass runs in ``trees_hidden`` batches.
     """
-    if not 0 <= v < graph.node_count:
-        raise ValueError(f"node id out of range: {v}")
-    ball = target_ball(graph, v, model.depth, ball)
+    require_hops(ball, model.depth)
     return ball_hidden(model, ball, model.depth, extra_message)[0]
 
 
-def forward(
-    model: Model,
-    graph: Graph,
-    v: int,
-    *,
-    extra_message: np.ndarray | None = None,
-    ball: Ball | None = None,
-) -> np.ndarray:
-    """Class distribution at node v under the full-graph forward pass."""
-    return softmax(forward_hidden(model, graph, v, extra_message=extra_message, ball=ball))
+def forward(model: Model, ball: Ball, *, extra_message: np.ndarray | None = None) -> np.ndarray:
+    """Class distribution at the ball's target under the full-graph forward pass."""
+    return softmax(forward_hidden(model, ball, extra_message=extra_message))
 
 
 def node_embeddings(model: Model, ball: Ball, depth_limit: int, hops: int | None = None) -> np.ndarray:

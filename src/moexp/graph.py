@@ -249,28 +249,24 @@ def _run_positions(indptr: np.ndarray, nodes: np.ndarray):
     return (starts - ends + counts).repeat(counts) + np.arange(ends[-1]), counts
 
 
-def target_ball(graph: Graph, target: int, hops: int, ball: Ball | None = None) -> Ball:
-    """``ball`` when it is ``target``'s ball in ``graph`` with at least ``hops``
-    hops; a new ``hops``-hop ball when ``ball`` is None."""
-    if ball is None:
-        return canonical_order(graph, target, hops)
-    if ball.graph is not graph or ball.target != target or ball.hops < hops:
+def require_hops(ball: Ball, hops: int) -> None:
+    """Raise ``ValueError`` unless ``ball`` reaches ``hops`` hops from its
+    target, as a stage that reads that far needs."""
+    if ball.hops < hops:
         raise ValueError(
-            f"ball of node {ball.target} with {ball.hops} hops cannot serve node {target} at {hops} hops"
+            f"ball of node {ball.target} with {ball.hops} hops cannot serve node {ball.target} at {hops} hops"
         )
-    return ball
 
 
-def confounder_set(graph: Graph, target: int, hops: int, removed, ball: Ball | None = None) -> set:
+def confounder_set(ball: Ball, hops: int, removed) -> set:
     """Nodes that can open back-door paths for a pair's node difference.
 
-    These are the nodes inside the target's ``hops``-ball, other than the
-    target, that are not part of the ``removed`` nodes: they keep
+    These are the nodes within ``hops`` hops of the ball's target, other
+    than the target, that are not part of the ``removed`` nodes: they keep
     influencing the prediction in both the explanation and the
-    counterfactual regime. ``hops`` is at least 1. ``ball``, when given, is
-    a ball of the target of at least ``hops`` hops to read them from.
+    counterfactual regime. ``hops`` is at least 1, and at most the ball's.
     """
     if hops < 1:
         raise ValueError("hops must be positive")
-    ball = target_ball(graph, target, hops, ball)
+    require_hops(ball, hops)
     return set(ball.nodes[1:ball.within[hops]]) - set(removed)

@@ -23,7 +23,7 @@ from .explain import (
     DEFAULT_EPSILON,
 )
 from .gcn import Model
-from .graph import Graph, target_ball
+from .graph import Graph, canonical_order
 from .pareto import ScoredFront, rank_pairs
 
 METHODS = (
@@ -95,18 +95,22 @@ def explain_node(
     cost does not grow with the graph. ``enumeration`` lets a caller that
     explains one target several times enumerate once: it must have been
     built under ``config``, and its ball, the one every stage reads, must
-    have at least ``ball_hops`` hops.
+    be the target's in ``graph``, of at least ``ball_hops`` hops.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
-    if enumeration is not None and enumeration.target != target:
-        raise ValueError("enumeration anchored at a different target")
-    if enumeration is not None and enumeration.config != config:
-        raise ValueError(f"enumeration built under {enumeration.config} cannot serve {config}")
-    given = None if enumeration is None else enumeration.ball
-    ball = target_ball(graph, target, ball_hops(model, config, method), given)
+    hops = ball_hops(model, config, method)
     if enumeration is None:
-        enumeration = enumerate_subgraphs(graph, target, config, ball)
+        ball = canonical_order(graph, target, hops)
+        enumeration = enumerate_subgraphs(ball, config)
+    else:
+        ball = enumeration.ball
+        if ball.target != target:
+            raise ValueError("enumeration anchored at a different target")
+        if enumeration.config != config:
+            raise ValueError(f"enumeration built under {enumeration.config} cannot serve {config}")
+        if ball.graph is not graph or ball.hops < hops:
+            raise ValueError(f"ball of node {target} with {ball.hops} hops cannot serve node {target} at {hops} hops")
     scorer = CandidateScorer(model, enumeration, epsilon, reference_distribution)
     pairs, i = np.zeros((0, 2), dtype=np.intp), 0
 
@@ -122,18 +126,18 @@ def explain_node(
         from . import baselines
 
         if method == "random":
-            weights = baselines.random_weights(graph, target, config, seed, ball)
+            weights = baselines.random_weights(ball, config.diameter, seed)
         elif method == "grad-fd":
             # The scorer's pass is the model's own unless a reference overrides it.
             reference = scorer.full_distribution if reference_distribution is None else None
-            weights = baselines.grad_weights_fd(model, graph, target, DEFAULT_FD_STEP, config.diameter, ball, reference)
+            weights = baselines.grad_weights_fd(model, ball, DEFAULT_FD_STEP, config.diameter, reference)
         elif method == "grad-analytic":
-            weights = baselines.grad_weights_analytic(model, graph, target, config.diameter, ball)
+            weights = baselines.grad_weights_analytic(model, ball, config.diameter)
         elif edge_weights is None:
             raise ValueError("method external-weights requires edge weights")
         else:
             weights = {int(k): float(v) for k, v in edge_weights.items()}
-        tree = baselines.grow_table(weights, graph, target, config.max_nodes, ball)
+        tree = baselines.grow_table(weights, ball, config.max_nodes)
         i = int(enumeration.positions(tree.edge_ids[-1:])[0])
         if i >= 0:
             pairs = counterfactual_pairs(enumeration, np.array([i]), exhaustive_cf)

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from moexp import Model, build_graph
+from moexp import EnumConfig, Model, build_graph, canonical_order, enumerate_subgraphs, forward, forward_hidden
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -46,3 +46,22 @@ def sem_chain(t):
 def sem_model():
     """Scalar sigmoid stack with the activation kept on the last layer."""
     return Model(layers=(np.array([[1.0]]), np.array([[1.0]])), activation="sigmoid", final_activation=True)
+
+
+# The package's stages take a target's ball; tests that start from a graph
+# and a node build the ball as the entry points do.
+
+
+def enumerate_at(graph, target, config=EnumConfig()):
+    """``enumerate_subgraphs`` on the target's ball of ``config.diameter`` hops."""
+    return enumerate_subgraphs(canonical_order(graph, target, config.diameter), config)
+
+
+def forward_at(model, graph, v):
+    """``forward`` on v's ball of the model's depth."""
+    return forward(model, canonical_order(graph, v, model.depth))
+
+
+def hidden_at(model, graph, v):
+    """``forward_hidden`` on v's ball of the model's depth."""
+    return forward_hidden(model, canonical_order(graph, v, model.depth))

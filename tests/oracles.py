@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from moexp import build_graph, forward, neighborhood_edge_ids, softmax, target_ball
+from moexp import build_graph, canonical_order, forward, neighborhood_edge_ids, softmax
 from moexp.gcn import trees_hidden
 from moexp.graph import confounder_set
 from moexp.cli import _floats
@@ -51,7 +51,7 @@ class Subgraph:
 def subgraph(enumeration, i: int) -> Subgraph:
     """Candidate i of ``enumeration`` as a ``Subgraph``, read off its table row."""
     edges, nodes = enumeration.edge_ids[i], enumeration.node_ids[i]
-    return Subgraph(enumeration.target, tuple(edges[edges >= 0].tolist()), tuple(nodes[nodes >= 0].tolist()))
+    return Subgraph(enumeration.ball.target, tuple(edges[edges >= 0].tolist()), tuple(nodes[nodes >= 0].tolist()))
 
 
 def explanation(result) -> Subgraph:
@@ -521,7 +521,7 @@ def standalone_distribution(model, graph, target, edge_subset):
     feats = [graph.features[v] for v in nodes]
     edges = [(remap[graph.edges[e][0]], remap[graph.edges[e][1]]) for e in edge_subset]
     sub = build_graph(feats, edges)
-    return forward(model, sub, remap[target])
+    return forward(model, canonical_order(sub, remap[target], model.depth))
 
 
 def shapley_oracle(model, graph, target, max_nodes, diameter, eps=1e-9):
@@ -533,7 +533,7 @@ def shapley_oracle(model, graph, target, max_nodes, diameter, eps=1e-9):
     exactly the other nodes).
     """
     trees = brute_force_trees(graph, target, max_nodes, diameter)
-    reference = forward(model, graph, target)
+    reference = forward(model, canonical_order(graph, target, model.depth))
 
     def nu(subset):
         return -sym_kl(reference, standalone_distribution(model, graph, target, subset), eps)
@@ -725,7 +725,7 @@ def ball_hidden(model, graph, v, mask=None, extra_message=None, ball=None):
     aggregation at the last layer. An overflow or invalid operation raises
     the package's ``ValueError``.
     """
-    hops = model.depth if ball is None else target_ball(graph, v, model.depth, ball).hops
+    hops = model.depth if ball is None else ball.hops
     ref = reference_ball(graph, v, hops)
     rows = [ref["within"][model.depth - 1 - li] for li in range(model.depth)]
     try:
@@ -772,7 +772,7 @@ def _row_loop(model, h, incidence, depth, mask, extra_message, at, rows=None, no
     return h
 
 
-def reference_grad_weights_fd(model, graph, target, step, diameter=None, ball=None):
+def reference_grad_weights_fd(model, graph, target, step, diameter=None):
     """Finite-difference edge saliency by one masked ball loop per edge.
 
     This is how ``grad_weights_fd`` ran before its passes were batched: the
@@ -783,12 +783,12 @@ def reference_grad_weights_fd(model, graph, target, step, diameter=None, ball=No
         raise ValueError("step must be in (0, 0.5]")
     if diameter is None:
         diameter = model.depth
-    ball = target_ball(graph, target, max(diameter, model.depth), ball)
+    ball = canonical_order(graph, target, max(diameter, model.depth))
     probs = softmax(ball_hidden(model, graph, target, ball=ball))
     y = int(np.argmax(probs))
     base = float(-np.log(probs[y]))
     weights = {}
-    for eid in neighborhood_edge_ids(graph, target, diameter, ball):
+    for eid in neighborhood_edge_ids(ball, diameter):
         shifted = masked_loss(model, graph, target, y, {eid: 1.0 - step}, ball)
         weights[eid] = abs(shifted - base) / step
     return weights
@@ -823,7 +823,7 @@ def reference_ranking(model, graph, target, pairs, strategy, eps=1e-9):
     """
     from moexp import simulatability
 
-    reference = forward(model, graph, target)
+    reference = forward(model, canonical_order(graph, target, model.depth))
 
     def nu(sub):
         return simulatability(reference, restricted_forward(model, graph, target, sub), eps)
@@ -912,7 +912,7 @@ def reference_document(result, graph, model, top_percent, manifest) -> dict:
         cf_rank=rel_ranks[sel],
         on_front=pareto[sel],
         front_size=front.front_size,
-        confounders=sorted(confounder_set(graph, result.target, model.depth, removed, enumeration.ball)),
+        confounders=sorted(confounder_set(enumeration.ball, model.depth, removed)),
     )
     top = []
     for i in front.order.tolist()[: top_count(top_percent, len(e))]:

@@ -17,10 +17,9 @@ from moexp import (
     EnumConfig,
     Model,
     build_graph,
+    canonical_order,
     confounder_set,
-    enumerate_subgraphs,
     explain_node,
-    forward,
     grad_weights_analytic,
     grad_weights_fd,
     shapley_values,
@@ -29,11 +28,10 @@ from moexp import (
 )
 from moexp.baselines import grow_table
 from moexp.cli import build_parser, explain_command
-from moexp.gcn import forward_hidden
 from moexp.io import save_graph, save_model
 from moexp.pareto import _front, _ranks
 
-from conftest import sem_chain, sem_model
+from conftest import enumerate_at, forward_at, hidden_at, sem_chain, sem_model
 from oracles import (
     degree,
     dominates,
@@ -120,7 +118,7 @@ def test_enumeration_exactness():
         graphs += 1
         for max_nodes in (2, 3, 4, 5):
             for diameter in (1, 2, 3):
-                enum = enumerate_subgraphs(
+                enum = enumerate_at(
                     g, target, EnumConfig(max_nodes=max_nodes, diameter=diameter)
                 )
                 keys = [s.edge_set for s in subgraphs(enum)]
@@ -194,7 +192,7 @@ def test_sem_expansion_matches_forward():
             final_activation=bool(rng.integers(0, 2)),
         )
         v = int(rng.integers(0, g.node_count))
-        gap = float(np.max(np.abs(sem_expand_check(m, g, v) - forward_hidden(m, g, v))))
+        gap = float(np.max(np.abs(sem_expand_check(m, g, v) - hidden_at(m, g, v))))
         worst = max(worst, gap)
         assert gap <= 1e-12
     return f"500 models, worst gap {worst:.2e}"
@@ -204,11 +202,11 @@ def test_sem_expansion_matches_forward():
 def test_confounder_chain_example():
     m = sem_model()
     g0 = sem_chain(0.0)
-    enum = enumerate_subgraphs(g0, 2)
+    enum = enumerate_at(g0, 2)
     position = index(enum)
     removed = enum.removed_nodes(position[(0, 1, 2)], position[(1, 2)])
     assert removed == [0]
-    assert confounder_set(g0, 2, 2, removed) == {1, 3}
+    assert confounder_set(enum.ball, 2, removed) == {1, 3}
 
     def delta(t):
         g = sem_chain(t)
@@ -248,23 +246,22 @@ def rotation_scene(rotated):
 def test_rotation_scenario_contrast():
     config = EnumConfig(max_nodes=3, diameter=1)
     base_graph, base_model = rotation_scene(False)
-    base_prediction = forward(base_model, base_graph, 0)
+    base_prediction = forward_at(base_model, base_graph, 0)
     for rotated in (False, True):
         graph, model = rotation_scene(rotated)
         # the paired opposite neighbors cancel, so the prediction is stable
-        assert forward(model, graph, 0)[0] == base_prediction[0]
+        assert forward_at(model, graph, 0)[0] == base_prediction[0]
         res = explain_node(model, graph, 0, config)
         assert set(explanation(res).node_set) == {0, 1, 2}, f"rotated={rotated}"
         sel = res.front.selected
         assert res.front.sim_ranks[sel] == 1 and res.front.rel_ranks[sel] == 1
     graph, model = rotation_scene(True)
-    weights = grad_weights_analytic(model, graph, 0, diameter=1)
-    grown = subgraph(grow_table(weights, graph, 0, 3), -1)
+    ball = canonical_order(graph, 0, 1)
+    grown = subgraph(grow_table(grad_weights_analytic(model, ball, 1), ball, 3), -1)
     assert 3 in grown.node_set
     before_graph, before_model = rotation_scene(False)
-    before = subgraph(
-        grow_table(grad_weights_analytic(before_model, before_graph, 0, diameter=1), before_graph, 0, 3), -1
-    )
+    ball = canonical_order(before_graph, 0, 1)
+    before = subgraph(grow_table(grad_weights_analytic(before_model, ball, 1), ball, 3), -1)
     assert set(before.node_set) == {0, 1, 2}
     return "rank choice {0,1,2} both sides; gradient growth flips to node 3"
 
@@ -285,11 +282,12 @@ def test_finite_difference_matches_analytic():
         w[:, target_class] = rng.uniform(0.2, 1.2, size=feature_dim)
         m = Model(layers=(w,))
         v = int(rng.integers(0, g.node_count))
-        if int(np.argmax(forward(m, g, v))) != target_class:
+        if int(np.argmax(forward_at(m, g, v))) != target_class:
             continue
         models += 1
-        analytic = grad_weights_analytic(m, g, v, diameter=1)
-        fd = grad_weights_fd(m, g, v, 1e-4, diameter=1)
+        ball = canonical_order(g, v, 1)
+        analytic = grad_weights_analytic(m, ball, 1)
+        fd = grad_weights_fd(m, ball, 1e-4, 1)
         for eid, expected in analytic.items():
             if expected < 1e-8:
                 continue

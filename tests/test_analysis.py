@@ -7,24 +7,22 @@ from moexp import (
     EnumConfig,
     Model,
     build_graph,
+    canonical_order,
     confounder_set,
     derive_seed,
-    enumerate_subgraphs,
     explain_node,
-    forward,
     jaccard_distance,
     perturb_message,
     perturb_weights,
     run_sanity_sweep,
 )
-from moexp.gcn import forward_hidden
 
-from conftest import sem_chain, sem_model
+from conftest import enumerate_at, forward_at, hidden_at, sem_chain, sem_model
 from oracles import index, make_subgraph, random_graph, random_model, restricted_hidden_tree, sem_expand_check
 
 
 def chain_removed(graph, expl_edges, cf_edges, target=2):
-    enum = enumerate_subgraphs(graph, target, EnumConfig(max_nodes=4, diameter=2))
+    enum = enumerate_at(graph, target, EnumConfig(max_nodes=4, diameter=2))
     position = index(enum)
     return enum.removed_nodes(position[tuple(expl_edges)], position[tuple(cf_edges)])
 
@@ -32,35 +30,35 @@ def chain_removed(graph, expl_edges, cf_edges, target=2):
 def test_confounders_chain_far_node_removed(chain_graph):
     removed = chain_removed(chain_graph, [0, 1, 2], [1, 2])
     assert removed == [0]
-    assert confounder_set(chain_graph, 2, 2, removed) == {1, 3}
+    assert confounder_set(canonical_order(chain_graph, 2, 2), 2, removed) == {1, 3}
 
 
 def test_confounders_empty_when_whole_ball_removed(chain_graph):
     removed = chain_removed(chain_graph, [0, 1, 2], [])
     assert set(removed) == {0, 1, 3}
-    assert confounder_set(chain_graph, 2, 2, removed) == set()
+    assert confounder_set(canonical_order(chain_graph, 2, 2), 2, removed) == set()
 
 
 def test_confounders_two_node_explanation(chain_graph):
     removed = chain_removed(chain_graph, [1], [])
     assert removed == [1]
-    assert confounder_set(chain_graph, 2, 2, removed) == {0, 3}
+    assert confounder_set(canonical_order(chain_graph, 2, 2), 2, removed) == {0, 3}
 
 
 def test_confounders_shrinking_radius(chain_graph):
     removed = chain_removed(chain_graph, [1, 2], [1])
     assert removed == [3]
-    assert confounder_set(chain_graph, 2, 1, removed) == {1}
-    assert confounder_set(chain_graph, 2, 2, removed) == {0, 1}
+    assert confounder_set(canonical_order(chain_graph, 2, 2), 1, removed) == {1}
+    assert confounder_set(canonical_order(chain_graph, 2, 2), 2, removed) == {0, 1}
 
 
 def test_confounders_empty_iff_removal_covers_ball(chain_graph):
     from moexp import generate_pairs
 
-    enum = enumerate_subgraphs(chain_graph, 2, EnumConfig(max_nodes=4, diameter=2))
+    enum = enumerate_at(chain_graph, 2, EnumConfig(max_nodes=4, diameter=2))
     for e, c in generate_pairs(enum, exhaustive=True):
         removed = enum.removed_nodes(e, c)
-        conf = confounder_set(chain_graph, 2, 2, removed)
+        conf = confounder_set(enum.ball, 2, removed)
         covers = set(removed) == {0, 1, 3}
         assert (conf == set()) == covers
 
@@ -97,7 +95,7 @@ def test_nested_expansion_equals_forward_on_chain():
         for edges in ([], [1], [1, 2], [0, 1, 2]):
             sub = make_subgraph(g, 2, edges) if edges else None
             got = sem_expand_check(m, g, 2, restrict=sub)
-            want = forward_hidden(m, g, 2) if sub is None else restricted_hidden_tree(m, g, 2, sub)
+            want = hidden_at(m, g, 2) if sub is None else restricted_hidden_tree(m, g, 2, sub)
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -109,7 +107,7 @@ def test_nested_expansion_matches_random_models(seed):
     m = random_model(rng, depth=2)
     v = int(rng.integers(0, g.node_count))
     got = sem_expand_check(m, g, v)
-    want = forward_hidden(m, g, v)
+    want = hidden_at(m, g, v)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -138,9 +136,9 @@ def test_derive_seed_stable_and_sensitive():
 
 
 def test_message_aligned_boost_raises_predicted_probability(triangle_graph, triangle_model):
-    base = forward(triangle_model, triangle_graph, 0)
+    base = forward_at(triangle_model, triangle_graph, 0)
     y = int(np.argmax(base))
-    out = perturb_message(triangle_model, triangle_graph, 0, 1.0, 2.0, seed=5)
+    out = perturb_message(triangle_model, canonical_order(triangle_graph, 0, 2), 1.0, 2.0, seed=5)
     assert out.distribution[y] > base[y]
     theta = triangle_model.layers[-1][:, y]
     cosine = float(out.message @ theta) / (np.linalg.norm(out.message) * np.linalg.norm(theta))
@@ -149,43 +147,43 @@ def test_message_aligned_boost_raises_predicted_probability(triangle_graph, tria
 
 
 def test_message_orthogonal_component(triangle_graph, triangle_model):
-    base = forward(triangle_model, triangle_graph, 0)
+    base = forward_at(triangle_model, triangle_graph, 0)
     theta = triangle_model.layers[-1][:, int(np.argmax(base))]
-    out = perturb_message(triangle_model, triangle_graph, 0, 0.0, 2.0, seed=5)
+    out = perturb_message(triangle_model, canonical_order(triangle_graph, 0, 2), 0.0, 2.0, seed=5)
     assert abs(float(out.message @ theta)) <= 1e-9
     assert np.linalg.norm(out.message) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_message_intermediate_cos_split(triangle_graph, triangle_model):
-    base = forward(triangle_model, triangle_graph, 0)
+    base = forward_at(triangle_model, triangle_graph, 0)
     theta = triangle_model.layers[-1][:, int(np.argmax(base))]
     unit = theta / np.linalg.norm(theta)
-    out = perturb_message(triangle_model, triangle_graph, 0, 0.6, 1.5, seed=3)
+    out = perturb_message(triangle_model, canonical_order(triangle_graph, 0, 2), 0.6, 1.5, seed=3)
     along = float(out.message @ unit)
     assert along == pytest.approx(0.6 * 1.5, abs=1e-9)
     assert np.linalg.norm(out.message) == pytest.approx(1.5, abs=1e-9)
 
 
 def test_message_zero_magnitude_is_noop(triangle_graph, triangle_model):
-    base = forward(triangle_model, triangle_graph, 0)
-    out = perturb_message(triangle_model, triangle_graph, 0, 0.3, 0.0, seed=5)
+    base = forward_at(triangle_model, triangle_graph, 0)
+    out = perturb_message(triangle_model, canonical_order(triangle_graph, 0, 2), 0.3, 0.0, seed=5)
     assert np.array_equal(out.distribution, base)
 
 
 def test_message_argument_validation(triangle_graph, triangle_model):
     with pytest.raises(ValueError, match="target_cos"):
-        perturb_message(triangle_model, triangle_graph, 0, 1.5, 1.0, seed=0)
+        perturb_message(triangle_model, canonical_order(triangle_graph, 0, 2), 1.5, 1.0, seed=0)
     with pytest.raises(ValueError, match="magnitude"):
-        perturb_message(triangle_model, triangle_graph, 0, 0.5, -1.0, seed=0)
+        perturb_message(triangle_model, canonical_order(triangle_graph, 0, 2), 0.5, -1.0, seed=0)
 
 
 def test_message_one_dim_hidden_space(chain_graph, chain_model):
     # a single hidden dimension has no orthogonal direction, so only exact
     # alignment is representable
     with pytest.raises(ValueError, match="no orthogonal direction"):
-        perturb_message(chain_model, chain_graph, 2, 0.5, 1.0, seed=0)
-    up = perturb_message(chain_model, chain_graph, 2, 1.0, 0.8, seed=0)
-    down = perturb_message(chain_model, chain_graph, 2, -1.0, 0.8, seed=0)
+        perturb_message(chain_model, canonical_order(chain_graph, 2, 2), 0.5, 1.0, seed=0)
+    up = perturb_message(chain_model, canonical_order(chain_graph, 2, 2), 1.0, 0.8, seed=0)
+    down = perturb_message(chain_model, canonical_order(chain_graph, 2, 2), -1.0, 0.8, seed=0)
     assert up.message[0] == 0.8
     assert down.message[0] == -0.8
 
@@ -194,7 +192,7 @@ def test_message_zero_class_column_rejected():
     g = build_graph([[1.0, 0.0], [0.0, 1.0]], [(0, 1)])
     m = Model(layers=(np.eye(2), np.zeros((2, 2))))
     with pytest.raises(ValueError, match="zero-norm class column"):
-        perturb_message(m, g, 0, 0.5, 1.0, seed=0)
+        perturb_message(m, canonical_order(g, 0, m.depth), 0.5, 1.0, seed=0)
 
 
 def test_message_sweep_explains_against_the_perturbed_prediction(triangle_graph, triangle_model):
@@ -206,7 +204,7 @@ def test_message_sweep_explains_against_the_perturbed_prediction(triangle_graph,
     for k, record in enumerate(records):
         node, cos = record.node, 1.0 - 2.0 * (k % steps) / (steps - 1)
         before = explain_node(triangle_model, triangle_graph, node, config)
-        probe = perturb_message(triangle_model, triangle_graph, node, cos, 3.0, record.seed)
+        probe = perturb_message(triangle_model, canonical_order(triangle_graph, node, 2), cos, 3.0, record.seed)
         after = explain_node(triangle_model, triangle_graph, node, config, reference_distribution=probe.distribution)
         # the re-scored explanation sees the perturbed full distribution
         assert np.array_equal(after.full_distribution, probe.distribution)

@@ -17,20 +17,30 @@ from moexp import (
     METHODS,
     CandidateScorer,
     EnumConfig,
+    Enumeration,
+    MessagePerturbation,
     Model,
     build_graph,
     canonical_order,
+    confounder_set,
     enumerate_subgraphs,
     explain_node,
     forward,
     forward_hidden,
+    grad_weights_analytic,
+    grad_weights_fd,
+    neighborhood_edge_ids,
     node_embeddings,
+    perturb_message,
+    random_weights,
     run_sanity_sweep,
 )
+from moexp.baselines import grow_table
 from moexp.cli import main
 from moexp.io import graph_to_doc, load_edge_weights, load_graph, load_model, save_model
 from moexp.synth import synth_graph
 
+from conftest import enumerate_at, forward_at
 from oracles import (
     ball_hidden,
     ball_incidence,
@@ -80,8 +90,8 @@ def test_ball_pass_equals_full_pass_bitwise(seed, depth, activation, self_loop, 
     assert ball_hidden(m, g, v, mask, message).tobytes() == want
     assert ball_hidden(m, g, v, mask, message, ball).tobytes() == want
     if mask is None:
-        assert forward_hidden(m, g, v, extra_message=message).tobytes() == want
-        assert forward_hidden(m, g, v, extra_message=message, ball=ball).tobytes() == want
+        assert forward_hidden(m, canonical_order(g, v, depth), extra_message=message).tobytes() == want
+        assert forward_hidden(m, ball, extra_message=message).tobytes() == want
 
 
 @given(
@@ -112,8 +122,8 @@ def test_reference_pass_equals_the_ball_loop_bitwise(seed, dims, activation, sel
     message = rng.standard_normal(dims[-2]) if extra else None
     ball = canonical_order(g, v, m.depth + int(rng.integers(0, 3)))
     want = ball_hidden(m, g, v, extra_message=message).tobytes()
-    assert forward_hidden(m, g, v, extra_message=message).tobytes() == want
-    assert forward_hidden(m, g, v, extra_message=message, ball=ball).tobytes() == want
+    assert forward_hidden(m, canonical_order(g, v, m.depth), extra_message=message).tobytes() == want
+    assert forward_hidden(m, ball, extra_message=message).tobytes() == want
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(ACTIVATIONS), st.booleans(), st.booleans())
@@ -164,11 +174,90 @@ def test_ball_is_the_bounded_canonical_order(seed, hops):
         assert a.dtype == np.intp and not a.flags.writeable
 
 
-def test_a_ball_of_another_target_or_too_few_hops_is_rejected(chain_graph, chain_model):
-    with pytest.raises(ValueError, match="ball of node 1 with 2 hops cannot serve node 2"):
-        forward_hidden(chain_model, chain_graph, 2, ball=canonical_order(chain_graph, 1, 2))
-    with pytest.raises(ValueError, match="ball of node 2 with 1 hops cannot serve node 2 at 2 hops"):
-        forward_hidden(chain_model, chain_graph, 2, ball=canonical_order(chain_graph, 2, 1))
+def _stages(model, config) -> dict:
+    """Each stage that takes a target's ball, as (the hops it reads, a call
+    on a ball). The scorer reads its ball through its enumeration, and
+    ``grow_table`` grows over weights on every edge of the graph."""
+    d, c, depth = config.diameter, config.max_nodes, model.depth
+
+    def grown(ball):
+        weights = np.random.default_rng(ball.graph.edge_count).random(ball.graph.edge_count)
+        return grow_table(dict(enumerate(weights.tolist())), ball, c)
+
+    def scored(ball):
+        scorer = CandidateScorer(model, enumerate_subgraphs(ball, config))
+        return np.append(scorer.full_distribution, [scorer.candidate(i) for i in range(len(scorer.enumeration))])
+
+    return {
+        "forward": (depth, lambda ball: forward(model, ball)),
+        "forward_hidden": (depth, lambda ball: forward_hidden(model, ball)),
+        "enumerate_subgraphs": (d, lambda ball: enumerate_subgraphs(ball, config)),
+        "confounder_set": (d, lambda ball: confounder_set(ball, d, range(0, ball.graph.node_count, 2))),
+        "neighborhood_edge_ids": (d, lambda ball: neighborhood_edge_ids(ball, d)),
+        "random_weights": (d, lambda ball: random_weights(ball, d, 7)),
+        "grow_table": (c - 1, grown),
+        "grad_weights_analytic": (max(d, depth), lambda ball: grad_weights_analytic(model, ball, d)),
+        "grad_weights_fd": (max(d, depth), lambda ball: grad_weights_fd(model, ball, 1e-4, d)),
+        "perturb_message": (depth, lambda ball: perturb_message(model, ball, 1.0, 1.0, 3)),
+        "CandidateScorer": (d, scored),
+    }
+
+
+def _outcome(run, ball):
+    """What ``run(ball)`` gives, as comparable bits, or its exception text."""
+    try:
+        value = run(ball)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, Enumeration):
+        arrays = (value.parent, value.sizes, value.edge_ids, value.node_ids, value.rows, value.depth, value.slots)
+        return value.config, [a.tobytes() for a in arrays]
+    if isinstance(value, MessagePerturbation):
+        return value.message.tobytes(), value.distribution.tobytes()
+    if isinstance(value, dict):
+        return sorted((k, float(v).hex()) for k, v in value.items())
+    return sorted(value)
+
+
+_PATH = build_graph([[float(i % 3)] for i in range(7)], [(i, i + 1) for i in range(6)])
+_PATH_MODEL = Model(layers=(np.array([[1.0]]), np.array([[1.0, -0.5]])), activation="sigmoid")
+_PATH_CONFIG = EnumConfig(max_nodes=4, diameter=3)
+_STAGE_NAMES = sorted(_stages(_PATH_MODEL, _PATH_CONFIG))
+
+
+@pytest.mark.parametrize("stage", _STAGE_NAMES)
+def test_a_ball_one_hop_short_of_a_stage_is_rejected(stage):
+    # On the path 0-1-...-6 from node 0, a ball of h hops holds nodes 0..h.
+    hops, run = _stages(_PATH_MODEL, _PATH_CONFIG)[stage]
+    assert _outcome(run, canonical_order(_PATH, 0, hops + 1)) == _outcome(run, canonical_order(_PATH, 0, hops))
+    message = f"ball of node 0 with {hops - 1} hops cannot serve node 0 at {hops} hops"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(canonical_order(_PATH, 0, hops - 1))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.builds(EnumConfig, st.integers(1, 4), st.integers(1, 3)),
+    st.sampled_from(_STAGE_NAMES),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_deeper_ball_gives_every_stage_the_same_bits(seed, depth, config, stage):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, max_nodes=9, edge_prob=0.35, min_nodes=1)
+    model = _model(rng, depth, "relu", True, False, False)
+    v = int(rng.integers(0, graph.node_count))
+    hops, run = _stages(model, config)[stage]
+    want = _outcome(run, canonical_order(graph, v, hops))
+    for extra in (1, 2):
+        assert _outcome(run, canonical_order(graph, v, hops + extra)) == want, extra
+    if stage == "grow_table":
+        # A shallower ball grows the same tree, or names the hop it lacks.
+        for h in range(hops):
+            got = _outcome(run, canonical_order(graph, v, h))
+            assert got in (want, f"ValueError: ball of node {v} with {h} hops cannot serve node {v} at {h + 1} hops")
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.sampled_from(ACTIVATIONS), st.booleans())
@@ -181,26 +270,26 @@ def test_scorer_reference_is_the_full_pass_bitwise(seed, depth, activation, mean
     graph = random_graph(rng, max_nodes=9)
     model = _model(rng, depth, activation, True, mean, False, feature_dim(graph))
     v = int(rng.integers(0, graph.node_count))
-    want = forward(model, graph, v).tobytes()
+    want = forward_at(model, graph, v).tobytes()
     for diameter in range(1, depth + 2):
-        enumeration = enumerate_subgraphs(graph, v, EnumConfig(max_nodes=3, diameter=diameter))
+        enumeration = enumerate_at(graph, v, EnumConfig(max_nodes=3, diameter=diameter))
         assert CandidateScorer(model, enumeration).full_distribution.tobytes() == want, diameter
 
 
 def test_explain_node_rejects_an_enumeration_whose_ball_is_too_shallow(chain_graph, chain_model):
     # The two-layer model's pass needs 2 hops, and a grown tree 3 at C = 4.
     config = EnumConfig(max_nodes=4, diameter=1)
-    shallow = enumerate_subgraphs(chain_graph, 2, config)
+    shallow = enumerate_at(chain_graph, 2, config)
     with pytest.raises(ValueError, match="ball of node 2 with 1 hops cannot serve node 2 at 2 hops"):
         explain_node(chain_model, chain_graph, 2, config, enumeration=shallow)
     config = EnumConfig(max_nodes=4, diameter=2)
-    search = enumerate_subgraphs(chain_graph, 2, config)
+    search = enumerate_at(chain_graph, 2, config)
     with pytest.raises(ValueError, match="ball of node 2 with 2 hops cannot serve node 2 at 3 hops"):
         explain_node(
             chain_model, chain_graph, 2, config, method="external-weights", edge_weights={}, enumeration=search
         )
     # An enumeration of the same target in another graph is no ball of this one.
-    other = enumerate_subgraphs(build_graph(chain_graph.features, chain_graph.edges), 2, config)
+    other = enumerate_at(build_graph(chain_graph.features, chain_graph.edges), 2, config)
     with pytest.raises(ValueError, match="ball of node 2 with 2 hops cannot serve node 2"):
         explain_node(chain_model, chain_graph, 2, config, enumeration=other)
 
@@ -264,7 +353,7 @@ def test_an_enumeration_serves_only_the_config_it_was_built_under(built, other, 
     used = built if same else other
     kwargs = dict(method=method, seed=target, edge_weights=load_edge_weights(INPUTS / "motif_edge_weights.json"))
     hops = max(built.diameter, used.diameter, used.max_nodes - 1, model.depth)
-    enumeration = enumerate_subgraphs(graph, target, built, canonical_order(graph, target, hops))
+    enumeration = enumerate_subgraphs(canonical_order(graph, target, hops), built)
     if built != used:
         with pytest.raises(ValueError, match=re.escape(f"enumeration built under {built} cannot serve {used}")):
             explain_node(model, graph, target, used, enumeration=enumeration, **kwargs)
@@ -342,7 +431,7 @@ def test_sanity_sweep_enumerates_once_per_node(monkeypatch):
         original = module.__dict__.get("enumerate_subgraphs")
         if original is not None:
             def counted(*args, _original=original, **kwargs):
-                calls.append(args[1])
+                calls.append(args[0].target)
                 return _original(*args, **kwargs)
             monkeypatch.setattr(module, "enumerate_subgraphs", counted)
     nodes = [0, 2, 5]

@@ -12,9 +12,8 @@ from moexp import (
     EnumConfig,
     Model,
     build_graph,
-    enumerate_subgraphs,
+    canonical_order,
     explain_node,
-    forward,
     grad_weights_analytic,
     grad_weights_fd,
     neighborhood_edge_ids,
@@ -26,6 +25,7 @@ from moexp import (
 from moexp.baselines import grow_table
 from moexp.gcn import BATCH_ENTRIES
 
+from conftest import enumerate_at, forward_at
 from oracles import (
     brute_force_trees,
     edge_subset_nodes,
@@ -59,24 +59,24 @@ def induced_tree(graph, target, nodes):
 
 def simulatability_of(model, graph, target):
     """nu(nodes): the scored simulatability of the tree induced on the nodes."""
-    enum = enumerate_subgraphs(graph, target)
+    enum = enumerate_at(graph, target)
     scorer = CandidateScorer(model, enum)
     return lambda nodes: scorer.candidate(index(enum)[induced_tree(graph, target, nodes).edge_set])
 
 
 def test_neighborhood_edge_ids_respects_radius():
     g = build_graph([[0.0]] * 5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert neighborhood_edge_ids(g, 0, 1) == [0]
-    assert neighborhood_edge_ids(g, 0, 2) == [0, 1]
-    assert neighborhood_edge_ids(g, 2, 1) == [1, 2]
-    assert neighborhood_edge_ids(g, 0, 4) == [0, 1, 2, 3]
+    assert neighborhood_edge_ids(canonical_order(g, 0, 1), 1) == [0]
+    assert neighborhood_edge_ids(canonical_order(g, 0, 2), 2) == [0, 1]
+    assert neighborhood_edge_ids(canonical_order(g, 2, 1), 1) == [1, 2]
+    assert neighborhood_edge_ids(canonical_order(g, 0, 4), 4) == [0, 1, 2, 3]
 
 
 def test_random_weights_deterministic_and_in_range():
     g = star_graph()
-    a = random_weights(g, 0, EnumConfig(diameter=1), seed=9)
-    b = random_weights(g, 0, EnumConfig(diameter=1), seed=9)
-    c = random_weights(g, 0, EnumConfig(diameter=1), seed=10)
+    a = random_weights(canonical_order(g, 0, 1), 1, seed=9)
+    b = random_weights(canonical_order(g, 0, 1), 1, seed=9)
+    c = random_weights(canonical_order(g, 0, 1), 1, seed=10)
     assert a == b
     assert a != c
     assert set(a) == {0, 1, 2}
@@ -85,40 +85,40 @@ def test_random_weights_deterministic_and_in_range():
 
 def test_random_weights_isolated_target_empty():
     g = build_graph([[0.0], [0.0], [0.0]], [(1, 2)])
-    assert random_weights(g, 0, EnumConfig(), seed=0) == {}
+    assert random_weights(canonical_order(g, 0, 2), 2, seed=0) == {}
 
 
 def test_grow_subgraph_follows_heaviest_edges():
     g = star_graph()
     weights = {0: 0.9, 1: 0.5, 2: 0.3}
-    assert subgraph(grow_table(weights, g, 0, 2), -1).edge_set == (0,)
-    assert subgraph(grow_table(weights, g, 0, 3), -1).edge_set == (0, 1)
-    assert subgraph(grow_table(weights, g, 0, 4), -1).edge_set == (0, 1, 2)
+    assert subgraph(grow_table(weights, canonical_order(g, 0, 1), 2), -1).edge_set == (0,)
+    assert subgraph(grow_table(weights, canonical_order(g, 0, 2), 3), -1).edge_set == (0, 1)
+    assert subgraph(grow_table(weights, canonical_order(g, 0, 3), 4), -1).edge_set == (0, 1, 2)
 
 
 def test_grow_subgraph_frontier_not_global():
     # path 2-0-1-3 with a heavy far edge only reachable through a light one
     g = build_graph([[0.0]] * 4, [(0, 1), (0, 2), (1, 3)])
     weights = {0: 0.1, 1: 0.2, 2: 0.95}
-    grown = subgraph(grow_table(weights, g, 0, 3), -1)
+    grown = subgraph(grow_table(weights, canonical_order(g, 0, 2), 3), -1)
     # first pick is the heaviest frontier edge (0,2); then (0,1) beats nothing
     assert grown.edge_set == (0, 1)
-    grown4 = subgraph(grow_table(weights, g, 0, 4), -1)
+    grown4 = subgraph(grow_table(weights, canonical_order(g, 0, 3), 4), -1)
     assert grown4.edge_set == (0, 1, 2)
 
 
 def test_grow_subgraph_equal_weights_use_canonical_order():
     g = star_graph()
     weights = {0: 0.5, 1: 0.5, 2: 0.5}
-    assert subgraph(grow_table(weights, g, 0, 3), -1).edge_set == (0, 1)
+    assert subgraph(grow_table(weights, canonical_order(g, 0, 2), 3), -1).edge_set == (0, 1)
 
 
 def test_grow_subgraph_single_node_and_empty_weights():
     g = star_graph()
-    assert subgraph(grow_table({0: 0.9}, g, 0, 1), -1).edge_set == ()
-    assert subgraph(grow_table({}, g, 0, 4), -1).edge_set == ()
+    assert subgraph(grow_table({0: 0.9}, canonical_order(g, 0, 0), 1), -1).edge_set == ()
+    assert subgraph(grow_table({}, canonical_order(g, 0, 3), 4), -1).edge_set == ()
     with pytest.raises(ValueError, match="max_nodes"):
-        grow_table({}, g, 0, 0)
+        grow_table({}, canonical_order(g, 0, 0), 0)
 
 
 def test_grow_subgraph_is_always_a_tree():
@@ -126,9 +126,9 @@ def test_grow_subgraph_is_always_a_tree():
     for _ in range(20):
         g = random_graph(rng, max_nodes=8)
         v = int(rng.integers(0, g.node_count))
-        eids = neighborhood_edge_ids(g, v, 2)
+        eids = neighborhood_edge_ids(canonical_order(g, v, 2), 2)
         weights = {eid: float(rng.random()) for eid in eids}
-        sub = subgraph(grow_table(weights, g, v, 4), -1)
+        sub = subgraph(grow_table(weights, canonical_order(g, v, 3), 4), -1)
         assert len(sub.edge_set) == len(sub.node_set) - 1
         assert is_tree_with_target(g.edges, sub.edge_set, v)
 
@@ -185,7 +185,7 @@ def test_shapley_matches_independent_oracle(seed):
 def test_shapley_selection_chain_picks_largest_drop(chain_model):
     g = three_chain()
     cfg = EnumConfig(max_nodes=3, diameter=2)
-    enum = enumerate_subgraphs(g, 2, cfg)
+    enum = enumerate_at(g, 2, cfg)
     scorer = CandidateScorer(chain_model, enum)
     picked = shapley_selection(scorer)
     assert picked is not None
@@ -206,7 +206,7 @@ def test_shapley_selection_chain_picks_largest_drop(chain_model):
 
 def test_shapley_selection_isolated_target_none(chain_model):
     g = build_graph([[1.0], [0.0]], [])
-    assert shapley_selection(CandidateScorer(chain_model, enumerate_subgraphs(g, 0))) is None
+    assert shapley_selection(CandidateScorer(chain_model, enumerate_at(g, 0))) is None
 
 
 @st.composite
@@ -253,7 +253,7 @@ def scanned_pick(scorer, graph, target, config):
 @settings(max_examples=100, deadline=None)
 def test_shapley_selection_matches_a_scan_of_leaf_removals(case):
     model, graph, target, config = case
-    scorer = CandidateScorer(model, enumerate_subgraphs(graph, target, config))
+    scorer = CandidateScorer(model, enumerate_at(graph, target, config))
     assert shapley_selection(scorer) == scanned_pick(scorer, graph, target, config)
     counts = {node: v.support_count for node, v in shapley_values(model, graph, target, config).items()}
     oracle = shapley_oracle(model, graph, target, config.max_nodes, config.diameter)
@@ -267,8 +267,8 @@ def one_layer_model(columns):
 def test_grad_analytic_values_on_path():
     g = build_graph([[1.0], [2.0], [3.0]], [(0, 1), (1, 2)])
     m = one_layer_model([[1.0, -1.0]])
-    weights = grad_weights_analytic(m, g, 0, diameter=2)
-    probs = forward(m, g, 0)
+    weights = grad_weights_analytic(m, canonical_order(g, 0, 2), 2)
+    probs = forward_at(m, g, 0)
     margin = 1.0 - probs[0]
     assert weights[0] == pytest.approx(margin * 2.0, rel=1e-12)
     assert weights[1] == 0.0  # not incident to the target
@@ -278,23 +278,23 @@ def test_grad_analytic_values_on_path():
 def test_grad_analytic_saturated_prediction_all_zero():
     g = build_graph([[1.0], [1.0]], [(0, 1)])
     m = one_layer_model([[500.0, -500.0]])
-    probs = forward(m, g, 0)
+    probs = forward_at(m, g, 0)
     assert probs[0] == 1.0
-    weights = grad_weights_analytic(m, g, 0)
+    weights = grad_weights_analytic(m, canonical_order(g, 0, 1), 1)
     assert weights == {0: 0.0}
 
 
 def test_grad_fd_step_validation(chain_graph, chain_model):
     with pytest.raises(ValueError, match="step"):
-        grad_weights_fd(chain_model, chain_graph, 2, 0.0)
+        grad_weights_fd(chain_model, canonical_order(chain_graph, 2, 2), 0.0, 2)
     with pytest.raises(ValueError, match="step"):
-        grad_weights_fd(chain_model, chain_graph, 2, 0.6)
+        grad_weights_fd(chain_model, canonical_order(chain_graph, 2, 2), 0.6, 2)
 
 
 def test_grad_fd_outside_receptive_field_exact_zero():
     g = build_graph([[1.0], [2.0], [3.0]], [(0, 1), (1, 2)])
     m = one_layer_model([[1.0, -1.0]])
-    weights = grad_weights_fd(m, g, 0, 1e-4, diameter=2)
+    weights = grad_weights_fd(m, canonical_order(g, 0, 2), 1e-4, 2)
     assert weights[1] == 0.0
     assert weights[0] > 0.0
 
@@ -313,7 +313,8 @@ def test_grad_fd_is_exactly_zero_outside_the_receptive_field_of_a_wide_model(see
     g = build_graph(rng.standard_normal((n, dims[0])), edges)
     m = Model(tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth)), activation)
     hops = full_distances(g, 0)
-    weights = grad_weights_fd(m, g, 0, float(rng.uniform(0.01, 0.5)), diameter=depth + beyond)
+    ball = canonical_order(g, 0, depth + beyond)
+    weights = grad_weights_fd(m, ball, float(rng.uniform(0.01, 0.5)), depth + beyond)
     outside = [eid for eid in weights if min(hops[u] for u in g.edges[eid]) >= depth]
     assert all(weights[eid] == 0.0 for eid in outside)
     assert len(outside) < len(weights)
@@ -330,8 +331,9 @@ def test_grad_fd_tracks_analytic_on_aligned_family():
         w[:, 0] = rng.uniform(0.2, 1.0, size=2)
         m = Model(layers=(w,))
         v = int(rng.integers(0, g.node_count))
-        analytic = grad_weights_analytic(m, g, v, diameter=1)
-        fd = grad_weights_fd(m, g, v, 1e-4, diameter=1)
+        ball = canonical_order(g, v, 1)
+        analytic = grad_weights_analytic(m, ball, 1)
+        fd = grad_weights_fd(m, ball, 1e-4, 1)
         for eid, expected in analytic.items():
             if expected < 1e-8:
                 continue
@@ -342,7 +344,7 @@ def test_grad_fd_weights_are_finite_and_nonnegative():
     rng = np.random.default_rng(77)
     g = random_graph(rng, max_nodes=7)
     m = random_model(rng)
-    weights = grad_weights_fd(m, g, 0, 1e-3)
+    weights = grad_weights_fd(m, canonical_order(g, 0, m.depth), 1e-3, m.depth)
     assert all(np.isfinite(v) and v >= 0.0 for v in weights.values())
 
 
@@ -401,9 +403,9 @@ def test_grad_fd_splits_a_hub_into_bounded_batches(monkeypatch):
     model = Model(layers=(rng.standard_normal((3, 4)), rng.standard_normal((4, 3))), activation="sigmoid")
     batches = _kept_batches(monkeypatch)
     for target in (0, 7):
-        reference = forward(model, graph, target)  # so that only damped batches are recorded
+        reference = forward_at(model, graph, target)  # so that only damped batches are recorded
         batches.clear()
-        weights = grad_weights_fd(model, graph, target, 0.25, reference=reference)
+        weights = grad_weights_fd(model, canonical_order(graph, target, 2), 0.25, 2, reference=reference)
         assert len(weights) == n - 1
         assert [(k, float.hex(v)) for k, v in weights.items()] == [
             (k, float.hex(v)) for k, v in reference_grad_weights_fd(model, graph, target, 0.25).items()
@@ -422,7 +424,7 @@ def test_grad_fd_is_one_kernel_call_and_no_forward(monkeypatch):
     rng = np.random.default_rng(5)
     graph = random_graph(rng, max_nodes=9, min_nodes=6, edge_prob=0.5)
     model = random_model(rng)
-    reference = forward(model, graph, 0)
+    reference = forward_at(model, graph, 0)
     calls = {"layers_hidden": 0, "trees_hidden": 0, "forward": 0}
 
     def counted(name, original):
@@ -435,10 +437,11 @@ def test_grad_fd_is_one_kernel_call_and_no_forward(monkeypatch):
         for module in (moexp.baselines, moexp.gcn):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    weights = grad_weights_fd(model, graph, 0, 1e-3, reference=reference)
+    ball = canonical_order(graph, 0, model.depth)
+    weights = grad_weights_fd(model, ball, 1e-3, model.depth, reference=reference)
     assert len(weights) > 1
     assert calls == {"layers_hidden": 1, "trees_hidden": 0, "forward": 0}
-    assert grad_weights_fd(model, graph, 0, 1e-3) == weights
+    assert grad_weights_fd(model, ball, 1e-3, model.depth) == weights
     assert calls == {"layers_hidden": 3, "trees_hidden": 0, "forward": 1}
 
 
@@ -450,13 +453,13 @@ def test_grad_fd_node_runs_one_reference_pass(monkeypatch):
     graph = random_graph(rng, max_nodes=9, min_nodes=6, edge_prob=0.5)
     model = random_model(rng)
     config = EnumConfig(max_nodes=3, diameter=2)
-    want = grad_weights_fd(model, graph, 0, 1e-4, config.diameter)
+    want = grad_weights_fd(model, canonical_order(graph, 0, 2), 1e-4, config.diameter)
     passes, weights = [], []
     forward_hidden, fd = moexp.gcn.forward_hidden, moexp.baselines.grad_weights_fd
 
-    def counted(model, graph, v, **kwargs):
-        passes.append(v)
-        return forward_hidden(model, graph, v, **kwargs)
+    def counted(model, ball, **kwargs):
+        passes.append(ball.target)
+        return forward_hidden(model, ball, **kwargs)
 
     def kept(*args, **kwargs):
         weights.append(fd(*args, **kwargs))
@@ -464,7 +467,7 @@ def test_grad_fd_node_runs_one_reference_pass(monkeypatch):
 
     monkeypatch.setattr(moexp.gcn, "forward_hidden", counted)
     monkeypatch.setattr(moexp.baselines, "grad_weights_fd", kept)
-    for override in (None, forward(model, graph, 0)[::-1]):
+    for override in (None, forward_at(model, graph, 0)[::-1]):
         passes.clear()
         weights.clear()
         explain_node(model, graph, 0, config, method="grad-fd", reference_distribution=override)
@@ -499,7 +502,8 @@ def test_batched_grad_fd_equals_per_edge_passes_bitwise(case, huge, scale, entri
     features[rows] = np.sign(features[rows]) * scale
     graph = build_graph(features, graph.edges)
     with mock.patch.object(moexp.gcn, "BATCH_ENTRIES", entries):
-        batched = _outcome(grad_weights_fd, model, graph, target, step, diameter)
+        ball = canonical_order(graph, target, max(diameter, model.depth))
+        batched = _outcome(grad_weights_fd, model, ball, step, diameter)
     assert batched == _outcome(reference_grad_weights_fd, model, graph, target, step, diameter)
 
 
@@ -510,11 +514,11 @@ def test_batched_grad_fd_reports_the_first_failing_pass(monkeypatch):
     # meets first. Passes run one by one meet edge 0's overflow first.
     graph = build_graph([[0.0], [1.5e308], [-1.5e308], [-1.5e308], [1.5e308]], [(0, 1), (0, 2), (1, 3), (1, 4)])
     model = Model(layers=(np.array([[1.0]]), np.array([[2.0, 0.0]])), activation="identity")
-    assert np.isfinite(forward(model, graph, 0)).all()
+    assert np.isfinite(forward_at(model, graph, 0)).all()
     message = "^forward pass at node 0: overflow encountered in matmul$"
     with pytest.raises(ValueError, match=message):
         reference_grad_weights_fd(model, graph, 0, 0.5)
     for entries in (BATCH_ENTRIES, 1):  # one batch, or one per pass
         monkeypatch.setattr(moexp.gcn, "BATCH_ENTRIES", entries)
         with pytest.raises(ValueError, match=message):
-            grad_weights_fd(model, graph, 0, 0.5)
+            grad_weights_fd(model, canonical_order(graph, 0, 2), 0.5, 2)

@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 import moexp
-from moexp import CandidateScorer, Model, build_graph, canonical_order, enumerate_subgraphs, explain_node
+from moexp import CandidateScorer, Model, build_graph, canonical_order, explain_node
 from moexp.cli import _add_arguments, build_parser, explain_command, main
-from moexp.gcn import forward, forward_hidden, node_embeddings
+from moexp.gcn import node_embeddings
 from moexp.io import (
     FormatError, graph_to_doc, load_edge_weights, load_graph, load_model, model_to_doc, parse_graph, save_graph,
     save_model,
@@ -30,6 +30,7 @@ from moexp.io import (
 from moexp.pareto import _front, _ranks
 from moexp.synth import synth_graph
 
+from conftest import enumerate_at, forward_at, hidden_at
 from oracles import feature_dim, masked_loss
 
 
@@ -214,28 +215,48 @@ def _unpassed_optional_parameters() -> list:
                     )
     replaced = {k for _, keywords in calls.get("replace", []) for k in keywords}
     unpassed = []
+    for name, obj, params in _public_signatures():
+        positional = [p.name for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        passed = set(replaced) if inspect.isclass(obj) else set()
+        for count, keywords in calls.get(name, []):
+            passed.update(positional[:count], keywords)
+            if None in keywords:  # **kwargs
+                passed.update(p.name for p in params)
+        unpassed += [f"{name}({p.name})" for p in params if p.default is not p.empty and p.name not in passed]
+    return sorted(unpassed)
+
+
+def _public_signatures() -> list:
+    """(name, object, parameters) of each public top-level function or
+    class of ``src/moexp``; a class's parameters are its ``__init__``'s."""
+    found = []
     for path in sorted((ROOT / "src/moexp").glob("[!_]*.py")):
         module = importlib.import_module(f"moexp.{path.stem}")
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
             # A class without an __init__ of its own (an exception) is skipped.
-            if not (inspect.isfunction(obj) or inspect.isclass(obj) and "__init__" in vars(obj)):
-                continue
-            params = list(inspect.signature(obj).parameters.values())
-            positional = [p.name for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-            passed = set(replaced) if inspect.isclass(obj) else set()
-            for count, keywords in calls.get(name, []):
-                passed.update(positional[:count], keywords)
-                if None in keywords:  # **kwargs
-                    passed.update(p.name for p in params)
-            unpassed += [f"{name}({p.name})" for p in params if p.default is not p.empty and p.name not in passed]
-    return sorted(unpassed)
+            if inspect.isfunction(obj) or inspect.isclass(obj) and "__init__" in vars(obj):
+                found.append((name, obj, list(inspect.signature(obj).parameters.values())))
+    return found
 
 
 def test_every_optional_parameter_is_passed_by_the_program():
     # A default that only tests override is a knob the program never turns.
     assert _unpassed_optional_parameters() == []
+
+
+def test_a_ball_parameter_is_required_and_alone():
+    # A ball holds its graph and its target: passing them beside it only
+    # asks the callee to check that they agree, and a default ball asks it
+    # to build one. Entry points take (graph, target); stages take the ball.
+    found = []
+    for name, _, params in _public_signatures():
+        names = {p.name: p for p in params}
+        if "ball" in names:
+            found += [f"{name}(ball=)"] if names["ball"].default is not names["ball"].empty else []
+            found += [f"{name}(ball, {other})" for other in ("graph", "target", "v") if other in names]
+    assert found == []
 
 
 @pytest.mark.parametrize(
@@ -253,13 +274,13 @@ def test_node_embeddings_match_forward_hidden_bitwise(variant):
         states = node_embeddings(model, ball, model.depth)
         assert len(states) == ball.within[1]
         for i, u in enumerate(ball.nodes[: ball.within[1]]):
-            assert states[i].tobytes() == forward_hidden(model, graph, u).tobytes()
+            assert states[i].tobytes() == hidden_at(model, graph, u).tobytes()
 
 
 def test_unmasked_loss_equals_empty_mask_loss_bitwise():
     graph, model = synth_graph("erdos", {"nodes": 30, "p": 0.15}, 9)
     for v in range(graph.node_count):
-        probs = forward(model, graph, v)
+        probs = forward_at(model, graph, v)
         y = int(np.argmax(probs))
         assert float(-np.log(probs[y])) == masked_loss(model, graph, v, y, {})
 
@@ -493,7 +514,7 @@ def test_a_tree_that_overflows_fails_its_node_with_the_pass_error(tmp_path):
     # neighbours overflows inside the batch of its size.
     graph = build_graph([[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0], [1e308, 0.0]], [(0, 1), (0, 2), (0, 3)])
     model = Model(layers=(np.eye(2),), activation="identity")
-    assert np.isfinite(forward(model, graph, 0)).all()
+    assert np.isfinite(forward_at(model, graph, 0)).all()
     message = "forward pass at node 0: overflow encountered in add"
     for method in ("pareto-rank", "balanced", "shapley"):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -563,12 +584,43 @@ def test_every_traced_span_resolves():
         assert tracer.absent == []
 
 
-def test_traced_boundaries_see_every_document(fixtures_dir, tmp_path):
-    # A writer that bypassed io.dump_json would read 0 KiB per node, silently.
-    path = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+def _tracing():
+    """``benchmark/tracing.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", ROOT / "benchmark" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+_CALLED_SPANS = {
+    "cli.run", "cli.document", "io.load", "io.manifest", "io.dump", "pipeline.node", "graph.order",
+    "explain.enumerate", "explain.pairs", "explain.score", "gcn.reference", "pareto.rank",
+}
+
+
+@pytest.mark.parametrize(
+    "flags, called",
+    [
+        ([], _CALLED_SPANS),
+        (["--exhaustive-cf"], _CALLED_SPANS),
+        (["--method", "grad-fd"], _CALLED_SPANS - {"explain.pairs"} | {"baselines.grad_fd"}),
+    ],
+)
+def test_every_traced_span_is_called_in_its_role(flags, called, tmp_path):
+    # A traced name that the program stops calling, or calls in another
+    # role, reads 0 or a wrong figure and fails nothing: each explained
+    # node orders its ball once and runs one reference pass.
+    inputs = ROOT / "tests" / "golden" / "inputs"
+    argv = ["explain", "--graph", str(inputs / "motif.json"), "--weights", str(inputs / "motif_weights.json")]
+    with _tracing().Tracer() as tracer:
+        assert main(argv + ["--targets", "0,2", "--out", str(tmp_path), *flags]) == 0
+    assert {span for span, count in tracer.calls.items() if count} == called
+    assert tracer.calls["pipeline.node"] == tracer.calls["graph.order"] == tracer.calls["gcn.reference"] == 2
+
+
+def test_traced_boundaries_see_every_document(fixtures_dir, tmp_path):
+    # A writer that bypassed io.dump_json would read 0 KiB per node, silently.
+    tracing = _tracing()
     out = tmp_path / "out"
     argv = ["explain", "--graph", str(fixtures_dir / "chain4.json"), "--weights", str(fixtures_dir / "chain4_weights.json")]
     with tracing.Tracer() as tracer:
@@ -583,7 +635,7 @@ def test_traced_boundaries_see_every_document(fixtures_dir, tmp_path):
 def test_epsilon_outside_unit_interval_is_rejected(epsilon, chain_graph, chain_model):
     message = re.escape(f"epsilon must be in (0, 1): {epsilon}")
     with pytest.raises(ValueError, match=message):
-        CandidateScorer(chain_model, enumerate_subgraphs(chain_graph, 2), epsilon)
+        CandidateScorer(chain_model, enumerate_at(chain_graph, 2), epsilon)
     with pytest.raises(ValueError, match=message):
         explain_node(chain_model, chain_graph, 2, epsilon=epsilon)
 

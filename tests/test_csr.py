@@ -116,9 +116,9 @@ def test_subgraph_helpers_and_baselines_build_no_view():
     graph, model = load_graph(INPUTS / "motif.json"), load_model(INPUTS / "motif_weights.json")
     ball = canonical_order(graph, 0, 3)
     restricted_forward(model, graph, 0, make_subgraph(graph, 0, ball.edge[: ball.indptr[1]][:2].tolist()))
-    grow_table(dict.fromkeys(ball.edge.tolist(), 1.0), graph, 0, 4)
+    grow_table(dict.fromkeys(ball.edge.tolist(), 1.0), ball, 4)
     shapley_values(model, graph, 0)
-    grad_weights_analytic(model, graph, 0, 3)
+    grad_weights_analytic(model, ball, 3)
     graph_to_doc(graph)
     assert not VIEWS & vars(graph).keys()
 

@@ -23,6 +23,7 @@ from moexp import (
 from moexp.cli import build_parser, explain_command
 from moexp.explain import counterfactual_pairs
 
+from conftest import enumerate_at, forward_at
 from oracles import (
     brute_force_trees,
     cf_relevance,
@@ -66,7 +67,7 @@ def test_counterfactuals_match_brute_force(seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, max_nodes=6)
     v = int(rng.integers(0, g.node_count))
-    enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=4, diameter=2))
+    enum = enumerate_at(g, v, EnumConfig(max_nodes=4, diameter=2))
     trees = [frozenset(t) for t in brute_force_trees(g, v, 4, 2)]
     by_explanation = {mode: [[] for _ in range(len(enum))] for mode in (False, True)}
     for mode, lists in by_explanation.items():
@@ -87,12 +88,12 @@ def test_counterfactuals_match_brute_force(seed):
 
 
 def test_enumerate_chain_three_candidates():
-    enum = enumerate_subgraphs(three_chain(), 2, EnumConfig(max_nodes=3, diameter=2))
+    enum = enumerate_at(three_chain(), 2, EnumConfig(max_nodes=3, diameter=2))
     assert {s.edge_set for s in subgraphs(enum)} == {(), (1,), (0, 1)}
 
 
 def test_enumerate_star_seven_candidates():
-    enum = enumerate_subgraphs(star_graph(), 0, EnumConfig(max_nodes=3, diameter=1))
+    enum = enumerate_at(star_graph(), 0, EnumConfig(max_nodes=3, diameter=1))
     assert len(enum) == 7
     sizes = sorted(len(s.edge_set) for s in subgraphs(enum))
     assert sizes == [0, 1, 1, 1, 2, 2, 2]
@@ -100,21 +101,21 @@ def test_enumerate_star_seven_candidates():
 
 def test_enumerate_triangle_excludes_cycle():
     g = build_graph([[0.0], [0.0], [0.0]], [(0, 1), (0, 2), (1, 2)])
-    enum = enumerate_subgraphs(g, 0, EnumConfig(max_nodes=3, diameter=2))
+    enum = enumerate_at(g, 0, EnumConfig(max_nodes=3, diameter=2))
     assert len(enum) == 6
     assert all(len(s.edge_set) < 3 for s in subgraphs(enum))
 
 
 def test_enumerate_isolated_target():
     g = build_graph([[0.0], [0.0], [0.0]], [(1, 2)])
-    enum = enumerate_subgraphs(g, 0)
+    enum = enumerate_at(g, 0)
     assert len(enum) == 1
     assert subgraph(enum, 0).edge_set == ()
 
 
 def test_parent_links_grow_by_one_edge():
     g = random_graph(np.random.default_rng(5), max_nodes=7)
-    enum = enumerate_subgraphs(g, 0, EnumConfig(max_nodes=4, diameter=3))
+    enum = enumerate_at(g, 0, EnumConfig(max_nodes=4, diameter=3))
     for i, sub in enumerate(subgraphs(enum)):
         parent = enum.parent[i]
         if parent < 0:
@@ -128,7 +129,7 @@ def test_parent_links_grow_by_one_edge():
 def test_diameter_bound_respected():
     # path 0-1-2-3-4, target 0, D=2: node 3 must never appear
     g = build_graph([[0.0]] * 5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    enum = enumerate_subgraphs(g, 0, EnumConfig(max_nodes=5, diameter=2))
+    enum = enumerate_at(g, 0, EnumConfig(max_nodes=5, diameter=2))
     for sub in subgraphs(enum):
         assert max(sub.node_set) <= 2
 
@@ -139,7 +140,7 @@ def test_enumeration_matches_bruteforce(seed, max_nodes, diameter):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, max_nodes=7)
     v = int(rng.integers(0, g.node_count))
-    enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=max_nodes, diameter=diameter))
+    enum = enumerate_at(g, v, EnumConfig(max_nodes=max_nodes, diameter=diameter))
     keys = [s.edge_set for s in subgraphs(enum)]
     assert len(keys) == len(set(keys)), "duplicate candidate"
     assert set(keys) == brute_force_trees(g, v, max_nodes, diameter)
@@ -148,7 +149,7 @@ def test_enumeration_matches_bruteforce(seed, max_nodes, diameter):
 
 
 def assert_table_matches_recursive_oracle(enum: Enumeration, graph, config, rng):
-    ref = recursive_enumeration(graph, enum.target, config)
+    ref = recursive_enumeration(graph, enum.ball.target, config)
     assert subgraphs(enum) == ref.subgraphs
     assert enum.parent.tolist() == [-1 if p is None else p for p in ref.parents]
     assert enum.sizes.tolist() == [len(s.node_set) for s in ref.subgraphs]
@@ -198,7 +199,7 @@ def test_table_enumeration_matches_recursive_oracle(seed, max_nodes, diameter, n
     g = random_graph(rng, max_nodes=nodes, edge_prob=edge_prob, min_nodes=1)
     v = int(rng.integers(0, g.node_count))
     config = EnumConfig(max_nodes=max_nodes, diameter=diameter)
-    assert_table_matches_recursive_oracle(enumerate_subgraphs(g, v, config), g, config, rng)
+    assert_table_matches_recursive_oracle(enumerate_at(g, v, config), g, config, rng)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3), st.sampled_from([0.15, 0.4, 0.8]))
@@ -208,7 +209,7 @@ def test_edge_set_rank_matches_the_lexsort_oracle(seed, max_nodes, diameter, edg
     # for one-node candidates (no edge columns) too.
     rng = np.random.default_rng(seed)
     g = random_graph(rng, max_nodes=9, edge_prob=edge_prob, min_nodes=1)
-    enum = enumerate_subgraphs(g, int(rng.integers(0, g.node_count)), EnumConfig(max_nodes, diameter))
+    enum = enumerate_at(g, int(rng.integers(0, g.node_count)), EnumConfig(max_nodes, diameter))
     assert enum.edge_set_rank.tolist() == lexsort_edge_set_rank(enum.edge_ids).tolist()
 
 
@@ -219,7 +220,7 @@ def test_lookup_keys_wider_than_63_bits_match_the_oracle(nodes, target, max_node
     # cross 256, so the byte keys must be big-endian to sort as the rows do.
     g = build_graph([[0.0]] * nodes, [(i, i + 1) for i in range(nodes - 1)])
     config = EnumConfig(max_nodes=max_nodes, diameter=diameter)
-    enum = enumerate_subgraphs(g, target, config, canonical_order(g, target, hops))
+    enum = enumerate_subgraphs(canonical_order(g, target, hops), config)
     # Paths of a nodes left and b nodes right of the target, a + b < max_nodes.
     left, right = min(diameter, target), min(diameter, nodes - 1 - target)
     assert len(enum) == sum(1 for a in range(left + 1) for b in range(right + 1) if a + b < max_nodes)
@@ -231,7 +232,7 @@ def edge_set_pairs(enum, pairs):
 
 
 def test_generate_pairs_chain_with_extreme_rule():
-    enum = enumerate_subgraphs(three_chain(), 2, EnumConfig(max_nodes=3, diameter=2))
+    enum = enumerate_at(three_chain(), 2, EnumConfig(max_nodes=3, diameter=2))
     pairs = set(edge_set_pairs(enum, generate_pairs(enum)))
     # the 3-node explanation may not pair with the bare target, the
     # 2-node explanation has no other option and keeps it
@@ -240,12 +241,12 @@ def test_generate_pairs_chain_with_extreme_rule():
 
 def test_generate_pairs_single_candidate_none():
     g = build_graph([[0.0], [0.0]], [])
-    enum = enumerate_subgraphs(g, 0)
+    enum = enumerate_at(g, 0)
     assert generate_pairs(enum).shape == (0, 2)
 
 
 def test_generate_pairs_star_counts_default_vs_exhaustive():
-    enum = enumerate_subgraphs(star_graph(), 0, EnumConfig(max_nodes=3, diameter=1))
+    enum = enumerate_at(star_graph(), 0, EnumConfig(max_nodes=3, diameter=1))
     assert len(generate_pairs(enum)) == 6
     exhaustive = edge_set_pairs(enum, generate_pairs(enum, exhaustive=True))
     assert len(exhaustive) == 9
@@ -257,7 +258,7 @@ def test_generate_pairs_star_counts_default_vs_exhaustive():
 
 def test_exhaustive_pairs_superset_of_default():
     g = random_graph(np.random.default_rng(11), max_nodes=7)
-    enum = enumerate_subgraphs(g, 0, EnumConfig(max_nodes=4, diameter=2))
+    enum = enumerate_at(g, 0, EnumConfig(max_nodes=4, diameter=2))
     default = set(edge_set_pairs(enum, generate_pairs(enum)))
     exhaustive = set(edge_set_pairs(enum, generate_pairs(enum, exhaustive=True)))
     assert default <= exhaustive
@@ -337,7 +338,7 @@ def test_stacked_softmax_and_simulatability_equal_row_calls_bitwise(seed, classe
 
 
 def chain_scorer(graph, model):
-    enum = enumerate_subgraphs(graph, 2, EnumConfig(max_nodes=4, diameter=2))
+    enum = enumerate_at(graph, 2, EnumConfig(max_nodes=4, diameter=2))
     return enum, CandidateScorer(model, enum)
 
 
@@ -395,13 +396,11 @@ def test_scored_pairs_track_oracle_metric(seed):
     g = random_graph(rng, max_nodes=6)
     m = random_model(rng)
     v = int(rng.integers(0, g.node_count))
-    enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=3, diameter=2))
+    enum = enumerate_at(g, v, EnumConfig(max_nodes=3, diameter=2))
     scorer = CandidateScorer(m, enum)
     pairs = generate_pairs(enum)
     scorer.pair(pairs[:, 0], pairs[:, 1])
-    from moexp import forward
-
-    reference = forward(m, g, v)
+    reference = forward_at(m, g, v)
     for e in pairs[:, 0]:
         assert scorer.simulatability[e] == pytest.approx(
             -sym_kl(reference, scorer.distributions[e]), rel=1e-9, abs=1e-12
@@ -440,7 +439,7 @@ def test_scoring_one_tree_per_run_keeps_the_bits(seed, max_nodes, exhaustive):
     g = random_graph(rng, max_nodes=7)
     m = random_model(rng, hidden=int(rng.integers(1, 6)), classes=int(rng.integers(2, 4)))
     v = int(rng.integers(0, g.node_count))
-    enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=max_nodes, diameter=2))
+    enum = enumerate_at(g, v, EnumConfig(max_nodes=max_nodes, diameter=2))
     pairs = generate_pairs(enum, exhaustive)
     with mock.patch.object(moexp.gcn, "BATCH_ENTRIES", 1):
         assert generate_pairs(enum, exhaustive).tolist() == pairs.tolist()
@@ -461,7 +460,7 @@ def test_scoring_splits_a_hub_into_bounded_batches(monkeypatch):
     rng = np.random.default_rng(11)
     graph = build_graph(rng.standard_normal((n, 3)), [(0, v) for v in range(1, n)])
     model = Model(layers=(rng.standard_normal((3, 4)), rng.standard_normal((4, 3))), activation="sigmoid")
-    enum = enumerate_subgraphs(graph, 0, EnumConfig(max_nodes=3, diameter=1))
+    enum = enumerate_at(graph, 0, EnumConfig(max_nodes=3, diameter=1))
     assert np.bincount(enum.sizes).tolist() == [0, 1, n - 1, (n - 1) * (n - 2) // 2]
     pairs = generate_pairs(enum)
     batches = _kept_tree_batches(monkeypatch)

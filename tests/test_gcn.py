@@ -10,10 +10,7 @@ from moexp import (
     Model,
     build_graph,
     canonical_order,
-    enumerate_subgraphs,
     EnumConfig,
-    forward,
-    forward_hidden,
     load_weights,
     node_embeddings,
     softmax,
@@ -23,6 +20,7 @@ import moexp.baselines
 from moexp.baselines import grad_weights_fd
 from moexp.gcn import trees_hidden
 
+from conftest import enumerate_at, forward_at, hidden_at
 from oracles import (
     ball_hidden,
     make_subgraph,
@@ -40,14 +38,14 @@ from oracles import (
 def test_isolated_node_identity_layer():
     g = build_graph([[1.0, 0.0]], [])
     m = Model(layers=(np.eye(2),))
-    dist = forward(m, g, 0)
+    dist = forward_at(m, g, 0)
     e = np.e
     assert np.allclose(dist, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
 
 
 def test_all_ones_mask_is_identity(chain_graph, chain_model):
     # The masked ball loop of the oracles, with every weight 1, is the pass.
-    plain = forward(chain_model, chain_graph, 2)
+    plain = forward_at(chain_model, chain_graph, 2)
     masked = softmax(ball_hidden(chain_model, chain_graph, 2, mask={0: 1.0, 1: 1.0, 2: 1.0}))
     assert np.array_equal(plain, masked)
 
@@ -55,7 +53,7 @@ def test_all_ones_mask_is_identity(chain_graph, chain_model):
 def test_feature_dim_mismatch_rejected(chain_graph):
     m = Model(layers=(np.eye(3),))
     with pytest.raises(ValueError, match="shape error"):
-        forward(m, chain_graph, 0)
+        forward_at(m, chain_graph, 0)
 
 
 def test_load_weights_roundtrip_shapes():
@@ -102,7 +100,7 @@ def test_constructor_allows_single_output_column():
 
 
 def test_masked_loss_all_ones_equals_nll(chain_graph, chain_model):
-    dist = forward(chain_model, chain_graph, 2)
+    dist = forward_at(chain_model, chain_graph, 2)
     y = int(np.argmax(dist))
     loss = masked_loss(chain_model, chain_graph, 2, y, {})
     assert loss == pytest.approx(-np.log(dist[y]), abs=1e-12)
@@ -111,14 +109,14 @@ def test_masked_loss_all_ones_equals_nll(chain_graph, chain_model):
 def test_masked_loss_goes_to_zero_when_certain():
     g = build_graph([[50.0, 0.0]], [])
     m = Model(layers=(np.eye(2),))
-    assert masked_loss(m, g, 0, 0, {}) == float(-np.log(forward(m, g, 0)[0])) < 1e-20
+    assert masked_loss(m, g, 0, 0, {}) == float(-np.log(forward_at(m, g, 0)[0])) < 1e-20
 
 
 def test_mask_outside_receptive_field_is_inert():
     # path 0-1-2-3-4, two-layer model, target 0: edge (3,4) is 3 hops out
     g = build_graph([[1.0], [2.0], [3.0], [4.0], [5.0]], [(0, 1), (1, 2), (2, 3), (3, 4)])
     m = Model(layers=(np.array([[1.0]]), np.array([[1.0, -1.0]])), activation="relu")
-    base = float(-np.log(forward(m, g, 0)[0]))
+    base = float(-np.log(forward_at(m, g, 0)[0]))
     assert masked_loss(m, g, 0, 0, {3: 0.0}) == base
 
 
@@ -126,29 +124,29 @@ def test_locality_feature_edits_outside_ball():
     g1 = build_graph([[1.0], [2.0], [3.0], [4.0], [5.0]], [(0, 1), (1, 2), (2, 3), (3, 4)])
     g2 = build_graph([[1.0], [2.0], [3.0], [99.0], [-7.0]], [(0, 1), (1, 2), (2, 3), (3, 4)])
     m = Model(layers=(np.array([[1.0]]), np.array([[1.0, -1.0]])), activation="relu")
-    assert np.array_equal(forward(m, g1, 0), forward(m, g2, 0))
+    assert np.array_equal(forward_at(m, g1, 0), forward_at(m, g2, 0))
 
 
 def test_self_loop_flag_changes_aggregation():
     g = build_graph([[1.0], [10.0]], [(0, 1)])
     with_self = Model(layers=(np.array([[1.0, 0.0]]),), self_loop=True)
     without = Model(layers=(np.array([[1.0, 0.0]]),), self_loop=False)
-    assert forward_hidden(with_self, g, 0)[0] == 11.0
-    assert forward_hidden(without, g, 0)[0] == 10.0
+    assert hidden_at(with_self, g, 0)[0] == 11.0
+    assert hidden_at(without, g, 0)[0] == 10.0
 
 
 def test_mean_aggregate_divides_by_message_count():
     g = build_graph([[2.0], [4.0], [6.0]], [(0, 1), (0, 2)])
     m = Model(layers=(np.array([[1.0, 0.0]]),), mean_aggregate=True)
-    assert forward_hidden(m, g, 0)[0] == pytest.approx((2 + 4 + 6) / 3)
+    assert hidden_at(m, g, 0)[0] == pytest.approx((2 + 4 + 6) / 3)
 
 
 def test_final_activation_flag():
     g = build_graph([[1.0]], [])
     base = Model(layers=(np.array([[1.0]]),), activation="sigmoid")
     act = Model(layers=(np.array([[1.0]]),), activation="sigmoid", final_activation=True)
-    assert forward_hidden(base, g, 0)[0] == 1.0
-    assert forward_hidden(act, g, 0)[0] == pytest.approx(1 / (1 + np.exp(-1)))
+    assert hidden_at(base, g, 0)[0] == 1.0
+    assert hidden_at(act, g, 0)[0] == pytest.approx(1 / (1 + np.exp(-1)))
 
 
 def test_softmax_is_a_distribution():
@@ -188,7 +186,7 @@ def test_restricted_forward_equals_standalone_subgraph(seed):
     g = random_graph(rng)
     m = random_model(rng, activation=rng.choice(["relu", "sigmoid", "identity"]))
     v = int(rng.integers(0, g.node_count))
-    enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=4, diameter=2))
+    enum = enumerate_at(g, v, EnumConfig(max_nodes=4, diameter=2))
     for sub in subgraphs(enum):
         restricted = restricted_forward(m, g, v, sub)
         rebuilt = standalone_distribution(m, g, v, sub.edge_set)
@@ -202,7 +200,7 @@ def test_forward_deterministic(seed):
     g = random_graph(rng)
     m = random_model(rng)
     v = int(rng.integers(0, g.node_count))
-    assert np.array_equal(forward(m, g, v), forward(m, g, v))
+    assert np.array_equal(forward_at(m, g, v), forward_at(m, g, v))
 
 
 @given(
@@ -224,7 +222,7 @@ def test_tree_kernel_equals_restricted_loop_bitwise(seed, depth, activation, sel
     layers = tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth))
     m = Model(layers, activation, self_loop, mean, final)
     v = int(rng.integers(0, g.node_count))
-    enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=size, diameter=int(rng.integers(1, 4))))
+    enum = enumerate_at(g, v, EnumConfig(max_nodes=size, diameter=int(rng.integers(1, 4))))
     want = [restricted_hidden(m, g, v, sub).tobytes() for sub in subgraphs(enum)]
     # One tree per pass, from the subgraph alone.
     for sub, bits in zip(subgraphs(enum), want):
@@ -272,7 +270,7 @@ def test_regrouping_a_wide_batch_keeps_each_trees_bits(seed, depth, activation, 
     g = random_graph(rng, max_nodes=9, edge_prob=0.4, feature_dim=dims[0])
     m = Model(tuple(rng.standard_normal((dims[i], dims[i + 1])) for i in range(depth)), activation, self_loop, mean)
     v = int(rng.integers(0, g.node_count))
-    enum = enumerate_subgraphs(g, v, EnumConfig(max_nodes=4, diameter=2))
+    enum = enumerate_at(g, v, EnumConfig(max_nodes=4, diameter=2))
     for k in np.unique(enum.sizes):
         every = np.flatnonzero(enum.sizes == k)
 
@@ -286,16 +284,17 @@ def test_regrouping_a_wide_batch_keeps_each_trees_bits(seed, depth, activation, 
         cuts = np.sort(rng.integers(0, every.size + 1, 2))
         parts = [hidden(part) for part in np.split(every, cuts) if part.size]
         assert np.vstack(parts).tobytes() == want.tobytes()
-    whole = grad_weights_fd(m, g, v, 0.25, diameter=2)
+    ball = canonical_order(g, v, max(2, m.depth))
+    whole = grad_weights_fd(m, ball, 0.25, 2)
     for entries in (1, 700):
         with mock.patch.object(moexp.gcn, "BATCH_ENTRIES", entries):
-            assert grad_weights_fd(m, g, v, 0.25, diameter=2) == whole
+            assert grad_weights_fd(m, ball, 0.25, 2) == whole
 
 
 def test_candidate_table_lists_each_tree():
     # Triangle 0-1-2 plus a pendant 3 on node 2; target 2.
     g = build_graph([[0.0]] * 4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    enum = enumerate_subgraphs(g, 2, EnumConfig(max_nodes=3, diameter=1))
+    enum = enumerate_at(g, 2, EnumConfig(max_nodes=3, diameter=1))
     nodes = np.asarray(enum.ball.nodes)
     for i, sub in enumerate(subgraphs(enum)):
         k = len(sub.node_set)

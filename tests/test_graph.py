@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moexp import build_graph, confounder_set
+from moexp import build_graph, canonical_order, confounder_set
 
 from oracles import (
     bfs_distances,
@@ -94,16 +94,16 @@ def test_edge_rank_orders_by_endpoint_ranks(chain_graph):
 
 
 def test_l_hop_neighborhood_chain(chain_graph):
-    assert confounder_set(chain_graph, 2, 1, removed=()) == {1, 3}
-    assert confounder_set(chain_graph, 2, 2, removed=()) == {0, 1, 3}
+    assert confounder_set(canonical_order(chain_graph, 2, 1), 1, removed=()) == {1, 3}
+    assert confounder_set(canonical_order(chain_graph, 2, 2), 2, removed=()) == {0, 1, 3}
 
 
 def test_l_hop_neighborhood_isolated():
     g = build_graph([[0.0], [1.0], [2.0]], [(1, 2)])
-    assert confounder_set(g, 0, 1, removed=()) == set()
-    assert confounder_set(g, 0, 5, removed=()) == set()
+    assert confounder_set(canonical_order(g, 0, 1), 1, removed=()) == set()
+    assert confounder_set(canonical_order(g, 0, 5), 5, removed=()) == set()
     with pytest.raises(ValueError, match="hops must be positive"):
-        confounder_set(g, 0, 0, removed=())
+        confounder_set(canonical_order(g, 0, 0), 0, removed=())
 
 
 def graph_strategy(max_n=7):
@@ -123,8 +123,8 @@ def graph_strategy(max_n=7):
 @settings(max_examples=120, deadline=None)
 def test_neighborhood_monotone_and_matches_bfs(g, v, hops):
     v = v % g.node_count
-    smaller = confounder_set(g, v, hops, removed=())
-    larger = confounder_set(g, v, hops + 1, removed=())
+    smaller = confounder_set(canonical_order(g, v, hops), hops, removed=())
+    larger = confounder_set(canonical_order(g, v, hops + 1), hops + 1, removed=())
     assert smaller <= larger
     dist = full_distances(g, v)
     assert smaller == {u for u, d in dist.items() if 0 < d <= hops}

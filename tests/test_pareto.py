@@ -3,9 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moexp import EnumConfig, enumerate_subgraphs, generate_pairs, rank_pairs
+from moexp import EnumConfig, generate_pairs, rank_pairs
 from moexp.pareto import _front, _ranks
 
+from conftest import enumerate_at
 from oracles import (
     dominates,
     dominates_oracle,
@@ -164,7 +165,7 @@ def test_comprehensive_choice_is_never_dominated(scores):
 def test_rank_pairs_selection_is_never_dominated(seed, exhaustive, max_nodes, diameter):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, max_nodes=7, edge_prob=0.5)
-    enum = enumerate_subgraphs(g, int(rng.integers(0, g.node_count)), EnumConfig(max_nodes, diameter))
+    enum = enumerate_at(g, int(rng.integers(0, g.node_count)), EnumConfig(max_nodes, diameter))
     pairs = generate_pairs(enum, exhaustive)
     assume(len(pairs))
     # Few distinct values, so that both objectives tie often.

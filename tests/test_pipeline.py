@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from moexp import (
     EnumConfig,
     build_graph,
+    canonical_order,
     derive_seed,
-    enumerate_subgraphs,
     explain_node,
-    forward,
     random_weights,
     simulatability,
 )
@@ -19,6 +18,7 @@ from moexp.baselines import grow_table
 from moexp.io import load_edge_weights, load_graph, load_model
 from moexp.pipeline import METHODS
 
+from conftest import enumerate_at, forward_at
 from oracles import (
     explanation,
     index,
@@ -86,8 +86,8 @@ def test_every_method_returns_valid_trees(chain_graph, chain_model):
 def test_weight_methods_explain_their_grown_tree(chain_graph, chain_model):
     cfg = EnumConfig(max_nodes=4, diameter=2)
     res = explain_node(chain_model, chain_graph, 2, cfg, method="random", seed=7)
-    weights = random_weights(chain_graph, 2, cfg, 7)
-    grown = subgraph(grow_table(weights, chain_graph, 2, cfg.max_nodes), -1)
+    ball = canonical_order(chain_graph, 2, 2)
+    grown = subgraph(grow_table(random_weights(ball, cfg.diameter, 7), ball, cfg.max_nodes), -1)
     assert explanation(res).edge_set == grown.edge_set
 
 
@@ -142,7 +142,7 @@ def test_reference_distribution_shifts_scores(chain_graph, chain_model):
 
 def test_precomputed_enumeration_reused(chain_graph, chain_model):
     cfg = EnumConfig(max_nodes=4, diameter=2)
-    enum = enumerate_subgraphs(chain_graph, 2, cfg)
+    enum = enumerate_at(chain_graph, 2, cfg)
     a = explain_node(chain_model, chain_graph, 2, cfg, enumeration=enum)
     b = explain_node(chain_model, chain_graph, 2, cfg)
     assert a.candidate_count == b.candidate_count
@@ -179,10 +179,10 @@ def test_grown_tree_outside_the_search_is_scored_from_its_growth_table(seed, max
     weights = dict(enumerate(rng.random(g.edge_count).tolist()))
     config = EnumConfig(max_nodes=max_nodes, diameter=diameter)
     res = explain_node(m, g, v, config, method="external-weights", edge_weights=weights)
-    table = grow_table(weights, g, v, max_nodes)
+    table = grow_table(weights, canonical_order(g, v, max_nodes - 1), max_nodes)
     grown = subgraph(table, -1)
     assert explanation(res) == grown
-    search = enumerate_subgraphs(g, v, config)
+    search = enumerate_at(g, v, config)
     assert res.candidate_count == len(search)
     counts = (res.distinct_evaluations, res.memo_hits)
     assert counts == (res.scorer.forward_count, res.scorer.hit_count)
@@ -194,7 +194,7 @@ def test_grown_tree_outside_the_search_is_scored_from_its_growth_table(seed, max
     want = restricted_forward(m, g, v, grown)
     assert res.scorer.distributions[res.explanation].tobytes() == want.tobytes()
     assert float.hex(res.scorer.simulatability[res.explanation]) == float.hex(simulatability(res.full_distribution, want))
-    assert res.full_distribution.tobytes() == forward(m, g, v).tobytes()
+    assert res.full_distribution.tobytes() == forward_at(m, g, v).tobytes()
     assert counts == (1, 0)
 
 

@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from moexp import explain_node, forward, shapley_values, synth_graph
+from moexp import explain_node, shapley_values, synth_graph
 from moexp.synth import KINDS, prototype_model
 
+from conftest import forward_at
 from oracles import degree, explanation, feature_dim, same_graph
 
 
@@ -42,7 +43,7 @@ def test_planted_motif_shape_and_signal():
     worst_motif = min(values[n].value for n in motif)
     if rest:
         assert worst_motif > max(values[n].value for n in rest)
-    assert int(np.argmax(forward(m, g, 0))) == 0
+    assert int(np.argmax(forward_at(m, g, 0))) == 0
 
 
 def test_erdos_degree_cap():
