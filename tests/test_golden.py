@@ -8,8 +8,9 @@ input paths (the input hashes stay). The ``enumerate`` and ``shapley``
 commands run on the same graphs and targets, and their CSVs are compared
 byte for byte with ``tests/golden/<graph>/<command>.csv``. The
 ``robustness`` command sweeps the motif graph's targets in both modes with
-the default method, and its CSVs are compared with
-``tests/golden/motif/robustness-<mode>.csv``. A change that keeps the
+every method it accepts, and its CSVs are compared with
+``tests/golden/motif/robustness-<mode>.csv`` for the default method and
+``tests/golden/motif/robustness-<method>-<mode>.csv`` for the others. A change that keeps the
 goldens passing writes the same documents and CSVs as the code the goldens
 were made with.
 
@@ -44,6 +45,9 @@ GRAPHS = {
 CASES = [(g, m, ex) for g in GRAPHS for m in METHODS for ex in (False, True)]
 CSV_CASES = [(g, command) for g in GRAPHS for command in ("enumerate", "shapley")]
 SWEEP_MODES = ("message", "weights")
+# The robustness command reads no edge weights, so it rejects external-weights.
+SWEEP_CASES = [(m, mode) for m in METHODS if m != "external-weights" for mode in SWEEP_MODES]
+SWEEP_IDS = [mode if m == "pareto-rank" else f"{m}-{mode}" for m, mode in SWEEP_CASES]
 SEED = 7
 _BLANK = re.compile(r'("(?:generated_at|path)": )"[^"\n]*"')
 
@@ -80,16 +84,16 @@ def run_csv_case(graph: str, command: str, out_dir) -> str:
     return out.read_text()
 
 
-def sweep_golden_path(mode: str) -> pathlib.Path:
-    return GOLDEN / "motif" / f"robustness-{mode}.csv"
+def sweep_golden_path(method: str, mode: str) -> pathlib.Path:
+    return GOLDEN / "motif" / f"robustness-{SWEEP_IDS[SWEEP_CASES.index((method, mode))]}.csv"
 
 
-def run_sweep_case(mode: str, out_dir) -> str:
+def run_sweep_case(method: str, mode: str, out_dir) -> str:
     """Run the ``robustness`` command on the motif graph and return its CSV."""
     g, w, targets = GRAPHS["motif"]
     out = pathlib.Path(out_dir) / f"robustness-{mode}.csv"
     argv = ["robustness", "--graph", str(g), "--weights", str(w), "--out", str(out), "--targets", targets,
-            "--mode", mode, "--steps", "4", "--seed", str(SEED)]
+            "--mode", mode, "--steps", "4", "--seed", str(SEED), "--method", method]
     assert main(argv) == 0
     return out.read_text()
 
@@ -119,10 +123,10 @@ def test_csv_matches_golden(graph, command, tmp_path):
     assert run_csv_case(graph, command, tmp_path) == csv_golden_path(graph, command).read_text()
 
 
-@pytest.mark.parametrize("mode", SWEEP_MODES)
-def test_sweep_matches_golden(mode, tmp_path, monkeypatch):
+@pytest.mark.parametrize("method,mode", SWEEP_CASES, ids=SWEEP_IDS)
+def test_sweep_matches_golden(method, mode, tmp_path, monkeypatch):
     monkeypatch.delenv("MOEXP_SEED", raising=False)
-    assert run_sweep_case(mode, tmp_path) == sweep_golden_path(mode).read_text()
+    assert run_sweep_case(method, mode, tmp_path) == sweep_golden_path(method, mode).read_text()
 
 
 if __name__ == "__main__":
@@ -138,7 +142,7 @@ if __name__ == "__main__":
     for case in CSV_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             csv_golden_path(*case).write_text(run_csv_case(*case, tmp))
-    for mode in SWEEP_MODES:
+    for case in SWEEP_CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            sweep_golden_path(mode).write_text(run_sweep_case(mode, tmp))
-    print(f"wrote {len(CASES) + len(CSV_CASES) + len(SWEEP_MODES)} goldens under {GOLDEN}", file=sys.stderr)
+            sweep_golden_path(*case).write_text(run_sweep_case(*case, tmp))
+    print(f"wrote {len(CASES) + len(CSV_CASES) + len(SWEEP_CASES)} goldens under {GOLDEN}", file=sys.stderr)
