@@ -46,6 +46,7 @@ _EXPORTS = {
     "METHODS": "pipeline",
     "NodeExplanation": "pipeline",
     "explain_node": "pipeline",
+    "explain_scored": "pipeline",
     "MessagePerturbation": "analysis",
     "PerturbRecord": "analysis",
     "derive_seed": "analysis",

@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .explain import EnumConfig, enumerate_subgraphs, DEFAULT_EPSILON
+from .explain import CandidateScorer, EnumConfig, enumerate_subgraphs, DEFAULT_EPSILON
 from .gcn import Model, forward
 from .graph import Ball, Graph, canonical_order
-from .pipeline import ball_hops, explain_node
+from .pipeline import ball_hops, explain_scored
 
 
 def jaccard_distance(a, b) -> float:
@@ -56,8 +56,8 @@ def perturb_message(model: Model, ball: Ball, target_cos: float, magnitude: floa
     """
     if not -1.0 <= target_cos <= 1.0:
         raise ValueError("target_cos must lie in [-1, 1]")
-    if magnitude < 0:
-        raise ValueError("magnitude must be non-negative")
+    if not 0.0 <= magnitude < np.inf:  # false for nan too
+        raise ValueError(f"magnitude must be finite and non-negative, got {magnitude}")
     base = forward(model, ball)
     y = int(np.argmax(base))
     theta_y = model.layers[-1][:, y]
@@ -97,8 +97,8 @@ def perturb_weights(model: Model, target_distance: float, seed: int) -> Model:
     in flattened parameter space, so the Euclidean parameter distance of
     the result equals ``target_distance`` up to rounding.
     """
-    if target_distance < 0:
-        raise ValueError("target_distance must be non-negative")
+    if not 0.0 <= target_distance < np.inf:  # false for nan too
+        raise ValueError(f"target_distance must be finite and non-negative, got {target_distance}")
     if target_distance == 0:
         return model
     last = model.layers[-1]
@@ -144,9 +144,11 @@ def run_sanity_sweep(
     negated cosine, so it grows with adversariality); weights mode sweeps
     the parameter distance from 0 to ``max_distance``. Endpoints are always
     included and the record count is ``steps * len(nodes)``. Each node's
-    ball and candidates are built once and shared by all of its steps, and
-    each step re-explains the node once: against the perturbed prediction,
-    or with the shifted model.
+    ball, candidates and scorer are built once, and each step selects
+    again: on the scorer re-read against the perturbed prediction
+    (``with_reference``, no restricted pass rerun), or on a scorer of the
+    shifted model. Every selection takes the node's seed,
+    ``derive_seed(seed, node)``, as ``explain`` does.
     """
     if mode not in ("message", "weights"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -155,8 +157,9 @@ def run_sanity_sweep(
     records = []
     for node in nodes:
         ball = canonical_order(graph, node, ball_hops(model, config, method))
-        enumeration = enumerate_subgraphs(ball, config)
-        baseline = explain_node(model, graph, node, config, method=method, epsilon=epsilon, enumeration=enumeration)
+        scorer = CandidateScorer(model, enumerate_subgraphs(ball, config), epsilon)
+        node_seed = derive_seed(seed, node)
+        baseline = explain_scored(scorer, method, node_seed, exhaustive_cf=False, edge_weights=None)
         base_nodes = baseline.scorer.enumeration.nodes(baseline.explanation)
         for si in range(steps):
             frac = si / (steps - 1)
@@ -164,18 +167,15 @@ def run_sanity_sweep(
             if mode == "message":
                 cos = 1.0 - 2.0 * frac
                 distribution = perturb_message(model, ball, cos, magnitude, rec_seed).distribution
-                after = explain_node(
-                    model, graph, node, config, method=method, epsilon=epsilon,
-                    reference_distribution=distribution, enumeration=enumeration,
-                )
+                step_scorer = scorer.with_reference(distribution)
                 strength = -cos + 0.0
             else:
                 shifted = perturb_weights(model, max_distance * frac, rec_seed)
-                after = explain_node(
-                    shifted, graph, node, config, method=method, epsilon=epsilon, enumeration=enumeration
-                )
-                distribution = after.full_distribution
+                # Distance 0 returns the node's own model, whose scorer is built.
+                step_scorer = scorer if shifted is model else CandidateScorer(shifted, scorer.enumeration, epsilon)
+                distribution = step_scorer.full_distribution
                 strength = max_distance * frac
+            after = explain_scored(step_scorer, method, node_seed, exhaustive_cf=False, edge_weights=None)
             records.append(
                 PerturbRecord(
                     node=int(node),

@@ -71,6 +71,9 @@ def robustness_command(args) -> int:
     # Checked before any input is read, so a bad value is not reported once per node.
     if args.steps < 2:
         raise ValueError("steps must be at least 2")
+    for flag, value in (("--magnitude", args.magnitude), ("--max-distance", args.max_distance)):
+        if not 0.0 <= value < float("inf"):  # false for nan too
+            raise ValueError(f"{flag} must be finite and non-negative, got {value}")
     if args.method == "external-weights":
         raise ValueError("method external-weights needs edge weights, which robustness does not read")
     graph = io.load_graph(args.graph_path)

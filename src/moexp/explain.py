@@ -325,7 +325,9 @@ class CandidateScorer:
     the enumeration's candidate table. ``forward_count`` counts the trees
     scored and ``hit_count`` the requests answered without a pass, so tests
     can verify sharing. ``reference_distribution`` replaces the distribution
-    that candidates are compared against (used by perturbation studies).
+    that candidates are compared against; ``model_distribution`` is the
+    model's own pass, or None when a reference was given (``with_reference``
+    keeps its source's).
     """
 
     def __init__(
@@ -340,14 +342,29 @@ class CandidateScorer:
             ball = enumeration.ball
             if ball.hops < model.depth:
                 ball = canonical_order(ball.graph, ball.target, model.depth)
-            self.full_distribution = forward(model, ball)
+            self.model_distribution = self.full_distribution = forward(model, ball)
         else:
+            self.model_distribution = None
             self.full_distribution = np.asarray(reference_distribution, dtype=float)
         self.distributions = np.zeros((len(enumeration), model.class_count))
         self.simulatability = np.zeros(len(enumeration))
         self._scored = np.zeros(len(enumeration), dtype=bool)
         self.forward_count = 0
         self.hit_count = 0
+
+    def with_reference(self, distribution) -> CandidateScorer:
+        """A scorer of the same table against ``distribution``, with this
+        one's ``model_distribution``: a tree's restricted pass reads only the
+        model and the tree. The trees scored here keep their distributions,
+        and their simulatability is recomputed row by row, the bits of
+        scoring them afresh; the new scorer's counts start at 0."""
+        other = CandidateScorer(self.model, self.enumeration, self.epsilon, distribution)
+        other.model_distribution = self.model_distribution
+        scored = np.flatnonzero(self._scored)
+        other.distributions[scored] = self.distributions[scored]
+        other.simulatability[scored] = simulatability(other.full_distribution, other.distributions[scored], self.epsilon)
+        other._scored[scored] = True
+        return other
 
     def candidate(self, i: int) -> float:
         """Simulatability of candidate i."""

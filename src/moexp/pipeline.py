@@ -16,14 +16,13 @@ import numpy as np
 from .explain import (
     CandidateScorer,
     EnumConfig,
-    Enumeration,
     counterfactual_pairs,
     enumerate_subgraphs,
     generate_pairs,
     DEFAULT_EPSILON,
 )
 from .gcn import Model
-from .graph import Graph, canonical_order
+from .graph import Graph, canonical_order, require_hops
 from .pareto import ScoredFront, rank_pairs
 
 METHODS = (
@@ -66,9 +65,9 @@ class NodeExplanation:
 
 
 def ball_hops(model: Model, config: EnumConfig, method: str) -> int:
-    """Hops of the ball that ``explain_node`` reads: the search diameter and
-    the model depth, and for external weights the ``max_nodes - 1`` hops a
-    grown tree can reach, since those weights need not stay near the target."""
+    """Hops of the ball that ``explain_scored`` reads: the search diameter
+    and the model depth, and for external weights the ``max_nodes - 1`` hops
+    a grown tree can reach, since those weights need not stay near the target."""
     hops = max(config.diameter, model.depth)
     return max(hops, config.max_nodes - 1) if method == "external-weights" else hops
 
@@ -83,35 +82,35 @@ def explain_node(
     exhaustive_cf: bool = False,
     epsilon: float = DEFAULT_EPSILON,
     edge_weights: dict | None = None,
-    reference_distribution=None,
-    enumeration: Enumeration | None = None,
 ) -> NodeExplanation:
     """Run one method on one target and return its selection.
 
-    ``reference_distribution`` substitutes the full-graph distribution that
-    candidates are compared against (perturbation studies use this).
+    Builds the target's ball of ``ball_hops`` hops, its candidates and
+    their scorer, and hands the scorer to ``explain_scored``. Every stage
+    reads only that ball, so the cost does not grow with the graph.
     ``edge_weights`` supplies the weights for method ``external-weights``.
-    Every stage reads only the target's ball, of ``ball_hops`` hops, so the
-    cost does not grow with the graph. ``enumeration`` lets a caller that
-    explains one target several times enumerate once: it must have been
-    built under ``config``, and its ball, the one every stage reads, must
-    be the target's in ``graph``, of at least ``ball_hops`` hops.
+    """
+    ball = canonical_order(graph, target, ball_hops(model, config, method))
+    scorer = CandidateScorer(model, enumerate_subgraphs(ball, config), epsilon)
+    return explain_scored(scorer, method, seed, exhaustive_cf, edge_weights)
+
+
+def explain_scored(
+    scorer: CandidateScorer, method: str, seed: int, exhaustive_cf: bool, edge_weights: dict | None
+) -> NodeExplanation:
+    """Run one method on the candidates of ``scorer`` and return its selection.
+
+    The model, the ball, the search bounds and epsilon are the scorer's,
+    and candidates are compared against its ``full_distribution``. A caller
+    that explains one target several times builds one scorer and passes it,
+    or a ``with_reference`` copy of it, to each run; the ball must reach
+    the method's ``ball_hops``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
-    hops = ball_hops(model, config, method)
-    if enumeration is None:
-        ball = canonical_order(graph, target, hops)
-        enumeration = enumerate_subgraphs(ball, config)
-    else:
-        ball = enumeration.ball
-        if ball.target != target:
-            raise ValueError("enumeration anchored at a different target")
-        if enumeration.config != config:
-            raise ValueError(f"enumeration built under {enumeration.config} cannot serve {config}")
-        if ball.graph is not graph or ball.hops < hops:
-            raise ValueError(f"ball of node {target} with {ball.hops} hops cannot serve node {target} at {hops} hops")
-    scorer = CandidateScorer(model, enumeration, epsilon, reference_distribution)
+    model, enumeration = scorer.model, scorer.enumeration
+    ball, config = enumeration.ball, enumeration.config
+    require_hops(ball, ball_hops(model, config, method))
     pairs, i = np.zeros((0, 2), dtype=np.intp), 0
 
     if method in ("pareto-rank", "balanced"):
@@ -128,9 +127,7 @@ def explain_node(
         if method == "random":
             weights = baselines.random_weights(ball, config.diameter, seed)
         elif method == "grad-fd":
-            # The scorer's pass is the model's own unless a reference overrides it.
-            reference = scorer.full_distribution if reference_distribution is None else None
-            weights = baselines.grad_weights_fd(model, ball, DEFAULT_FD_STEP, config.diameter, reference)
+            weights = baselines.grad_weights_fd(model, ball, DEFAULT_FD_STEP, config.diameter, scorer.model_distribution)
         elif method == "grad-analytic":
             weights = baselines.grad_weights_analytic(model, ball, config.diameter)
         elif edge_weights is None:
@@ -145,7 +142,7 @@ def explain_node(
             # The tree left the search (external weights need not stay near
             # the target): its own scorer scores it from its growth table,
             # against the same reference, and becomes the node's scorer.
-            scorer, i = CandidateScorer(model, tree, epsilon, scorer.full_distribution), len(tree) - 1
+            scorer, i = CandidateScorer(model, tree, scorer.epsilon, scorer.full_distribution), len(tree) - 1
 
     front = None
     if len(pairs):
@@ -156,7 +153,7 @@ def explain_node(
     else:
         scorer.candidate(i)
     return NodeExplanation(
-        target=target,
+        target=ball.target,
         method=method,
         full_distribution=scorer.full_distribution,
         predicted_class=int(np.argmax(scorer.full_distribution)),

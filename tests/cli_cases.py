@@ -43,6 +43,11 @@ CASES = [
     Case("robustness-external-weights", "robustness --graph {none.json} --weights {none.json} --method external-weights"
          " --out {sweep.csv}", 1, "error: method external-weights needs edge weights, which robustness does not read\n",
          absent=("sweep.csv",)),
+    # A sweep strength out of range: one error for the run, before the (missing) inputs are read.
+    *(Case(f"robustness-{flag[2:]}={value}", "robustness --graph {none.json} --weights {none.json} "
+           f"{flag} {value} --out {{sweep.csv}}", 1, f"error: {flag} must be finite and non-negative, got {value}\n",
+           absent=("sweep.csv",))
+      for flag in ("--magnitude", "--max-distance") for value in ("-1.0", "inf", "nan")),
     *(Case(command + "-seed", CSV[command] + " --targets 2 --out {out.csv} --seed 1", 2,
            "moexp: error: unrecognized arguments: --seed 1\n", "suffix", absent=("out.csv",))
       for command in ("enumerate", "shapley")),

@@ -1,21 +1,28 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moexp.explain
 from moexp import (
+    CandidateScorer,
     EnumConfig,
     Model,
     build_graph,
     canonical_order,
     confounder_set,
     derive_seed,
+    enumerate_subgraphs,
     explain_node,
+    explain_scored,
     jaccard_distance,
     perturb_message,
     perturb_weights,
     run_sanity_sweep,
 )
+from moexp.io import load_graph, load_model
 
 from conftest import enumerate_at, forward_at, hidden_at, sem_chain, sem_model
 from oracles import index, make_subgraph, random_graph, random_model, restricted_hidden_tree, sem_expand_check
@@ -196,6 +203,8 @@ def test_message_zero_class_column_rejected():
 
 
 def test_message_sweep_explains_against_the_perturbed_prediction(triangle_graph, triangle_model):
+    # Each step selects as a fresh scorer built with the perturbed
+    # prediction would, with the node's seed.
     config = EnumConfig(max_nodes=3, diameter=2)
     steps = 3
     records = run_sanity_sweep(
@@ -203,15 +212,46 @@ def test_message_sweep_explains_against_the_perturbed_prediction(triangle_graph,
     )
     for k, record in enumerate(records):
         node, cos = record.node, 1.0 - 2.0 * (k % steps) / (steps - 1)
+        ball = canonical_order(triangle_graph, node, 2)
         before = explain_node(triangle_model, triangle_graph, node, config)
-        probe = perturb_message(triangle_model, canonical_order(triangle_graph, node, 2), cos, 3.0, record.seed)
-        after = explain_node(triangle_model, triangle_graph, node, config, reference_distribution=probe.distribution)
+        probe = perturb_message(triangle_model, ball, cos, 3.0, record.seed)
+        scorer = CandidateScorer(triangle_model, enumerate_subgraphs(ball, config), 1e-9, probe.distribution)
+        after = explain_scored(scorer, "pareto-rank", derive_seed(2, node), False, None)
         # the re-scored explanation sees the perturbed full distribution
         assert np.array_equal(after.full_distribution, probe.distribution)
         nodes = [r.scorer.enumeration.nodes(r.explanation) for r in (before, after)]
         assert (record.pred_before, record.pred_after, record.jaccard) == (
             before.predicted_class, int(np.argmax(probe.distribution)), jaccard_distance(*nodes)
         )
+
+
+@pytest.mark.parametrize("mode, trees", [("message", 28), ("weights", 140)])
+def test_sweep_scores_each_tree_once_per_model(mode, trees, monkeypatch):
+    # The golden motif's target 0 has 28 candidates at C=4, D=2. A message
+    # step changes only the reference, so the node's scores serve every
+    # step; a weights step scores the trees under its shifted model, but
+    # step 0 shifts by 0 and keeps the node's model and scores.
+    inputs = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+    graph, model = load_graph(inputs / "motif.json"), load_model(inputs / "motif_weights.json")
+    config = EnumConfig(max_nodes=4, diameter=2)
+    assert len(enumerate_subgraphs(canonical_order(graph, 0, 2), config)) == 28
+    scored, kernel = [], moexp.explain.trees_hidden
+
+    def counted(model, features, rows, *args):
+        scored.append(len(rows))
+        return kernel(model, features, rows, *args)
+
+    monkeypatch.setattr(moexp.explain, "trees_hidden", counted)
+    run_sanity_sweep(model, graph, [0], mode, 5, seed=7, config=config)
+    assert sum(scored) == trees
+
+
+@pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan")])
+def test_perturbations_reject_a_strength_that_is_negative_or_not_finite(value, triangle_graph, triangle_model):
+    with pytest.raises(ValueError, match=f"magnitude must be finite and non-negative, got {value}"):
+        perturb_message(triangle_model, canonical_order(triangle_graph, 0, 2), 0.5, value, seed=0)
+    with pytest.raises(ValueError, match=f"target_distance must be finite and non-negative, got {value}"):
+        perturb_weights(triangle_model, value, seed=0)
 
 
 def test_weights_perturbation_exact_distance(triangle_model):

@@ -25,6 +25,7 @@ from moexp import (
     confounder_set,
     enumerate_subgraphs,
     explain_node,
+    explain_scored,
     forward,
     forward_hidden,
     grad_weights_analytic,
@@ -276,22 +277,15 @@ def test_scorer_reference_is_the_full_pass_bitwise(seed, depth, activation, mean
         assert CandidateScorer(model, enumeration).full_distribution.tobytes() == want, diameter
 
 
-def test_explain_node_rejects_an_enumeration_whose_ball_is_too_shallow(chain_graph, chain_model):
+def test_explain_scored_rejects_a_ball_too_shallow_for_the_method(chain_graph, chain_model):
     # The two-layer model's pass needs 2 hops, and a grown tree 3 at C = 4.
     config = EnumConfig(max_nodes=4, diameter=1)
-    shallow = enumerate_at(chain_graph, 2, config)
+    shallow = CandidateScorer(chain_model, enumerate_at(chain_graph, 2, config))
     with pytest.raises(ValueError, match="ball of node 2 with 1 hops cannot serve node 2 at 2 hops"):
-        explain_node(chain_model, chain_graph, 2, config, enumeration=shallow)
-    config = EnumConfig(max_nodes=4, diameter=2)
-    search = enumerate_at(chain_graph, 2, config)
+        explain_scored(shallow, "pareto-rank", 42, False, None)
+    search = CandidateScorer(chain_model, enumerate_at(chain_graph, 2, EnumConfig(max_nodes=4, diameter=2)))
     with pytest.raises(ValueError, match="ball of node 2 with 2 hops cannot serve node 2 at 3 hops"):
-        explain_node(
-            chain_model, chain_graph, 2, config, method="external-weights", edge_weights={}, enumeration=search
-        )
-    # An enumeration of the same target in another graph is no ball of this one.
-    other = enumerate_at(build_graph(chain_graph.features, chain_graph.edges), 2, config)
-    with pytest.raises(ValueError, match="ball of node 2 with 2 hops cannot serve node 2"):
-        explain_node(chain_model, chain_graph, 2, config, enumeration=other)
+        explain_scored(search, "external-weights", 42, False, {})
 
 
 def _with_far_path(graph, extra: int):
@@ -342,24 +336,20 @@ def test_explain_node_does_not_depend_on_graph_size(monkeypatch):
 _CONFIGS = st.builds(EnumConfig, st.integers(1, 4), st.integers(1, 3))
 
 
-@given(_CONFIGS, _CONFIGS, st.booleans(), st.sampled_from(METHODS), st.integers(0, 9))
-@example(EnumConfig(4, 3), EnumConfig(3, 3), False, "pareto-rank", 0)
-@example(EnumConfig(4, 3), EnumConfig(3, 3), False, "grad-fd", 0)
+@given(_CONFIGS, _CONFIGS, st.sampled_from(METHODS), st.integers(0, 9))
+@example(EnumConfig(4, 3), EnumConfig(3, 3), "pareto-rank", 0)
+@example(EnumConfig(4, 3), EnumConfig(3, 3), "grad-fd", 0)
 @settings(max_examples=80, deadline=None)
-def test_an_enumeration_serves_only_the_config_it_was_built_under(built, other, same, method, target):
-    # A table read under other bounds would rank candidates those bounds
-    # exclude, or look trees up by keys of another width.
+def test_an_enumeration_serves_only_the_config_it_was_built_under(built, other, method, target):
+    # explain_scored reads the bounds from the scorer's table, so a table
+    # built under ``built`` on a ball deep enough for ``other`` too selects
+    # as explain_node does under ``built``.
     graph, model = load_graph(INPUTS / "motif.json"), load_model(INPUTS / "motif_weights.json")
-    used = built if same else other
-    kwargs = dict(method=method, seed=target, edge_weights=load_edge_weights(INPUTS / "motif_edge_weights.json"))
-    hops = max(built.diameter, used.diameter, used.max_nodes - 1, model.depth)
-    enumeration = enumerate_subgraphs(canonical_order(graph, target, hops), built)
-    if built != used:
-        with pytest.raises(ValueError, match=re.escape(f"enumeration built under {built} cannot serve {used}")):
-            explain_node(model, graph, target, used, enumeration=enumeration, **kwargs)
-    else:
-        want = _arrays(explain_node(model, graph, target, used, **kwargs))
-        assert _arrays(explain_node(model, graph, target, used, enumeration=enumeration, **kwargs)) == want
+    weights = load_edge_weights(INPUTS / "motif_edge_weights.json")
+    hops = max(built.diameter, other.diameter, built.max_nodes - 1, other.max_nodes - 1, model.depth)
+    scorer = CandidateScorer(model, enumerate_subgraphs(canonical_order(graph, target, hops), built))
+    want = _arrays(explain_node(model, graph, target, built, method=method, seed=target, edge_weights=weights))
+    assert _arrays(explain_scored(scorer, method, target, False, weights)) == want
 
 
 def _overflow_inputs(tmp_path):

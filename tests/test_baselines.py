@@ -14,6 +14,7 @@ from moexp import (
     build_graph,
     canonical_order,
     explain_node,
+    explain_scored,
     grad_weights_analytic,
     grad_weights_fd,
     neighborhood_edge_ids,
@@ -446,14 +447,15 @@ def test_grad_fd_is_one_kernel_call_and_no_forward(monkeypatch):
 
 
 def test_grad_fd_node_runs_one_reference_pass(monkeypatch):
-    # explain_node hands the scorer's pass to grad-fd. A reference
-    # distribution that overrides it is not the model's, so grad-fd then
-    # runs the model's own pass.
+    # explain_scored hands grad-fd the scorer's model_distribution: the
+    # node's own pass, which a with_reference copy keeps. A scorer built
+    # with a given reference has none, so grad-fd runs the model's pass.
     rng = np.random.default_rng(8)
     graph = random_graph(rng, max_nodes=9, min_nodes=6, edge_prob=0.5)
     model = random_model(rng)
     config = EnumConfig(max_nodes=3, diameter=2)
     want = grad_weights_fd(model, canonical_order(graph, 0, 2), 1e-4, config.diameter)
+    override = forward_at(model, graph, 0)[::-1]
     passes, weights = [], []
     forward_hidden, fd = moexp.gcn.forward_hidden, moexp.baselines.grad_weights_fd
 
@@ -467,10 +469,17 @@ def test_grad_fd_node_runs_one_reference_pass(monkeypatch):
 
     monkeypatch.setattr(moexp.gcn, "forward_hidden", counted)
     monkeypatch.setattr(moexp.baselines, "grad_weights_fd", kept)
-    for override in (None, forward_at(model, graph, 0)[::-1]):
+    runs = [
+        lambda: explain_node(model, graph, 0, config, method="grad-fd"),
+        lambda: explain_scored(CandidateScorer(model, enumerate_at(graph, 0, config)).with_reference(override),
+                               "grad-fd", 42, False, None),
+        lambda: explain_scored(CandidateScorer(model, enumerate_at(graph, 0, config), 1e-9, override),
+                               "grad-fd", 42, False, None),
+    ]
+    for run in runs:
         passes.clear()
         weights.clear()
-        explain_node(model, graph, 0, config, method="grad-fd", reference_distribution=override)
+        run()
         assert passes == [0]
         assert [[(k, float.hex(v)) for k, v in w.items()] for w in weights] == [
             [(k, float.hex(v)) for k, v in want.items()]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import moexp.explain
 import moexp.gcn
 from moexp import (
+    DEFAULT_EPSILON,
     CandidateScorer,
     Enumeration,
     EnumConfig,
@@ -405,6 +406,39 @@ def test_scored_pairs_track_oracle_metric(seed):
         assert scorer.simulatability[e] == pytest.approx(
             -sym_kl(reference, scorer.distributions[e]), rel=1e-9, abs=1e-12
         )
+
+
+@given(st.integers(0, 50_000), st.integers(1, 4), st.booleans(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=150, deadline=None)
+def test_a_scorer_with_another_reference_scores_as_a_fresh_one(seed, max_nodes, exhaustive, before, after):
+    # A tree's restricted pass reads only the model and the tree: a scorer
+    # moved to another reference keeps the distributions, and its
+    # simulatability and relevances are the bits of a fresh scorer's.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=7)
+    m = random_model(rng, hidden=int(rng.integers(1, 6)), classes=int(rng.integers(2, 4)))
+    v = int(rng.integers(0, g.node_count))
+    enum = enumerate_at(g, v, EnumConfig(max_nodes=max_nodes, diameter=2))
+    pairs = generate_pairs(enum, exhaustive)
+    reference = softmax(3.0 * rng.standard_normal(m.class_count))
+    first, later = pairs[rng.random(len(pairs)) < before], pairs[rng.random(len(pairs)) < after]
+    source = CandidateScorer(m, enum)
+    source.pair(first[:, 0], first[:, 1])
+    source.candidate(len(enum) - 1)
+    moved = source.with_reference(reference)
+    fresh = CandidateScorer(m, enum, DEFAULT_EPSILON, reference)
+    assert (moved.forward_count, moved.hit_count) == (0, 0)
+    assert moved.model_distribution is source.model_distribution
+    assert moved.full_distribution.tobytes() == fresh.full_distribution.tobytes()
+    assert moved.pair(later[:, 0], later[:, 1]).tobytes() == fresh.pair(later[:, 0], later[:, 1]).tobytes()
+    known = set(first.ravel().tolist()) | {len(enum) - 1}
+    assert moved.forward_count == len(set(later.ravel().tolist()) - known)
+    assert moved.forward_count + moved.hit_count == fresh.forward_count + fresh.hit_count
+    # Once the fresh scorer has scored the same trees, the tables agree.
+    fresh.pair(first[:, 0], first[:, 1])
+    fresh.candidate(len(enum) - 1)
+    assert moved.distributions.tobytes() == fresh.distributions.tobytes()
+    assert moved.simulatability.tobytes() == fresh.simulatability.tobytes()
 
 
 def _kept_tree_batches(monkeypatch):

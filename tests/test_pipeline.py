@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moexp import (
+    CandidateScorer,
     EnumConfig,
     build_graph,
     canonical_order,
     derive_seed,
     explain_node,
+    explain_scored,
     random_weights,
     simulatability,
 )
@@ -131,24 +133,27 @@ def test_exhaustive_widens_the_pairing(chain_graph, chain_model):
 
 def test_reference_distribution_shifts_scores(chain_graph, chain_model):
     skewed = np.array([0.05, 0.95])
-    res = explain_node(chain_model, chain_graph, 2, reference_distribution=skewed)
+    scorer = CandidateScorer(chain_model, enumerate_at(chain_graph, 2), 1e-9, skewed)
+    res = explain_scored(scorer, "pareto-rank", 42, False, None)
     assert res.scorer.simulatability[res.explanation] == pytest.approx(
         -sym_kl(skewed, res.scorer.distributions[res.explanation]), rel=1e-9, abs=1e-12
     )
     # the override becomes the reported full prediction, as in the
     # message-perturbation rescoring path
     assert np.array_equal(res.full_distribution, skewed)
+    assert scorer.model_distribution is None
 
 
 def test_precomputed_enumeration_reused(chain_graph, chain_model):
     cfg = EnumConfig(max_nodes=4, diameter=2)
-    enum = enumerate_at(chain_graph, 2, cfg)
-    a = explain_node(chain_model, chain_graph, 2, cfg, enumeration=enum)
+    scorer = CandidateScorer(chain_model, enumerate_at(chain_graph, 2, cfg))
+    a = explain_scored(scorer, "pareto-rank", 42, False, None)
     b = explain_node(chain_model, chain_graph, 2, cfg)
     assert a.candidate_count == b.candidate_count
     assert explanation(a).edge_set == explanation(b).edge_set
-    with pytest.raises(ValueError, match="different target"):
-        explain_node(chain_model, chain_graph, 3, cfg, enumeration=enum)
+    # A second run on the scorer scores nothing again.
+    again = explain_scored(scorer, "balanced", 42, False, None)
+    assert again.distinct_evaluations == a.distinct_evaluations == b.distinct_evaluations
 
 
 def test_same_seed_reproducible_random_method(chain_graph, chain_model):
