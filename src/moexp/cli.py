@@ -252,21 +252,22 @@ def explain_command(args) -> int:
         raise ValueError("top_percent must be in (0, 100]")
     if args.jobs < 1:
         raise ValueError("jobs must be at least 1")
-    graph = io.load_graph(args.graph_path)
-    model = io.load_model(args.weights_path)
+    digests = {}  # path -> sha256 of the bytes read and parsed, which the manifest records
+    graph = io.load_graph(args.graph_path, digests)
+    model = io.load_model(args.weights_path, digests)
     econfig = EnumConfig(args.max_nodes, args.diameter)
     inputs = {"graph": args.graph_path, "weights": args.weights_path}
     external = None
     if args.edge_weights_path:
         # Read whatever the method, since the manifest records the file.
-        external = io.load_edge_weights(args.edge_weights_path)
+        external = io.load_edge_weights(args.edge_weights_path, digests)
         stray = next((eid for eid in external if not 0 <= eid < graph.edge_count), None)
         if stray is not None:
             raise io.FormatError(f"{args.edge_weights_path}: edge weights: key '{stray}' names no edge of the graph")
         inputs["edge_weights"] = args.edge_weights_path
     elif args.method == "external-weights":
         raise ValueError("method external-weights requires --edge-weights")
-    manifest = io.run_manifest({name: getattr(args, name) for name in _RECORDED}, args.seed, inputs)
+    manifest = io.run_manifest({name: getattr(args, name) for name in _RECORDED}, args.seed, inputs, digests)
     targets = resolve_targets(args.targets, graph)
     os.makedirs(args.output_dir, exist_ok=True)
 

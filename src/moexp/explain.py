@@ -167,23 +167,23 @@ def enumerate_subgraphs(ball: Ball, config: EnumConfig) -> Enumeration:
     # Per candidate, flat: its parent, the parent's row the new edge leaves
     # from, the node it adds, the edge and its node count.
     growth = [-1, 0, 0, -1, 1]
-    rows = [0]
-
-    def expand(index: int, extensions: list):
-        for k, (_, eid, nbr, at) in enumerate(extensions):
-            child = len(growth) // 5
-            growth.extend((index, at, nbr, eid, len(rows) + 1))
-            if len(rows) + 1 < max_nodes:
-                # An edge between two tree nodes closes a cycle.
-                later = [x for x in extensions[k + 1 :] if x[2] != nbr]
-                rows.append(nbr)
-                new = [(rank, e, w, len(rows) - 1) for rank, e, w in links[nbr] if w not in rows]
-                expand(child, sorted(later + new) if new else later)
-                rows.pop()
-
     if max_nodes > 1:
-        expand(0, [(rank, eid, nbr, 0) for rank, eid, nbr in links[0]])
+        _expand(growth, [0], links, max_nodes, 0, [(rank, eid, nbr, 0) for rank, eid, nbr in links[0]])
     return growth_table(ball, np.array(growth, dtype=np.intp).reshape(-1, 5), config)
+
+
+def _expand(growth: list, rows: list, links: list, max_nodes: int, index: int, extensions: list) -> None:
+    """``enumerate_subgraphs``'s DFS below candidate ``index``, whose nodes are ``rows``."""
+    for k, (_, eid, nbr, at) in enumerate(extensions):
+        child = len(growth) // 5
+        growth.extend((index, at, nbr, eid, len(rows) + 1))
+        if len(rows) + 1 < max_nodes:
+            # An edge between two tree nodes closes a cycle.
+            later = [x for x in extensions[k + 1 :] if x[2] != nbr]
+            rows.append(nbr)
+            new = [(rank, e, w, len(rows) - 1) for rank, e, w in links[nbr] if w not in rows]
+            _expand(growth, rows, links, max_nodes, child, sorted(later + new) if new else later)
+            rows.pop()
 
 
 def growth_table(ball: Ball, growth: np.ndarray, config: EnumConfig) -> Enumeration:

@@ -180,17 +180,24 @@ def graph_to_doc(graph: Graph) -> dict:
     return {"directed": False, "nodes": nodes, "edges": np.stack([graph.lo, graph.hi], axis=1).tolist()}
 
 
-def _read_json(path):
-    """The JSON document at ``path``; ``FormatError``, naming it, when the file is not JSON."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # a JSONDecodeError, a UnicodeDecodeError or deep nesting
-            raise FormatError(f"{path}: not a JSON document: {exc}") from None
+def _read_json(path, digests: dict | None = None):
+    """The JSON document at ``path``, read once, decoded as UTF-8 and with newlines
+    translated as in text mode; ``FormatError``, naming the file, when it is not
+    JSON. ``digests``, when given, gets the sha256 of its bytes under ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+        del data  # freed before the document is built, as a text-mode read frees it
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, a UnicodeDecodeError or deep nesting
+        raise FormatError(f"{path}: not a JSON document: {exc}") from None
 
 
-def load_graph(path) -> Graph:
-    return parse_graph(_read_json(path))
+def load_graph(path, digests: dict | None = None) -> Graph:
+    return parse_graph(_read_json(path, digests))
 
 
 def save_graph(graph: Graph, path) -> None:
@@ -260,8 +267,8 @@ def load_weights(doc: Mapping) -> Model:
     return model
 
 
-def load_model(path) -> Model:
-    return load_weights(_read_json(path))
+def load_model(path, digests: dict | None = None) -> Model:
+    return load_weights(_read_json(path, digests))
 
 
 def save_model(model: Model, path) -> None:
@@ -286,38 +293,26 @@ def parse_edge_weights(doc: Mapping) -> dict:
     return out
 
 
-def load_edge_weights(path) -> dict:
-    return parse_edge_weights(_read_json(path))
+def load_edge_weights(path, digests: dict | None = None) -> dict:
+    return parse_edge_weights(_read_json(path, digests))
 
 
 def save_edge_weights(weights: Mapping, path) -> None:
     dump_json({str(int(k)): float(v) for k, v in weights.items()}, path)
 
 
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def run_manifest(config: Mapping, seed: int, inputs: Mapping) -> dict:
+def run_manifest(config: Mapping, seed: int, inputs: Mapping, digests: Mapping) -> dict:
     """Reproducibility block embedded in every output document.
 
-    ``inputs`` maps role names to file paths; each is recorded with its
-    sha256 content hash. ``generated_at`` is the only field expected to
-    differ between identical runs.
-    """
+    ``inputs`` maps role names to file paths, and ``digests`` each path to
+    the sha256 of the bytes the run parsed, as the loaders record it; no
+    file is read here. ``generated_at`` is the only field expected to differ."""
     return {
         "tool": f"moexp {__version__}",
         "prng": "numpy PCG64",
         "seed": int(seed),
         "config": dict(config),
-        "inputs": {
-            role: {"path": str(path), "sha256": sha256_file(path)}
-            for role, path in inputs.items()
-        },
+        "inputs": {role: {"path": str(path), "sha256": digests[path]} for role, path in inputs.items()},
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 

@@ -26,11 +26,15 @@ def prototype_model(class_count: int) -> Model:
 
 
 def _features(labels, protos, scales, noise, rng):
-    dim = protos.shape[0]
-    rows = []
-    for lbl, scale in zip(labels, scales):
-        rows.append(scale * protos[:, lbl] + noise * rng.standard_normal(dim))
-    return rows
+    return [scale * protos[:, lbl] + noise * rng.standard_normal(protos.shape[0]) for lbl, scale in zip(labels, scales)]
+
+
+def _erdos_edges(n: int, p: float, rng) -> list:
+    """The pairs (i, j), i < j, each kept with probability p. Each i draws
+    its row of uniforms at once: the draws, in order, of one per pair."""
+    u, below = np.empty(n), np.empty(n, dtype=bool)  # reused: new arrays per row fragment the heap the edges grow in
+    hits = (np.flatnonzero(np.less(rng.random(out=u[i + 1 :]), p, out=below[i + 1 :])) for i in range(n))
+    return [(i, i + 1 + j) for i, row in enumerate(hits) for j in row.tolist()]
 
 
 def _check_params(params, allowed, kind):
@@ -141,7 +145,7 @@ def synth_graph(kind: str, params: dict | None = None, seed: int = 0):
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         labels = [int(c) for c in rng.integers(0, classes, size=n)]
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        edges = _erdos_edges(n, p, rng)
         if cap is not None:
             degree = [0] * n
             kept = []

@@ -802,6 +802,12 @@ def random_graph(rng, max_nodes=8, edge_prob=0.4, feature_dim=2, min_nodes=2):
     return build_graph(feats, edges)
 
 
+def erdos_edges(n: int, p: float, rng) -> list:
+    """``synth``'s erdos edges drawn one uniform per pair (i, j), i < j, in
+    row order, the pair kept when its uniform is below p."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
 def random_model(rng, feature_dim=2, hidden=3, classes=2, depth=2, activation="relu"):
     """Random dense stack with the requested shape chain."""
     from moexp import Model

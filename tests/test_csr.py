@@ -99,8 +99,8 @@ def test_explain_builds_no_view(method, tmp_path, monkeypatch):
     loaded = []
     load_graph = moexp.io.load_graph
 
-    def keep(path):
-        loaded.append(load_graph(path))
+    def keep(*args):
+        loaded.append(load_graph(*args))
         return loaded[-1]
 
     monkeypatch.setattr(moexp.io, "load_graph", keep)

@@ -1,5 +1,7 @@
+import builtins
 import csv
 import hashlib
+import io as stdio
 import json
 import math
 import os
@@ -20,6 +22,7 @@ from moexp.cli import build_parser, explain_command, main, top_count
 from moexp.commands import enumerate_command, robustness_command, shapley_command
 from moexp.io import (
     FormatError,
+    _read_json,
     dump_json,
     graph_to_doc,
     load_edge_weights,
@@ -31,7 +34,6 @@ from moexp.io import (
     save_edge_weights,
     save_graph,
     save_model,
-    sha256_file,
     write_csv,
 )
 
@@ -151,22 +153,61 @@ def test_edge_weights_round_trip(tmp_path):
     assert raw == {"0": 0.25, "3": 1.5}
 
 
-def test_sha256_matches_hashlib(tmp_path):
-    path = tmp_path / "x.bin"
-    path.write_bytes(b"abc123")
-    assert sha256_file(path) == hashlib.sha256(b"abc123").hexdigest()
-
-
-def test_run_manifest_structure(fixtures_dir):
+def test_loaders_record_the_sha256_of_the_bytes_they_parse(tmp_path, fixtures_dir):
+    path = tmp_path / "e.json"
+    data = b'{"3": 0.5,\r\n "12": 1}\r\n'
+    path.write_bytes(data)
+    digests = {}
+    assert load_edge_weights(path, digests) == {3: 0.5, 12: 1.0}
     graph_path, weights_path = chain_paths(fixtures_dir)
-    manifest = run_manifest(
-        seed=7, config={"max_nodes": 4}, inputs={"graph": graph_path, "weights": weights_path}
-    )
+    load_graph(graph_path, digests)
+    load_model(weights_path, digests)
+    assert digests == {
+        path: hashlib.sha256(data).hexdigest(),
+        graph_path: hashlib.sha256(pathlib.Path(graph_path).read_bytes()).hexdigest(),
+        weights_path: hashlib.sha256(pathlib.Path(weights_path).read_bytes()).hexdigest(),
+    }
+
+
+def text_mode_read(path):
+    """The document, or the error text, that a text-mode ``json.load`` of
+    ``path`` gives: the reference for the loaders' reader of bytes."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            return f"{path}: not a JSON document: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([b"{", b"}", b"[", b"]", b'"', b":", b",", b"1", b"-2.5e3", b"a", b"\xc3\xa9",
+                                 b"\xff", b"\xc3", b"\r", b"\n", b"\r\n", b" ", "\ufeff".encode()]),
+                max_size=24))
+def test_inputs_read_as_the_document_or_error_of_a_text_mode_read(tmp_path_factory, pieces):
+    # Bytes and a text-mode read decode the same, and the newlines a text-mode
+    # read translates move the line and column an error names.
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_bytes(b"".join(pieces))
+    try:
+        got = _read_json(path)
+    except FormatError as exc:
+        got = str(exc)
+    assert got == text_mode_read(path)
+
+
+def test_run_manifest_structure():
+    # The manifest records the digests it is given and reads no file: these paths do not exist.
+    inputs = {"graph": "absent/graph.json", "weights": "absent/weights.json"}
+    digests = {"absent/graph.json": "ab" * 32, "absent/weights.json": "cd" * 32}
+    manifest = run_manifest(seed=7, config={"max_nodes": 4}, inputs=inputs, digests=digests)
     assert manifest["tool"] == "moexp 0.1.0"
     assert manifest["prng"] == "numpy PCG64"
     assert manifest["seed"] == 7
     assert manifest["config"] == {"max_nodes": 4}
-    assert manifest["inputs"]["graph"]["sha256"] == sha256_file(graph_path)
+    assert manifest["inputs"] == {
+        "graph": {"path": "absent/graph.json", "sha256": "ab" * 32},
+        "weights": {"path": "absent/weights.json", "sha256": "cd" * 32},
+    }
     assert "T" in manifest["generated_at"]
 
 
@@ -511,6 +552,62 @@ def test_edge_weight_keys_that_name_no_edge_fail_the_run(key, tmp_path, capsys):
     assert not out.exists()
     path.write_text('{"8": 1.0, "0": 0.5}')
     assert main(motif_explain("external-weights", path, out)) == 0
+
+
+# Each input of a motif run with every input, the function of moexp.io that
+# parses its document, and its golden file.
+MOTIF_INPUTS = {
+    "graph": ("parse_graph", "motif.json"),
+    "weights": ("load_weights", "motif_weights.json"),
+    "edge_weights": ("parse_edge_weights", "motif_edge_weights.json"),
+}
+
+
+def motif_run(paths, out):
+    """``explain`` argv of an external-weights run on the motif inputs at ``paths``, by role."""
+    return ["explain", "--graph", str(paths["graph"]), "--weights", str(paths["weights"]),
+            "--edge-weights", str(paths["edge_weights"]), "--method", "external-weights",
+            "--targets", "0", "--out", str(out)]
+
+
+@pytest.mark.parametrize("role", MOTIF_INPUTS)
+def test_the_manifest_records_the_bytes_the_run_parsed(role, tmp_path, monkeypatch):
+    # The file is rewritten right after it is parsed, with the same document
+    # and one more byte: a second read would hash the new bytes.
+    paths = {}
+    for name, (_, golden) in MOTIF_INPUTS.items():
+        paths[name] = tmp_path / golden
+        paths[name].write_bytes((GOLDEN_INPUTS / golden).read_bytes())
+    parsed_bytes = paths[role].read_bytes()
+    parser = getattr(moexp.io, MOTIF_INPUTS[role][0])
+
+    def parse_then_rewrite(doc):
+        result = parser(doc)
+        paths[role].write_bytes(parsed_bytes + b"\n")
+        return result
+
+    monkeypatch.setattr(moexp.io, MOTIF_INPUTS[role][0], parse_then_rewrite)
+    assert main(motif_run(paths, tmp_path / "out")) == 0
+    recorded = json.loads((tmp_path / "out" / "node_0.json").read_text())["manifest"]["inputs"][role]
+    assert recorded == {"path": str(paths[role]), "sha256": hashlib.sha256(parsed_bytes).hexdigest()}
+
+
+def test_an_explain_run_opens_each_input_once(tmp_path, monkeypatch):
+    paths = {name: GOLDEN_INPUTS / golden for name, (_, golden) in MOTIF_INPUTS.items()}
+    opened = []
+
+    def counted(real):
+        def wrapper(file, *args, **kwargs):
+            opened.append(file)
+            return real(file, *args, **kwargs)
+        return wrapper
+
+    for module, name in ((builtins, "open"), (stdio, "open"), (os, "open")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    assert main(motif_run(paths, tmp_path / "out")) == 0
+    monkeypatch.undo()
+    names = [os.path.realpath(f) for f in opened if isinstance(f, (str, os.PathLike))]
+    assert {role: names.count(os.path.realpath(path)) for role, path in paths.items()} == dict.fromkeys(paths, 1)
 
 
 def declared_console_script(name):

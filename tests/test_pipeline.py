@@ -1,3 +1,4 @@
+import gc
 import pathlib
 
 import numpy as np
@@ -287,3 +288,20 @@ def test_memo_counts_frozen_on_golden_motif():
                 )
             ]
     assert counts == FROZEN_COUNTS
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_explain_node_leaves_no_reference_cycle(method):
+    # Reference counts alone free a node's work: with the cyclic collector
+    # off, a collection afterwards finds nothing.
+    g = load_graph(GOLDEN_INPUTS / "motif.json")
+    m = load_model(GOLDEN_INPUTS / "motif_weights.json")
+    weights = load_edge_weights(GOLDEN_INPUTS / "motif_edge_weights.json")
+    explain_node(m, g, 0, EnumConfig(4, 2), method=method, edge_weights=weights)  # imports what the method uses
+    gc.collect()
+    gc.disable()
+    try:
+        explain_node(m, g, 0, EnumConfig(4, 2), method=method, edge_weights=weights)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moexp import explain_node, shapley_values, synth_graph
-from moexp.synth import KINDS, prototype_model
+from moexp.synth import KINDS, _erdos_edges, prototype_model
 
 from conftest import forward_at
-from oracles import degree, explanation, feature_dim, same_graph
+from oracles import degree, erdos_edges, explanation, feature_dim, same_graph
 
 
 def test_kind_catalogue():
@@ -49,6 +51,20 @@ def test_planted_motif_shape_and_signal():
 def test_erdos_degree_cap():
     g, _ = synth_graph("erdos", {"nodes": 40, "p": 0.5, "max_degree": 5}, seed=1)
     assert max(degree(g, v) for v in range(g.node_count)) <= 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+@example(1, 0.5, 0)
+@example(2, 0.0, 1)
+@example(2, 1.0, 2)
+@example(40, 1.0, 3)
+def test_erdos_rows_draw_what_one_draw_per_pair_draws(n, p, seed):
+    # The same edges, and the stream left where the per-pair draws leave it,
+    # so the features drawn next are the same too.
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _erdos_edges(n, p, rng) == erdos_edges(n, p, reference)
+    assert rng.random() == reference.random()
 
 
 def test_same_seed_identical_pair():
