@@ -34,11 +34,8 @@ _RECORDED = ("targets", "max_nodes", "diameter", "top_percent", "method", "exhau
 
 def resolve_targets(spec: str, graph) -> list:
     if spec.strip() == "all-test":
-        if graph.labels is not None:
-            labeled = [i for i, l in enumerate(graph.labels) if l is not None]
-            if labeled:
-                return labeled
-        return list(range(graph.node_count))
+        labeled = [i for i, label in enumerate(graph.labels or ()) if label is not None]
+        return labeled or list(range(graph.node_count))
     out = []
     for token in spec.split(","):
         token = token.strip()
@@ -268,48 +265,66 @@ def explain_command(args) -> int:
     elif args.method == "external-weights":
         raise ValueError("method external-weights requires --edge-weights")
     manifest = io.run_manifest({name: getattr(args, name) for name in _RECORDED}, args.seed, inputs, digests)
-    targets = resolve_targets(args.targets, graph)
     os.makedirs(args.output_dir, exist_ok=True)
 
-    def work(node: int):
+    def path(node: int) -> str:
+        return os.path.join(args.output_dir, f"node_{node}.json")
+
+    def work(node: int) -> None:
+        seed = args.seed
+        if args.method == "random":
+            # Only random draws from the seed; deriving it imports numpy.random.
+            from .analysis import derive_seed
+
+            seed = derive_seed(args.seed, node)
+        result = explain_node(
+            model, graph, node, econfig, method=args.method, seed=seed,
+            exhaustive_cf=args.exhaustive_cf, epsilon=args.epsilon, edge_weights=external,
+        )
+        io.dump_json(node_document(result, args.top_percent, manifest), path(node))
+
+    def failed(node: int, error: str) -> str | None:
+        try:
+            io.dump_json({"schema": "moexp/1", "node": node, "error": error, "manifest": manifest}, path(node))
+        except Exception as exc:
+            return f"node {node}: error document not written to {path(node)}: {type(exc).__name__}: {exc}"
+
+    _, failures = run_nodes(args.targets, graph, work, args.jobs, failed)
+    return 0 if (failures == 0 or args.keep_going) else 1
+
+
+def run_nodes(spec: str, graph, work, jobs: int = 1, failed=None) -> tuple[list, int]:
+    """Run ``work(node)`` for every target ``spec`` names, on ``jobs`` threads,
+    and return the results in target order (None where a node failed) and the
+    failure count. A node fails alone, since a prediction reads only its ball:
+    when it is not a node of ``graph`` or ``work`` raises, ``failed(node,
+    "<Type>: <message>")`` runs in its place and may return one more stderr line.
+    After the loop stderr gets ``node <id>: <Type>: <message>`` per failed node,
+    in target order, and ``<F> of <M> nodes failed``."""
+    targets = resolve_targets(spec, graph)
+
+    def one(node: int) -> tuple:
+        """``work``'s result and None, or None and the node's stderr report."""
         try:
             if not 0 <= node < graph.node_count:
                 raise ValueError(f"target node missing: {node}")
-            seed = args.seed
-            if args.method == "random":
-                # Only random draws from the seed; deriving it imports numpy.random.
-                from .analysis import derive_seed
+            return work(node), None
+        except Exception as exc:  # reported per node; the other nodes run
+            error = f"{type(exc).__name__}: {exc}"
+            return None, "\n".join(filter(None, [f"node {node}: {error}", failed(node, error) if failed else None]))
 
-                seed = derive_seed(args.seed, node)
-            result = explain_node(
-                model, graph, node, econfig, method=args.method, seed=seed,
-                exhaustive_cf=args.exhaustive_cf, epsilon=args.epsilon, edge_weights=external,
-            )
-            doc = node_document(result, args.top_percent, manifest)
-            ok = True
-        except Exception as exc:  # recorded per node; the run continues
-            doc = {
-                "schema": "moexp/1",
-                "node": int(node),
-                "error": f"{type(exc).__name__}: {exc}",
-                "manifest": manifest,
-            }
-            ok = False
-        io.dump_json(doc, os.path.join(args.output_dir, f"node_{node}.json"))
-        return ok
-
-    if args.jobs > 1:
+    if jobs > 1:
         # Imported only here: it loads logging, which a one-thread run does not need.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, targets))
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(one, targets))
     else:
-        results = [work(node) for node in targets]
-    failed = results.count(False)
-    if failed:
-        print(f"{failed} of {len(results)} nodes failed", file=sys.stderr)
-    return 0 if (failed == 0 or args.keep_going) else 1
+        outcomes = list(map(one, targets))
+    reports = [report for _, report in outcomes if report]
+    if reports:
+        print(*reports, f"{len(reports)} of {len(targets)} nodes failed", sep="\n", file=sys.stderr)
+    return [result for result, _ in outcomes], len(reports)
 
 
 # Every command and its line in ``moexp -h``, in the order listed there.
@@ -419,6 +434,9 @@ def main(argv=None) -> int:
     try:
         if "seed" in vars(args):  # the commands that declare --seed
             args.seed = _seed_from_env(args.seed)
+        # Checked once for the run, before any input is read; CandidateScorer checks it again for library callers.
+        if "epsilon" in vars(args) and not 0.0 < args.epsilon < 1.0:
+            raise ValueError(f"epsilon must be in (0, 1): {args.epsilon}")
         return args.run(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

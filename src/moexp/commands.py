@@ -7,64 +7,51 @@ command's arguments), so an ``explain`` process never loads it, nor the
 
 from __future__ import annotations
 
-import sys
-
 from . import io
 from .analysis import run_sanity_sweep
 from .baselines import shapley_values
-from .cli import resolve_targets
+from .cli import run_nodes
 from .explain import EnumConfig, enumerate_subgraphs
 from .graph import canonical_order
 from .synth import synth_graph
 
 
-def _targets(spec: str, graph) -> list:
-    """The target ids ``spec`` names; a ``ValueError`` for the first one
-    that is not a node of ``graph``, so a command fails before any work."""
-    nodes = resolve_targets(spec, graph)
-    for node in nodes:
-        if not 0 <= node < graph.node_count:
-            raise ValueError(f"target node missing: {node}")
-    return nodes
+def _write_rows(path, header, results: list, failures: int) -> int:
+    """Write the rows of the nodes that succeeded in ``run_nodes``; status 1 if any node failed."""
+    io.write_csv(path, header, [row for rows in results if rows for row in rows])
+    return 1 if failures else 0
 
 
 def enumerate_command(args) -> int:
     graph = io.load_graph(args.graph_path)
     econfig = EnumConfig(args.max_nodes, args.diameter)
-    rows = []
-    for node in _targets(args.targets, graph):
+
+    def work(node: int) -> list:
         enumeration = enumerate_subgraphs(canonical_order(graph, node, econfig.diameter), econfig)
         table = zip(
             enumeration.parent.tolist(), enumeration.sizes.tolist(),
             enumeration.edge_ids.tolist(), enumeration.node_ids.tolist(),
         )
-        for i, (parent, k, edges, nodes) in enumerate(table):
-            edge_text, node_text = "|".join(map(str, edges[: k - 1])), "|".join(map(str, nodes[:k]))
-            rows.append((node, i, "" if parent < 0 else parent, k, edge_text, node_text))
-    io.write_csv(
-        args.output_path,
-        ["node", "index", "parent", "node_count", "edge_ids", "node_ids"],
-        rows,
-    )
-    return 0
+        return [
+            (node, i, "" if parent < 0 else parent, k, "|".join(map(str, edges[: k - 1])), "|".join(map(str, nodes[:k])))
+            for i, (parent, k, edges, nodes) in enumerate(table)
+        ]
+
+    header = ["node", "index", "parent", "node_count", "edge_ids", "node_ids"]
+    return _write_rows(args.output_path, header, *run_nodes(args.targets, graph, work))
 
 
 def shapley_command(args) -> int:
     graph = io.load_graph(args.graph_path)
     model = io.load_model(args.weights_path)
     econfig = EnumConfig(args.max_nodes, args.diameter)
-    rows = []
-    for node in _targets(args.targets, graph):
+
+    def work(node: int) -> list:
         report = shapley_values(model, graph, node, econfig, args.epsilon)
-        for other in sorted(report):
-            entry = report[other]
-            rows.append((node, other, entry.value, entry.support_count))
-    io.write_csv(
-        args.output_path,
-        ["target", "node", "shapley_value", "support_count"],
-        rows,
-    )
-    return 0
+        return [(node, other, report[other].value, report[other].support_count) for other in sorted(report)]
+
+    header = ["target", "node", "shapley_value", "support_count"]
+    return _write_rows(args.output_path, header, *run_nodes(args.targets, graph, work))
 
 
 def robustness_command(args) -> int:
@@ -79,23 +66,17 @@ def robustness_command(args) -> int:
     graph = io.load_graph(args.graph_path)
     model = io.load_model(args.weights_path)
     econfig = EnumConfig(args.max_nodes, args.diameter)
-    records, failed = [], 0
-    for node in _targets(args.targets, graph):
-        try:
-            records += run_sanity_sweep(
-                model, graph, [node], args.mode, args.steps, args.seed, econfig,
-                magnitude=args.magnitude, max_distance=args.max_distance,
-                method=args.method, epsilon=args.epsilon,
-            )
-        except Exception as exc:  # reported per node; the other nodes' rows are kept
-            print(f"node {node}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            failed += 1
-    io.write_csv(
-        args.output_path,
-        ["node", "kind", "strength", "pred_before", "pred_after", "jaccard", "seed"],
-        [(r.node, r.kind, r.strength, r.pred_before, r.pred_after, r.jaccard, r.seed) for r in records],
-    )
-    return 1 if failed else 0
+
+    def work(node: int) -> list:
+        records = run_sanity_sweep(
+            model, graph, [node], args.mode, args.steps, args.seed, econfig,
+            magnitude=args.magnitude, max_distance=args.max_distance,
+            method=args.method, epsilon=args.epsilon,
+        )
+        return [(r.node, r.kind, r.strength, r.pred_before, r.pred_after, r.jaccard, r.seed) for r in records]
+
+    header = ["node", "kind", "strength", "pred_before", "pred_after", "jaccard", "seed"]
+    return _write_rows(args.output_path, header, *run_nodes(args.targets, graph, work))
 
 
 def synth_command(args) -> int:

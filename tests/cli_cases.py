@@ -1,10 +1,11 @@
 """The CLI's failure cases, one row each, run by ``tests/test_cli_cases.py``.
 
 ``{name}`` in a row's ``argv`` (split as a shell would) and ``err`` is the
-path ``name`` in the run's temp dir, where ``files`` are written first: the
-bytes given, or a copy of the file given. stderr must equal ``err``
-(``match`` "whole"), start with it and be one line ("prefix"), or end with
-it ("suffix"). ``exists`` and ``absent`` name paths in the temp dir.
+path ``name`` in the run's temp dir, where ``dirs`` are made and ``files``
+written first: the bytes given, or a copy of the file given. stderr must
+equal ``err`` (``match`` "whole"), start with it and be one line
+("prefix"), or end with it ("suffix"). ``exists`` and ``absent`` name paths
+in the temp dir, and no ``.tmp-*.part`` file may be left in it.
 """
 
 import pathlib
@@ -24,6 +25,7 @@ class Case:
     err: str
     match: str = "whole"
     files: dict = field(default_factory=dict)
+    dirs: tuple = ()
     exists: tuple = ()
     absent: tuple = ()
 
@@ -35,7 +37,8 @@ INPUT_FLAGS = {"--graph": "{g.json}", "--weights": "{w.json}", "--edge-weights":
 CSV = {
     "enumerate": "enumerate --graph {g.json}",
     "shapley": "shapley --graph {g.json} --weights {w.json}",
-    "robustness": "robustness --graph {g.json} --weights {w.json}",
+    # A message sweep needs two feature dimensions, which chain4 has not.
+    "robustness": "robustness --graph {g.json} --weights {w.json} --mode weights",
 }
 
 CASES = [
@@ -51,12 +54,23 @@ CASES = [
     *(Case(command + "-seed", CSV[command] + " --targets 2 --out {out.csv} --seed 1", 2,
            "moexp: error: unrecognized arguments: --seed 1\n", "suffix", absent=("out.csv",))
       for command in ("enumerate", "shapley")),
+    # A node that fails is reported and counted; the CSV holds the rows of the others.
     *(Case(command + "-missing-target", CSV[command] + " --targets 2,9 --out {out.csv}", 1,
-           "error: target node missing: 9\n", files=CHAIN, absent=("out.csv",))
+           "node 9: ValueError: target node missing: 9\n1 of 2 nodes failed\n", files=CHAIN, exists=("out.csv",))
       for command in ("enumerate", "shapley", "robustness")),
     # explain writes an error document for the missing node and counts it.
     Case("explain-missing-target", "explain --graph {g.json} --weights {w.json} --targets 1,9 --out {out}", 1,
-         "1 of 2 nodes failed\n", files=CHAIN, exists=("out/node_1.json", "out/node_9.json")),
+         "node 9: ValueError: target node missing: 9\n1 of 2 nodes failed\n", files=CHAIN,
+         exists=("out/node_1.json", "out/node_9.json")),
+    # A node document that cannot be written fails its node alone, and so does its error document;
+    # stderr names the random .part file.
+    *(Case(f"explain-unwritable-document-jobs-{jobs}", "explain --graph {g.json} --weights {w.json} --targets 0,1,2,3"
+           f" --keep-going --jobs {jobs} --out {{out}}", 0, "1 of 4 nodes failed\n", "suffix", CHAIN,
+           ("out/node_1.json",), exists=("out/node_0.json", "out/node_2.json", "out/node_3.json"))
+      for jobs in (1, 2)),
+    # A CSV that cannot be written is one error for the run.
+    Case("enumerate-unwritable-out", "enumerate --graph {g.json} --targets 2 --out {out.csv}", 1,
+         "error: [Errno 21] Is a directory: ", "prefix", CHAIN, ("out.csv",)),
     # An input that is not JSON fails the run and is named, whatever its role.
     *(Case(f"explain-{flag[2:]}-{name}", "explain --method external-weights --targets 2 --out {out} "
            + " ".join(f"{f} {path}" for f, path in {**INPUT_FLAGS, flag: "'{bad input.json}'"}.items()), 1,

@@ -27,6 +27,8 @@ def test_cli_case(mode, case, tmp_path, capsys):
     def resolve(text):
         return re.sub(r"\{([^}]+)\}", lambda m: str(tmp_path / m.group(1)), text)
 
+    for name in case.dirs:
+        (tmp_path / name).mkdir(parents=True)
     for name, content in case.files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.read_bytes())
     argv = [resolve(arg) for arg in shlex.split(case.argv)]
@@ -54,3 +56,4 @@ def test_cli_case(mode, case, tmp_path, capsys):
         assert err == want
     assert [p for p in case.exists if not (tmp_path / p).exists()] == []
     assert [p for p in case.absent if (tmp_path / p).exists()] == []
+    assert list(tmp_path.rglob(".tmp-*.part")) == []

@@ -527,8 +527,8 @@ def test_a_tree_that_overflows_fails_its_node_with_the_pass_error(tmp_path):
     assert written["error"] == f"ValueError: {message}"
 
 
-def test_overflowing_features_fail_shapley_without_a_csv(tmp_path, capsys):
-    # The same input as above: no NaN attribution rows may be written.
+def test_overflowing_features_fail_shapley_without_nan_rows(tmp_path, capsys):
+    # The same input as above: the node fails, and no NaN attribution rows may be written.
     graph, model = synth_graph("planted-motif", {}, 7)
     doc = graph_to_doc(graph)
     doc["nodes"][1]["features"] = [1e308] * feature_dim(graph)
@@ -536,8 +536,10 @@ def test_overflowing_features_fail_shapley_without_a_csv(tmp_path, capsys):
     save_model(model, tmp_path / "w.json")
     argv = ["shapley", "--graph", str(tmp_path / "g.json"), "--weights", str(tmp_path / "w.json")]
     assert main(argv + ["--targets", "0", "--out", str(tmp_path / "s.csv")]) == 1
-    assert capsys.readouterr().err == "error: forward pass at node 0: overflow encountered in add\n"
-    assert not (tmp_path / "s.csv").exists()
+    assert capsys.readouterr().err == (
+        "node 0: ValueError: forward pass at node 0: overflow encountered in add\n1 of 1 nodes failed\n"
+    )
+    assert (tmp_path / "s.csv").read_text() == "target,node,shapley_value,support_count\n"
 
 
 @pytest.mark.parametrize(
@@ -572,6 +574,26 @@ def test_every_declared_flag_is_read_by_its_command(command):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == args
     }
     assert read == declared
+
+
+def test_every_command_runs_its_nodes_in_run_nodes():
+    # A static scan of the package: the targets are resolved, and the thread
+    # pool imported, in cli.run_nodes only, so no command loops over its
+    # targets with a failure rule of its own.
+    found = set()
+    for path in sorted(pathlib.Path(moexp.__file__).resolve().parent.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.stem}.{getattr(statement, 'name', '<module>')}"
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Call):
+                    name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+                    if name == "resolve_targets":
+                        found.add((name, owner))
+                elif isinstance(node, ast.Import):
+                    found |= {(alias.name, owner) for alias in node.names if alias.name.startswith("concurrent")}
+                elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("concurrent"):
+                    found.add((node.module, owner))
+    assert found == {("resolve_targets", "cli.run_nodes"), ("concurrent.futures", "cli.run_nodes")}
 
 
 def test_every_traced_span_resolves():
@@ -641,20 +663,13 @@ def test_epsilon_outside_unit_interval_is_rejected(epsilon, chain_graph, chain_m
 
 
 @pytest.mark.parametrize("command", ["explain", "shapley", "robustness"])
-def test_epsilon_outside_unit_interval_fails_the_command(command, fixtures_dir, tmp_path, capsys):
+def test_epsilon_outside_unit_interval_fails_the_command(command, tmp_path, capsys):
+    # One error for the run, before the (missing) inputs are read.
     out = tmp_path / "out"
-    argv = [command, "--graph", str(fixtures_dir / "chain4.json"), "--weights", str(fixtures_dir / "chain4_weights.json")]
+    argv = [command, "--graph", str(tmp_path / "g.json"), "--weights", str(tmp_path / "w.json")]
     assert main(argv + ["--targets", "2", "--epsilon", "-0.5", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    if command == "explain":
-        doc = json.loads((out / "node_2.json").read_text())
-        assert doc["error"] == "ValueError: epsilon must be in (0, 1): -0.5"
-    elif command == "shapley":
-        assert err == "error: epsilon must be in (0, 1): -0.5\n"
-        assert not out.exists()
-    else:
-        assert err == "node 2: ValueError: epsilon must be in (0, 1): -0.5\n"
-        assert len(list(csv.reader(out.read_text().splitlines()))) == 1
+    assert capsys.readouterr().err == "error: epsilon must be in (0, 1): -0.5\n"
+    assert not out.exists()
 
 
 def test_jobs_below_one_is_rejected(fixtures_dir, tmp_path, capsys):
@@ -676,7 +691,8 @@ def test_robustness_keeps_the_rows_of_nodes_that_succeed(tmp_path, capsys):
     argv = ["robustness", "--graph", str(tmp_path / "g.json"), "--weights", str(tmp_path / "w.json")]
     argv += ["--mode", "message", "--steps", "2"]
     assert main(argv + ["--targets", "0,1", "--out", str(tmp_path / "both.csv")]) == 1
-    assert capsys.readouterr().err == "node 1: ValueError: degenerate class direction: zero-norm class column\n"
+    err = capsys.readouterr().err
+    assert err == "node 1: ValueError: degenerate class direction: zero-norm class column\n1 of 2 nodes failed\n"
     assert main(argv + ["--targets", "0", "--out", str(tmp_path / "alone.csv")]) == 0
     rows = list(csv.reader((tmp_path / "both.csv").read_text().splitlines()))
     assert [r[0] for r in rows[1:]] == ["0", "0"]

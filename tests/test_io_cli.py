@@ -396,6 +396,123 @@ def test_jobs_do_not_change_outputs(tmp_path, fixtures_dir):
         assert a == b
 
 
+def _without_time(text: str) -> str:
+    return re.sub(r'"generated_at": "[^"]*"', '"generated_at": ""', text)
+
+
+def _fail_for(target: int, real, target_of, exc_type):
+    """``real`` wrapped to raise ``exc_type`` when ``target_of(*args)`` is ``target``."""
+
+    def fake(*args, **kwargs):
+        if target_of(*args) == target:
+            raise exc_type("injected fault")
+        return real(*args, **kwargs)
+
+    return fake
+
+
+# The per-node functions of an explain run but io.dump_json: the module each
+# is looked up in when it is called, and how the target it works for reads
+# from its arguments.
+_EXPLAIN_STAGES = {
+    "canonical_order": ("moexp.pipeline", lambda graph, target, hops: target),
+    "enumerate_subgraphs": ("moexp.pipeline", lambda ball, config: ball.target),
+    "generate_pairs": ("moexp.pipeline", lambda enumeration, *_: enumeration.ball.target),
+    "CandidateScorer.pair": ("moexp.explain", lambda scorer, *_: scorer.enumeration.ball.target),
+    "rank_pairs": ("moexp.pipeline", lambda enumeration, *_: enumeration.ball.target),
+    "explain_node": ("moexp.cli", lambda model, graph, target, *_: target),
+    "node_document": ("moexp.cli", lambda result, *_: result.target),
+}
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, FloatingPointError, MemoryError])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("stage", [*_EXPLAIN_STAGES, "io.dump_json"])
+def test_a_fault_in_one_node_stays_in_that_node(stage, jobs, exc_type, tmp_path, fixtures_dir, monkeypatch, capsys):
+    graph_path, weights_path = chain_paths(fixtures_dir)
+    argv = ["explain", "--graph", graph_path, "--weights", weights_path, "--targets", "0,1,2", "--jobs", jobs]
+    assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
+    if stage == "io.dump_json":
+        # The node document's write fails at its rename, once its temp file
+        # exists; the error document is then written to the same path.
+        real, failing = os.replace, []
+
+        def replace(src, dst):
+            if dst.endswith("node_1.json") and not failing:
+                failing.append(dst)
+                raise exc_type("injected fault")
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+    else:
+        module, target_of = _EXPLAIN_STAGES[stage]
+        owner, _, name = stage.rpartition(".")
+        where = getattr(sys.modules[module], owner) if owner else sys.modules[module]
+        monkeypatch.setattr(where, name, _fail_for(1, getattr(where, name), target_of, exc_type))
+    capsys.readouterr()
+    for flags, status in (([], 1), (["--keep-going"], 0)):
+        out = tmp_path / f"out{len(flags)}"
+        if stage == "io.dump_json":
+            failing.clear()
+        assert main(argv + ["--out", str(out), *flags]) == status
+        assert capsys.readouterr().err == f"node 1: {exc_type.__name__}: injected fault\n1 of 3 nodes failed\n"
+        for node in (0, 2):
+            name = f"node_{node}.json"
+            assert _without_time((out / name).read_text()) == _without_time((tmp_path / "clean" / name).read_text())
+        error = json.loads((out / "node_1.json").read_text())
+        assert sorted(error) == ["error", "manifest", "node", "schema"]
+        assert error["error"] == f"{exc_type.__name__}: injected fault"
+        assert sorted(p.name for p in out.iterdir()) == ["node_0.json", "node_1.json", "node_2.json"]
+    assert list(tmp_path.rglob(".tmp-*.part")) == []
+
+
+@pytest.mark.parametrize(
+    "command, function, flags",
+    [
+        ("enumerate", "enumerate_subgraphs", []),
+        ("shapley", "shapley_values", []),
+        ("robustness", "run_sanity_sweep", ["--mode", "weights"]),
+    ],
+)
+def test_a_failed_node_leaves_the_rows_of_the_others(command, function, flags, tmp_path, fixtures_dir, monkeypatch, capsys):
+    graph_path, weights_path = chain_paths(fixtures_dir)
+    argv = [command, "--graph", graph_path, *flags] + (["--weights", weights_path] if command != "enumerate" else [])
+    assert main(argv + ["--targets", "0,2", "--out", str(tmp_path / "without.csv")]) == 0
+    target_of = {
+        "enumerate_subgraphs": lambda ball, config: ball.target,
+        "shapley_values": lambda model, graph, target, *_: target,
+        "run_sanity_sweep": lambda model, graph, targets, *_: targets[0],
+    }[function]
+    commands = sys.modules["moexp.commands"]
+    monkeypatch.setattr(commands, function, _fail_for(1, getattr(commands, function), target_of, FloatingPointError))
+    assert main(argv + ["--targets", "0,1,2", "--out", str(tmp_path / "with.csv")]) == 1
+    assert capsys.readouterr().err == "node 1: FloatingPointError: injected fault\n1 of 3 nodes failed\n"
+    assert (tmp_path / "with.csv").read_text() == (tmp_path / "without.csv").read_text()
+
+
+def test_an_unwritable_document_fails_its_node_alike_at_every_jobs(tmp_path, fixtures_dir, capsys):
+    # node_1.json is a directory: its document and its error document both
+    # fail to replace it, and the run goes on to the other nodes.
+    graph_path, weights_path = chain_paths(fixtures_dir)
+    out = tmp_path / "out"
+    (out / "node_1.json").mkdir(parents=True)
+    argv = ["explain", "--graph", graph_path, "--weights", weights_path, "--targets", "0,1,2,3", "--keep-going"]
+    runs = []
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+        # The temp file's name is random; the rest of stderr is not.
+        err = re.sub(r"\.tmp-\w+\.part", ".tmp-X.part", capsys.readouterr().err)
+        runs.append((sorted(p.name for p in out.iterdir()), err))
+        for name in ("node_0.json", "node_2.json", "node_3.json"):
+            (out / name).unlink()
+    failure = f"IsADirectoryError: [Errno 21] Is a directory: '{out}/.tmp-X.part' -> '{out}/node_1.json'"
+    assert runs[0] == runs[1] == (
+        ["node_0.json", "node_1.json", "node_2.json", "node_3.json"],
+        f"node 1: {failure}\nnode 1: error document not written to {out}/node_1.json: {failure}\n1 of 4 nodes failed\n",
+    )
+    assert list(out.glob(".tmp-*.part")) == []
+
+
 def test_enumerate_triangle_has_six_rows(tmp_path, fixtures_dir):
     out = tmp_path / "enum.csv"
     argv = ["enumerate", "--graph", str(fixtures_dir / "triangle.json"), "--out", str(out)]
@@ -682,7 +799,7 @@ def test_cli_child_exit_codes_and_documents(launcher, jobs, tmp_path, fixtures_d
     assert sorted(docs) == [0, 1, 2, 3] and not any("error" in d for d in docs.values())
 
     proc = _moexp_child(launcher, argv + ["--out", str(tmp_path / "bad"), "--targets", "1,9,2"], tmp_path)
-    assert (proc.returncode, proc.stderr) == (1, "1 of 3 nodes failed\n")
+    assert (proc.returncode, proc.stderr) == (1, "node 9: ValueError: target node missing: 9\n1 of 3 nodes failed\n")
     docs = _documents(tmp_path / "bad")
     assert sorted(docs) == [1, 2, 9]
     assert docs[9]["error"] == "ValueError: target node missing: 9" and "error" not in docs[2]
